@@ -91,7 +91,8 @@ def _cmd_opnorm(args):
     samples = []
     for R in (float(x) for x in args.R.split(",")):
         spec = opnorm.SmoothingOperatorSpec(sym=sym, alpha=args.alpha, R=R,
-                                            q=q, r=r, window=window,
+                                            q=q, r=r, order=args.order,
+                                            window=window,
                                             global_t_factor=t_factor)
         if q == 2 and r == 2:
             res = opnorm.operator_norm_l2(spec, seed=args.seed)

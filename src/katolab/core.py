@@ -9,6 +9,7 @@ have exactly the right discrete measure.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -110,6 +111,15 @@ class Field:
         return float(np.sqrt(w * np.sum(np.abs(self.values) ** 2)))
 
 
+def check_uniform_times(t: np.ndarray) -> None:
+    """Raise ValueError unless t increases strictly with one spacing."""
+    dt = np.diff(t)
+    if np.any(dt <= 0):
+        raise ValueError("times must be strictly increasing")
+    if len(dt) > 1 and np.max(np.abs(dt - dt[0])) > 1e-12 * max(abs(t[-1]), abs(t[0]), 1.0):
+        raise ValueError("time samples must be uniformly spaced")
+
+
 @dataclass(frozen=True)
 class SpacetimeField:
     """Time-sampled evolution: slices[s] is the field at times[s]."""
@@ -125,12 +135,7 @@ class SpacetimeField:
             raise ValueError("times must be a nonempty 1-d array")
         if s.shape != (len(t),) + self.grid.shape:
             raise ValueError(f"slice shape {s.shape} incompatible with times/grid")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if len(t) > 2:
-            dt = np.diff(t)
-            if np.max(np.abs(dt - dt[0])) > 1e-12 * max(abs(t[-1]), abs(t[0]), 1.0):
-                raise ValueError("time samples must be uniformly spaced")
+        check_uniform_times(t)
         t.setflags(write=False)
         s.setflags(write=False)
         object.__setattr__(self, "times", t)
@@ -313,11 +318,10 @@ def write_field(f: Field, path: str) -> None:
         fh.write(inter.tobytes())
 
 
-def read_field(path: str, expect_grid: Grid | None = None) -> Field:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 4 or raw[:4] != KSLF_MAGIC:
-        raise FieldFormatError("bad magic, expected KSLF", 0)
+def _read_grid(raw: bytes, magic: bytes) -> Grid:
+    """Check magic and version, then parse the grid (n, N, L) at byte 8."""
+    if len(raw) < 4 or raw[:4] != magic:
+        raise FieldFormatError(f"bad magic, expected {magic.decode()}", 0)
     if len(raw) < 8:
         raise FieldFormatError("truncated version", 4)
     (version,) = struct.unpack_from("<I", raw, 4)
@@ -326,16 +330,28 @@ def read_field(path: str, expect_grid: Grid | None = None) -> Field:
     if len(raw) < 32:
         raise FieldFormatError("truncated header", 8)
     n_f, N_f, L = struct.unpack_from("<ddd", raw, 8)
-    n, N = int(n_f), int(N_f)
-    if n_f != n or N_f != N:
+    if not (n_f.is_integer() and N_f.is_integer()):
         raise FieldFormatError("non-integer dimensions", 8)
-    grid = Grid(n, N, L)
-    count = N**n
-    need = 32 + 16 * count
+    try:
+        return Grid(int(n_f), int(N_f), L)
+    except ValueError as exc:
+        raise FieldFormatError(f"invalid grid: {exc}", 8) from exc
+
+
+def _read_samples(raw: bytes, offset: int, shape: tuple) -> np.ndarray:
+    """Interleaved (re, im) f64 samples filling the file from offset on."""
+    need = offset + 16 * math.prod(shape)
     if len(raw) != need:
         raise FieldFormatError(f"expected {need} bytes, found {len(raw)}", min(len(raw), need))
-    inter = np.frombuffer(raw, dtype="<f8", offset=32)
-    values = (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape)
+    inter = np.frombuffer(raw, dtype="<f8", offset=offset)
+    return (inter[0::2] + 1j * inter[1::2]).reshape(shape)
+
+
+def read_field(path: str, expect_grid: Grid | None = None) -> Field:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    grid = _read_grid(raw, KSLF_MAGIC)
+    values = _read_samples(raw, 32, grid.shape)
     if expect_grid is not None and grid != expect_grid:
         raise FieldFormatError("grid in file does not match expected grid", 8)
     return Field(grid, values)
@@ -359,21 +375,20 @@ def write_spacetime(u: SpacetimeField, path: str) -> None:
 def read_spacetime(path: str) -> SpacetimeField:
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < 4 or raw[:4] != KSLT_MAGIC:
-        raise FieldFormatError("bad magic, expected KSLT", 0)
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != KSLF_VERSION:
-        raise FieldFormatError(f"unsupported version {version}", 4)
-    n_f, N_f, L = struct.unpack_from("<ddd", raw, 8)
-    grid = Grid(int(n_f), int(N_f), L)
+    grid = _read_grid(raw, KSLT_MAGIC)
+    if len(raw) < 40:
+        raise FieldFormatError("truncated slice count", 32)
     (S_f,) = struct.unpack_from("<d", raw, 32)
+    if not (S_f.is_integer() and S_f >= 1):
+        raise FieldFormatError(f"slice count {S_f!r} is not a positive integer", 32)
     S = int(S_f)
     t_end = 40 + 8 * S
+    if len(raw) < t_end:
+        raise FieldFormatError(f"expected {S} times, found {(len(raw) - 40) // 8}", len(raw))
     times = np.frombuffer(raw, dtype="<f8", offset=40, count=S)
-    count = S * grid.N**grid.n
-    need = t_end + 16 * count
-    if len(raw) != need:
-        raise FieldFormatError(f"expected {need} bytes, found {len(raw)}", min(len(raw), need))
-    inter = np.frombuffer(raw, dtype="<f8", offset=t_end)
-    slices = (inter[0::2] + 1j * inter[1::2]).reshape((S,) + grid.shape)
+    try:
+        check_uniform_times(times)
+    except ValueError as exc:
+        raise FieldFormatError(str(exc), 40) from exc
+    slices = _read_samples(raw, t_end, (S,) + grid.shape)
     return SpacetimeField(grid, times.copy(), slices)

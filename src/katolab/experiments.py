@@ -51,8 +51,8 @@ class ExperimentConfig:
     residual_min: float | None = None
     expect: str = "match"  # 'match' or 'residual'
     cross_check: bool = False
-    ascent_steps: int = 12
-    restarts: int = 2
+    ascent_steps: int = opnorm.ASCENT_STEPS
+    restarts: int = opnorm.ASCENT_RESTARTS
     trials: int = 50
     K: int = 3
     box: int = 10**6

@@ -24,6 +24,16 @@ Mixed-norm cases (q, r) != (2, 2), including the maximal r = inf, are
 handled by lower_bound_mixed: structured candidates (narrowband chirps,
 plates) plus projected gradient ascent on the Rayleigh quotient. Those
 values are lower bounds by construction and are reported as such.
+
+Their cost is the evolution slab u(t_s, x_b) = sum_k a_k e^{i t_s phi_k}
+e^{i x_b xi_k} over S time samples and M modes. The time samples must be
+uniform, t_s = t_0 + s dt, so the phase factors in blocks of BLOCK samples:
+e^{i t_{iB+j} phi} = e^{i t_{iB} phi} e^{i (t_j - t_0) phi}. One shared
+BLOCK x M block and one lead row per block cost (S/BLOCK + BLOCK) M
+exponentials instead of S M, and each block of the slab is one matmul
+whose per-block scaling falls on the small M x nx spatial factor. The
+gradient runs the same blocks backwards; at r = inf it needs only the
+sample where each cell peaks.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbols as sym_mod
-from .core import Grid, SpacetimeField
+from .core import Grid, SpacetimeField, check_uniform_times
 from .norms import INF, MixedNormSpec, mixed_norm
 from .propagator import SectorBump, canonical_bump
 from .symbols import SymbolSpec
@@ -46,6 +56,14 @@ TWO_PI = 2.0 * math.pi
 # and the top eigenvalue is converged at the per-mille level.
 SPAN_FACTOR = 2.5
 GLOBAL_T_FACTOR = 8.0
+
+# Mixed-norm lower bounds: time samples per phase block, the default ascent
+# (also the experiment configs' default), and the largest
+# time-samples x eval-points x live-modes cost of a seed the ascent refines.
+BLOCK = 128
+ASCENT_STEPS = 12
+ASCENT_RESTARTS = 2
+ASCENT_BUDGET = 4e8
 
 
 @dataclass(frozen=True)
@@ -364,10 +382,27 @@ def _transit_times(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
     return lo + (np.arange(steps) + 0.5) * (hi - lo) / steps
 
 
+def _time_phases(times: np.ndarray, phi: np.ndarray, sign: float = 1.0) -> tuple:
+    """Block factors of e^{sign i t_s phi} over uniform times.
+
+    Sample s = i BLOCK + j has phase lead[i] * base[j], with
+    lead[i] = e^{sign i t_{i BLOCK} phi} and base[j] = e^{sign i (t_j - t_0) phi};
+    that is (S/BLOCK + BLOCK) M exponentials instead of S M.
+    """
+    check_uniform_times(times)
+    base = np.exp(sign * 1j * np.outer(times[:BLOCK] - times[0], phi))
+    lead = np.exp(sign * 1j * np.outer(times[::BLOCK], phi))
+    return base, lead
+
+
 def _eval_mixed(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
                 times: np.ndarray, nx: int | None = None,
                 want_slab: bool = False):
-    """Mixed norm of the weighted sector evolution of the spectrum c."""
+    """Mixed norm of the weighted sector evolution of the spectrum c.
+
+    times must be uniformly spaced (ValueError otherwise). Each block of
+    BLOCK samples is one matmul: base @ (lead[i] * amp * e^{i xi x}).
+    """
     R = spec.R
     if nx is None:
         # resolve both the carrier (|xi| <= 2.2) and the envelope
@@ -377,16 +412,12 @@ def _eval_mixed(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
     x = gx.x_axis()
     amp_c = modes.amp * c * modes.dxi
     live = np.abs(amp_c) > 1e-14 * np.max(np.abs(amp_c))
-    xi = modes.xi[live]
-    phiv = modes.phi_vals[live]
-    av = amp_c[live]
-    E = np.exp(1j * np.outer(x, xi))  # (B, M_live)
+    base, lead = _time_phases(times, modes.phi_vals[live])
+    EA = amp_c[live][:, None] * np.exp(1j * np.outer(modes.xi[live], x))  # (M_live, B)
     slab = np.empty((len(times), len(x)), dtype=np.complex128)
-    chunk = max(1, int(2e6 // max(len(xi), 1)))
-    for s0 in range(0, len(times), chunk):
-        ts = times[s0:s0 + chunk]
-        ph = np.exp(1j * np.outer(ts, phiv)) * av[None, :]
-        slab[s0:s0 + len(ts)] = ph @ E.T
+    for i, s0 in enumerate(range(0, len(times), BLOCK)):
+        k = min(BLOCK, len(times) - s0)
+        slab[s0:s0 + k] = base[:k] @ (lead[i][:, None] * EA)
     u = SpacetimeField(gx, times, slab)
     spec_norm = MixedNormSpec(q=spec.q, r=spec.r, order=spec.order)
     val = mixed_norm(u, spec_norm)
@@ -400,22 +431,30 @@ def _l2_of_spectrum(modes: ModeGrid, c: np.ndarray) -> float:
 
 
 def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid,
-                       c: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Gradient of the Rayleigh quotient wrt conj(c) (subgradient at r=inf)."""
-    val, u = _eval_mixed(spec, modes, c, times, want_slab=True)
+                       c: np.ndarray, val: float, u: SpacetimeField) -> np.ndarray:
+    """Gradient of the Rayleigh quotient wrt conj(c) (subgradient at r=inf).
+
+    (val, u) is what _eval_mixed(..., want_slab=True) returned for c. With
+    W = d val / d conj(u), the chain rule back to the spectrum is
+    g_k = amp_k sum_s e^{-i t_s phi_k} sum_b e^{-i x_b xi_k} W[s, b].
+    """
     slab = u.slices
     absu = np.abs(slab)
-    wt = u.dt if len(times) > 1 else 1.0
+    wt = u.dt if len(u.times) > 1 else 1.0
     wx = u.grid.dx
     q, r = spec.q, spec.r
+    amp = modes.amp * modes.dxi
+    ph_x = np.exp(-1j * np.outer(modes.xi, u.grid.x_axis()))  # (M, B)
     if r == INF:
-        Mb = absu.max(axis=0)
-        arg = absu.argmax(axis=0)
-        W = np.zeros_like(slab)
+        # W has one nonzero per cell: the sample where |u| peaks
         cols = np.arange(slab.shape[1])
+        arg = absu.argmax(axis=0)
         uu = slab[arg, cols]
+        Mb = absu[arg, cols]
         safe = np.where(Mb > 0, Mb, 1.0)
-        W[arg, cols] = 0.5 * val ** (1 - q) * wx * safe ** (q - 1) * uu / safe
+        w = 0.5 * val ** (1 - q) * wx * safe ** (q - 1) * uu / safe
+        ph_t = np.exp(-1j * np.outer(modes.phi_vals, u.times[arg]))  # (M, B)
+        g = amp * np.sum(ph_t * ph_x * w, axis=1)
     else:
         G = wt * np.sum(absu**r, axis=0)
         safe = np.where(absu > 0, absu, 1.0)
@@ -423,17 +462,13 @@ def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid,
              * np.where(G > 0, G, 1.0) ** (q / r - 1.0)
              * safe ** (r - 2) * slab)
         W[:, G <= 0] = 0.0
-    # chain rule back to the spectrum:
-    # g_k = amp_k sum_s e^{-i t_s phi_k} sum_b e^{-i x_b xi_k} W[s, b]
-    x = u.grid.x_axis()
-    amp = modes.amp * modes.dxi
-    ph_x = np.exp(-1j * np.outer(x, modes.xi))
-    g = np.zeros(len(modes.xi), dtype=np.complex128)
-    chunk = max(1, int(2e6 // max(len(modes.xi), 1)))
-    for s0 in range(0, len(times), chunk):
-        ts = times[s0:s0 + chunk]
-        ph_t = np.exp(-1j * np.outer(modes.phi_vals, ts))
-        g += amp * np.sum(ph_t * (ph_x.T @ W[s0:s0 + len(ts)].T), axis=1)
+        # Z[k, b] = sum_s e^{-i t_s phi_k} W[s, b], one matmul per block
+        base, lead = _time_phases(u.times, modes.phi_vals, sign=-1.0)
+        Z = np.zeros_like(ph_x)
+        for i, s0 in enumerate(range(0, len(u.times), BLOCK)):
+            k = min(BLOCK, len(u.times) - s0)
+            Z += lead[i][:, None] * (base[:k].T @ W[s0:s0 + k])
+        g = amp * np.sum(Z * ph_x, axis=1)
     nf = _l2_of_spectrum(modes, c)
     grad_norm_f = (modes.dxi / TWO_PI) * c / (2.0 * nf)
     quotient = val / nf
@@ -441,12 +476,14 @@ def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid,
 
 
 def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
-                      ascent_steps: int = 50, restarts: int = 5) -> LowerBoundResult:
+                      ascent_steps: int = ASCENT_STEPS,
+                      restarts: int = ASCENT_RESTARTS) -> LowerBoundResult:
     """Lower bound for the mixed-norm operator quotient.
 
     Maximum over structured candidates, refined by normalized gradient
     ascent with step halving on non-improvement. The result is a LOWER
-    bound only; stagnation is recorded, never raised.
+    bound only; stagnation is recorded, never raised. `candidate` names
+    the bank entry whose (possibly refined) spectrum gave the value.
     """
     modes = mode_grid(spec)
     if spec.q == 2 and spec.r == 2:
@@ -456,92 +493,81 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
                                 window_delta=0.0, tail_fraction=0.0,
                                 evaluations=res.iterations)
     evals = 0
-    best_val = 0.0
-    best_c = None
-    best_name = ""
-    cheap_val = 0.0
-    cheap_c = None
-    ascent_budget = 4e8  # time-samples x eval-points x live-modes per step
+    best_val, best_c, best_name, best_affordable = 0.0, None, "", False
+    cheap_val, cheap_c, cheap_name = 0.0, None, ""
     for name, c in _candidate_bank(spec, modes, seed):
         times = _transit_times(spec, modes, c)
         val = _eval_mixed(spec, modes, c, times) / _l2_of_spectrum(modes, c)
         evals += 1
+        live = int(np.sum(np.abs(c) > 1e-9 * np.max(np.abs(c))))
+        affordable = len(times) * (2 * spec.R / 0.7) * live <= ASCENT_BUDGET
         if val > best_val:
-            best_val, best_c, best_name = val, c, name
-        cost = len(times) * (2 * spec.R / 0.7) * int(np.sum(np.abs(c) > 1e-9 * np.max(np.abs(c))))
-        if cost <= ascent_budget and val > cheap_val:
-            cheap_val, cheap_c = val, c
+            best_val, best_c, best_name, best_affordable = val, c, name, affordable
+        if affordable and val > cheap_val:
+            cheap_val, cheap_c, cheap_name = val, c, name
 
     # gradient ascent refinement; if the best candidate is too expensive to
     # differentiate repeatedly, refine the best affordable one instead (the
     # result is a max over everything either way)
-    seed_c = best_c
-    seed_cost = _transit_times(spec, modes, best_c)
-    if len(seed_cost) * (2 * spec.R / 0.7) * int(
-            np.sum(np.abs(best_c) > 1e-9 * np.max(np.abs(best_c)))) > ascent_budget \
-            and cheap_c is not None:
-        seed_c = cheap_c
+    seed_c, seed_name = best_c, best_name
+    if not best_affordable and cheap_c is not None:
+        seed_c, seed_name = cheap_c, cheap_name
+    # ascent stays inside the seed's frequency neighborhood so the
+    # transit window (and the cost) remain those of the seed
+    support = np.abs(seed_c) > 1e-9 * np.max(np.abs(seed_c))
+    reach = max(3, int(0.02 / modes.dxi))
+    support = np.convolve(support.astype(float), np.ones(2 * reach + 1),
+                          mode="same") > 0
     rng = np.random.default_rng(seed + 1)
-    top_val, top_c = best_val, best_c
+    top_val, top_c, top_name = best_val, best_c, best_name
     for restart in range(restarts):
         if restart == 0:
             c = np.array(seed_c)
         else:
             c = seed_c * (1.0 + 0.2 * (rng.standard_normal(len(seed_c))
                                        + 1j * rng.standard_normal(len(seed_c))))
-        # ascent stays inside the seed's frequency neighborhood so the
-        # transit window (and the cost) remain those of the seed
-        support = np.abs(seed_c) > 1e-9 * np.max(np.abs(seed_c))
-        reach = max(3, int(0.02 / modes.dxi))
-        support = np.convolve(support.astype(float), np.ones(2 * reach + 1),
-                              mode="same") > 0
         times = _transit_times(spec, modes, c)
-        cur = _eval_mixed(spec, modes, c, times) / _l2_of_spectrum(modes, c)
+        raw, u = _eval_mixed(spec, modes, c, times, want_slab=True)
+        cur = raw / _l2_of_spectrum(modes, c)
         evals += 1
         step = 0.5
         for _ in range(ascent_steps):
-            gq = _quotient_gradient(spec, modes, c, times)
+            gq = _quotient_gradient(spec, modes, c, raw, u)
             gq = np.where(support, gq, 0.0)
             gn = np.linalg.norm(gq)
             if gn == 0:
                 break
             trial = c + step * np.linalg.norm(c) * gq / gn
-            val = _eval_mixed(spec, modes, trial, times) / _l2_of_spectrum(modes, trial)
-            evals += 2
+            t_raw, t_u = _eval_mixed(spec, modes, trial, times, want_slab=True)
+            val = t_raw / _l2_of_spectrum(modes, trial)
+            evals += 1
             if val > cur:
-                c, cur = trial, val
+                c, cur, raw, u = trial, val, t_raw, t_u
             else:
                 step *= 0.5
                 if step < 1e-4:
                     break
         if cur > top_val:
-            top_val, top_c = cur, c
+            top_val, top_c, top_name = cur, c, seed_name
 
     # report sampling and windowing sensitivity of the winner
     times = _transit_times(spec, modes, top_c)
-    t_half = times[::2]
-    v_full = _eval_mixed(spec, modes, top_c, times)
-    v_half = _eval_mixed(spec, modes, top_c, t_half)
+    v_full, u = _eval_mixed(spec, modes, top_c, times, want_slab=True)
+    v_half = _eval_mixed(spec, modes, top_c, times[::2])
     refinement_delta = abs(v_full - v_half) / max(v_full, 1e-300)
     wide = _transit_times(spec, modes, top_c, margin_factor=2.0)
     v_wide = _eval_mixed(spec, modes, top_c, wide)
     window_delta = abs(v_wide - v_full) / max(v_full, 1e-300)
-    # last-decade tail of the time profile (transit tail diagnostics)
-    tail_fraction = _tail_fraction(spec, modes, top_c, times)
+    # share of the time-profile mass in the last tenth of the window
+    per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
+    k = max(1, len(per_t) // 10)
+    tail_fraction = float(np.sum(per_t[-k:]) / max(np.sum(per_t), 1e-300))
     nf = _l2_of_spectrum(modes, top_c)
-    return LowerBoundResult(value=max(top_val, v_wide / nf), candidate=best_name,
+    return LowerBoundResult(value=max(top_val, v_wide / nf), candidate=top_name,
                             ascent_gain=(top_val - best_val) / max(best_val, 1e-300),
                             refinement_delta=refinement_delta,
                             window_delta=window_delta,
                             tail_fraction=tail_fraction, evaluations=evals)
-
-
-def _tail_fraction(spec, modes, c, times) -> float:
-    """Share of the time-profile mass in the last tenth of the window."""
-    val, u = _eval_mixed(spec, modes, c, times, want_slab=True)
-    per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
-    k = max(1, len(per_t) // 10)
-    return float(np.sum(per_t[-k:]) / max(np.sum(per_t), 1e-300))
 
 
 # ---------------------------------------------------------------------------

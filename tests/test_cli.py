@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from katolab import cli
+from katolab import cli, opnorm, symbols
 from katolab.core import read_field, read_spacetime
 
 
@@ -62,6 +62,20 @@ def test_opnorm_cli(capsys):
     out = capsys.readouterr().out
     assert out.startswith("R,norm,iterations,restarts")
     assert '"slope"' in out
+
+
+def test_opnorm_cli_order_reaches_the_spec(capsys):
+    # --order tx must give the lower bound of the tx spec, which differs from xt
+    printed = {}
+    for order in ("xt", "tx"):
+        assert cli.main(["opnorm", "--symbol", "power:m=2,n=1", "--alpha", "0.5",
+                         "--q", "2", "--r", "4", "--order", order, "--R", "2",
+                         "--seed", "3"]) == 0
+        printed[order] = capsys.readouterr().out.splitlines()[1].split(",")[1]
+    spec = opnorm.SmoothingOperatorSpec(sym=symbols.schrodinger(1), alpha=0.5,
+                                        R=2.0, q=2.0, r=4.0, order="tx")
+    assert printed["tx"] == f"{opnorm.lower_bound_mixed(spec, seed=3).value:.10g}"
+    assert printed["tx"] != printed["xt"]
 
 
 def test_run_cli(tmp_path, capsys):

@@ -1,10 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from katolab.core import (Annulus, Field, FieldFormatError, GaussianRecipe,
                           Grid, KnappRecipe, RandomBandlimited, Sector,
-                          dft, idft, make_field, parseval_defect, read_field,
-                          write_field)
+                          SpacetimeField, dft, idft, make_field,
+                          parseval_defect, read_field, read_spacetime,
+                          write_field, write_spacetime)
 
 
 def random_field(grid, seed=0):
@@ -136,6 +139,49 @@ def test_field_file_errors(tmp_path):
     write_field(random_field(g), str(good))
     raw = good.read_bytes()
     trunc = tmp_path / "trunc.kslf"
-    trunc.write_bytes(raw[:-8])
-    with pytest.raises(FieldFormatError):
-        read_field(str(trunc))
+    for end in range(len(raw)):
+        trunc.write_bytes(raw[:end])
+        with pytest.raises(FieldFormatError) as exc:
+            read_field(str(trunc))
+        assert 0 <= exc.value.offset <= end
+
+
+def _written_spacetime(tmp_path) -> bytes:
+    g = Grid(1, 8, 4.0)
+    times = np.linspace(0.0, 1.0, 3)
+    rng = np.random.default_rng(5)
+    slab = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    p = tmp_path / "u.kslt"
+    write_spacetime(SpacetimeField(g, times, slab), str(p))
+    return p.read_bytes()
+
+
+def test_spacetime_file_truncated_anywhere_in_header(tmp_path):
+    raw = _written_spacetime(tmp_path)
+    p = tmp_path / "trunc.kslt"
+    for end in range(0, 40 + 8 * 3 + 1):  # magic .. slice count, then times
+        p.write_bytes(raw[:end])
+        with pytest.raises(FieldFormatError) as exc:
+            read_spacetime(str(p))
+        assert 0 <= exc.value.offset <= end, (end, exc.value)
+
+
+@pytest.mark.parametrize("count", [-3.0, 2.5, 0.0, float("nan"), float("inf")])
+def test_spacetime_file_bad_slice_count(tmp_path, count):
+    raw = bytearray(_written_spacetime(tmp_path))
+    raw[32:40] = struct.pack("<d", count)
+    p = tmp_path / "bad.kslt"
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FieldFormatError) as exc:
+        read_spacetime(str(p))
+    assert exc.value.offset == 32
+
+
+def test_spacetime_file_bad_time_axis(tmp_path):
+    raw = bytearray(_written_spacetime(tmp_path))
+    raw[48:56] = struct.pack("<d", 5.0)  # second time after the third
+    p = tmp_path / "bad.kslt"
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FieldFormatError) as exc:
+        read_spacetime(str(p))
+    assert exc.value.offset == 40
