@@ -17,8 +17,13 @@ quadrature whose span scales with the window length so that the periodic
 representation never recirculates mass through the ball. The norm is the
 top eigenvalue, found by power iteration (with restarts) and cross-checked
 against a dense eigensolve at small scale. For the quadratic symbol the
-kernel splits into a short sum of modulated Toeplitz and Hankel kernels,
-so one apply costs a few FFTs and the R = 64 cases stay interactive.
+kernel splits into four modulations of two Toeplitz kernels and one Hankel
+kernel. One apply costs 12 FFTs of size N >= 2M - 1 (the smallest
+2^a 3^b) over M modes: per modulation one forward transform, which the
+Hankel term reuses through the reversal identity
+fft(g[::-1], N)[k] = e^{-2 pi i k (M-1)/N} fft(g, N)[-k mod N], and two
+inverse transforms, one of them shared by the two terms with row factor
+1/rho^2. The R = 64 cases stay interactive.
 
 Mixed-norm cases (q, r) != (2, 2), including the maximal r = inf, are
 handled by lower_bound_mixed: structured candidates (narrowband chirps,
@@ -151,6 +156,15 @@ def dense_operator_matrix(spec: SmoothingOperatorSpec,
     return (d[:, None] * d[None, :]) * X * T
 
 
+def _fft_size(n: int) -> int:
+    """Smallest 2^a 3^b >= n: numpy's FFT is fast on these, slow on large primes."""
+    best, p3 = 2 * n, 1
+    while p3 < 2 * n:
+        best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+        p3 *= 3
+    return best
+
+
 class _FastKernel:
     """Structured apply of the quadratic-form kernel for quadratic symbols.
 
@@ -163,64 +177,63 @@ class _FastKernel:
     and 1/(delta*omega) = (1/rho)(1/delta^2) - (1/rho^2)(1/delta)
     + (1/rho^2)(1/sigma) with rho = 2 xi_k'. Each term is a row scaling, a
     modulation, a pure Toeplitz (1/delta^p) or Hankel (1/sigma) kernel, and
-    a column scaling, so the apply is a handful of FFT convolutions.
+    a column scaling. The diagonal terms cancel over the four (s, w).
+
+    Every kernel has 2M - 1 lags, so circulant embedding of size
+    N >= 2M - 1 (the smallest 2^a 3^b) correlates without wrap-around into
+    the output slice [M-1, 2M-1). Per modulation the apply takes one
+    forward FFT G of g and two inverse FFTs, 12 transforms of size N in
+    all. The Hankel term reuses G through the reversal identity
+    fft(g[::-1], N)[k] = e^{-2 pi i k (M-1)/N} G[-k mod N], whose phase is
+    folded into the Hankel spectrum; the 1/delta and 1/sigma terms share
+    the row factor 1/rho^2, so they are summed before one inverse FFT, and
+    the 1/delta^2 term takes the other.
     """
 
     def __init__(self, spec: SmoothingOperatorSpec, modes: ModeGrid):
         if spec.sym.kind != "power" or spec.sym.m != 2.0 or spec.sym.scale != 1.0:
             raise ValueError("fast kernel requires the quadratic power symbol")
-        self.modes = modes
-        self.R = spec.R
         a, b = spec.time_window()
-        self.window = (a, b)
         xi = modes.xi
+        d = modes.amp
         M = len(xi)
+        N = _fft_size(2 * M - 1)
         self.M = M
+        self.N = N
         dxi = modes.dxi
-        lags = np.arange(-(M - 1), M) * dxi
+        # kernels reversed over their lags, so out[i] = sum_k t[k-i] g[k]
+        # lands at index M-1+i of the circular convolution
+        lags = np.arange(M - 1, -M, -1) * dxi
         with np.errstate(divide="ignore"):
             t1 = np.where(lags != 0, 1.0 / lags, 0.0)
             t2 = np.where(lags != 0, 1.0 / lags**2, 0.0)
         sig = xi[0] + xi[0] + np.arange(2 * M - 1) * dxi  # sigma over k+k'
-        h0 = 1.0 / sig
-        self.P = 1 << int(math.ceil(math.log2(3 * M)))
-        self.ft_t1 = np.fft.fft(t1[::-1], self.P)
-        self.ft_t2 = np.fft.fft(t2[::-1], self.P)
-        self.ft_h0 = np.fft.fft(h0, self.P)
-        self.rho = 2.0 * xi
-        self.diag = modes.amp**2 * (2.0 * spec.R) * (b - a)
-        # column/row modulations for s in {+1,-1} (ball) and w in {b, a} (window)
+        k = np.arange(N)
+        # the 1/delta term enters with a minus sign
+        self.ft_t2 = np.fft.fft(t2, N)
+        self.ft_t1 = -np.fft.fft(t1, N)
+        self.ft_h = np.exp(-2j * math.pi * k * (M - 1) / N) * np.fft.fft(1.0 / sig, N)
+        self.neg = -k % N
+        self.diag = d**2 * (2.0 * spec.R) * (b - a)
+        inv_rho = 1.0 / (2.0 * xi)
+        # per modulation (s in {+1,-1} for the ball, w in {b, a} for the
+        # window): column factor col*d and row factors -(s c_w) d conj(col)
+        # times 1/rho and 1/rho^2
         self.mods = []
         for s_sign in (+1.0, -1.0):
             for t_w, c_w in ((b, +1.0), (a, -1.0)):
                 col = np.exp(1j * (s_sign * spec.R * xi + t_w * xi**2))
-                row = np.conj(col)
-                self.mods.append((s_sign, c_w, col, row))
-
-    def _corr_toeplitz(self, ft_kernel: np.ndarray, g: np.ndarray) -> np.ndarray:
-        # out[i] = sum_k t[k-i] g[k] via full convolution with reversed kernel
-        gf = np.fft.fft(g, self.P)
-        full = np.fft.ifft(gf * ft_kernel)
-        return full[self.M - 1: 2 * self.M - 1]
-
-    def _corr_hankel(self, g: np.ndarray) -> np.ndarray:
-        # out[i] = sum_k h[i+k] g[k]
-        gf = np.fft.fft(g[::-1], self.P)
-        full = np.fft.ifft(gf * self.ft_h0)
-        return full[self.M - 1: 2 * self.M - 1]
+                row = -(s_sign * c_w) * d * np.conj(col)
+                self.mods.append((col * d, row * inv_rho, row * inv_rho**2))
 
     def apply(self, c: np.ndarray) -> np.ndarray:
-        d = self.modes.amp
+        rows = slice(self.M - 1, 2 * self.M - 1)
         out = self.diag * c
-        base = d * c
-        inv_rho = 1.0 / self.rho
-        inv_rho2 = inv_rho**2
-        for s_sign, c_w, col, row in self.mods:
-            g = col * base
-            part = (inv_rho * self._corr_toeplitz(self.ft_t2, g)
-                    - inv_rho2 * self._corr_toeplitz(self.ft_t1, g)
-                    + inv_rho2 * self._corr_hankel(g))
-            out = out - (s_sign * c_w) * d * row * part
+        for col, row_rho, row_rho2 in self.mods:
+            G = np.fft.fft(col * c, self.N)
+            t2_term = np.fft.ifft(G * self.ft_t2)[rows]
+            rho2_terms = np.fft.ifft(G * self.ft_t1 + G[self.neg] * self.ft_h)[rows]
+            out += row_rho * t2_term + row_rho2 * rho2_terms
         return out
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -41,6 +42,42 @@ def test_fast_kernel_matches_dense():
         a = H @ v
         b = fast.apply(v)
         assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 64, 337, 700])
+def test_fast_kernel_matches_dense_on_sliced_grids(M):
+    spec = spec_at(16.0)
+    full = O.mode_grid(spec)
+    k0 = (len(full.xi) - M) // 2
+    cut = slice(k0, k0 + M)
+    modes = dataclasses.replace(full, xi=full.xi[cut], amp=full.amp[cut],
+                                phi_vals=full.phi_vals[cut])
+    rng = np.random.default_rng(M)
+    v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    a = O.dense_operator_matrix(spec, modes) @ v
+    b = O._FastKernel(spec, modes).apply(v)
+    assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a)
+
+
+def test_fft_size_is_smallest_3_smooth_power_of_two_product():
+    smooth = sorted(2**a * 3**b for a in range(14) for b in range(9))
+    for n in range(1, 5001):
+        assert O._fft_size(n) == next(s for s in smooth if s >= n), n
+
+
+def test_fast_power_iteration_golden_value():
+    # recorded with a 24-transform kernel of size 2^ceil(log2 3M): the fast
+    # path's transforms may change, its result may not
+    res = O.operator_norm_l2(spec_at(32.0), seed=4)
+    assert res.method == "power-fast"
+    assert res.value == pytest.approx(47.614878320316464, rel=1e-10)
+
+
+def test_fast_and_dense_power_iteration_agree():
+    fast = O.operator_norm_l2(spec_at(16.0), method="fast")
+    dense = O.operator_norm_l2(spec_at(16.0), method="dense")
+    assert fast.value == pytest.approx(dense.value, rel=1e-12)
+    assert fast.iterations == dense.iterations
 
 
 def test_power_iteration_matches_dense_eig():

@@ -50,6 +50,29 @@ def test_reconstruction_and_energy(dec8, grid):
     assert W.energy_identity_defect(dec) <= 1e-10
 
 
+def test_dropped_packets_stay_within_the_energy_budget(grid):
+    # five packets of this field each hold about 5e-19 of its energy; a
+    # per-packet floor of 1e-18 dropped them all and cost 6e-10 accuracy
+    f = make_field(grid, RandomBandlimited(Sector(), seed=35))
+    dec = W.decompose(f, 8.0)
+    assert dec.dropped_energy <= 1e-22 * dec.total_energy
+    rec = W.reconstruct(dec)
+    assert Field(grid, rec.values - f.values).l2() / f.l2() <= 1e-10
+
+
+def test_two_dimensional_packets_are_tight():
+    g = Grid(2, 32, 16.0)
+    x = g.x_mesh()
+    f = Field(g, np.exp(-(x[0] ** 2 + x[1] ** 2) / 8) * np.exp(1j * (x[0] + 0.5 * x[1])))
+    dec = W.decompose(f, 4.0)
+    wfreq = g.dxi**2 / (2 * math.pi) ** 2
+    for p in dec.packets[::97]:
+        assert p.energy == pytest.approx(wfreq * np.sum(np.abs(p.spectrum) ** 2), rel=1e-12)
+    rec = W.reconstruct(dec)
+    assert Field(g, rec.values - f.values).l2() / f.l2() <= 1e-10
+    assert W.energy_identity_defect(dec) <= 1e-10
+
+
 def test_packet_frequency_support_sharp(dec8, grid):
     # frequency windows are compactly supported: packet spectra vanish
     # outside B(v, 2/(3R)) exactly by construction
