@@ -18,11 +18,7 @@ from .core import (Annulus, Ball, GaussianRecipe, Grid, KnappRecipe,
 
 
 def _parse_recipe(text: str):
-    kind, _, rest = text.partition(":")
-    kv = {}
-    for part in filter(None, rest.split(",")):
-        k, _, v = part.partition("=")
-        kv[k.strip()] = v.strip()
+    kind, kv = symbols.split_spec(text)
     if kind == "gaussian":
         center = tuple(float(c) for c in kv.get("center", "0").split(";"))
         return GaussianRecipe(center=center, width=float(kv.get("width", "1")))

@@ -191,17 +191,24 @@ def parseval_defect(f: Field) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _sector_polar(mesh) -> tuple:
+    """|xi| and the chord |xi/|xi| - e1|, which reads 1 at the origin."""
+    mesh = [np.asarray(m) for m in mesh]
+    rho = np.sqrt(sum(m**2 for m in mesh))
+    rho_safe = np.where(rho > 0, rho, 1.0)
+    chord2 = (mesh[0] / rho_safe - 1.0) ** 2
+    for m in mesh[1:]:
+        chord2 = chord2 + (m / rho_safe) ** 2
+    return rho, np.sqrt(chord2)
+
+
 @dataclass(frozen=True)
 class Sector:
     """Annular sector 1/2 <= |xi| <= 2 within angle pi/4 (chordal) of e1."""
 
     def contains(self, mesh: list) -> np.ndarray:
-        rho = np.sqrt(sum(m**2 for m in mesh))
-        rho_safe = np.where(rho > 0, rho, 1.0)
-        chord2 = (mesh[0] / rho_safe - 1.0) ** 2
-        for m in mesh[1:]:
-            chord2 = chord2 + (m / rho_safe) ** 2
-        ok = (rho >= 0.5) & (rho <= 2.0) & (np.sqrt(chord2) <= np.pi / 4)
+        rho, chord = _sector_polar(mesh)
+        ok = (rho >= 0.5) & (rho <= 2.0) & (chord <= np.pi / 4)
         return ok & (rho > 0)
 
 
@@ -249,14 +256,9 @@ class KnappRecipe:
     center_xi: float = 1.2
 
 
-@dataclass(frozen=True)
-class FileRecipe:
-    path: str
-
-
 def _smoothstep(u: np.ndarray) -> np.ndarray:
-    # C-infinity ramp: 0 for u<=0, 1 for u>=1.
-    u = np.clip(u, 0.0, 1.0)
+    """C-infinity ramp from 0 (u<=0) to 1 (u>=1) built from exp(-1/u)."""
+    u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = np.where(u > 0, np.exp(-1.0 / np.where(u > 0, u, 1.0)), 0.0)
         b = np.where(u < 1, np.exp(-1.0 / np.where(u < 1, 1.0 - u, 1.0)), 0.0)
@@ -293,9 +295,6 @@ def make_field(grid: Grid, recipe) -> Field:
             prof = prof * _smoothstep(u)
         return idft(Field(grid, prof.astype(complex)))
 
-    if isinstance(recipe, FileRecipe):
-        return read_field(recipe.path, expect_grid=grid)
-
     raise TypeError(f"unknown field recipe {recipe!r}")
 
 
@@ -305,17 +304,23 @@ def make_field(grid: Grid, recipe) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def write_field(f: Field, path: str) -> None:
-    g = f.grid
+def _write_samples(path: str, magic: bytes, g: Grid, extra: bytes,
+                   samples: np.ndarray) -> None:
+    """Header (magic, version, grid, then `extra`) and interleaved samples."""
+    flat = samples.reshape(-1)
+    inter = np.empty(flat.size * 2, dtype="<f8")
+    inter[0::2] = flat.real
+    inter[1::2] = flat.imag
     with open(path, "wb") as fh:
-        fh.write(KSLF_MAGIC)
+        fh.write(magic)
         fh.write(struct.pack("<I", KSLF_VERSION))
         fh.write(struct.pack("<ddd", float(g.n), float(g.N), g.L))
-        inter = np.empty(f.values.size * 2, dtype="<f8")
-        flat = f.values.reshape(-1)
-        inter[0::2] = flat.real
-        inter[1::2] = flat.imag
+        fh.write(extra)
         fh.write(inter.tobytes())
+
+
+def write_field(f: Field, path: str) -> None:
+    _write_samples(path, KSLF_MAGIC, f.grid, b"", f.values)
 
 
 def _read_grid(raw: bytes, magic: bytes) -> Grid:
@@ -347,29 +352,17 @@ def _read_samples(raw: bytes, offset: int, shape: tuple) -> np.ndarray:
     return (inter[0::2] + 1j * inter[1::2]).reshape(shape)
 
 
-def read_field(path: str, expect_grid: Grid | None = None) -> Field:
+def read_field(path: str) -> Field:
     with open(path, "rb") as fh:
         raw = fh.read()
     grid = _read_grid(raw, KSLF_MAGIC)
-    values = _read_samples(raw, 32, grid.shape)
-    if expect_grid is not None and grid != expect_grid:
-        raise FieldFormatError("grid in file does not match expected grid", 8)
-    return Field(grid, values)
+    return Field(grid, _read_samples(raw, 32, grid.shape))
 
 
 def write_spacetime(u: SpacetimeField, path: str) -> None:
-    g = u.grid
-    with open(path, "wb") as fh:
-        fh.write(KSLT_MAGIC)
-        fh.write(struct.pack("<I", KSLF_VERSION))
-        fh.write(struct.pack("<ddd", float(g.n), float(g.N), g.L))
-        fh.write(struct.pack("<d", float(len(u.times))))
-        fh.write(np.asarray(u.times, dtype="<f8").tobytes())
-        flat = u.slices.reshape(-1)
-        inter = np.empty(flat.size * 2, dtype="<f8")
-        inter[0::2] = flat.real
-        inter[1::2] = flat.imag
-        fh.write(inter.tobytes())
+    times = np.asarray(u.times, dtype="<f8").tobytes()
+    _write_samples(path, KSLT_MAGIC, u.grid,
+                   struct.pack("<d", float(len(u.times))) + times, u.slices)
 
 
 def read_spacetime(path: str) -> SpacetimeField:

@@ -25,7 +25,7 @@ SCHEMA = "katolab-report-v1"
 
 KIND_CHOICES = ("scaling", "transfer", "maximal", "wavepacket-audit",
                 "sparse-audit", "decay-audit", "propagator-audit",
-                "decoupling-audit")
+                "decoupling-audit", "tube-incidence")
 
 
 class ConfigError(ValueError):
@@ -71,6 +71,11 @@ class ExperimentConfig:
                 raise ConfigError("R", "need at least 3 scales for a fit")
             if any(x < 1 for x in self.R_list):
                 raise ConfigError("R", "scales must be >= 1")
+        if self.kind == "tube-incidence":
+            if self.symbol.n != 1:
+                raise ConfigError("symbol", "tube incidence is implemented for n = 1")
+            if any(H < 1 for H in self.H_list):
+                raise ConfigError("H", "scales must be >= 1")
         if self.kind == "transfer" and not self.r_tilde > self.r:
             raise ConfigError("r_tilde", f"must exceed r = {self.r}")
         if self.expect not in ("match", "residual"):
@@ -107,18 +112,27 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}", f"expected key=value, got {raw!r}")
         k, _, v = line.partition("=")
-        kv[k.strip()] = v.strip()
+        k = k.strip()
+        if k in kv:
+            raise ConfigError(k, f"duplicate key on line {lineno}")
+        kv[k] = v.strip()
     if "kind" not in kv:
         raise ConfigError("kind", "missing")
     if "symbol" not in kv:
         raise ConfigError("symbol", "missing")
-    cfg = ExperimentConfig(kind=kv.pop("kind"),
-                           symbol=symbols.from_config(kv.pop("symbol")))
+    try:
+        sym = symbols.from_config(kv.pop("symbol"))
+    except ValueError as exc:
+        raise ConfigError("symbol", str(exc)) from exc
+    cfg = ExperimentConfig(kind=kv.pop("kind"), symbol=sym)
     lists = {"R": "R_list", "H": "H_list"}
     renames = {"out": "out_dir", "N": "grid_N", "L": "grid_L"}
     for k, v in kv.items():
         if k in lists:
-            setattr(cfg, lists[k], tuple(float(x) for x in v.split(",")))
+            try:
+                setattr(cfg, lists[k], tuple(float(x) for x in v.split(",")))
+            except ValueError as exc:
+                raise ConfigError(k, f"expected comma-separated numbers: {exc}") from exc
         elif k in renames:
             setattr(cfg, renames[k], _parse_scalar(v) if k != "out" else v)
         elif hasattr(cfg, k):
@@ -175,6 +189,10 @@ def validate_report(d: dict) -> list:
         for k in ("name", "passed", "detail"):
             if k not in c:
                 problems.append(f"criterion missing {k}: {c}")
+    for f in d.get("fits", []):
+        for k in ("tag", "R", "values", "slope", "intercept", "stderr"):
+            if k not in f:
+                problems.append(f"fit missing {k}: {f}")
     return problems
 
 
@@ -231,6 +249,7 @@ def run(config: ExperimentConfig) -> Report:
         "decay-audit": _run_decay_audit,
         "propagator-audit": _run_propagator_audit,
         "decoupling-audit": _run_decoupling_audit,
+        "tube-incidence": _run_tube_incidence,
     }[config.kind]
     runner(config, report)
     report.environment = _environment()
@@ -242,6 +261,12 @@ def run(config: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 # Individual experiment kinds
 # ---------------------------------------------------------------------------
+
+
+def _fit_entry(tag: str, fit: opnorm.ScalingFit) -> dict:
+    return {"tag": tag, "R": list(fit.R_values), "values": list(fit.norms),
+            "slope": fit.slope, "intercept": fit.intercept,
+            "stderr": fit.stderr, "predicted": fit.predicted}
 
 
 def _run_scaling(cfg: ExperimentConfig, report: Report):
@@ -259,10 +284,7 @@ def _run_scaling(cfg: ExperimentConfig, report: Report):
     predicted = opnorm.predicted_exponent(cfg.symbol.n, cfg.symbol.m, cfg.q,
                                           cfg.r, cfg.alpha)
     fit = opnorm.fit_exponent(samples, predicted=predicted)
-    report.fits.append({"tag": "scaling", "R": list(fit.R_values),
-                        "values": list(fit.norms), "slope": fit.slope,
-                        "intercept": fit.intercept, "stderr": fit.stderr,
-                        "predicted": predicted})
+    report.fits.append(_fit_entry("scaling", fit))
     if cfg.expect == "match":
         ok = abs(fit.slope - predicted) <= cfg.slope_tol
         report.criterion("slope-matches-prediction", ok,
@@ -301,10 +323,7 @@ def _run_maximal(cfg: ExperimentConfig, report: Report):
     predicted = opnorm.predicted_exponent(cfg.symbol.n, cfg.symbol.m, cfg.q,
                                           math.inf, cfg.alpha)
     fit = opnorm.fit_exponent(samples, predicted=predicted)
-    report.fits.append({"tag": "maximal", "R": list(fit.R_values),
-                        "values": list(fit.norms), "slope": fit.slope,
-                        "intercept": fit.intercept, "stderr": fit.stderr,
-                        "predicted": predicted})
+    report.fits.append(_fit_entry("maximal", fit))
     ok = abs(fit.slope - predicted) <= cfg.slope_tol
     report.criterion("maximal-slope", ok,
                      f"slope {fit.slope:.4f} vs {predicted:.4f} (tol {cfg.slope_tol})")
@@ -332,14 +351,8 @@ def _run_transfer(cfg: ExperimentConfig, report: Report):
     f_glob = opnorm.fit_exponent(glob)
     delta_inf, alpha_sup = opnorm.transfer_exponent(cfg.symbol.n, cfg.r,
                                                     cfg.r_tilde, cfg.alpha)
-    report.fits.append({"tag": "local", "R": list(f_loc.R_values),
-                        "values": list(f_loc.norms), "slope": f_loc.slope,
-                        "intercept": f_loc.intercept, "stderr": f_loc.stderr,
-                        "predicted": None})
-    report.fits.append({"tag": "global", "R": list(f_glob.R_values),
-                        "values": list(f_glob.norms), "slope": f_glob.slope,
-                        "intercept": f_glob.intercept, "stderr": f_glob.stderr,
-                        "predicted": None})
+    report.fits.append(_fit_entry("local", f_loc))
+    report.fits.append(_fit_entry("global", f_glob))
     report.measure("delta_inf", delta_inf, "transfer_exponent")
     report.measure("alpha_global_sup", alpha_sup, "transfer_exponent")
     bound = f_loc.slope + delta_inf + 0.1
@@ -440,6 +453,14 @@ def _run_sparse_audit(cfg: ExperimentConfig, report: Report):
                      all_ok and worst_c <= c_cover,
                      f"all audits pass, worst family constant {worst_c:.2f} "
                      f"<= {c_cover}")
+
+
+def _run_tube_incidence(cfg: ExperimentConfig, report: Report):
+    counts = {H: wavepackets.max_overlap(cfg.symbol, H)["count"] for H in cfg.H_list}
+    ratio = max(counts.values()) / min(counts.values())
+    report.measure("counts", {str(k): v for k, v in counts.items()}, "max_overlap")
+    report.criterion("overlap-stability", ratio <= 2.0,
+                     f"max/min overlap {ratio:.2f} <= 2 across H")
 
 
 def _run_decay_audit(cfg: ExperimentConfig, report: Report):
@@ -544,6 +565,8 @@ def acceptance_runs(quick: bool = False) -> list:
          "trials = 50\nK = 3\nseed = 8"),
         ("sparse-decoupling", f"kind = decoupling-audit\nsymbol = {schr}\n"
          "seed = 9"),
+        ("tube-incidence", f"kind = tube-incidence\nsymbol = {schr}\n"
+         "H = 16,32,64"),
     ]
     return [(name, parse_config(text)) for name, text in runs]
 
@@ -564,18 +587,6 @@ def verify_all(out_dir: str | None = None, quick: bool = False) -> Report:
                                      "value": m["value"],
                                      "operation": m["operation"]})
         agg.fits.extend(sub.fits)
-    # tube-incidence check runs inline (cheap, geometric)
-    sym = symbols.schrodinger(1)
-    counts = {}
-    for H in (16.0, 32.0, 64.0):
-        counts[H] = wavepackets.max_overlap(sym, H)["count"]
-    ratio = max(counts.values()) / min(counts.values())
-    agg.measurements.append({"name": "tube-incidence/counts",
-                             "value": {str(k): v for k, v in counts.items()},
-                             "operation": "max_overlap"})
-    agg.criteria.append({"name": "tube-incidence/overlap-stability",
-                         "passed": ratio <= 2.0,
-                         "detail": f"max/min overlap {ratio:.2f} <= 2 across H"})
     agg.environment = _environment()
     agg.environment["wall_clock_s"] = round(time.time() - t0, 3)
     if out_dir:

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import symbols as sym_mod
 from .core import Grid, SpacetimeField, check_uniform_times
-from .norms import INF, MixedNormSpec, mixed_norm
+from .norms import INF, MixedNormSpec, mixed_norm, refinement_delta
 from .propagator import SectorBump, canonical_bump
 from .symbols import SymbolSpec
 
@@ -566,8 +566,7 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
     # report sampling and windowing sensitivity of the winner
     times = _transit_times(spec, modes, top_c)
     v_full, u = _eval_mixed(spec, modes, top_c, times, want_slab=True)
-    v_half = _eval_mixed(spec, modes, top_c, times[::2])
-    refinement_delta = abs(v_full - v_half) / max(v_full, 1e-300)
+    ref_delta = refinement_delta(u, MixedNormSpec(q=spec.q, r=spec.r, order=spec.order))
     wide = _transit_times(spec, modes, top_c, margin_factor=2.0)
     v_wide = _eval_mixed(spec, modes, top_c, wide)
     window_delta = abs(v_wide - v_full) / max(v_full, 1e-300)
@@ -578,7 +577,7 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
     nf = _l2_of_spectrum(modes, top_c)
     return LowerBoundResult(value=max(top_val, v_wide / nf), candidate=top_name,
                             ascent_gain=(top_val - best_val) / max(best_val, 1e-300),
-                            refinement_delta=refinement_delta,
+                            refinement_delta=ref_delta,
                             window_delta=window_delta,
                             tail_fraction=tail_fraction, evaluations=evals)
 

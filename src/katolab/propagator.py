@@ -16,20 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, Grid, SpacetimeField, dft, idft
+from .core import (Field, Grid, SpacetimeField, _sector_polar, _smoothstep,
+                   dft, idft)
 from . import symbols as sym_mod
 from .symbols import SymbolSpec
 
 TWO_PI = 2.0 * math.pi
-
-
-def _mollifier_step(u: np.ndarray) -> np.ndarray:
-    """C-infinity ramp from 0 (u<=0) to 1 (u>=1) built from exp(-1/u)."""
-    u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = np.where(u > 0, np.exp(-1.0 / np.where(u > 0, u, 1.0)), 0.0)
-        b = np.where(u < 1, np.exp(-1.0 / np.where(u < 1, 1.0 - u, 1.0)), 0.0)
-    return a / (a + b)
 
 
 @dataclass(frozen=True)
@@ -54,15 +46,10 @@ class SectorBump:
         return self.angular_frac * (math.pi / 4)
 
     def values(self, mesh) -> np.ndarray:
-        rho = np.sqrt(sum(np.asarray(m) ** 2 for m in mesh))
+        rho, chord = _sector_polar(mesh)
         w = self.radial_width
-        radial = _mollifier_step((rho - 0.5) / w) * _mollifier_step((2.0 - rho) / w)
-        rho_safe = np.where(rho > 0, rho, 1.0)
-        chord2 = (np.asarray(mesh[0]) / rho_safe - 1.0) ** 2
-        for m in mesh[1:]:
-            chord2 = chord2 + (np.asarray(m) / rho_safe) ** 2
-        chord = np.sqrt(chord2)
-        angular = _mollifier_step((math.pi / 4 - chord) / self.angular_width)
+        radial = _smoothstep((rho - 0.5) / w) * _smoothstep((2.0 - rho) / w)
+        angular = _smoothstep((math.pi / 4 - chord) / self.angular_width)
         out = radial * angular
         return np.where(rho > 0, out, 0.0)
 
@@ -117,7 +104,7 @@ def _lp_profile(rho: np.ndarray, k: int) -> np.ndarray:
     # chi(r) = 1 for r <= 1.4, 0 for r >= 2; the late ramp leaves each block
     # identically 1 on a fat band [2^k, 1.4 * 2^k] inside its shell
     def chi(r):
-        return _mollifier_step((2.0 - r) / 0.6)
+        return _smoothstep((2.0 - r) / 0.6)
 
     if k == 0:
         return chi(rho)
@@ -169,8 +156,8 @@ def times_for_window(sym: SymbolSpec, t0: float, t1: float, xi_max: float,
 def _shell_bump(rho: np.ndarray, k: int) -> np.ndarray:
     # adapted to the shell [2^{k-1}, 2^{k+1}]: 1 there, support [2^{k-2}, 2^{k+2}]
     lo, hi = 2.0 ** (k - 1), 2.0 ** (k + 1)
-    ramp_lo = _mollifier_step((rho - lo / 2) / (lo / 2))
-    ramp_hi = _mollifier_step((2 * hi - rho) / hi)
+    ramp_lo = _smoothstep((rho - lo / 2) / (lo / 2))
+    ramp_hi = _smoothstep((2 * hi - rho) / hi)
     return ramp_lo * ramp_hi
 
 

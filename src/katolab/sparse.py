@@ -216,7 +216,7 @@ def sparse_decompose(E: CubeSet, K: int, gamma: Fraction = Fraction(2)) -> list:
     |E|^(k/K) of the set. Each level is covered greedily by balls of the
     previous radius centered at a maximal separated subset, and the balls
     are packed into families first-fit under the exact separation predicate
-    (re-verified for the grown family size on every insertion).
+    for the grown family size, checked against the family's closest pair.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -264,27 +264,23 @@ def _cover_and_pack(points: list, radius: int, gamma: Fraction) -> list:
     for pt in points:
         if all(_dist2(pt, c) > r2 for c in centers):
             centers.append(pt)
+    # First fit. _sep_ok is monotone in d2, so a grown family is sparse
+    # exactly when its closest pair is: keep each family's minimum pairwise
+    # d2 (None for one center) and test only the pairs a new center adds.
     families: list = []
     for c in centers:
-        placed = False
         for fam in families:
-            grown = fam + [c]
-            N = len(grown)
-            ok = True
-            for i in range(N):
-                for j in range(i + 1, N):
-                    if not _sep_ok(_dist2(grown[i], grown[j]), N, radius, gamma):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                fam.append(c)
-                placed = True
+            members, fam_min = fam
+            d2 = min(_dist2(c, x) for x in members)
+            if fam_min is not None and fam_min < d2:
+                d2 = fam_min
+            if _sep_ok(d2, len(members) + 1, radius, gamma):
+                members.append(c)
+                fam[1] = d2
                 break
-        if not placed:
-            families.append([c])
-    return [SparseFamily(centers=tuple(f), H=radius, gamma=gamma) for f in families]
+        else:
+            families.append([[c], None])
+    return [SparseFamily(centers=tuple(f), H=radius, gamma=gamma) for f, _ in families]
 
 
 def audit_decomposition(E: CubeSet, levels: list) -> dict:

@@ -182,21 +182,29 @@ def validate_symbol(sym: SymbolSpec, sample_count: int, seed: int = 0) -> Valida
     )
 
 
-def from_config(text: str) -> SymbolSpec:
-    """Parse a symbol key like 'power:m=2,n=1' or 'poly:n=2,m=3,terms=1*1.2'.
-
-    Poly terms are semicolon-separated 'coeff*e1.e2...eN' entries.
-    """
+def split_spec(text: str) -> tuple:
+    """Split 'kind:k=v,k=v,...' into (kind, {k: v}); values stay strings."""
     kind, _, rest = text.partition(":")
     kv = {}
     for part in filter(None, rest.split(",")):
         k, _, v = part.partition("=")
         kv[k.strip()] = v.strip()
+    return kind, kv
+
+
+def from_config(text: str) -> SymbolSpec:
+    """Parse a symbol key like 'power:m=2,n=1' or 'poly:n=2,m=3,terms=1*1.2'.
+
+    Poly terms are semicolon-separated 'coeff*e1.e2...eN' entries.
+    """
+    kind, kv = split_spec(text)
     n = int(kv.get("n", "1"))
     if kind == "power":
         return SymbolSpec(kind="power", m=float(kv.get("m", "2")), n=n,
                           scale=float(kv.get("scale", "1")))
     if kind == "poly":
+        if "terms" not in kv:
+            raise ValueError("poly symbol needs terms=coeff*e1.e2...;...")
         terms = []
         for chunk in kv["terms"].split(";"):
             coeff_s, _, exps_s = chunk.partition("*")

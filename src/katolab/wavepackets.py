@@ -298,15 +298,6 @@ def reconstruct(dec: Decomposition) -> Field:
     return Field(g, acc)
 
 
-def plain_sum(dec: Decomposition) -> Field:
-    """Plain sum of analysis packets (not an inverse; kept for reporting)."""
-    g = dec.pair.grid
-    acc = np.zeros(g.shape, dtype=np.complex128)
-    for p in dec.packets:
-        acc += p.spectrum
-    return idft(Field(g, acc))
-
-
 def energy_identity_defect(dec: Decomposition) -> float:
     s = sum(p.energy for p in dec.packets) + dec.dropped_energy
     return abs(s - dec.total_energy) / max(dec.total_energy, 1e-300)

@@ -3,30 +3,24 @@
 Each test prints one pass/fail line with the measured quantity and elapsed
 time against the criterion's runtime budget. Criteria that share one
 experiment run (for example the two propagator checks) share its wall
-clock. Run with `pytest tests/test_acceptance.py -v -s`.
+clock. The configs are the battery table, `experiments.acceptance_runs()`.
+Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
-import math
 import time
 
-import numpy as np
-import pytest
-
 from katolab import experiments as E
-from katolab import opnorm as O
-from katolab import symbols as S
-from katolab import wavepackets as W
 
+RUNS = dict(E.acceptance_runs())
 _CACHE: dict = {}
 
 
-def cached_run(key: str, config_text: str):
-    if key not in _CACHE:
-        cfg = E.parse_config(config_text)
+def cached_run(name: str):
+    if name not in _CACHE:
         t0 = time.time()
-        rep = E.run(cfg)
-        _CACHE[key] = (rep, time.time() - t0)
-    return _CACHE[key]
+        rep = E.run(RUNS[name])
+        _CACHE[name] = (rep, time.time() - t0)
+    return _CACHE[name]
 
 
 def criterion_from_report(num, label, rep, elapsed, budget, name):
@@ -38,39 +32,19 @@ def criterion_from_report(num, label, rep, elapsed, budget, name):
     assert elapsed < budget, f"runtime {elapsed:.1f}s exceeded {budget}s"
 
 
-PROP_CFG = ("kind = propagator-audit\nsymbol = power:m=2,n=1\n"
-            "N = 1024\nL = 64\nfields = 100\nseed = 1")
-WP_CFG = ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\n"
-          "N = 1024\nL = 128\nR = 4,8\nfields = 20\n"
-          "subcollections = 100\nseed = 2")
-DECAY_CFG = "kind = decay-audit\nsymbol = power:m=2,n=1\nR = 16,32\nseed = 3"
-SCALING_CFG = ("kind = scaling\nsymbol = power:m=2,n=1\nalpha = 0.5\n"
-               "q = 2\nr = 2\nR = 8,16,32,64\ncross_check = true\nseed = 4")
-SHARP_CFG = ("kind = scaling\nsymbol = power:m=2,n=1\nalpha = 0.75\n"
-             "q = 2\nr = 2\nR = 8,16,32,64\nexpect = residual\n"
-             "residual_min = 0.2\nseed = 5")
-MAXIMAL_CFG = ("kind = maximal\nsymbol = power:m=2,n=1\nalpha = -0.25\n"
-               "q = 2\nR = 8,16,32,64\nseed = 6")
-TRANSFER_CFG = ("kind = transfer\nsymbol = power:m=2,n=1\nalpha = 0.5\n"
-                "q = 2\nr = 2\nr_tilde = 4\nR = 8,16,32\nseed = 7")
-SPARSE_CFG = ("kind = sparse-audit\nsymbol = power:m=2,n=1\n"
-              "trials = 50\nK = 3\nseed = 8")
-DECOUPLING_CFG = "kind = decoupling-audit\nsymbol = power:m=2,n=1\nseed = 9"
-
-
 def test_criterion_01_energy_identity():
-    rep, dt = cached_run("prop", PROP_CFG)
+    rep, dt = cached_run("energy-and-gaussian")
     criterion_from_report(1, "energy identity", rep, dt, 5, "energy-identity")
 
 
 def test_criterion_02_gaussian_oracle():
-    rep, dt = cached_run("prop", PROP_CFG)
+    rep, dt = cached_run("energy-and-gaussian")
     criterion_from_report(2, "propagated gaussian vs refined quadrature",
                           rep, dt, 5, "gaussian-oracle")
 
 
 def test_criterion_03_packet_reconstruction_and_energy():
-    rep, dt = cached_run("wp", WP_CFG)
+    rep, dt = cached_run("wavepacket-identities")
     criterion_from_report(3, "packet reconstruction", rep, dt, 30,
                           "packet-reconstruction")
     criterion_from_report(3, "packet energy identity", rep, dt, 30,
@@ -78,18 +52,18 @@ def test_criterion_03_packet_reconstruction_and_energy():
 
 
 def test_criterion_04_almost_orthogonality():
-    rep, dt = cached_run("wp", WP_CFG)
+    rep, dt = cached_run("wavepacket-identities")
     criterion_from_report(4, "almost orthogonality", rep, dt, 60,
                           "almost-orthogonality")
 
 
 def test_criterion_05_kernel_decay():
-    rep, dt = cached_run("decay", DECAY_CFG)
+    rep, dt = cached_run("kernel-and-surface-decay")
     criterion_from_report(5, "packet kernel decay", rep, dt, 60, "kernel-decay")
 
 
 def test_criterion_06_scaling_exponent():
-    rep, dt = cached_run("scaling", SCALING_CFG)
+    rep, dt = cached_run("l2-scaling")
     criterion_from_report(6, "quadratic-window scaling exponent", rep, dt, 600,
                           "slope-matches-prediction")
     criterion_from_report(6, "dense eigensolver cross-check", rep, dt, 600,
@@ -97,50 +71,42 @@ def test_criterion_06_scaling_exponent():
 
 
 def test_criterion_07_sharpness_direction():
-    rep, dt = cached_run("sharp", SHARP_CFG)
+    rep, dt = cached_run("sharpness-direction")
     criterion_from_report(7, "super-threshold regularity fails", rep, dt, 600,
                           "residual-slope-grows")
 
 
 def test_criterion_08_maximal_exponent():
-    rep, dt = cached_run("maximal", MAXIMAL_CFG)
+    rep, dt = cached_run("maximal-exponent")
     criterion_from_report(8, "maximal-function exponent", rep, dt, 600,
                           "maximal-slope")
 
 
 def test_criterion_09_window_transfer():
-    rep, dt = cached_run("transfer", TRANSFER_CFG)
+    rep, dt = cached_run("window-transfer")
     criterion_from_report(9, "bounded-to-global window transfer", rep, dt, 900,
                           "window-transfer-slope")
 
 
 def test_criterion_10_tube_overlap():
-    t0 = time.time()
-    sym = S.schrodinger(1)
-    counts = {H: W.max_overlap(sym, H)["count"] for H in (16.0, 32.0, 64.0)}
-    dt = time.time() - t0
-    ratio = max(counts.values()) / min(counts.values())
-    ok = ratio <= 2.0
-    status = "PASS" if ok else "FAIL"
-    print(f"[criterion 10] {status} tube/cube overlap stability: counts "
-          f"{counts}, max/min {ratio:.2f} <= 2 ({dt:.1f}s < 120s)")
-    assert ok
-    assert dt < 120
+    rep, dt = cached_run("tube-incidence")
+    criterion_from_report(10, "tube/cube overlap stability", rep, dt, 120,
+                          "overlap-stability")
 
 
 def test_criterion_11_sparse_decomposition():
-    rep, dt = cached_run("sparse", SPARSE_CFG)
+    rep, dt = cached_run("sparse-decomposition")
     criterion_from_report(11, "sparse ball decomposition audit", rep, dt, 120,
                           "sparse-decomposition-audit")
 
 
 def test_criterion_12_surface_decay():
-    rep, dt = cached_run("decay", DECAY_CFG)
+    rep, dt = cached_run("kernel-and-surface-decay")
     criterion_from_report(12, "surface-measure decay exponent", rep, dt, 120,
                           "surface-measure-decay")
 
 
 def test_criterion_13_sparse_decoupling():
-    rep, dt = cached_run("decoupling", DECOUPLING_CFG)
+    rep, dt = cached_run("sparse-decoupling")
     criterion_from_report(13, "sparse decoupling constant", rep, dt, 300,
                           "sparse-decoupling")

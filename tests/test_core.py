@@ -127,6 +127,26 @@ def test_field_file_roundtrip_bit_exact(tmp_path):
     assert p.read_bytes() == p2.read_bytes()
 
 
+def test_spacetime_file_roundtrip_bit_exact(tmp_path):
+    g = Grid(2, 8, 4.0)
+    times = 0.25 + 0.5 * np.arange(3)
+    rng = np.random.default_rng(9)
+    slab = rng.standard_normal((3, 8, 8)) + 1j * rng.standard_normal((3, 8, 8))
+    p = tmp_path / "u.kslt"
+    write_spacetime(SpacetimeField(g, times, slab), str(p))
+    inter = np.stack([slab.real.ravel(), slab.imag.ravel()], axis=1)
+    assert p.read_bytes() == (b"KSLT" + struct.pack("<I", 1)
+                              + struct.pack("<dddd", 2.0, 8.0, 4.0, 3.0)
+                              + times.astype("<f8").tobytes()
+                              + inter.astype("<f8").tobytes())
+    u = read_spacetime(str(p))
+    assert u.grid == g
+    assert np.array_equal(u.times, times) and np.array_equal(u.slices, slab)
+    p2 = tmp_path / "v.kslt"
+    write_spacetime(u, str(p2))
+    assert p.read_bytes() == p2.read_bytes()
+
+
 def test_field_file_errors(tmp_path):
     p = tmp_path / "bad.kslf"
     p.write_bytes(b"NOPE" + b"\x00" * 40)

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from katolab import experiments as E
+from katolab import symbols as S
+from katolab import wavepackets as W
 
 
 GOOD_SCALING = """
@@ -39,6 +41,15 @@ def test_parse_config_errors_name_fields():
         E.parse_config("kind = transfer\nsymbol = power:m=2,n=1\n"
                        "r = 4\nr_tilde = 2\nR = 8,16,32")
     assert exc.value.field_name == "r_tilde"
+    for text, field in [("kind = scaling\nsymbol = poly:n=2", "symbol"),
+                        ("kind = scaling\nsymbol = power:m=abc", "symbol"),
+                        ("kind = scaling\nsymbol = power:m=2,n=1\nR = 8,x,32", "R"),
+                        ("kind = tube-incidence\nsymbol = power:m=2,n=1\nH = 16,", "H"),
+                        ("kind = scaling\nsymbol = power:m=2,n=1\nseed = 1\nseed = 2",
+                         "seed")]:
+        with pytest.raises(E.ConfigError) as exc:
+            E.parse_config(text)
+        assert exc.value.field_name == field, text
 
 
 def test_scaling_run_passes_and_sabotage_fails():
@@ -76,6 +87,12 @@ def test_invalid_report_detected():
     assert E.validate_report({}) != []
     assert E.validate_report({"schema": "wrong", "config": {}, "measurements": [],
                               "fits": [], "criteria": [], "environment": {}}) != []
+    fit = {"tag": "scaling", "R": [8.0, 16.0, 32.0], "values": [1.0, 2.0, 4.0],
+           "intercept": 0.0, "stderr": 0.0}
+    problems = E.validate_report({"schema": E.SCHEMA, "config": {},
+                                  "measurements": [], "fits": [fit],
+                                  "criteria": [], "environment": {}})
+    assert problems and "slope" in problems[0]
 
 
 def test_propagator_audit_quick():
@@ -100,3 +117,15 @@ def test_sparse_audit_quick():
                          "trials = 5\nK = 3\nseed = 3")
     rep = E.run(cfg)
     assert rep.passed
+
+
+def test_tube_incidence_run():
+    cfg = E.parse_config("kind = tube-incidence\nsymbol = power:m=2,n=1\n"
+                         "H = 8,16,32")
+    rep = E.run(cfg)
+    assert rep.passed
+    counts = {str(H): W.max_overlap(S.schrodinger(1), H)["count"]
+              for H in (8.0, 16.0, 32.0)}
+    assert rep.measurements == [{"name": "counts", "value": counts,
+                                 "operation": "max_overlap"}]
+    assert [c["name"] for c in rep.criteria] == ["overlap-stability"]

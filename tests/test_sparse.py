@@ -146,6 +146,52 @@ def test_decompose_random_audit():
         assert audit["max_families"] <= 2.0 * len(E) ** (1.0 / 3.0)
 
 
+def _first_fit_reference(points, radius, gamma):
+    """Cover, then first fit that re-checks every pair of the grown family."""
+    r2 = radius * radius
+    centers = []
+    for pt in points:
+        if all(SP._dist2(pt, c) > r2 for c in centers):
+            centers.append(pt)
+    families = []
+    for c in centers:
+        for fam in families:
+            grown = fam + [c]
+            if all(SP._sep_ok(SP._dist2(a, b), len(grown), radius, gamma)
+                   for i, a in enumerate(grown) for b in grown[i + 1:]):
+                fam.append(c)
+                break
+        else:
+            families.append([c])
+    return [tuple(f) for f in families]
+
+
+@pytest.mark.parametrize("gamma", [Fraction(2), Fraction(3, 2)])
+def test_packing_matches_pairwise_first_fit(gamma):
+    rng = np.random.default_rng(11)
+    multi = split = 0
+    for _ in range(60):
+        radius = int(rng.integers(1, 4))
+        box = int(rng.integers(20, 2000))
+        pts = [tuple(int(c) for c in rng.integers(0, box, 2))
+               for _ in range(int(rng.integers(2, 30)))]
+        # collinear runs, along an axis and a diagonal, whose steps sit at the
+        # family thresholds +-1
+        for direction in ((1, 0), (1, 1)):
+            x = y = 0
+            for _ in range(int(rng.integers(2, 12))):
+                N = int(rng.integers(2, 7))
+                step = round((N * radius) ** float(gamma)) + int(rng.integers(-1, 2))
+                x, y = x + direction[0] * step, y + direction[1] * step
+                pts.append((x, y))
+        pts = list(dict.fromkeys(pts))
+        got = [f.centers for f in SP._cover_and_pack(pts, radius, gamma)]
+        assert got == _first_fit_reference(pts, radius, gamma)
+        multi += any(len(f) > 1 for f in got)
+        split += len(got) > 1
+    assert multi and split
+
+
 def test_recursion_radii():
     # |E| = 3, gamma = 2: H_1 = 9, H_2 = 9 * 81 = 729, H_3 = 9 * 729^2
     pts = ((0, 0), (10**5, 0), (0, 10**5))
