@@ -170,13 +170,17 @@ def dft(f: Field) -> Field:
     return Field(g, out)
 
 
+def idft_batch(g: Grid, spectra: np.ndarray) -> np.ndarray:
+    """Inverse transforms of spectra stacked along leading axes; the grid
+    axes come last."""
+    for ph in _axis_phase(g, +1.0):
+        spectra = spectra * ph
+    return np.fft.ifftn(spectra, axes=tuple(range(-g.n, 0))) / g.dx**g.n
+
+
 def idft(fhat: Field) -> Field:
     """Inverse of dft; carries the (2 pi)^{-n} of the integral convention."""
-    g = fhat.grid
-    v = fhat.values
-    for ph in _axis_phase(g, +1.0):
-        v = v * ph
-    return Field(g, np.fft.ifftn(v) / g.dx**g.n)
+    return Field(fhat.grid, idft_batch(fhat.grid, fhat.values))
 
 
 def parseval_defect(f: Field) -> float:

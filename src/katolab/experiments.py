@@ -13,7 +13,7 @@ import math
 import os
 import platform
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -87,6 +87,10 @@ class ExperimentConfig:
         return self
 
 
+_NUMERIC = {f.name for f in fields(ExperimentConfig)
+            if f.type in ("int", "float", "float | None")}
+
+
 def _parse_scalar(v: str):
     v = v.strip()
     if v.lower() in ("inf", "infinity"):
@@ -130,13 +134,18 @@ def parse_config(text: str) -> ExperimentConfig:
     for k, v in kv.items():
         if k in lists:
             try:
-                setattr(cfg, lists[k], tuple(float(x) for x in v.split(",")))
+                vals = tuple(float(x) for x in v.split(","))
             except ValueError as exc:
                 raise ConfigError(k, f"expected comma-separated numbers: {exc}") from exc
-        elif k in renames:
-            setattr(cfg, renames[k], _parse_scalar(v) if k != "out" else v)
-        elif hasattr(cfg, k):
-            setattr(cfg, k, _parse_scalar(v))
+            if any(math.isnan(x) for x in vals):
+                raise ConfigError(k, f"expected comma-separated numbers, got {v!r}")
+            setattr(cfg, lists[k], vals)
+        elif k in renames or hasattr(cfg, k):
+            name = renames.get(k, k)
+            val = v if k == "out" else _parse_scalar(v)
+            if name in _NUMERIC and (isinstance(val, (bool, str)) or math.isnan(val)):
+                raise ConfigError(k, f"expected a number, got {v!r}")
+            setattr(cfg, name, val)
         else:
             raise ConfigError(k, "unknown key")
     return cfg.validate()

@@ -496,7 +496,7 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
     Maximum over structured candidates, refined by normalized gradient
     ascent with step halving on non-improvement. The result is a LOWER
     bound only; stagnation is recorded, never raised. `candidate` names
-    the bank entry whose (possibly refined) spectrum gave the value.
+    the bank winner, refined only when its cost is within ASCENT_BUDGET.
     """
     modes = mode_grid(spec)
     if spec.q == 2 and spec.r == 2:
@@ -507,7 +507,6 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
                                 evaluations=res.iterations)
     evals = 0
     best_val, best_c, best_name, best_affordable = 0.0, None, "", False
-    cheap_val, cheap_c, cheap_name = 0.0, None, ""
     for name, c in _candidate_bank(spec, modes, seed):
         times = _transit_times(spec, modes, c)
         val = _eval_mixed(spec, modes, c, times) / _l2_of_spectrum(modes, c)
@@ -516,29 +515,23 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
         affordable = len(times) * (2 * spec.R / 0.7) * live <= ASCENT_BUDGET
         if val > best_val:
             best_val, best_c, best_name, best_affordable = val, c, name, affordable
-        if affordable and val > cheap_val:
-            cheap_val, cheap_c, cheap_name = val, c, name
 
-    # gradient ascent refinement; if the best candidate is too expensive to
-    # differentiate repeatedly, refine the best affordable one instead (the
-    # result is a max over everything either way)
-    seed_c, seed_name = best_c, best_name
-    if not best_affordable and cheap_c is not None:
-        seed_c, seed_name = cheap_c, cheap_name
-    # ascent stays inside the seed's frequency neighborhood so the
-    # transit window (and the cost) remain those of the seed
-    support = np.abs(seed_c) > 1e-9 * np.max(np.abs(seed_c))
+    # gradient ascent refinement of the winner, when it is cheap enough to
+    # differentiate repeatedly; the ascent stays inside the winner's
+    # frequency neighborhood so the transit window (and the cost) remain
+    # those of the winner
+    support = np.abs(best_c) > 1e-9 * np.max(np.abs(best_c))
     reach = max(3, int(0.02 / modes.dxi))
     support = np.convolve(support.astype(float), np.ones(2 * reach + 1),
                           mode="same") > 0
     rng = np.random.default_rng(seed + 1)
-    top_val, top_c, top_name = best_val, best_c, best_name
-    for restart in range(restarts):
+    top_val, top_c = best_val, best_c
+    for restart in range(restarts if best_affordable else 0):
         if restart == 0:
-            c = np.array(seed_c)
+            c = np.array(best_c)
         else:
-            c = seed_c * (1.0 + 0.2 * (rng.standard_normal(len(seed_c))
-                                       + 1j * rng.standard_normal(len(seed_c))))
+            c = best_c * (1.0 + 0.2 * (rng.standard_normal(len(best_c))
+                                       + 1j * rng.standard_normal(len(best_c))))
         times = _transit_times(spec, modes, c)
         raw, u = _eval_mixed(spec, modes, c, times, want_slab=True)
         cur = raw / _l2_of_spectrum(modes, c)
@@ -561,7 +554,7 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
                 if step < 1e-4:
                     break
         if cur > top_val:
-            top_val, top_c, top_name = cur, c, seed_name
+            top_val, top_c = cur, c
 
     # report sampling and windowing sensitivity of the winner
     times = _transit_times(spec, modes, top_c)
@@ -575,7 +568,7 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
     k = max(1, len(per_t) // 10)
     tail_fraction = float(np.sum(per_t[-k:]) / max(np.sum(per_t), 1e-300))
     nf = _l2_of_spectrum(modes, top_c)
-    return LowerBoundResult(value=max(top_val, v_wide / nf), candidate=top_name,
+    return LowerBoundResult(value=max(top_val, v_wide / nf), candidate=best_name,
                             ascent_gain=(top_val - best_val) / max(best_val, 1e-300),
                             refinement_delta=ref_delta,
                             window_delta=window_delta,

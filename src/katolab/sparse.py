@@ -136,18 +136,14 @@ class SparseFamily:
 
 
 def _dist2(a, b):
-    # exact: plain int when both endpoints are ints, Fraction otherwise
-    if all(isinstance(c, int) for c in a) and all(isinstance(c, int) for c in b):
-        return sum((x - y) ** 2 for x, y in zip(a, b))
-    return sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(a, b))
+    # exact for Python ints and Fractions (never numpy integers: the
+    # thresholds overflow int64)
+    return sum((x - y) ** 2 for x, y in zip(a, b))
 
 
 def _sep_ok(d2, N: int, H: int, gamma: Fraction) -> bool:
     # |dz| >= (N H)^gamma  <=>  |dz|^(2q) >= (N H)^(2p), gamma = p/q
-    p, q = gamma.numerator, gamma.denominator
-    if isinstance(d2, int):
-        return d2**q >= (N * H) ** (2 * p)
-    return d2**q >= Fraction(N * H) ** (2 * p)
+    return d2**gamma.denominator >= (N * H) ** (2 * gamma.numerator)
 
 
 def is_sparse(family: SparseFamily) -> bool:

@@ -183,12 +183,18 @@ def validate_symbol(sym: SymbolSpec, sample_count: int, seed: int = 0) -> Valida
 
 
 def split_spec(text: str) -> tuple:
-    """Split 'kind:k=v,k=v,...' into (kind, {k: v}); values stay strings."""
+    """Split 'kind:k=v,k=v,...' into (kind, {k: v}); values stay strings.
+
+    A repeated key raises ValueError naming it.
+    """
     kind, _, rest = text.partition(":")
     kv = {}
     for part in filter(None, rest.split(",")):
         k, _, v = part.partition("=")
-        kv[k.strip()] = v.strip()
+        k = k.strip()
+        if k in kv:
+            raise ValueError(f"duplicate key {k!r} in {text!r}")
+        kv[k] = v.strip()
     return kind, kv
 
 

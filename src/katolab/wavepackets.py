@@ -5,7 +5,10 @@ v in (1/R) Z^n. Analysis windows are exact square partitions of unity built
 per axis from a fixed mollifier bump: phi^2(y) = b(y) / sum_j b(y - j),
 so the packet energies sum to the field energy to machine precision, and
 synthesis with the adjoint windows reproduces the field to machine
-precision. The frequency windows are compactly supported (width 2/(3R)
+precision. build_partitions evaluates every window once, as two per-axis
+tables (spatial lattice x grid, frequency lattice x grid); n-d windows are
+outer products of their rows, and decompose and reconstruct only read
+them. The frequency windows are compactly supported (width 2/(3R)
 per axis), so packet spectra are sharply localized; the price is that the
 window's spatial kernel only concentrates rather than vanishes outside
 radius ~ 2R/3, and that spillover is measured and reported with every
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, Grid, GridResolutionError, dft, idft
+from .core import Field, Grid, GridResolutionError, dft, idft, idft_batch
 from . import symbols as sym_mod
 from .propagator import SectorBump, canonical_bump
 from .symbols import SymbolSpec
@@ -66,36 +69,25 @@ FREQ_SUPPORT = 2.0 / 3.0  # per-axis, in units of 1/R
 
 @dataclass(frozen=True)
 class PartitionPair:
-    """Window pair at scale R on a grid, with measured partition defects."""
+    """Window tables at scale R on a grid, with measured partition defects.
+
+    spatial[i] is the window of lattice node lattice[i] on grid.x_axis();
+    freq[j] is the window of node v_axis[j] on grid.xi_axis() (FFT order).
+    In n dimensions a window is the outer product of one row per axis.
+    """
 
     R: float
     grid: Grid
+    lattice: np.ndarray
+    spatial: np.ndarray
+    v_axis: np.ndarray
+    freq: np.ndarray
     spatial_defect: float
     freq_defect: float
 
-    def spatial_lattice(self) -> np.ndarray:
-        count = int(round(self.grid.L / self.R))
-        return -self.grid.L / 2 + self.R * np.arange(count)
-
-    def freq_lattice_axis(self, lo: float, hi: float) -> np.ndarray:
-        """Frequency lattice nodes (1/R) Z covering [lo, hi]."""
-        j0 = math.floor(lo * self.R) - 1
-        j1 = math.ceil(hi * self.R) + 1
-        return np.arange(j0, j1 + 1) / self.R
-
-    def spatial_window_axis(self, x: np.ndarray, l: float) -> np.ndarray:
-        # minimum-image distance on the torus; support 3R/2 < L/2 so each
-        # node sees each window at most once
-        L = self.grid.L
-        y = np.mod(x - l + L / 2, L) - L / 2
-        return _axis_partition_profile(y / self.R, SPATIAL_SUPPORT, SPATIAL_KAPPA)
-
-    def freq_window_axis(self, xi: np.ndarray, v: float) -> np.ndarray:
-        return _axis_partition_profile(self.R * (xi - v), FREQ_SUPPORT, FREQ_KAPPA)
-
 
 def build_partitions(R: float, grid: Grid) -> PartitionPair:
-    """Construct the window pair, checking the grid resolves both scales."""
+    """Tabulate the window pair, checking the grid resolves both scales."""
     if R < 1:
         raise ValueError(f"packet scale R={R} must be >= 1")
     needed = []
@@ -113,20 +105,27 @@ def build_partitions(R: float, grid: Grid) -> PartitionPair:
     if needed:
         raise GridResolutionError("grid cannot resolve packet scales: " + "; ".join(needed))
 
-    probe = PartitionPair(R=float(R), grid=grid, spatial_defect=0.0, freq_defect=0.0)
-    x = grid.x_axis()
-    s = np.zeros_like(x)
-    for l in probe.spatial_lattice():
-        s += probe.spatial_window_axis(x, l) ** 2
-    xi = np.sort(grid.xi_axis())
-    t = np.zeros_like(xi)
-    for v in probe.freq_lattice_axis(xi[0], xi[-1]):
-        t += probe.freq_window_axis(xi, v) ** 2
-    sd = float(np.max(np.abs(s - 1.0)))
-    fd = float(np.max(np.abs(t - 1.0)))
+    R, L = float(R), grid.L
+    lattice = -L / 2 + R * np.arange(int(round(L / R)))
+    # minimum-image distance on the torus; support 3R/2 < L/2 so each
+    # node sees each window at most once
+    y = np.mod(grid.x_axis() - lattice[:, None] + L / 2, L) - L / 2
+    spatial = _axis_partition_profile(y / R, SPATIAL_SUPPORT, SPATIAL_KAPPA)
+    # frequency nodes (1/R) Z covering every representable frequency
+    xi = grid.xi_axis()
+    v_axis = np.arange(math.floor(xi.min() * R) - 1, math.ceil(xi.max() * R) + 2) / R
+    freq = _axis_partition_profile(R * (xi - v_axis[:, None]), FREQ_SUPPORT, FREQ_KAPPA)
+    sd = float(np.max(np.abs(np.sum(spatial**2, axis=0) - 1.0)))
+    fd = float(np.max(np.abs(np.sum(freq**2, axis=0) - 1.0)))
     if sd > 1e-12 or fd > 1e-12:
         raise GridResolutionError(f"partition defects {sd:.2e}/{fd:.2e} exceed 1e-12")
-    return PartitionPair(R=float(R), grid=grid, spatial_defect=sd, freq_defect=fd)
+    return PartitionPair(R=R, grid=grid, lattice=lattice, spatial=spatial,
+                         v_axis=v_axis, freq=freq, spatial_defect=sd, freq_defect=fd)
+
+
+def _on_axis(row: np.ndarray, axis: int, n: int) -> np.ndarray:
+    """A per-axis table row shaped to broadcast along `axis` of an n-d grid."""
+    return row.reshape([-1 if a == axis else 1 for a in range(n)])
 
 
 @dataclass(frozen=True)
@@ -182,11 +181,6 @@ class Decomposition:
 SPILL_RADIUS_FACTOR = 4.0
 
 
-def _freq_weight_table(pair: PartitionPair, vs: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Per-axis window values, shape (len(vs), len(xi))."""
-    return np.stack([pair.freq_window_axis(xi, v) for v in vs])
-
-
 def decompose(f: Field, R: float, drop_tol: float = 1e-22) -> Decomposition:
     """Split a field into wave packets at scale R (any n).
 
@@ -203,35 +197,30 @@ def decompose(f: Field, R: float, drop_tol: float = 1e-22) -> Decomposition:
     total = f.l2() ** 2
 
     # The spatial windowing spreads frequency content across the whole axis,
-    # so the frequency lattice must cover everything representable; windows
+    # so the frequency lattice covers everything representable; windows
     # beyond the band carry negligible but nonzero energy and are dropped
-    # under the energy budget. The frequency windows are products of one
-    # per-axis table, so packet energies contract |ghat|^2 axis by axis.
-    xi_ax = g.xi_axis()
-    v_axis = pair.freq_lattice_axis(float(xi_ax.min()), float(xi_ax.max()))
-    table = _freq_weight_table(pair, v_axis, xi_ax)
-    table_sq = table**2
+    # under the energy budget. The frequency windows are products of table
+    # rows, so packet energies contract |ghat|^2 axis by axis.
+    freq_sq = pair.freq**2
     wfreq = g.dxi**g.n / TWO_PI**g.n
 
     # first pass: the energy of every packet, and what building it needs
-    xmesh = g.x_mesh()
+    lat = pair.lattice
+    y2 = (np.mod(g.x_axis() - lat[:, None] + g.L / 2, g.L) - g.L / 2) ** 2
     spill_r = SPILL_RADIUS_FACTOR * R
-    lat = pair.spatial_lattice()
     rows = []
     energies = []
-    for l in itertools.product(*([lat] * g.n)):
-        l = tuple(float(c) for c in l)
+    for node in itertools.product(range(len(lat)), repeat=g.n):
         wl = np.ones(g.shape)
         d2 = np.zeros(g.shape)
-        for axis in range(g.n):
-            wl = wl * pair.spatial_window_axis(np.asarray(xmesh[axis]), l[axis])
-            y = np.mod(np.asarray(xmesh[axis]) - l[axis] + g.L / 2, g.L) - g.L / 2
-            d2 = d2 + y**2
+        for axis, i in enumerate(node):
+            wl = wl * _on_axis(pair.spatial[i], axis, g.n)
+            d2 = d2 + _on_axis(y2[i], axis, g.n)
         ghat = dft(Field(g, wl * f.values)).values
         e = np.abs(ghat) ** 2
         for axis in range(g.n):
-            e = np.moveaxis(np.tensordot(table_sq, e, axes=([1], [axis])), 0, axis)
-        rows.append((l, d2 > spill_r**2, ghat))
+            e = np.moveaxis(np.tensordot(freq_sq, e, axes=([1], [axis])), 0, axis)
+        rows.append((tuple(float(lat[i]) for i in node), d2 > spill_r**2, ghat))
         energies.append(wfreq * e.reshape(-1))
 
     # drop the smallest packets while their summed energy stays in budget
@@ -242,20 +231,26 @@ def decompose(f: Field, R: float, drop_tol: float = 1e-22) -> Decomposition:
     keep = np.ones(flat_e.shape, dtype=bool)
     keep[dropped] = False
 
+    # second pass: build the kept packets; the spill tails of a node's
+    # significant packets come from one inverse transform of their stack
     packets = []
     spill_max = 0.0
     significant = 1e-6  # spill is meaningless for threshold-level packets
-    v_index = list(itertools.product(range(len(v_axis)), repeat=g.n))
-    vs = list(itertools.product(v_axis.tolist(), repeat=g.n))
+    v_index = list(itertools.product(range(len(pair.v_axis)), repeat=g.n))
+    vs = list(itertools.product(pair.v_axis.tolist(), repeat=g.n))
     for (l, outside, ghat), kept, e_l in zip(rows, keep.reshape(energies.shape), energies):
-        for flat in np.nonzero(kept)[0]:
-            e = float(e_l[flat])
-            window = functools.reduce(np.multiply.outer, [table[j] for j in v_index[flat]])
-            pk = WavePacket(grid=g, l=l, v=vs[flat], spectrum=window * ghat, energy=e)
-            if e >= significant * total:
-                tail = g.dx**g.n * np.sum(np.abs(pk.values[outside]) ** 2)
-                spill_max = max(spill_max, float(tail / e))
-            packets.append(pk)
+        node = []
+        for j in np.nonzero(kept)[0]:
+            window = functools.reduce(np.multiply.outer, [pair.freq[k] for k in v_index[j]])
+            node.append(WavePacket(grid=g, l=l, v=vs[j], spectrum=window * ghat,
+                                   energy=float(e_l[j])))
+        loud = [p for p in node if p.energy >= significant * total]
+        if loud:
+            tails = idft_batch(g, np.stack([p.spectrum for p in loud]))
+            for p, vals in zip(loud, tails):
+                tail = g.dx**g.n * np.sum(np.abs(vals[outside]) ** 2)
+                spill_max = max(spill_max, float(tail / p.energy))
+        packets.extend(node)
 
     return Decomposition(pair=pair, packets=packets, total_energy=total,
                          dropped_count=len(dropped),
@@ -267,33 +262,24 @@ def reconstruct(dec: Decomposition) -> Field:
     """Adjoint synthesis: apply each packet's frequency window and spatial
     window once more and sum. With exact square partitions this inverts the
     analysis map exactly (up to dropped packets)."""
-    g = dec.pair.grid
+    pair = dec.pair
+    g = pair.grid
+    l_row = {c: i for i, c in enumerate(pair.lattice.tolist())}
+    v_row = {c: j for j, c in enumerate(pair.v_axis.tolist())}
     acc = np.zeros(g.shape, dtype=np.complex128)
-    xmesh = g.x_mesh()
-    ximesh = g.xi_mesh()
     by_l: dict = {}
     for p in dec.packets:
         by_l.setdefault(p.l, []).append(p)
-    window_cache: dict = {}
-
-    def window(axis: int, v: float) -> np.ndarray:
-        key = (axis, v)
-        w = window_cache.get(key)
-        if w is None:
-            w = dec.pair.freq_window_axis(np.asarray(ximesh[axis]), v)
-            window_cache[key] = w
-        return w
-
     for l, group in by_l.items():
         ph_sum = np.zeros(g.shape, dtype=np.complex128)
         for p in group:
             ph = p.spectrum
             for axis in range(g.n):
-                ph = ph * window(axis, p.v[axis])
+                ph = ph * _on_axis(pair.freq[v_row[p.v[axis]]], axis, g.n)
             ph_sum += ph
         vals = idft(Field(g, ph_sum)).values
         for axis in range(g.n):
-            vals = vals * dec.pair.spatial_window_axis(np.asarray(xmesh[axis]), l[axis])
+            vals = vals * _on_axis(pair.spatial[l_row[l[axis]]], axis, g.n)
         acc += vals
     return Field(g, acc)
 

@@ -78,6 +78,17 @@ def test_opnorm_cli_order_reaches_the_spec(capsys):
     assert printed["tx"] != printed["xt"]
 
 
+def test_duplicate_spec_keys_rejected_by_the_cli(tmp_path):
+    with pytest.raises(ValueError, match="duplicate key 'm'"):
+        cli.main(["opnorm", "--symbol", "power:m=2,m=3,n=1", "--alpha", "0.5",
+                  "--R", "8,16,32"])
+    out = tmp_path / "f.kslf"
+    with pytest.raises(ValueError, match="duplicate key 'seed'"):
+        cli.main(["field", "--make", "random:seed=1,seed=2", "--grid", "1,512,64",
+                  "--out", str(out)])
+    assert not out.exists()
+
+
 def test_run_cli(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("kind = scaling\nsymbol = power:m=2,n=1\nalpha = 0.5\n"

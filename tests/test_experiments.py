@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -46,10 +47,20 @@ def test_parse_config_errors_name_fields():
                         ("kind = scaling\nsymbol = power:m=2,n=1\nR = 8,x,32", "R"),
                         ("kind = tube-incidence\nsymbol = power:m=2,n=1\nH = 16,", "H"),
                         ("kind = scaling\nsymbol = power:m=2,n=1\nseed = 1\nseed = 2",
-                         "seed")]:
+                         "seed"),
+                        ("kind = scaling\nsymbol = power:m=2,m=3,n=1", "symbol"),
+                        ("kind = sparse-audit\nsymbol = power:m=2,n=1\nseed = abc", "seed"),
+                        ("kind = scaling\nsymbol = power:m=2,n=1\nalpha = nan", "alpha"),
+                        ("kind = scaling\nsymbol = power:m=2,n=1\nresidual_min = x",
+                         "residual_min"),
+                        ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nN = true", "N"),
+                        ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nL = NaN", "L"),
+                        ("kind = scaling\nsymbol = power:m=2,n=1\nR = 8,nan,32", "R")]:
         with pytest.raises(E.ConfigError) as exc:
             E.parse_config(text)
         assert exc.value.field_name == field, text
+    cfg = E.parse_config("kind = maximal\nsymbol = power:m=2,n=1\nr = inf\nq = 2")
+    assert cfg.r == math.inf
 
 
 def test_scaling_run_passes_and_sabotage_fails():

@@ -210,9 +210,9 @@ def test_eval_mixed_rejects_nonuniform_times():
         O._eval_mixed(spec, modes, c, bent)
 
 
-def test_refined_seed_is_reported_when_it_wins(monkeypatch):
-    # the bank winner is over the ascent budget, so the cheaper runner-up is
-    # refined; it climbs past the winner and must be the reported candidate
+def test_only_an_affordable_bank_winner_is_refined(monkeypatch):
+    # over the ascent budget the winner is reported as the bank found it,
+    # with no ascent; under it the winner is refined and keeps its name
     spec = spec_at(8.0, alpha=-0.25, r=INF)
     modes = O.mode_grid(spec)
     full = dict(O._candidate_bank(spec, modes, 0))
@@ -226,10 +226,22 @@ def test_refined_seed_is_reported_when_it_wins(monkeypatch):
         costs.append(len(times) * (2 * spec.R / 0.7) * live)
     assert vals[0] > vals[1] and costs[0] > costs[1]
     monkeypatch.setattr(O, "_candidate_bank", lambda *args: bank)
+
     monkeypatch.setattr(O, "ASCENT_BUDGET", 0.5 * (costs[0] + costs[1]))
     res = O.lower_bound_mixed(spec)
-    assert res.ascent_gain > 0
-    assert res.candidate == "chirp-root@0.9"
+    assert res.candidate == "chirp-wide@0.9"
+    assert res.ascent_gain == 0.0
+    # the bank loop is the only counted work: no ascent step ran
+    assert res.evaluations == len(bank)
+    wide = O._transit_times(spec, modes, bank[0][1], margin_factor=2.0)
+    v_wide = O._eval_mixed(spec, modes, bank[0][1], wide) / O._l2_of_spectrum(modes, bank[0][1])
+    assert res.value == max(vals[0], v_wide)
+
+    monkeypatch.setattr(O, "ASCENT_BUDGET", 2.0 * costs[0])
+    res = O.lower_bound_mixed(spec)
+    assert res.candidate == "chirp-wide@0.9"
+    assert res.evaluations > len(bank)
+    assert res.ascent_gain >= 0.0
     assert res.value >= vals[0] * (1.0 + res.ascent_gain) * (1 - 1e-12)
 
 

@@ -110,6 +110,16 @@ def test_sparsity_predicate_arithmetic():
     d = (2 * 10) ** 2 - 1
     assert not SP.is_sparse(SP.SparseFamily(centers=((0, 0), (d, 0)), H=10))
     assert SP.is_sparse(SP.SparseFamily(centers=((0, 0), (d + 1, 0)), H=10))
+    # Fraction centers at the threshold 400 = (2 H)^2, minus one, minus a
+    # hair, exactly, plus one
+    a = (Fraction(1, 3), Fraction(-2, 7))
+    for offset, ok in ((-1, False), (Fraction(-1, 10**9), False), (0, True), (1, True)):
+        fam = SP.SparseFamily(centers=(a, (a[0] + 400 + offset, a[1])), H=10)
+        assert SP.is_sparse(fam) is ok
+    # an int center against a Fraction one at gamma = 3/2: |dz|^4 >= 20^6
+    for dz, ok in ((Fraction(8944, 100), False), (Fraction(8945, 100), True)):
+        fam = SP.SparseFamily(centers=((0, 0), (0, dz)), H=10, gamma=Fraction(3, 2))
+        assert SP.is_sparse(fam) is ok
 
 
 def test_gamma_computed_from_decay_rate():

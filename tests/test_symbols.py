@@ -94,6 +94,13 @@ def test_from_config():
     assert poly.m == 2 and len(poly.terms) == 2
 
 
+def test_duplicate_spec_key_rejected():
+    with pytest.raises(ValueError, match="duplicate key 'm'"):
+        S.split_spec("power:m=2,m=3,n=1")
+    with pytest.raises(ValueError, match="duplicate key 'n'"):
+        S.from_config("power:n=1,m=2, n =2")
+
+
 def test_bad_specs_rejected():
     with pytest.raises(ValueError):
         S.SymbolSpec(kind="power", m=1.0, n=1)  # m must exceed 1

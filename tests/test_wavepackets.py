@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +9,7 @@ from katolab import propagator as P
 from katolab import symbols as S
 from katolab import wavepackets as W
 from katolab.core import (Field, Grid, GridResolutionError, RandomBandlimited,
-                          Sector, idft, make_field)
+                          Sector, dft, idft, make_field)
 
 SYM = S.schrodinger(1)
 
@@ -61,9 +63,8 @@ def test_dropped_packets_stay_within_the_energy_budget(grid):
 
 
 def test_two_dimensional_packets_are_tight():
-    g = Grid(2, 32, 16.0)
-    x = g.x_mesh()
-    f = Field(g, np.exp(-(x[0] ** 2 + x[1] ** 2) / 8) * np.exp(1j * (x[0] + 0.5 * x[1])))
+    f = _gaussian_2d()
+    g = f.grid
     dec = W.decompose(f, 4.0)
     wfreq = g.dxi**2 / (2 * math.pi) ** 2
     for p in dec.packets[::97]:
@@ -71,6 +72,104 @@ def test_two_dimensional_packets_are_tight():
     rec = W.reconstruct(dec)
     assert Field(g, rec.values - f.values).l2() / f.l2() <= 1e-10
     assert W.energy_identity_defect(dec) <= 1e-10
+
+
+def _reference_decompose(f, R, drop_tol=1e-22):
+    """Per-packet window path: every window evaluated at its own (l, v)."""
+    g, R = f.grid, float(R)
+    total = f.l2() ** 2
+    xmesh, xi = g.x_mesh(), g.xi_axis()
+    lat = -g.L / 2 + R * np.arange(int(round(g.L / R)))
+    v_axis = np.arange(math.floor(xi.min() * R) - 1, math.ceil(xi.max() * R) + 2) / R
+    window_at = {v: _freq_window(R, xi, v) for v in v_axis.tolist()}
+    table = np.stack(list(window_at.values()))
+    wfreq = g.dxi**g.n / (2 * math.pi) ** g.n
+    rows, energies = [], []
+    for l in itertools.product(*([lat.tolist()] * g.n)):
+        wl, d2 = np.ones(g.shape), np.zeros(g.shape)
+        for axis in range(g.n):
+            wl = wl * _spatial_window(g, R, xmesh[axis], l[axis])
+            d2 = d2 + (np.mod(xmesh[axis] - l[axis] + g.L / 2, g.L) - g.L / 2) ** 2
+        ghat = dft(Field(g, wl * f.values)).values
+        e = np.abs(ghat) ** 2
+        for axis in range(g.n):
+            e = np.moveaxis(np.tensordot(table**2, e, axes=([1], [axis])), 0, axis)
+        rows.append((l, d2 > (W.SPILL_RADIUS_FACTOR * R) ** 2, ghat))
+        energies.append(wfreq * e.reshape(-1))
+    flat_e = np.stack(energies).ravel()
+    order = np.argsort(flat_e, kind="stable")
+    dropped = order[:np.searchsorted(np.cumsum(flat_e[order]), drop_tol * total, side="right")]
+    keep = np.ones(flat_e.shape, dtype=bool)
+    keep[dropped] = False
+    packets, spill_max = [], 0.0
+    vs = list(itertools.product(v_axis.tolist(), repeat=g.n))
+    for (l, outside, ghat), kept, e_l in zip(rows, keep.reshape(-1, len(vs)), energies):
+        for j in np.nonzero(kept)[0]:
+            window = functools.reduce(np.multiply.outer, [window_at[v] for v in vs[j]])
+            p = W.WavePacket(grid=g, l=l, v=vs[j], spectrum=window * ghat,
+                             energy=float(e_l[j]))
+            if p.energy >= 1e-6 * total:
+                tail = g.dx**g.n * np.sum(np.abs(idft(Field(g, p.spectrum)).values[outside]) ** 2)
+                spill_max = max(spill_max, float(tail / p.energy))
+            packets.append(p)
+    return packets, len(dropped), spill_max
+
+
+def _reference_reconstruct(packets, R):
+    g = packets[0].grid
+    xmesh, ximesh = g.x_mesh(), g.xi_mesh()
+    windows = {}
+    acc = np.zeros(g.shape, dtype=np.complex128)
+    by_l = {}
+    for p in packets:
+        by_l.setdefault(p.l, []).append(p)
+    for l, group in by_l.items():
+        ph_sum = np.zeros(g.shape, dtype=np.complex128)
+        for p in group:
+            ph = p.spectrum
+            for axis in range(g.n):
+                key = (axis, p.v[axis])
+                if key not in windows:
+                    windows[key] = _freq_window(R, ximesh[axis], p.v[axis])
+                ph = ph * windows[key]
+            ph_sum += ph
+        vals = idft(Field(g, ph_sum)).values
+        for axis in range(g.n):
+            vals = vals * _spatial_window(g, R, xmesh[axis], l[axis])
+        acc += vals
+    return acc
+
+
+def _spatial_window(g, R, x, l):
+    y = np.mod(x - l + g.L / 2, g.L) - g.L / 2
+    return W._axis_partition_profile(y / R, W.SPATIAL_SUPPORT, W.SPATIAL_KAPPA)
+
+
+def _freq_window(R, xi, v):
+    return W._axis_partition_profile(R * (xi - v), W.FREQ_SUPPORT, W.FREQ_KAPPA)
+
+
+def _gaussian_2d():
+    g = Grid(2, 32, 16.0)
+    x = g.x_mesh()
+    return Field(g, np.exp(-(x[0] ** 2 + x[1] ** 2) / 8) * np.exp(1j * (x[0] + 0.5 * x[1])))
+
+
+@pytest.mark.parametrize("case", ["1d-R4", "1d-R8", "2d-R4"])
+def test_window_tables_match_per_packet_windows(grid, case):
+    if case == "2d-R4":
+        f, R = _gaussian_2d(), 4.0
+    else:
+        f, R = make_field(grid, RandomBandlimited(Sector(), seed=11)), float(case[4:])
+    packets, dropped_count, spill_max = _reference_decompose(f, R)
+    dec = W.decompose(f, R)
+    assert len(dec.packets) == len(packets)
+    for p, q in zip(dec.packets, packets):
+        assert (p.l, p.v, p.energy) == (q.l, q.v, q.energy)
+        assert np.array_equal(p.spectrum, q.spectrum)
+    assert dec.dropped_count == dropped_count
+    assert dec.spill_max == spill_max
+    assert np.array_equal(W.reconstruct(dec).values, _reference_reconstruct(packets, R))
 
 
 def test_packet_frequency_support_sharp(dec8, grid):
