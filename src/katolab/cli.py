@@ -121,8 +121,9 @@ def _cmd_wavepacket(args):
             l_s = ";".join(f"{c:g}" for c in p.l)
             v_s = ";".join(f"{c:g}" for c in p.v)
             fh.write(f"{i},{l_s},{v_s},{p.energy:.17g},{name}\n")
+    spill = "n/a" if dec.spill_max is None else f"{dec.spill_max:.2e}"
     print(f"wrote {len(dec.packets)} packets to {args.out_dir} "
-          f"(dropped {dec.dropped_count}, spill {dec.spill_max:.2e})")
+          f"(dropped {dec.dropped_count}, spill {spill})")
 
 
 def _cmd_run(args):

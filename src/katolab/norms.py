@@ -66,7 +66,7 @@ def mixed_norm(u: SpacetimeField, spec: MixedNormSpec) -> float:
         raise ValueError("time window contains no samples")
     g = u.grid
     # slab of |u| over selected times x selected cells, shape (S_sel, X_sel)
-    slab = np.abs(u.slices[tmask][:, smask])
+    slab = np.abs(u.slices)[tmask][:, smask]
     wx = g.dx**g.n
     wt = u.dt if len(u.times) > 1 else 1.0
     if spec.order == "xt":

@@ -51,7 +51,7 @@ import numpy as np
 from . import symbols as sym_mod
 from .core import Grid, SpacetimeField, check_uniform_times
 from .norms import INF, MixedNormSpec, mixed_norm, refinement_delta
-from .propagator import SectorBump, canonical_bump
+from .propagator import canonical_bump
 from .symbols import SymbolSpec
 
 TWO_PI = 2.0 * math.pi
@@ -61,6 +61,11 @@ TWO_PI = 2.0 * math.pi
 # and the top eigenvalue is converged at the per-mille level.
 SPAN_FACTOR = 2.5
 GLOBAL_T_FACTOR = 8.0
+
+# L2 norms: power-iteration restarts, and the quadratic symbol's mode count
+# above which the structured apply replaces the explicit matrix.
+POWER_RESTARTS = 3
+FAST_MODES = 1500
 
 # Mixed-norm lower bounds: time samples per phase block, the default ascent
 # (also the experiment configs' default), and the largest
@@ -107,11 +112,10 @@ class ModeGrid:
     phi_vals: np.ndarray  # symbol values at the nodes
 
 
-def mode_grid(spec: SmoothingOperatorSpec, bump: SectorBump | None = None) -> ModeGrid:
+def mode_grid(spec: SmoothingOperatorSpec) -> ModeGrid:
     if spec.sym.n != 1:
         raise NotImplementedError("operator-norm machinery is one-dimensional")
-    if bump is None:
-        bump = canonical_bump(1)
+    bump = canonical_bump(1)
     a, b = spec.time_window()
     t_reach = max(abs(a), abs(b))
     v_max = sym_mod.max_speed_on_sector(spec.sym)
@@ -156,6 +160,10 @@ def dense_operator_matrix(spec: SmoothingOperatorSpec,
     return (d[:, None] * d[None, :]) * X * T
 
 
+def _is_quadratic(sym: SymbolSpec) -> bool:
+    return sym.kind == "power" and sym.m == 2.0 and sym.scale == 1.0
+
+
 def _fft_size(n: int) -> int:
     """Smallest 2^a 3^b >= n: numpy's FFT is fast on these, slow on large primes."""
     best, p3 = 2 * n, 1
@@ -191,7 +199,7 @@ class _FastKernel:
     """
 
     def __init__(self, spec: SmoothingOperatorSpec, modes: ModeGrid):
-        if spec.sym.kind != "power" or spec.sym.m != 2.0 or spec.sym.scale != 1.0:
+        if not _is_quadratic(spec.sym):
             raise ValueError("fast kernel requires the quadratic power symbol")
         a, b = spec.time_window()
         xi = modes.xi
@@ -248,7 +256,7 @@ class OperatorNormResult:
     method: str
 
 
-def _power_iteration(apply_fn, M: int, seed: int, restarts: int = 3,
+def _power_iteration(apply_fn, M: int, seed: int, restarts: int = POWER_RESTARTS,
                      tol: float = 1e-4, max_iter: int = 200) -> tuple:
     rng = np.random.default_rng(seed)
     best = 0.0
@@ -282,34 +290,27 @@ def _power_iteration(apply_fn, M: int, seed: int, restarts: int = 3,
     return best, best_iters, best_conv, best_gap
 
 
-def operator_norm_l2(spec: SmoothingOperatorSpec, seed: int = 0,
-                     restarts: int = 3, tol: float = 1e-4,
-                     max_iter: int = 200, method: str = "auto") -> OperatorNormResult:
+def operator_norm_l2(spec: SmoothingOperatorSpec, seed: int = 0) -> OperatorNormResult:
     """Norm of the ball/window-localized weighted evolution on L^2 data.
 
     Power iteration on the quadratic-form kernel over sector-limited modes;
-    three seeded restarts guard against an unlucky start. method='dense'
-    forces the explicit matrix (small scales), 'fast' the structured apply.
+    POWER_RESTARTS seeded restarts guard against an unlucky start. The
+    quadratic symbol above FAST_MODES modes takes the structured apply
+    ('power-fast'), everything else the explicit matrix ('power-dense').
     """
     if spec.q != 2 or spec.r != 2:
         raise ValueError("operator_norm_l2 requires q = r = 2")
     modes = mode_grid(spec)
     M = len(modes.xi)
-    use_fast = method == "fast" or (method == "auto" and
-                                    spec.sym.kind == "power" and spec.sym.m == 2.0
-                                    and spec.sym.scale == 1.0 and M > 1500)
-    if use_fast:
-        kern = _FastKernel(spec, modes)
-        apply_fn = kern.apply
-        how = "power-fast"
+    if _is_quadratic(spec.sym) and M > FAST_MODES:
+        apply_fn, how = _FastKernel(spec, modes).apply, "power-fast"
     else:
         H = dense_operator_matrix(spec, modes)
-        apply_fn = lambda v: H @ v
-        how = "power-dense"
-    lam, iters, conv, gap = _power_iteration(apply_fn, M, seed, restarts, tol, max_iter)
+        apply_fn, how = (lambda v: H @ v), "power-dense"
+    lam, iters, conv, gap = _power_iteration(apply_fn, M, seed)
     value = math.sqrt(max(TWO_PI * modes.dxi * lam, 0.0))
     return OperatorNormResult(value=value, iterations=iters, converged=conv,
-                              restarts=restarts, last_gap=gap, mode_count=M,
+                              restarts=POWER_RESTARTS, last_gap=gap, mode_count=M,
                               method=how)
 
 
@@ -409,19 +410,16 @@ def _time_phases(times: np.ndarray, phi: np.ndarray, sign: float = 1.0) -> tuple
 
 
 def _eval_mixed(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
-                times: np.ndarray, nx: int | None = None,
-                want_slab: bool = False):
-    """Mixed norm of the weighted sector evolution of the spectrum c.
+                times: np.ndarray) -> tuple:
+    """(mixed norm, slab u) of the weighted sector evolution of spectrum c.
 
     times must be uniformly spaced (ValueError otherwise). Each block of
     BLOCK samples is one matmul: base @ (lead[i] * amp * e^{i xi x}).
     """
-    R = spec.R
-    if nx is None:
-        # resolve both the carrier (|xi| <= 2.2) and the envelope
-        nx = max(int(math.ceil(2 * R / 0.7)), 32)
-        nx += nx % 2
-    gx = Grid(1, max(nx, 8), 2 * R)
+    # resolve both the carrier (|xi| <= 2.2) and the envelope
+    nx = max(int(math.ceil(2 * spec.R / 0.7)), 32)
+    nx += nx % 2
+    gx = Grid(1, nx, 2 * spec.R)
     x = gx.x_axis()
     amp_c = modes.amp * c * modes.dxi
     live = np.abs(amp_c) > 1e-14 * np.max(np.abs(amp_c))
@@ -432,11 +430,7 @@ def _eval_mixed(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
         k = min(BLOCK, len(times) - s0)
         slab[s0:s0 + k] = base[:k] @ (lead[i][:, None] * EA)
     u = SpacetimeField(gx, times, slab)
-    spec_norm = MixedNormSpec(q=spec.q, r=spec.r, order=spec.order)
-    val = mixed_norm(u, spec_norm)
-    if want_slab:
-        return val, u
-    return val
+    return mixed_norm(u, MixedNormSpec(q=spec.q, r=spec.r, order=spec.order)), u
 
 
 def _l2_of_spectrum(modes: ModeGrid, c: np.ndarray) -> float:
@@ -447,8 +441,8 @@ def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid,
                        c: np.ndarray, val: float, u: SpacetimeField) -> np.ndarray:
     """Gradient of the Rayleigh quotient wrt conj(c) (subgradient at r=inf).
 
-    (val, u) is what _eval_mixed(..., want_slab=True) returned for c. With
-    W = d val / d conj(u), the chain rule back to the spectrum is
+    (val, u) is what _eval_mixed returned for c. With W = d val / d conj(u),
+    the chain rule back to the spectrum is
     g_k = amp_k sum_s e^{-i t_s phi_k} sum_b e^{-i x_b xi_k} W[s, b].
     """
     slab = u.slices
@@ -491,51 +485,46 @@ def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid,
 def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
                       ascent_steps: int = ASCENT_STEPS,
                       restarts: int = ASCENT_RESTARTS) -> LowerBoundResult:
-    """Lower bound for the mixed-norm operator quotient.
+    """Lower bound for the mixed-norm operator quotient, (q, r) != (2, 2).
 
     Maximum over structured candidates, refined by normalized gradient
     ascent with step halving on non-improvement. The result is a LOWER
     bound only; stagnation is recorded, never raised. `candidate` names
     the bank winner, refined only when its cost is within ASCENT_BUDGET.
+    The winner's (times, value, slab) start the first ascent restart and,
+    unless the ascent beats it, give the diagnostics.
     """
     modes = mode_grid(spec)
-    if spec.q == 2 and spec.r == 2:
-        res = operator_norm_l2(spec, seed=seed)
-        return LowerBoundResult(value=res.value, candidate="power-iteration",
-                                ascent_gain=0.0, refinement_delta=0.0,
-                                window_delta=0.0, tail_fraction=0.0,
-                                evaluations=res.iterations)
-    evals = 0
-    best_val, best_c, best_name, best_affordable = 0.0, None, "", False
+    evals, best_val = 0, 0.0
     for name, c in _candidate_bank(spec, modes, seed):
         times = _transit_times(spec, modes, c)
-        val = _eval_mixed(spec, modes, c, times) / _l2_of_spectrum(modes, c)
+        raw, u = _eval_mixed(spec, modes, c, times)
+        val = raw / _l2_of_spectrum(modes, c)
         evals += 1
-        live = int(np.sum(np.abs(c) > 1e-9 * np.max(np.abs(c))))
-        affordable = len(times) * (2 * spec.R / 0.7) * live <= ASCENT_BUDGET
         if val > best_val:
-            best_val, best_c, best_name, best_affordable = val, c, name, affordable
+            best_val, best_name, best = val, name, (c, times, raw, u)
+    best_c, best_times = best[:2]
 
     # gradient ascent refinement of the winner, when it is cheap enough to
     # differentiate repeatedly; the ascent stays inside the winner's
     # frequency neighborhood so the transit window (and the cost) remain
     # those of the winner
     support = np.abs(best_c) > 1e-9 * np.max(np.abs(best_c))
+    affordable = len(best_times) * (2 * spec.R / 0.7) * np.sum(support) <= ASCENT_BUDGET
     reach = max(3, int(0.02 / modes.dxi))
     support = np.convolve(support.astype(float), np.ones(2 * reach + 1),
                           mode="same") > 0
     rng = np.random.default_rng(seed + 1)
     top_val, top_c = best_val, best_c
-    for restart in range(restarts if best_affordable else 0):
-        if restart == 0:
-            c = np.array(best_c)
-        else:
+    for restart in range(restarts if affordable else 0):
+        c, times, raw, u = best
+        if restart > 0:
             c = best_c * (1.0 + 0.2 * (rng.standard_normal(len(best_c))
                                        + 1j * rng.standard_normal(len(best_c))))
-        times = _transit_times(spec, modes, c)
-        raw, u = _eval_mixed(spec, modes, c, times, want_slab=True)
+            times = _transit_times(spec, modes, c)
+            raw, u = _eval_mixed(spec, modes, c, times)
+            evals += 1
         cur = raw / _l2_of_spectrum(modes, c)
-        evals += 1
         step = 0.5
         for _ in range(ascent_steps):
             gq = _quotient_gradient(spec, modes, c, raw, u)
@@ -544,7 +533,7 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
             if gn == 0:
                 break
             trial = c + step * np.linalg.norm(c) * gq / gn
-            t_raw, t_u = _eval_mixed(spec, modes, trial, times, want_slab=True)
+            t_raw, t_u = _eval_mixed(spec, modes, trial, times)
             val = t_raw / _l2_of_spectrum(modes, trial)
             evals += 1
             if val > cur:
@@ -557,11 +546,13 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
             top_val, top_c = cur, c
 
     # report sampling and windowing sensitivity of the winner
-    times = _transit_times(spec, modes, top_c)
-    v_full, u = _eval_mixed(spec, modes, top_c, times, want_slab=True)
+    if top_c is best_c:
+        v_full, u = best[2:]
+    else:
+        v_full, u = _eval_mixed(spec, modes, top_c, _transit_times(spec, modes, top_c))
     ref_delta = refinement_delta(u, MixedNormSpec(q=spec.q, r=spec.r, order=spec.order))
     wide = _transit_times(spec, modes, top_c, margin_factor=2.0)
-    v_wide = _eval_mixed(spec, modes, top_c, wide)
+    v_wide, _ = _eval_mixed(spec, modes, top_c, wide)
     window_delta = abs(v_wide - v_full) / max(v_full, 1e-300)
     # share of the time-profile mass in the last tenth of the window
     per_t = np.sum(np.abs(u.slices) ** 2, axis=1)

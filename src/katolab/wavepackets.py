@@ -12,7 +12,7 @@ them. The frequency windows are compactly supported (width 2/(3R)
 per axis), so packet spectra are sharply localized; the price is that the
 window's spatial kernel only concentrates rather than vanishes outside
 radius ~ 2R/3, and that spillover is measured and reported with every
-decomposition.
+decomposition whose torus reaches outside B(l, 4R).
 """
 
 from __future__ import annotations
@@ -174,7 +174,9 @@ class Decomposition:
     total_energy: float
     dropped_count: int
     dropped_energy: float
-    spill_max: float  # worst packet spatial mass outside B(l, C R), C below
+    # worst packet spatial mass outside B(l, C R), C below; None when that
+    # ball covers the whole torus and leaves nothing outside to measure
+    spill_max: float | None
     spill_radius_factor: float
 
 
@@ -251,6 +253,8 @@ def decompose(f: Field, R: float, drop_tol: float = 1e-22) -> Decomposition:
                 tail = g.dx**g.n * np.sum(np.abs(vals[outside]) ** 2)
                 spill_max = max(spill_max, float(tail / p.energy))
         packets.extend(node)
+    if not any(outside.any() for _, outside, _ in rows):
+        spill_max = None
 
     return Decomposition(pair=pair, packets=packets, total_energy=total,
                          dropped_count=len(dropped),

@@ -43,6 +43,9 @@ def test_wavepacket_decompose_cli(tmp_path, capsys):
     cli.main(["field", "--make", "random:region=sector,seed=7",
               "--grid", "1,512,64", "--out", str(f)])
     capsys.readouterr()
+    assert cli.main(["wavepacket", "decompose", "--R", "8", "--in", str(f),
+                     "--out-dir", str(tmp_path / "coarse")]) == 0
+    assert "spill n/a" in capsys.readouterr().out  # B(l, 32) covers the torus
     assert cli.main(["wavepacket", "decompose", "--R", "4", "--in", str(f),
                      "--out-dir", str(out)]) == 0
     manifest = (out / "manifest.csv").read_text().strip().splitlines()

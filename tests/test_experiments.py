@@ -121,6 +121,17 @@ def test_wavepacket_audit_quick():
                          "subcollections = 10\nseed = 2")
     rep = E.run(cfg)
     assert rep.passed
+    spill = {m["name"]: m["value"] for m in rep.measurements}["spatial_spill_max"]
+    assert spill > 0.0
+
+
+def test_wavepacket_audit_reports_null_spill_when_unmeasurable():
+    # B(l, 4R) at R = 8 covers the whole L = 64 torus
+    cfg = E.parse_config("kind = wavepacket-audit\nsymbol = power:m=2,n=1\n"
+                         "N = 512\nL = 64\nR = 8\nfields = 1\n"
+                         "subcollections = 2\nseed = 2")
+    rep = E.run(cfg)
+    assert {m["name"]: m["value"] for m in rep.measurements}["spatial_spill_max"] is None
 
 
 def test_sparse_audit_quick():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from katolab import opnorm as O
 from katolab import symbols as S
 from katolab.core import Grid, SpacetimeField
-from katolab.norms import MixedNormSpec, mixed_norm
+from katolab.norms import MixedNormSpec, mixed_norm, refinement_delta
 
 SYM = S.schrodinger(1)
 INF = math.inf
@@ -74,10 +74,17 @@ def test_fast_power_iteration_golden_value():
 
 
 def test_fast_and_dense_power_iteration_agree():
-    fast = O.operator_norm_l2(spec_at(16.0), method="fast")
-    dense = O.operator_norm_l2(spec_at(16.0), method="dense")
-    assert fast.value == pytest.approx(dense.value, rel=1e-12)
-    assert fast.iterations == dense.iterations
+    spec = spec_at(16.0)
+    modes = O.mode_grid(spec)
+    H = O.dense_operator_matrix(spec, modes)
+    fast = O._power_iteration(O._FastKernel(spec, modes).apply, len(modes.xi), seed=0)
+    dense = O._power_iteration(lambda v: H @ v, len(modes.xi), seed=0)
+    assert fast[0] == pytest.approx(dense[0], rel=1e-12)
+    assert fast[1] == dense[1]
+    # operator_norm_l2 runs one of these two applies over the same modes
+    res = O.operator_norm_l2(spec)
+    assert res.method == ("power-fast" if len(modes.xi) > O.FAST_MODES else "power-dense")
+    assert res.value == pytest.approx(math.sqrt(O.TWO_PI * modes.dxi * dense[0]), rel=1e-12)
 
 
 def test_power_iteration_matches_dense_eig():
@@ -112,8 +119,8 @@ def test_quotient_scale_invariance():
     modes = O.mode_grid(spec)
     c = np.exp(-0.5 * ((modes.xi - 1.1) / 0.1) ** 2).astype(complex)
     times = O._transit_times(spec, modes, c)
-    q1 = O._eval_mixed(spec, modes, c, times) / O._l2_of_spectrum(modes, c)
-    q3 = O._eval_mixed(spec, modes, 3.0 * c, times) / O._l2_of_spectrum(modes, 3.0 * c)
+    q1 = O._eval_mixed(spec, modes, c, times)[0] / O._l2_of_spectrum(modes, c)
+    q3 = O._eval_mixed(spec, modes, 3.0 * c, times)[0] / O._l2_of_spectrum(modes, 3.0 * c)
     assert q1 == pytest.approx(q3, rel=1e-12)
 
 
@@ -125,7 +132,7 @@ def test_candidate_ranking_scale_invariant():
     for name, c in O._candidate_bank(spec, modes, 0):
         times = O._transit_times(spec, modes, c)
         for scale in (1.0, 7.5):
-            v = (O._eval_mixed(spec, modes, scale * c, times)
+            v = (O._eval_mixed(spec, modes, scale * c, times)[0]
                  / O._l2_of_spectrum(modes, scale * c))
             vals.setdefault(name, []).append(v)
     for name, pair in vals.items():
@@ -185,7 +192,7 @@ def test_eval_mixed_matches_per_sample_phases(r, window):
     spec, modes, c, times = _chirp_case(r, window)
     assert len(times) > 2 * O.BLOCK
     for ts in (times[:1], times[:127], times[:128], times[:129], times[::2], times):
-        val, u = O._eval_mixed(spec, modes, c, ts, want_slab=True)
+        val, u = O._eval_mixed(spec, modes, c, ts)
         ref, u_ref = _eval_reference(spec, modes, c, ts)
         assert abs(val - ref) <= 1e-10 * ref, len(ts)
         err = np.max(np.abs(u.slices - u_ref.slices))
@@ -196,7 +203,7 @@ def test_eval_mixed_matches_per_sample_phases(r, window):
 @pytest.mark.parametrize("r", [INF, 4.0])
 def test_quotient_gradient_matches_dense_chain_rule(r, window):
     spec, modes, c, times = _chirp_case(r, window)
-    val, u = O._eval_mixed(spec, modes, c, times, want_slab=True)
+    val, u = O._eval_mixed(spec, modes, c, times)
     g = O._quotient_gradient(spec, modes, c, val, u)
     ref = _gradient_reference(spec, modes, c, times)
     assert np.linalg.norm(g - ref) <= 1e-9 * np.linalg.norm(ref)
@@ -210,18 +217,23 @@ def test_eval_mixed_rejects_nonuniform_times():
         O._eval_mixed(spec, modes, c, bent)
 
 
+def _hand_made_bank(spec, modes):
+    # a costly winner and a cheap runner-up
+    full = dict(O._candidate_bank(spec, modes, 0))
+    return [("chirp-wide@0.9", full["chirp-wide@0.9"]),
+            ("chirp-root@0.9", full["chirp-root@0.9"])]
+
+
 def test_only_an_affordable_bank_winner_is_refined(monkeypatch):
     # over the ascent budget the winner is reported as the bank found it,
     # with no ascent; under it the winner is refined and keeps its name
     spec = spec_at(8.0, alpha=-0.25, r=INF)
     modes = O.mode_grid(spec)
-    full = dict(O._candidate_bank(spec, modes, 0))
-    bank = [("chirp-wide@0.9", full["chirp-wide@0.9"]),
-            ("chirp-root@0.9", full["chirp-root@0.9"])]
+    bank = _hand_made_bank(spec, modes)
     vals, costs = [], []
     for _, c in bank:
         times = O._transit_times(spec, modes, c)
-        vals.append(O._eval_mixed(spec, modes, c, times) / O._l2_of_spectrum(modes, c))
+        vals.append(O._eval_mixed(spec, modes, c, times)[0] / O._l2_of_spectrum(modes, c))
         live = np.sum(np.abs(c) > 1e-9 * np.max(np.abs(c)))
         costs.append(len(times) * (2 * spec.R / 0.7) * live)
     assert vals[0] > vals[1] and costs[0] > costs[1]
@@ -234,7 +246,7 @@ def test_only_an_affordable_bank_winner_is_refined(monkeypatch):
     # the bank loop is the only counted work: no ascent step ran
     assert res.evaluations == len(bank)
     wide = O._transit_times(spec, modes, bank[0][1], margin_factor=2.0)
-    v_wide = O._eval_mixed(spec, modes, bank[0][1], wide) / O._l2_of_spectrum(modes, bank[0][1])
+    v_wide = O._eval_mixed(spec, modes, bank[0][1], wide)[0] / O._l2_of_spectrum(modes, bank[0][1])
     assert res.value == max(vals[0], v_wide)
 
     monkeypatch.setattr(O, "ASCENT_BUDGET", 2.0 * costs[0])
@@ -243,6 +255,39 @@ def test_only_an_affordable_bank_winner_is_refined(monkeypatch):
     assert res.evaluations > len(bank)
     assert res.ascent_gain >= 0.0
     assert res.value >= vals[0] * (1.0 + res.ascent_gain) * (1 - 1e-12)
+
+
+def test_bank_winner_is_evaluated_once(monkeypatch):
+    # the bank loop's slab of the winner seeds the first ascent restart and
+    # gives the diagnostics: after the bank only the wide window is new
+    spec = spec_at(8.0, alpha=-0.25, r=INF)
+    modes = O.mode_grid(spec)
+    bank = _hand_made_bank(spec, modes)
+    eval_mixed = O._eval_mixed
+    calls = []
+    monkeypatch.setattr(O, "_candidate_bank", lambda *args: bank)
+    monkeypatch.setattr(O, "_eval_mixed",
+                        lambda *args: calls.append(args) or eval_mixed(*args))
+
+    monkeypatch.setattr(O, "ASCENT_BUDGET", 0.0)
+    over = O.lower_bound_mixed(spec)
+    assert len(calls) == len(bank) + 1
+    del calls[:]
+    monkeypatch.setattr(O, "ASCENT_BUDGET", math.inf)
+    seeded = O.lower_bound_mixed(spec, ascent_steps=0, restarts=1)
+    assert len(calls) == len(bank) + 1
+
+    c = bank[0][1]
+    v_full, u = eval_mixed(spec, modes, c, O._transit_times(spec, modes, c))
+    wide = O._transit_times(spec, modes, c, margin_factor=2.0)
+    v_wide, _ = eval_mixed(spec, modes, c, wide)
+    per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
+    k = max(1, len(per_t) // 10)
+    for res in (over, seeded):
+        assert res.candidate == "chirp-wide@0.9"
+        assert res.refinement_delta == refinement_delta(u, MixedNormSpec(q=spec.q, r=spec.r))
+        assert res.window_delta == abs(v_wide - v_full) / v_full
+        assert res.tail_fraction == float(np.sum(per_t[-k:]) / np.sum(per_t))
 
 
 def test_predicted_exponent_examples():

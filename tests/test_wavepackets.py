@@ -112,6 +112,8 @@ def _reference_decompose(f, R, drop_tol=1e-22):
                 tail = g.dx**g.n * np.sum(np.abs(idft(Field(g, p.spectrum)).values[outside]) ** 2)
                 spill_max = max(spill_max, float(tail / p.energy))
             packets.append(p)
+    if not any(outside.any() for _, outside, _ in rows):
+        spill_max = None
     return packets, len(dropped), spill_max
 
 
@@ -170,6 +172,17 @@ def test_window_tables_match_per_packet_windows(grid, case):
     assert dec.dropped_count == dropped_count
     assert dec.spill_max == spill_max
     assert np.array_equal(W.reconstruct(dec).values, _reference_reconstruct(packets, R))
+
+
+@pytest.mark.parametrize("L, measurable", [(64.0, False), (96.0, True)])
+def test_spill_is_none_when_the_spill_ball_covers_the_torus(L, measurable):
+    # B(l, 4R) with R = 8 covers the whole torus while L/2 <= 32
+    g = Grid(1, int(8 * L), L)
+    dec = W.decompose(make_field(g, RandomBandlimited(Sector(), seed=11)), 8.0)
+    if measurable:
+        assert dec.spill_max > 0.0
+    else:
+        assert dec.spill_max is None
 
 
 def test_packet_frequency_support_sharp(dec8, grid):
