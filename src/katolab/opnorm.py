@@ -37,8 +37,20 @@ e^{i t_{iB+j} phi} = e^{i t_{iB} phi} e^{i (t_j - t_0) phi}. One shared
 BLOCK x M block and one lead row per block cost (S/BLOCK + BLOCK) M
 exponentials instead of S M, and each block of the slab is one matmul
 whose per-block scaling falls on the small M x nx spatial factor. The
-gradient runs the same blocks backwards; at r = inf it needs only the
-sample where each cell peaks.
+gradient at finite r runs the same blocks backwards.
+
+At r = inf only the sup in time survives, so the full slab is never built.
+The search is coarse to fine: the slab on every SUP_STRIDE-th sample (the
+same block factorisation, at stride SUP_STRIDE dt), then the 2 SUP_STRIDE - 1
+samples around the two highest coarse samples of each column, clipped to
+the sampled times. A column is a cell for order xt and the shared profile
+||u(t, .)||_q for order tx. A fine window is one matmul of a
+(2 SUP_STRIDE - 1) x M offset table e^{i o dt phi} with the lead rows of
+its coarse samples, which are products of coarse factor rows already
+built. A sup over a subset of the samples is still a lower bound. What
+the search keeps (SupRecord: each cell's peak sample and value, its peak
+over even samples, the coarse energy profile) feeds the gradient, which
+needs only the peak samples, and the diagnostics.
 """
 
 from __future__ import annotations
@@ -50,7 +62,7 @@ import numpy as np
 
 from . import symbols as sym_mod
 from .core import Grid, SpacetimeField, check_uniform_times
-from .norms import INF, MixedNormSpec, mixed_norm, refinement_delta
+from .norms import INF, MixedNormSpec, _reduce, mixed_norm, refinement_delta
 from .propagator import canonical_bump
 from .symbols import SymbolSpec
 
@@ -67,10 +79,13 @@ GLOBAL_T_FACTOR = 8.0
 POWER_RESTARTS = 3
 FAST_MODES = 1500
 
-# Mixed-norm lower bounds: time samples per phase block, the default ascent
-# (also the experiment configs' default), and the largest
-# time-samples x eval-points x live-modes cost of a seed the ascent refines.
+# Mixed-norm lower bounds: time samples per phase block, the coarse time
+# stride of the r = inf search (even, so every coarse sample has an even
+# index), the default ascent (also the experiment configs' default), and the
+# largest time-samples x eval-points x live-modes cost of a seed the ascent
+# refines.
 BLOCK = 128
+SUP_STRIDE = 8
 ASCENT_STEPS = 12
 ASCENT_RESTARTS = 2
 ASCENT_BUDGET = 4e8
@@ -409,28 +424,94 @@ def _time_phases(times: np.ndarray, phi: np.ndarray, sign: float = 1.0) -> tuple
     return base, lead
 
 
+@dataclass(frozen=True)
+class SupRecord:
+    """What an r = inf evaluation keeps in place of its slab.
+
+    Per cell: index, the sample where the search found the peak (of |u| for
+    order xt, of the shared profile ||u(t, .)||_q for order tx), peak, u at
+    that sample, and even_peak, |u| at the peak over even-indexed samples.
+    coarse_energy is sum_x |u|^2 on times[::SUP_STRIDE].
+    """
+
+    grid: Grid
+    times: np.ndarray
+    index: np.ndarray
+    peak: np.ndarray
+    even_peak: np.ndarray
+    coarse_energy: np.ndarray
+
+
+def _slab(base: np.ndarray, lead: np.ndarray, EA: np.ndarray, S: int) -> np.ndarray:
+    """u over S samples from block factors (base, lead) and the M x nx EA."""
+    slab = np.empty((S, EA.shape[1]), dtype=np.complex128)
+    for i, s0 in enumerate(range(0, S, BLOCK)):
+        k = min(BLOCK, S - s0)
+        slab[s0:s0 + k] = base[:k] @ (lead[i][:, None] * EA)
+    return slab
+
+
 def _eval_mixed(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
                 times: np.ndarray) -> tuple:
-    """(mixed norm, slab u) of the weighted sector evolution of spectrum c.
+    """(mixed norm, evaluation) of the weighted sector evolution of spectrum c.
 
-    times must be uniformly spaced (ValueError otherwise). Each block of
-    BLOCK samples is one matmul: base @ (lead[i] * amp * e^{i xi x}).
+    times must be uniformly spaced (ValueError otherwise). At finite r the
+    evaluation is the slab u, a SpacetimeField; each block of BLOCK samples
+    is one matmul: base @ (lead[i] * amp * e^{i xi x}). At r = inf it is the
+    SupRecord of the coarse-to-fine search (_sup_in_time), and the value is
+    the sup over the samples that search evaluates.
     """
     # resolve both the carrier (|xi| <= 2.2) and the envelope
     nx = max(int(math.ceil(2 * spec.R / 0.7)), 32)
     nx += nx % 2
     gx = Grid(1, nx, 2 * spec.R)
-    x = gx.x_axis()
     amp_c = modes.amp * c * modes.dxi
     live = np.abs(amp_c) > 1e-14 * np.max(np.abs(amp_c))
-    base, lead = _time_phases(times, modes.phi_vals[live])
-    EA = amp_c[live][:, None] * np.exp(1j * np.outer(modes.xi[live], x))  # (M_live, B)
-    slab = np.empty((len(times), len(x)), dtype=np.complex128)
-    for i, s0 in enumerate(range(0, len(times), BLOCK)):
-        k = min(BLOCK, len(times) - s0)
-        slab[s0:s0 + k] = base[:k] @ (lead[i][:, None] * EA)
-    u = SpacetimeField(gx, times, slab)
+    phi = modes.phi_vals[live]
+    EA = amp_c[live][:, None] * np.exp(1j * np.outer(modes.xi[live], gx.x_axis()))
+    if spec.r == INF:
+        return _sup_in_time(spec, gx, times, phi, EA)
+    u = SpacetimeField(gx, times, _slab(*_time_phases(times, phi), EA, len(times)))
     return mixed_norm(u, MixedNormSpec(q=spec.q, r=spec.r, order=spec.order)), u
+
+
+def _sup_in_time(spec: SmoothingOperatorSpec, gx: Grid, times: np.ndarray,
+                 phi: np.ndarray, EA: np.ndarray) -> tuple:
+    """(r = inf mixed norm, SupRecord) by coarse-to-fine search over times.
+
+    The coarse slab on times[::SUP_STRIDE] picks the two highest coarse
+    samples p of each column; the fine window of p is the samples
+    SUP_STRIDE p + o, |o| < SUP_STRIDE, inside times. Their phases are
+    e^{i t_{SUP_STRIDE p} phi} e^{i o dt phi}: the coarse lead row of p
+    times one shared offset table, so each peak rank is one matmul. The
+    value is exact whenever each column's peak lies in one of its windows.
+    """
+    check_uniform_times(times)
+    S, stride, q, wx = len(times), SUP_STRIDE, spec.q, gx.dx
+    coarse_times = times[::stride]
+    base, lead = _time_phases(coarse_times, phi)
+    coarse = np.abs(_slab(base, lead, EA, len(coarse_times)))
+    cols = np.arange(EA.shape[1])
+    if spec.order == "xt":
+        top = np.argsort(coarse, axis=0)[-2:]
+    else:
+        top = np.tile(np.argsort(_reduce(coarse, q, wx, axis=1))[-2:, None], len(cols))
+    o = np.arange(1 - stride, stride)
+    dt = times[1] - times[0] if S > 1 else 0.0
+    offset = np.exp(1j * np.outer(o * dt, phi))  # (2 stride - 1, M)
+    fine = np.concatenate([offset @ (lead[p // BLOCK].T * base[p % BLOCK].T * EA)
+                           for p in top])
+    idx = np.concatenate([stride * p + o[:, None] for p in top])
+    absf = np.abs(fine)
+    # per column, what the sup runs over: |u| (xt) or the row's q-norm (tx)
+    score = absf if spec.order == "xt" else _reduce(absf, q, wx, axis=1)[:, None]
+    score = np.where((idx >= 0) & (idx < S), score, -1.0)
+    best = score.argmax(axis=0)
+    best_even = np.where(idx % 2 == 0, score, -1.0).argmax(axis=0)
+    rec = SupRecord(grid=gx, times=times, index=idx[best, cols], peak=fine[best, cols],
+                    even_peak=absf[best_even, cols],
+                    coarse_energy=np.sum(coarse**2, axis=1))
+    return float(_reduce(absf[best, cols], q, wx, axis=0)), rec
 
 
 def _l2_of_spectrum(modes: ModeGrid, c: np.ndarray) -> float:
@@ -438,37 +519,39 @@ def _l2_of_spectrum(modes: ModeGrid, c: np.ndarray) -> float:
 
 
 def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid,
-                       c: np.ndarray, val: float, u: SpacetimeField) -> np.ndarray:
+                       c: np.ndarray, val: float,
+                       u: SpacetimeField | SupRecord) -> np.ndarray:
     """Gradient of the Rayleigh quotient wrt conj(c) (subgradient at r=inf).
 
     (val, u) is what _eval_mixed returned for c. With W = d val / d conj(u),
     the chain rule back to the spectrum is
     g_k = amp_k sum_s e^{-i t_s phi_k} sum_b e^{-i x_b xi_k} W[s, b].
+    At finite r the inner exponent runs over t (order xt) or over x (order
+    tx) and the outer one over the other axis. At r = inf W has one nonzero
+    per cell, at the peak sample of the SupRecord u; for order tx that is
+    the one time where the profile ||u(t, .)||_q peaks.
     """
-    slab = u.slices
-    absu = np.abs(slab)
-    wt = u.dt if len(u.times) > 1 else 1.0
-    wx = u.grid.dx
     q, r = spec.q, spec.r
     amp = modes.amp * modes.dxi
+    wx = u.grid.dx
     ph_x = np.exp(-1j * np.outer(modes.xi, u.grid.x_axis()))  # (M, B)
     if r == INF:
-        # W has one nonzero per cell: the sample where |u| peaks
-        cols = np.arange(slab.shape[1])
-        arg = absu.argmax(axis=0)
-        uu = slab[arg, cols]
-        Mb = absu[arg, cols]
+        Mb = np.abs(u.peak)
         safe = np.where(Mb > 0, Mb, 1.0)
-        w = 0.5 * val ** (1 - q) * wx * safe ** (q - 1) * uu / safe
-        ph_t = np.exp(-1j * np.outer(modes.phi_vals, u.times[arg]))  # (M, B)
+        w = 0.5 * val ** (1 - q) * wx * safe ** (q - 1) * u.peak / safe
+        ph_t = np.exp(-1j * np.outer(modes.phi_vals, u.times[u.index]))  # (M, B)
         g = amp * np.sum(ph_t * ph_x * w, axis=1)
     else:
-        G = wt * np.sum(absu**r, axis=0)
+        slab = u.slices
+        absu = np.abs(slab)
+        wt = u.dt if len(u.times) > 1 else 1.0
+        p_in, p_out, axis, w_in = (r, q, 0, wt) if spec.order == "xt" else (q, r, 1, wx)
+        G = w_in * np.sum(absu**p_in, axis=axis, keepdims=True)
         safe = np.where(absu > 0, absu, 1.0)
-        W = (0.5 * val ** (1 - q) * wx * wt
-             * np.where(G > 0, G, 1.0) ** (q / r - 1.0)
-             * safe ** (r - 2) * slab)
-        W[:, G <= 0] = 0.0
+        W = (0.5 * val ** (1 - p_out) * wx * wt
+             * np.where(G > 0, G, 1.0) ** (p_out / p_in - 1.0)
+             * safe ** (p_in - 2) * slab)
+        W[np.broadcast_to(G <= 0, W.shape)] = 0.0
         # Z[k, b] = sum_s e^{-i t_s phi_k} W[s, b], one matmul per block
         base, lead = _time_phases(u.times, modes.phi_vals, sign=-1.0)
         Z = np.zeros_like(ph_x)
@@ -491,8 +574,12 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
     ascent with step halving on non-improvement. The result is a LOWER
     bound only; stagnation is recorded, never raised. `candidate` names
     the bank winner, refined only when its cost is within ASCENT_BUDGET.
-    The winner's (times, value, slab) start the first ascent restart and,
-    unless the ascent beats it, give the diagnostics.
+    The winner's (times, value, evaluation) start the first ascent restart
+    and, unless the ascent beats it, give the diagnostics: refinement_delta
+    (the value with every second time sample dropped), window_delta (the
+    transit window doubled) and tail_fraction (the share of sum_x |u|^2 in
+    the last tenth of the samples). At r = inf the first is read from the
+    even-sample peaks of the search and the last from its coarse samples.
     """
     modes = mode_grid(spec)
     evals, best_val = 0, 0.0
@@ -550,12 +637,19 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
         v_full, u = best[2:]
     else:
         v_full, u = _eval_mixed(spec, modes, top_c, _transit_times(spec, modes, top_c))
-    ref_delta = refinement_delta(u, MixedNormSpec(q=spec.q, r=spec.r, order=spec.order))
+    if spec.r == INF:
+        # every coarse sample has an even index, so the even-sample peaks
+        # are the search at half the time resolution
+        half = _reduce(u.even_peak, spec.q, u.grid.dx, axis=0)
+        ref_delta = abs(v_full - half) / max(v_full, 1e-300) if len(u.times) >= 4 else 0.0
+        per_t = u.coarse_energy
+    else:
+        ref_delta = refinement_delta(u, MixedNormSpec(q=spec.q, r=spec.r, order=spec.order))
+        per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
     wide = _transit_times(spec, modes, top_c, margin_factor=2.0)
     v_wide, _ = _eval_mixed(spec, modes, top_c, wide)
     window_delta = abs(v_wide - v_full) / max(v_full, 1e-300)
     # share of the time-profile mass in the last tenth of the window
-    per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
     k = max(1, len(per_t) // 10)
     tail_fraction = float(np.sum(per_t[-k:]) / max(np.sum(per_t), 1e-300))
     nf = _l2_of_spectrum(modes, top_c)

@@ -141,15 +141,26 @@ def test_candidate_ranking_scale_invariant():
 
 # Direct formulas the blocked kernels must reproduce: one exp(i t phi) per
 # time sample and mode, and the chain rule through a dense S x nx weight W.
+# The reference slab is built 256 samples at a time to bound its memory.
 
 def _eval_reference(spec, modes, c, times):
     nx = max(int(math.ceil(2 * spec.R / 0.7)), 32)
     nx += nx % 2
     gx = Grid(1, nx, 2 * spec.R)
-    ph = np.exp(1j * np.outer(times, modes.phi_vals)) * (modes.amp * c * modes.dxi)
-    slab = ph @ np.exp(1j * np.outer(gx.x_axis(), modes.xi)).T
+    amp = modes.amp * c * modes.dxi
+    ph_x = np.exp(1j * np.outer(gx.x_axis(), modes.xi)).T
+    slab = np.concatenate([(np.exp(1j * np.outer(times[s0:s0 + 256], modes.phi_vals)) * amp)
+                           @ ph_x for s0 in range(0, len(times), 256)])
     u = SpacetimeField(gx, times, slab)
     return mixed_norm(u, MixedNormSpec(q=spec.q, r=spec.r, order=spec.order)), u
+
+
+def _sup_score(spec, absu):
+    """What the sup in time runs over, per sample and cell: |u| for order xt,
+    sum_x |u|^q (the profile ||u(t, .)||_q to the power q) for order tx."""
+    if spec.order == "xt":
+        return absu
+    return np.broadcast_to(np.sum(absu**spec.q, axis=-1, keepdims=True), absu.shape)
 
 
 def _gradient_reference(spec, modes, c, times):
@@ -179,8 +190,8 @@ def _gradient_reference(spec, modes, c, times):
     return (g - (val / nf) * (modes.dxi / O.TWO_PI) * c / (2.0 * nf)) / nf
 
 
-def _chirp_case(r, window):
-    spec = spec_at(8.0, alpha=-0.25, r=r, window=window)
+def _chirp_case(r, window, order="xt"):
+    spec = dataclasses.replace(spec_at(8.0, alpha=-0.25, r=r, window=window), order=order)
     modes = O.mode_grid(spec)
     c = dict(O._candidate_bank(spec, modes, 0))["chirp-root@0.9"]
     return spec, modes, c, O._transit_times(spec, modes, c)
@@ -189,14 +200,83 @@ def _chirp_case(r, window):
 @pytest.mark.parametrize("window", ["local", "global"])
 @pytest.mark.parametrize("r", [INF, 4.0])
 def test_eval_mixed_matches_per_sample_phases(r, window):
+    # finite r: the whole slab; r = inf: the sup search keeps each cell's
+    # peak sample, which for this chirp is the full slab's
     spec, modes, c, times = _chirp_case(r, window)
     assert len(times) > 2 * O.BLOCK
     for ts in (times[:1], times[:127], times[:128], times[:129], times[::2], times):
         val, u = O._eval_mixed(spec, modes, c, ts)
         ref, u_ref = _eval_reference(spec, modes, c, ts)
         assert abs(val - ref) <= 1e-10 * ref, len(ts)
-        err = np.max(np.abs(u.slices - u_ref.slices))
-        assert err <= 1e-10 * np.max(np.abs(u_ref.slices)), len(ts)
+        if r == INF:
+            index = np.abs(u_ref.slices).argmax(axis=0)
+            assert np.array_equal(u.index, index), len(ts)
+            got, want = u.peak, u_ref.slices[index, np.arange(len(index))]
+        else:
+            got, want = u.slices, u_ref.slices
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), len(ts)
+
+
+def _check_sup_search(spec, modes, c, times, exact, tol=1e-12):
+    """The r = inf search against the full slab. Always: the value is at
+    most the full sup, the coarse energies are the slab's, and the even-sample
+    peaks reach every coarse sample (all coarse samples have even indices).
+    exact: the value and every cell's peaks are the full slab's. A profile
+    flat to rounding may tie between samples, so peaks are compared by the
+    slab's values at them, not by their indices."""
+    val, rec = O._eval_mixed(spec, modes, c, times)
+    ref, u_ref = _eval_reference(spec, modes, c, times)
+    absu = np.abs(u_ref.slices)
+    score = _sup_score(spec, absu)
+    slack = tol * np.max(score)
+    cols = np.arange(absu.shape[1])
+    assert val <= ref * (1 + tol)
+    coarse = absu[::O.SUP_STRIDE]
+    energy = np.sum(coarse**2, axis=1)
+    assert np.max(np.abs(rec.coarse_energy - energy)) <= tol * np.max(energy)
+    even = _sup_score(spec, rec.even_peak)
+    assert np.all(even >= _sup_score(spec, coarse).max(axis=0) - slack)
+    if exact:
+        assert abs(val - ref) <= tol * ref
+        assert np.max(np.abs(rec.peak - u_ref.slices[rec.index, cols])) <= tol * np.max(absu)
+        assert np.all(score[rec.index, cols] >= score.max(axis=0) - slack)
+        assert np.max(np.abs(even - score[::2].max(axis=0))) <= slack
+    return rec
+
+
+@pytest.mark.parametrize("order", ["xt", "tx"])
+@pytest.mark.parametrize("window", ["local", "global"])
+@pytest.mark.parametrize("R", [8.0, 16.0])
+def test_sup_search_matches_full_slab_on_every_bank_candidate(R, window, order):
+    # chirps and plates peak smoothly in time, so the search finds every peak;
+    # noise may peak between coarse samples outside both refined windows
+    spec = dataclasses.replace(spec_at(R, alpha=-0.25, r=INF, window=window), order=order)
+    modes = O.mode_grid(spec)
+    for name, c in O._candidate_bank(spec, modes, 0):
+        _check_sup_search(spec, modes, c, O._transit_times(spec, modes, c),
+                          exact=name.startswith(("chirp", "plate")))
+
+
+@pytest.mark.parametrize("order", ["xt", "tx"])
+def test_sup_search_edge_cases(order):
+    spec, modes, c, times = _chirp_case(INF, "local", order)
+    noise = dict(O._candidate_bank(spec, modes, 0))["noise"]
+    S = len(times)
+    # more than BLOCK coarse samples; S a multiple of neither SUP_STRIDE nor BLOCK
+    assert S > O.SUP_STRIDE * O.BLOCK and S % O.SUP_STRIDE and S % O.BLOCK
+    for ts in (times[:1], times[:O.SUP_STRIDE - 3], times[:O.SUP_STRIDE + 3], times):
+        _check_sup_search(spec, modes, c, ts, exact=True)
+    # up to two coarse samples: both windows cover every sample, for any data
+    for k in (1, O.SUP_STRIDE - 3, O.SUP_STRIDE, 2 * O.SUP_STRIDE):
+        _check_sup_search(spec, modes, noise, times[:k], exact=True)
+    # before the focus every cell peaks on the last sample, after it on the
+    # first; the windows there are clipped to the sampled times
+    k = 453
+    assert k % O.SUP_STRIDE
+    rising = _check_sup_search(spec, modes, c, times[:k], exact=True)
+    assert np.all(rising.index == k - 1)
+    falling = _check_sup_search(spec, modes, c, times[-k:], exact=True)
+    assert np.all(falling.index == 0)
 
 
 @pytest.mark.parametrize("window", ["local", "global"])
@@ -207,6 +287,28 @@ def test_quotient_gradient_matches_dense_chain_rule(r, window):
     g = O._quotient_gradient(spec, modes, c, val, u)
     ref = _gradient_reference(spec, modes, c, times)
     assert np.linalg.norm(g - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("order", ["xt", "tx"])
+@pytest.mark.parametrize("r", [INF, 4.0])
+def test_quotient_gradient_matches_finite_differences(r, order):
+    # central differences of the quotient along directions inside the
+    # spectrum's support; both nesting orders
+    spec, modes, c, times = _chirp_case(r, "local", order)
+    val, u = O._eval_mixed(spec, modes, c, times)
+    g = O._quotient_gradient(spec, modes, c, val, u)
+
+    def quotient(x):
+        return O._eval_mixed(spec, modes, x, times)[0] / O._l2_of_spectrum(modes, x)
+
+    rng = np.random.default_rng(5)
+    h = 1e-6
+    for _ in range(3):
+        d = np.abs(c) * (rng.standard_normal(len(c)) + 1j * rng.standard_normal(len(c)))
+        d *= np.linalg.norm(c) / np.linalg.norm(d)
+        fd = (quotient(c + h * d) - quotient(c - h * d)) / (2 * h)
+        slope = 2.0 * np.real(np.vdot(g, d))
+        assert abs(fd - slope) <= 1e-6 * 2.0 * np.linalg.norm(g) * np.linalg.norm(d)
 
 
 def test_eval_mixed_rejects_nonuniform_times():
@@ -225,9 +327,17 @@ def _hand_made_bank(spec, modes):
 
 
 def test_only_an_affordable_bank_winner_is_refined(monkeypatch):
+    _check_only_an_affordable_winner_is_refined(monkeypatch, INF)
+
+
+def test_only_an_affordable_bank_winner_is_refined_at_finite_r(monkeypatch):
+    _check_only_an_affordable_winner_is_refined(monkeypatch, 4.0)
+
+
+def _check_only_an_affordable_winner_is_refined(monkeypatch, r):
     # over the ascent budget the winner is reported as the bank found it,
     # with no ascent; under it the winner is refined and keeps its name
-    spec = spec_at(8.0, alpha=-0.25, r=INF)
+    spec = spec_at(8.0, alpha=-0.25, r=r)
     modes = O.mode_grid(spec)
     bank = _hand_made_bank(spec, modes)
     vals, costs = [], []
@@ -258,9 +368,19 @@ def test_only_an_affordable_bank_winner_is_refined(monkeypatch):
 
 
 def test_bank_winner_is_evaluated_once(monkeypatch):
-    # the bank loop's slab of the winner seeds the first ascent restart and
-    # gives the diagnostics: after the bank only the wide window is new
-    spec = spec_at(8.0, alpha=-0.25, r=INF)
+    _check_bank_winner_is_evaluated_once(monkeypatch, INF)
+
+
+def test_bank_winner_is_evaluated_once_at_finite_r(monkeypatch):
+    _check_bank_winner_is_evaluated_once(monkeypatch, 4.0)
+
+
+def _check_bank_winner_is_evaluated_once(monkeypatch, r):
+    # the bank loop's evaluation of the winner seeds the first ascent restart
+    # and gives the diagnostics: after the bank only the wide window is new.
+    # At finite r the diagnostics read the slab; at r = inf the sup search's
+    # record (even-sample peaks, coarse energies).
+    spec = spec_at(8.0, alpha=-0.25, r=r)
     modes = O.mode_grid(spec)
     bank = _hand_made_bank(spec, modes)
     eval_mixed = O._eval_mixed
@@ -281,11 +401,17 @@ def test_bank_winner_is_evaluated_once(monkeypatch):
     v_full, u = eval_mixed(spec, modes, c, O._transit_times(spec, modes, c))
     wide = O._transit_times(spec, modes, c, margin_factor=2.0)
     v_wide, _ = eval_mixed(spec, modes, c, wide)
-    per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
+    if r == INF:
+        half = (u.grid.dx * np.sum(u.even_peak**spec.q)) ** (1.0 / spec.q)
+        ref_delta = abs(v_full - half) / v_full
+        per_t = u.coarse_energy
+    else:
+        ref_delta = refinement_delta(u, MixedNormSpec(q=spec.q, r=spec.r))
+        per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
     k = max(1, len(per_t) // 10)
     for res in (over, seeded):
         assert res.candidate == "chirp-wide@0.9"
-        assert res.refinement_delta == refinement_delta(u, MixedNormSpec(q=spec.q, r=spec.r))
+        assert res.refinement_delta == ref_delta
         assert res.window_delta == abs(v_wide - v_full) / v_full
         assert res.tail_fraction == float(np.sum(per_t[-k:]) / np.sum(per_t))
 
