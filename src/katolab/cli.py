@@ -92,12 +92,13 @@ def _cmd_opnorm(args):
                                             global_t_factor=t_factor)
         if q == 2 and r == 2:
             res = opnorm.operator_norm_l2(spec, seed=args.seed)
-            rows.append((R, res.value, res.iterations, res.restarts))
+            rows.append((R, res.value, res.iterations, f"{res.residual:.3g}"))
         else:
+            # a lower bound has no solver residual
             res = opnorm.lower_bound_mixed(spec, seed=args.seed)
-            rows.append((R, res.value, res.evaluations, 0))
+            rows.append((R, res.value, res.evaluations, ""))
         samples.append((R, rows[-1][1]))
-    print("R,norm,iterations,restarts")
+    print("R,norm,iterations,residual")
     for row in rows:
         print(f"{row[0]:g},{row[1]:.10g},{row[2]},{row[3]}")
     if len(samples) >= 3:

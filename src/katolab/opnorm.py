@@ -15,15 +15,18 @@ with X the spatial ball integral (a sinc) and T the time-window integral
 (a sinc as well), d the weighted bump amplitude, over a uniform frequency
 quadrature whose span scales with the window length so that the periodic
 representation never recirculates mass through the ball. The norm is the
-top eigenvalue, found by power iteration (with restarts) and cross-checked
-against a dense eigensolve at small scale. For the quadratic symbol the
-kernel splits into four modulations of two Toeplitz kernels and one Hankel
-kernel. One apply costs 12 FFTs of size N >= 2M - 1 (the smallest
-2^a 3^b) over M modes: per modulation one forward transform, which the
-Hankel term reuses through the reversal identity
-fft(g[::-1], N)[k] = e^{-2 pi i k (M-1)/N} fft(g, N)[-k mod N], and two
-inverse transforms, one of them shared by the two terms with row factor
-1/rho^2. The R = 64 cases stay interactive.
+top eigenvalue, found by one seeded Lanczos run with full
+reorthogonalisation and cross-checked against a dense eigensolve at small
+scale. Its top Ritz value is a Rayleigh quotient, so a lower bound, and it
+is reported with its residual ||H v - theta v|| / theta. The quadratic
+symbol takes a structured apply at every scale, every other symbol the
+explicit matrix. For the quadratic symbol the kernel splits into four
+modulations of two Toeplitz kernels and one Hankel kernel. One apply costs
+12 FFTs of size N >= 2M - 1 (the smallest 2^a 3^b) over M modes: per
+modulation one forward transform, which the Hankel term reuses through the
+reversal identity fft(g[::-1], N)[k] = e^{-2 pi i k (M-1)/N}
+fft(g, N)[-k mod N], and two inverse transforms, one of them shared by the
+two terms with row factor 1/rho^2. The R = 64 cases stay interactive.
 
 Mixed-norm cases (q, r) != (2, 2), including the maximal r = inf, are
 handled by lower_bound_mixed: structured candidates (narrowband chirps,
@@ -74,10 +77,12 @@ TWO_PI = 2.0 * math.pi
 SPAN_FACTOR = 2.5
 GLOBAL_T_FACTOR = 8.0
 
-# L2 norms: power-iteration restarts, and the quadratic symbol's mode count
-# above which the structured apply replaces the explicit matrix.
-POWER_RESTARTS = 3
-FAST_MODES = 1500
+# L2 norms: Lanczos stops once the top Ritz pair's residual is at most
+# LANCZOS_TOL times its Ritz value, or after LANCZOS_STEPS kernel applies.
+# A tighter tolerance costs far more steps where the top of the spectrum is
+# clustered (R = 64 needs about 280 for 1e-4).
+LANCZOS_TOL = 1e-3
+LANCZOS_STEPS = 200
 
 # Mixed-norm lower bounds: time samples per phase block, the coarse time
 # stride of the r = inf search (even, so every coarse sample has an even
@@ -262,71 +267,78 @@ class _FastKernel:
 
 @dataclass
 class OperatorNormResult:
+    """value is sqrt(2 pi dxi theta) for the top Ritz value theta, a lower
+    bound; residual is ||H v - theta v|| / theta for its Ritz vector v."""
+
     value: float
     iterations: int
     converged: bool
-    restarts: int
-    last_gap: float
+    residual: float
     mode_count: int
     method: str
 
 
-def _power_iteration(apply_fn, M: int, seed: int, restarts: int = POWER_RESTARTS,
-                     tol: float = 1e-4, max_iter: int = 200) -> tuple:
+def _lanczos(apply_fn, M: int, seed: int, tol: float = LANCZOS_TOL,
+             max_steps: int = LANCZOS_STEPS) -> tuple:
+    """(theta, steps, residual / theta) of the top Ritz pair of a Hermitian
+    operator H on C^M, from one seeded start with full reorthogonalisation.
+
+    After k steps (one apply each) the orthonormal rows v_1..v_k of V and
+    the tridiagonal T = conj(V) H V^T satisfy
+    H V^T = V^T T + beta_k v_{k+1} e_k^T, so the top eigenpair (theta, y)
+    of T gives the Ritz vector V^T y with residual beta_k |y_k|, read
+    without an apply. The run stops once that is at most tol * |theta|,
+    when the basis spans C^M, or after max_steps. V grows by doubling, so
+    it holds about the steps taken and is copied a logarithmic number of
+    times.
+    """
     rng = np.random.default_rng(seed)
-    best = 0.0
-    best_iters = 0
-    best_conv = False
-    best_gap = math.inf
-    for _ in range(restarts):
-        v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        v /= np.linalg.norm(v)
-        lam_prev = 0.0
-        converged = False
-        gap = math.inf
-        it = 0
-        for it in range(1, max_iter + 1):
-            w = apply_fn(v)
-            lam = float(np.real(np.vdot(v, w)))
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                break
-            v = w / nw
-            gap = abs(lam - lam_prev) / max(abs(lam), 1e-300)
-            if it > 1 and gap < tol:
-                converged = True
-                break
-            lam_prev = lam
-        if lam > best:
-            best = lam
-            best_iters = it
-            best_conv = converged
-            best_gap = gap
-    return best, best_iters, best_conv, best_gap
+    V = np.empty((min(16, M), M), dtype=np.complex128)
+    v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    V[0] = v / np.linalg.norm(v)
+    alpha, beta = [], []
+    for k in range(1, min(max_steps, M) + 1):
+        w = apply_fn(V[k - 1])
+        alpha.append(float(np.real(np.vdot(V[k - 1], w))))
+        # two classical Gram-Schmidt passes against the whole basis
+        for _ in range(2):
+            w -= np.conj(V[:k] @ np.conj(w)) @ V[:k]
+        beta.append(float(np.linalg.norm(w)))
+        T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+        theta, Y = np.linalg.eigh(T)
+        theta, residual = float(theta[-1]), beta[-1] * float(abs(Y[-1, -1]))
+        if residual <= tol * abs(theta) or k == M:
+            break
+        if k == len(V):
+            grown = np.empty((min(2 * k, M), M), dtype=np.complex128)
+            grown[:k] = V
+            V = grown
+        V[k] = w / beta[-1]
+    return theta, k, residual / abs(theta) if theta else 0.0
 
 
 def operator_norm_l2(spec: SmoothingOperatorSpec, seed: int = 0) -> OperatorNormResult:
     """Norm of the ball/window-localized weighted evolution on L^2 data.
 
-    Power iteration on the quadratic-form kernel over sector-limited modes;
-    POWER_RESTARTS seeded restarts guard against an unlucky start. The
-    quadratic symbol above FAST_MODES modes takes the structured apply
-    ('power-fast'), everything else the explicit matrix ('power-dense').
+    One seeded Lanczos run on the quadratic-form kernel over sector-limited
+    modes; converged means residual <= LANCZOS_TOL. The quadratic symbol
+    takes the structured apply ('lanczos-fast'), every other symbol the
+    explicit matrix ('lanczos-dense').
     """
     if spec.q != 2 or spec.r != 2:
         raise ValueError("operator_norm_l2 requires q = r = 2")
     modes = mode_grid(spec)
     M = len(modes.xi)
-    if _is_quadratic(spec.sym) and M > FAST_MODES:
-        apply_fn, how = _FastKernel(spec, modes).apply, "power-fast"
+    if _is_quadratic(spec.sym):
+        apply_fn, how = _FastKernel(spec, modes).apply, "lanczos-fast"
     else:
         H = dense_operator_matrix(spec, modes)
-        apply_fn, how = (lambda v: H @ v), "power-dense"
-    lam, iters, conv, gap = _power_iteration(apply_fn, M, seed)
-    value = math.sqrt(max(TWO_PI * modes.dxi * lam, 0.0))
-    return OperatorNormResult(value=value, iterations=iters, converged=conv,
-                              restarts=POWER_RESTARTS, last_gap=gap, mode_count=M,
-                              method=how)
+        apply_fn, how = (lambda v: H @ v), "lanczos-dense"
+    theta, steps, residual = _lanczos(apply_fn, M, seed)
+    value = math.sqrt(max(TWO_PI * modes.dxi * theta, 0.0))
+    return OperatorNormResult(value=value, iterations=steps,
+                              converged=bool(residual <= LANCZOS_TOL),
+                              residual=residual, mode_count=M, method=how)
 
 
 def operator_norm_dense_eig(spec: SmoothingOperatorSpec) -> float:
@@ -518,6 +530,13 @@ def _l2_of_spectrum(modes: ModeGrid, c: np.ndarray) -> float:
     return math.sqrt(modes.dxi / TWO_PI * float(np.sum(np.abs(c) ** 2)))
 
 
+def _first_max(a: np.ndarray, axis: int) -> np.ndarray:
+    """Mask of the first maximum of a along axis."""
+    mask = np.zeros(a.shape, dtype=bool)
+    np.put_along_axis(mask, a.argmax(axis=axis, keepdims=True), True, axis=axis)
+    return mask
+
+
 def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid,
                        c: np.ndarray, val: float,
                        u: SpacetimeField | SupRecord) -> np.ndarray:
@@ -529,7 +548,10 @@ def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid,
     At finite r the inner exponent runs over t (order xt) or over x (order
     tx) and the outer one over the other axis. At r = inf W has one nonzero
     per cell, at the peak sample of the SupRecord u; for order tx that is
-    the one time where the profile ||u(t, .)||_q peaks.
+    the one time where the profile ||u(t, .)||_q peaks. A sup over x
+    (q = inf) takes its subgradient on its first maximal cell: the cell with
+    the largest inner norm for order xt, each sample's largest cell for
+    order tx (at r = inf, the largest cell at the peak sample).
     """
     q, r = spec.q, spec.r
     amp = modes.amp * modes.dxi
@@ -538,20 +560,34 @@ def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid,
     if r == INF:
         Mb = np.abs(u.peak)
         safe = np.where(Mb > 0, Mb, 1.0)
-        w = 0.5 * val ** (1 - q) * wx * safe ** (q - 1) * u.peak / safe
+        if q == INF:
+            w = np.where(_first_max(Mb, axis=0), 0.5 * u.peak / safe, 0.0)
+        else:
+            w = 0.5 * val ** (1 - q) * wx * safe ** (q - 1) * u.peak / safe
         ph_t = np.exp(-1j * np.outer(modes.phi_vals, u.times[u.index]))  # (M, B)
         g = amp * np.sum(ph_t * ph_x * w, axis=1)
     else:
         slab = u.slices
         absu = np.abs(slab)
         wt = u.dt if len(u.times) > 1 else 1.0
-        p_in, p_out, axis, w_in = (r, q, 0, wt) if spec.order == "xt" else (q, r, 1, wx)
-        G = w_in * np.sum(absu**p_in, axis=axis, keepdims=True)
         safe = np.where(absu > 0, absu, 1.0)
-        W = (0.5 * val ** (1 - p_out) * wx * wt
-             * np.where(G > 0, G, 1.0) ** (p_out / p_in - 1.0)
-             * safe ** (p_in - 2) * slab)
-        W[np.broadcast_to(G <= 0, W.shape)] = 0.0
+        if q == INF and spec.order == "xt":
+            # outer sup over x: the cell with the largest L^r_t norm
+            G = wt * np.sum(absu**r, axis=0, keepdims=True)
+            scale = 0.5 * wt * np.where(G > 0, G, 1.0) ** (1.0 / r - 1.0)
+            W = np.where(_first_max(G, axis=1), scale * safe ** (r - 2) * slab, 0.0)
+        elif q == INF:
+            # inner sup over x: per sample, its largest cell
+            n = absu.max(axis=1, keepdims=True)
+            W = np.where(_first_max(absu, axis=1),
+                         0.5 * val ** (1 - r) * wt * n ** (r - 1) * slab / safe, 0.0)
+        else:
+            p_in, p_out, axis, w_in = (r, q, 0, wt) if spec.order == "xt" else (q, r, 1, wx)
+            G = w_in * np.sum(absu**p_in, axis=axis, keepdims=True)
+            W = (0.5 * val ** (1 - p_out) * wx * wt
+                 * np.where(G > 0, G, 1.0) ** (p_out / p_in - 1.0)
+                 * safe ** (p_in - 2) * slab)
+            W[np.broadcast_to(G <= 0, W.shape)] = 0.0
         # Z[k, b] = sum_s e^{-i t_s phi_k} W[s, b], one matmul per block
         base, lead = _time_phases(u.times, modes.phi_vals, sign=-1.0)
         Z = np.zeros_like(ph_x)

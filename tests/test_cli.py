@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -63,8 +65,23 @@ def test_opnorm_cli(capsys):
     assert cli.main(["opnorm", "--symbol", "power:m=2,n=1", "--alpha", "0.5",
                      "--R", "8,16,32", "--seed", "1"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("R,norm,iterations,restarts")
+    assert out.startswith("R,norm,iterations,residual\n")
+    rows = [line.split(",") for line in out.splitlines()[1:4]]
+    assert [row[0] for row in rows] == ["8", "16", "32"]
+    assert all(0.0 <= float(row[3]) <= opnorm.LANCZOS_TOL for row in rows)
     assert '"slope"' in out
+
+
+@pytest.mark.parametrize("order", ["xt", "tx"])
+@pytest.mark.parametrize("r", ["4", "inf"])
+def test_opnorm_cli_sup_over_x_runs_clean(capsys, r, order):
+    # q = inf: the ascent's subgradient must be finite, with no 0 * inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["opnorm", "--symbol", "power:m=2,n=1", "--alpha", "0.5",
+                         "--q", "inf", "--r", r, "--order", order, "--R", "2"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[0] == "2" and float(row[1]) > 0 and row[3] == ""
 
 
 def test_opnorm_cli_order_reaches_the_spec(capsys):
