@@ -379,8 +379,9 @@ def decoupling_check(family: SparseFamily, functions: list, p: float,
         diff_t = pts[:, 0][:, None] - y[None, :, 0]
         diff_x = pts[:, 1][:, None] - y[None, :, 1]
         win = mollifier_hat(H * np.sqrt(diff_t**2 + diff_x**2))
-        phase = np.exp(-1j * (z[0] * diff_t + z[1] * diff_x))
-        total += H**2 * f.cell * (win * phase) @ vals
+        # the modulation e^{-i z.(p - y)} factors as e^{-i z.p} e^{i z.y}
+        total += (H**2 * f.cell * np.exp(-1j * (pts @ z))
+                  * (win @ (np.exp(1j * (y @ z)) * vals)))
     lhs = float((np.sum(patch.weights * np.abs(total) ** p)) ** (1.0 / p))
     rhs = float(H ** (1.0 / p) * (sum(f.lp(p) ** p for f in functions)) ** (1.0 / p))
     return {"lhs": lhs, "rhs": rhs, "ratio": lhs / max(rhs, 1e-300)}

@@ -13,6 +13,11 @@ per axis), so packet spectra are sharply localized; the price is that the
 window's spatial kernel only concentrates rather than vanishes outside
 radius ~ 2R/3, and that spillover is measured and reported with every
 decomposition whose torus reaches outside B(l, 4R).
+
+A packet is stored at the size of its frequency window's support: the
+flat grid indices of that support (one array per frequency node, shared
+by every spatial node) and the packet's samples there. Its full spectrum
+is expanded only on demand.
 """
 
 from __future__ import annotations
@@ -128,13 +133,37 @@ def _on_axis(row: np.ndarray, axis: int, n: int) -> np.ndarray:
     return row.reshape([-1 if a == axis else 1 for a in range(n)])
 
 
+def _window_support(pair: PartitionPair, node: tuple) -> tuple:
+    """(index, rows) of the frequency window of lattice node `node` (one
+    row of pair.freq per axis): the flat grid indices where the window is
+    nonzero, and each axis row at those indices, in axis order."""
+    g = pair.grid
+    axes = [np.flatnonzero(pair.freq[k]) for k in node]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    index = np.ravel_multi_index(mesh, g.shape).ravel()
+    rows = [pair.freq[k][m.ravel()] for k, m in zip(node, mesh)]
+    return index, rows
+
+
 @dataclass(frozen=True)
 class WavePacket:
+    """One packet, stored on the support of its frequency window: block
+    holds its frequency samples at the flat grid indices in index, and
+    every other sample is zero."""
+
     grid: Grid
     l: tuple
     v: tuple
-    spectrum: np.ndarray  # frequency samples of the packet
+    index: np.ndarray  # flat grid indices of the frequency window's support
+    block: np.ndarray  # frequency samples of the packet at index
     energy: float
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """Frequency samples on the whole grid (expanded on demand)."""
+        out = np.zeros(self.grid.shape, dtype=np.complex128)
+        out.reshape(-1)[self.index] = self.block
+        return out
 
     @property
     def values(self) -> np.ndarray:
@@ -233,18 +262,24 @@ def decompose(f: Field, R: float, drop_tol: float = 1e-22) -> Decomposition:
     keep = np.ones(flat_e.shape, dtype=bool)
     keep[dropped] = False
 
-    # second pass: build the kept packets; the spill tails of a node's
-    # significant packets come from one inverse transform of their stack
+    # second pass: build the kept packets on their window supports; the
+    # spill tails of a node's significant packets come from one inverse
+    # transform of their expanded stack
     packets = []
     spill_max = 0.0
     significant = 1e-6  # spill is meaningless for threshold-level packets
     v_index = list(itertools.product(range(len(pair.v_axis)), repeat=g.n))
     vs = list(itertools.product(pair.v_axis.tolist(), repeat=g.n))
+    supports = {}
     for (l, outside, ghat), kept, e_l in zip(rows, keep.reshape(energies.shape), energies):
         node = []
         for j in np.nonzero(kept)[0]:
-            window = functools.reduce(np.multiply.outer, [pair.freq[k] for k in v_index[j]])
-            node.append(WavePacket(grid=g, l=l, v=vs[j], spectrum=window * ghat,
+            if j not in supports:
+                index, wrows = _window_support(pair, v_index[j])
+                supports[j] = index, functools.reduce(np.multiply, wrows)
+            index, window = supports[j]
+            node.append(WavePacket(grid=g, l=l, v=vs[j], index=index,
+                                   block=window * ghat.reshape(-1)[index],
                                    energy=float(e_l[j])))
         loud = [p for p in node if p.energy >= significant * total]
         if loud:
@@ -270,6 +305,7 @@ def reconstruct(dec: Decomposition) -> Field:
     g = pair.grid
     l_row = {c: i for i, c in enumerate(pair.lattice.tolist())}
     v_row = {c: j for j, c in enumerate(pair.v_axis.tolist())}
+    window_rows: dict = {}
     acc = np.zeros(g.shape, dtype=np.complex128)
     by_l: dict = {}
     for p in dec.packets:
@@ -277,10 +313,12 @@ def reconstruct(dec: Decomposition) -> Field:
     for l, group in by_l.items():
         ph_sum = np.zeros(g.shape, dtype=np.complex128)
         for p in group:
-            ph = p.spectrum
-            for axis in range(g.n):
-                ph = ph * _on_axis(pair.freq[v_row[p.v[axis]]], axis, g.n)
-            ph_sum += ph
+            if p.v not in window_rows:
+                window_rows[p.v] = _window_support(pair, tuple(v_row[c] for c in p.v))[1]
+            ph = p.block
+            for row in window_rows[p.v]:
+                ph = ph * row
+            ph_sum.reshape(-1)[p.index] += ph
         vals = idft(Field(g, ph_sum)).values
         for axis in range(g.n):
             vals = vals * _on_axis(pair.spatial[l_row[l[axis]]], axis, g.n)
@@ -301,9 +339,10 @@ def almost_orthogonality(packets, grid: Grid) -> float:
     energy = sum(p.energy for p in packets)
     if energy <= 0:
         raise ValueError("subcollection has zero energy")
+    # unbuffered, in packet order: the same sums as adding full spectra
     acc = np.zeros(grid.shape, dtype=np.complex128)
-    for p in packets:
-        acc += p.spectrum
+    np.add.at(acc.reshape(-1), np.concatenate([p.index for p in packets]),
+              np.concatenate([p.block for p in packets]))
     return Field(grid, acc).l2_freq() / math.sqrt(energy)
 
 

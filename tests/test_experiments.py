@@ -55,7 +55,22 @@ def test_parse_config_errors_name_fields():
                          "residual_min"),
                         ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nN = true", "N"),
                         ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nL = NaN", "L"),
-                        ("kind = scaling\nsymbol = power:m=2,n=1\nR = 8,nan,32", "R")]:
+                        ("kind = scaling\nsymbol = power:m=2,n=1\nR = 8,nan,32", "R"),
+                        ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nfields = inf",
+                         "fields"),
+                        ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nfields = 2.5",
+                         "fields"),
+                        ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nfields = 0",
+                         "fields"),
+                        ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nN = inf", "N"),
+                        ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nN = 1024.5", "N"),
+                        ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\n"
+                         "subcollections = 0", "subcollections"),
+                        ("kind = sparse-audit\nsymbol = power:m=2,n=1\ntrials = 0", "trials"),
+                        ("kind = sparse-audit\nsymbol = power:m=2,n=1\nK = -1", "K"),
+                        ("kind = sparse-audit\nsymbol = power:m=2,n=1\nseed = 1.5", "seed"),
+                        ("kind = maximal\nsymbol = power:m=2,n=1\nrestarts = inf",
+                         "restarts")]:
         with pytest.raises(E.ConfigError) as exc:
             E.parse_config(text)
         assert exc.value.field_name == field, text

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -74,6 +75,10 @@ def test_two_dimensional_packets_are_tight():
     assert W.energy_identity_defect(dec) <= 1e-10
 
 
+# a reference packet: the full spectrum, as a plain record
+_Packet = collections.namedtuple("_Packet", "grid l v spectrum energy")
+
+
 def _reference_decompose(f, R, drop_tol=1e-22):
     """Per-packet window path: every window evaluated at its own (l, v)."""
     g, R = f.grid, float(R)
@@ -106,8 +111,7 @@ def _reference_decompose(f, R, drop_tol=1e-22):
     for (l, outside, ghat), kept, e_l in zip(rows, keep.reshape(-1, len(vs)), energies):
         for j in np.nonzero(kept)[0]:
             window = functools.reduce(np.multiply.outer, [window_at[v] for v in vs[j]])
-            p = W.WavePacket(grid=g, l=l, v=vs[j], spectrum=window * ghat,
-                             energy=float(e_l[j]))
+            p = _Packet(grid=g, l=l, v=vs[j], spectrum=window * ghat, energy=float(e_l[j]))
             if p.energy >= 1e-6 * total:
                 tail = g.dx**g.n * np.sum(np.abs(idft(Field(g, p.spectrum)).values[outside]) ** 2)
                 spill_max = max(spill_max, float(tail / p.energy))
@@ -172,6 +176,36 @@ def test_window_tables_match_per_packet_windows(grid, case):
     assert dec.dropped_count == dropped_count
     assert dec.spill_max == spill_max
     assert np.array_equal(W.reconstruct(dec).values, _reference_reconstruct(packets, R))
+
+
+def test_packets_are_stored_on_their_window_support(dec8, grid):
+    # the frequency window of R = 8 covers at most 8 of the 1024 samples
+    _, dec = dec8
+    assert all(p.block.size <= 8 for p in dec.packets)
+    stored = sum(p.block.nbytes for p in dec.packets)
+    assert stored < 0.01 * len(dec.packets) * grid.N * 16
+
+
+def _reference_almost_orthogonality(packets, grid):
+    acc = np.zeros(grid.shape, dtype=np.complex128)
+    for p in packets:
+        acc += p.spectrum
+    return Field(grid, acc).l2_freq() / math.sqrt(sum(p.energy for p in packets))
+
+
+@pytest.mark.parametrize("case", ["1d-R8", "2d-R4"])
+def test_almost_orthogonality_matches_the_full_spectrum_sum(dec8, grid, case):
+    if case == "2d-R4":
+        f = _gaussian_2d()
+        packets, grid = W.decompose(f, 4.0).packets, f.grid
+    else:
+        packets = dec8[1].packets
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        sel = rng.choice(len(packets), size=int(rng.integers(1, len(packets))), replace=False)
+        chosen = [packets[i] for i in sel]
+        assert (W.almost_orthogonality(chosen, grid)
+                == _reference_almost_orthogonality(chosen, grid))
 
 
 @pytest.mark.parametrize("L, measurable", [(64.0, False), (96.0, True)])
