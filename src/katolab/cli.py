@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import experiments, norms, opnorm, propagator, symbols, wavepackets
-from .core import (Annulus, Ball, GaussianRecipe, Grid, KnappRecipe,
+from .core import (Annulus, Ball, Field, GaussianRecipe, Grid, KnappRecipe,
                    RandomBandlimited, Sector, make_field, read_field,
                    read_spacetime, write_field, write_spacetime)
 
@@ -116,9 +116,10 @@ def _cmd_wavepacket(args):
     manifest = os.path.join(args.out_dir, "manifest.csv")
     with open(manifest, "w") as fh:
         fh.write("index,l,v,energy,file\n")
-        for i, p in enumerate(dec.packets):
+        values = wavepackets.packet_values(dec.packets)
+        for i, (p, vals) in enumerate(zip(dec.packets, values)):
             name = f"packet_{i:05d}.kslf"
-            write_field(p.field(), os.path.join(args.out_dir, name))
+            write_field(Field(p.grid, vals), os.path.join(args.out_dir, name))
             l_s = ";".join(f"{c:g}" for c in p.l)
             v_s = ";".join(f"{c:g}" for c in p.v)
             fh.write(f"{i},{l_s},{v_s},{p.energy:.17g},{name}\n")

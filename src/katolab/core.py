@@ -19,6 +19,10 @@ KSLF_MAGIC = b"KSLF"
 KSLT_MAGIC = b"KSLT"
 KSLF_VERSION = 1
 
+# Largest stack of spectra one batched inverse transform takes; callers with
+# more split them into blocks of `stack_rows(grid)`.
+IDFT_STACK_BYTES = 4 << 20
+
 
 class GridResolutionError(ValueError):
     """A requested scale cannot be represented on the grid."""
@@ -45,8 +49,8 @@ class Grid:
             raise ValueError(f"dimension n={self.n} outside supported range 1..3")
         if self.N < 8 or self.N % 2 != 0:
             raise ValueError(f"N={self.N} must be even and >= 8")
-        if not self.L > 0:
-            raise ValueError(f"period L={self.L} must be positive")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"period L={self.L} must be finite and positive")
 
     @property
     def dx(self) -> float:
@@ -112,7 +116,10 @@ class Field:
 
 
 def check_uniform_times(t: np.ndarray) -> None:
-    """Raise ValueError unless t increases strictly with one spacing."""
+    """Raise ValueError unless t is finite and increases strictly with one
+    spacing."""
+    if not np.all(np.isfinite(t)):
+        raise ValueError("times must be finite")
     dt = np.diff(t)
     if np.any(dt <= 0):
         raise ValueError("times must be strictly increasing")
@@ -176,6 +183,11 @@ def idft_batch(g: Grid, spectra: np.ndarray) -> np.ndarray:
     for ph in _axis_phase(g, +1.0):
         spectra = spectra * ph
     return np.fft.ifftn(spectra, axes=tuple(range(-g.n, 0))) / g.dx**g.n
+
+
+def stack_rows(g: Grid) -> int:
+    """How many spectra on g fit one IDFT_STACK_BYTES stack (at least one)."""
+    return max(1, IDFT_STACK_BYTES // (16 * math.prod(g.shape)))
 
 
 def idft(fhat: Field) -> Field:

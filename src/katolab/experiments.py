@@ -83,16 +83,23 @@ class ExperimentConfig:
         for name in ("fields", "trials", "subcollections", "K"):
             if getattr(self, name) < 1:
                 raise ConfigError(name, "must be >= 1")
+        # Grid's own rules, checked for N and L apart so the error names its key
+        for key, args in (("N", (1, self.grid_N, 1.0)), ("L", (1, 8, self.grid_L))):
+            try:
+                Grid(*args)
+            except ValueError as exc:
+                raise ConfigError(key, str(exc)) from exc
         if self.kind == "wavepacket-audit":
             for R in self.R_list:
                 if self.grid_L / R != round(self.grid_L / R):
-                    raise ConfigError("grid_L", f"must be a multiple of R={R}")
+                    raise ConfigError("L", f"must be a multiple of R={R}")
         return self
 
 
 _NUMERIC = {f.name for f in fields(ExperimentConfig)
             if f.type in ("int", "float", "float | None")}
 _INTEGER = {f.name for f in fields(ExperimentConfig) if f.type == "int"}
+_BOOLEAN = {f.name for f in fields(ExperimentConfig) if f.type == "bool"}
 
 
 def _parse_scalar(v: str):
@@ -147,10 +154,14 @@ def parse_config(text: str) -> ExperimentConfig:
         elif k in renames or hasattr(cfg, k):
             name = renames.get(k, k)
             val = v if k == "out" else _parse_scalar(v)
+            if val == "":
+                raise ConfigError(k, "empty value")
             if name in _NUMERIC and (isinstance(val, (bool, str)) or math.isnan(val)):
                 raise ConfigError(k, f"expected a number, got {v!r}")
             if name in _INTEGER and not isinstance(val, int):
                 raise ConfigError(k, f"expected an integer, got {v!r}")
+            if name in _BOOLEAN and not isinstance(val, bool):
+                raise ConfigError(k, f"expected true or false, got {v!r}")
             setattr(cfg, name, val)
         else:
             raise ConfigError(k, "unknown key")
@@ -380,6 +391,27 @@ def _run_transfer(cfg: ExperimentConfig, report: Report):
                      f"+ {delta_inf} + 0.1 = {bound:.4f}")
 
 
+def _gaussian_oracle(grid: Grid, t: float) -> np.ndarray:
+    """The unit Gaussian evolved by e^{i t xi^2} at the nodes of a 1-d grid,
+    by rectangle-rule quadrature of its Fourier integral on 8192 nodes of
+    [-16, 16): a path independent of the FFT.
+
+    The nodes go in blocks of 16 (N must be a multiple of 16). Within a
+    block, x_j = x_b + k dx about its middle node x_b, so e^{i x_j xi} =
+    e^{i x_b xi} e^{i k dx xi}: one 16 x 8192 offset table serves every
+    block, which then costs one exponential row and one matrix product.
+    """
+    M = 1 << 13
+    xi = np.linspace(-16.0, 16.0, M, endpoint=False)
+    fhat = math.sqrt(2 * math.pi) * np.exp(-(xi**2) / 2.0)
+    kernel = np.exp(1j * t * xi**2) * fhat
+    dxi = xi[1] - xi[0]
+    offsets = np.exp(1j * np.outer((np.arange(16) - 8) * grid.dx, xi))
+    oracle = np.concatenate([offsets @ (kernel * np.exp(1j * xb[8] * xi))
+                             for xb in np.split(grid.x_axis(), grid.N // 16)])
+    return oracle * (dxi / (2 * math.pi))
+
+
 def _run_propagator_audit(cfg: ExperimentConfig, report: Report):
     grid = Grid(cfg.symbol.n, cfg.grid_N, cfg.grid_L)
     worst = 0.0
@@ -396,19 +428,7 @@ def _run_propagator_audit(cfg: ExperimentConfig, report: Report):
     f0 = make_field(gg, GaussianRecipe(center=(0.0,), width=1.0))
     t = 0.5
     u = propagator.propagate(f0, symbols.schrodinger(1), [t])
-    x = gg.x_axis()
-    # refined-grid quadrature of the oscillatory integral, independent path
-    M = 1 << 13
-    xi = np.linspace(-16.0, 16.0, M, endpoint=False)
-    fhat = math.sqrt(2 * math.pi) * np.exp(-(xi**2) / 2.0)
-    kernel = np.exp(1j * t * xi**2) * fhat
-    dxi = xi[1] - xi[0]
-    # 16 rows (2 MB) at a time: bounded memory, cache-sized temporaries and
-    # the same sum per row as the whole 2048 x 8192 array
-    oracle = np.concatenate([(kernel * np.exp(1j * np.outer(xb, xi))).sum(axis=1)
-                             for xb in np.split(x, len(x) // 16)])
-    oracle *= dxi / (2 * math.pi)
-    err = float(np.max(np.abs(u.slices[0] - oracle)))
+    err = float(np.max(np.abs(u.slices[0] - _gaussian_oracle(gg, t))))
     report.measure("gaussian_oracle_maxabs", err, "propagate")
     report.criterion("gaussian-oracle", err <= 1e-6, f"max abs {err:.2e} <= 1e-6")
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, Grid, GridResolutionError, dft, idft, idft_batch
+from .core import (Field, Grid, GridResolutionError, dft, idft, idft_batch,
+                   stack_rows)
 from . import symbols as sym_mod
 from .propagator import SectorBump, canonical_bump
 from .symbols import SymbolSpec
@@ -175,6 +176,23 @@ class WavePacket:
         return Field(self.grid, self.values)
 
 
+def packet_values(packets):
+    """Spatial samples of each packet on one grid, in order: the same values
+    as `WavePacket.values`, from batched inverse transforms of stacks of
+    `stack_rows(grid)` expanded spectra."""
+    packets = list(packets)
+    if not packets:
+        return
+    g = packets[0].grid
+    step = stack_rows(g)
+    for b in range(0, len(packets), step):
+        chunk = packets[b:b + step]
+        spectra = np.zeros((len(chunk),) + g.shape, dtype=np.complex128)
+        for row, p in zip(spectra.reshape(len(chunk), -1), chunk):
+            row[p.index] = p.block
+        yield from idft_batch(g, spectra)
+
+
 @dataclass(frozen=True)
 class Tube:
     """R-neighborhood of the line through (0, l) with direction (-1, grad Phi(v))."""
@@ -282,11 +300,9 @@ def decompose(f: Field, R: float, drop_tol: float = 1e-22) -> Decomposition:
                                    block=window * ghat.reshape(-1)[index],
                                    energy=float(e_l[j])))
         loud = [p for p in node if p.energy >= significant * total]
-        if loud:
-            tails = idft_batch(g, np.stack([p.spectrum for p in loud]))
-            for p, vals in zip(loud, tails):
-                tail = g.dx**g.n * np.sum(np.abs(vals[outside]) ** 2)
-                spill_max = max(spill_max, float(tail / p.energy))
+        for p, vals in zip(loud, packet_values(loud)):
+            tail = g.dx**g.n * np.sum(np.abs(vals[outside]) ** 2)
+            spill_max = max(spill_max, float(tail / p.energy))
         packets.extend(node)
     if not any(outside.any() for _, outside, _ in rows):
         spill_max = None

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -23,6 +24,9 @@ def test_grid_invariants():
         Grid(1, 4, 10.0)  # too small
     with pytest.raises(ValueError):
         Grid(1, 64, -1.0)
+    for L in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Grid(1, 64, L)
     g = Grid(2, 16, 8.0)
     xi = g.xi_axis()
     # symmetric about zero except the lone Nyquist node
@@ -205,3 +209,70 @@ def test_spacetime_file_bad_time_axis(tmp_path):
     with pytest.raises(FieldFormatError) as exc:
         read_spacetime(str(p))
     assert exc.value.offset == 40
+
+
+@pytest.mark.parametrize("pos,value", [(0, -math.inf), (1, math.nan), (2, math.inf)])
+def test_spacetime_file_non_finite_times(tmp_path, pos, value):
+    raw = bytearray(_written_spacetime(tmp_path))
+    raw[40 + 8 * pos:48 + 8 * pos] = struct.pack("<d", value)
+    p = tmp_path / "bad.kslt"
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FieldFormatError) as exc:
+        read_spacetime(str(p))
+    assert exc.value.offset == 40
+
+
+# L = 65536 is 0x40F0000000000000: writing 0x7F over its top byte makes it inf
+CORRUPT_L = 65536.0
+CORRUPT_BYTES = (0x00, 0x01, 0x40, 0x7F, 0x80, 0xF0, 0xFF)
+
+
+def _corrupt_header(tmp_path, raw: bytes, header: int, read) -> list:
+    """Overwrite each header byte with each of CORRUPT_BYTES and read back.
+    Each case raises FieldFormatError with an offset inside the file or
+    reads back a well-formed grid; returns the grids read back."""
+    p = tmp_path / "corrupt"
+    grids = []
+    for pos in range(header):
+        for byte in CORRUPT_BYTES:
+            bad = bytearray(raw)
+            bad[pos] = byte
+            p.write_bytes(bytes(bad))
+            try:
+                g = read(str(p))
+            except FieldFormatError as exc:
+                assert 0 <= exc.offset <= len(bad), (pos, byte, exc)
+                continue
+            assert math.isfinite(g.L) and g.L > 0 and math.isfinite(g.dx), (pos, byte, g)
+            grids.append(g)
+    return grids
+
+
+def test_field_file_header_corruption(tmp_path):
+    g = Grid(1, 16, CORRUPT_L)
+    p = tmp_path / "f.kslf"
+    write_field(random_field(g, 3), str(p))
+
+    def read(path):
+        f = read_field(path)
+        assert f.values.shape == f.grid.shape
+        return f.grid
+
+    assert g in _corrupt_header(tmp_path, p.read_bytes(), 32, read)
+
+
+def test_spacetime_file_header_corruption(tmp_path):
+    g = Grid(1, 8, CORRUPT_L)
+    times = np.linspace(0.0, 1.0, 3)
+    slab = np.random.default_rng(4).standard_normal((3, 8)) + 0j
+    p = tmp_path / "u.kslt"
+    write_spacetime(SpacetimeField(g, times, slab), str(p))
+
+    def read(path):
+        u = read_spacetime(path)
+        assert np.all(np.isfinite(u.times)) and np.all(np.diff(u.times) > 0)
+        assert u.slices.shape == (len(u.times),) + u.grid.shape
+        return u.grid
+
+    # the header runs through the slice count and the three times
+    assert g in _corrupt_header(tmp_path, p.read_bytes(), 40 + 8 * 3, read)

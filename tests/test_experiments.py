@@ -1,11 +1,16 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from katolab import experiments as E
 from katolab import symbols as S
 from katolab import wavepackets as W
+from katolab.core import Grid
 
 
 GOOD_SCALING = """
@@ -70,12 +75,60 @@ def test_parse_config_errors_name_fields():
                         ("kind = sparse-audit\nsymbol = power:m=2,n=1\nK = -1", "K"),
                         ("kind = sparse-audit\nsymbol = power:m=2,n=1\nseed = 1.5", "seed"),
                         ("kind = maximal\nsymbol = power:m=2,n=1\nrestarts = inf",
-                         "restarts")]:
+                         "restarts"),
+                        ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nL = inf", "L"),
+                        ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nL = 0", "L"),
+                        ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nL = -128", "L"),
+                        ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nL = 100", "L"),
+                        ("kind = propagator-audit\nsymbol = power:m=2,n=1\nN = 6", "N"),
+                        ("kind = propagator-audit\nsymbol = power:m=2,n=1\nN = 1023", "N"),
+                        ("kind = scaling\nsymbol = power:m=2,n=1\ncross_check = maybe",
+                         "cross_check"),
+                        ("kind = scaling\nsymbol = power:m=2,n=1\ncross_check = 1",
+                         "cross_check")]:
         with pytest.raises(E.ConfigError) as exc:
             E.parse_config(text)
         assert exc.value.field_name == field, text
     cfg = E.parse_config("kind = maximal\nsymbol = power:m=2,n=1\nr = inf\nq = 2")
     assert cfg.r == math.inf
+    cfg = E.parse_config(GOOD_SCALING + "cross_check = TRUE")
+    assert cfg.cross_check is True
+
+
+# config key -> declared type of its ExperimentConfig field
+_RENAMED = {"R_list": "R", "H_list": "H", "grid_N": "N", "grid_L": "L", "out_dir": "out"}
+KEY_TYPES = {_RENAMED.get(f.name, f.name): f.type
+             for f in dataclasses.fields(E.ExperimentConfig)}
+# words from letters that spell no number, boolean, kind, symbol or expect value
+WORDS = st.text(alphabet="abcxyz", min_size=1, max_size=6)
+WRONG = {"int": st.sampled_from(["2.5", "inf", "true", "1e400", "8,16"]),
+         "float": st.sampled_from(["true", "nan", "8,16", "1.5.2"]),
+         "float | None": st.sampled_from(["false", "nan", "8,16"]),
+         "bool": st.sampled_from(["maybe", "1", "0", "yes", "2.5", "inf"]),
+         "tuple": st.sampled_from(["8,x,32", "8,,16", "8;16", "true"]),
+         "str": st.sampled_from(["1", "none"]),
+         "symbols.SymbolSpec": st.sampled_from(["1", "power:m=x", "poly:n=2"])}
+
+
+@st.composite
+def bad_entry(draw):
+    key = draw(st.sampled_from(sorted(KEY_TYPES)))
+    blank = st.one_of(st.just(""), st.text(alphabet=" \t", min_size=1, max_size=4))
+    kind = KEY_TYPES[key]
+    # any text is a path, so an output directory can only be blank
+    value = draw(blank if kind == "str | None" else st.one_of(blank, WORDS, WRONG[kind]))
+    return key, value
+
+
+@settings(max_examples=300, deadline=None)
+@given(bad_entry())
+def test_blank_or_mistyped_values_name_their_key(entry):
+    key, value = entry
+    lines = {"kind": "scaling", "symbol": "power:m=2,n=1", key: value}
+    text = "\n".join(f"{k} = {v}" for k, v in lines.items())
+    with pytest.raises(E.ConfigError) as exc:
+        E.parse_config(text)
+    assert exc.value.field_name == key, (text, exc.value)
 
 
 def test_scaling_run_passes_and_sabotage_fails():
@@ -128,6 +181,15 @@ def test_propagator_audit_quick():
     assert rep.passed
     names = {c["name"] for c in rep.criteria}
     assert {"energy-identity", "gaussian-oracle"} <= names
+
+
+def test_gaussian_oracle_matches_the_per_row_sum():
+    g, t = Grid(1, 2048, 64.0), 0.5
+    xi = np.linspace(-16.0, 16.0, 1 << 13, endpoint=False)
+    kernel = np.exp(1j * t * xi**2) * math.sqrt(2 * math.pi) * np.exp(-(xi**2) / 2.0)
+    ref = np.array([np.sum(kernel * np.exp(1j * x * xi)) for x in g.x_axis()])
+    ref *= (xi[1] - xi[0]) / (2 * math.pi)
+    assert np.max(np.abs(E._gaussian_oracle(g, t) - ref)) <= 1e-14
 
 
 def test_wavepacket_audit_quick():

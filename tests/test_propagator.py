@@ -6,7 +6,7 @@ import pytest
 from katolab import propagator as P
 from katolab import symbols as S
 from katolab.core import (Field, Grid, GaussianRecipe, RandomBandlimited,
-                          Sector, dft, idft, make_field)
+                          Sector, dft, idft, make_field, stack_rows)
 
 SYM = S.schrodinger(1)
 
@@ -48,6 +48,28 @@ def test_gaussian_propagation_against_both_oracles():
     assert np.max(np.abs(closed - quad)) <= 1e-8  # oracles agree with each other
     assert np.max(np.abs(u - closed)) <= 1e-6
     assert np.max(np.abs(u - quad)) <= 1e-6
+
+
+@pytest.mark.parametrize("case", ["1d", "2d", "one-slice", "ragged-blocks"])
+def test_propagate_matches_per_slice_inverse_transforms(case):
+    if case == "2d":
+        g, sym, S_count = Grid(2, 32, 16.0), S.schrodinger(2), 9
+    elif case == "ragged-blocks":
+        # 8 slices of this grid fill one stack: three blocks, the last short
+        g, sym, S_count = Grid(1, 1 << 15, 4096.0), SYM, 19
+        assert S_count > 2 * stack_rows(g) and S_count % stack_rows(g)
+    else:
+        g, sym, S_count = Grid(1, 512, 64.0), SYM, 1 if case == "one-slice" else 37
+    f = make_field(g, GaussianRecipe(center=(0.5,) * g.n, width=2.0))
+    times = np.linspace(0.0, 3.0, S_count)
+    u = P.propagate(f, sym, times)
+    fhat = dft(f).values
+    phi = S.value(sym, g.xi_mesh())
+    for s, t in enumerate(times):
+        ref = idft(Field(g, np.exp(1j * t * phi) * fhat)).values
+        assert np.array_equal(u.slices[s], ref), s
+    ref = max(abs(u.slice_field(s).l2() - f.l2()) for s in range(S_count)) / f.l2()
+    assert P.energy_defect(u, f) == ref
 
 
 def test_translation_commutes():

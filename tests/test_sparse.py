@@ -277,6 +277,53 @@ def test_decoupling_sparse_config(patch):
     assert res["ratio"] <= 2.0 * single
 
 
+def _dense_decoupling_lhs(family, functions, p, patch):
+    # every window on every sample of its function, as one dense matrix
+    H = family.H
+    pts = patch.points()
+    total = np.zeros(len(pts), dtype=np.complex128)
+    for z_i, f in zip(family.centers, functions):
+        z = np.array([float(z_i[0]), float(z_i[1])])
+        tt, xx = np.meshgrid(f.t_axis, f.x_axis, indexing="ij")
+        y = np.stack([tt.ravel(), xx.ravel()], axis=1)
+        dist = np.hypot(pts[:, 0][:, None] - y[None, :, 0], pts[:, 1][:, None] - y[None, :, 1])
+        win = SP.mollifier_hat(H * dist)
+        total += (H**2 * f.cell * np.exp(-1j * (pts @ z))
+                  * (win @ (np.exp(1j * (y @ z)) * f.values.ravel())))
+    return float(np.sum(patch.weights * np.abs(total) ** p) ** (1.0 / p))
+
+
+def _ball_fn_on(t_ax, x_ax, seed):
+    rng = np.random.default_rng(seed)
+    shape = (len(t_ax), len(x_ax))
+    return SP.BallFunction(t_axis=t_ax, x_axis=x_ax,
+                           values=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("H", [2, 8])
+def test_decoupling_check_matches_the_dense_window(H):
+    small = SP.surface_patch(SYM, samples=96)
+    # the patch (xi^2, xi), xi in [1/2, 2], crosses both ends of both axes
+    near_ends = [_ball_fn_on(np.linspace(0.6, 3.1, 41), np.linspace(0.8, 1.7, 23), s)
+                 for s in (0, 1)]
+    fam = SP.SparseFamily(centers=((0, 0), ((2 * H) ** 2, 3)), H=H)
+    for p in (1.0, 2.0):
+        res = SP.decoupling_check(fam, near_ends, p, small)
+        ref = _dense_decoupling_lhs(fam, near_ends, p, small)
+        assert res["lhs"] > 0
+        assert abs(res["lhs"] - ref) <= 1e-13 * ref
+    # a ball whose window misses the patch adds nothing
+    far = _ball_fn_on(np.linspace(6.0, 9.0, 30), np.linspace(3.0, 4.0, 12), 2)
+    single = SP.SparseFamily(centers=((5, -7),), H=H)
+    assert SP.decoupling_check(single, [far], 2.0, small)["lhs"] == 0.0
+    assert _dense_decoupling_lhs(single, [far], 2.0, small) == 0.0
+
+
+def test_ball_function_axes_must_increase():
+    with pytest.raises(ValueError):
+        _ball_fn_on(np.linspace(1.0, 0.0, 8), np.linspace(0.0, 1.0, 4), 0)
+
+
 def test_loss_bookkeeping():
     assert SP.epsilon_removal_delta(3, 0.01) == pytest.approx(1 / 3 + 0.01 * 8)
     K = SP.epsilon_removal_levels(0.01, 1.0)

@@ -10,7 +10,7 @@ from katolab import propagator as P
 from katolab import symbols as S
 from katolab import wavepackets as W
 from katolab.core import (Field, Grid, GridResolutionError, RandomBandlimited,
-                          Sector, dft, idft, make_field)
+                          Sector, dft, idft, make_field, stack_rows)
 
 SYM = S.schrodinger(1)
 
@@ -206,6 +206,21 @@ def test_almost_orthogonality_matches_the_full_spectrum_sum(dec8, grid, case):
         chosen = [packets[i] for i in sel]
         assert (W.almost_orthogonality(chosen, grid)
                 == _reference_almost_orthogonality(chosen, grid))
+
+
+@pytest.mark.parametrize("case", ["1d-R8", "2d-R4"])
+def test_packet_values_match_per_packet_transforms(dec8, grid, case):
+    if case == "2d-R4":
+        packets = W.decompose(_gaussian_2d(), 4.0).packets
+    else:
+        packets = dec8[1].packets
+    # one full stack and a short one
+    packets = packets[:stack_rows(packets[0].grid) + 5]
+    values = list(W.packet_values(packets))
+    assert len(values) == len(packets)
+    for p, vals in zip(packets, values):
+        assert np.array_equal(vals, p.values)
+    assert list(W.packet_values([])) == []
 
 
 @pytest.mark.parametrize("L, measurable", [(64.0, False), (96.0, True)])
