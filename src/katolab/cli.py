@@ -18,30 +18,65 @@ from .core import (Annulus, Ball, Field, GaussianRecipe, Grid, KnappRecipe,
 
 
 def _parse_recipe(text: str):
+    """A field recipe from --make; a blank or non-numeric value raises
+    ValueError naming its key."""
     kind, kv = symbols.split_spec(text)
+    num = symbols.spec_number
     if kind == "gaussian":
-        center = tuple(float(c) for c in kv.get("center", "0").split(";"))
-        return GaussianRecipe(center=center, width=float(kv.get("width", "1")))
+        center = tuple(num(c, "center") for c in kv.get("center", "0").split(";"))
+        return GaussianRecipe(center=center, width=num(kv.get("width", "1"), "width"))
     if kind == "random":
         region = kv.get("region", "sector")
-        if region == "sector":
+        name, *vals = region.split(";")
+        if name == "sector" and not vals:
             reg = Sector()
-        elif region.startswith("annulus"):
-            _, r0, r1 = region.split(";")
-            reg = Annulus(float(r0), float(r1))
+        elif name in ("annulus", "ball") and len(vals) == 2:
+            a, b = (num(v, "region") for v in vals)
+            reg = Annulus(a, b) if name == "annulus" else Ball(center=(a,), radius=b)
         else:
-            _, c, rad = region.split(";")
-            reg = Ball(center=(float(c),), radius=float(rad))
-        return RandomBandlimited(region=reg, seed=int(kv.get("seed", "0")))
+            raise ValueError("key 'region': expected sector, annulus;r0;r1 or "
+                             f"ball;center;radius, got {region!r}")
+        return RandomBandlimited(region=reg, seed=num(kv.get("seed", "0"), "seed", int))
     if kind == "knapp":
-        return KnappRecipe(R=float(kv["R"]),
-                           center_xi=float(kv.get("center", "1.2")))
+        if "R" not in kv:
+            raise ValueError("key 'R': required by the knapp recipe")
+        return KnappRecipe(R=num(kv["R"], "R"),
+                           center_xi=num(kv.get("center", "1.2"), "center"))
     raise ValueError(f"unknown recipe {text!r}")
 
 
+def _grid_arg(text: str) -> Grid:
+    parts = text.split(",")
+    try:
+        if len(parts) != 3:
+            raise ValueError(f"expected n,N,L, got {text!r}")
+        return Grid(int(parts[0]), int(parts[1]), float(parts[2]))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _positive_int(text: str) -> int:
+    try:
+        val = int(text)
+    except ValueError:
+        val = 0
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return val
+
+
+def _finite_float(text: str) -> float:
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return val
+
+
 def _cmd_field(args):
-    n, N, L = args.grid.split(",")
-    grid = Grid(int(n), int(N), float(L))
+    grid = args.grid
     f = make_field(grid, _parse_recipe(args.make))
     write_field(f, args.out)
     print(f"wrote {args.out} ({grid.n}d, N={grid.N}, L={grid.L})")
@@ -158,16 +193,17 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("field", help="create a field file from a recipe")
     p.add_argument("--make", required=True,
-                   help="gaussian:center=0,width=1 | random:region=sector,seed=7 | knapp:R=16")
-    p.add_argument("--grid", required=True, help="n,N,L")
+                   help="gaussian:center=0,width=1 | random:region=sector,seed=7 "
+                        "(region also annulus;r0;r1 or ball;center;radius) | knapp:R=16")
+    p.add_argument("--grid", type=_grid_arg, required=True, help="n,N,L")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_field)
 
     p = sub.add_parser("propagate", help="evolve a field file")
     p.add_argument("--symbol", required=True)
-    p.add_argument("--t0", type=float, required=True)
-    p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--t0", type=_finite_float, required=True)
+    p.add_argument("--t1", type=_finite_float, required=True)
+    p.add_argument("--steps", type=_positive_int, required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_propagate)

@@ -40,7 +40,14 @@ e^{i t_{iB+j} phi} = e^{i t_{iB} phi} e^{i (t_j - t_0) phi}. One shared
 BLOCK x M block and one lead row per block cost (S/BLOCK + BLOCK) M
 exponentials instead of S M, and each block of the slab is one matmul
 whose per-block scaling falls on the small M x nx spatial factor. The
-gradient at finite r runs the same blocks backwards.
+gradient at finite r runs the same blocks backwards: it accumulates the
+conjugate of its time sum from the forward tables, so it needs no table
+of its own. Within one ascent restart the times are fixed, so the restart
+builds its tables once over all modes (_time_phases); each evaluation
+takes the columns of its live modes (a view when they are contiguous) and
+each gradient the whole tables. Every element is the exponential of the
+same argument as in a table built for one call, so the values are
+bit-identical.
 
 At r = inf only the sup in time survives, so the full slab is never built.
 The search is coarse to fine: the slab on every SUP_STRIDE-th sample (the
@@ -423,17 +430,28 @@ def _transit_times(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
     return lo + (np.arange(steps) + 0.5) * (hi - lo) / steps
 
 
-def _time_phases(times: np.ndarray, phi: np.ndarray, sign: float = 1.0) -> tuple:
-    """Block factors of e^{sign i t_s phi} over uniform times.
+def _time_phases(spec: SmoothingOperatorSpec, times: np.ndarray,
+                 phi: np.ndarray) -> tuple:
+    """Time tables (base, lead, offset) of an evaluation over uniform times.
 
-    Sample s = i BLOCK + j has phase lead[i] * base[j], with
-    lead[i] = e^{sign i t_{i BLOCK} phi} and base[j] = e^{sign i (t_j - t_0) phi};
-    that is (S/BLOCK + BLOCK) M exponentials instead of S M.
+    The evaluation builds u on every stride-th sample, stride = SUP_STRIDE
+    at r = inf and 1 otherwise. Built sample i BLOCK + j has phase
+    lead[i] * base[j], with lead[i] = e^{i t_{stride i BLOCK} phi} and
+    base[j] = e^{i (t_{stride j} - t_0) phi}; that is (S/BLOCK + BLOCK) M
+    exponentials instead of S M. offset holds e^{i o dt phi} for
+    |o| < stride in increasing o: the fine windows around a built sample at
+    r = inf (at finite r the single row o = 0). The tables depend only on
+    times and phi, so one set serves every evaluation and gradient over the
+    same times, an evaluation on a subset of the modes taking their columns.
     """
     check_uniform_times(times)
-    base = np.exp(sign * 1j * np.outer(times[:BLOCK] - times[0], phi))
-    lead = np.exp(sign * 1j * np.outer(times[::BLOCK], phi))
-    return base, lead
+    stride = SUP_STRIDE if spec.r == INF else 1
+    built = times[::stride]
+    dt = times[1] - times[0] if len(times) > 1 else 0.0
+    base = np.exp(1j * np.outer(built[:BLOCK] - built[0], phi))
+    lead = np.exp(1j * np.outer(built[::BLOCK], phi))
+    offset = np.exp(1j * np.outer(np.arange(1 - stride, stride) * dt, phi))
+    return base, lead, offset
 
 
 @dataclass(frozen=True)
@@ -464,14 +482,16 @@ def _slab(base: np.ndarray, lead: np.ndarray, EA: np.ndarray, S: int) -> np.ndar
 
 
 def _eval_mixed(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
-                times: np.ndarray) -> tuple:
+                times: np.ndarray, tables: tuple | None = None) -> tuple:
     """(mixed norm, evaluation) of the weighted sector evolution of spectrum c.
 
-    times must be uniformly spaced (ValueError otherwise). At finite r the
-    evaluation is the slab u, a SpacetimeField; each block of BLOCK samples
-    is one matmul: base @ (lead[i] * amp * e^{i xi x}). At r = inf it is the
-    SupRecord of the coarse-to-fine search (_sup_in_time), and the value is
-    the sup over the samples that search evaluates.
+    times must be uniformly spaced (ValueError otherwise). tables are
+    _time_phases(spec, times, modes.phi_vals), built here for the live
+    modes when not given. At finite r the evaluation is the slab u, a
+    SpacetimeField; each block of BLOCK samples is one matmul:
+    base @ (lead[i] * amp * e^{i xi x}). At r = inf it is the SupRecord of
+    the coarse-to-fine search (_sup_in_time), and the value is the sup over
+    the samples that search evaluates.
     """
     # resolve both the carrier (|xi| <= 2.2) and the envelope
     nx = max(int(math.ceil(2 * spec.R / 0.7)), 32)
@@ -481,36 +501,39 @@ def _eval_mixed(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
     live = np.abs(amp_c) > 1e-14 * np.max(np.abs(amp_c))
     phi = modes.phi_vals[live]
     EA = amp_c[live][:, None] * np.exp(1j * np.outer(modes.xi[live], gx.x_axis()))
+    if tables is None:
+        base, lead, offset = _time_phases(spec, times, phi)
+    else:
+        # the live columns, as a view when they are contiguous
+        k = np.flatnonzero(live)
+        cols = slice(k[0], k[-1] + 1) if k[-1] - k[0] + 1 == len(k) else live
+        base, lead, offset = (t[:, cols] for t in tables)
     if spec.r == INF:
-        return _sup_in_time(spec, gx, times, phi, EA)
-    u = SpacetimeField(gx, times, _slab(*_time_phases(times, phi), EA, len(times)))
+        return _sup_in_time(spec, gx, times, base, lead, offset, EA)
+    u = SpacetimeField(gx, times, _slab(base, lead, EA, len(times)))
     return mixed_norm(u, MixedNormSpec(q=spec.q, r=spec.r, order=spec.order)), u
 
 
 def _sup_in_time(spec: SmoothingOperatorSpec, gx: Grid, times: np.ndarray,
-                 phi: np.ndarray, EA: np.ndarray) -> tuple:
+                 base: np.ndarray, lead: np.ndarray, offset: np.ndarray,
+                 EA: np.ndarray) -> tuple:
     """(r = inf mixed norm, SupRecord) by coarse-to-fine search over times.
 
     The coarse slab on times[::SUP_STRIDE] picks the two highest coarse
     samples p of each column; the fine window of p is the samples
     SUP_STRIDE p + o, |o| < SUP_STRIDE, inside times. Their phases are
     e^{i t_{SUP_STRIDE p} phi} e^{i o dt phi}: the coarse lead row of p
-    times one shared offset table, so each peak rank is one matmul. The
+    times the shared offset table, so each peak rank is one matmul. The
     value is exact whenever each column's peak lies in one of its windows.
     """
-    check_uniform_times(times)
     S, stride, q, wx = len(times), SUP_STRIDE, spec.q, gx.dx
-    coarse_times = times[::stride]
-    base, lead = _time_phases(coarse_times, phi)
-    coarse = np.abs(_slab(base, lead, EA, len(coarse_times)))
+    coarse = np.abs(_slab(base, lead, EA, len(range(0, S, stride))))
     cols = np.arange(EA.shape[1])
     if spec.order == "xt":
         top = np.argsort(coarse, axis=0)[-2:]
     else:
         top = np.tile(np.argsort(_reduce(coarse, q, wx, axis=1))[-2:, None], len(cols))
     o = np.arange(1 - stride, stride)
-    dt = times[1] - times[0] if S > 1 else 0.0
-    offset = np.exp(1j * np.outer(o * dt, phi))  # (2 stride - 1, M)
     fine = np.concatenate([offset @ (lead[p // BLOCK].T * base[p % BLOCK].T * EA)
                            for p in top])
     idx = np.concatenate([stride * p + o[:, None] for p in top])
@@ -538,17 +561,21 @@ def _first_max(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid,
-                       c: np.ndarray, val: float,
-                       u: SpacetimeField | SupRecord) -> np.ndarray:
+                       c: np.ndarray, val: float, u: SpacetimeField | SupRecord,
+                       tables: tuple | None = None) -> np.ndarray:
     """Gradient of the Rayleigh quotient wrt conj(c) (subgradient at r=inf).
 
-    (val, u) is what _eval_mixed returned for c. With W = d val / d conj(u),
-    the chain rule back to the spectrum is
+    (val, u) is what _eval_mixed returned for c; tables are
+    _time_phases(spec, u.times, modes.phi_vals), built here when not given
+    (only finite r reads them). With W = d val / d conj(u), the chain rule
+    back to the spectrum is
     g_k = amp_k sum_s e^{-i t_s phi_k} sum_b e^{-i x_b xi_k} W[s, b].
     At finite r the inner exponent runs over t (order xt) or over x (order
-    tx) and the outer one over the other axis. At r = inf W has one nonzero
-    per cell, at the peak sample of the SupRecord u; for order tx that is
-    the one time where the profile ||u(t, .)||_q peaks. A sup over x
+    tx) and the outer one over the other axis; the sum over s runs the
+    evaluation's blocks backwards, as the conjugate of a sum on the forward
+    tables. At r = inf W has one nonzero per cell, at the peak sample of
+    the SupRecord u; for order tx that is the one time where the profile
+    ||u(t, .)||_q peaks. A sup over x
     (q = inf) takes its subgradient on its first maximal cell: the cell with
     the largest inner norm for order xt, each sample's largest cell for
     order tx (at r = inf, the largest cell at the peak sample).
@@ -588,13 +615,14 @@ def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid,
                  * np.where(G > 0, G, 1.0) ** (p_out / p_in - 1.0)
                  * safe ** (p_in - 2) * slab)
             W[np.broadcast_to(G <= 0, W.shape)] = 0.0
-        # Z[k, b] = sum_s e^{-i t_s phi_k} W[s, b], one matmul per block
-        base, lead = _time_phases(u.times, modes.phi_vals, sign=-1.0)
-        Z = np.zeros_like(ph_x)
+        # conj(Z)[k, b] = sum_s e^{i t_s phi_k} conj(W[s, b]), one matmul
+        # per block on the forward tables
+        base, lead, _ = tables or _time_phases(spec, u.times, modes.phi_vals)
+        Zc = np.zeros_like(ph_x)
         for i, s0 in enumerate(range(0, len(u.times), BLOCK)):
             k = min(BLOCK, len(u.times) - s0)
-            Z += lead[i][:, None] * (base[:k].T @ W[s0:s0 + k])
-        g = amp * np.sum(Z * ph_x, axis=1)
+            Zc += lead[i][:, None] * (base[:k].T @ np.conj(W[s0:s0 + k]))
+        g = amp * np.sum(np.conj(Zc) * ph_x, axis=1)
     nf = _l2_of_spectrum(modes, c)
     grad_norm_f = (modes.dxi / TWO_PI) * c / (2.0 * nf)
     quotient = val / nf
@@ -616,6 +644,9 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
     transit window doubled) and tail_fraction (the share of sum_x |u|^2 in
     the last tenth of the samples). At r = inf the first is read from the
     even-sample peaks of the search and the last from its coarse samples.
+    Each restart builds one set of time tables for its fixed times, and a
+    gradient is computed only at a new point: after a rejected step the
+    last one is kept.
     """
     modes = mode_grid(spec)
     evals, best_val = 0, 0.0
@@ -645,28 +676,34 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
             c = best_c * (1.0 + 0.2 * (rng.standard_normal(len(best_c))
                                        + 1j * rng.standard_normal(len(best_c))))
             times = _transit_times(spec, modes, c)
-            raw, u = _eval_mixed(spec, modes, c, times)
+        # times are fixed within a restart: one set of tables over all modes
+        tables = _time_phases(spec, times, modes.phi_vals)
+        if restart > 0:
+            raw, u = _eval_mixed(spec, modes, c, times, tables)
             evals += 1
         cur = raw / _l2_of_spectrum(modes, c)
-        step = 0.5
+        step, gq = 0.5, None
         for _ in range(ascent_steps):
-            gq = _quotient_gradient(spec, modes, c, raw, u)
-            gq = np.where(support, gq, 0.0)
-            gn = np.linalg.norm(gq)
+            # a rejected step leaves the point, so its gradient is kept
+            if gq is None:
+                gq = _quotient_gradient(spec, modes, c, raw, u, tables)
+                gq = np.where(support, gq, 0.0)
+                gn = np.linalg.norm(gq)
             if gn == 0:
                 break
             trial = c + step * np.linalg.norm(c) * gq / gn
-            t_raw, t_u = _eval_mixed(spec, modes, trial, times)
+            t_raw, t_u = _eval_mixed(spec, modes, trial, times, tables)
             val = t_raw / _l2_of_spectrum(modes, trial)
             evals += 1
             if val > cur:
-                c, cur, raw, u = trial, val, t_raw, t_u
+                c, cur, raw, u, gq = trial, val, t_raw, t_u, None
             else:
                 step *= 0.5
                 if step < 1e-4:
                     break
         if cur > top_val:
             top_val, top_c = cur, c
+        del tables  # one set at a time, and none in the diagnostics
 
     # report sampling and windowing sensitivity of the winner
     if top_c is best_c:

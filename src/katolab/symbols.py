@@ -9,6 +9,7 @@ defined at the origin by continuity, Phi(0) = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,24 +199,38 @@ def split_spec(text: str) -> tuple:
     return kind, kv
 
 
+def spec_number(text: str, key: str, kind: type = float):
+    """A spec value as a finite float or an int; ValueError naming key."""
+    try:
+        val = kind(text)
+        ok = kind is int or math.isfinite(val)
+    except ValueError:
+        ok = False
+    if not ok:
+        what = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"key {key!r}: expected {what}, got {text!r}")
+    return val
+
+
 def from_config(text: str) -> SymbolSpec:
     """Parse a symbol key like 'power:m=2,n=1' or 'poly:n=2,m=3,terms=1*1.2'.
 
-    Poly terms are semicolon-separated 'coeff*e1.e2...eN' entries.
+    Poly terms are semicolon-separated 'coeff*e1.e2...eN' entries. A blank
+    or non-numeric value raises ValueError naming its key.
     """
     kind, kv = split_spec(text)
-    n = int(kv.get("n", "1"))
+    n = spec_number(kv.get("n", "1"), "n", int)
     if kind == "power":
-        return SymbolSpec(kind="power", m=float(kv.get("m", "2")), n=n,
-                          scale=float(kv.get("scale", "1")))
+        return SymbolSpec(kind="power", m=spec_number(kv.get("m", "2"), "m"), n=n,
+                          scale=spec_number(kv.get("scale", "1"), "scale"))
     if kind == "poly":
         if "terms" not in kv:
             raise ValueError("poly symbol needs terms=coeff*e1.e2...;...")
         terms = []
         for chunk in kv["terms"].split(";"):
             coeff_s, _, exps_s = chunk.partition("*")
-            exps = tuple(int(e) for e in exps_s.split("."))
-            terms.append((float(coeff_s), exps))
+            exps = tuple(spec_number(e, "terms", int) for e in exps_s.split("."))
+            terms.append((spec_number(coeff_s, "terms"), exps))
         m = float(sum(terms[0][1]))
         return SymbolSpec(kind="poly", m=m, n=n, terms=tuple(terms))
     raise ValueError(f"unknown symbol kind {kind!r}")

@@ -2,9 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from katolab import cli, opnorm, symbols
-from katolab.core import read_field, read_spacetime
+from katolab.core import (Ball, GaussianRecipe, KnappRecipe, RandomBandlimited, Sector,
+                          read_field, read_spacetime)
 
 
 def test_field_propagate_norm_roundtrip(tmp_path, capsys):
@@ -117,3 +120,65 @@ def test_run_cli(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out
     assert (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("field", "--grid", "1,abc"),
+    ("field", "--grid", "1,1024,inf"),
+    ("field", "--grid", "1,1024"),
+    ("field", "--grid", "1,0,64"),
+    ("propagate", "--steps", "0"),
+    ("propagate", "--steps", "-3"),
+    ("propagate", "--steps", "2.5"),
+    ("propagate", "--t1", "nan"),
+    ("propagate", "--t0", "inf"),
+])
+def test_bad_flags_exit_through_argparse(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    args = {"field": {"--make": "gaussian:width=1", "--grid": "1,512,64"},
+            "propagate": {"--symbol": "power:m=2,n=1", "--t0": "0", "--t1": "1",
+                          "--steps": "8", "--in": str(tmp_path / "f.kslf")}}[command]
+    args.update({flag: value, "--out": str(out)})
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command] + [x for kv in args.items() for x in kv])
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+# recipe kind -> a valid value of each of its keys
+RECIPE_KEYS = {"gaussian": {"center": "0;1", "width": "1"},
+               "random": {"region": "annulus;0.5;2", "seed": "7"},
+               "knapp": {"R": "16", "center": "1.2"}}
+RECIPE_WRONG = {"center": ["nan", "inf", "0;x", "1e400"], "width": ["nan", "-inf", "1;2"],
+                "region": ["annulus;1", "ball;x;1", "annulus;nan;2", "sector;1", "disk;0;1"],
+                "seed": ["2.5", "inf", "1e3"], "R": ["nan", "inf", "8;16"]}
+
+
+@st.composite
+def bad_recipe(draw):
+    kind = draw(st.sampled_from(sorted(RECIPE_KEYS)))
+    key = draw(st.sampled_from(sorted(RECIPE_KEYS[kind])))
+    value = draw(st.one_of(st.just(""), st.text(alphabet=" \t", min_size=1, max_size=3),
+                           st.text(alphabet="abcxyz", min_size=1, max_size=6),
+                           st.sampled_from(RECIPE_WRONG[key])))
+    kv = dict(RECIPE_KEYS[kind], **{key: value})
+    return kind + ":" + ",".join(f"{k}={v}" for k, v in kv.items()), key
+
+
+@settings(max_examples=200, deadline=None)
+@given(bad_recipe())
+def test_blank_or_mistyped_recipe_values_name_their_key(case):
+    text, key = case
+    with pytest.raises(ValueError, match=f"^key '{key}': "):
+        cli._parse_recipe(text)
+
+
+def test_recipes_parse():
+    assert cli._parse_recipe("gaussian:center=0;1,width=2") == GaussianRecipe((0.0, 1.0), 2.0)
+    assert cli._parse_recipe("random:region=ball;1.2;0.3,seed=4") == \
+        RandomBandlimited(Ball((1.2,), 0.3), 4)
+    assert cli._parse_recipe("random").region == Sector()
+    assert cli._parse_recipe("knapp:R=16") == KnappRecipe(16.0, 1.2)
+    with pytest.raises(ValueError, match="^key 'R': "):
+        cli._parse_recipe("knapp:center=1.2")

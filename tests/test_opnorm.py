@@ -472,6 +472,116 @@ def _check_bank_winner_is_evaluated_once(monkeypatch, r):
         assert res.tail_fraction == float(np.sum(per_t[-k:]) / np.sum(per_t))
 
 
+# The ascent as one call per piece of work: every evaluation and gradient
+# builds its own time tables, and every step takes a gradient, also at a
+# point a rejected step left unchanged. lower_bound_mixed must give the
+# same result with one set of tables per restart and one gradient per point.
+
+def _lower_bound_reference(spec, seed):
+    """(result, fresh, accepted, restarts run); fresh counts the steps taken
+    from a point not differentiated before."""
+    modes = O.mode_grid(spec)
+    evals, best_val = 0, 0.0
+    for name, c in O._candidate_bank(spec, modes, seed):
+        times = O._transit_times(spec, modes, c)
+        raw, u = O._eval_mixed(spec, modes, c, times)
+        val = raw / O._l2_of_spectrum(modes, c)
+        evals += 1
+        if val > best_val:
+            best_val, best_name, best = val, name, (c, times, raw, u)
+    best_c, best_times = best[:2]
+    support = np.abs(best_c) > 1e-9 * np.max(np.abs(best_c))
+    affordable = len(best_times) * (2 * spec.R / 0.7) * np.sum(support) <= O.ASCENT_BUDGET
+    reach = max(3, int(0.02 / modes.dxi))
+    support = np.convolve(support.astype(float), np.ones(2 * reach + 1), mode="same") > 0
+    rng = np.random.default_rng(seed + 1)
+    top_val, top_c = best_val, best_c
+    fresh = accepted = 0
+    restarts = O.ASCENT_RESTARTS if affordable else 0
+    for restart in range(restarts):
+        c, times, raw, u = best
+        if restart > 0:
+            c = best_c * (1.0 + 0.2 * (rng.standard_normal(len(best_c))
+                                       + 1j * rng.standard_normal(len(best_c))))
+            times = O._transit_times(spec, modes, c)
+            raw, u = O._eval_mixed(spec, modes, c, times)
+            evals += 1
+        cur = raw / O._l2_of_spectrum(modes, c)
+        step, moved = 0.5, True
+        for _ in range(O.ASCENT_STEPS):
+            gq = np.where(support, O._quotient_gradient(spec, modes, c, raw, u), 0.0)
+            gn = np.linalg.norm(gq)
+            fresh += moved
+            if gn == 0:
+                break
+            trial = c + step * np.linalg.norm(c) * gq / gn
+            t_raw, t_u = O._eval_mixed(spec, modes, trial, times)
+            val = t_raw / O._l2_of_spectrum(modes, trial)
+            evals += 1
+            moved = val > cur
+            if moved:
+                c, cur, raw, u = trial, val, t_raw, t_u
+                accepted += 1
+            else:
+                step *= 0.5
+                if step < 1e-4:
+                    break
+        if cur > top_val:
+            top_val, top_c = cur, c
+    if top_c is best_c:
+        v_full, u = best[2:]
+    else:
+        v_full, u = O._eval_mixed(spec, modes, top_c, O._transit_times(spec, modes, top_c))
+    if spec.r == INF:
+        half = O._reduce(u.even_peak, spec.q, u.grid.dx, axis=0)
+        ref_delta = abs(v_full - half) / max(v_full, 1e-300) if len(u.times) >= 4 else 0.0
+        per_t = u.coarse_energy
+    else:
+        ref_delta = refinement_delta(u, MixedNormSpec(q=spec.q, r=spec.r, order=spec.order))
+        per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
+    wide = O._transit_times(spec, modes, top_c, margin_factor=2.0)
+    v_wide, _ = O._eval_mixed(spec, modes, top_c, wide)
+    k = max(1, len(per_t) // 10)
+    nf = O._l2_of_spectrum(modes, top_c)
+    res = O.LowerBoundResult(
+        value=max(top_val, v_wide / nf), candidate=best_name,
+        ascent_gain=(top_val - best_val) / max(best_val, 1e-300),
+        refinement_delta=ref_delta, window_delta=abs(v_wide - v_full) / max(v_full, 1e-300),
+        tail_fraction=float(np.sum(per_t[-k:]) / max(np.sum(per_t), 1e-300)),
+        evaluations=evals)
+    return res, fresh, accepted, restarts
+
+
+@pytest.mark.parametrize("R", [4.0, 8.0])
+@pytest.mark.parametrize("window", ["local", "global"])
+@pytest.mark.parametrize("r", [4.0, INF])
+def test_ascent_matches_the_per_call_reference(monkeypatch, r, window, R):
+    # every field equal; a gradient once per restart and once per accepted
+    # step that another step follows, always on the restart's tables; the
+    # tables built once per restart and once per evaluation given none
+    spec = spec_at(R, alpha=-0.25, r=r, window=window)
+    bank = len(O._candidate_bank(spec, O.mode_grid(spec), 7))
+    ref, fresh, accepted, restarts = _lower_bound_reference(spec, seed=7)
+    assert restarts == O.ASCENT_RESTARTS
+    calls = {"_eval_mixed": [], "_quotient_gradient": [], "_time_phases": []}
+    for name, log in calls.items():
+        monkeypatch.setattr(O, name, lambda *args, _f=getattr(O, name), _log=log:
+                            _log.append(len(args)) or _f(*args))
+    res = O.lower_bound_mixed(spec, seed=7)
+    for field in dataclasses.fields(O.LowerBoundResult):
+        assert getattr(res, field.name) == getattr(ref, field.name), field.name
+    grads = calls["_quotient_gradient"]
+    assert len(grads) == fresh <= restarts + accepted
+    # some steps were rejected, so some gradients were saved
+    assert fresh < res.evaluations - bank - (restarts - 1)
+    assert set(grads) == {6}
+    # the bank, the wide window and a moved winner's own window build their
+    # tables; the ascent's evaluations share the restart's
+    untabled = calls["_eval_mixed"].count(4)
+    assert len(calls["_eval_mixed"]) - untabled == res.evaluations - bank
+    assert len(calls["_time_phases"]) == untabled + restarts
+
+
 def test_predicted_exponent_examples():
     assert O.predicted_exponent(1, 2, 2, 2, 0.5) == pytest.approx(0.5)
     assert O.predicted_exponent(2, 2, 3, INF, -1.0 / 3.0) == pytest.approx(0.0)

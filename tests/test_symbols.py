@@ -108,3 +108,37 @@ def test_bad_specs_rejected():
         S.SymbolSpec(kind="poly", m=3, n=2, terms=((1.0, (1, 1)),))  # degree 2 != 3
     with pytest.raises(ValueError):
         S.SymbolSpec(kind="mystery", m=2, n=1)
+
+
+def test_blank_or_non_numeric_values_name_their_key():
+    for text, key in (("power:m=,n=1", "m"), ("power:m=2,n=", "n"), ("power:scale=x", "scale"),
+                      ("power:n=1.5", "n"), ("poly:n=2,terms=1*2.x", "terms")):
+        with pytest.raises(ValueError, match=f"^key '{key}': "):
+            S.from_config(text)
+
+
+# symbol kind -> a valid value of each of its keys
+SYMBOL_KEYS = {"power": {"m": "2", "n": "1", "scale": "1"},
+               "poly": {"n": "2", "terms": "1*2.0;4*0.2"}}
+SYMBOL_WRONG = {"m": ["nan", "inf", "2;3", "1e400"], "scale": ["nan", "-inf", "1*2"],
+                "n": ["1.5", "inf", "1e3", "nan"],
+                "terms": ["1*2.x", "x*2.0", "nan*2.0", "1*2.0;", "1*inf.0"]}
+
+
+@st.composite
+def bad_symbol(draw):
+    kind = draw(st.sampled_from(sorted(SYMBOL_KEYS)))
+    key = draw(st.sampled_from(sorted(SYMBOL_KEYS[kind])))
+    value = draw(st.one_of(st.just(""), st.text(alphabet=" \t", min_size=1, max_size=3),
+                           st.text(alphabet="abcxyz", min_size=1, max_size=6),
+                           st.sampled_from(SYMBOL_WRONG[key])))
+    kv = dict(SYMBOL_KEYS[kind], **{key: value})
+    return kind + ":" + ",".join(f"{k}={v}" for k, v in kv.items()), key
+
+
+@settings(max_examples=200, deadline=None)
+@given(bad_symbol())
+def test_blank_or_mistyped_symbol_values_name_their_key(case):
+    text, key = case
+    with pytest.raises(ValueError, match=f"^key '{key}': "):
+        S.from_config(text)
