@@ -20,7 +20,8 @@ from .core import (Annulus, Ball, Field, GaussianRecipe, Grid, KnappRecipe,
 def _parse_recipe(text: str):
     """A field recipe from --make; a blank or non-numeric value raises
     ValueError naming its key."""
-    kind, kv = symbols.split_spec(text)
+    kinds = {"gaussian": ("center", "width"), "random": ("region", "seed"), "knapp": ("R", "center")}
+    kind, kv = symbols.split_spec(text, kinds)
     num = symbols.spec_number
     if kind == "gaussian":
         center = tuple(num(c, "center") for c in kv.get("center", "0").split(";"))
@@ -37,12 +38,9 @@ def _parse_recipe(text: str):
             raise ValueError("key 'region': expected sector, annulus;r0;r1 or "
                              f"ball;center;radius, got {region!r}")
         return RandomBandlimited(region=reg, seed=num(kv.get("seed", "0"), "seed", int))
-    if kind == "knapp":
-        if "R" not in kv:
-            raise ValueError("key 'R': required by the knapp recipe")
-        return KnappRecipe(R=num(kv["R"], "R"),
-                           center_xi=num(kv.get("center", "1.2"), "center"))
-    raise ValueError(f"unknown recipe {text!r}")
+    if "R" not in kv:
+        raise ValueError("key 'R': required by the knapp recipe")
+    return KnappRecipe(R=num(kv["R"], "R"), center_xi=num(kv.get("center", "1.2"), "center"))
 
 
 def _grid_arg(text: str) -> Grid:
@@ -55,24 +53,59 @@ def _grid_arg(text: str) -> Grid:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+# Flag types raise ValueError on a bad value; argparse then exits 2 naming the flag.
+
 def _positive_int(text: str) -> int:
-    try:
-        val = int(text)
-    except ValueError:
-        val = 0
+    val = int(text)
     if val < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        raise ValueError(text)
     return val
 
 
 def _finite_float(text: str) -> float:
-    try:
-        val = float(text)
-    except ValueError:
-        val = math.nan
+    val = float(text)
     if not math.isfinite(val):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        raise ValueError(text)
     return val
+
+
+def _exponent(text: str) -> float:
+    """A Lebesgue exponent: a number >= 1, or inf."""
+    val = float(text)
+    if not val >= 1:
+        raise ValueError(text)
+    return val
+
+
+def _scales(text: str) -> list:
+    vals = [float(x) for x in text.split(",")]
+    if not all(1 <= v < math.inf for v in vals):
+        raise ValueError(text)
+    return vals
+
+
+def _window(text: str) -> tuple:
+    """(window, global_t_factor) from local or global[:T_factor]."""
+    name, colon, t = text.partition(":")
+    t_factor = float(t) if colon else opnorm.GLOBAL_T_FACTOR
+    if not (text == "local" or name == "global" and 0 < t_factor < math.inf):
+        raise ValueError(text)
+    return name, t_factor
+
+
+def _ball(text: str) -> tuple:
+    """(center, radius) from c1[,c2...],radius."""
+    *center, radius = (float(x) for x in text.split(","))
+    if not (center and radius > 0 and all(map(math.isfinite, center + [radius]))):
+        raise ValueError(text)
+    return tuple(center), radius
+
+
+def _interval(text: str) -> tuple:
+    a, b = (float(x) for x in text.split(","))
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise ValueError(text)
+    return a, b
 
 
 def _cmd_field(args):
@@ -93,51 +126,31 @@ def _cmd_propagate(args):
 
 def _cmd_norm(args):
     u = read_spacetime(args.infile)
-    q = math.inf if args.q == "inf" else float(args.q)
-    r = math.inf if args.r == "inf" else float(args.r)
-    ball = None
-    if args.ball:
-        parts = [float(x) for x in args.ball.split(",")]
-        ball = (tuple(parts[:-1]), parts[-1])
-    window = None
-    if args.t:
-        a, b = (float(x) for x in args.t.split(","))
-        window = (a, b)
-    spec = norms.MixedNormSpec(q=q, r=r, order=args.order, ball=ball,
-                               window=window)
+    spec = norms.MixedNormSpec(q=args.q, r=args.r, order=args.order, ball=args.ball,
+                               window=args.t)
     print(f"{norms.mixed_norm(u, spec):.12g}")
 
 
 def _cmd_opnorm(args):
     sym = symbols.from_config(args.symbol)
-    window = "local"
-    t_factor = opnorm.GLOBAL_T_FACTOR
-    if args.window.startswith("global"):
-        window = "global"
-        if ":" in args.window:
-            t_factor = float(args.window.split(":", 1)[1])
-    q = math.inf if args.q == "inf" else float(args.q)
-    r = math.inf if args.r == "inf" else float(args.r)
-    rows = []
+    window, t_factor = args.window
+    print("R,norm,iterations,residual")
     samples = []
-    for R in (float(x) for x in args.R.split(",")):
-        spec = opnorm.SmoothingOperatorSpec(sym=sym, alpha=args.alpha, R=R,
-                                            q=q, r=r, order=args.order,
-                                            window=window,
+    for R in args.R:
+        spec = opnorm.SmoothingOperatorSpec(sym=sym, alpha=args.alpha, R=R, q=args.q,
+                                            r=args.r, order=args.order, window=window,
                                             global_t_factor=t_factor)
-        if q == 2 and r == 2:
+        if args.q == 2 and args.r == 2:
             res = opnorm.operator_norm_l2(spec, seed=args.seed)
-            rows.append((R, res.value, res.iterations, f"{res.residual:.3g}"))
+            count, residual = res.iterations, f"{res.residual:.3g}"
         else:
             # a lower bound has no solver residual
             res = opnorm.lower_bound_mixed(spec, seed=args.seed)
-            rows.append((R, res.value, res.evaluations, ""))
-        samples.append((R, rows[-1][1]))
-    print("R,norm,iterations,residual")
-    for row in rows:
-        print(f"{row[0]:g},{row[1]:.10g},{row[2]},{row[3]}")
+            count, residual = res.evaluations, ""
+        print(f"{R:g},{res.value:.10g},{count},{residual}")
+        samples.append((R, res.value))
     if len(samples) >= 3:
-        predicted = opnorm.predicted_exponent(sym.n, sym.m, q, r, args.alpha)
+        predicted = opnorm.predicted_exponent(sym.n, sym.m, args.q, args.r, args.alpha)
         fit = opnorm.fit_exponent(samples, predicted=predicted)
         summary = {"slope": fit.slope, "intercept": fit.intercept,
                    "stderr": fit.stderr, "predicted": predicted}
@@ -209,22 +222,23 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_propagate)
 
     p = sub.add_parser("norm", help="mixed norm of an evolution file")
-    p.add_argument("--q", required=True)
-    p.add_argument("--r", required=True)
+    p.add_argument("--q", type=_exponent, required=True)
+    p.add_argument("--r", type=_exponent, required=True)
     p.add_argument("--order", choices=("xt", "tx"), default="xt")
-    p.add_argument("--ball", help="c1[,c2...],radius")
-    p.add_argument("--t", help="a,b")
+    p.add_argument("--ball", type=_ball, help="c1[,c2...],radius")
+    p.add_argument("--t", type=_interval, help="a,b")
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(fn=_cmd_norm)
 
     p = sub.add_parser("opnorm", help="operator norm scan over scales")
     p.add_argument("--symbol", required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--q", default="2")
-    p.add_argument("--r", default="2")
+    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--q", type=_exponent, default="2")
+    p.add_argument("--r", type=_exponent, default="2")
     p.add_argument("--order", choices=("xt", "tx"), default="xt")
-    p.add_argument("--window", default="local", help="local or global[:T_factor]")
-    p.add_argument("--R", required=True, help="comma-separated scales")
+    p.add_argument("--window", type=_window, default="local",
+                   help="local or global[:T_factor]")
+    p.add_argument("--R", type=_scales, required=True, help="comma-separated scales")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_opnorm)
 

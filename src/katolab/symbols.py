@@ -183,16 +183,21 @@ def validate_symbol(sym: SymbolSpec, sample_count: int, seed: int = 0) -> Valida
     )
 
 
-def split_spec(text: str) -> tuple:
+def split_spec(text: str, keys: dict) -> tuple:
     """Split 'kind:k=v,k=v,...' into (kind, {k: v}); values stay strings.
 
-    A repeated key raises ValueError naming it.
+    keys maps each kind to the keys it reads. An unknown kind, a repeated
+    key and a key its kind does not read raise ValueError.
     """
     kind, _, rest = text.partition(":")
+    if kind not in keys:
+        raise ValueError(f"unknown kind {kind!r} in {text!r}: expected {' or '.join(keys)}")
     kv = {}
     for part in filter(None, rest.split(",")):
         k, _, v = part.partition("=")
         k = k.strip()
+        if k not in keys[kind]:
+            raise ValueError(f"key {k!r}: {kind} reads only {', '.join(keys[kind])}")
         if k in kv:
             raise ValueError(f"duplicate key {k!r} in {text!r}")
         kv[k] = v.strip()
@@ -213,24 +218,23 @@ def spec_number(text: str, key: str, kind: type = float):
 
 
 def from_config(text: str) -> SymbolSpec:
-    """Parse a symbol key like 'power:m=2,n=1' or 'poly:n=2,m=3,terms=1*1.2'.
+    """Parse a symbol key like 'power:m=2,n=1' or 'poly:n=2,terms=1*1.2'.
 
-    Poly terms are semicolon-separated 'coeff*e1.e2...eN' entries. A blank
-    or non-numeric value raises ValueError naming its key.
+    Poly terms are semicolon-separated 'coeff*e1.e2...eN' entries; their
+    exponents give the degree. A blank or non-numeric value, or a key the
+    kind does not read, raises ValueError naming the key.
     """
-    kind, kv = split_spec(text)
+    kind, kv = split_spec(text, {"power": ("m", "n", "scale"), "poly": ("n", "terms")})
     n = spec_number(kv.get("n", "1"), "n", int)
     if kind == "power":
         return SymbolSpec(kind="power", m=spec_number(kv.get("m", "2"), "m"), n=n,
                           scale=spec_number(kv.get("scale", "1"), "scale"))
-    if kind == "poly":
-        if "terms" not in kv:
-            raise ValueError("poly symbol needs terms=coeff*e1.e2...;...")
-        terms = []
-        for chunk in kv["terms"].split(";"):
-            coeff_s, _, exps_s = chunk.partition("*")
-            exps = tuple(spec_number(e, "terms", int) for e in exps_s.split("."))
-            terms.append((spec_number(coeff_s, "terms"), exps))
-        m = float(sum(terms[0][1]))
-        return SymbolSpec(kind="poly", m=m, n=n, terms=tuple(terms))
-    raise ValueError(f"unknown symbol kind {kind!r}")
+    if "terms" not in kv:
+        raise ValueError("key 'terms': required by the poly symbol, as coeff*e1.e2...;...")
+    terms = []
+    for chunk in kv["terms"].split(";"):
+        coeff_s, _, exps_s = chunk.partition("*")
+        exps = tuple(spec_number(e, "terms", int) for e in exps_s.split("."))
+        terms.append((spec_number(coeff_s, "terms"), exps))
+    m = float(sum(terms[0][1]))
+    return SymbolSpec(kind="poly", m=m, n=n, terms=tuple(terms))

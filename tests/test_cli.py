@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -132,13 +133,37 @@ def test_run_cli(tmp_path, capsys):
     ("propagate", "--steps", "2.5"),
     ("propagate", "--t1", "nan"),
     ("propagate", "--t0", "inf"),
+    ("norm", "--q", "abc"),
+    ("norm", "--q", "0.5"),
+    ("norm", "--r", "nan"),
+    ("norm", "--ball", "1"),
+    ("norm", "--ball", "0,-1"),
+    ("norm", "--ball", "x,1"),
+    ("norm", "--t", "0"),
+    ("norm", "--t", "1,0"),
+    ("norm", "--t", "0,inf"),
+    ("opnorm", "--q", "abc"),
+    ("opnorm", "--r", "0"),
+    ("opnorm", "--alpha", "nan"),
+    ("opnorm", "--R", "8,x"),
+    ("opnorm", "--R", "0.5,8"),
+    ("opnorm", "--R", "8,inf"),
+    ("opnorm", "--R", ""),
+    ("opnorm", "--window", "foo"),
+    ("opnorm", "--window", "global:x"),
+    ("opnorm", "--window", "global:"),
+    ("opnorm", "--window", "global:0"),
+    ("opnorm", "--window", "global:inf"),
+    ("opnorm", "--window", "local:2"),
 ])
 def test_bad_flags_exit_through_argparse(tmp_path, capsys, command, flag, value):
     out = tmp_path / "out"
-    args = {"field": {"--make": "gaussian:width=1", "--grid": "1,512,64"},
+    args = {"field": {"--make": "gaussian:width=1", "--grid": "1,512,64", "--out": str(out)},
             "propagate": {"--symbol": "power:m=2,n=1", "--t0": "0", "--t1": "1",
-                          "--steps": "8", "--in": str(tmp_path / "f.kslf")}}[command]
-    args.update({flag: value, "--out": str(out)})
+                          "--steps": "8", "--in": str(tmp_path / "f.kslf"), "--out": str(out)},
+            "norm": {"--q": "2", "--r": "2", "--in": str(tmp_path / "u.kslt")},
+            "opnorm": {"--symbol": "power:m=2,n=1", "--alpha": "0.5", "--R": "8"}}[command]
+    args[flag] = value
     with pytest.raises(SystemExit) as exc:
         cli.main([command] + [x for kv in args.items() for x in kv])
     assert exc.value.code == 2
@@ -182,3 +207,20 @@ def test_recipes_parse():
     assert cli._parse_recipe("knapp:R=16") == KnappRecipe(16.0, 1.2)
     with pytest.raises(ValueError, match="^key 'R': "):
         cli._parse_recipe("knapp:center=1.2")
+    # a key the recipe does not read
+    for text, key in (("gaussian:widht=2", "widht"), ("random:seed=1,center=0", "center"),
+                      ("knapp:R=16,width=1", "width")):
+        with pytest.raises(ValueError, match=f"^key '{key}': "):
+            cli._parse_recipe(text)
+    with pytest.raises(ValueError, match="unknown kind 'gauss'"):
+        cli._parse_recipe("gauss:width=1")
+
+
+def test_flag_values_reach_the_command():
+    assert cli._exponent("inf") == math.inf and cli._exponent("4") == 4.0
+    assert cli._scales("8,16,32") == [8.0, 16.0, 32.0]
+    assert cli._window("local") == ("local", opnorm.GLOBAL_T_FACTOR)
+    assert cli._window("global") == ("global", opnorm.GLOBAL_T_FACTOR)
+    assert cli._window("global:4") == ("global", 4.0)
+    assert cli._ball("0,1.5,2") == ((0.0, 1.5), 2.0)
+    assert cli._interval("0,1") == (0.0, 1.0)

@@ -164,7 +164,7 @@ def test_candidate_ranking_scale_invariant():
     spec = spec_at(8.0, q=2.0, r=INF, alpha=-0.25)
     modes = O.mode_grid(spec)
     vals = {}
-    for name, c in O._candidate_bank(spec, modes, 0):
+    for name, c in O._candidate_bank(spec, modes):
         times = O._transit_times(spec, modes, c)
         for scale in (1.0, 7.5):
             v = (O._eval_mixed(spec, modes, scale * c, times)[0]
@@ -229,8 +229,36 @@ def _chirp_case(r, window, order="xt", q=2.0):
     spec = dataclasses.replace(spec_at(8.0, alpha=-0.25, q=q, r=r, window=window),
                                order=order)
     modes = O.mode_grid(spec)
-    c = dict(O._candidate_bank(spec, modes, 0))["chirp-root@0.9"]
+    c = dict(O._candidate_bank(spec, modes))["chirp-root@0.9"]
     return spec, modes, c, O._transit_times(spec, modes, c)
+
+
+# Spectra the bank does not hold, with the bank's focusing chirp: the other
+# Gaussian profiles (cut at three widths) and seeded noise, whose peaks in
+# time need not be smooth. The sup search is checked on them as well.
+
+def _focusing_chirp(spec, modes):
+    a, b = spec.time_window()
+    t_focus = 0.0 if spec.window == "global" else (a + b) / 2.0
+    return np.exp(-1j * t_focus * modes.phi_vals)
+
+
+def _other_profiles(spec, modes):
+    xi, root = modes.xi, 1.0 / math.sqrt(spec.R)
+    out = []
+    for width, tag in ((0.5 * root, "chirp-narrow"), (1.0 / spec.R, "plate")):
+        for center in (0.9, 1.3):
+            prof = np.exp(-0.5 * ((xi - center) / (0.5 * width)) ** 2)
+            prof = np.where(np.abs(xi - center) < 3 * width, prof, 0.0)
+            if np.any(prof > 0):
+                out.append((f"{tag}@{center}", _focusing_chirp(spec, modes) * prof))
+    return out
+
+
+def _noise(spec, modes):
+    rng = np.random.default_rng(0)
+    noise = rng.standard_normal(len(modes.xi)) + 1j * rng.standard_normal(len(modes.xi))
+    return _focusing_chirp(spec, modes) * noise * np.exp(-0.5 * ((modes.xi - 1.2) / 0.4) ** 2)
 
 
 @pytest.mark.parametrize("window", ["local", "global"])
@@ -288,7 +316,8 @@ def test_sup_search_matches_full_slab_on_every_bank_candidate(R, window, order):
     # noise may peak between coarse samples outside both refined windows
     spec = dataclasses.replace(spec_at(R, alpha=-0.25, r=INF, window=window), order=order)
     modes = O.mode_grid(spec)
-    for name, c in O._candidate_bank(spec, modes, 0):
+    spectra = O._candidate_bank(spec, modes) + _other_profiles(spec, modes)
+    for name, c in spectra + [("noise", _noise(spec, modes))]:
         _check_sup_search(spec, modes, c, O._transit_times(spec, modes, c),
                           exact=name.startswith(("chirp", "plate")))
 
@@ -296,7 +325,7 @@ def test_sup_search_matches_full_slab_on_every_bank_candidate(R, window, order):
 @pytest.mark.parametrize("order", ["xt", "tx"])
 def test_sup_search_edge_cases(order):
     spec, modes, c, times = _chirp_case(INF, "local", order)
-    noise = dict(O._candidate_bank(spec, modes, 0))["noise"]
+    noise = _noise(spec, modes)
     S = len(times)
     # more than BLOCK coarse samples; S a multiple of neither SUP_STRIDE nor BLOCK
     assert S > O.SUP_STRIDE * O.BLOCK and S % O.SUP_STRIDE and S % O.BLOCK
@@ -320,7 +349,7 @@ def test_sup_search_edge_cases(order):
 def test_quotient_gradient_matches_dense_chain_rule(r, window):
     spec, modes, c, times = _chirp_case(r, window)
     val, u = O._eval_mixed(spec, modes, c, times)
-    g = O._quotient_gradient(spec, modes, c, val, u)
+    g = O._quotient_gradient(spec, modes, c, val, u, O._time_phases(spec, times, modes.phi_vals))
     ref = _gradient_reference(spec, modes, c, times)
     assert np.linalg.norm(g - ref) <= 1e-9 * np.linalg.norm(ref)
 
@@ -351,7 +380,7 @@ def test_quotient_gradient_at_q_inf_matches_finite_differences(r, order):
 
 def _check_gradient_by_finite_differences(spec, modes, c, times):
     val, u = O._eval_mixed(spec, modes, c, times)
-    g = O._quotient_gradient(spec, modes, c, val, u)
+    g = O._quotient_gradient(spec, modes, c, val, u, O._time_phases(spec, times, modes.phi_vals))
 
     def quotient(x):
         return O._eval_mixed(spec, modes, x, times)[0] / O._l2_of_spectrum(modes, x)
@@ -377,7 +406,7 @@ def test_eval_mixed_rejects_nonuniform_times():
 
 def _hand_made_bank(spec, modes):
     # a costly winner and a cheap runner-up
-    full = dict(O._candidate_bank(spec, modes, 0))
+    full = dict(O._candidate_bank(spec, modes))
     return [("chirp-wide@0.9", full["chirp-wide@0.9"]),
             ("chirp-root@0.9", full["chirp-root@0.9"])]
 
@@ -476,13 +505,15 @@ def _check_bank_winner_is_evaluated_once(monkeypatch, r):
 # builds its own time tables, and every step takes a gradient, also at a
 # point a rejected step left unchanged. lower_bound_mixed must give the
 # same result with one set of tables per restart and one gradient per point.
+# The diagnostics read the evaluation of the best point, at its restart's
+# times.
 
 def _lower_bound_reference(spec, seed):
     """(result, fresh, accepted, restarts run); fresh counts the steps taken
     from a point not differentiated before."""
     modes = O.mode_grid(spec)
     evals, best_val = 0, 0.0
-    for name, c in O._candidate_bank(spec, modes, seed):
+    for name, c in O._candidate_bank(spec, modes):
         times = O._transit_times(spec, modes, c)
         raw, u = O._eval_mixed(spec, modes, c, times)
         val = raw / O._l2_of_spectrum(modes, c)
@@ -495,7 +526,7 @@ def _lower_bound_reference(spec, seed):
     reach = max(3, int(0.02 / modes.dxi))
     support = np.convolve(support.astype(float), np.ones(2 * reach + 1), mode="same") > 0
     rng = np.random.default_rng(seed + 1)
-    top_val, top_c = best_val, best_c
+    top_val, top = best_val, best
     fresh = accepted = 0
     restarts = O.ASCENT_RESTARTS if affordable else 0
     for restart in range(restarts):
@@ -509,7 +540,8 @@ def _lower_bound_reference(spec, seed):
         cur = raw / O._l2_of_spectrum(modes, c)
         step, moved = 0.5, True
         for _ in range(O.ASCENT_STEPS):
-            gq = np.where(support, O._quotient_gradient(spec, modes, c, raw, u), 0.0)
+            tables = O._time_phases(spec, times, modes.phi_vals)
+            gq = np.where(support, O._quotient_gradient(spec, modes, c, raw, u, tables), 0.0)
             gn = np.linalg.norm(gq)
             fresh += moved
             if gn == 0:
@@ -527,11 +559,8 @@ def _lower_bound_reference(spec, seed):
                 if step < 1e-4:
                     break
         if cur > top_val:
-            top_val, top_c = cur, c
-    if top_c is best_c:
-        v_full, u = best[2:]
-    else:
-        v_full, u = O._eval_mixed(spec, modes, top_c, O._transit_times(spec, modes, top_c))
+            top_val, top = cur, (c, times, raw, u)
+    top_c, _, v_full, u = top
     if spec.r == INF:
         half = O._reduce(u.even_peak, spec.q, u.grid.dx, axis=0)
         ref_delta = abs(v_full - half) / max(v_full, 1e-300) if len(u.times) >= 4 else 0.0
@@ -560,7 +589,7 @@ def test_ascent_matches_the_per_call_reference(monkeypatch, r, window, R):
     # step that another step follows, always on the restart's tables; the
     # tables built once per restart and once per evaluation given none
     spec = spec_at(R, alpha=-0.25, r=r, window=window)
-    bank = len(O._candidate_bank(spec, O.mode_grid(spec), 7))
+    bank = len(O._candidate_bank(spec, O.mode_grid(spec)))
     ref, fresh, accepted, restarts = _lower_bound_reference(spec, seed=7)
     assert restarts == O.ASCENT_RESTARTS
     calls = {"_eval_mixed": [], "_quotient_gradient": [], "_time_phases": []}
@@ -575,11 +604,76 @@ def test_ascent_matches_the_per_call_reference(monkeypatch, r, window, R):
     # some steps were rejected, so some gradients were saved
     assert fresh < res.evaluations - bank - (restarts - 1)
     assert set(grads) == {6}
-    # the bank, the wide window and a moved winner's own window build their
-    # tables; the ascent's evaluations share the restart's
+    # the bank and the wide window build their tables; the ascent's
+    # evaluations share the restart's
     untabled = calls["_eval_mixed"].count(4)
     assert len(calls["_eval_mixed"]) - untabled == res.evaluations - bank
     assert len(calls["_time_phases"]) == untabled + restarts
+
+
+# lower_bound_mixed at the battery's maximal (criterion 08) and global
+# transfer (criterion 09) configs, recorded from the ten-candidate bank
+# (narrow chirps, 1/R plates and seeded noise included), none of whose five
+# dropped candidates won there: (R, value as float.hex, bank winner).
+# At a fixed BLAS thread count the values are bit-identical; the tolerance
+# absorbs the last-bit changes of another thread count or BLAS build.
+GOLDEN_MAXIMAL = [(8.0, "0x1.3b4ebb8b38b24p+3", "chirp-broad"),
+                  (16.0, "0x1.a199162da61c7p+3", "chirp-broad"),
+                  (32.0, "0x1.e9bff2ab9038bp+3", "chirp-broad")]
+GOLDEN_TRANSFER = [(2.0, "0x1.ee6a9e8b3345fp+2", "chirp-wide@1.3"),
+                   (4.0, "0x1.5c75cd0c75ebcp+3", "chirp-wide@1.3"),
+                   (8.0, "0x1.e6c2196987a57p+3", "chirp-wide@1.3")]
+
+
+@pytest.mark.parametrize("kind, R, value, candidate",
+                         [("maximal",) + g for g in GOLDEN_MAXIMAL]
+                         + [("transfer",) + g for g in GOLDEN_TRANSFER])
+def test_lower_bound_golden_values(kind, R, value, candidate):
+    if kind == "maximal":
+        spec, seed = spec_at(R, alpha=-0.25, r=INF), 6
+    else:
+        spec, seed = spec_at(R, alpha=0.5, r=4.0, window="global"), 7
+    res = O.lower_bound_mixed(spec, seed=seed)
+    assert res.candidate == candidate
+    assert res.value == pytest.approx(float.fromhex(value), rel=1e-12, abs=0)
+
+
+def _diagnostics(spec, modes, c, times):
+    """(refinement_delta, window_delta, tail_fraction) of spectrum c
+    evaluated at times, from fresh evaluations."""
+    v_full, u = O._eval_mixed(spec, modes, c, times)
+    v_wide, _ = O._eval_mixed(spec, modes, c, O._transit_times(spec, modes, c, margin_factor=2.0))
+    if spec.r == INF:
+        ref_delta = abs(v_full - O._reduce(u.even_peak, spec.q, u.grid.dx, axis=0)) / v_full
+        per_t = u.coarse_energy
+    else:
+        ref_delta = refinement_delta(u, MixedNormSpec(q=spec.q, r=spec.r))
+        per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
+    k = max(1, len(per_t) // 10)
+    return ref_delta, abs(v_wide - v_full) / v_full, float(np.sum(per_t[-k:]) / np.sum(per_t))
+
+
+@pytest.mark.parametrize("r, alpha, seed", [(INF, -0.25, 0), (4.0, 0.5, 7)])
+def test_diagnostics_read_the_reported_evaluation(monkeypatch, r, alpha, seed):
+    # the ascent moves the winner to a point whose restart times differ from
+    # its own transit window; the diagnostics are those of the evaluation at
+    # the restart times, and no evaluation runs beyond the bank, the ascent
+    # and the wide window
+    spec = spec_at(2.0, alpha=alpha, r=r, window="global")
+    modes = O.mode_grid(spec)
+    eval_mixed = O._eval_mixed
+    calls = []
+    monkeypatch.setattr(O, "_eval_mixed",
+                        lambda *args: calls.append(args) or eval_mixed(*args))
+    res = O.lower_bound_mixed(spec, seed=seed)
+    assert len(calls) == res.evaluations + 1
+    top_c = calls[-1][2]  # the wide window's spectrum is the reported point
+    times = next(args[3] for args in calls if args[2] is top_c)
+    assert res.ascent_gain > 0
+    assert not any(top_c is c for _, c in O._candidate_bank(spec, modes))
+    assert not np.array_equal(times, O._transit_times(spec, modes, top_c))
+    assert (res.refinement_delta, res.window_delta, res.tail_fraction) == \
+        _diagnostics(spec, modes, top_c, times)
 
 
 def test_predicted_exponent_examples():

@@ -92,11 +92,12 @@ def test_from_config():
     assert sym.kind == "power" and sym.m == 2 and sym.n == 1
     poly = S.from_config("poly:n=2,terms=1*2.0;4*0.2")
     assert poly.m == 2 and len(poly.terms) == 2
+    assert S.from_config("poly:n=2,terms=1*1.2").m == 3  # the docstring's example
 
 
 def test_duplicate_spec_key_rejected():
     with pytest.raises(ValueError, match="duplicate key 'm'"):
-        S.split_spec("power:m=2,m=3,n=1")
+        S.split_spec("power:m=2,m=3,n=1", {"power": ("m", "n")})
     with pytest.raises(ValueError, match="duplicate key 'n'"):
         S.from_config("power:n=1,m=2, n =2")
 
@@ -112,9 +113,14 @@ def test_bad_specs_rejected():
 
 def test_blank_or_non_numeric_values_name_their_key():
     for text, key in (("power:m=,n=1", "m"), ("power:m=2,n=", "n"), ("power:scale=x", "scale"),
-                      ("power:n=1.5", "n"), ("poly:n=2,terms=1*2.x", "terms")):
+                      ("power:n=1.5", "n"), ("poly:n=2,terms=1*2.x", "terms"),
+                      # a key the kind does not read, or a missing one
+                      ("power:m=3,foo=1", "foo"), ("poly:n=2,m=5,terms=1*1.1", "m"),
+                      ("power:terms=1*2", "terms"), ("poly:n=2", "terms")):
         with pytest.raises(ValueError, match=f"^key '{key}': "):
             S.from_config(text)
+    with pytest.raises(ValueError, match="unknown kind 'mystery'"):
+        S.from_config("mystery:m=2")
 
 
 # symbol kind -> a valid value of each of its keys
