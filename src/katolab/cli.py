@@ -62,6 +62,13 @@ def _positive_int(text: str) -> int:
     return val
 
 
+def _non_negative_int(text: str) -> int:
+    val = int(text)
+    if val < 0:
+        raise ValueError(text)
+    return val
+
+
 def _finite_float(text: str) -> float:
     val = float(text)
     if not math.isfinite(val):
@@ -77,11 +84,15 @@ def _exponent(text: str) -> float:
     return val
 
 
-def _scales(text: str) -> list:
-    vals = [float(x) for x in text.split(",")]
-    if not all(1 <= v < math.inf for v in vals):
+def _scale(text: str) -> float:
+    val = float(text)
+    if not 1 <= val < math.inf:
         raise ValueError(text)
-    return vals
+    return val
+
+
+def _scales(text: str) -> list:
+    return [_scale(x) for x in text.split(",")]
 
 
 def _window(text: str) -> tuple:
@@ -239,13 +250,13 @@ def main(argv=None) -> int:
     p.add_argument("--window", type=_window, default="local",
                    help="local or global[:T_factor]")
     p.add_argument("--R", type=_scales, required=True, help="comma-separated scales")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(fn=_cmd_opnorm)
 
     p = sub.add_parser("wavepacket", help="wave-packet operations")
     wsub = p.add_subparsers(dest="wp_command", required=True)
     pd = wsub.add_parser("decompose", help="split a field into packets")
-    pd.add_argument("--R", type=float, required=True)
+    pd.add_argument("--R", type=_scale, required=True)
     pd.add_argument("--in", dest="infile", required=True)
     pd.add_argument("--out-dir", dest="out_dir", required=True)
     pd.set_defaults(fn=_cmd_wavepacket)

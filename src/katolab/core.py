@@ -323,16 +323,12 @@ def make_field(grid: Grid, recipe) -> Field:
 def _write_samples(path: str, magic: bytes, g: Grid, extra: bytes,
                    samples: np.ndarray) -> None:
     """Header (magic, version, grid, then `extra`) and interleaved samples."""
-    flat = samples.reshape(-1)
-    inter = np.empty(flat.size * 2, dtype="<f8")
-    inter[0::2] = flat.real
-    inter[1::2] = flat.imag
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<I", KSLF_VERSION))
         fh.write(struct.pack("<ddd", float(g.n), float(g.N), g.L))
         fh.write(extra)
-        fh.write(inter.tobytes())
+        fh.write(np.ascontiguousarray(samples, dtype="<c16").tobytes())
 
 
 def write_field(f: Field, path: str) -> None:
@@ -364,8 +360,7 @@ def _read_samples(raw: bytes, offset: int, shape: tuple) -> np.ndarray:
     need = offset + 16 * math.prod(shape)
     if len(raw) != need:
         raise FieldFormatError(f"expected {need} bytes, found {len(raw)}", min(len(raw), need))
-    inter = np.frombuffer(raw, dtype="<f8", offset=offset)
-    return (inter[0::2] + 1j * inter[1::2]).reshape(shape)
+    return np.frombuffer(raw, dtype="<c16", offset=offset).reshape(shape)
 
 
 def read_field(path: str) -> Field:

@@ -66,16 +66,13 @@ class ExperimentConfig:
     def validate(self):
         if self.kind not in KIND_CHOICES:
             raise ConfigError("kind", f"unknown kind {self.kind!r}")
-        if self.kind in ("scaling", "transfer", "maximal"):
-            if len(self.R_list) < 3:
-                raise ConfigError("R", "need at least 3 scales for a fit")
-            if any(x < 1 for x in self.R_list):
-                raise ConfigError("R", "scales must be >= 1")
-        if self.kind == "tube-incidence":
-            if self.symbol.n != 1:
-                raise ConfigError("symbol", "tube incidence is implemented for n = 1")
-            if any(H < 1 for H in self.H_list):
-                raise ConfigError("H", "scales must be >= 1")
+        for key, scales in (("R", self.R_list), ("H", self.H_list)):
+            if not all(1 <= x < math.inf for x in scales):
+                raise ConfigError(key, f"scales must be finite and >= 1, got {scales}")
+        if self.kind in ("scaling", "transfer", "maximal") and len(self.R_list) < 3:
+            raise ConfigError("R", "need at least 3 scales for a fit")
+        if self.kind == "tube-incidence" and self.symbol.n != 1:
+            raise ConfigError("symbol", "tube incidence is implemented for n = 1")
         if self.kind == "transfer" and not self.r_tilde > self.r:
             raise ConfigError("r_tilde", f"must exceed r = {self.r}")
         if self.expect not in ("match", "residual"):
@@ -148,8 +145,6 @@ def parse_config(text: str) -> ExperimentConfig:
                 vals = tuple(float(x) for x in v.split(","))
             except ValueError as exc:
                 raise ConfigError(k, f"expected comma-separated numbers: {exc}") from exc
-            if any(math.isnan(x) for x in vals):
-                raise ConfigError(k, f"expected comma-separated numbers, got {v!r}")
             setattr(cfg, lists[k], vals)
         elif k in renames or hasattr(cfg, k):
             name = renames.get(k, k)

@@ -4,7 +4,8 @@ Inner and outer integrals use the rectangle rule on the sampled lattice;
 an infinite exponent is the max over samples. Ball membership is decided
 by the cell-center test with an open ball, which makes the discrete
 measure of a ball exact whenever its radius is a multiple of the grid
-spacing (cell-centered grids).
+spacing (cell-centered grids). _nesting names the norm's two reductions
+and _reduce_grad differentiates one, so its gradient is their chain rule.
 """
 
 from __future__ import annotations
@@ -57,6 +58,30 @@ def _reduce(values: np.ndarray, p: float, weight: float, axis: int) -> np.ndarra
     return (weight * np.sum(values**p, axis=axis)) ** (1.0 / p)
 
 
+def _reduce_grad(values: np.ndarray, p: float, weight: float, axis: int,
+                 reduced) -> np.ndarray:
+    """d _reduce / d values, given reduced, its result: weight v^(p-1) reduced^(1-p),
+    0 where reduced is 0; at p = inf the indicator of the first maximum along axis."""
+    if p == INF:
+        d = np.zeros(values.shape)
+        np.put_along_axis(d, values.argmax(axis=axis, keepdims=True), 1.0, axis=axis)
+        return d
+    red = np.expand_dims(reduced, axis)
+    scale = np.where(red > 0, weight * np.where(red > 0, red, 1.0) ** (1 - p), 0.0)
+    return values ** (p - 1) * scale
+
+
+def _nesting(spec, u) -> tuple:
+    """((p, weight, axis) of the inner reduction, (p, weight) of the outer) of a
+    (time, cell) slab of u: xt reduces over t (axis 0) first, tx over x (axis 1)."""
+    g = u.grid
+    wx = g.dx**g.n
+    wt = u.dt if len(u.times) > 1 else 1.0
+    if spec.order == "xt":
+        return (spec.r, wt, 0), (spec.q, wx)
+    return (spec.q, wx, 1), (spec.r, wt)
+
+
 def mixed_norm(u: SpacetimeField, spec: MixedNormSpec) -> float:
     smask = _spatial_mask(u, spec.ball)
     tmask = _time_mask(u, spec.window)
@@ -64,16 +89,10 @@ def mixed_norm(u: SpacetimeField, spec: MixedNormSpec) -> float:
         raise ValueError("spatial region contains no grid cells")
     if not tmask.any():
         raise ValueError("time window contains no samples")
-    g = u.grid
     # slab of |u| over selected times x selected cells, shape (S_sel, X_sel)
     slab = np.abs(u.slices)[tmask][:, smask]
-    wx = g.dx**g.n
-    wt = u.dt if len(u.times) > 1 else 1.0
-    if spec.order == "xt":
-        inner = _reduce(slab, spec.r, wt, axis=0)  # per cell over t
-        return float(_reduce(inner, spec.q, wx, axis=0))
-    inner = _reduce(slab, spec.q, wx, axis=1)  # per time over x
-    return float(_reduce(inner, spec.r, wt, axis=0))
+    (p_in, w_in, axis), (p_out, w_out) = _nesting(spec, u)
+    return float(_reduce(_reduce(slab, p_in, w_in, axis), p_out, w_out, axis=0))
 
 
 def maximal_norm(u: SpacetimeField, q: float, ball=None, window=None) -> float:

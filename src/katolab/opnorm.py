@@ -72,7 +72,8 @@ import numpy as np
 
 from . import symbols as sym_mod
 from .core import Grid, SpacetimeField, check_uniform_times
-from .norms import INF, MixedNormSpec, _reduce, mixed_norm, refinement_delta
+from .norms import (INF, MixedNormSpec, _nesting, _reduce, _reduce_grad, mixed_norm,
+                    refinement_delta)
 from .propagator import canonical_bump
 from .symbols import SymbolSpec
 
@@ -547,13 +548,6 @@ def _l2_of_spectrum(modes: ModeGrid, c: np.ndarray) -> float:
     return math.sqrt(modes.dxi / TWO_PI * float(np.sum(np.abs(c) ** 2)))
 
 
-def _first_max(a: np.ndarray, axis: int) -> np.ndarray:
-    """Mask of the first maximum of a along axis."""
-    mask = np.zeros(a.shape, dtype=bool)
-    np.put_along_axis(mask, a.argmax(axis=axis, keepdims=True), True, axis=axis)
-    return mask
-
-
 def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid,
                        c: np.ndarray, val: float, u: SpacetimeField | SupRecord,
                        tables: tuple) -> np.ndarray:
@@ -563,51 +557,28 @@ def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid,
     _time_phases(spec, u.times, modes.phi_vals) (only finite r reads them).
     With W = d val / d conj(u), the chain rule back to the spectrum is
     g_k = amp_k sum_s e^{-i t_s phi_k} sum_b e^{-i x_b xi_k} W[s, b].
-    At finite r the inner exponent runs over t (order xt) or over x (order
-    tx) and the outer one over the other axis; the sum over s runs the
-    evaluation's blocks backwards, as the conjugate of a sum on the forward
-    tables. At r = inf W has one nonzero per cell, at the peak sample of
-    the SupRecord u; for order tx that is the one time where the profile
-    ||u(t, .)||_q peaks. A sup over x
-    (q = inf) takes its subgradient on its first maximal cell: the cell with
-    the largest inner norm for order xt, each sample's largest cell for
-    order tx (at r = inf, the largest cell at the peak sample).
+    W is the chain rule through the norm's own reductions (norms._nesting
+    and norms._reduce_grad, a sup taking its first maximum); at r = inf
+    only the reduction over the cells of the SupRecord's peaks is left.
+    At finite r the sum over s runs the evaluation's blocks backwards, as
+    the conjugate of a sum on the forward tables.
     """
-    q, r = spec.q, spec.r
     amp = modes.amp * modes.dxi
-    wx = u.grid.dx
     ph_x = np.exp(-1j * np.outer(modes.xi, u.grid.x_axis()))  # (M, B)
-    if r == INF:
+    if spec.r == INF:
         Mb = np.abs(u.peak)
-        safe = np.where(Mb > 0, Mb, 1.0)
-        if q == INF:
-            w = np.where(_first_max(Mb, axis=0), 0.5 * u.peak / safe, 0.0)
-        else:
-            w = 0.5 * val ** (1 - q) * wx * safe ** (q - 1) * u.peak / safe
+        w = (0.5 * _reduce_grad(Mb, spec.q, u.grid.dx, 0, val)
+             * u.peak / np.where(Mb > 0, Mb, 1.0))
         ph_t = np.exp(-1j * np.outer(modes.phi_vals, u.times[u.index]))  # (M, B)
         g = amp * np.sum(ph_t * ph_x * w, axis=1)
     else:
         slab = u.slices
         absu = np.abs(slab)
-        wt = u.dt if len(u.times) > 1 else 1.0
-        safe = np.where(absu > 0, absu, 1.0)
-        if q == INF and spec.order == "xt":
-            # outer sup over x: the cell with the largest L^r_t norm
-            G = wt * np.sum(absu**r, axis=0, keepdims=True)
-            scale = 0.5 * wt * np.where(G > 0, G, 1.0) ** (1.0 / r - 1.0)
-            W = np.where(_first_max(G, axis=1), scale * safe ** (r - 2) * slab, 0.0)
-        elif q == INF:
-            # inner sup over x: per sample, its largest cell
-            n = absu.max(axis=1, keepdims=True)
-            W = np.where(_first_max(absu, axis=1),
-                         0.5 * val ** (1 - r) * wt * n ** (r - 1) * slab / safe, 0.0)
-        else:
-            p_in, p_out, axis, w_in = (r, q, 0, wt) if spec.order == "xt" else (q, r, 1, wx)
-            G = w_in * np.sum(absu**p_in, axis=axis, keepdims=True)
-            W = (0.5 * val ** (1 - p_out) * wx * wt
-                 * np.where(G > 0, G, 1.0) ** (p_out / p_in - 1.0)
-                 * safe ** (p_in - 2) * slab)
-            W[np.broadcast_to(G <= 0, W.shape)] = 0.0
+        (p_in, w_in, axis), (p_out, w_out) = _nesting(spec, u)
+        inner = _reduce(absu, p_in, w_in, axis)
+        W = (0.5 * np.expand_dims(_reduce_grad(inner, p_out, w_out, 0, val), axis)
+             * _reduce_grad(absu, p_in, w_in, axis, inner)
+             * slab / np.where(absu > 0, absu, 1.0))
         # conj(Z)[k, b] = sum_s e^{i t_s phi_k} conj(W[s, b]), one matmul
         # per block on the forward tables
         base, lead, _ = tables

@@ -57,8 +57,12 @@ def _unit_bump(y: np.ndarray, support: float, kappa: float) -> np.ndarray:
 
 
 def _axis_partition_profile(y: np.ndarray, support: float, kappa: float) -> np.ndarray:
-    """sqrt(b(y)/sum_j b(y-j)): square partition of unity on the unit lattice."""
+    """sqrt(b(y)/sum_j b(y-j)): square partition of unity on the unit lattice,
+    evaluated only inside the support |y| < support."""
     y = np.asarray(y, dtype=float)
+    out = np.zeros_like(y)
+    inside = np.abs(y) < support
+    y = y[inside]
     num = _unit_bump(y, support, kappa)
     # the normalizer is 1-periodic, so evaluate it at the fractional part
     yfrac = y - np.round(y)
@@ -66,7 +70,8 @@ def _axis_partition_profile(y: np.ndarray, support: float, kappa: float) -> np.n
     reach = int(math.ceil(support)) + 1
     for j in range(-reach, reach + 1):
         den += _unit_bump(yfrac - j, support, kappa)
-    return np.sqrt(num / den)
+    out[inside] = np.sqrt(num / den)
+    return out
 
 
 SPATIAL_SUPPORT = 1.5  # per-axis, in units of R
@@ -94,7 +99,7 @@ class PartitionPair:
 
 def build_partitions(R: float, grid: Grid) -> PartitionPair:
     """Tabulate the window pair, checking the grid resolves both scales."""
-    if R < 1:
+    if not R >= 1:
         raise ValueError(f"packet scale R={R} must be >= 1")
     needed = []
     if grid.dx > R / 8:

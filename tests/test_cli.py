@@ -155,6 +155,12 @@ def test_run_cli(tmp_path, capsys):
     ("opnorm", "--window", "global:0"),
     ("opnorm", "--window", "global:inf"),
     ("opnorm", "--window", "local:2"),
+    ("opnorm", "--seed", "-1"),
+    ("opnorm", "--seed", "1.5"),
+    ("wavepacket decompose", "--R", "nan"),
+    ("wavepacket decompose", "--R", "0.5"),
+    ("wavepacket decompose", "--R", "inf"),
+    ("wavepacket decompose", "--R", "8,16"),
 ])
 def test_bad_flags_exit_through_argparse(tmp_path, capsys, command, flag, value):
     out = tmp_path / "out"
@@ -162,10 +168,12 @@ def test_bad_flags_exit_through_argparse(tmp_path, capsys, command, flag, value)
             "propagate": {"--symbol": "power:m=2,n=1", "--t0": "0", "--t1": "1",
                           "--steps": "8", "--in": str(tmp_path / "f.kslf"), "--out": str(out)},
             "norm": {"--q": "2", "--r": "2", "--in": str(tmp_path / "u.kslt")},
-            "opnorm": {"--symbol": "power:m=2,n=1", "--alpha": "0.5", "--R": "8"}}[command]
+            "opnorm": {"--symbol": "power:m=2,n=1", "--alpha": "0.5", "--R": "8"},
+            "wavepacket decompose": {"--R": "8", "--in": str(tmp_path / "f.kslf"),
+                                     "--out-dir": str(out)}}[command]
     args[flag] = value
     with pytest.raises(SystemExit) as exc:
-        cli.main([command] + [x for kv in args.items() for x in kv])
+        cli.main(command.split() + [x for kv in args.items() for x in kv])
     assert exc.value.code == 2
     assert f"argument {flag}: " in capsys.readouterr().err
     assert not out.exists()

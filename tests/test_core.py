@@ -151,6 +151,21 @@ def test_spacetime_file_roundtrip_bit_exact(tmp_path):
     assert p.read_bytes() == p2.read_bytes()
 
 
+def test_files_keep_signed_zeros_and_non_finite_parts(tmp_path):
+    # every sample comes back with the bits it was written with
+    g = Grid(1, 8, 4.0)
+    special = np.array([complex(-0.0, 1.0), complex(1.0, math.inf), complex(-math.inf, -0.0),
+                        complex(math.nan, 2.0), complex(0.0, -0.0), complex(3.0, math.nan),
+                        complex(-0.0, -0.0), complex(math.inf, math.inf)])
+    p = tmp_path / "s.kslf"
+    write_field(Field(g, special), str(p))
+    assert read_field(str(p)).values.tobytes() == special.astype("<c16").tobytes()
+    slab = np.stack([special, special[::-1]])
+    p = tmp_path / "s.kslt"
+    write_spacetime(SpacetimeField(g, np.array([0.0, 1.0]), slab), str(p))
+    assert read_spacetime(str(p)).slices.tobytes() == slab.astype("<c16").tobytes()
+
+
 def test_field_file_errors(tmp_path):
     p = tmp_path / "bad.kslf"
     p.write_bytes(b"NOPE" + b"\x00" * 40)

@@ -61,6 +61,11 @@ def test_parse_config_errors_name_fields():
                         ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nN = true", "N"),
                         ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nL = NaN", "L"),
                         ("kind = scaling\nsymbol = power:m=2,n=1\nR = 8,nan,32", "R"),
+                        ("kind = maximal\nsymbol = power:m=2,n=1\nR = 8,16,inf", "R"),
+                        ("kind = tube-incidence\nsymbol = power:m=2,n=1\nH = 16,32,inf",
+                         "H"),
+                        ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nR = 0.5", "R"),
+                        ("kind = sparse-audit\nsymbol = power:m=2,n=1\nH = 0.5", "H"),
                         ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nfields = inf",
                          "fields"),
                         ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nfields = 2.5",

@@ -163,3 +163,33 @@ def test_empty_region_errors():
         N.MixedNormSpec(q=0.5, r=2)
     with pytest.raises(ValueError):
         N.MixedNormSpec(q=2, r=2, order="sideways")
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+def test_reduce_grad_matches_central_differences(p, axis):
+    rng = np.random.default_rng(3)
+    v = rng.uniform(0.5, 2.0, (5, 6))
+    v[3] = 0.0  # an all-zero line along axis 1
+    v[:, 2] = 0.0  # and one along axis 0
+    w, h = 0.3, 1e-6
+    red = N._reduce(v, p, w, axis)
+    d = N._reduce_grad(v, p, w, axis, red)
+    live = np.broadcast_to(np.expand_dims(red, axis) > 0, v.shape)
+    assert not live.all() and np.all(d[~live] == 0.0)
+    for i, j in zip(*np.nonzero(live)):
+        e = np.zeros_like(v)
+        e[i, j] = h
+        fd = (N._reduce(v + e, p, w, axis) - N._reduce(v - e, p, w, axis)) / (2 * h)
+        k = j if axis == 0 else i
+        assert fd[k] == pytest.approx(d[i, j], abs=1e-8)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_reduce_grad_at_inf_marks_the_first_maximum(axis):
+    v = np.array([[1.0, 3.0, 3.0, 2.0], [5.0, 5.0, 0.0, 5.0], [0.0, 0.0, 0.0, 0.0]])
+    want = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]], dtype=float)
+    if axis == 0:
+        v, want = v.T, want.T
+    d = N._reduce_grad(v, INF, 0.3, axis, N._reduce(v, INF, 0.3, axis))
+    assert np.array_equal(d, want)

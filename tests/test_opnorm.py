@@ -358,8 +358,10 @@ def test_quotient_gradient_matches_dense_chain_rule(r, window):
 @pytest.mark.parametrize("r", [INF, 4.0])
 def test_quotient_gradient_matches_finite_differences(r, order):
     # central differences of the quotient along directions inside the
-    # spectrum's support; both nesting orders
-    _check_gradient_by_finite_differences(*_chirp_case(r, "local", order))
+    # spectrum's support; both nesting orders, and at q = 4 an inner
+    # exponent other than 2 for order tx
+    for q in (2.0, 4.0):
+        _check_gradient_by_finite_differences(*_chirp_case(r, "local", order, q=q))
 
 
 @pytest.mark.parametrize("order", ["xt", "tx"])

@@ -43,6 +43,8 @@ def test_unresolvable_scales_error():
         W.build_partitions(5.0, Grid(1, 512, 64.0))  # 5 does not divide 64
     with pytest.raises(ValueError):
         W.build_partitions(0.5, Grid(1, 512, 64.0))
+    with pytest.raises(ValueError, match="packet scale"):
+        W.build_partitions(math.nan, Grid(1, 512, 64.0))
 
 
 def test_reconstruction_and_energy(dec8, grid):
