@@ -75,6 +75,12 @@ class ExperimentConfig:
             raise ConfigError("symbol", "tube incidence is implemented for n = 1")
         if self.kind == "transfer" and not self.r_tilde > self.r:
             raise ConfigError("r_tilde", f"must exceed r = {self.r}")
+        if self.kind in ("scaling", "transfer"):
+            # both take L2 operator norms (transfer on its local side)
+            for key in ("q", "r"):
+                if getattr(self, key) != 2:
+                    raise ConfigError(key, f"kind {self.kind} needs q = r = 2, "
+                                           f"got {getattr(self, key)}")
         if self.expect not in ("match", "residual"):
             raise ConfigError("expect", "must be 'match' or 'residual'")
         for name in ("fields", "trials", "subcollections", "K"):
@@ -331,6 +337,12 @@ def _run_scaling(cfg: ExperimentConfig, report: Report):
                          f"lanczos <= eig, gap <= {opnorm.LANCZOS_TOL:g}")
 
 
+def _measure_diagnostics(report: Report, R: float, res: opnorm.LowerBoundResult):
+    """The sampling and window deltas that go with a lower bound at scale R."""
+    for name in ("refinement_delta", "window_delta", "tail_fraction"):
+        report.measure(f"{name}_R{R:g}", getattr(res, name), "lower_bound_mixed")
+
+
 def _run_maximal(cfg: ExperimentConfig, report: Report):
     samples = []
     for R in cfg.R_list:
@@ -341,8 +353,7 @@ def _run_maximal(cfg: ExperimentConfig, report: Report):
                                        restarts=cfg.restarts)
         samples.append((R, res.value))
         report.measure(f"maximal_R{R:g}", res.value, "lower_bound_mixed")
-        report.measure(f"refinement_delta_R{R:g}", res.refinement_delta,
-                       "lower_bound_mixed")
+        _measure_diagnostics(report, R, res)
         report.measure(f"candidate_R{R:g}", res.candidate, "lower_bound_mixed")
     predicted = opnorm.predicted_exponent(cfg.symbol.n, cfg.symbol.m, cfg.q,
                                           math.inf, cfg.alpha)
@@ -369,8 +380,7 @@ def _run_transfer(cfg: ExperimentConfig, report: Report):
                                        restarts=cfg.restarts)
         glob.append((R, res.value))
         report.measure(f"global_R{R:g}", res.value, "lower_bound_mixed")
-        report.measure(f"tail_fraction_R{R:g}", res.tail_fraction,
-                       "lower_bound_mixed")
+        _measure_diagnostics(report, R, res)
     f_loc = opnorm.fit_exponent(loc)
     f_glob = opnorm.fit_exponent(glob)
     delta_inf, alpha_sup = opnorm.transfer_exponent(cfg.symbol.n, cfg.r,

@@ -29,9 +29,11 @@ fft(g, N)[-k mod N], and two inverse transforms, one of them shared by the
 two terms with row factor 1/rho^2. The R = 64 cases stay interactive.
 
 Mixed-norm cases (q, r) != (2, 2), including the maximal r = inf, are
-handled by lower_bound_mixed: a bank of five focusing chirps plus
-projected gradient ascent on the Rayleigh quotient. Those values are lower
-bounds by construction and are reported as such.
+handled by lower_bound_mixed: a bank of five chirps focusing at the
+window's centre plus projected gradient ascent on the Rayleigh quotient.
+The ascent runs on one time grid, the bank winner's transit window around
+that focus. Those values are lower bounds by construction and are
+reported as such.
 
 Their cost is the evolution slab u(t_s, x_b) = sum_k a_k e^{i t_s phi_k}
 e^{i x_b xi_k} over S time samples and M modes. The time samples must be
@@ -42,8 +44,8 @@ exponentials instead of S M, and each block of the slab is one matmul
 whose per-block scaling falls on the small M x nx spatial factor. The
 gradient at finite r runs the same blocks backwards: it accumulates the
 conjugate of its time sum from the forward tables, so it needs no table
-of its own. Within one ascent restart the times are fixed, so the restart
-builds its tables once over all modes (_time_phases); each evaluation
+of its own. Every ascent restart runs on the bank winner's times, so one
+call builds its tables once over all modes (_time_phases); each evaluation
 takes the columns of its live modes (a view when they are contiguous) and
 each gradient the whole tables. Every element is the exponential of the
 same argument as in a table built for one call, so the values are
@@ -377,9 +379,7 @@ def _candidate_bank(spec: SmoothingOperatorSpec, modes: ModeGrid) -> list:
     profiles of width R^{-1/2} and 2 R^{-1/2} at 0.9 and 1.3, cut at three
     widths, and a broadband one."""
     xi = modes.xi
-    a, b = spec.time_window()
-    t_focus = 0.0 if spec.window == "global" else (a + b) / 2.0
-    chirp = np.exp(-1j * t_focus * modes.phi_vals)
+    chirp = np.exp(-1j * _focus_time(spec) * modes.phi_vals)
     bank = []
     root = 1.0 / math.sqrt(spec.R)
     for width, tag in ((root, "chirp-root"), (2.0 * root, "chirp-wide")):
@@ -391,34 +391,33 @@ def _candidate_bank(spec: SmoothingOperatorSpec, modes: ModeGrid) -> list:
     return bank
 
 
+def _focus_time(spec: SmoothingOperatorSpec) -> float:
+    """Where the bank's chirps focus: the window's centre (0 on global)."""
+    a, b = spec.time_window()
+    return (a + b) / 2.0
+
+
 def _transit_times(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
                    margin_factor: float = 1.0) -> np.ndarray:
     """Time samples covering every live mode's passage through the ball.
 
-    A mode chirped to focus at t0 transits the ball around t0 within
-    +- (ball + envelope width)/speed; sampling is tied to the envelope
-    timescale rather than the carrier phase. Capped at 20000 samples.
+    A mode chirped to focus at the window's focus t0 transits the ball
+    around t0 within +- (ball + envelope width)/speed, clipped to the
+    window; sampling is tied to the envelope timescale rather than the
+    carrier phase. Capped at 20000 samples.
     """
     a, b = spec.time_window()
+    t0 = _focus_time(spec)
     live = np.abs(c) > 1e-9 * np.max(np.abs(c))
     xi_live = modes.xi[live]
     width = max(float(np.ptp(xi_live)), modes.dxi)
     grad = sym_mod.gradient(spec.sym, [xi_live])[0]
-    # recover the focus time from the chirp's phase curvature (if any)
-    t0 = 0.0
-    if np.sum(live) > 3:
-        dphi = np.gradient(np.unwrap(np.angle(c[live])), xi_live)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            est = -dphi / np.where(np.abs(grad) > 1e-12, grad, 1.0)
-        t0 = float(np.median(est))
     v_min = max(float(np.min(np.abs(grad))), 1e-6)
     # a packet of bandwidth `width` focused at t0 re-disperses linearly in
     # |t - t0|; solving transit-overlap with that growth gives the 3.5x factor
     margin = margin_factor * 3.5 * (2.0 * spec.R + 1.0 / width) / v_min
     lo = max(a, t0 - margin)
     hi = min(b, t0 + margin)
-    if hi <= lo:
-        lo, hi = a, min(b, a + 2 * margin)
     # envelope timescale: transit of the focused width at the slowest speed
     dt = max((1.0 / width) / v_min / 8.0, (hi - lo) / 20000)
     steps = max(int(math.ceil((hi - lo) / dt)), 8)
@@ -602,48 +601,46 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
     with step halving on non-improvement. The result is a LOWER bound only;
     stagnation is recorded, never raised. `candidate` names the bank
     winner, refined only when its cost is within ASCENT_BUDGET; seed drives
-    the ascent's restarts. The winner's (times, value, evaluation) start
-    the first restart, and the best point keeps its own, from which the
-    diagnostics are read: refinement_delta (the value with every second
-    time sample dropped), window_delta (the transit window doubled) and
+    the ascent's restarts. Every restart runs on the winner's transit times,
+    over one set of time tables built once per call; the winner's (value,
+    evaluation) start the first restart, and a gradient is computed only at
+    a new point: after a rejected step the last one is kept. The best point
+    is evaluated again on its transit window doubled; the higher of the two
+    evaluations is reported, and the diagnostics are read from it:
+    refinement_delta (the value with every second time sample dropped),
     tail_fraction (the share of sum_x |u|^2 in the last tenth of the
-    samples). At r = inf the first is read from the even-sample peaks of
-    the search and the last from its coarse samples.
-    Each restart builds one set of time tables for its fixed times, and a
-    gradient is computed only at a new point: after a rejected step the
-    last one is kept.
+    samples) and window_delta (the relative difference of the two). At
+    r = inf the first is read from the even-sample peaks of the search and
+    the second from its coarse samples.
     """
     modes = mode_grid(spec)
     evals, best_val = 0, 0.0
     for name, c in _candidate_bank(spec, modes):
-        times = _transit_times(spec, modes, c)
-        raw, u = _eval_mixed(spec, modes, c, times)
+        raw, u = _eval_mixed(spec, modes, c, _transit_times(spec, modes, c))
         val = raw / _l2_of_spectrum(modes, c)
         evals += 1
         if val > best_val:
-            best_val, best_name, best = val, name, (c, times, raw, u)
-    best_c, best_times = best[:2]
+            best_val, best_name, best = val, name, (c, raw, u)
+    best_c, times = best[0], best[2].times
 
     # gradient ascent refinement of the winner, when it is cheap enough to
     # differentiate repeatedly; the ascent stays inside the winner's
     # frequency neighborhood so the transit window (and the cost) remain
     # those of the winner
     support = np.abs(best_c) > 1e-9 * np.max(np.abs(best_c))
-    affordable = len(best_times) * (2 * spec.R / 0.7) * np.sum(support) <= ASCENT_BUDGET
+    affordable = len(times) * (2 * spec.R / 0.7) * np.sum(support) <= ASCENT_BUDGET
     reach = max(3, int(0.02 / modes.dxi))
     support = np.convolve(support.astype(float), np.ones(2 * reach + 1),
                           mode="same") > 0
     rng = np.random.default_rng(seed + 1)
     top_val, top = best_val, best
+    # every restart runs on the winner's times: one set of tables over all modes
+    tables = _time_phases(spec, times, modes.phi_vals) if affordable and restarts else None
     for restart in range(restarts if affordable else 0):
-        c, times, raw, u = best
+        c, raw, u = best
         if restart > 0:
             c = best_c * (1.0 + 0.2 * (rng.standard_normal(len(best_c))
                                        + 1j * rng.standard_normal(len(best_c))))
-            times = _transit_times(spec, modes, c)
-        # times are fixed within a restart: one set of tables over all modes
-        tables = _time_phases(spec, times, modes.phi_vals)
-        if restart > 0:
             raw, u = _eval_mixed(spec, modes, c, times, tables)
             evals += 1
         cur = raw / _l2_of_spectrum(modes, c)
@@ -667,28 +664,29 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
                 if step < 1e-4:
                     break
         if cur > top_val:
-            top_val, top = cur, (c, times, raw, u)
-        del tables  # one set at a time, and none in the diagnostics
+            top_val, top = cur, (c, raw, u)
+    del tables  # none in the diagnostics
 
-    # report sampling and windowing sensitivity of the reported point
-    top_c, _, v_full, u = top
+    # report the higher of the two windows, with its sampling sensitivity
+    top_c, v_top, u = top
+    wide = _transit_times(spec, modes, top_c, margin_factor=2.0)
+    v_wide, u_wide = _eval_mixed(spec, modes, top_c, wide)
+    window_delta = abs(v_wide - v_top) / max(v_top, 1e-300)
+    v_full, u = (v_wide, u_wide) if v_wide > v_top else (v_top, u)
     if spec.r == INF:
         # every coarse sample has an even index, so the even-sample peaks
         # are the search at half the time resolution
-        half = _reduce(u.even_peak, spec.q, u.grid.dx, axis=0)
+        half = float(_reduce(u.even_peak, spec.q, u.grid.dx, axis=0))
         ref_delta = abs(v_full - half) / max(v_full, 1e-300) if len(u.times) >= 4 else 0.0
         per_t = u.coarse_energy
     else:
         ref_delta = refinement_delta(u, MixedNormSpec(q=spec.q, r=spec.r, order=spec.order))
         per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
-    wide = _transit_times(spec, modes, top_c, margin_factor=2.0)
-    v_wide, _ = _eval_mixed(spec, modes, top_c, wide)
-    window_delta = abs(v_wide - v_full) / max(v_full, 1e-300)
     # share of the time-profile mass in the last tenth of the window
     k = max(1, len(per_t) // 10)
     tail_fraction = float(np.sum(per_t[-k:]) / max(np.sum(per_t), 1e-300))
     nf = _l2_of_spectrum(modes, top_c)
-    return LowerBoundResult(value=max(top_val, v_wide / nf), candidate=best_name,
+    return LowerBoundResult(value=v_full / nf, candidate=best_name,
                             ascent_gain=(top_val - best_val) / max(best_val, 1e-300),
                             refinement_delta=ref_delta,
                             window_delta=window_delta,

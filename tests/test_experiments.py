@@ -90,7 +90,9 @@ def test_parse_config_errors_name_fields():
                         ("kind = scaling\nsymbol = power:m=2,n=1\ncross_check = maybe",
                          "cross_check"),
                         ("kind = scaling\nsymbol = power:m=2,n=1\ncross_check = 1",
-                         "cross_check")]:
+                         "cross_check"),
+                        ("kind = scaling\nsymbol = power:m=2,n=1\nq = 4", "q"),
+                        ("kind = transfer\nsymbol = power:m=2,n=1\nr = 3", "r")]:
         with pytest.raises(E.ConfigError) as exc:
             E.parse_config(text)
         assert exc.value.field_name == field, text
@@ -165,6 +167,24 @@ def test_report_schema_and_reproducibility(tmp_path):
     assert {"report.json", "measurements.csv", "scaling.dat"} <= files
     loaded = json.loads((tmp_path / "runs" / "report.json").read_text())
     assert E.validate_report(loaded) == []
+
+
+def test_maximal_run_reports_every_diagnostic_as_a_number(tmp_path):
+    # every row of measurements.csv parses with float(), and each scale
+    # carries its value, three diagnostics and candidate
+    cfg = E.parse_config("kind = maximal\nsymbol = power:m=2,n=1\nalpha = -0.25\n"
+                         "q = 2\nR = 2,4,8\nascent_steps = 2\nseed = 6")
+    cfg.out_dir = str(tmp_path)
+    rep = E.run(cfg)
+    names = [m["name"] for m in rep.measurements]
+    assert names == [f"{key}_R{R}" for R in (2, 4, 8)
+                     for key in ("maximal", "refinement_delta", "window_delta",
+                                 "tail_fraction", "candidate")]
+    rows = (tmp_path / "measurements.csv").read_text().splitlines()
+    assert rows[0] == "name,value,operation" and len(rows) == 1 + 4 * 3
+    for row in rows[1:]:
+        name, value, operation = row.split(",")
+        assert math.isfinite(float(value)) and operation == "lower_bound_mixed", row
 
 
 def test_invalid_report_detected():
