@@ -30,10 +30,10 @@ two terms with row factor 1/rho^2. The R = 64 cases stay interactive.
 
 Mixed-norm cases (q, r) != (2, 2), including the maximal r = inf, are
 handled by lower_bound_mixed: a bank of five chirps focusing at the
-window's centre plus projected gradient ascent on the Rayleigh quotient.
-The ascent runs on one time grid, the bank winner's transit window around
-that focus. Those values are lower bounds by construction and are
-reported as such.
+window's centre plus gradient ascent on the Rayleigh quotient. The bank
+and the ascent run on one time grid, the transit window of the whole mode
+grid around that focus. Those values are lower bounds by construction and
+are reported as such.
 
 Their cost is the evolution slab u(t_s, x_b) = sum_k a_k e^{i t_s phi_k}
 e^{i x_b xi_k} over S time samples and M modes. The time samples must be
@@ -44,19 +44,19 @@ exponentials instead of S M, and each block of the slab is one matmul
 whose per-block scaling falls on the small M x nx spatial factor. The
 gradient at finite r runs the same blocks backwards: it accumulates the
 conjugate of its time sum from the forward tables, so it needs no table
-of its own. Every ascent restart runs on the bank winner's times, so one
-call builds its tables once over all modes (_time_phases); each evaluation
-takes the columns of its live modes (a view when they are contiguous) and
-each gradient the whole tables. Every element is the exponential of the
-same argument as in a table built for one call, so the values are
-bit-identical.
+of its own. The bank and every ascent restart run on the same times, so
+one call builds its tables once over all modes (_time_phases); each
+evaluation takes the columns of its live modes (a view when they are
+contiguous) and each gradient the whole tables.
 
 At r = inf only the sup in time survives, so the full slab is never built.
 The search is coarse to fine: the slab on every SUP_STRIDE-th sample (the
 same block factorisation, at stride SUP_STRIDE dt), then the 2 SUP_STRIDE - 1
-samples around the two highest coarse samples of each column, clipped to
-the sampled times. A column is a cell for order xt and the shared profile
-||u(t, .)||_q for order tx. A fine window is one matmul of a
+samples around the two highest coarse samples of each column and around
+the last coarse sample, clipped to the sampled times. A column is a cell
+for order xt and the shared profile ||u(t, .)||_q for order tx. The last
+coarse sample's window holds the samples after it, which no other window
+reaches. A fine window is one matmul of a
 (2 SUP_STRIDE - 1) x M offset table e^{i o dt phi} with the lead rows of
 its coarse samples, which are products of coarse factor rows already
 built. A sup over a subset of the samples is still a lower bound. What
@@ -97,8 +97,8 @@ LANCZOS_STEPS = 200
 # Mixed-norm lower bounds: time samples per phase block, the coarse time
 # stride of the r = inf search (even, so every coarse sample has an even
 # index), the default ascent (also the experiment configs' default), and the
-# largest time-samples x eval-points x live-modes cost of a seed the ascent
-# refines.
+# largest time-samples x eval-points x modes cost of a call whose bank
+# winner the ascent refines.
 BLOCK = 128
 SUP_STRIDE = 8
 ASCENT_STEPS = 12
@@ -397,21 +397,20 @@ def _focus_time(spec: SmoothingOperatorSpec) -> float:
     return (a + b) / 2.0
 
 
-def _transit_times(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
+def _transit_times(spec: SmoothingOperatorSpec, modes: ModeGrid,
                    margin_factor: float = 1.0) -> np.ndarray:
-    """Time samples covering every live mode's passage through the ball.
+    """Time samples covering every mode's passage through the ball.
 
     A mode chirped to focus at the window's focus t0 transits the ball
     around t0 within +- (ball + envelope width)/speed, clipped to the
     window; sampling is tied to the envelope timescale rather than the
-    carrier phase. Capped at 20000 samples.
+    carrier phase. The samples depend on the operator alone (its mode
+    grid), so every spectrum of one lower bound shares them.
     """
     a, b = spec.time_window()
     t0 = _focus_time(spec)
-    live = np.abs(c) > 1e-9 * np.max(np.abs(c))
-    xi_live = modes.xi[live]
-    width = max(float(np.ptp(xi_live)), modes.dxi)
-    grad = sym_mod.gradient(spec.sym, [xi_live])[0]
+    width = max(float(np.ptp(modes.xi)), modes.dxi)
+    grad = sym_mod.gradient(spec.sym, [modes.xi])[0]
     v_min = max(float(np.min(np.abs(grad))), 1e-6)
     # a packet of bandwidth `width` focused at t0 re-disperses linearly in
     # |t - t0|; solving transit-overlap with that growth gives the 3.5x factor
@@ -419,7 +418,7 @@ def _transit_times(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
     lo = max(a, t0 - margin)
     hi = min(b, t0 + margin)
     # envelope timescale: transit of the focused width at the slowest speed
-    dt = max((1.0 / width) / v_min / 8.0, (hi - lo) / 20000)
+    dt = (1.0 / width) / v_min / 8.0
     steps = max(int(math.ceil((hi - lo) / dt)), 8)
     return lo + (np.arange(steps) + 0.5) * (hi - lo) / steps
 
@@ -480,12 +479,13 @@ def _eval_mixed(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
     """(mixed norm, evaluation) of the weighted sector evolution of spectrum c.
 
     times must be uniformly spaced (ValueError otherwise). tables are
-    _time_phases(spec, times, modes.phi_vals), built here for the live
-    modes when not given. At finite r the evaluation is the slab u, a
-    SpacetimeField; each block of BLOCK samples is one matmul:
-    base @ (lead[i] * amp * e^{i xi x}). At r = inf it is the SupRecord of
-    the coarse-to-fine search (_sup_in_time), and the value is the sup over
-    the samples that search evaluates.
+    _time_phases(spec, times, modes.phi_vals) over all modes, built here
+    when not given; the evaluation takes the columns of its live modes. At
+    finite r the evaluation is the slab u, a SpacetimeField; each block of
+    BLOCK samples is one matmul: base @ (lead[i] * amp * e^{i xi x}). At
+    r = inf it is the SupRecord of the coarse-to-fine search
+    (_sup_in_time), and the value is the sup over the samples that search
+    evaluates.
     """
     # resolve both the carrier (|xi| <= 2.2) and the envelope
     nx = max(int(math.ceil(2 * spec.R / 0.7)), 32)
@@ -493,15 +493,13 @@ def _eval_mixed(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
     gx = Grid(1, nx, 2 * spec.R)
     amp_c = modes.amp * c * modes.dxi
     live = np.abs(amp_c) > 1e-14 * np.max(np.abs(amp_c))
-    phi = modes.phi_vals[live]
     EA = amp_c[live][:, None] * np.exp(1j * np.outer(modes.xi[live], gx.x_axis()))
     if tables is None:
-        base, lead, offset = _time_phases(spec, times, phi)
-    else:
-        # the live columns, as a view when they are contiguous
-        k = np.flatnonzero(live)
-        cols = slice(k[0], k[-1] + 1) if k[-1] - k[0] + 1 == len(k) else live
-        base, lead, offset = (t[:, cols] for t in tables)
+        tables = _time_phases(spec, times, modes.phi_vals)
+    # the live columns, as a view when they are contiguous
+    k = np.flatnonzero(live)
+    cols = slice(k[0], k[-1] + 1) if k[-1] - k[0] + 1 == len(k) else live
+    base, lead, offset = (t[:, cols] for t in tables)
     if spec.r == INF:
         return _sup_in_time(spec, gx, times, base, lead, offset, EA)
     u = SpacetimeField(gx, times, _slab(base, lead, EA, len(times)))
@@ -514,23 +512,28 @@ def _sup_in_time(spec: SmoothingOperatorSpec, gx: Grid, times: np.ndarray,
     """(r = inf mixed norm, SupRecord) by coarse-to-fine search over times.
 
     The coarse slab on times[::SUP_STRIDE] picks the two highest coarse
-    samples p of each column; the fine window of p is the samples
-    SUP_STRIDE p + o, |o| < SUP_STRIDE, inside times. Their phases are
-    e^{i t_{SUP_STRIDE p} phi} e^{i o dt phi}: the coarse lead row of p
-    times the shared offset table, so each peak rank is one matmul. The
+    samples p of each column, and the last coarse sample joins them: the
+    samples after it lie in no other window. The fine window of p is the
+    samples SUP_STRIDE p + o, |o| < SUP_STRIDE, inside times. Their phases
+    are e^{i t_{SUP_STRIDE p} phi} e^{i o dt phi}: the coarse lead row of p
+    times the shared offset table, so each window rank is one matmul. The
     value is exact whenever each column's peak lies in one of its windows.
     """
     S, stride, q, wx = len(times), SUP_STRIDE, spec.q, gx.dx
     coarse = np.abs(_slab(base, lead, EA, len(range(0, S, stride))))
     cols = np.arange(EA.shape[1])
+    # a window's coarse sample is per column for order xt, and one sample
+    # shared by every column for order tx and for the last coarse sample
     if spec.order == "xt":
-        top = np.argsort(coarse, axis=0)[-2:]
+        top = list(np.argsort(coarse, axis=0)[-2:])
     else:
-        top = np.tile(np.argsort(_reduce(coarse, q, wx, axis=1))[-2:, None], len(cols))
+        top = list(np.argsort(_reduce(coarse, q, wx, axis=1))[-2:])
+    top.append(len(coarse) - 1)
     o = np.arange(1 - stride, stride)
-    fine = np.concatenate([offset @ (lead[p // BLOCK].T * base[p % BLOCK].T * EA)
+    fine = np.concatenate([offset @ (np.atleast_2d(lead[p // BLOCK] * base[p % BLOCK]).T * EA)
                            for p in top])
-    idx = np.concatenate([stride * p + o[:, None] for p in top])
+    idx = np.concatenate([np.broadcast_to(stride * p + o[:, None], (len(o), len(cols)))
+                          for p in top])
     absf = np.abs(fine)
     # per column, what the sup runs over: |u| (xt) or the row's q-norm (tx)
     score = absf if spec.order == "xt" else _reduce(absf, q, wx, axis=1)[:, None]
@@ -600,42 +603,38 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
     Maximum over the candidate bank, refined by normalized gradient ascent
     with step halving on non-improvement. The result is a LOWER bound only;
     stagnation is recorded, never raised. `candidate` names the bank
-    winner, refined only when its cost is within ASCENT_BUDGET; seed drives
-    the ascent's restarts. Every restart runs on the winner's transit times,
-    over one set of time tables built once per call; the winner's (value,
+    winner, refined only when the call's cost (time samples x space cells
+    x modes) is within ASCENT_BUDGET; seed drives the ascent's restarts.
+    The bank and every restart run on the operator's transit times, over
+    one set of time tables built once per call; the winner's (value,
     evaluation) start the first restart, and a gradient is computed only at
     a new point: after a rejected step the last one is kept. The best point
-    is evaluated again on its transit window doubled; the higher of the two
-    evaluations is reported, and the diagnostics are read from it:
-    refinement_delta (the value with every second time sample dropped),
-    tail_fraction (the share of sum_x |u|^2 in the last tenth of the
-    samples) and window_delta (the relative difference of the two). At
-    r = inf the first is read from the even-sample peaks of the search and
-    the second from its coarse samples.
+    is evaluated again on the transit window doubled, unless that is the
+    same window; the higher of the two evaluations is reported, and the
+    diagnostics are read from it: refinement_delta (the value with every
+    second time sample dropped), tail_fraction (the share of sum_x |u|^2 in
+    the last tenth of the samples) and window_delta (the relative
+    difference of the two, 0 when the transit window already spans the
+    operator's window). At r = inf the first is read from the even-sample
+    peaks of the search and the second from its coarse samples.
     """
     modes = mode_grid(spec)
+    times = _transit_times(spec, modes)
+    tables = _time_phases(spec, times, modes.phi_vals)
     evals, best_val = 0, 0.0
     for name, c in _candidate_bank(spec, modes):
-        raw, u = _eval_mixed(spec, modes, c, _transit_times(spec, modes, c))
+        raw, u = _eval_mixed(spec, modes, c, times, tables)
         val = raw / _l2_of_spectrum(modes, c)
         evals += 1
         if val > best_val:
             best_val, best_name, best = val, name, (c, raw, u)
-    best_c, times = best[0], best[2].times
+    best_c = best[0]
 
     # gradient ascent refinement of the winner, when it is cheap enough to
-    # differentiate repeatedly; the ascent stays inside the winner's
-    # frequency neighborhood so the transit window (and the cost) remain
-    # those of the winner
-    support = np.abs(best_c) > 1e-9 * np.max(np.abs(best_c))
-    affordable = len(times) * (2 * spec.R / 0.7) * np.sum(support) <= ASCENT_BUDGET
-    reach = max(3, int(0.02 / modes.dxi))
-    support = np.convolve(support.astype(float), np.ones(2 * reach + 1),
-                          mode="same") > 0
+    # differentiate repeatedly
+    affordable = len(times) * (2 * spec.R / 0.7) * len(modes.xi) <= ASCENT_BUDGET
     rng = np.random.default_rng(seed + 1)
     top_val, top = best_val, best
-    # every restart runs on the winner's times: one set of tables over all modes
-    tables = _time_phases(spec, times, modes.phi_vals) if affordable and restarts else None
     for restart in range(restarts if affordable else 0):
         c, raw, u = best
         if restart > 0:
@@ -649,7 +648,6 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
             # a rejected step leaves the point, so its gradient is kept
             if gq is None:
                 gq = _quotient_gradient(spec, modes, c, raw, u, tables)
-                gq = np.where(support, gq, 0.0)
                 gn = np.linalg.norm(gq)
             if gn == 0:
                 break
@@ -669,8 +667,9 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
 
     # report the higher of the two windows, with its sampling sensitivity
     top_c, v_top, u = top
-    wide = _transit_times(spec, modes, top_c, margin_factor=2.0)
-    v_wide, u_wide = _eval_mixed(spec, modes, top_c, wide)
+    wide = _transit_times(spec, modes, margin_factor=2.0)
+    same = np.array_equal(wide, times)
+    v_wide, u_wide = (v_top, u) if same else _eval_mixed(spec, modes, top_c, wide)
     window_delta = abs(v_wide - v_top) / max(v_top, 1e-300)
     v_full, u = (v_wide, u_wide) if v_wide > v_top else (v_top, u)
     if spec.r == INF:

@@ -150,22 +150,32 @@ def test_scaling_run_passes_and_sabotage_fails():
     assert not rep_bad.passed
 
 
-def test_report_schema_and_reproducibility(tmp_path):
-    cfg = E.parse_config(GOOD_SCALING)
-    cfg.out_dir = str(tmp_path / "runs")
-    rep1 = E.run(cfg)
-    problems = E.validate_report(rep1.to_dict())
-    assert problems == []
+# the mixed-norm kinds seed their ascent restarts
+SMALL_MAXIMAL = ("kind = maximal\nsymbol = power:m=2,n=1\nalpha = -0.25\n"
+                 "q = 2\nR = 2,4,8\nascent_steps = 2\nseed = 6")
+SMALL_TRANSFER = ("kind = transfer\nsymbol = power:m=2,n=1\nalpha = 0.5\n"
+                  "q = 2\nr = 2\nr_tilde = 4\nR = 2,4,8\nseed = 7")
 
-    rep2 = E.run(cfg)
-    d1, d2 = rep1.to_dict(), rep2.to_dict()
-    d1.pop("environment")
-    d2.pop("environment")
-    assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
-    files = {p.name for p in (tmp_path / "runs").iterdir()}
-    assert {"report.json", "measurements.csv", "scaling.dat"} <= files
-    loaded = json.loads((tmp_path / "runs" / "report.json").read_text())
+@pytest.mark.parametrize("text", [GOOD_SCALING, SMALL_MAXIMAL, SMALL_TRANSFER],
+                         ids=["scaling", "maximal", "transfer"])
+def test_report_schema_and_reproducibility(tmp_path, text):
+    cfg = E.parse_config(text)
+    out = tmp_path / "runs"
+    cfg.out_dir = str(out)
+    runs = []
+    for _ in range(2):
+        rep = E.run(cfg)
+        d = rep.to_dict()
+        assert E.validate_report(d) == []
+        d.pop("environment")
+        runs.append((json.dumps(d, sort_keys=True), (out / "measurements.csv").read_bytes()))
+    assert runs[0] == runs[1]
+
+    files = {p.name for p in out.iterdir()}
+    assert {"report.json", "measurements.csv"} <= files
+    assert rep.fits and {f"{fit['tag']}.dat" for fit in rep.fits} <= files
+    loaded = json.loads((out / "report.json").read_text())
     assert E.validate_report(loaded) == []
 
 

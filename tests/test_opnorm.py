@@ -153,7 +153,7 @@ def test_quotient_scale_invariance():
     spec = spec_at(8.0, q=2.0, r=4.0)
     modes = O.mode_grid(spec)
     c = np.exp(-0.5 * ((modes.xi - 1.1) / 0.1) ** 2).astype(complex)
-    times = O._transit_times(spec, modes, c)
+    times = O._transit_times(spec, modes)
     q1 = O._eval_mixed(spec, modes, c, times)[0] / O._l2_of_spectrum(modes, c)
     q3 = O._eval_mixed(spec, modes, 3.0 * c, times)[0] / O._l2_of_spectrum(modes, 3.0 * c)
     assert q1 == pytest.approx(q3, rel=1e-12)
@@ -164,8 +164,8 @@ def test_candidate_ranking_scale_invariant():
     spec = spec_at(8.0, q=2.0, r=INF, alpha=-0.25)
     modes = O.mode_grid(spec)
     vals = {}
+    times = O._transit_times(spec, modes)
     for name, c in O._candidate_bank(spec, modes):
-        times = O._transit_times(spec, modes, c)
         for scale in (1.0, 7.5):
             v = (O._eval_mixed(spec, modes, scale * c, times)[0]
                  / O._l2_of_spectrum(modes, scale * c))
@@ -230,7 +230,7 @@ def _chirp_case(r, window, order="xt", q=2.0):
                                order=order)
     modes = O.mode_grid(spec)
     c = dict(O._candidate_bank(spec, modes))["chirp-root@0.9"]
-    return spec, modes, c, O._transit_times(spec, modes, c)
+    return spec, modes, c, O._transit_times(spec, modes)
 
 
 # Spectra the bank does not hold, with the bank's focusing chirp: the other
@@ -318,7 +318,7 @@ def test_sup_search_matches_full_slab_on_every_bank_candidate(R, window, order):
     modes = O.mode_grid(spec)
     spectra = O._candidate_bank(spec, modes) + _other_profiles(spec, modes)
     for name, c in spectra + [("noise", _noise(spec, modes))]:
-        _check_sup_search(spec, modes, c, O._transit_times(spec, modes, c),
+        _check_sup_search(spec, modes, c, O._transit_times(spec, modes),
                           exact=name.startswith(("chirp", "plate")))
 
 
@@ -342,6 +342,14 @@ def test_sup_search_edge_cases(order):
     assert np.all(rising.index == k - 1)
     falling = _check_sup_search(spec, modes, c, times[-k:], exact=True)
     assert np.all(falling.index == 0)
+    # two maxima: a fast packet focusing at sample 150 lifts two coarse
+    # samples above the last one, while the rising chirp peaks after the
+    # last coarse sample, which only that sample's window reaches
+    k = 407
+    fast = np.exp(-1j * times[150] * modes.phi_vals - 0.5 * ((modes.xi - 1.8) / 0.1) ** 2)
+    twin = _check_sup_search(spec, modes, c + 0.1 * np.max(np.abs(c)) * fast, times[:k],
+                             exact=True)
+    assert np.any(twin.index > O.SUP_STRIDE * ((k - 1) // O.SUP_STRIDE))
 
 
 @pytest.mark.parametrize("window", ["local", "global"])
@@ -407,7 +415,7 @@ def test_eval_mixed_rejects_nonuniform_times():
 
 
 def _hand_made_bank(spec, modes):
-    # a costly winner and a cheap runner-up
+    # a winner that does not span every mode, and a runner-up
     full = dict(O._candidate_bank(spec, modes))
     return [("chirp-wide@0.9", full["chirp-wide@0.9"]),
             ("chirp-root@0.9", full["chirp-root@0.9"])]
@@ -423,34 +431,34 @@ def test_only_an_affordable_bank_winner_is_refined_at_finite_r(monkeypatch):
 
 def _check_only_an_affordable_winner_is_refined(monkeypatch, r):
     # over the ascent budget the winner is reported as the bank found it,
-    # with no ascent; under it the winner is refined and keeps its name
+    # with no ascent; at the call's cost it is refined and keeps its name
     spec = spec_at(8.0, alpha=-0.25, r=r)
     modes = O.mode_grid(spec)
     bank = _hand_made_bank(spec, modes)
-    vals, costs = [], []
-    for _, c in bank:
-        times = O._transit_times(spec, modes, c)
-        vals.append(O._eval_mixed(spec, modes, c, times)[0] / O._l2_of_spectrum(modes, c))
-        live = np.sum(np.abs(c) > 1e-9 * np.max(np.abs(c)))
-        costs.append(len(times) * (2 * spec.R / 0.7) * live)
-    assert vals[0] > vals[1] and costs[0] > costs[1]
+    times = O._transit_times(spec, modes)
+    vals = [O._eval_mixed(spec, modes, c, times)[0] / O._l2_of_spectrum(modes, c)
+            for _, c in bank]
+    assert vals[0] > vals[1]
     monkeypatch.setattr(O, "_candidate_bank", lambda *args: bank)
+    # what the budget is compared with: the call's time samples x space
+    # cells x modes, whatever the bank winner
+    cost = len(times) * (2 * spec.R / 0.7) * len(modes.xi)
 
-    monkeypatch.setattr(O, "ASCENT_BUDGET", 0.5 * (costs[0] + costs[1]))
+    monkeypatch.setattr(O, "ASCENT_BUDGET", cost * (1 - 1e-12))
     res = O.lower_bound_mixed(spec)
     assert res.candidate == "chirp-wide@0.9"
     assert res.ascent_gain == 0.0
     # the bank loop is the only counted work: no ascent step ran
     assert res.evaluations == len(bank)
-    wide = O._transit_times(spec, modes, bank[0][1], margin_factor=2.0)
+    wide = O._transit_times(spec, modes, margin_factor=2.0)
     v_wide = O._eval_mixed(spec, modes, bank[0][1], wide)[0] / O._l2_of_spectrum(modes, bank[0][1])
     assert res.value == max(vals[0], v_wide)
 
-    monkeypatch.setattr(O, "ASCENT_BUDGET", 2.0 * costs[0])
+    monkeypatch.setattr(O, "ASCENT_BUDGET", cost)
     res = O.lower_bound_mixed(spec)
     assert res.candidate == "chirp-wide@0.9"
     assert res.evaluations > len(bank)
-    assert res.ascent_gain >= 0.0
+    assert res.ascent_gain > 0.0
     assert res.value >= vals[0] * (1.0 + res.ascent_gain) * (1 - 1e-12)
 
 
@@ -464,11 +472,16 @@ def test_bank_winner_is_evaluated_once_at_finite_r(monkeypatch):
 
 def _check_bank_winner_is_evaluated_once(monkeypatch, r):
     # the bank loop's evaluation of the winner seeds the first ascent restart
-    # and gives the diagnostics: after the bank only the wide window is new.
-    # At finite r the diagnostics read the slab; at r = inf the sup search's
+    # and gives the diagnostics. At local R = 8 the doubled transit window
+    # clips to the same operator window, so that evaluation is reused too:
+    # after the bank nothing is evaluated and window_delta is exactly 0. At
+    # finite r the diagnostics read the slab; at r = inf the sup search's
     # record (even-sample peaks, coarse energies).
     spec = spec_at(8.0, alpha=-0.25, r=r)
     modes = O.mode_grid(spec)
+    times = O._transit_times(spec, modes)
+    assert np.array_equal(times, O._transit_times(spec, modes, margin_factor=2.0))
+    assert (times[0], times[-1]) == pytest.approx(spec.time_window(), abs=times[1] - times[0])
     bank = _hand_made_bank(spec, modes)
     eval_mixed = O._eval_mixed
     calls = []
@@ -478,16 +491,13 @@ def _check_bank_winner_is_evaluated_once(monkeypatch, r):
 
     monkeypatch.setattr(O, "ASCENT_BUDGET", 0.0)
     over = O.lower_bound_mixed(spec)
-    assert len(calls) == len(bank) + 1
+    assert len(calls) == len(bank)
     del calls[:]
     monkeypatch.setattr(O, "ASCENT_BUDGET", math.inf)
     seeded = O.lower_bound_mixed(spec, ascent_steps=0, restarts=1)
-    assert len(calls) == len(bank) + 1
+    assert len(calls) == len(bank)
 
-    c = bank[0][1]
-    v_full, u = eval_mixed(spec, modes, c, O._transit_times(spec, modes, c))
-    wide = O._transit_times(spec, modes, c, margin_factor=2.0)
-    v_wide, _ = eval_mixed(spec, modes, c, wide)
+    v_full, u = eval_mixed(spec, modes, bank[0][1], times)
     if r == INF:
         half = (u.grid.dx * np.sum(u.even_peak**spec.q)) ** (1.0 / spec.q)
         ref_delta = abs(v_full - half) / v_full
@@ -498,42 +508,53 @@ def _check_bank_winner_is_evaluated_once(monkeypatch, r):
     k = max(1, len(per_t) // 10)
     for res in (over, seeded):
         assert res.candidate == "chirp-wide@0.9"
+        assert res.value == v_full / O._l2_of_spectrum(modes, bank[0][1])
         assert res.refinement_delta == ref_delta
-        assert res.window_delta == abs(v_wide - v_full) / v_full
+        assert res.window_delta == 0.0
         assert res.tail_fraction == float(np.sum(per_t[-k:]) / np.sum(per_t))
+
+
+def test_windows_share_the_time_step_without_a_sample_cap():
+    # at the battery's largest maximal scale the doubled window holds more
+    # than 20000 samples at the narrow window's step, so window_delta
+    # compares windows, not sampling steps
+    spec = spec_at(64.0, alpha=-0.25, r=INF)
+    modes = O.mode_grid(spec)
+    narrow = O._transit_times(spec, modes)
+    wide = O._transit_times(spec, modes, margin_factor=2.0)
+    assert len(wide) > 20000
+    assert wide[1] - wide[0] == pytest.approx(narrow[1] - narrow[0], rel=1e-3)
 
 
 # The ascent as one call per piece of work: every evaluation and gradient
 # builds its own time tables, and every step takes a gradient, also at a
-# point a rejected step left unchanged. Every restart runs on the bank
-# winner's times. lower_bound_mixed must give the same result with one set
-# of tables per call and one gradient per point. The value and the
-# diagnostics read the higher of the best point's two evaluations: at the
-# winner's times and on its doubled transit window.
+# point a rejected step left unchanged. The bank and every restart run on
+# the call's transit times. lower_bound_mixed must give the same result
+# with one set of tables per call and one gradient per point. The value and
+# the diagnostics read the higher of the best point's two evaluations: at
+# the call's times and on the doubled transit window, which is the same
+# evaluation when the two windows are equal.
 
 def _lower_bound_reference(spec, seed):
     """(result, fresh, accepted, restarts run); fresh counts the steps taken
     from a point not differentiated before."""
     modes = O.mode_grid(spec)
+    times = O._transit_times(spec, modes)
     evals, best_val = 0, 0.0
     for name, c in O._candidate_bank(spec, modes):
-        times = O._transit_times(spec, modes, c)
         raw, u = O._eval_mixed(spec, modes, c, times)
         val = raw / O._l2_of_spectrum(modes, c)
         evals += 1
         if val > best_val:
-            best_val, best_name, best = val, name, (c, times, raw, u)
-    best_c, best_times = best[:2]
-    support = np.abs(best_c) > 1e-9 * np.max(np.abs(best_c))
-    affordable = len(best_times) * (2 * spec.R / 0.7) * np.sum(support) <= O.ASCENT_BUDGET
-    reach = max(3, int(0.02 / modes.dxi))
-    support = np.convolve(support.astype(float), np.ones(2 * reach + 1), mode="same") > 0
+            best_val, best_name, best = val, name, (c, raw, u)
+    best_c = best[0]
+    affordable = len(times) * (2 * spec.R / 0.7) * len(modes.xi) <= O.ASCENT_BUDGET
     rng = np.random.default_rng(seed + 1)
     top_val, top = best_val, best
     fresh = accepted = 0
     restarts = O.ASCENT_RESTARTS if affordable else 0
     for restart in range(restarts):
-        c, times, raw, u = best
+        c, raw, u = best
         if restart > 0:
             c = best_c * (1.0 + 0.2 * (rng.standard_normal(len(best_c))
                                        + 1j * rng.standard_normal(len(best_c))))
@@ -543,7 +564,7 @@ def _lower_bound_reference(spec, seed):
         step, moved = 0.5, True
         for _ in range(O.ASCENT_STEPS):
             tables = O._time_phases(spec, times, modes.phi_vals)
-            gq = np.where(support, O._quotient_gradient(spec, modes, c, raw, u, tables), 0.0)
+            gq = O._quotient_gradient(spec, modes, c, raw, u, tables)
             gn = np.linalg.norm(gq)
             fresh += moved
             if gn == 0:
@@ -561,10 +582,10 @@ def _lower_bound_reference(spec, seed):
                 if step < 1e-4:
                     break
         if cur > top_val:
-            top_val, top = cur, (c, times, raw, u)
-    top_c, _, v_top, u = top
-    wide = O._transit_times(spec, modes, top_c, margin_factor=2.0)
-    v_wide, u_wide = O._eval_mixed(spec, modes, top_c, wide)
+            top_val, top = cur, (c, raw, u)
+    top_c, v_top, u = top
+    v_wide, u_wide = O._eval_mixed(spec, modes, top_c,
+                                   O._transit_times(spec, modes, margin_factor=2.0))
     v_full, u = max((v_top, u), (v_wide, u_wide), key=lambda e: e[0])
     if spec.r == INF:
         half = O._reduce(u.even_peak, spec.q, u.grid.dx, axis=0)
@@ -589,10 +610,13 @@ def _lower_bound_reference(spec, seed):
 @pytest.mark.parametrize("r", [4.0, INF])
 def test_ascent_matches_the_per_call_reference(monkeypatch, r, window, R):
     # every field equal; a gradient once per restart and once per accepted
-    # step that another step follows, always on the call's tables; the
-    # tables built once per call and once per evaluation given none
+    # step that another step follows, always on the call's tables; one set
+    # of tables per call, plus the doubled window's when it differs from the
+    # call's (global window) and none when it does not (local, where both
+    # clip to the operator window)
     spec = spec_at(R, alpha=-0.25, r=r, window=window)
-    bank = len(O._candidate_bank(spec, O.mode_grid(spec)))
+    modes = O.mode_grid(spec)
+    bank = len(O._candidate_bank(spec, modes))
     ref, fresh, accepted, restarts = _lower_bound_reference(spec, seed=7)
     assert restarts == O.ASCENT_RESTARTS
     calls = {"_eval_mixed": [], "_quotient_gradient": [], "_time_phases": []}
@@ -607,11 +631,14 @@ def test_ascent_matches_the_per_call_reference(monkeypatch, r, window, R):
     # some steps were rejected, so some gradients were saved
     assert fresh < res.evaluations - bank - (restarts - 1)
     assert set(grads) == {6}
-    # the bank and the wide window build their tables; the ascent's
-    # evaluations share one set, built once per call
-    untabled = calls["_eval_mixed"].count(4)
-    assert len(calls["_eval_mixed"]) - untabled == res.evaluations - bank
-    assert len(calls["_time_phases"]) == untabled + 1
+    # the bank and the ascent evaluate on the call's tables; only the
+    # doubled window, when it is new, builds its own
+    wide = not np.array_equal(O._transit_times(spec, modes),
+                              O._transit_times(spec, modes, margin_factor=2.0))
+    assert wide == (window == "global")
+    assert calls["_eval_mixed"].count(5) == res.evaluations
+    assert calls["_eval_mixed"].count(4) == wide
+    assert len(calls["_time_phases"]) == 1 + wide
 
 
 # lower_bound_mixed at the battery's maximal (criterion 08) and global
@@ -646,10 +673,10 @@ def test_lower_bound_golden_values(kind, R, value, candidate):
 def _reported_evaluation(spec, modes, c, times):
     """(value, (refinement_delta, window_delta, tail_fraction), whether the
     wide window won) of spectrum c from fresh evaluations at times and on
-    its doubled transit window, read from the higher of the two."""
+    the doubled transit window, read from the higher of the two."""
     v_top, u_top = O._eval_mixed(spec, modes, c, times)
     v_wide, u_wide = O._eval_mixed(spec, modes, c,
-                                   O._transit_times(spec, modes, c, margin_factor=2.0))
+                                   O._transit_times(spec, modes, margin_factor=2.0))
     v_full, u = (v_wide, u_wide) if v_wide > v_top else (v_top, u_top)
     if spec.r == INF:
         ref_delta = abs(v_full - O._reduce(u.even_peak, spec.q, u.grid.dx, axis=0)) / v_full
@@ -664,9 +691,9 @@ def _reported_evaluation(spec, modes, c, times):
 
 @pytest.mark.parametrize("r, alpha, seed", [(INF, -0.25, 0), (4.0, 0.5, 7)])
 def test_diagnostics_read_the_reported_evaluation(monkeypatch, r, alpha, seed):
-    # the ascent moves the winner to a new point at the winner's transit
+    # the ascent moves the winner to a new point at the call's transit
     # times; the value and the diagnostics are those of the higher of its
-    # evaluations there and on its doubled transit window (the narrow one at
+    # evaluations there and on the doubled transit window (the narrow one at
     # r = inf, the wide one at r = 4), and no evaluation runs beyond the
     # bank, the ascent and the wide window
     spec = spec_at(2.0, alpha=alpha, r=r, window="global")
@@ -682,7 +709,7 @@ def test_diagnostics_read_the_reported_evaluation(monkeypatch, r, alpha, seed):
     assert res.ascent_gain > 0
     bank = dict(O._candidate_bank(spec, modes))
     assert not any(top_c is c for c in bank.values())
-    assert np.array_equal(times, O._transit_times(spec, modes, bank[res.candidate]))
+    assert np.array_equal(times, O._transit_times(spec, modes))
     value, diagnostics, wide = _reported_evaluation(spec, modes, top_c, times)
     assert wide == (r != INF)
     assert (res.refinement_delta, res.window_delta, res.tail_fraction) == diagnostics
