@@ -187,15 +187,19 @@ def _cmd_wavepacket(args):
           f"(dropped {dec.dropped_count}, spill {spill})")
 
 
+def _print_criteria(report):
+    for c in report.criteria:
+        mark = "PASS" if c["passed"] else "FAIL"
+        print(f"[{mark}] {c['name']}: {c['detail']}")
+
+
 def _cmd_run(args):
     with open(args.config) as fh:
         cfg = experiments.parse_config(fh.read())
     if args.out:
         cfg.out_dir = args.out
     report = experiments.run(cfg)
-    for c in report.criteria:
-        mark = "PASS" if c["passed"] else "FAIL"
-        print(f"[{mark}] {c['name']}: {c['detail']}")
+    _print_criteria(report)
     if not report.criteria:
         print("(no criteria declared; measurements only)")
     return 0 if report.passed else 1
@@ -203,9 +207,7 @@ def _cmd_run(args):
 
 def _cmd_verify(args):
     report = experiments.verify_all(out_dir=args.out, quick=args.quick)
-    for c in report.criteria:
-        mark = "PASS" if c["passed"] else "FAIL"
-        print(f"[{mark}] {c['name']}: {c['detail']}")
+    _print_criteria(report)
     print(f"total wall clock: {report.environment['wall_clock_s']}s")
     return 0 if report.passed else 1
 

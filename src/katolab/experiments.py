@@ -23,11 +23,6 @@ from .core import (Annulus, Field, GaussianRecipe, Grid, RandomBandlimited,
 
 SCHEMA = "katolab-report-v1"
 
-KIND_CHOICES = ("scaling", "transfer", "maximal", "wavepacket-audit",
-                "sparse-audit", "decay-audit", "propagator-audit",
-                "decoupling-audit", "tube-incidence")
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration; names the offending field."""
 
@@ -64,7 +59,7 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def validate(self):
-        if self.kind not in KIND_CHOICES:
+        if self.kind not in RUNNERS:
             raise ConfigError("kind", f"unknown kind {self.kind!r}")
         for key, scales in (("R", self.R_list), ("H", self.H_list)):
             if not all(1 <= x < math.inf for x in scales):
@@ -267,18 +262,7 @@ def run(config: ExperimentConfig) -> Report:
     config.validate()
     start = time.time()
     report = Report(config=_config_echo(config))
-    runner = {
-        "scaling": _run_scaling,
-        "transfer": _run_transfer,
-        "maximal": _run_maximal,
-        "wavepacket-audit": _run_wavepacket_audit,
-        "sparse-audit": _run_sparse_audit,
-        "decay-audit": _run_decay_audit,
-        "propagator-audit": _run_propagator_audit,
-        "decoupling-audit": _run_decoupling_audit,
-        "tube-incidence": _run_tube_incidence,
-    }[config.kind]
-    runner(config, report)
+    RUNNERS[config.kind](config, report)
     report.environment = _environment()
     report.environment["wall_clock_s"] = round(time.time() - start, 3)
     _write_artifacts(report, config)
@@ -581,6 +565,19 @@ def _run_decoupling_audit(cfg: ExperimentConfig, report: Report):
     report.measure("decoupling_ratio_max", worst, "decoupling_check")
     report.criterion("sparse-decoupling", worst <= 2.0 * c_single,
                      f"max ratio {worst:.4f} <= 2 x single-ball {c_single:.4f}")
+
+
+RUNNERS = {
+    "scaling": _run_scaling,
+    "transfer": _run_transfer,
+    "maximal": _run_maximal,
+    "wavepacket-audit": _run_wavepacket_audit,
+    "sparse-audit": _run_sparse_audit,
+    "decay-audit": _run_decay_audit,
+    "propagator-audit": _run_propagator_audit,
+    "decoupling-audit": _run_decoupling_audit,
+    "tube-incidence": _run_tube_incidence,
+}
 
 
 # ---------------------------------------------------------------------------

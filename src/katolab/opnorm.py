@@ -40,14 +40,15 @@ e^{i x_b xi_k} over S time samples and M modes. The time samples must be
 uniform, t_s = t_0 + s dt, so the phase factors in blocks of BLOCK samples:
 e^{i t_{iB+j} phi} = e^{i t_{iB} phi} e^{i (t_j - t_0) phi}. One shared
 BLOCK x M block and one lead row per block cost (S/BLOCK + BLOCK) M
-exponentials instead of S M, and each block of the slab is one matmul
-whose per-block scaling falls on the small M x nx spatial factor. The
-gradient at finite r runs the same blocks backwards: it accumulates the
-conjugate of its time sum from the forward tables, so it needs no table
-of its own. The bank and every ascent restart run on the same times, so
-one call builds its tables once over all modes (_time_phases); each
-evaluation takes the columns of its live modes (a view when they are
-contiguous) and each gradient the whole tables.
+exponentials instead of S M, and each block of the slab is one matmul on
+the M x nx spatial factor e^{i x_b xi_k}, its rows scaled by the block's
+lead row and the amplitudes. The gradient at finite r runs the same blocks
+backwards: it accumulates the conjugate of its time sum from the forward
+tables, so it needs no table of its own. The bank and every ascent restart
+run on the same times, so one call builds its tables (_tables: ball grid,
+spatial and time factors) once over all modes; each evaluation takes the
+rows and columns of its live modes (views when they are contiguous) and
+each gradient the whole tables.
 
 At r = inf only the sup in time survives, so the full slab is never built.
 The search is coarse to fine: the slab on every SUP_STRIDE-th sample (the
@@ -282,7 +283,6 @@ class OperatorNormResult:
 
     value: float
     iterations: int
-    converged: bool
     residual: float
     mode_count: int
     method: str
@@ -330,8 +330,8 @@ def _lanczos(apply_fn, M: int, seed: int, tol: float = LANCZOS_TOL,
 def operator_norm_l2(spec: SmoothingOperatorSpec, seed: int = 0) -> OperatorNormResult:
     """Norm of the ball/window-localized weighted evolution on L^2 data.
 
-    One seeded Lanczos run on the quadratic-form kernel over sector-limited
-    modes; converged means residual <= LANCZOS_TOL. The quadratic symbol
+    One seeded Lanczos run (_lanczos) on the quadratic-form kernel over
+    sector-limited modes, reporting its residual. The quadratic symbol
     takes the structured apply ('lanczos-fast'), every other symbol the
     explicit matrix ('lanczos-dense').
     """
@@ -346,16 +346,15 @@ def operator_norm_l2(spec: SmoothingOperatorSpec, seed: int = 0) -> OperatorNorm
         apply_fn, how = (lambda v: H @ v), "lanczos-dense"
     theta, steps, residual = _lanczos(apply_fn, M, seed)
     value = math.sqrt(max(TWO_PI * modes.dxi * theta, 0.0))
-    return OperatorNormResult(value=value, iterations=steps,
-                              converged=bool(residual <= LANCZOS_TOL),
-                              residual=residual, mode_count=M, method=how)
+    return OperatorNormResult(value=value, iterations=steps, residual=residual,
+                              mode_count=M, method=how)
 
 
 def operator_norm_dense_eig(spec: SmoothingOperatorSpec) -> float:
     """Cross-check route: top eigenvalue of the explicit kernel."""
-    H = dense_operator_matrix(spec)
-    lam = float(np.linalg.eigvalsh(H)[-1])
-    return math.sqrt(max(TWO_PI * mode_grid(spec).dxi * lam, 0.0))
+    modes = mode_grid(spec)
+    lam = float(np.linalg.eigvalsh(dense_operator_matrix(spec, modes))[-1])
+    return math.sqrt(max(TWO_PI * modes.dxi * lam, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -423,28 +422,33 @@ def _transit_times(spec: SmoothingOperatorSpec, modes: ModeGrid,
     return lo + (np.arange(steps) + 0.5) * (hi - lo) / steps
 
 
-def _time_phases(spec: SmoothingOperatorSpec, times: np.ndarray,
-                 phi: np.ndarray) -> tuple:
-    """Time tables (base, lead, offset) of an evaluation over uniform times.
+def _tables(spec: SmoothingOperatorSpec, modes: ModeGrid, times: np.ndarray) -> tuple:
+    """(gx, space, base, lead, offset): what an evaluation over uniform
+    times reads that depends only on the operator and the times.
 
-    The evaluation builds u on every stride-th sample, stride = SUP_STRIDE
+    gx samples B_R finely enough for the carrier (|xi| <= 2.2) and the
+    envelope; space[k, b] = e^{i xi_k x_b}. The evaluation builds u on every stride-th sample, stride = SUP_STRIDE
     at r = inf and 1 otherwise. Built sample i BLOCK + j has phase
     lead[i] * base[j], with lead[i] = e^{i t_{stride i BLOCK} phi} and
     base[j] = e^{i (t_{stride j} - t_0) phi}; that is (S/BLOCK + BLOCK) M
     exponentials instead of S M. offset holds e^{i o dt phi} for
     |o| < stride in increasing o: the fine windows around a built sample at
-    r = inf (at finite r the single row o = 0). The tables depend only on
-    times and phi, so one set serves every evaluation and gradient over the
-    same times, an evaluation on a subset of the modes taking their columns.
+    r = inf (at finite r the single row o = 0). One set serves every
+    evaluation and gradient over the same times, an evaluation on a subset
+    of the modes taking their rows of space and columns of the rest.
     """
     check_uniform_times(times)
+    nx = max(int(math.ceil(2 * spec.R / 0.7)), 32)
+    nx += nx % 2
+    gx = Grid(1, nx, 2 * spec.R)
+    space = np.exp(1j * np.outer(modes.xi, gx.x_axis()))
     stride = SUP_STRIDE if spec.r == INF else 1
     built = times[::stride]
     dt = times[1] - times[0] if len(times) > 1 else 0.0
-    base = np.exp(1j * np.outer(built[:BLOCK] - built[0], phi))
-    lead = np.exp(1j * np.outer(built[::BLOCK], phi))
-    offset = np.exp(1j * np.outer(np.arange(1 - stride, stride) * dt, phi))
-    return base, lead, offset
+    base = np.exp(1j * np.outer(built[:BLOCK] - built[0], modes.phi_vals))
+    lead = np.exp(1j * np.outer(built[::BLOCK], modes.phi_vals))
+    offset = np.exp(1j * np.outer(np.arange(1 - stride, stride) * dt, modes.phi_vals))
+    return gx, space, base, lead, offset
 
 
 @dataclass(frozen=True)
@@ -465,50 +469,44 @@ class SupRecord:
     coarse_energy: np.ndarray
 
 
-def _slab(base: np.ndarray, lead: np.ndarray, EA: np.ndarray, S: int) -> np.ndarray:
-    """u over S samples from block factors (base, lead) and the M x nx EA."""
-    slab = np.empty((S, EA.shape[1]), dtype=np.complex128)
+def _slab(base: np.ndarray, lead: np.ndarray, amp: np.ndarray, space: np.ndarray,
+          S: int) -> np.ndarray:
+    """u over S samples from block factors (base, lead), amplitudes amp and
+    the M x nx spatial factor: block i is base @ ((lead[i] * amp) * space)."""
+    slab = np.empty((S, space.shape[1]), dtype=np.complex128)
     for i, s0 in enumerate(range(0, S, BLOCK)):
         k = min(BLOCK, S - s0)
-        slab[s0:s0 + k] = base[:k] @ (lead[i][:, None] * EA)
+        slab[s0:s0 + k] = base[:k] @ ((lead[i] * amp)[:, None] * space)
     return slab
 
 
 def _eval_mixed(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
-                times: np.ndarray, tables: tuple | None = None) -> tuple:
+                times: np.ndarray, tables: tuple) -> tuple:
     """(mixed norm, evaluation) of the weighted sector evolution of spectrum c.
 
-    times must be uniformly spaced (ValueError otherwise). tables are
-    _time_phases(spec, times, modes.phi_vals) over all modes, built here
-    when not given; the evaluation takes the columns of its live modes. At
-    finite r the evaluation is the slab u, a SpacetimeField; each block of
-    BLOCK samples is one matmul: base @ (lead[i] * amp * e^{i xi x}). At
-    r = inf it is the SupRecord of the coarse-to-fine search
-    (_sup_in_time), and the value is the sup over the samples that search
-    evaluates.
+    tables are _tables(spec, modes, times) over all modes; the evaluation
+    takes the rows and columns of its live modes. At finite r the
+    evaluation is the slab u, a SpacetimeField (_slab). At r = inf it is the
+    SupRecord of the coarse-to-fine search (_sup_in_time), and the value is
+    the sup over the samples that search evaluates.
     """
-    # resolve both the carrier (|xi| <= 2.2) and the envelope
-    nx = max(int(math.ceil(2 * spec.R / 0.7)), 32)
-    nx += nx % 2
-    gx = Grid(1, nx, 2 * spec.R)
     amp_c = modes.amp * c * modes.dxi
     live = np.abs(amp_c) > 1e-14 * np.max(np.abs(amp_c))
-    EA = amp_c[live][:, None] * np.exp(1j * np.outer(modes.xi[live], gx.x_axis()))
-    if tables is None:
-        tables = _time_phases(spec, times, modes.phi_vals)
-    # the live columns, as a view when they are contiguous
+    # the live modes, as a view when they are contiguous
     k = np.flatnonzero(live)
     cols = slice(k[0], k[-1] + 1) if k[-1] - k[0] + 1 == len(k) else live
-    base, lead, offset = (t[:, cols] for t in tables)
+    gx, space, base, lead, offset = tables
+    base, lead, offset = (t[:, cols] for t in (base, lead, offset))
+    amp, space = amp_c[cols], space[cols]
     if spec.r == INF:
-        return _sup_in_time(spec, gx, times, base, lead, offset, EA)
-    u = SpacetimeField(gx, times, _slab(base, lead, EA, len(times)))
+        return _sup_in_time(spec, gx, times, base, lead, offset, amp, space)
+    u = SpacetimeField(gx, times, _slab(base, lead, amp, space, len(times)))
     return mixed_norm(u, MixedNormSpec(q=spec.q, r=spec.r, order=spec.order)), u
 
 
 def _sup_in_time(spec: SmoothingOperatorSpec, gx: Grid, times: np.ndarray,
                  base: np.ndarray, lead: np.ndarray, offset: np.ndarray,
-                 EA: np.ndarray) -> tuple:
+                 amp: np.ndarray, space: np.ndarray) -> tuple:
     """(r = inf mixed norm, SupRecord) by coarse-to-fine search over times.
 
     The coarse slab on times[::SUP_STRIDE] picks the two highest coarse
@@ -516,12 +514,13 @@ def _sup_in_time(spec: SmoothingOperatorSpec, gx: Grid, times: np.ndarray,
     samples after it lie in no other window. The fine window of p is the
     samples SUP_STRIDE p + o, |o| < SUP_STRIDE, inside times. Their phases
     are e^{i t_{SUP_STRIDE p} phi} e^{i o dt phi}: the coarse lead row of p
-    times the shared offset table, so each window rank is one matmul. The
-    value is exact whenever each column's peak lies in one of its windows.
+    times the shared offset table, so each window rank is one matmul on the
+    spatial factor scaled by that row and the amplitudes. The value is
+    exact whenever each column's peak lies in one of its windows.
     """
     S, stride, q, wx = len(times), SUP_STRIDE, spec.q, gx.dx
-    coarse = np.abs(_slab(base, lead, EA, len(range(0, S, stride))))
-    cols = np.arange(EA.shape[1])
+    coarse = np.abs(_slab(base, lead, amp, space, len(range(0, S, stride))))
+    cols = np.arange(space.shape[1])
     # a window's coarse sample is per column for order xt, and one sample
     # shared by every column for order tx and for the last coarse sample
     if spec.order == "xt":
@@ -530,8 +529,8 @@ def _sup_in_time(spec: SmoothingOperatorSpec, gx: Grid, times: np.ndarray,
         top = list(np.argsort(_reduce(coarse, q, wx, axis=1))[-2:])
     top.append(len(coarse) - 1)
     o = np.arange(1 - stride, stride)
-    fine = np.concatenate([offset @ (np.atleast_2d(lead[p // BLOCK] * base[p % BLOCK]).T * EA)
-                           for p in top])
+    fine = np.concatenate([offset @ (np.atleast_2d(lead[p // BLOCK] * base[p % BLOCK] * amp).T
+                                     * space) for p in top])
     idx = np.concatenate([np.broadcast_to(stride * p + o[:, None], (len(o), len(cols)))
                           for p in top])
     absf = np.abs(fine)
@@ -555,10 +554,11 @@ def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid,
                        tables: tuple) -> np.ndarray:
     """Gradient of the Rayleigh quotient wrt conj(c) (subgradient at r=inf).
 
-    (val, u) is what _eval_mixed returned for c; tables are
-    _time_phases(spec, u.times, modes.phi_vals) (only finite r reads them).
-    With W = d val / d conj(u), the chain rule back to the spectrum is
-    g_k = amp_k sum_s e^{-i t_s phi_k} sum_b e^{-i x_b xi_k} W[s, b].
+    (val, u) is what _eval_mixed returned for c on tables, the
+    _tables(spec, modes, u.times) it read. With W = d val / d conj(u), the
+    chain rule back to the spectrum is
+    g_k = amp_k sum_s e^{-i t_s phi_k} sum_b e^{-i x_b xi_k} W[s, b],
+    e^{-i x_b xi_k} being the conjugate of the tables' spatial factor.
     W is the chain rule through the norm's own reductions (norms._nesting
     and norms._reduce_grad, a sup taking its first maximum); at r = inf
     only the reduction over the cells of the SupRecord's peaks is left.
@@ -566,13 +566,13 @@ def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid,
     the conjugate of a sum on the forward tables.
     """
     amp = modes.amp * modes.dxi
-    ph_x = np.exp(-1j * np.outer(modes.xi, u.grid.x_axis()))  # (M, B)
+    _, space, base, lead, _ = tables
     if spec.r == INF:
         Mb = np.abs(u.peak)
         w = (0.5 * _reduce_grad(Mb, spec.q, u.grid.dx, 0, val)
              * u.peak / np.where(Mb > 0, Mb, 1.0))
         ph_t = np.exp(-1j * np.outer(modes.phi_vals, u.times[u.index]))  # (M, B)
-        g = amp * np.sum(ph_t * ph_x * w, axis=1)
+        g = amp * np.sum(ph_t * np.conj(space) * w, axis=1)
     else:
         slab = u.slices
         absu = np.abs(slab)
@@ -583,12 +583,11 @@ def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid,
              * slab / np.where(absu > 0, absu, 1.0))
         # conj(Z)[k, b] = sum_s e^{i t_s phi_k} conj(W[s, b]), one matmul
         # per block on the forward tables
-        base, lead, _ = tables
-        Zc = np.zeros_like(ph_x)
+        Zc = np.zeros_like(space)
         for i, s0 in enumerate(range(0, len(u.times), BLOCK)):
             k = min(BLOCK, len(u.times) - s0)
             Zc += lead[i][:, None] * (base[:k].T @ np.conj(W[s0:s0 + k]))
-        g = amp * np.sum(np.conj(Zc) * ph_x, axis=1)
+        g = amp * np.conj(np.sum(Zc * space, axis=1))
     nf = _l2_of_spectrum(modes, c)
     grad_norm_f = (modes.dxi / TWO_PI) * c / (2.0 * nf)
     quotient = val / nf
@@ -603,10 +602,10 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
     Maximum over the candidate bank, refined by normalized gradient ascent
     with step halving on non-improvement. The result is a LOWER bound only;
     stagnation is recorded, never raised. `candidate` names the bank
-    winner, refined only when the call's cost (time samples x space cells
+    winner, refined only when the call's cost (time samples x ball cells
     x modes) is within ASCENT_BUDGET; seed drives the ascent's restarts.
     The bank and every restart run on the operator's transit times, over
-    one set of time tables built once per call; the winner's (value,
+    one table set (_tables) built once per call; the winner's (value,
     evaluation) start the first restart, and a gradient is computed only at
     a new point: after a rejected step the last one is kept. The best point
     is evaluated again on the transit window doubled, unless that is the
@@ -620,7 +619,7 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
     """
     modes = mode_grid(spec)
     times = _transit_times(spec, modes)
-    tables = _time_phases(spec, times, modes.phi_vals)
+    tables = _tables(spec, modes, times)
     evals, best_val = 0, 0.0
     for name, c in _candidate_bank(spec, modes):
         raw, u = _eval_mixed(spec, modes, c, times, tables)
@@ -632,7 +631,7 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
 
     # gradient ascent refinement of the winner, when it is cheap enough to
     # differentiate repeatedly
-    affordable = len(times) * (2 * spec.R / 0.7) * len(modes.xi) <= ASCENT_BUDGET
+    affordable = len(times) * tables[0].N * len(modes.xi) <= ASCENT_BUDGET
     rng = np.random.default_rng(seed + 1)
     top_val, top = best_val, best
     for restart in range(restarts if affordable else 0):
@@ -669,7 +668,8 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
     top_c, v_top, u = top
     wide = _transit_times(spec, modes, margin_factor=2.0)
     same = np.array_equal(wide, times)
-    v_wide, u_wide = (v_top, u) if same else _eval_mixed(spec, modes, top_c, wide)
+    v_wide, u_wide = ((v_top, u) if same else
+                      _eval_mixed(spec, modes, top_c, wide, _tables(spec, modes, wide)))
     window_delta = abs(v_wide - v_top) / max(v_top, 1e-300)
     v_full, u = (v_wide, u_wide) if v_wide > v_top else (v_top, u)
     if spec.r == INF:

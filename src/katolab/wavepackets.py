@@ -453,20 +453,23 @@ class Cube:
                     self.x_half * factor)
 
 
-def tube_meets_cube(tube: Tube, cube: Cube, dilation: float = 1.0) -> bool:
-    """Exact test: does the tube (core line fattened by R) meet the dilated cube?"""
+def tube_meets_cube(tube: Tube, cube: Cube, dilation: float = 1.0):
+    """Exact test: does the tube (core line fattened by R) meet the dilated cube?
+
+    tube.l and tube.velocity may be stacks, shape (..., n), that broadcast
+    together; the answer is then a boolean array over the stack.
+    """
     c = cube.dilated(dilation) if dilation != 1.0 else cube
-    a = tube.l - np.asarray(c.x_center, dtype=float)
-    gvec = tube.velocity
-    g2 = float(np.dot(gvec, gvec))
-    t0, t1 = c.t_center - c.t_half, c.t_center + c.t_half
-    if g2 == 0.0:
-        tstar = t0
-    else:
-        tstar = float(np.dot(a, gvec)) / g2
-        tstar = min(max(tstar, t0), t1)
-    dist = float(np.linalg.norm(a - tstar * gvec))
-    return dist <= tube.R + c.x_half
+    a = np.asarray(tube.l, dtype=float) - np.asarray(c.x_center, dtype=float)
+    gvec = np.asarray(tube.velocity, dtype=float)
+    g2 = np.sum(gvec * gvec, axis=-1)
+    # the core's closest approach to the cube's axis within the time slab;
+    # a tube at rest is equally close at every time
+    tstar = np.clip(np.sum(a * gvec, axis=-1) / np.where(g2 > 0, g2, 1.0),
+                    c.t_center - c.t_half, c.t_center + c.t_half)
+    dist = np.linalg.norm(a - tstar[..., None] * gvec, axis=-1)
+    meets = dist <= tube.R + c.x_half
+    return bool(meets) if meets.ndim == 0 else meets
 
 
 def cube_chain(H: float) -> list:
@@ -491,27 +494,19 @@ def max_overlap(sym: SymbolSpec, H: float, eps: float = 0.1) -> dict:
     if sym.n != 1:
         raise NotImplementedError("incidence sweep implemented for n = 1")
     dilation = H**eps
-    cubes = cube_chain(H)
     v_nodes = np.arange(math.ceil(0.5 * H), math.floor(2.0 * H) + 1) / H
-    best = {"count": 0, "l": None, "v": None}
-    for v in v_nodes:
-        _, grad = sym_mod.phase(sym, np.array([v]))
-        speed = abs(float(grad[0]))
-        reach = speed * 2 * H**2 + (dilation + 2) * H
-        l_nodes = H * np.arange(-math.ceil(reach / H), math.ceil(reach / H) + 1)
-        counts = np.zeros(len(l_nodes), dtype=int)
-        for c in cubes:
-            cd = c.dilated(dilation)
-            t0, t1 = cd.t_center - cd.t_half, cd.t_center + cd.t_half
-            a = l_nodes - cd.x_center[0]
-            g2 = speed**2
-            if g2 == 0:
-                tstar = np.full_like(a, t0)
-            else:
-                tstar = np.clip(a * float(grad[0]) / g2, t0, t1)
-            dist = np.abs(a - tstar * float(grad[0]))
-            counts += (dist <= H + cd.x_half).astype(int)
-        i = int(np.argmax(counts))
-        if counts[i] > best["count"]:
-            best = {"count": int(counts[i]), "l": float(l_nodes[i]), "v": float(v)}
-    return best
+    grad = sym_mod.gradient(sym, [v_nodes])[0]
+    # per v, the offsets l = H k, |k| <= half, whose tubes can reach the chain
+    reach = np.abs(grad) * 2 * H**2 + (dilation + 2) * H
+    half = np.ceil(reach / H)
+    k = np.arange(-half.max(), half.max() + 1)
+    tubes = Tube(l=(H * k)[None, :, None], velocity=grad[:, None, None], R=H)
+    counts = np.sum([tube_meets_cube(tubes, c, dilation) for c in cube_chain(H)], axis=0)
+    counts = np.where(np.abs(k) <= half[:, None], counts, -1)
+    # the first v, and its first l, with the highest count
+    top = counts.max(axis=1)
+    j = int(np.argmax(top))
+    if top[j] <= 0:
+        return {"count": 0, "l": None, "v": None}
+    i = int(np.argmax(counts[j]))
+    return {"count": int(top[j]), "l": float(H * k[i]), "v": float(v_nodes[j])}

@@ -390,6 +390,22 @@ def test_tube_meets_cube_against_point_sampling():
     assert mismatches <= 20
 
 
+def test_tube_meets_cube_on_a_stack_matches_single_tubes():
+    # a stack of offsets against stacked velocities, at rest included, in
+    # one and two dimensions: each entry is the single tube's answer
+    rng = np.random.default_rng(1)
+    for n in (1, 2):
+        l = rng.uniform(-30, 30, size=(5, 7, n))
+        vel = rng.uniform(-3, 3, size=(5, 1, n))
+        vel[0] = 0.0
+        cube = W.Cube(t_center=2.0, t_half=3.0, x_center=(1.0,) * n, x_half=2.5)
+        got = W.tube_meets_cube(W.Tube(l=l, velocity=vel, R=4.0), cube, dilation=1.5)
+        assert got.shape == (5, 7) and 0 < got.sum() < got.size
+        for i, j in np.ndindex(got.shape):
+            tube = W.Tube(l=l[i, j], velocity=vel[i, 0], R=4.0)
+            assert got[i, j] == W.tube_meets_cube(tube, cube, dilation=1.5)
+
+
 def test_overlap_counts_stable_under_doubling():
     counts = {}
     for H in (16.0, 32.0, 64.0):
