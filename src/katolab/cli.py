@@ -92,7 +92,10 @@ def _scale(text: str) -> float:
 
 
 def _scales(text: str) -> list:
-    return [_scale(x) for x in text.split(",")]
+    scales = [_scale(x) for x in text.split(",")]
+    if len(scales) >= 3:  # the scan fits an exponent to them
+        opnorm.check_fit_scales(scales)
+    return scales
 
 
 def _window(text: str) -> tuple:

@@ -234,6 +234,9 @@ class Ball:
     radius: float
 
     def contains(self, mesh: list) -> np.ndarray:
+        if len(self.center) != len(mesh):
+            raise ValueError(f"ball centre of dimension {len(self.center)} "
+                             f"on a grid of dimension {len(mesh)}")
         d2 = sum((m - c) ** 2 for m, c in zip(mesh, self.center))
         return d2 < self.radius**2
 

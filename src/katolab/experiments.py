@@ -64,8 +64,11 @@ class ExperimentConfig:
         for key, scales in (("R", self.R_list), ("H", self.H_list)):
             if not all(1 <= x < math.inf for x in scales):
                 raise ConfigError(key, f"scales must be finite and >= 1, got {scales}")
-        if self.kind in ("scaling", "transfer", "maximal") and len(self.R_list) < 3:
-            raise ConfigError("R", "need at least 3 scales for a fit")
+        if self.kind in ("scaling", "transfer", "maximal"):
+            try:
+                opnorm.check_fit_scales(self.R_list)
+            except ValueError as exc:
+                raise ConfigError("R", str(exc)) from exc
         if self.kind == "tube-incidence" and self.symbol.n != 1:
             raise ConfigError("symbol", "tube incidence is implemented for n = 1")
         if self.kind == "transfer" and not self.r_tilde > self.r:

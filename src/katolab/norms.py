@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpacetimeField
+from .core import Ball, SpacetimeField
 
 INF = math.inf
 
@@ -40,9 +40,7 @@ def _spatial_mask(u: SpacetimeField, ball) -> np.ndarray:
     if ball is None:
         return np.ones(g.shape, dtype=bool)
     center, radius = ball
-    mesh = g.x_mesh()
-    d2 = sum((m - c) ** 2 for m, c in zip(mesh, center))
-    return np.broadcast_to(d2 < radius**2, g.shape)
+    return np.broadcast_to(Ball(tuple(center), radius).contains(g.x_mesh()), g.shape)
 
 
 def _time_mask(u: SpacetimeField, window) -> np.ndarray:

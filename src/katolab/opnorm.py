@@ -19,21 +19,17 @@ top eigenvalue, found by one seeded Lanczos run with full
 reorthogonalisation and cross-checked against a dense eigensolve at small
 scale. Its top Ritz value is a Rayleigh quotient, so a lower bound, and it
 is reported with its residual ||H v - theta v|| / theta. The quadratic
-symbol takes a structured apply at every scale, every other symbol the
-explicit matrix. For the quadratic symbol the kernel splits into four
-modulations of two Toeplitz kernels and one Hankel kernel. One apply costs
-12 FFTs of size N >= 2M - 1 (the smallest 2^a 3^b) over M modes: per
-modulation one forward transform, which the Hankel term reuses through the
-reversal identity fft(g[::-1], N)[k] = e^{-2 pi i k (M-1)/N}
-fft(g, N)[-k mod N], and two inverse transforms, one of them shared by the
-two terms with row factor 1/rho^2. The R = 64 cases stay interactive.
+symbol takes a structured apply at every scale (_FastKernel: four
+modulations of two Toeplitz kernels and one Hankel kernel, 12 FFTs of size
+N >= 2M - 1 over M modes), every other symbol the explicit matrix. The
+R = 64 cases stay interactive.
 
 Mixed-norm cases (q, r) != (2, 2), including the maximal r = inf, are
 handled by lower_bound_mixed: a bank of five chirps focusing at the
 window's centre plus gradient ascent on the Rayleigh quotient. The bank
-and the ascent run on one time grid, the transit window of the whole mode
-grid around that focus. Those values are lower bounds by construction and
-are reported as such.
+and the ascent run on the transit window of the whole mode grid around
+that focus, the rows of one time grid on that window doubled. Those
+values are lower bounds by construction and are reported as such.
 
 Their cost is the evolution slab u(t_s, x_b) = sum_k a_k e^{i t_s phi_k}
 e^{i x_b xi_k} over S time samples and M modes. The time samples must be
@@ -44,26 +40,21 @@ exponentials instead of S M, and each block of the slab is one matmul on
 the M x nx spatial factor e^{i x_b xi_k}, its rows scaled by the block's
 lead row and the amplitudes. The gradient at finite r runs the same blocks
 backwards: it accumulates the conjugate of its time sum from the forward
-tables, so it needs no table of its own. The bank and every ascent restart
-run on the same times, so one call builds its tables (_tables: ball grid,
-spatial and time factors) once over all modes; each evaluation takes the
-rows and columns of its live modes (views when they are contiguous) and
-each gradient the whole tables.
+tables, so it needs no table of its own. One call builds its tables
+(_tables: ball grid, spatial and time factors) once over all modes and
+both windows; each evaluation takes the rows and columns of its live
+modes (views when they are contiguous) and each gradient the whole tables.
 
 At r = inf only the sup in time survives, so the full slab is never built.
-The search is coarse to fine: the slab on every SUP_STRIDE-th sample (the
-same block factorisation, at stride SUP_STRIDE dt), then the 2 SUP_STRIDE - 1
-samples around the two highest coarse samples of each column and around
-the last coarse sample, clipped to the sampled times. A column is a cell
-for order xt and the shared profile ||u(t, .)||_q for order tx. The last
-coarse sample's window holds the samples after it, which no other window
-reaches. A fine window is one matmul of a
-(2 SUP_STRIDE - 1) x M offset table e^{i o dt phi} with the lead rows of
-its coarse samples, which are products of coarse factor rows already
-built. A sup over a subset of the samples is still a lower bound. What
-the search keeps (SupRecord: each cell's peak sample and value, its peak
-over even samples, the coarse energy profile) feeds the gradient, which
-needs only the peak samples, and the diagnostics.
+The search is coarse to fine (_sup_in_time): the slab on every
+SUP_STRIDE-th sample (the same block factorisation, at stride
+SUP_STRIDE dt), then the 2 SUP_STRIDE - 1 samples around the two highest
+coarse samples of each column and around the last coarse sample, each
+window one matmul of the offset table e^{i o dt phi} with coarse factor
+rows already built. A sup over a subset of the samples is still a lower
+bound. What the search keeps (SupRecord: each cell's peak sample and
+value, its peak over even samples, the coarse energy profile) feeds the
+gradient, which needs only the peak samples, and the diagnostics.
 """
 
 from __future__ import annotations
@@ -164,29 +155,17 @@ def mode_grid(spec: SmoothingOperatorSpec) -> ModeGrid:
                     phi_vals=sym_mod.value(spec.sym, [xi]))
 
 
-def _sinc_integral(width: float, center: float, omega: np.ndarray) -> np.ndarray:
-    """int_{c-w/2}^{c+w/2} e^{i t omega} dt, stable through omega = 0."""
-    return width * np.exp(1j * center * omega) * np.sinc(width * omega / TWO_PI)
-
-
-def ball_window(R: float, kappa: np.ndarray) -> np.ndarray:
-    """int_{-R}^{R} e^{i x kappa} dx = 2 sin(R kappa)/kappa."""
-    return 2.0 * R * np.sinc(R * kappa / math.pi)
-
-
-def dense_operator_matrix(spec: SmoothingOperatorSpec,
-                          modes: ModeGrid | None = None) -> np.ndarray:
-    """Explicit quadratic-form kernel; O(M^2) memory, for small scales."""
-    if modes is None:
-        modes = mode_grid(spec)
+def dense_operator_matrix(spec: SmoothingOperatorSpec, modes: ModeGrid) -> np.ndarray:
+    """Explicit quadratic-form kernel, O(M^2) memory, for small scales; the ball
+    and window integrals X and T as sincs, stable through delta, omega = 0."""
     M = len(modes.xi)
     if M > 6000:
         raise ValueError(f"dense kernel with M={M} modes would be too large")
     a, b = spec.time_window()
     delta = modes.xi[None, :] - modes.xi[:, None]
     omega = modes.phi_vals[None, :] - modes.phi_vals[:, None]
-    X = ball_window(spec.R, delta)
-    T = _sinc_integral(b - a, (a + b) / 2.0, omega)
+    X = 2.0 * spec.R * np.sinc(spec.R * delta / math.pi)
+    T = (b - a) * np.exp(1j * ((a + b) / 2.0) * omega) * np.sinc((b - a) * omega / TWO_PI)
     d = modes.amp
     return (d[:, None] * d[None, :]) * X * T
 
@@ -396,15 +375,16 @@ def _focus_time(spec: SmoothingOperatorSpec) -> float:
     return (a + b) / 2.0
 
 
-def _transit_times(spec: SmoothingOperatorSpec, modes: ModeGrid,
-                   margin_factor: float = 1.0) -> np.ndarray:
-    """Time samples covering every mode's passage through the ball.
+def _transit_times(spec: SmoothingOperatorSpec, modes: ModeGrid) -> tuple:
+    """(times, rows): the doubled transit window and, as its rows, the
+    transit window, the samples of every mode's passage through the ball.
 
     A mode chirped to focus at the window's focus t0 transits the ball
-    around t0 within +- (ball + envelope width)/speed, clipped to the
-    window; sampling is tied to the envelope timescale rather than the
-    carrier phase. The samples depend on the operator alone (its mode
-    grid), so every spectrum of one lower bound shares them.
+    within t0 +- margin = 3.5 (ball + envelope width)/speed, clipped to the
+    window and sampled on the envelope timescale rather than the carrier
+    phase. times extends it, at its step and by whole groups of SUP_STRIDE
+    samples, towards t0 +- 2 margin, clipped to the window. The samples
+    depend on the operator alone, so every spectrum of one call shares them.
     """
     a, b = spec.time_window()
     t0 = _focus_time(spec)
@@ -413,13 +393,16 @@ def _transit_times(spec: SmoothingOperatorSpec, modes: ModeGrid,
     v_min = max(float(np.min(np.abs(grad))), 1e-6)
     # a packet of bandwidth `width` focused at t0 re-disperses linearly in
     # |t - t0|; solving transit-overlap with that growth gives the 3.5x factor
-    margin = margin_factor * 3.5 * (2.0 * spec.R + 1.0 / width) / v_min
-    lo = max(a, t0 - margin)
-    hi = min(b, t0 + margin)
+    margin = 3.5 * (2.0 * spec.R + 1.0 / width) / v_min
+    lo, hi = max(a, t0 - margin), min(b, t0 + margin)
     # envelope timescale: transit of the focused width at the slowest speed
     dt = (1.0 / width) / v_min / 8.0
     steps = max(int(math.ceil((hi - lo) / dt)), 8)
-    return lo + (np.arange(steps) + 0.5) * (hi - lo) / steps
+    group = SUP_STRIDE * (hi - lo) / steps
+    before, after = (SUP_STRIDE * int(gap // group) for gap in
+                     (lo - max(a, t0 - 2.0 * margin), min(b, t0 + 2.0 * margin) - hi))
+    s = np.arange(-before, steps + after)
+    return lo + (s + 0.5) * (hi - lo) / steps, slice(before, before + steps)
 
 
 def _tables(spec: SmoothingOperatorSpec, modes: ModeGrid, times: np.ndarray) -> tuple:
@@ -427,15 +410,17 @@ def _tables(spec: SmoothingOperatorSpec, modes: ModeGrid, times: np.ndarray) -> 
     times reads that depends only on the operator and the times.
 
     gx samples B_R finely enough for the carrier (|xi| <= 2.2) and the
-    envelope; space[k, b] = e^{i xi_k x_b}. The evaluation builds u on every stride-th sample, stride = SUP_STRIDE
-    at r = inf and 1 otherwise. Built sample i BLOCK + j has phase
-    lead[i] * base[j], with lead[i] = e^{i t_{stride i BLOCK} phi} and
-    base[j] = e^{i (t_{stride j} - t_0) phi}; that is (S/BLOCK + BLOCK) M
+    envelope; space[k, b] = e^{i xi_k x_b}. The evaluation builds u on
+    every stride-th sample, stride = SUP_STRIDE at r = inf and 1
+    otherwise. Built sample i BLOCK + j has phase lead[i] * base[j], with
+    lead[i] = e^{i t_{stride i BLOCK} phi} and base[j] =
+    e^{i (t_{stride j} - t_0) phi}; that is (S/BLOCK + BLOCK) M
     exponentials instead of S M. offset holds e^{i o dt phi} for
     |o| < stride in increasing o: the fine windows around a built sample at
     r = inf (at finite r the single row o = 0). One set serves every
     evaluation and gradient over the same times, an evaluation on a subset
-    of the modes taking their rows of space and columns of the rest.
+    of the modes taking their rows of space and columns of the rest (and
+    a window of the times through _window_tables).
     """
     check_uniform_times(times)
     nx = max(int(math.ceil(2 * spec.R / 0.7)), 32)
@@ -451,6 +436,17 @@ def _tables(spec: SmoothingOperatorSpec, modes: ModeGrid, times: np.ndarray) -> 
     return gx, space, base, lead, offset
 
 
+def _window_tables(spec: SmoothingOperatorSpec, tables: tuple, rows: slice) -> tuple:
+    """The table set of times[rows] from tables = _tables(spec, modes, times),
+    rows.start a multiple of the stride: with k, j = divmod(start // stride,
+    BLOCK), its lead rows are lead[k:k+n] * base[j], the rest is shared."""
+    gx, space, base, lead, offset = tables
+    stride = SUP_STRIDE if spec.r == INF else 1
+    k, j = divmod(rows.start // stride, BLOCK)
+    n = -(-len(range(rows.start, rows.stop, stride)) // BLOCK)
+    return gx, space, base, lead[k:k + n] * base[j], offset
+
+
 @dataclass(frozen=True)
 class SupRecord:
     """What an r = inf evaluation keeps in place of its slab.
@@ -462,7 +458,6 @@ class SupRecord:
     """
 
     grid: Grid
-    times: np.ndarray
     index: np.ndarray
     peak: np.ndarray
     even_peak: np.ndarray
@@ -484,11 +479,12 @@ def _eval_mixed(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
                 times: np.ndarray, tables: tuple) -> tuple:
     """(mixed norm, evaluation) of the weighted sector evolution of spectrum c.
 
-    tables are _tables(spec, modes, times) over all modes; the evaluation
-    takes the rows and columns of its live modes. At finite r the
-    evaluation is the slab u, a SpacetimeField (_slab). At r = inf it is the
-    SupRecord of the coarse-to-fine search (_sup_in_time), and the value is
-    the sup over the samples that search evaluates.
+    tables are the table set of times over all modes (_tables, or
+    _window_tables for a window of the call's times); the evaluation takes
+    the rows and columns of its live modes. At finite r the evaluation is
+    the slab u, a SpacetimeField (_slab). At r = inf it is the SupRecord of
+    the coarse-to-fine search (_sup_in_time), and the value is the sup over
+    the samples that search evaluates.
     """
     amp_c = modes.amp * c * modes.dxi
     live = np.abs(amp_c) > 1e-14 * np.max(np.abs(amp_c))
@@ -539,7 +535,7 @@ def _sup_in_time(spec: SmoothingOperatorSpec, gx: Grid, times: np.ndarray,
     score = np.where((idx >= 0) & (idx < S), score, -1.0)
     best = score.argmax(axis=0)
     best_even = np.where(idx % 2 == 0, score, -1.0).argmax(axis=0)
-    rec = SupRecord(grid=gx, times=times, index=idx[best, cols], peak=fine[best, cols],
+    rec = SupRecord(grid=gx, index=idx[best, cols], peak=fine[best, cols],
                     even_peak=absf[best_even, cols],
                     coarse_energy=np.sum(coarse**2, axis=1))
     return float(_reduce(absf[best, cols], q, wx, axis=0)), rec
@@ -554,25 +550,27 @@ def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid,
                        tables: tuple) -> np.ndarray:
     """Gradient of the Rayleigh quotient wrt conj(c) (subgradient at r=inf).
 
-    (val, u) is what _eval_mixed returned for c on tables, the
-    _tables(spec, modes, u.times) it read. With W = d val / d conj(u), the
-    chain rule back to the spectrum is
+    (val, u) is what _eval_mixed returned for c on tables, the table set
+    it read. With W = d val / d conj(u), the chain rule back to the spectrum is
     g_k = amp_k sum_s e^{-i t_s phi_k} sum_b e^{-i x_b xi_k} W[s, b],
     e^{-i x_b xi_k} being the conjugate of the tables' spatial factor.
     W is the chain rule through the norm's own reductions (norms._nesting
     and norms._reduce_grad, a sup taking its first maximum); at r = inf
-    only the reduction over the cells of the SupRecord's peaks is left.
-    At finite r the sum over s runs the evaluation's blocks backwards, as
-    the conjugate of a sum on the forward tables.
+    only the reduction over the cells of the SupRecord's peaks is left,
+    peak sample SUP_STRIDE p + o having phase lead[p // BLOCK] *
+    base[p % BLOCK] * offset[o + SUP_STRIDE - 1]. At finite r the sum over
+    s runs the evaluation's blocks backwards, as the conjugate of a sum on
+    the forward tables.
     """
     amp = modes.amp * modes.dxi
-    _, space, base, lead, _ = tables
+    _, space, base, lead, offset = tables
     if spec.r == INF:
         Mb = np.abs(u.peak)
         w = (0.5 * _reduce_grad(Mb, spec.q, u.grid.dx, 0, val)
              * u.peak / np.where(Mb > 0, Mb, 1.0))
-        ph_t = np.exp(-1j * np.outer(modes.phi_vals, u.times[u.index]))  # (M, B)
-        g = amp * np.sum(ph_t * np.conj(space) * w, axis=1)
+        p, o = np.divmod(u.index, SUP_STRIDE)
+        ph = lead[p // BLOCK] * base[p % BLOCK] * offset[o + SUP_STRIDE - 1]  # (B, M)
+        g = amp * np.sum(np.conj(ph.T * space) * w, axis=1)
     else:
         slab = u.slices
         absu = np.abs(slab)
@@ -604,22 +602,25 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
     stagnation is recorded, never raised. `candidate` names the bank
     winner, refined only when the call's cost (time samples x ball cells
     x modes) is within ASCENT_BUDGET; seed drives the ascent's restarts.
-    The bank and every restart run on the operator's transit times, over
-    one table set (_tables) built once per call; the winner's (value,
-    evaluation) start the first restart, and a gradient is computed only at
-    a new point: after a rejected step the last one is kept. The best point
-    is evaluated again on the transit window doubled, unless that is the
-    same window; the higher of the two evaluations is reported, and the
-    diagnostics are read from it: refinement_delta (the value with every
-    second time sample dropped), tail_fraction (the share of sum_x |u|^2 in
-    the last tenth of the samples) and window_delta (the relative
-    difference of the two, 0 when the transit window already spans the
-    operator's window). At r = inf the first is read from the even-sample
-    peaks of the search and the second from its coarse samples.
+    One table set (_tables) per call is built on the doubled transit window
+    (_transit_times); the bank and every restart read it on the transit
+    window's rows (_window_tables). The winner's (value, evaluation) start
+    the first restart, and a gradient is computed only at a new point:
+    after a rejected step the last one is kept. The best point is evaluated
+    again on the doubled window, unless the rows are all of it; the higher
+    of the two evaluations is reported, and the diagnostics are read from
+    it: refinement_delta (the value with every second time sample dropped),
+    tail_fraction (the share of sum_x |u|^2 in the last tenth of the
+    samples) and window_delta (the relative difference of the two, 0 when
+    the transit window already spans the operator's window; at finite r,
+    at one step, the doubled window can only raise the value). At r = inf
+    the first is read from the even-sample peaks of the search and the
+    second from its coarse samples.
     """
     modes = mode_grid(spec)
-    times = _transit_times(spec, modes)
-    tables = _tables(spec, modes, times)
+    wide, rows = _transit_times(spec, modes)
+    wide_tables = _tables(spec, modes, wide)
+    times, tables = wide[rows], _window_tables(spec, wide_tables, rows)
     evals, best_val = 0, 0.0
     for name, c in _candidate_bank(spec, modes):
         raw, u = _eval_mixed(spec, modes, c, times, tables)
@@ -662,21 +663,19 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
                     break
         if cur > top_val:
             top_val, top = cur, (c, raw, u)
-    del tables  # none in the diagnostics
+    del tables  # the transit window's lead rows, none in the diagnostics
 
     # report the higher of the two windows, with its sampling sensitivity
     top_c, v_top, u = top
-    wide = _transit_times(spec, modes, margin_factor=2.0)
-    same = np.array_equal(wide, times)
-    v_wide, u_wide = ((v_top, u) if same else
-                      _eval_mixed(spec, modes, top_c, wide, _tables(spec, modes, wide)))
+    v_wide, u_wide = ((v_top, u) if len(times) == len(wide) else
+                      _eval_mixed(spec, modes, top_c, wide, wide_tables))
     window_delta = abs(v_wide - v_top) / max(v_top, 1e-300)
     v_full, u = (v_wide, u_wide) if v_wide > v_top else (v_top, u)
     if spec.r == INF:
         # every coarse sample has an even index, so the even-sample peaks
         # are the search at half the time resolution
         half = float(_reduce(u.even_peak, spec.q, u.grid.dx, axis=0))
-        ref_delta = abs(v_full - half) / max(v_full, 1e-300) if len(u.times) >= 4 else 0.0
+        ref_delta = abs(v_full - half) / max(v_full, 1e-300)
         per_t = u.coarse_energy
     else:
         ref_delta = refinement_delta(u, MixedNormSpec(q=spec.q, r=spec.r, order=spec.order))
@@ -687,8 +686,7 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
     nf = _l2_of_spectrum(modes, top_c)
     return LowerBoundResult(value=v_full / nf, candidate=best_name,
                             ascent_gain=(top_val - best_val) / max(best_val, 1e-300),
-                            refinement_delta=ref_delta,
-                            window_delta=window_delta,
+                            refinement_delta=ref_delta, window_delta=window_delta,
                             tail_fraction=tail_fraction, evaluations=evals)
 
 
@@ -734,31 +732,30 @@ class ScalingFit:
         return None if self.predicted is None else self.slope - self.predicted
 
 
+def check_fit_scales(R_values) -> None:
+    """Raise ValueError unless fit_exponent takes these scales: at least 3,
+    and in increasing order each a power-of-two multiple (2, 4, 8, ...) of
+    the one before, its log2 ratio a positive integer."""
+    Rs = np.sort(np.asarray(R_values, dtype=float))
+    k = np.log2(Rs[1:] / Rs[:-1])
+    if len(Rs) < 3 or np.any(np.round(k) < 1) or np.any(np.abs(k - np.round(k)) > 1e-9):
+        raise ValueError("need at least 3 dyadic scales (each the one before times 2, 4, "
+                         f"8, ...), got {', '.join(f'{R:g}' for R in Rs)}")
+
+
 def fit_exponent(samples, predicted: float | None = None) -> ScalingFit:
-    """Least squares on (log R, log value) for dyadic, increasing R."""
+    """Least squares on (log R, log value) for dyadic R (check_fit_scales)."""
     samples = sorted(samples)
-    if len(samples) < 3:
-        raise ValueError("need at least 3 samples")
+    check_fit_scales([s[0] for s in samples])
     Rs = np.array([s[0] for s in samples], dtype=float)
     vals = np.array([s[1] for s in samples], dtype=float)
     if np.any(vals <= 0):
         raise ValueError("values must be positive for a log-log fit")
-    if np.any(np.diff(Rs) <= 0):
-        raise ValueError("R values must be strictly increasing")
-    ratios = Rs[1:] / Rs[:-1]
-    if np.any(np.abs(ratios - np.round(ratios)) > 1e-9) or \
-            np.any(np.round(np.log2(np.round(ratios))) < 1):
-        raise ValueError("R values must be dyadic (each a power-of-two multiple)")
-    x = np.log(Rs)
-    y = np.log(vals)
+    x, y = np.log(Rs), np.log(vals)
     A = np.vstack([x, np.ones_like(x)]).T
+    # at least 3 distinct scales: A has full rank, res its one residual sum
     coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
     slope, intercept = float(coef[0]), float(coef[1])
-    dof = len(x) - 2
-    if dof > 0:
-        rss = float(res[0]) if len(res) else float(np.sum((y - A @ coef) ** 2))
-        stderr = math.sqrt(rss / dof / float(np.sum((x - x.mean()) ** 2)))
-    else:
-        stderr = 0.0
+    stderr = math.sqrt(float(res[0]) / (len(x) - 2) / float(np.sum((x - x.mean()) ** 2)))
     return ScalingFit(R_values=tuple(Rs), norms=tuple(vals), slope=slope,
                       intercept=intercept, stderr=stderr, predicted=predicted)

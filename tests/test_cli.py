@@ -149,6 +149,8 @@ def test_run_cli(tmp_path, capsys):
     ("opnorm", "--R", "0.5,8"),
     ("opnorm", "--R", "8,inf"),
     ("opnorm", "--R", ""),
+    ("opnorm", "--R", "2,3,4"),
+    ("opnorm", "--R", "8,24,72"),
     ("opnorm", "--window", "foo"),
     ("opnorm", "--window", "global:x"),
     ("opnorm", "--window", "global:"),
@@ -227,6 +229,7 @@ def test_recipes_parse():
 def test_flag_values_reach_the_command():
     assert cli._exponent("inf") == math.inf and cli._exponent("4") == 4.0
     assert cli._scales("8,16,32") == [8.0, 16.0, 32.0]
+    assert cli._scales("2,3") == [2.0, 3.0]  # no fit, so any two scales
     assert cli._window("local") == ("local", opnorm.GLOBAL_T_FACTOR)
     assert cli._window("global") == ("global", opnorm.GLOBAL_T_FACTOR)
     assert cli._window("global:4") == ("global", 4.0)

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from katolab.core import (Annulus, Field, FieldFormatError, GaussianRecipe,
+from katolab.core import (Annulus, Ball, Field, FieldFormatError, GaussianRecipe,
                           Grid, KnappRecipe, RandomBandlimited, Sector,
                           SpacetimeField, dft, idft, make_field,
                           parseval_defect, read_field, read_spacetime,
@@ -115,6 +115,21 @@ def test_annulus_region():
     rho = np.abs(g.xi_axis())
     outside = (rho < 0.5) | (rho > 2.0)
     assert np.max(np.abs(fhat.values[outside])) <= 1e-10
+
+
+def test_ball_centre_must_match_the_grid_dimension():
+    # zip would cut a longer centre or leave axes out of a shorter one (a
+    # 1-D centre on a 2-D grid bounds one axis: a slab, not a disc)
+    g = Grid(2, 32, 16.0)
+    for center in ((0.0,), (0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match=f"dimension {len(center)} on a grid of dimension 2"):
+            Ball(center=center, radius=2.0).contains(g.x_mesh())
+    # the random recipe's region (random:region=ball;c;r) has a 1-D centre
+    with pytest.raises(ValueError, match="dimension 1 on a grid of dimension 2"):
+        make_field(g, RandomBandlimited(Ball(center=(1.0,), radius=0.5), seed=0))
+    x, y = g.x_mesh()
+    disc = Ball(center=(0.0, 1.0), radius=2.0).contains([x, y])
+    assert np.array_equal(disc, x**2 + (y - 1.0) ** 2 < 4.0) and 0 < disc.sum() < 32**2
 
 
 def test_field_file_roundtrip_bit_exact(tmp_path):

@@ -92,7 +92,11 @@ def test_parse_config_errors_name_fields():
                         ("kind = scaling\nsymbol = power:m=2,n=1\ncross_check = 1",
                          "cross_check"),
                         ("kind = scaling\nsymbol = power:m=2,n=1\nq = 4", "q"),
-                        ("kind = transfer\nsymbol = power:m=2,n=1\nr = 3", "r")]:
+                        ("kind = transfer\nsymbol = power:m=2,n=1\nr = 3", "r"),
+                        ("kind = scaling\nsymbol = power:m=2,n=1\nR = 2,3,4", "R"),
+                        ("kind = maximal\nsymbol = power:m=2,n=1\nr = inf\nR = 8,24,72",
+                         "R"),
+                        ("kind = transfer\nsymbol = power:m=2,n=1\nR = 8,16,16", "R")]:
         with pytest.raises(E.ConfigError) as exc:
             E.parse_config(text)
         assert exc.value.field_name == field, text

@@ -152,6 +152,26 @@ def test_homogeneous_degree_one():
                                                    rel=1e-12)
 
 
+def test_ball_centre_must_match_the_grid_dimension():
+    # one ball rule (core.Ball): a centre of another dimension is refused,
+    # not cut to the grid's by zip (which measured ((0, 100), 4) as ((0,), 4)
+    # on a 1-D grid, and a 1-D centre on a 2-D grid as a slab)
+    times = cell_times(0.0, 1.0, 4)
+    u1 = constant_evolution(Grid(1, 64, 16.0), times)
+    u2 = constant_evolution(Grid(2, 32, 16.0), times)
+    for u, center in ((u1, (0.0, 100.0)), (u2, (0.0,))):
+        with pytest.raises(ValueError, match="dimension"):
+            N.mixed_norm(u, N.MixedNormSpec(q=1, r=INF, ball=(center, 4.0)))
+    # on matching dimensions: the ball's measure, a segment of length 8 and
+    # the lattice disc of radius 4 (cell-centre test)
+    assert N.mixed_norm(u1, N.MixedNormSpec(q=1, r=INF, ball=((0.0,), 4.0))) == \
+        pytest.approx(8.0, rel=1e-12)
+    x, y = u2.grid.x_mesh()
+    cells = np.sum(x**2 + y**2 < 16.0)
+    assert N.mixed_norm(u2, N.MixedNormSpec(q=1, r=INF, ball=((0.0, 0.0), 4.0))) == \
+        pytest.approx(cells * u2.grid.dx**2, rel=1e-12)
+
+
 def test_empty_region_errors():
     g = Grid(1, 64, 8.0)
     u = constant_evolution(g, cell_times(0.0, 1.0, 8))

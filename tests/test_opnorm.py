@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from katolab import opnorm as O
 from katolab import symbols as S
-from katolab.core import Grid, SpacetimeField
+from katolab.core import Grid, SpacetimeField, check_uniform_times
 from katolab.norms import MixedNormSpec, mixed_norm, refinement_delta
 
 SYM = S.schrodinger(1)
@@ -150,15 +150,22 @@ def test_lower_bound_consistent_with_l2():
 
 
 def _evaluate(spec, modes, c, times):
-    """_eval_mixed on a table set of its own, built as lower_bound_mixed builds it."""
+    """_eval_mixed on a table set of its own, built on times."""
     return O._eval_mixed(spec, modes, c, times, O._tables(spec, modes, times))
+
+
+def _call_times(spec, modes):
+    """The samples lower_bound_mixed runs its bank and ascent on: the
+    transit window, its rows of _transit_times."""
+    times, rows = O._transit_times(spec, modes)
+    return times[rows]
 
 
 def test_quotient_scale_invariance():
     spec = spec_at(8.0, q=2.0, r=4.0)
     modes = O.mode_grid(spec)
     c = np.exp(-0.5 * ((modes.xi - 1.1) / 0.1) ** 2).astype(complex)
-    times = O._transit_times(spec, modes)
+    times = _call_times(spec, modes)
     q1 = _evaluate(spec, modes, c, times)[0] / O._l2_of_spectrum(modes, c)
     q3 = _evaluate(spec, modes, 3.0 * c, times)[0] / O._l2_of_spectrum(modes, 3.0 * c)
     assert q1 == pytest.approx(q3, rel=1e-12)
@@ -169,7 +176,7 @@ def test_candidate_ranking_scale_invariant():
     spec = spec_at(8.0, q=2.0, r=INF, alpha=-0.25)
     modes = O.mode_grid(spec)
     vals = {}
-    times = O._transit_times(spec, modes)
+    times = _call_times(spec, modes)
     for name, c in O._candidate_bank(spec, modes):
         for scale in (1.0, 7.5):
             v = (_evaluate(spec, modes, scale * c, times)[0]
@@ -235,7 +242,7 @@ def _chirp_case(r, window, order="xt", q=2.0):
                                order=order)
     modes = O.mode_grid(spec)
     c = dict(O._candidate_bank(spec, modes))["chirp-root@0.9"]
-    return spec, modes, c, O._transit_times(spec, modes)
+    return spec, modes, c, _call_times(spec, modes)
 
 
 # Spectra the bank does not hold, with the bank's focusing chirp: the other
@@ -323,7 +330,7 @@ def test_sup_search_matches_full_slab_on_every_bank_candidate(R, window, order):
     modes = O.mode_grid(spec)
     spectra = O._candidate_bank(spec, modes) + _other_profiles(spec, modes)
     for name, c in spectra + [("noise", _noise(spec, modes))]:
-        _check_sup_search(spec, modes, c, O._transit_times(spec, modes),
+        _check_sup_search(spec, modes, c, _call_times(spec, modes),
                           exact=name.startswith(("chirp", "plate")))
 
 
@@ -442,7 +449,7 @@ def _check_only_an_affordable_winner_is_refined(monkeypatch, r):
     spec = spec_at(8.0, alpha=-0.25, r=r)
     modes = O.mode_grid(spec)
     bank = _hand_made_bank(spec, modes)
-    times = O._transit_times(spec, modes)
+    times = _call_times(spec, modes)
     vals = [_evaluate(spec, modes, c, times)[0] / O._l2_of_spectrum(modes, c)
             for _, c in bank]
     assert vals[0] > vals[1]
@@ -457,7 +464,7 @@ def _check_only_an_affordable_winner_is_refined(monkeypatch, r):
     assert res.ascent_gain == 0.0
     # the bank loop is the only counted work: no ascent step ran
     assert res.evaluations == len(bank)
-    wide = O._transit_times(spec, modes, margin_factor=2.0)
+    wide = O._transit_times(spec, modes)[0]
     v_wide = _evaluate(spec, modes, bank[0][1], wide)[0] / O._l2_of_spectrum(modes, bank[0][1])
     assert res.value == max(vals[0], v_wide)
 
@@ -480,14 +487,15 @@ def test_bank_winner_is_evaluated_once_at_finite_r(monkeypatch):
 def _check_bank_winner_is_evaluated_once(monkeypatch, r):
     # the bank loop's evaluation of the winner seeds the first ascent restart
     # and gives the diagnostics. At local R = 8 the doubled transit window
-    # clips to the same operator window, so that evaluation is reused too:
-    # after the bank nothing is evaluated and window_delta is exactly 0. At
-    # finite r the diagnostics read the slab; at r = inf the sup search's
-    # record (even-sample peaks, coarse energies).
+    # clips to the same operator window, so its rows are all of the times
+    # and that evaluation is reused too: after the bank nothing is evaluated
+    # and window_delta is exactly 0. At finite r the diagnostics read the
+    # slab; at r = inf the sup search's record (even-sample peaks, coarse
+    # energies).
     spec = spec_at(8.0, alpha=-0.25, r=r)
     modes = O.mode_grid(spec)
-    times = O._transit_times(spec, modes)
-    assert np.array_equal(times, O._transit_times(spec, modes, margin_factor=2.0))
+    times, rows = O._transit_times(spec, modes)
+    assert rows == slice(0, len(times))
     assert (times[0], times[-1]) == pytest.approx(spec.time_window(), abs=times[1] - times[0])
     bank = _hand_made_bank(spec, modes)
     eval_mixed = O._eval_mixed
@@ -504,7 +512,8 @@ def _check_bank_winner_is_evaluated_once(monkeypatch, r):
     seeded = O.lower_bound_mixed(spec, ascent_steps=0, restarts=1)
     assert len(calls) == len(bank)
 
-    v_full, u = eval_mixed(spec, modes, bank[0][1], times, O._tables(spec, modes, times))
+    tables = O._window_tables(spec, O._tables(spec, modes, times), rows)
+    v_full, u = eval_mixed(spec, modes, bank[0][1], times, tables)
     if r == INF:
         half = (u.grid.dx * np.sum(u.even_peak**spec.q)) ** (1.0 / spec.q)
         ref_delta = abs(v_full - half) / v_full
@@ -521,35 +530,108 @@ def _check_bank_winner_is_evaluated_once(monkeypatch, r):
         assert res.tail_fraction == float(np.sum(per_t[-k:]) / np.sum(per_t))
 
 
+def _transit_window(spec, modes):
+    """The transit window's samples by their definition: the cell centres of
+    t0 +- 3.5 (2R + 1/width)/v_min clipped to the operator's window, at
+    least 8 cells of at most an eighth of 1/width/v_min."""
+    a, b = spec.time_window()
+    t0 = (a + b) / 2.0
+    width = np.ptp(modes.xi)
+    v_min = np.min(np.abs(2.0 * modes.xi))  # the quadratic symbol's speed
+    margin = 3.5 * (2.0 * spec.R + 1.0 / width) / v_min
+    lo, hi = max(a, t0 - margin), min(b, t0 + margin)
+    steps = max(math.ceil((hi - lo) / (1.0 / width / v_min / 8.0)), 8)
+    return lo + (np.arange(steps) + 0.5) * (hi - lo) / steps
+
+
 def test_windows_share_the_time_step_without_a_sample_cap():
     # at the battery's largest maximal scale the doubled window holds more
-    # than 20000 samples at the narrow window's step, so window_delta
-    # compares windows, not sampling steps
+    # than 20000 samples. It is one grid with the transit window, whose
+    # samples are its rows, so window_delta compares windows, not sampling
+    # steps; it adds whole groups of SUP_STRIDE samples on each side
     spec = spec_at(64.0, alpha=-0.25, r=INF)
     modes = O.mode_grid(spec)
-    narrow = O._transit_times(spec, modes)
-    wide = O._transit_times(spec, modes, margin_factor=2.0)
-    assert len(wide) > 20000
-    assert wide[1] - wide[0] == pytest.approx(narrow[1] - narrow[0], rel=1e-3)
+    times, rows = O._transit_times(spec, modes)
+    assert np.array_equal(times[rows], _transit_window(spec, modes))
+    assert len(times) > 20000
+    assert rows.start % O.SUP_STRIDE == 0 and (len(times) - rows.stop) % O.SUP_STRIDE == 0
+    a, b = spec.time_window()
+    assert a < times[0] and times[-1] < b
+    check_uniform_times(times)
+
+
+@pytest.mark.parametrize("r", [4.0, INF])
+def test_window_tables_match_fresh_tables(r):
+    # a window of the times read from the set on all of them: lead rows
+    # shifted by a whole block (j = 0) and by part of one (the transit
+    # window of the global R = 8 operator, j != 0)
+    spec = spec_at(8.0, alpha=-0.25, r=r, window="global")
+    modes = O.mode_grid(spec)
+    times, transit = O._transit_times(spec, modes)
+    stride = O.SUP_STRIDE if r == INF else 1
+    tables = O._tables(spec, modes, times)
+    shifted = slice(stride * O.BLOCK, len(times) - 5)
+    assert [(rows.start // stride) % O.BLOCK == 0 for rows in (transit, shifted)] == [False, True]
+    for rows in (transit, shifted):
+        window = times[rows]
+        mine = O._window_tables(spec, tables, rows)
+        fresh = O._tables(spec, modes, window)
+        assert len(mine[3]) == len(fresh[3])
+        for name, c in O._candidate_bank(spec, modes) + [("noise", _noise(spec, modes))]:
+            (val, u), (ref, u_ref) = (O._eval_mixed(spec, modes, c, window, t)
+                                      for t in (mine, fresh))
+            assert abs(val - ref) <= 1e-12 * ref, name
+            if r == INF:
+                assert np.array_equal(u.index, u_ref.index), name
+                got, want = u.peak, u_ref.peak
+            else:
+                got, want = u.slices, u_ref.slices
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("order", ["xt", "tx"])
+def test_doubled_window_value_is_at_least_the_transit_windows(order):
+    # at finite r the doubled window holds the transit window's samples and
+    # more at the same step, so its L^r integral over time is no smaller
+    spec = dataclasses.replace(spec_at(8.0, alpha=0.5, r=4.0, window="global"), order=order)
+    modes = O.mode_grid(spec)
+    times, rows = O._transit_times(spec, modes)
+    tables = O._tables(spec, modes, times)
+    for name, c in O._candidate_bank(spec, modes) + [("noise", _noise(spec, modes))]:
+        v_wide = O._eval_mixed(spec, modes, c, times, tables)[0]
+        v_top = O._eval_mixed(spec, modes, c, times[rows],
+                              O._window_tables(spec, tables, rows))[0]
+        assert v_wide >= v_top * (1 - 1e-12), name
 
 
 # The ascent as one call per piece of work: every evaluation and gradient
-# builds its own table set (ball grid, spatial and time factors), and every
+# builds its own table set (ball grid, spatial and time factors, on the
+# doubled transit window, read on the transit window's rows), and every
 # step takes a gradient, also at a point a rejected step left unchanged. The
-# bank and every restart run on the call's transit times. lower_bound_mixed
+# bank and every restart run on the call's transit window. lower_bound_mixed
 # must give the same result with one table set per call and one gradient per
 # point. The value and the diagnostics read the higher of the best point's
-# two evaluations: at the call's times and on the doubled transit window,
-# which is the same evaluation when the two windows are equal.
+# two evaluations: on the transit window and on the doubled window, which
+# is the same evaluation when the two windows are equal.
+
+def _transit_tables(spec, modes):
+    """(transit window, its table set), from a fresh set on the doubled window."""
+    wide, rows = O._transit_times(spec, modes)
+    return wide[rows], O._window_tables(spec, O._tables(spec, modes, wide), rows)
+
 
 def _lower_bound_reference(spec, seed):
     """(result, fresh, accepted, restarts run); fresh counts the steps taken
     from a point not differentiated before."""
     modes = O.mode_grid(spec)
-    times = O._transit_times(spec, modes)
+    times = _call_times(spec, modes)
+
+    def evaluate(c):
+        return O._eval_mixed(spec, modes, c, *_transit_tables(spec, modes))
+
     evals, best_val = 0, 0.0
     for name, c in O._candidate_bank(spec, modes):
-        raw, u = _evaluate(spec, modes, c, times)
+        raw, u = evaluate(c)
         val = raw / O._l2_of_spectrum(modes, c)
         evals += 1
         if val > best_val:
@@ -565,18 +647,18 @@ def _lower_bound_reference(spec, seed):
         if restart > 0:
             c = best_c * (1.0 + 0.2 * (rng.standard_normal(len(best_c))
                                        + 1j * rng.standard_normal(len(best_c))))
-            raw, u = _evaluate(spec, modes, c, times)
+            raw, u = evaluate(c)
             evals += 1
         cur = raw / O._l2_of_spectrum(modes, c)
         step, moved = 0.5, True
         for _ in range(O.ASCENT_STEPS):
-            gq = O._quotient_gradient(spec, modes, c, raw, u, O._tables(spec, modes, times))
+            gq = O._quotient_gradient(spec, modes, c, raw, u, _transit_tables(spec, modes)[1])
             gn = np.linalg.norm(gq)
             fresh += moved
             if gn == 0:
                 break
             trial = c + step * np.linalg.norm(c) * gq / gn
-            t_raw, t_u = _evaluate(spec, modes, trial, times)
+            t_raw, t_u = evaluate(trial)
             val = t_raw / O._l2_of_spectrum(modes, trial)
             evals += 1
             moved = val > cur
@@ -590,12 +672,11 @@ def _lower_bound_reference(spec, seed):
         if cur > top_val:
             top_val, top = cur, (c, raw, u)
     top_c, v_top, u = top
-    v_wide, u_wide = _evaluate(spec, modes, top_c,
-                               O._transit_times(spec, modes, margin_factor=2.0))
+    v_wide, u_wide = _evaluate(spec, modes, top_c, O._transit_times(spec, modes)[0])
     v_full, u = max((v_top, u), (v_wide, u_wide), key=lambda e: e[0])
     if spec.r == INF:
         half = O._reduce(u.even_peak, spec.q, u.grid.dx, axis=0)
-        ref_delta = abs(v_full - half) / max(v_full, 1e-300) if len(u.times) >= 4 else 0.0
+        ref_delta = abs(v_full - half) / max(v_full, 1e-300)
         per_t = u.coarse_energy
     else:
         ref_delta = refinement_delta(u, MixedNormSpec(q=spec.q, r=spec.r, order=spec.order))
@@ -617,15 +698,16 @@ def _lower_bound_reference(spec, seed):
 def test_ascent_matches_the_per_call_reference(monkeypatch, r, window, R):
     # every field equal; a gradient once per restart and once per accepted
     # step that another step follows, always on the call's tables; one
-    # table set per call, spatial factor included, plus the doubled window's
-    # when it differs from the call's (global window) and none when it does
+    # table set per call, spatial factor and doubled window included, read
+    # on the transit window once; the doubled window is evaluated when it
+    # differs from the transit window (global window) and not when it does
     # not (local, where both clip to the operator window)
     spec = spec_at(R, alpha=-0.25, r=r, window=window)
     modes = O.mode_grid(spec)
     bank = len(O._candidate_bank(spec, modes))
     ref, fresh, accepted, restarts = _lower_bound_reference(spec, seed=7)
     assert restarts == O.ASCENT_RESTARTS
-    calls = {"_eval_mixed": [], "_quotient_gradient": [], "_tables": []}
+    calls = {"_eval_mixed": [], "_quotient_gradient": [], "_tables": [], "_window_tables": []}
     for name, log in calls.items():
         monkeypatch.setattr(O, name, lambda *args, _f=getattr(O, name), _log=log:
                             _log.append(len(args)) or _f(*args))
@@ -637,13 +719,13 @@ def test_ascent_matches_the_per_call_reference(monkeypatch, r, window, R):
     # some steps were rejected, so some gradients were saved
     assert fresh < res.evaluations - bank - (restarts - 1)
     assert set(grads) == {6}
-    # the bank and the ascent evaluate on the call's tables; only the
-    # doubled window, when it is new, builds its own
-    wide = not np.array_equal(O._transit_times(spec, modes),
-                              O._transit_times(spec, modes, margin_factor=2.0))
+    # the bank and the ascent evaluate on the call's tables, and so does
+    # the doubled window, when it is new
+    times, rows = O._transit_times(spec, modes)
+    wide = rows != slice(0, len(times))
     assert wide == (window == "global")
     assert len(calls["_eval_mixed"]) == res.evaluations + wide
-    assert len(calls["_tables"]) == 1 + wide
+    assert len(calls["_tables"]) == len(calls["_window_tables"]) == 1
 
 
 # lower_bound_mixed at the battery's maximal (criterion 08) and global
@@ -651,13 +733,18 @@ def test_ascent_matches_the_per_call_reference(monkeypatch, r, window, R):
 # (narrow chirps, 1/R plates and seeded noise included), none of whose five
 # dropped candidates won there: (R, value as float.hex, bank winner).
 # Maximal R = 16 was recorded again once every restart ran on the bank
-# winner's times (it rose by 9.4e-8 from 0x1.a199162da61c7p+3). At a fixed
+# winner's times (it rose by 9.4e-8 from 0x1.a199162da61c7p+3), and with
+# transfer R = 2 once the doubled window shared the transit window's time
+# step: maximal R = 16 fell by 6.05e-6 from 0x1.a19918c203a1cp+3, its
+# coarser-stepped doubled window having won by exactly that, and transfer
+# R = 2 by 4.1e-11 from 0x1.ee6a9e8b3345fp+2, the doubled window's value
+# at the transit window's step. At a fixed
 # BLAS thread count the values are bit-identical; the tolerance absorbs the
 # last-bit changes of another thread count or BLAS build.
 GOLDEN_MAXIMAL = [(8.0, "0x1.3b4ebb8b38b24p+3", "chirp-broad"),
-                  (16.0, "0x1.a19918c203a1cp+3", "chirp-broad"),
+                  (16.0, "0x1.a1987318d1909p+3", "chirp-broad"),
                   (32.0, "0x1.e9bff2ab9038bp+3", "chirp-broad")]
-GOLDEN_TRANSFER = [(2.0, "0x1.ee6a9e8b3345fp+2", "chirp-wide@1.3"),
+GOLDEN_TRANSFER = [(2.0, "0x1.ee6a9e8adb9efp+2", "chirp-wide@1.3"),
                    (4.0, "0x1.5c75cd0c75ebcp+3", "chirp-wide@1.3"),
                    (8.0, "0x1.e6c2196987a57p+3", "chirp-wide@1.3")]
 
@@ -675,12 +762,12 @@ def test_lower_bound_golden_values(kind, R, value, candidate):
     assert res.value == pytest.approx(float.fromhex(value), rel=1e-12, abs=0)
 
 
-def _reported_evaluation(spec, modes, c, times):
+def _reported_evaluation(spec, modes, c):
     """(value, (refinement_delta, window_delta, tail_fraction), whether the
-    wide window won) of spectrum c from fresh evaluations at times and on
-    the doubled transit window, read from the higher of the two."""
-    v_top, u_top = _evaluate(spec, modes, c, times)
-    v_wide, u_wide = _evaluate(spec, modes, c, O._transit_times(spec, modes, margin_factor=2.0))
+    wide window won) of spectrum c from fresh evaluations on the transit
+    window and on the doubled window, read from the higher of the two."""
+    v_top, u_top = O._eval_mixed(spec, modes, c, *_transit_tables(spec, modes))
+    v_wide, u_wide = _evaluate(spec, modes, c, O._transit_times(spec, modes)[0])
     v_full, u = (v_wide, u_wide) if v_wide > v_top else (v_top, u_top)
     if spec.r == INF:
         ref_delta = abs(v_full - O._reduce(u.even_peak, spec.q, u.grid.dx, axis=0)) / v_full
@@ -713,8 +800,8 @@ def test_diagnostics_read_the_reported_evaluation(monkeypatch, r, alpha, seed):
     assert res.ascent_gain > 0
     bank = dict(O._candidate_bank(spec, modes))
     assert not any(top_c is c for c in bank.values())
-    assert np.array_equal(times, O._transit_times(spec, modes))
-    value, diagnostics, wide = _reported_evaluation(spec, modes, top_c, times)
+    assert np.array_equal(times, _call_times(spec, modes))
+    value, diagnostics, wide = _reported_evaluation(spec, modes, top_c)
     assert wide == (r != INF)
     assert (res.refinement_delta, res.window_delta, res.tail_fraction) == diagnostics
     assert res.value == value / O._l2_of_spectrum(modes, top_c)
@@ -759,6 +846,13 @@ def test_fit_validation():
         O.fit_exponent([(8.0, 1.0), (16.0, -2.0), (32.0, 2.0)])
     with pytest.raises(ValueError):
         O.fit_exponent([(8.0, 1.0), (12.0, 2.0), (16.0, 2.0)])  # not dyadic
+    with pytest.raises(ValueError):
+        O.fit_exponent([(8.0, 1.0), (24.0, 2.0), (72.0, 3.0)])  # integer ratio 3
+    with pytest.raises(ValueError):
+        O.fit_exponent([(8.0, 1.0), (16.0, 2.0), (16.0, 3.0)])  # repeated scale
+    # in any order, each a power-of-two multiple of the one before
+    assert O.fit_exponent([(32.0, 4.0), (8.0, 1.0), (16.0, 2.0)]).slope == pytest.approx(1.0)
+    assert O.fit_exponent([(2.0, 1.0), (8.0, 4.0), (16.0, 8.0)]).slope == pytest.approx(1.0)
 
 
 @settings(max_examples=25, deadline=None)
