@@ -12,9 +12,9 @@ import sys
 import numpy as np
 
 from . import experiments, norms, opnorm, propagator, symbols, wavepackets
-from .core import (Annulus, Ball, Field, GaussianRecipe, Grid, KnappRecipe,
+from .core import (Annulus, Ball, GaussianRecipe, Grid, KnappRecipe,
                    RandomBandlimited, Sector, make_field, read_field,
-                   read_spacetime, write_field, write_spacetime)
+                   read_spacetime, write_field, write_packets, write_spacetime)
 
 
 def _parse_recipe(text: str):
@@ -175,13 +175,13 @@ def _cmd_wavepacket(args):
     f = read_field(args.infile)
     dec = wavepackets.decompose(f, args.R)
     os.makedirs(args.out_dir, exist_ok=True)
-    manifest = os.path.join(args.out_dir, "manifest.csv")
-    with open(manifest, "w") as fh:
+    name = "packets.kslp"
+    if dec.packets:
+        write_packets(f.grid, len(dec.packets), wavepackets.packet_values(dec.packets),
+                      os.path.join(args.out_dir, name))
+    with open(os.path.join(args.out_dir, "manifest.csv"), "w") as fh:
         fh.write("index,l,v,energy,file\n")
-        values = wavepackets.packet_values(dec.packets)
-        for i, (p, vals) in enumerate(zip(dec.packets, values)):
-            name = f"packet_{i:05d}.kslf"
-            write_field(Field(p.grid, vals), os.path.join(args.out_dir, name))
+        for i, p in enumerate(dec.packets):
             l_s = ";".join(f"{c:g}" for c in p.l)
             v_s = ";".join(f"{c:g}" for c in p.v)
             fh.write(f"{i},{l_s},{v_s},{p.energy:.17g},{name}\n")

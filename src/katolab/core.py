@@ -17,6 +17,7 @@ import numpy as np
 
 KSLF_MAGIC = b"KSLF"
 KSLT_MAGIC = b"KSLT"
+KSLP_MAGIC = b"KSLP"
 KSLF_VERSION = 1
 
 # Largest stack of spectra one batched inverse transform takes; callers with
@@ -319,23 +320,40 @@ def make_field(grid: Grid, recipe) -> Field:
 
 # ---------------------------------------------------------------------------
 # Persistence (bit-exact): magic, version u32, then n, N, L as little-endian
-# f64, then interleaved (re, im) f64 samples in row-major order.
+# f64, then interleaved (re, im) f64 samples in row-major order. Evolution
+# (KSLT) and packet-stack (KSLP) files put a count as f64 at byte 32.
 # ---------------------------------------------------------------------------
 
 
-def _write_samples(path: str, magic: bytes, g: Grid, extra: bytes,
-                   samples: np.ndarray) -> None:
-    """Header (magic, version, grid, then `extra`) and interleaved samples."""
+def _write_samples(path: str, magic: bytes, g: Grid, extra: bytes, blocks) -> int:
+    """Header (magic, version, grid, then `extra`), then the interleaved
+    samples of each block of `blocks` in turn; returns the sample bytes
+    written. Blocks are written as they come, so a generator is never held
+    whole."""
+    written = 0
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<I", KSLF_VERSION))
         fh.write(struct.pack("<ddd", float(g.n), float(g.N), g.L))
         fh.write(extra)
-        fh.write(np.ascontiguousarray(samples, dtype="<c16").tobytes())
+        for block in blocks:
+            written += fh.write(np.ascontiguousarray(block, dtype="<c16").tobytes())
+    return written
 
 
 def write_field(f: Field, path: str) -> None:
-    _write_samples(path, KSLF_MAGIC, f.grid, b"", f.values)
+    _write_samples(path, KSLF_MAGIC, f.grid, b"", [f.values])
+
+
+def write_packets(g: Grid, count: int, rows, path: str) -> None:
+    """Packet stack: `count` rows of samples on g, streamed from `rows`
+    (an iterable such as `wavepackets.packet_values`), one row per packet."""
+    if count < 1:
+        raise ValueError(f"packet count {count} must be at least 1")
+    row_bytes = 16 * math.prod(g.shape)
+    written = _write_samples(path, KSLP_MAGIC, g, struct.pack("<d", float(count)), rows)
+    if written != count * row_bytes:
+        raise ValueError(f"{count} packets declared, {written / row_bytes:g} written")
 
 
 def _read_grid(raw: bytes, magic: bytes) -> Grid:
@@ -358,37 +376,58 @@ def _read_grid(raw: bytes, magic: bytes) -> Grid:
         raise FieldFormatError(f"invalid grid: {exc}", 8) from exc
 
 
+def _read_count(raw: bytes, what: str) -> int:
+    """The count (slices, packets) stored as f64 at byte 32: a positive
+    integer."""
+    if len(raw) < 40:
+        raise FieldFormatError(f"truncated {what} count", 32)
+    (count,) = struct.unpack_from("<d", raw, 32)
+    if not (count.is_integer() and count >= 1):
+        raise FieldFormatError(f"{what} count {count!r} is not a positive integer", 32)
+    return int(count)
+
+
 def _read_samples(raw: bytes, offset: int, shape: tuple) -> np.ndarray:
-    """Interleaved (re, im) f64 samples filling the file from offset on."""
+    """Interleaved (re, im) f64 samples filling the file from offset on. A
+    size mismatch names the first byte past the samples, or the start of
+    the first sample the file cuts short."""
     need = offset + 16 * math.prod(shape)
     if len(raw) != need:
-        raise FieldFormatError(f"expected {need} bytes, found {len(raw)}", min(len(raw), need))
+        at = need if len(raw) > need else offset + 16 * ((len(raw) - offset) // 16)
+        raise FieldFormatError(f"expected {need} bytes, found {len(raw)}", at)
     return np.frombuffer(raw, dtype="<c16", offset=offset).reshape(shape)
 
 
-def read_field(path: str) -> Field:
+def _read_file(path: str) -> bytes:
     with open(path, "rb") as fh:
-        raw = fh.read()
+        return fh.read()
+
+
+def read_field(path: str) -> Field:
+    raw = _read_file(path)
     grid = _read_grid(raw, KSLF_MAGIC)
     return Field(grid, _read_samples(raw, 32, grid.shape))
+
+
+def read_packets(path: str) -> tuple:
+    """(grid, values) of a packet stack; values[i] holds packet i's
+    samples, shape (P,) + grid.shape."""
+    raw = _read_file(path)
+    grid = _read_grid(raw, KSLP_MAGIC)
+    count = _read_count(raw, "packet")
+    return grid, _read_samples(raw, 40, (count,) + grid.shape)
 
 
 def write_spacetime(u: SpacetimeField, path: str) -> None:
     times = np.asarray(u.times, dtype="<f8").tobytes()
     _write_samples(path, KSLT_MAGIC, u.grid,
-                   struct.pack("<d", float(len(u.times))) + times, u.slices)
+                   struct.pack("<d", float(len(u.times))) + times, [u.slices])
 
 
 def read_spacetime(path: str) -> SpacetimeField:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read_file(path)
     grid = _read_grid(raw, KSLT_MAGIC)
-    if len(raw) < 40:
-        raise FieldFormatError("truncated slice count", 32)
-    (S_f,) = struct.unpack_from("<d", raw, 32)
-    if not (S_f.is_integer() and S_f >= 1):
-        raise FieldFormatError(f"slice count {S_f!r} is not a positive integer", 32)
-    S = int(S_f)
+    S = _read_count(raw, "slice")
     t_end = 40 + 8 * S
     if len(raw) < t_end:
         raise FieldFormatError(f"expected {S} times, found {(len(raw) - 40) // 8}", len(raw))

@@ -607,15 +607,17 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
     window's rows (_window_tables). The winner's (value, evaluation) start
     the first restart, and a gradient is computed only at a new point:
     after a rejected step the last one is kept. The best point is evaluated
-    again on the doubled window, unless the rows are all of it; the higher
-    of the two evaluations is reported, and the diagnostics are read from
-    it: refinement_delta (the value with every second time sample dropped),
-    tail_fraction (the share of sum_x |u|^2 in the last tenth of the
-    samples) and window_delta (the relative difference of the two, 0 when
-    the transit window already spans the operator's window; at finite r,
-    at one step, the doubled window can only raise the value). At r = inf
-    the first is read from the even-sample peaks of the search and the
-    second from its coarse samples.
+    again on the doubled window, unless the rows are all of it, and the
+    higher of the two values is reported. The diagnostics do not depend on
+    which one wins by rounding: refinement_delta (the value with every
+    second time sample dropped) and tail_fraction (the share of
+    sum_x |u|^2 in the last tenth of the samples) are read from the
+    transit window's evaluation, and window_delta is the relative
+    difference of the two (0 when the transit window already spans the
+    operator's window; at finite r, at one step, the doubled window can
+    only raise the value). At r = inf the first is read from the
+    even-sample peaks of the search and the second from its coarse
+    samples.
     """
     modes = mode_grid(spec)
     wide, rows = _transit_times(spec, modes)
@@ -665,17 +667,17 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
             top_val, top = cur, (c, raw, u)
     del tables  # the transit window's lead rows, none in the diagnostics
 
-    # report the higher of the two windows, with its sampling sensitivity
+    # report the higher of the two windows; the sampling diagnostics read
+    # the transit window's evaluation, the one the ascent optimised
     top_c, v_top, u = top
-    v_wide, u_wide = ((v_top, u) if len(times) == len(wide) else
-                      _eval_mixed(spec, modes, top_c, wide, wide_tables))
+    v_wide = v_top if len(times) == len(wide) else _eval_mixed(
+        spec, modes, top_c, wide, wide_tables)[0]
     window_delta = abs(v_wide - v_top) / max(v_top, 1e-300)
-    v_full, u = (v_wide, u_wide) if v_wide > v_top else (v_top, u)
     if spec.r == INF:
         # every coarse sample has an even index, so the even-sample peaks
         # are the search at half the time resolution
         half = float(_reduce(u.even_peak, spec.q, u.grid.dx, axis=0))
-        ref_delta = abs(v_full - half) / max(v_full, 1e-300)
+        ref_delta = abs(v_top - half) / max(v_top, 1e-300)
         per_t = u.coarse_energy
     else:
         ref_delta = refinement_delta(u, MixedNormSpec(q=spec.q, r=spec.r, order=spec.order))
@@ -684,7 +686,7 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
     k = max(1, len(per_t) // 10)
     tail_fraction = float(np.sum(per_t[-k:]) / max(np.sum(per_t), 1e-300))
     nf = _l2_of_spectrum(modes, top_c)
-    return LowerBoundResult(value=v_full / nf, candidate=best_name,
+    return LowerBoundResult(value=max(v_top, v_wide) / nf, candidate=best_name,
                             ascent_gain=(top_val - best_val) / max(best_val, 1e-300),
                             refinement_delta=ref_delta, window_delta=window_delta,
                             tail_fraction=tail_fraction, evaluations=evals)

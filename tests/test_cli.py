@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from katolab import cli, opnorm, symbols
+from katolab import cli, opnorm, symbols, wavepackets
 from katolab.core import (Ball, GaussianRecipe, KnappRecipe, RandomBandlimited, Sector,
-                          read_field, read_spacetime)
+                          read_field, read_packets, read_spacetime)
 
 
 def test_field_propagate_norm_roundtrip(tmp_path, capsys):
@@ -57,12 +57,36 @@ def test_wavepacket_decompose_cli(tmp_path, capsys):
     manifest = (out / "manifest.csv").read_text().strip().splitlines()
     assert manifest[0] == "index,l,v,energy,file"
     assert len(manifest) > 10
-    first = manifest[1].split(",")
-    packet = read_field(str(out / first[4]))
-    assert packet.grid.N == 512
-    total_energy = sum(float(row.split(",")[3]) for row in manifest[1:])
+    rows = [row.split(",") for row in manifest[1:]]
+    # one stack: every row names it, index is the packet's row in it
+    assert {row[4] for row in rows} == {"packets.kslp"}
+    assert [int(row[0]) for row in rows] == list(range(len(rows)))
+    grid, values = read_packets(str(out / "packets.kslp"))
     original = read_field(str(f))
+    assert grid == original.grid and values.shape == (len(rows), 512)
+    total_energy = sum(float(row[3]) for row in rows)
     assert total_energy == pytest.approx(original.l2() ** 2, rel=1e-9)
+    # row i holds packet i's samples bit for bit, and the energies are the
+    # decomposition's, as the per-packet files held them
+    packets = wavepackets.decompose(original, 4).packets
+    assert len(packets) == len(rows)
+    for row, p, vals in zip(rows, packets, values):
+        assert vals.tobytes() == p.values.tobytes()
+        assert row[3] == f"{p.energy:.17g}"
+
+
+def test_wavepacket_decompose_cli_without_packets(tmp_path, capsys):
+    # a field with nothing in its band has no packets: the manifest is the
+    # header alone and no stack is written
+    f = tmp_path / "f.kslf"
+    out = tmp_path / "packets"
+    cli.main(["field", "--make", "random:region=annulus;100;200",
+              "--grid", "1,512,64", "--out", str(f)])
+    assert cli.main(["wavepacket", "decompose", "--R", "4", "--in", str(f),
+                     "--out-dir", str(out)]) == 0
+    assert "wrote 0 packets" in capsys.readouterr().out
+    assert (out / "manifest.csv").read_text() == "index,l,v,energy,file\n"
+    assert not (out / "packets.kslp").exists()
 
 
 def test_opnorm_cli(capsys):

@@ -7,8 +7,9 @@ import pytest
 from katolab.core import (Annulus, Ball, Field, FieldFormatError, GaussianRecipe,
                           Grid, KnappRecipe, RandomBandlimited, Sector,
                           SpacetimeField, dft, idft, make_field,
-                          parseval_defect, read_field, read_spacetime,
-                          write_field, write_spacetime)
+                          parseval_defect, read_field, read_packets,
+                          read_spacetime, write_field, write_packets,
+                          write_spacetime)
 
 
 def random_field(grid, seed=0):
@@ -306,3 +307,119 @@ def test_spacetime_file_header_corruption(tmp_path):
 
     # the header runs through the slice count and the three times
     assert g in _corrupt_header(tmp_path, p.read_bytes(), 40 + 8 * 3, read)
+
+
+def _packet_rows(g, count, seed=2):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+            for _ in range(count)]
+
+
+def _written_packets(tmp_path, g=None, count=3) -> bytes:
+    g = g or Grid(1, 8, 4.0)
+    p = tmp_path / "p.kslp"
+    write_packets(g, count, iter(_packet_rows(g, count)), str(p))
+    return p.read_bytes()
+
+
+def test_packet_stack_roundtrip_bit_exact(tmp_path):
+    # the rows are streamed from a generator, one packet per row
+    g = Grid(2, 8, 4.0)
+    rows = _packet_rows(g, 5)
+    rows[1] = np.full(g.shape, complex(-0.0, math.nan))
+    p = tmp_path / "p.kslp"
+    write_packets(g, 5, (r for r in rows), str(p))
+    assert p.read_bytes() == (b"KSLP" + struct.pack("<I", 1)
+                              + struct.pack("<dddd", 2.0, 8.0, 4.0, 5.0)
+                              + np.stack(rows).astype("<c16").tobytes())
+    grid, values = read_packets(str(p))
+    assert grid == g and values.shape == (5, 8, 8)
+    assert values.tobytes() == np.stack(rows).astype("<c16").tobytes()
+    p2 = tmp_path / "q.kslp"
+    write_packets(grid, len(values), values, str(p2))
+    assert p.read_bytes() == p2.read_bytes()
+
+
+def test_packet_stack_writer_checks_its_count(tmp_path):
+    g = Grid(1, 8, 4.0)
+    p = str(tmp_path / "p.kslp")
+    with pytest.raises(ValueError, match="3 packets declared, 2 written"):
+        write_packets(g, 3, _packet_rows(g, 2), p)
+    with pytest.raises(ValueError, match="at least 1"):
+        write_packets(g, 0, [], p)
+
+
+@pytest.mark.parametrize("count", [-3.0, 2.5, 0.0, float("nan"), float("inf")])
+def test_packet_stack_bad_count(tmp_path, count):
+    raw = bytearray(_written_packets(tmp_path))
+    raw[32:40] = struct.pack("<d", count)
+    p = tmp_path / "bad.kslp"
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FieldFormatError) as exc:
+        read_packets(str(p))
+    assert exc.value.offset == 32
+
+
+def test_packet_stack_truncated_anywhere(tmp_path):
+    raw = _written_packets(tmp_path)
+    p = tmp_path / "trunc.kslp"
+    for end in range(len(raw)):
+        p.write_bytes(raw[:end])
+        with pytest.raises(FieldFormatError) as exc:
+            read_packets(str(p))
+        assert 0 <= exc.value.offset <= end, (end, exc.value)
+
+
+def test_packet_stack_header_corruption(tmp_path):
+    g = Grid(1, 8, CORRUPT_L)
+
+    def read(path):
+        grid, values = read_packets(path)
+        assert values.shape[1:] == grid.shape and len(values) >= 1
+        return grid
+
+    # the header runs through the packet count
+    assert g in _corrupt_header(tmp_path, _written_packets(tmp_path, g), 40, read)
+
+
+def _sample_files(tmp_path):
+    """(name, file bytes, reader returning the samples, sample offset) of
+    one small file of each format."""
+    g = Grid(1, 8, 4.0)
+    f = tmp_path / "f.kslf"
+    write_field(random_field(g, 6), str(f))
+    return [("kslf", f.read_bytes(), lambda path: read_field(path).values, 32),
+            ("kslt", _written_spacetime(tmp_path), lambda path: read_spacetime(path).slices,
+             40 + 8 * 3),
+            ("kslp", _written_packets(tmp_path), lambda path: read_packets(path)[1], 40)]
+
+
+def test_sample_region_of_the_wrong_size(tmp_path):
+    # one byte too many or one too few: the error names a byte in the file
+    for name, raw, read, _ in _sample_files(tmp_path):
+        p = tmp_path / f"bad.{name}"
+        for bad in (raw + b"\x00", raw[:-1]):
+            p.write_bytes(bad)
+            with pytest.raises(FieldFormatError) as exc:
+                read(str(p))
+            assert 0 <= exc.value.offset < len(bad), (name, len(bad), exc.value)
+
+
+# a signalling NaN with a payload, a quiet negative NaN and an infinity
+SAMPLE_PATTERNS = (0x7FF0_0000_DEAD_BEEF, 0xFFF8_0000_0000_0001, 0x7FF0_0000_0000_0000)
+
+
+def test_overwritten_sample_bytes_read_back_as_written(tmp_path):
+    # samples are not validated: any bit pattern, NaN included, comes back
+    for name, raw, read, start in _sample_files(tmp_path):
+        p = tmp_path / f"bad.{name}"
+        cases = [(pos, bytes([byte])) for pos in range(start, start + 16)
+                 for byte in CORRUPT_BYTES]
+        cases += [(start + 8 * k, struct.pack("<Q", bits))
+                  for k in (0, 3) for bits in SAMPLE_PATTERNS]
+        cases += [(len(raw) - 8, struct.pack("<Q", SAMPLE_PATTERNS[0]))]
+        for pos, patch in cases:
+            bad = bytearray(raw)
+            bad[pos:pos + len(patch)] = patch
+            p.write_bytes(bytes(bad))
+            assert read(str(p)).tobytes() == bytes(bad[start:]), (name, pos, patch)
