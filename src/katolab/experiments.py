@@ -84,6 +84,9 @@ class ExperimentConfig:
         for name in ("fields", "trials", "subcollections", "K"):
             if getattr(self, name) < 1:
                 raise ConfigError(name, "must be >= 1")
+        for name in ("ascent_steps", "restarts"):
+            if getattr(self, name) < 0:
+                raise ConfigError(name, "must be >= 0")
         # Grid's own rules, checked for N and L apart so the error names its key
         for key, args in (("N", (1, self.grid_N, 1.0)), ("L", (1, 8, self.grid_L))):
             try:
@@ -335,8 +338,7 @@ def _run_maximal(cfg: ExperimentConfig, report: Report):
     for R in cfg.R_list:
         spec = opnorm.SmoothingOperatorSpec(sym=cfg.symbol, alpha=cfg.alpha, R=R,
                                             q=cfg.q, r=math.inf)
-        res = opnorm.lower_bound_mixed(spec, seed=cfg.seed,
-                                       ascent_steps=cfg.ascent_steps,
+        res = opnorm.lower_bound_mixed(spec, ascent_steps=cfg.ascent_steps,
                                        restarts=cfg.restarts)
         samples.append((R, res.value))
         report.measure(f"maximal_R{R:g}", res.value, "lower_bound_mixed")
@@ -362,8 +364,7 @@ def _run_transfer(cfg: ExperimentConfig, report: Report):
         s_glob = opnorm.SmoothingOperatorSpec(sym=cfg.symbol, alpha=cfg.alpha,
                                               R=R, q=cfg.q, r=cfg.r_tilde,
                                               window="global")
-        res = opnorm.lower_bound_mixed(s_glob, seed=cfg.seed,
-                                       ascent_steps=cfg.ascent_steps,
+        res = opnorm.lower_bound_mixed(s_glob, ascent_steps=cfg.ascent_steps,
                                        restarts=cfg.restarts)
         glob.append((R, res.value))
         report.measure(f"global_R{R:g}", res.value, "lower_bound_mixed")

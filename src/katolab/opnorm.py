@@ -26,10 +26,14 @@ R = 64 cases stay interactive.
 
 Mixed-norm cases (q, r) != (2, 2), including the maximal r = inf, are
 handled by lower_bound_mixed: a bank of five chirps focusing at the
-window's centre plus gradient ascent on the Rayleigh quotient. The bank
-and the ascent run on the transit window of the whole mode grid around
-that focus, the rows of one time grid on that window doubled. Those
-values are lower bounds by construction and are reported as such.
+window's centre, the winner refined by the power method c <- dF/d conj(c)
+for the numerator F(c) = ||A c|| of the quotient. F is convex and
+1-homogeneous, so no iterate lowers the quotient (Boyd 1974, Higham 1992)
+except at r = inf, where the sup over searched samples is not exactly a
+norm. The bank and the iteration run on the transit window of the whole
+mode grid around that focus, the rows of one time grid on that window
+doubled. Those values are lower bounds by construction and are reported
+as such.
 
 Their cost is the evolution slab u(t_s, x_b) = sum_k a_k e^{i t_s phi_k}
 e^{i x_b xi_k} over S time samples and M modes. The time samples must be
@@ -88,13 +92,15 @@ LANCZOS_STEPS = 200
 
 # Mixed-norm lower bounds: time samples per phase block, the coarse time
 # stride of the r = inf search (even, so every coarse sample has an even
-# index), the default ascent (also the experiment configs' default), and the
-# largest time-samples x eval-points x modes cost of a call whose bank
-# winner the ascent refines.
+# index), the default power iterations, ASCENT_STEPS x ASCENT_RESTARTS (also
+# the experiment configs' default), the relative rise at which they stop, and
+# the largest time-samples x eval-points x modes cost of a call whose bank
+# winner they refine.
 BLOCK = 128
 SUP_STRIDE = 8
 ASCENT_STEPS = 12
 ASCENT_RESTARTS = 2
+POWER_RISE_TOL = 1e-12
 ASCENT_BUDGET = 4e8
 
 
@@ -545,10 +551,10 @@ def _l2_of_spectrum(modes: ModeGrid, c: np.ndarray) -> float:
     return math.sqrt(modes.dxi / TWO_PI * float(np.sum(np.abs(c) ** 2)))
 
 
-def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid,
-                       c: np.ndarray, val: float, u: SpacetimeField | SupRecord,
-                       tables: tuple) -> np.ndarray:
-    """Gradient of the Rayleigh quotient wrt conj(c) (subgradient at r=inf).
+def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid, val: float,
+                       u: SpacetimeField | SupRecord, tables: tuple) -> np.ndarray:
+    """dF/d conj(c) of the numerator F(c) = ||A c||, the mixed norm of the
+    evolution of spectrum c (a subgradient at r = inf).
 
     (val, u) is what _eval_mixed returned for c on tables, the table set
     it read. With W = d val / d conj(u), the chain rule back to the spectrum is
@@ -560,7 +566,8 @@ def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid,
     peak sample SUP_STRIDE p + o having phase lead[p // BLOCK] *
     base[p % BLOCK] * offset[o + SUP_STRIDE - 1]. At finite r the sum over
     s runs the evaluation's blocks backwards, as the conjugate of a sum on
-    the forward tables.
+    the forward tables. F is 1-homogeneous, so g does not change when c is
+    scaled by a positive factor.
     """
     amp = modes.amp * modes.dxi
     _, space, base, lead, offset = tables
@@ -570,43 +577,39 @@ def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid,
              * u.peak / np.where(Mb > 0, Mb, 1.0))
         p, o = np.divmod(u.index, SUP_STRIDE)
         ph = lead[p // BLOCK] * base[p % BLOCK] * offset[o + SUP_STRIDE - 1]  # (B, M)
-        g = amp * np.sum(np.conj(ph.T * space) * w, axis=1)
-    else:
-        slab = u.slices
-        absu = np.abs(slab)
-        (p_in, w_in, axis), (p_out, w_out) = _nesting(spec, u)
-        inner = _reduce(absu, p_in, w_in, axis)
-        W = (0.5 * np.expand_dims(_reduce_grad(inner, p_out, w_out, 0, val), axis)
-             * _reduce_grad(absu, p_in, w_in, axis, inner)
-             * slab / np.where(absu > 0, absu, 1.0))
-        # conj(Z)[k, b] = sum_s e^{i t_s phi_k} conj(W[s, b]), one matmul
-        # per block on the forward tables
-        Zc = np.zeros_like(space)
-        for i, s0 in enumerate(range(0, len(u.times), BLOCK)):
-            k = min(BLOCK, len(u.times) - s0)
-            Zc += lead[i][:, None] * (base[:k].T @ np.conj(W[s0:s0 + k]))
-        g = amp * np.conj(np.sum(Zc * space, axis=1))
-    nf = _l2_of_spectrum(modes, c)
-    grad_norm_f = (modes.dxi / TWO_PI) * c / (2.0 * nf)
-    quotient = val / nf
-    return (g - quotient * grad_norm_f) / nf
+        return amp * np.sum(np.conj(ph.T * space) * w, axis=1)
+    slab = u.slices
+    absu = np.abs(slab)
+    (p_in, w_in, axis), (p_out, w_out) = _nesting(spec, u)
+    inner = _reduce(absu, p_in, w_in, axis)
+    W = (0.5 * np.expand_dims(_reduce_grad(inner, p_out, w_out, 0, val), axis)
+         * _reduce_grad(absu, p_in, w_in, axis, inner)
+         * slab / np.where(absu > 0, absu, 1.0))
+    # conj(Z)[k, b] = sum_s e^{i t_s phi_k} conj(W[s, b]), one matmul
+    # per block on the forward tables
+    Zc = np.zeros_like(space)
+    for i, s0 in enumerate(range(0, len(u.times), BLOCK)):
+        k = min(BLOCK, len(u.times) - s0)
+        Zc += lead[i][:, None] * (base[:k].T @ np.conj(W[s0:s0 + k]))
+    return amp * np.conj(np.sum(Zc * space, axis=1))
 
 
-def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
-                      ascent_steps: int = ASCENT_STEPS,
+def lower_bound_mixed(spec: SmoothingOperatorSpec, ascent_steps: int = ASCENT_STEPS,
                       restarts: int = ASCENT_RESTARTS) -> LowerBoundResult:
     """Lower bound for the mixed-norm operator quotient, (q, r) != (2, 2).
 
-    Maximum over the candidate bank, refined by normalized gradient ascent
-    with step halving on non-improvement. The result is a LOWER bound only;
-    stagnation is recorded, never raised. `candidate` names the bank
-    winner, refined only when the call's cost (time samples x ball cells
-    x modes) is within ASCENT_BUDGET; seed drives the ascent's restarts.
-    One table set (_tables) per call is built on the doubled transit window
-    (_transit_times); the bank and every restart read it on the transit
-    window's rows (_window_tables). The winner's (value, evaluation) start
-    the first restart, and a gradient is computed only at a new point:
-    after a rejected step the last one is kept. The best point is evaluated
+    Maximum over the candidate bank, refined by the power method
+    c <- dF/d conj(c) (_quotient_gradient) from the bank winner. The result
+    is a LOWER bound only; stagnation is recorded, never raised.
+    `candidate` names the bank winner, refined only when the call's cost
+    (time samples x ball cells x modes) is within ASCENT_BUDGET. The
+    refinement runs at most ascent_steps x restarts iterations, one
+    evaluation and one gradient each, and stops early once an iterate
+    rises by at most POWER_RISE_TOL relative (or falls, which only the
+    r = inf sup search, not exactly a norm, allows); the best iterate is
+    kept. One table set (_tables) per call is built on the doubled transit
+    window (_transit_times); the bank and every iteration read it on the
+    transit window's rows (_window_tables). The best point is evaluated
     again on the doubled window, unless the rows are all of it, and the
     higher of the two values is reported. The diagnostics do not depend on
     which one wins by rounding: refinement_delta (the value with every
@@ -630,45 +633,28 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, seed: int = 0,
         evals += 1
         if val > best_val:
             best_val, best_name, best = val, name, (c, raw, u)
-    best_c = best[0]
 
-    # gradient ascent refinement of the winner, when it is cheap enough to
-    # differentiate repeatedly
+    # power iteration from the winner, when it is cheap enough to
+    # differentiate repeatedly: for a convex, 1-homogeneous F the
+    # subgradient inequality F(x) >= 2 Re<g, x>, with equality at x = c,
+    # gives F(g) / |g| >= 2 |g| >= F(c) / |c|
     affordable = len(times) * tables[0].N * len(modes.xi) <= ASCENT_BUDGET
-    rng = np.random.default_rng(seed + 1)
     top_val, top = best_val, best
-    for restart in range(restarts if affordable else 0):
-        c, raw, u = best
-        if restart > 0:
-            c = best_c * (1.0 + 0.2 * (rng.standard_normal(len(best_c))
-                                       + 1j * rng.standard_normal(len(best_c))))
-            raw, u = _eval_mixed(spec, modes, c, times, tables)
-            evals += 1
-        cur = raw / _l2_of_spectrum(modes, c)
-        step, gq = 0.5, None
-        for _ in range(ascent_steps):
-            # a rejected step leaves the point, so its gradient is kept
-            if gq is None:
-                gq = _quotient_gradient(spec, modes, c, raw, u, tables)
-                gn = np.linalg.norm(gq)
-            if gn == 0:
-                break
-            trial = c + step * np.linalg.norm(c) * gq / gn
-            t_raw, t_u = _eval_mixed(spec, modes, trial, times, tables)
-            val = t_raw / _l2_of_spectrum(modes, trial)
-            evals += 1
-            if val > cur:
-                c, cur, raw, u, gq = trial, val, t_raw, t_u, None
-            else:
-                step *= 0.5
-                if step < 1e-4:
-                    break
-        if cur > top_val:
-            top_val, top = cur, (c, raw, u)
+    c, raw, u = best
+    for _ in range(ascent_steps * restarts if affordable else 0):
+        c = _quotient_gradient(spec, modes, raw, u, tables)
+        raw, u = _eval_mixed(spec, modes, c, times, tables)
+        val = raw / _l2_of_spectrum(modes, c)
+        evals += 1
+        rise = val - top_val
+        if rise > 0:
+            top_val, top = val, (c, raw, u)
+        if rise <= POWER_RISE_TOL * val:
+            break
     del tables  # the transit window's lead rows, none in the diagnostics
 
     # report the higher of the two windows; the sampling diagnostics read
-    # the transit window's evaluation, the one the ascent optimised
+    # the transit window's evaluation, the one the iteration optimised
     top_c, v_top, u = top
     v_wide = v_top if len(times) == len(wide) else _eval_mixed(
         spec, modes, top_c, wide, wide_tables)[0]

@@ -81,6 +81,12 @@ def test_parse_config_errors_name_fields():
                         ("kind = sparse-audit\nsymbol = power:m=2,n=1\nseed = 1.5", "seed"),
                         ("kind = maximal\nsymbol = power:m=2,n=1\nrestarts = inf",
                          "restarts"),
+                        ("kind = maximal\nsymbol = power:m=2,n=1\nrestarts = -2",
+                         "restarts"),
+                        ("kind = maximal\nsymbol = power:m=2,n=1\nascent_steps = -1",
+                         "ascent_steps"),
+                        ("kind = transfer\nsymbol = power:m=2,n=1\nr = 2\nr_tilde = 4\n"
+                         "ascent_steps = -1\nrestarts = -2", "ascent_steps"),
                         ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nL = inf", "L"),
                         ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nL = 0", "L"),
                         ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nL = -128", "L"),
@@ -154,7 +160,8 @@ def test_scaling_run_passes_and_sabotage_fails():
     assert not rep_bad.passed
 
 
-# the mixed-norm kinds seed their ascent restarts
+# seeds as in the battery: transfer's Lanczos start reads one, no mixed-norm
+# lower bound does
 SMALL_MAXIMAL = ("kind = maximal\nsymbol = power:m=2,n=1\nalpha = -0.25\n"
                  "q = 2\nR = 2,4,8\nascent_steps = 2\nseed = 6")
 SMALL_TRANSFER = ("kind = transfer\nsymbol = power:m=2,n=1\nalpha = 0.5\n"

@@ -155,7 +155,7 @@ def _evaluate(spec, modes, c, times):
 
 
 def _call_times(spec, modes):
-    """The samples lower_bound_mixed runs its bank and ascent on: the
+    """The samples lower_bound_mixed runs its bank and iteration on: the
     transit window, its rows of _transit_times."""
     times, rows = O._transit_times(spec, modes)
     return times[rows]
@@ -232,9 +232,7 @@ def _gradient_reference(spec, modes, c, times):
         W[:, G <= 0] = 0.0
     ph_x = np.exp(-1j * np.outer(u.grid.x_axis(), modes.xi))
     ph_t = np.exp(-1j * np.outer(modes.phi_vals, times))
-    g = modes.amp * modes.dxi * np.sum(ph_t * (ph_x.T @ W.T), axis=1)
-    nf = O._l2_of_spectrum(modes, c)
-    return (g - (val / nf) * (modes.dxi / O.TWO_PI) * c / (2.0 * nf)) / nf
+    return modes.amp * modes.dxi * np.sum(ph_t * (ph_x.T @ W.T), axis=1)
 
 
 def _chirp_case(r, window, order="xt", q=2.0):
@@ -370,7 +368,7 @@ def test_quotient_gradient_matches_dense_chain_rule(r, window):
     spec, modes, c, times = _chirp_case(r, window)
     tables = O._tables(spec, modes, times)
     val, u = O._eval_mixed(spec, modes, c, times, tables)
-    g = O._quotient_gradient(spec, modes, c, val, u, tables)
+    g = O._quotient_gradient(spec, modes, val, u, tables)
     ref = _gradient_reference(spec, modes, c, times)
     assert np.linalg.norm(g - ref) <= 1e-9 * np.linalg.norm(ref)
 
@@ -378,7 +376,7 @@ def test_quotient_gradient_matches_dense_chain_rule(r, window):
 @pytest.mark.parametrize("order", ["xt", "tx"])
 @pytest.mark.parametrize("r", [INF, 4.0])
 def test_quotient_gradient_matches_finite_differences(r, order):
-    # central differences of the quotient along directions inside the
+    # central differences of the numerator F along directions inside the
     # spectrum's support; both nesting orders, and at q = 4 an inner
     # exponent other than 2 for order tx
     for q in (2.0, 4.0):
@@ -404,17 +402,17 @@ def test_quotient_gradient_at_q_inf_matches_finite_differences(r, order):
 def _check_gradient_by_finite_differences(spec, modes, c, times):
     tables = O._tables(spec, modes, times)
     val, u = O._eval_mixed(spec, modes, c, times, tables)
-    g = O._quotient_gradient(spec, modes, c, val, u, tables)
+    g = O._quotient_gradient(spec, modes, val, u, tables)
 
-    def quotient(x):
-        return O._eval_mixed(spec, modes, x, times, tables)[0] / O._l2_of_spectrum(modes, x)
+    def numerator(x):
+        return O._eval_mixed(spec, modes, x, times, tables)[0]
 
     rng = np.random.default_rng(5)
     h = 1e-6
     for _ in range(3):
         d = np.abs(c) * (rng.standard_normal(len(c)) + 1j * rng.standard_normal(len(c)))
         d *= np.linalg.norm(c) / np.linalg.norm(d)
-        fd = (quotient(c + h * d) - quotient(c - h * d)) / (2 * h)
+        fd = (numerator(c + h * d) - numerator(c - h * d)) / (2 * h)
         slope = 2.0 * np.real(np.vdot(g, d))
         assert abs(fd - slope) <= 1e-6 * 2.0 * np.linalg.norm(g) * np.linalg.norm(d)
     return g
@@ -445,7 +443,7 @@ def test_only_an_affordable_bank_winner_is_refined_at_finite_r(monkeypatch):
 
 def _check_only_an_affordable_winner_is_refined(monkeypatch, r):
     # over the ascent budget the winner is reported as the bank found it,
-    # with no ascent; at the call's cost it is refined and keeps its name
+    # with no iteration; at the call's cost it is refined and keeps its name
     spec = spec_at(8.0, alpha=-0.25, r=r)
     modes = O.mode_grid(spec)
     bank = _hand_made_bank(spec, modes)
@@ -462,7 +460,7 @@ def _check_only_an_affordable_winner_is_refined(monkeypatch, r):
     res = O.lower_bound_mixed(spec)
     assert res.candidate == "chirp-wide@0.9"
     assert res.ascent_gain == 0.0
-    # the bank loop is the only counted work: no ascent step ran
+    # the bank loop is the only counted work: no iteration ran
     assert res.evaluations == len(bank)
     wide = O._transit_times(spec, modes)[0]
     v_wide = _evaluate(spec, modes, bank[0][1], wide)[0] / O._l2_of_spectrum(modes, bank[0][1])
@@ -485,7 +483,7 @@ def test_bank_winner_is_evaluated_once_at_finite_r(monkeypatch):
 
 
 def _check_bank_winner_is_evaluated_once(monkeypatch, r):
-    # the bank loop's evaluation of the winner seeds the first ascent restart
+    # the bank loop's evaluation of the winner starts the power iteration
     # and gives the diagnostics. At local R = 8 the doubled transit window
     # clips to the same operator window, so its rows are all of the times
     # and that evaluation is reused too: after the bank nothing is evaluated
@@ -507,10 +505,13 @@ def _check_bank_winner_is_evaluated_once(monkeypatch, r):
     monkeypatch.setattr(O, "ASCENT_BUDGET", 0.0)
     over = O.lower_bound_mixed(spec)
     assert len(calls) == len(bank)
-    del calls[:]
     monkeypatch.setattr(O, "ASCENT_BUDGET", math.inf)
-    seeded = O.lower_bound_mixed(spec, ascent_steps=0, restarts=1)
-    assert len(calls) == len(bank)
+    # a zero in either factor of the iteration cap means no iteration
+    unrefined = []
+    for steps, restarts in ((0, 1), (O.ASCENT_STEPS, 0)):
+        del calls[:]
+        unrefined.append(O.lower_bound_mixed(spec, ascent_steps=steps, restarts=restarts))
+        assert len(calls) == len(bank)
 
     tables = O._window_tables(spec, O._tables(spec, modes, times), rows)
     v_full, u = eval_mixed(spec, modes, bank[0][1], times, tables)
@@ -522,7 +523,7 @@ def _check_bank_winner_is_evaluated_once(monkeypatch, r):
         ref_delta = refinement_delta(u, MixedNormSpec(q=spec.q, r=spec.r))
         per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
     k = max(1, len(per_t) // 10)
-    for res in (over, seeded):
+    for res in [over] + unrefined:
         assert res.candidate == "chirp-wide@0.9"
         assert res.value == v_full / O._l2_of_spectrum(modes, bank[0][1])
         assert res.refinement_delta == ref_delta
@@ -604,15 +605,14 @@ def test_doubled_window_value_is_at_least_the_transit_windows(order):
         assert v_wide >= v_top * (1 - 1e-12), name
 
 
-# The ascent as one call per piece of work: every evaluation and gradient
-# builds its own table set (ball grid, spatial and time factors, on the
-# doubled transit window, read on the transit window's rows), and every
-# step takes a gradient, also at a point a rejected step left unchanged. The
-# bank and every restart run on the call's transit window. lower_bound_mixed
+# The power iteration as one call per piece of work: every evaluation and
+# gradient builds its own table set (ball grid, spatial and time factors, on
+# the doubled transit window, read on the transit window's rows). The bank
+# and every iteration run on the call's transit window. lower_bound_mixed
 # must give the same result with one table set per call and one gradient per
-# point. The value and the diagnostics read the higher of the best point's
-# two evaluations: on the transit window and on the doubled window, which
-# is the same evaluation when the two windows are equal.
+# iteration. The value and the diagnostics read the higher of the best
+# point's two evaluations: on the transit window and on the doubled window,
+# which is the same evaluation when the two windows are equal.
 
 def _transit_tables(spec, modes):
     """(transit window, its table set), from a fresh set on the doubled window."""
@@ -620,9 +620,8 @@ def _transit_tables(spec, modes):
     return wide[rows], O._window_tables(spec, O._tables(spec, modes, wide), rows)
 
 
-def _lower_bound_reference(spec, seed):
-    """(result, fresh, accepted, restarts run); fresh counts the steps taken
-    from a point not differentiated before."""
+def _lower_bound_reference(spec):
+    """(result, quotients of the bank winner and of every iterate after it)."""
     modes = O.mode_grid(spec)
     times = _call_times(spec, modes)
 
@@ -636,42 +635,20 @@ def _lower_bound_reference(spec, seed):
         evals += 1
         if val > best_val:
             best_val, best_name, best = val, name, (c, raw, u)
-    best_c = best[0]
     affordable = len(times) * u.grid.N * len(modes.xi) <= O.ASCENT_BUDGET
-    rng = np.random.default_rng(seed + 1)
-    top_val, top = best_val, best
-    fresh = accepted = 0
-    restarts = O.ASCENT_RESTARTS if affordable else 0
-    for restart in range(restarts):
-        c, raw, u = best
-        if restart > 0:
-            c = best_c * (1.0 + 0.2 * (rng.standard_normal(len(best_c))
-                                       + 1j * rng.standard_normal(len(best_c))))
-            raw, u = evaluate(c)
-            evals += 1
-        cur = raw / O._l2_of_spectrum(modes, c)
-        step, moved = 0.5, True
-        for _ in range(O.ASCENT_STEPS):
-            gq = O._quotient_gradient(spec, modes, c, raw, u, _transit_tables(spec, modes)[1])
-            gn = np.linalg.norm(gq)
-            fresh += moved
-            if gn == 0:
-                break
-            trial = c + step * np.linalg.norm(c) * gq / gn
-            t_raw, t_u = evaluate(trial)
-            val = t_raw / O._l2_of_spectrum(modes, trial)
-            evals += 1
-            moved = val > cur
-            if moved:
-                c, cur, raw, u = trial, val, t_raw, t_u
-                accepted += 1
-            else:
-                step *= 0.5
-                if step < 1e-4:
-                    break
-        if cur > top_val:
-            top_val, top = cur, (c, raw, u)
+    quotients, top = [best_val], best
+    c, raw, u = best
+    for _ in range(O.ASCENT_STEPS * O.ASCENT_RESTARTS if affordable else 0):
+        c = O._quotient_gradient(spec, modes, raw, u, _transit_tables(spec, modes)[1])
+        raw, u = evaluate(c)
+        evals += 1
+        quotients.append(raw / O._l2_of_spectrum(modes, c))
+        if quotients[-1] > max(quotients[:-1]):
+            top = (c, raw, u)
+        if quotients[-1] - quotients[-2] <= O.POWER_RISE_TOL * quotients[-1]:
+            break
     top_c, v_top, u = top
+    top_val = max(quotients)
     v_wide = _evaluate(spec, modes, top_c, O._transit_times(spec, modes)[0])[0]
     if spec.r == INF:
         half = O._reduce(u.even_peak, spec.q, u.grid.dx, axis=0)
@@ -688,43 +665,79 @@ def _lower_bound_reference(spec, seed):
         refinement_delta=ref_delta, window_delta=abs(v_wide - v_top) / max(v_top, 1e-300),
         tail_fraction=float(np.sum(per_t[-k:]) / max(np.sum(per_t), 1e-300)),
         evaluations=evals)
-    return res, fresh, accepted, restarts
+    return res, quotients
 
 
 @pytest.mark.parametrize("R", [4.0, 8.0])
 @pytest.mark.parametrize("window", ["local", "global"])
 @pytest.mark.parametrize("r", [4.0, INF])
 def test_ascent_matches_the_per_call_reference(monkeypatch, r, window, R):
-    # every field equal; a gradient once per restart and once per accepted
-    # step that another step follows, always on the call's tables; one
-    # table set per call, spatial factor and doubled window included, read
-    # on the transit window once; the doubled window is evaluated when it
-    # differs from the transit window (global window) and not when it does
-    # not (local, where both clip to the operator window)
+    # every field equal; one gradient per iteration, always on the call's
+    # tables; one table set per call, spatial factor and doubled window
+    # included, read on the transit window once; the doubled window is
+    # evaluated when it differs from the transit window (global window) and
+    # not when it does not (local, where both clip to the operator window)
     spec = spec_at(R, alpha=-0.25, r=r, window=window)
     modes = O.mode_grid(spec)
     bank = len(O._candidate_bank(spec, modes))
-    ref, fresh, accepted, restarts = _lower_bound_reference(spec, seed=7)
-    assert restarts == O.ASCENT_RESTARTS
+    ref, quotients = _lower_bound_reference(spec)
     calls = {"_eval_mixed": [], "_quotient_gradient": [], "_tables": [], "_window_tables": []}
     for name, log in calls.items():
         monkeypatch.setattr(O, name, lambda *args, _f=getattr(O, name), _log=log:
                             _log.append(len(args)) or _f(*args))
-    res = O.lower_bound_mixed(spec, seed=7)
+    res = O.lower_bound_mixed(spec)
     for field in dataclasses.fields(O.LowerBoundResult):
         assert getattr(res, field.name) == getattr(ref, field.name), field.name
     grads = calls["_quotient_gradient"]
-    assert len(grads) == fresh <= restarts + accepted
-    # some steps were rejected, so some gradients were saved
-    assert fresh < res.evaluations - bank - (restarts - 1)
-    assert set(grads) == {6}
-    # the bank and the ascent evaluate on the call's tables, and so does
+    assert len(grads) == res.evaluations - bank == len(quotients) - 1 > 0
+    assert set(grads) == {5}
+    # the bank and the iteration evaluate on the call's tables, and so does
     # the doubled window, when it is new
     times, rows = O._transit_times(spec, modes)
     wide = rows != slice(0, len(times))
     assert wide == (window == "global")
     assert len(calls["_eval_mixed"]) == res.evaluations + wide
     assert len(calls["_tables"]) == len(calls["_window_tables"]) == 1
+
+
+@pytest.mark.parametrize("order", ["xt", "tx"])
+@pytest.mark.parametrize("window", ["local", "global"])
+@pytest.mark.parametrize("r", [4.0, INF])
+def test_power_iteration_is_monotone(monkeypatch, r, window, order):
+    # at finite r the numerator is a norm of the spectrum, convex and
+    # 1-homogeneous, so no iterate falls below the one before it (to
+    # rounding). At r = inf the sup search is not exactly a norm and an
+    # iterate may fall; whatever the sequence, the result reports the best
+    # iterate: its gain over the bank winner and its spectrum, the one
+    # evaluated again on the doubled window
+    spec = dataclasses.replace(spec_at(4.0, alpha=-0.25, r=r, window=window), order=order)
+    modes = O.mode_grid(spec)
+    bank = len(O._candidate_bank(spec, modes))
+    eval_mixed = O._eval_mixed
+    calls = []
+
+    def logged(*args):
+        val, u = eval_mixed(*args)
+        calls.append((args[2], val / O._l2_of_spectrum(modes, args[2])))
+        return val, u
+
+    monkeypatch.setattr(O, "_eval_mixed", logged)
+    res = O.lower_bound_mixed(spec)
+    start = max(q for _, q in calls[:bank])
+    iterates = calls[bank:res.evaluations]
+    quotients = [start] + [q for _, q in iterates]
+    assert len(iterates) >= 3 and quotients[1] > start
+    if r != INF:
+        for before, after in zip(quotients, quotients[1:]):
+            assert after >= before * (1 - 1e-14)
+    top = max(quotients)
+    assert res.ascent_gain == (top - start) / start
+    top_c = iterates[quotients.index(top) - 1][0]
+    if res.evaluations < len(calls):
+        assert calls[-1][0] is top_c
+        assert res.value == max(top, calls[-1][1])
+    else:
+        assert res.value == top
 
 
 # lower_bound_mixed at the battery's maximal (criterion 08) and global
@@ -737,15 +750,21 @@ def test_ascent_matches_the_per_call_reference(monkeypatch, r, window, R):
 # step: maximal R = 16 fell by 6.05e-6 from 0x1.a19918c203a1cp+3, its
 # coarser-stepped doubled window having won by exactly that, and transfer
 # R = 2 by 4.1e-11 from 0x1.ee6a9e8b3345fp+2, the doubled window's value
-# at the transit window's step. At a fixed
-# BLAS thread count the values are bit-identical; the tolerance absorbs the
-# last-bit changes of another thread count or BLAS build.
-GOLDEN_MAXIMAL = [(8.0, "0x1.3b4ebb8b38b24p+3", "chirp-broad"),
-                  (16.0, "0x1.a1987318d1909p+3", "chirp-broad"),
+# at the transit window's step. Every refined value was recorded again once
+# the power iteration replaced the restarted step-halving ascent; each rose:
+# maximal R = 8 by 7.8e-8 from 0x1.3b4ebb8b38b24p+3 and R = 16 by 1.2e-6
+# from 0x1.a1987318d1909p+3, transfer R = 2, 4, 8 by 1.3e-7, 1.3e-7 and
+# 1.1e-8 from 0x1.ee6a9e8adb9efp+2, 0x1.5c75cd0c75ebcp+3 and
+# 0x1.e6c2196987a57p+3. Maximal R = 32 is over ASCENT_BUDGET, so the bank
+# winner's value, and did not move. At a fixed BLAS thread count the values
+# are bit-identical; the tolerance absorbs the last-bit changes of another
+# thread count or BLAS build.
+GOLDEN_MAXIMAL = [(8.0, "0x1.3b4ebd2639103p+3", "chirp-broad"),
+                  (16.0, "0x1.a198946b86594p+3", "chirp-broad"),
                   (32.0, "0x1.e9bff2ab9038bp+3", "chirp-broad")]
-GOLDEN_TRANSFER = [(2.0, "0x1.ee6a9e8adb9efp+2", "chirp-wide@1.3"),
-                   (4.0, "0x1.5c75cd0c75ebcp+3", "chirp-wide@1.3"),
-                   (8.0, "0x1.e6c2196987a57p+3", "chirp-wide@1.3")]
+GOLDEN_TRANSFER = [(2.0, "0x1.ee6aa2af60cb6p+2", "chirp-wide@1.3"),
+                   (4.0, "0x1.5c75cff34e523p+3", "chirp-wide@1.3"),
+                   (8.0, "0x1.e6c219c416bf7p+3", "chirp-wide@1.3")]
 
 
 @pytest.mark.parametrize("kind, R, value, candidate",
@@ -753,10 +772,10 @@ GOLDEN_TRANSFER = [(2.0, "0x1.ee6a9e8adb9efp+2", "chirp-wide@1.3"),
                          + [("transfer",) + g for g in GOLDEN_TRANSFER])
 def test_lower_bound_golden_values(kind, R, value, candidate):
     if kind == "maximal":
-        spec, seed = spec_at(R, alpha=-0.25, r=INF), 6
+        spec = spec_at(R, alpha=-0.25, r=INF)
     else:
-        spec, seed = spec_at(R, alpha=0.5, r=4.0, window="global"), 7
-    res = O.lower_bound_mixed(spec, seed=seed)
+        spec = spec_at(R, alpha=0.5, r=4.0, window="global")
+    res = O.lower_bound_mixed(spec)
     assert res.candidate == candidate
     assert res.value == pytest.approx(float.fromhex(value), rel=1e-12, abs=0)
 
@@ -779,13 +798,13 @@ def _transit_diagnostics(spec, modes, c):
     return max(v_top, v_wide), (ref_delta, abs(v_wide - v_top) / v_top, tail), v_wide > v_top
 
 
-@pytest.mark.parametrize("r, alpha, seed", [(INF, -0.25, 0), (4.0, 0.5, 7)])
-def test_diagnostics_read_the_transit_window(monkeypatch, r, alpha, seed):
-    # the ascent moves the winner to a new point at the call's transit
+@pytest.mark.parametrize("r, alpha", [(INF, -0.25), (4.0, 0.5)])
+def test_diagnostics_read_the_transit_window(monkeypatch, r, alpha):
+    # the power iteration moves the winner to a new point at the call's transit
     # times; the value is the higher of its evaluations there and on the
     # doubled transit window (the narrow one at r = inf, the wide one at
     # r = 4), refinement_delta and tail_fraction are the transit window's
-    # whichever wins, and no evaluation runs beyond the bank, the ascent
+    # whichever wins, and no evaluation runs beyond the bank, the iteration
     # and the wide window
     spec = spec_at(2.0, alpha=alpha, r=r, window="global")
     modes = O.mode_grid(spec)
@@ -793,7 +812,7 @@ def test_diagnostics_read_the_transit_window(monkeypatch, r, alpha, seed):
     calls = []
     monkeypatch.setattr(O, "_eval_mixed",
                         lambda *args: calls.append(args) or eval_mixed(*args))
-    res = O.lower_bound_mixed(spec, seed=seed)
+    res = O.lower_bound_mixed(spec)
     assert len(calls) == res.evaluations + 1
     top_c = calls[-1][2]  # the wide window's spectrum is the reported point
     times = next(args[3] for args in calls if args[2] is top_c)
