@@ -86,10 +86,6 @@ class Grid:
         ax = self.xi_axis()
         return list(np.meshgrid(*([ax] * self.n), indexing="ij", sparse=True))
 
-    def xi_radius(self) -> np.ndarray:
-        mesh = self.xi_mesh()
-        return np.sqrt(sum(m**2 for m in mesh))
-
 
 @dataclass(frozen=True)
 class Field:
@@ -153,9 +149,6 @@ class SpacetimeField:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
-    def slice_field(self, s: int) -> Field:
-        return Field(self.grid, self.slices[s])
-
 
 def _axis_phase(grid: Grid, sign: float) -> list:
     # e^{sign * i * x0 * xi_k} per axis, x0 = -L/2 + dx/2 (cell-center offset)
@@ -194,13 +187,6 @@ def stack_rows(g: Grid) -> int:
 def idft(fhat: Field) -> Field:
     """Inverse of dft; carries the (2 pi)^{-n} of the integral convention."""
     return Field(fhat.grid, idft_batch(fhat.grid, fhat.values))
-
-
-def parseval_defect(f: Field) -> float:
-    """Relative mismatch between the two sides of the Parseval identity."""
-    a = f.l2()
-    b = dft(f).l2_freq()
-    return abs(a - b) / max(a, 1e-300)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,16 @@ from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
-from . import norms, opnorm, propagator, sparse, symbols, wavepackets
+from . import opnorm, propagator, sparse, symbols, wavepackets
 from .core import (Annulus, Field, GaussianRecipe, Grid, RandomBandlimited,
                    Sector, make_field)
 
 SCHEMA = "katolab-report-v1"
+
+# Ball scale H and family size N of the decoupling audit's sparse families.
+DECOUPLING_H = 8
+DECOUPLING_N = 4
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; names the offending field."""
@@ -87,6 +92,18 @@ class ExperimentConfig:
         for name in ("ascent_steps", "restarts"):
             if getattr(self, name) < 0:
                 raise ConfigError(name, "must be >= 0")
+        if self.kind == "sparse-audit":
+            # each trial draws 2 to max_points distinct points of a box x box grid
+            if self.box < 1:
+                raise ConfigError("box", "must be >= 1")
+            if not 2 <= self.max_points <= self.box**2:
+                raise ConfigError("max_points", f"must lie in [2, box**2 = {self.box**2}]")
+        if self.kind == "decoupling-audit":
+            # the family centres are drawn from [-box, box)^2 at least sep
+            # apart, and the draws all but never end on a smaller box
+            sep = (DECOUPLING_N * DECOUPLING_H) ** 2
+            if self.box < sep:
+                raise ConfigError("box", f"must be >= (N H)^2 = {sep}")
         # Grid's own rules, checked for N and L apart so the error names its key
         for key, args in (("N", (1, self.grid_N, 1.0)), ("L", (1, 8, self.grid_L))):
             try:
@@ -507,8 +524,7 @@ def _run_decay_audit(cfg: ExperimentConfig, report: Report):
         _, grad = symbols.phase(sym, v)
         core = -t * grad[0]
         ds = np.array([R, 2 * R, 4 * R, 8 * R])
-        vals = [abs(wavepackets.packet_kernel(v, R, sym, t,
-                                              np.array([core + d])).value)
+        vals = [abs(wavepackets.packet_kernel(v, R, sym, t, np.array([core + d])))
                 for d in ds]
         slope = float(np.polyfit(np.log(ds), np.log(vals), 1)[0])
         report.measure(f"kernel_slope_R{R:g}", slope, "packet_kernel")
@@ -541,8 +557,8 @@ def _random_ball_function(seed: int) -> sparse.BallFunction:
 
 def _run_decoupling_audit(cfg: ExperimentConfig, report: Report):
     patch = sparse.surface_patch(cfg.symbol, samples=256)
-    H = 8
-    N = 4
+    H = DECOUPLING_H
+    N = DECOUPLING_N
     singles = []
     for s in range(6):
         fam1 = sparse.SparseFamily(centers=((0, 0),), H=H)

@@ -93,11 +93,6 @@ def mixed_norm(u: SpacetimeField, spec: MixedNormSpec) -> float:
     return float(_reduce(_reduce(slab, p_in, w_in, axis), p_out, w_out, axis=0))
 
 
-def maximal_norm(u: SpacetimeField, q: float, ball=None, window=None) -> float:
-    """Pointwise-in-x max over sampled times, then L^q in x."""
-    return mixed_norm(u, MixedNormSpec(q=q, r=INF, order="xt", ball=ball, window=window))
-
-
 def refinement_delta(u: SpacetimeField, spec: MixedNormSpec) -> float:
     """Relative change of the norm when every second time sample is dropped.
 

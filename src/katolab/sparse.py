@@ -1,4 +1,4 @@
-"""Sparse-ball machinery: surface measure decay, restriction sampling,
+"""Sparse-ball machinery: the surface measure and its Fourier transform,
 sparse families, the decoupling check, and the recursive cube decomposition.
 
 All set geometry here (cube sets, separations, level thresholds) runs in
@@ -9,7 +9,6 @@ compactly supported window only on an index box around its support.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import symbols as sym_mod
-from .core import SpacetimeField
 from .symbols import SymbolSpec
 
 
@@ -26,7 +24,7 @@ class ScaleError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Surface measure and restriction
+# Surface measure
 # ---------------------------------------------------------------------------
 
 
@@ -69,60 +67,9 @@ def surface_fourier(patch: SurfacePatch, zeta) -> complex:
     return complex(np.sum(patch.weights * np.exp(-1j * phase)))
 
 
-def surface_measure(patch: SurfacePatch) -> float:
-    return float(np.sum(patch.weights))
-
-
-def restriction(u: SpacetimeField, patch: SurfacePatch) -> np.ndarray:
-    """Spacetime transform of u sampled on the surface.
-
-    Direct rectangle-rule evaluation of the (1+1)-dimensional transform at
-    the patch nodes; u must be compactly supported in its box (callers can
-    check leakage with `support_leakage`).
-    """
-    g = u.grid
-    if g.n != 1:
-        raise NotImplementedError("restriction implemented for n = 1")
-    x = g.x_axis()
-    # spatial transform at the patch frequencies, then the time transform
-    Ex = np.exp(-1j * np.outer(x, patch.xi))  # (N, M)
-    B = u.slices @ Ex * g.dx  # (S, M)
-    wt = u.dt if len(u.times) > 1 else 1.0
-    Et = np.exp(-1j * np.outer(u.times, patch.tau))  # (S, M)
-    return wt * np.sum(Et * B, axis=0)
-
-
-def extension(gvals: np.ndarray, patch: SurfacePatch, grid, times) -> SpacetimeField:
-    """Adjoint of restriction: sum of surface samples against e^{+i z.zeta}."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    x = grid.x_axis()
-    Ex = np.exp(1j * np.outer(x, patch.xi))  # (N, M)
-    amp = patch.weights * gvals
-    out = np.empty((len(times), grid.N), dtype=np.complex128)
-    for s, t in enumerate(times):
-        out[s] = Ex @ (amp * np.exp(1j * t * patch.tau))
-    return SpacetimeField(grid, times, out)
-
-
-def support_leakage(u: SpacetimeField, frac: float = 0.05) -> float:
-    """Share of |u|^2 mass within `frac` of the box edges (warn-level)."""
-    g = u.grid
-    x = g.x_axis()
-    edge = np.abs(x) > (0.5 - frac) * g.L
-    total = float(np.sum(np.abs(u.slices) ** 2))
-    return float(np.sum(np.abs(u.slices[:, edge]) ** 2) / max(total, 1e-300))
-
-
 # ---------------------------------------------------------------------------
 # Sparse families (exact arithmetic)
 # ---------------------------------------------------------------------------
-
-
-def gamma_exponent(n: int, rho: Fraction | None = None) -> Fraction:
-    """gamma = n / rho with the curved-surface decay rate rho = n/2."""
-    if rho is None:
-        rho = Fraction(n, 2)
-    return Fraction(n, 1) / rho
 
 
 @dataclass(frozen=True)
@@ -177,20 +124,6 @@ class CubeSet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @classmethod
-    def from_csv(cls, path: str) -> "CubeSet":
-        with open(path, newline="") as fh:
-            rows = [tuple(int(c) for c in row) for row in csv.reader(fh) if row]
-        if not rows:
-            raise ValueError(f"no points in {path}")
-        return cls(dim=len(rows[0]), points=tuple(rows))
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            for p in self.points:
-                w.writerow(p)
 
 
 H_LIMIT = 10**60  # defensive only: radii are exact big integers
@@ -409,24 +342,3 @@ def decoupling_check(family: SparseFamily, functions: list, p: float,
     lhs = float((np.sum(patch.weights * np.abs(total) ** p)) ** (1.0 / p))
     rhs = float(H ** (1.0 / p) * (sum(f.lp(p) ** p for f in functions)) ** (1.0 / p))
     return {"lhs": lhs, "rhs": rhs, "ratio": lhs / max(rhs, 1e-300)}
-
-
-# ---------------------------------------------------------------------------
-# Loss bookkeeping for the window-to-line passage
-# ---------------------------------------------------------------------------
-
-
-def epsilon_removal_delta(K: int, eps: float, gamma: Fraction = Fraction(2)) -> float:
-    """Integrability loss delta = 1/K + eps * gamma^K."""
-    return 1.0 / K + eps * float(gamma) ** K
-
-
-def epsilon_removal_levels(eps: float, C_gamma: float,
-                           gamma: Fraction = Fraction(2)) -> int:
-    """Level count K = C^{-1} log(1/eps); C must exceed log(gamma) so the
-    loss vanishes with eps."""
-    if not C_gamma > math.log(float(gamma)):
-        raise ValueError(f"C_gamma must exceed log(gamma) = {math.log(float(gamma)):.4f}")
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    return max(1, int(round(math.log(1.0 / eps) / C_gamma)))

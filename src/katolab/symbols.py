@@ -1,4 +1,4 @@
-"""Homogeneous dispersion symbols and their validation.
+"""Homogeneous dispersion symbols and their config specs.
 
 A symbol is a real function Phi on R^n \\ {0}, positively homogeneous of
 degree m > 1 with nonvanishing gradient away from the origin. Two families
@@ -13,15 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    max_homogeneity_deviation: float
-    min_gradient_norm: float
-    passed: bool
-    used_ratio_form: bool
-    samples: int
 
 
 @dataclass(frozen=True)
@@ -63,10 +54,6 @@ class SymbolSpec:
 
 def schrodinger(n: int = 1) -> SymbolSpec:
     return SymbolSpec(kind="power", m=2.0, n=n)
-
-
-def power_law(m: float, n: int = 1, scale: float = 1.0) -> SymbolSpec:
-    return SymbolSpec(kind="power", m=m, n=n, scale=scale)
 
 
 def value(sym: SymbolSpec, mesh) -> np.ndarray:
@@ -123,10 +110,15 @@ def gradient_speed(sym: SymbolSpec, mesh) -> np.ndarray:
     return np.sqrt(sum(np.asarray(g) ** 2 for g in gradient(sym, mesh)))
 
 
-def max_speed_on_sector(sym: SymbolSpec, samples: int = 4096, seed: int = 0) -> float:
+# Random samples of the annulus, and their seed, behind max_speed_on_sector.
+SPEED_SAMPLES = 4096
+SPEED_SEED = 0
+
+
+def max_speed_on_sector(sym: SymbolSpec) -> float:
     """Upper estimate of |grad Phi| over the annulus 1/2 <= |xi| <= 2."""
-    rng = np.random.default_rng(seed)
-    xs = _annulus_samples(sym.n, samples, rng)
+    rng = np.random.default_rng(SPEED_SEED)
+    xs = _annulus_samples(sym.n, SPEED_SAMPLES, rng)
     return float(np.max(gradient_speed(sym, [xs[:, i] for i in range(sym.n)]))) * 1.05
 
 
@@ -135,8 +127,8 @@ def _annulus_samples(n: int, count: int, rng) -> np.ndarray:
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = rng.uniform(0.5, 2.0, size=count)
     pts = dirs * radii[:, None]
-    # deterministic probes at the annulus edges (pins the exact minimum of
-    # |grad Phi| for radial families at the inner radius)
+    # deterministic probes at the annulus edges (pins the exact maximum of
+    # |grad Phi| for radial families at the outer radius)
     probes = []
     for axis in range(n):
         for s in (+1.0, -1.0):
@@ -145,42 +137,6 @@ def _annulus_samples(n: int, count: int, rng) -> np.ndarray:
                 e[axis] = s * r
                 probes.append(e)
     return np.vstack([pts, np.array(probes)])
-
-
-def validate_symbol(sym: SymbolSpec, sample_count: int, seed: int = 0) -> ValidationReport:
-    """Check homogeneity and gradient nonvanishing on the annulus.
-
-    Homogeneity is measured as the deviation of log(Phi(lam xi)/Phi(xi))/log(lam)
-    from m; if Phi is not strictly positive on the samples the check falls
-    back to the ratio form |Phi(lam xi) - lam^m Phi(xi)| (relative).
-    """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    rng = np.random.default_rng(seed)
-    pts = _annulus_samples(sym.n, sample_count, rng)
-    mesh = [pts[:, i] for i in range(sym.n)]
-    vals = value(sym, mesh)
-    lams = rng.uniform(0.5, 4.0, size=len(pts))
-    lams = np.where(np.abs(lams - 1.0) < 0.1, 2.0, lams)
-    mesh_l = [lams * m for m in mesh]
-    vals_l = value(sym, mesh_l)
-
-    use_ratio = bool(np.any(vals <= 0))
-    if use_ratio:
-        scale = np.maximum(np.abs(lams**sym.m * vals), 1e-300)
-        dev = np.abs(vals_l - lams**sym.m * vals) / scale
-        max_dev = float(np.max(dev))
-    else:
-        max_dev = float(np.max(np.abs(np.log(vals_l / vals) / np.log(lams) - sym.m)))
-
-    min_grad = float(np.min(gradient_speed(sym, mesh)))
-    return ValidationReport(
-        max_homogeneity_deviation=max_dev,
-        min_gradient_norm=min_grad,
-        passed=(max_dev <= 1e-10 and min_grad > 0),
-        used_ratio_form=use_ratio,
-        samples=len(pts),
-    )
 
 
 def split_spec(text: str, keys: dict) -> tuple:

@@ -32,7 +32,7 @@ import numpy as np
 from .core import (Field, Grid, GridResolutionError, dft, idft, idft_batch,
                    stack_rows)
 from . import symbols as sym_mod
-from .propagator import SectorBump, canonical_bump
+from .propagator import canonical_bump
 from .symbols import SymbolSpec
 
 TWO_PI = 2.0 * math.pi
@@ -177,9 +177,6 @@ class WavePacket:
         frequency where the analysis windows act)."""
         return idft(Field(self.grid, self.spectrum)).values
 
-    def field(self) -> Field:
-        return Field(self.grid, self.values)
-
 
 def packet_values(packets):
     """Spatial samples of each packet on one grid, in order: the same values
@@ -206,18 +203,6 @@ class Tube:
     velocity: np.ndarray  # grad Phi(v)
     R: float
 
-    def core(self, t: float) -> np.ndarray:
-        return self.l - t * self.velocity
-
-    def contains(self, t: float, x) -> bool:
-        return bool(np.linalg.norm(np.atleast_1d(x) - self.core(t)) <= self.R)
-
-
-def tube_for(packet: WavePacket, sym: SymbolSpec, R: float) -> Tube:
-    v = np.asarray(packet.v, dtype=float)
-    _, grad = sym_mod.phase(sym, v)
-    return Tube(l=np.asarray(packet.l, dtype=float), velocity=grad, R=float(R))
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -226,22 +211,22 @@ class Decomposition:
     total_energy: float
     dropped_count: int
     dropped_energy: float
-    # worst packet spatial mass outside B(l, C R), C below; None when that
-    # ball covers the whole torus and leaves nothing outside to measure
+    # worst packet spatial mass outside B(l, SPILL_RADIUS_FACTOR R); None when
+    # that ball covers the whole torus and leaves nothing outside to measure
     spill_max: float | None
-    spill_radius_factor: float
 
 
 SPILL_RADIUS_FACTOR = 4.0
+DROP_TOL = 1e-22
 
 
-def decompose(f: Field, R: float, drop_tol: float = 1e-22) -> Decomposition:
+def decompose(f: Field, R: float) -> Decomposition:
     """Split a field into wave packets at scale R (any n).
 
     The smallest packets are dropped, and tallied, for as long as their
-    summed energy stays <= drop_tol * ||f||^2. The analysis map is a tight
-    frame, so the dropped packets cost at most sqrt(drop_tol) of relative
-    reconstruction accuracy, 1e-11 at the default. The bound is on the
+    summed energy stays <= DROP_TOL * ||f||^2. The analysis map is a tight
+    frame, so the dropped packets cost at most sqrt(DROP_TOL) of relative
+    reconstruction accuracy, 1e-11. The bound is on the
     total: a per-packet floor lets many packets below it add up, and on
     broadband data five packets of about 5e-19 ||f||^2 each already cost
     6e-10.
@@ -281,7 +266,7 @@ def decompose(f: Field, R: float, drop_tol: float = 1e-22) -> Decomposition:
     energies = np.stack(energies)
     flat_e = energies.ravel()
     order = np.argsort(flat_e, kind="stable")
-    dropped = order[:np.searchsorted(np.cumsum(flat_e[order]), drop_tol * total, side="right")]
+    dropped = order[:np.searchsorted(np.cumsum(flat_e[order]), DROP_TOL * total, side="right")]
     keep = np.ones(flat_e.shape, dtype=bool)
     keep[dropped] = False
 
@@ -315,7 +300,7 @@ def decompose(f: Field, R: float, drop_tol: float = 1e-22) -> Decomposition:
     return Decomposition(pair=pair, packets=packets, total_energy=total,
                          dropped_count=len(dropped),
                          dropped_energy=float(np.sum(flat_e[dropped])),
-                         spill_max=spill_max, spill_radius_factor=SPILL_RADIUS_FACTOR)
+                         spill_max=spill_max)
 
 
 def reconstruct(dec: Decomposition) -> Field:
@@ -372,21 +357,17 @@ def almost_orthogonality(packets, grid: Grid) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelValue:
-    value: complex
-    in_regime: bool
-
-
 _ERF = np.frompyfunc(math.erf, 1, 1)
 
 # Cutoff shape for the kernel amplitude: 1 on the ball B(v, 2/(3R)), Gaussian
 # shoulders of width KERNEL_SIGMA * 2/(3R), truncated at KERNEL_REACH times
 # the ball radius. The shoulders are wide enough that the kernel's far field
 # is envelope-dominated at single-digit multiples of R, where the decay
-# check probes it.
+# check probes it. The quadrature takes KERNEL_NODES midpoints per axis in
+# one dimension and at most 128 in more.
 KERNEL_SIGMA = 1.0
 KERNEL_REACH = 1.0 + 5.0 * KERNEL_SIGMA
+KERNEL_NODES = 4096
 
 
 def _flat_top(d: np.ndarray, r_ball: float) -> np.ndarray:
@@ -398,26 +379,20 @@ def _flat_top(d: np.ndarray, r_ball: float) -> np.ndarray:
     return np.where(d <= KERNEL_REACH * r_ball, vals, 0.0)
 
 
-def packet_kernel(v, R: float, sym: SymbolSpec, t: float, x,
-                  bump: SectorBump | None = None, nodes: int = 4096) -> KernelValue:
+def packet_kernel(v, R: float, sym: SymbolSpec, t: float, x) -> complex:
     """K_v(t, x): oscillatory integral of e^{i(x.xi + t Phi)} over a smooth
     flat-top cutoff equal to 1 on B(v, 2/(3R)) times the sector bump.
 
-    Evaluated by midpoint quadrature refined past the phase oscillation;
-    callers outside |t| <= 2 R^m get a warning flag (the decay envelope is
-    only claimed in that regime).
+    Evaluated by midpoint quadrature refined past the phase oscillation; the
+    decay envelope is only claimed for |t| <= 2 R^m.
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = sym.n
-    if bump is None:
-        bump = canonical_bump(n)
+    bump = canonical_bump(n)
     r_ball = FREQ_SUPPORT / R
     r_out = KERNEL_REACH * r_ball
-    in_regime = abs(t) <= 2.0 * R**sym.m
-
-    if n > 1:
-        nodes = min(nodes, 128)
+    nodes = KERNEL_NODES if n == 1 else 128
     axes = []
     for i in range(n):
         lo, hi = v[i] - r_out, v[i] + r_out
@@ -428,9 +403,7 @@ def packet_kernel(v, R: float, sym: SymbolSpec, t: float, x,
     amp = _flat_top(d, r_ball) * bump.values(mesh)
     phase = sum(x[i] * mesh[i] for i in range(n)) + t * sym_mod.value(sym, mesh)
     w = float(np.prod([(2 * r_out) / nodes] * n))
-    val = complex(w * np.sum(amp * np.exp(1j * phase)))
-    return KernelValue(value=val, in_regime=in_regime)
-
+    return complex(w * np.sum(amp * np.exp(1j * phase)))
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +454,6 @@ def cube_chain(H: float) -> list:
         t_c = H**2 / 2 + (j + 0.5) * H
         cubes.append(Cube(t_center=t_c, t_half=H / 2, x_center=origin, x_half=H))
     return cubes
-
-
-def overlap_count(tube: Tube, cubes, dilation: float = 1.0) -> int:
-    return sum(1 for c in cubes if tube_meets_cube(tube, c, dilation))
 
 
 def max_overlap(sym: SymbolSpec, H: float, eps: float = 0.1) -> dict:

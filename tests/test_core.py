@@ -6,10 +6,13 @@ import pytest
 
 from katolab.core import (Annulus, Ball, Field, FieldFormatError, GaussianRecipe,
                           Grid, KnappRecipe, RandomBandlimited, Sector,
-                          SpacetimeField, dft, idft, make_field,
-                          parseval_defect, read_field, read_packets,
-                          read_spacetime, write_field, write_packets,
-                          write_spacetime)
+                          SpacetimeField, dft, idft, make_field, read_field,
+                          read_packets, read_spacetime, write_field,
+                          write_packets, write_spacetime)
+
+
+def parseval_defect(f):
+    return abs(f.l2() - dft(f).l2_freq()) / f.l2()
 
 
 def random_field(grid, seed=0):

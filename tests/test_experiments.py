@@ -102,12 +102,24 @@ def test_parse_config_errors_name_fields():
                         ("kind = scaling\nsymbol = power:m=2,n=1\nR = 2,3,4", "R"),
                         ("kind = maximal\nsymbol = power:m=2,n=1\nr = inf\nR = 8,24,72",
                          "R"),
-                        ("kind = transfer\nsymbol = power:m=2,n=1\nR = 8,16,16", "R")]:
+                        ("kind = transfer\nsymbol = power:m=2,n=1\nR = 8,16,16", "R"),
+                        ("kind = sparse-audit\nsymbol = power:m=2,n=1\nbox = 0", "box"),
+                        ("kind = sparse-audit\nsymbol = power:m=2,n=1\nmax_points = 1",
+                         "max_points"),
+                        ("kind = sparse-audit\nsymbol = power:m=2,n=1\nbox = 3", "max_points"),
+                        ("kind = sparse-audit\nsymbol = power:m=2,n=1\nbox = 1\n"
+                         "max_points = 2", "max_points"),
+                        ("kind = decoupling-audit\nsymbol = power:m=2,n=1\nbox = 1023",
+                         "box"),
+                        ("kind = decoupling-audit\nsymbol = power:m=2,n=1\nbox = 0", "box")]:
         with pytest.raises(E.ConfigError) as exc:
             E.parse_config(text)
         assert exc.value.field_name == field, text
     cfg = E.parse_config("kind = maximal\nsymbol = power:m=2,n=1\nr = inf\nq = 2")
     assert cfg.r == math.inf
+    # the smallest boxes the two audits accept
+    E.parse_config("kind = sparse-audit\nsymbol = power:m=2,n=1\nbox = 2\nmax_points = 4")
+    E.parse_config("kind = decoupling-audit\nsymbol = power:m=2,n=1\nbox = 1024")
     cfg = E.parse_config(GOOD_SCALING + "cross_check = TRUE")
     assert cfg.cross_check is True
 

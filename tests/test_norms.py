@@ -64,7 +64,7 @@ def test_maximal_time_independent():
     f = np.cos(g.x_axis()) + 2.0
     times = cell_times(0.0, 1.0, 8)
     u = SpacetimeField(g, times, np.broadcast_to(f, (8, g.N)).astype(complex))
-    got = N.maximal_norm(u, 2.0, ball=((0.0,), 2.0))
+    got = N.mixed_norm(u, N.MixedNormSpec(q=2.0, r=N.INF, ball=((0.0,), 2.0)))
     inside = np.abs(g.x_axis()) < 2.0
     expect = math.sqrt(g.dx * np.sum(f[inside] ** 2))
     assert got == pytest.approx(expect, rel=1e-12)
@@ -76,7 +76,7 @@ def test_maximal_unimodular_in_time():
     times = cell_times(0.0, 1.0, 8)
     slab = np.exp(1j * times)[:, None] * f[None, :]
     u = SpacetimeField(g, times, slab)
-    got = N.maximal_norm(u, 2.0, ball=((0.0,), 2.0))
+    got = N.mixed_norm(u, N.MixedNormSpec(q=2.0, r=N.INF, ball=((0.0,), 2.0)))
     inside = np.abs(g.x_axis()) < 2.0
     expect = math.sqrt(g.dx * np.sum(f[inside] ** 2))
     assert got == pytest.approx(expect, rel=1e-12)

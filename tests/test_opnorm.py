@@ -767,9 +767,13 @@ GOLDEN_TRANSFER = [(2.0, "0x1.ee6aa2af60cb6p+2", "chirp-wide@1.3"),
                    (8.0, "0x1.e6c219c416bf7p+3", "chirp-wide@1.3")]
 
 
-@pytest.mark.parametrize("kind, R, value, candidate",
-                         [("maximal",) + g for g in GOLDEN_MAXIMAL]
-                         + [("transfer",) + g for g in GOLDEN_TRANSFER])
+GOLDEN = ([("maximal",) + g for g in GOLDEN_MAXIMAL]
+          + [("transfer",) + g for g in GOLDEN_TRANSFER])
+
+
+# ids name the case, not the value, so a re-recorded value keeps the test's id
+@pytest.mark.parametrize("kind, R, value, candidate", GOLDEN,
+                         ids=[f"{kind}-R{R:g}" for kind, R, *_ in GOLDEN])
 def test_lower_bound_golden_values(kind, R, value, candidate):
     if kind == "maximal":
         spec = spec_at(R, alpha=-0.25, r=INF)

@@ -6,7 +6,6 @@ import pytest
 
 from katolab import sparse as SP
 from katolab import symbols as S
-from katolab.core import Grid, SpacetimeField
 
 SYM = S.schrodinger(1)
 
@@ -18,7 +17,7 @@ def patch():
 
 def test_total_measure_refinement(patch):
     fine = SP.surface_patch(SYM, samples=8192)
-    a, b = SP.surface_measure(patch), SP.surface_measure(fine)
+    a, b = np.sum(patch.weights), np.sum(fine.weights)
     assert a > 0
     assert abs(a - b) / b <= 1e-8
     z0 = SP.surface_fourier(patch, [0.0, 0.0])
@@ -39,66 +38,6 @@ def test_normal_direction_decay(patch):
     vals = [abs(SP.surface_fourier(patch, lam * nvec)) for lam in lams]
     slope = np.polyfit(np.log(lams), np.log(vals), 1)[0]
     assert abs(slope + 0.5) <= 0.1
-
-
-def windowed_wave(grid, times, tau0, xi0):
-    x = grid.x_axis()
-    win_x = np.exp(-((x / (0.3 * grid.L)) ** 2) * 4)
-    win_t = np.exp(-(((times - times.mean()) / (0.3 * (times[-1] - times[0]))) ** 2) * 4)
-    slab = (win_t[:, None] * win_x[None, :]
-            * np.exp(1j * (np.outer(times, np.full(grid.N, tau0))
-                           + np.outer(np.ones(len(times)), xi0 * x))))
-    return SpacetimeField(grid, times, slab)
-
-
-def test_restriction_peaks_at_matching_surface_point(patch):
-    grid = Grid(1, 256, 64.0)
-    times = -8.0 + (np.arange(64) + 0.5) * 0.25
-    xi0 = 1.3
-    tau0 = float(S.value(SYM, [np.array([xi0])])[0])
-    u = windowed_wave(grid, times, tau0, xi0)
-    vals = np.abs(SP.restriction(u, patch))
-    peak_xi = patch.xi[int(np.argmax(vals))]
-    assert abs(peak_xi - xi0) <= 0.05
-
-
-def test_restriction_adjoint(patch):
-    grid = Grid(1, 128, 32.0)
-    times = -4.0 + (np.arange(32) + 0.5) * 0.25
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for trial in range(20):
-        slab = (rng.standard_normal((32, grid.N))
-                + 1j * rng.standard_normal((32, grid.N)))
-        u = SpacetimeField(grid, times, slab)
-        gv = rng.standard_normal(len(patch.xi)) + 1j * rng.standard_normal(len(patch.xi))
-        lhs = np.sum(patch.weights * SP.restriction(u, patch) * np.conj(gv))
-        ext = SP.extension(gv, patch, grid, times)
-        wt = times[1] - times[0]
-        rhs = wt * grid.dx * np.sum(u.slices * np.conj(ext.slices))
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
-    assert worst <= 1e-8
-
-
-def test_restriction_real_even(patch):
-    grid = Grid(1, 128, 32.0)
-    times = -4.0 + (np.arange(32) + 0.5) * 0.25
-    x = grid.x_axis()
-    slab = np.exp(-np.add.outer(times**2, x**2) / 8.0).astype(complex)
-    u = SpacetimeField(grid, times, slab)
-    vals = SP.restriction(u, patch)
-    assert np.max(np.abs(vals.imag)) <= 1e-10 * np.max(np.abs(vals.real))
-
-
-def test_support_leakage_detects_edges():
-    grid = Grid(1, 128, 32.0)
-    times = (np.arange(8) + 0.5) * 0.25
-    centered = np.exp(-grid.x_axis() ** 2)
-    shifted = np.exp(-((grid.x_axis() - 15.0) ** 2))
-    u_ok = SpacetimeField(grid, times, np.tile(centered, (8, 1)).astype(complex))
-    u_bad = SpacetimeField(grid, times, np.tile(shifted, (8, 1)).astype(complex))
-    assert SP.support_leakage(u_ok) <= 1e-12
-    assert SP.support_leakage(u_bad) >= 0.5
 
 
 def test_sparsity_predicate_arithmetic():
@@ -122,12 +61,6 @@ def test_sparsity_predicate_arithmetic():
         assert SP.is_sparse(fam) is ok
 
 
-def test_gamma_computed_from_decay_rate():
-    assert SP.gamma_exponent(1) == Fraction(2)
-    assert SP.gamma_exponent(2) == Fraction(2)
-    assert SP.gamma_exponent(3, rho=Fraction(1)) == Fraction(3)
-
-
 def test_decompose_singleton_and_K1():
     E = SP.CubeSet(dim=2, points=((3, 4),))
     levels = SP.sparse_decompose(E, K=3)
@@ -140,6 +73,8 @@ def test_decompose_singleton_and_K1():
     levels = SP.sparse_decompose(E, K=1)
     assert len(levels) == 1
     assert set(levels[0].members) == set(E.points)  # threshold vacuous at K=1
+    with pytest.raises(ValueError):
+        SP.CubeSet(dim=2, points=((0, 0), (0, 0)))
 
 
 def test_decompose_random_audit():
@@ -322,23 +257,3 @@ def test_decoupling_check_matches_the_dense_window(H):
 def test_ball_function_axes_must_increase():
     with pytest.raises(ValueError):
         _ball_fn_on(np.linspace(1.0, 0.0, 8), np.linspace(0.0, 1.0, 4), 0)
-
-
-def test_loss_bookkeeping():
-    assert SP.epsilon_removal_delta(3, 0.01) == pytest.approx(1 / 3 + 0.01 * 8)
-    K = SP.epsilon_removal_levels(0.01, 1.0)
-    assert K == round(math.log(100.0))
-    with pytest.raises(ValueError):
-        SP.epsilon_removal_levels(0.01, 0.5)  # below log(2)
-    with pytest.raises(ValueError):
-        SP.epsilon_removal_levels(2.0, 1.0)
-
-
-def test_cubeset_csv_roundtrip(tmp_path):
-    E = SP.CubeSet(dim=2, points=((0, 1), (5, -3), (2, 2)))
-    p = tmp_path / "cubes.csv"
-    E.to_csv(str(p))
-    E2 = SP.CubeSet.from_csv(str(p))
-    assert set(E2.points) == set(E.points)
-    with pytest.raises(ValueError):
-        SP.CubeSet(dim=2, points=((0, 0), (0, 0)))

@@ -21,7 +21,7 @@ def test_scaling_ratio_is_lambda_to_m():
 
 
 def test_cubic_power_rule():
-    sym = S.power_law(3.0, n=1)
+    sym = S.SymbolSpec("power", 3.0, 1)
     val, grad = S.phase(sym, [1.0])
     assert val == pytest.approx(1.0)
     assert grad[0] == pytest.approx(3.0)
@@ -29,7 +29,7 @@ def test_cubic_power_rule():
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
-    for sym in (S.schrodinger(1), S.power_law(3.0, n=1), S.schrodinger(2),
+    for sym in (S.schrodinger(1), S.SymbolSpec("power", 3.0, 1), S.schrodinger(2),
                 S.SymbolSpec(kind="poly", m=2, n=2, terms=((1.0, (2, 0)), (4.0, (0, 2))))):
         worst = 0.0
         for _ in range(100):
@@ -47,41 +47,12 @@ def test_gradient_matches_finite_differences():
         assert worst <= 1e-6
 
 
-def test_validate_quadratic():
-    rep = S.validate_symbol(S.schrodinger(1), 1000)
-    assert rep.passed
-    assert rep.max_homogeneity_deviation <= 1e-10
-    # |grad| = 2|xi| attains its minimum 1 at the inner radius
-    assert rep.min_gradient_norm == pytest.approx(1.0, abs=1e-12)
-
-
-def test_validate_cubic_exact_homogeneity():
-    rep = S.validate_symbol(S.power_law(3.0, n=1), 1000)
-    assert rep.passed
-    assert rep.max_homogeneity_deviation <= 1e-10
-
-
-def test_degenerate_symbol_fails():
-    # xi1 * xi2^2 has a vanishing gradient along the first axis
-    bad = S.SymbolSpec(kind="poly", m=3, n=2, terms=((1.0, (1, 2)),))
-    rep = S.validate_symbol(bad, 1000)
-    assert not rep.passed
-    assert rep.min_gradient_norm == pytest.approx(0.0, abs=1e-12)
-    assert rep.used_ratio_form  # the polynomial changes sign on the annulus
-
-
-def test_shipped_symbols_validate_at_ten_thousand():
-    for sym in (S.schrodinger(1), S.schrodinger(2), S.power_law(3.0, n=1),
-                S.power_law(1.5, n=1)):
-        assert S.validate_symbol(sym, 10**4).passed
-
-
 @settings(max_examples=30, deadline=None)
 @given(m=st.floats(min_value=1.1, max_value=4.0),
        lam=st.floats(min_value=0.1, max_value=10.0),
        xi=st.floats(min_value=0.1, max_value=5.0))
 def test_power_law_homogeneity_property(m, lam, xi):
-    sym = S.power_law(m, n=1)
+    sym = S.SymbolSpec("power", m, 1)
     v1, _ = S.phase(sym, [xi])
     v2, _ = S.phase(sym, [lam * xi])
     assert v2 == pytest.approx(lam**m * v1, rel=1e-10)

@@ -287,13 +287,12 @@ def test_packet_transport(dec8, grid):
     _, dec = dec8
     R = dec.pair.R
     p = max(dec.packets, key=lambda q: q.energy)
-    tube = W.tube_for(p, SYM, R)
-    bump = P.canonical_bump(1)
+    _, grad = S.phase(SYM, np.array(p.v))
     x = grid.x_axis()
     fractions = []
     for t in (R**SYM.m / 2, R**SYM.m, 2 * R**SYM.m):
-        u = P.apply_U(p.field(), SYM, bump, [t])
-        core = tube.core(t)[0]
+        u = P.propagate(Field(grid, p.values), SYM, [t])
+        core = p.l[0] - t * grad[0]  # the tube's core line at time t
         y = np.mod(x - core + grid.L / 2, grid.L) - grid.L / 2
         m = np.abs(y) <= 4 * R
         tot = np.sum(np.abs(u.slices[0]) ** 2)
@@ -310,19 +309,15 @@ def test_kernel_core_and_bounds():
     _, grad = S.phase(SYM, v)
     core = -t * grad[0]
     kv = W.packet_kernel(v, R, SYM, t, np.array([core]))
-    assert kv.in_regime
     # at (0, 0) the phase vanishes, so the value is the amplitude integral
-    amp_integral = W.packet_kernel(v, R, SYM, 0.0, np.array([0.0])).value
+    amp_integral = W.packet_kernel(v, R, SYM, 0.0, np.array([0.0]))
     assert abs(amp_integral.imag) <= 1e-12 * amp_integral.real
     mass = amp_integral.real
-    assert mass / 4 <= abs(kv.value) <= 4 * mass
+    assert mass / 4 <= abs(kv) <= 4 * mass
     # triangle inequality at arbitrary (t, x)
     for x_probe in (-3.0, 17.0):
         k = W.packet_kernel(v, R, SYM, t, np.array([x_probe]))
-        assert abs(k.value) <= mass * (1 + 1e-12)
-    # regime flag
-    far = W.packet_kernel(v, R, SYM, 3 * R**2, np.array([0.0]))
-    assert not far.in_regime
+        assert abs(k) <= mass * (1 + 1e-12)
 
 
 def test_kernel_decay_slope():
@@ -332,17 +327,9 @@ def test_kernel_decay_slope():
     _, grad = S.phase(SYM, v)
     core = -t * grad[0]
     ds = np.array([R, 2 * R, 4 * R, 8 * R])
-    vals = [abs(W.packet_kernel(v, R, SYM, t, np.array([core + d])).value)
-            for d in ds]
+    vals = [abs(W.packet_kernel(v, R, SYM, t, np.array([core + d]))) for d in ds]
     slope = np.polyfit(np.log(ds), np.log(vals), 1)[0]
     assert slope <= -3.0
-
-
-def test_tube_membership():
-    tube = W.Tube(l=np.array([0.0]), velocity=np.array([2.0]), R=4.0)
-    assert tube.contains(0.0, [0.0])
-    assert tube.contains(1.0, [-2.0 + 3.9])
-    assert not tube.contains(1.0, [4.0])
 
 
 def test_tube_meets_cube_basics():
@@ -420,5 +407,5 @@ def test_overlap_count_single_tube():
     # a slow tube passing the origin meets only a bounded stretch of the chain
     _, grad = S.phase(SYM, np.array([0.5]))
     tube = W.Tube(l=np.array([H**2 / 2 * grad[0]]), velocity=grad, R=H)
-    c = W.overlap_count(tube, cubes, dilation=H**0.1)
+    c = sum(W.tube_meets_cube(tube, cube, dilation=H**0.1) for cube in cubes)
     assert 1 <= c <= 12
