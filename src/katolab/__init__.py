@@ -9,7 +9,7 @@ from .norms import MixedNormSpec, mixed_norm
 from .opnorm import (ScalingFit, SmoothingOperatorSpec, fit_exponent,
                      lower_bound_mixed, operator_norm_l2, predicted_exponent,
                      transfer_exponent)
-from .propagator import SectorBump, canonical_bump, propagate
+from .propagator import propagate, sector_bump
 from .sparse import (CubeSet, SparseFamily, SurfacePatch, columns_by_height,
                      decoupling_check, is_sparse, sparse_decompose,
                      surface_fourier, surface_patch)

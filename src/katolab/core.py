@@ -205,13 +205,21 @@ def _sector_polar(mesh) -> tuple:
     return rho, np.sqrt(chord2)
 
 
+# The frequency sector Pi = {1/2 <= |xi| <= 2, |xi/|xi| - e1| <= pi/4}: its
+# radii and its chordal angle to e1. The sector bump, the operator norms'
+# mode grid, the surface patch and the tube family all read these.
+SECTOR_INNER = 0.5
+SECTOR_OUTER = 2.0
+SECTOR_CHORD = math.pi / 4
+
+
 @dataclass(frozen=True)
 class Sector:
     """Annular sector 1/2 <= |xi| <= 2 within angle pi/4 (chordal) of e1."""
 
     def contains(self, mesh: list) -> np.ndarray:
         rho, chord = _sector_polar(mesh)
-        ok = (rho >= 0.5) & (rho <= 2.0) & (chord <= np.pi / 4)
+        ok = (rho >= SECTOR_INNER) & (rho <= SECTOR_OUTER) & (chord <= SECTOR_CHORD)
         return ok & (rho > 0)
 
 

@@ -394,11 +394,11 @@ def _run_transfer(cfg: ExperimentConfig, report: Report):
     report.fits.append(_fit_entry("global", f_glob))
     report.measure("delta_inf", delta_inf, "transfer_exponent")
     report.measure("alpha_global_sup", alpha_sup, "transfer_exponent")
-    bound = f_loc.slope + delta_inf + 0.1
+    bound = f_loc.slope + delta_inf + cfg.slope_tol
     ok = f_glob.slope <= bound
     report.criterion("window-transfer-slope", ok,
                      f"global {f_glob.slope:.4f} <= local {f_loc.slope:.4f} "
-                     f"+ {delta_inf} + 0.1 = {bound:.4f}")
+                     f"+ {delta_inf} + {cfg.slope_tol} = {bound:.4f}")
 
 
 def _gaussian_oracle(grid: Grid, t: float) -> np.ndarray:

@@ -69,18 +69,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbols as sym_mod
-from .core import Grid, SpacetimeField, check_uniform_times
+from .core import SECTOR_INNER, SECTOR_OUTER, Grid, SpacetimeField, check_uniform_times
 from .norms import (INF, MixedNormSpec, _nesting, _reduce, _reduce_grad, mixed_norm,
                     refinement_delta)
-from .propagator import canonical_bump
+from .propagator import sector_bump
 from .symbols import SymbolSpec
 
 TWO_PI = 2.0 * math.pi
 
-# Frequency-quadrature span per unit of (max speed x window end); calibrated
-# so the periodic image of the slowest/fastest launch stays out of the ball
-# and the top eigenvalue is converged at the per-mille level.
+# Frequency-quadrature span: SPAN_FACTOR * (v_max * window end + 4 R), where
+# v_max = SPEED_MARGIN * max |Phi'| on the sector. In one dimension
+# |Phi'(xi)| = m |Phi(+-1)| |xi|^(m-1) grows with |xi|, so that maximum is
+# exactly max |Phi'(+-2)|. SPAN_FACTOR is calibrated so the periodic image of
+# the slowest/fastest launch stays out of the ball and the top eigenvalue is
+# converged at the per-mille level.
 SPAN_FACTOR = 2.5
+SPEED_MARGIN = 1.05
 GLOBAL_T_FACTOR = 8.0
 
 # L2 norms: Lanczos stops once the top Ritz pair's residual is at most
@@ -143,17 +147,16 @@ class ModeGrid:
 def mode_grid(spec: SmoothingOperatorSpec) -> ModeGrid:
     if spec.sym.n != 1:
         raise NotImplementedError("operator-norm machinery is one-dimensional")
-    bump = canonical_bump(1)
     a, b = spec.time_window()
     t_reach = max(abs(a), abs(b))
-    v_max = sym_mod.max_speed_on_sector(spec.sym)
+    edges = np.array([-SECTOR_OUTER, SECTOR_OUTER])
+    v_max = SPEED_MARGIN * float(np.max(np.abs(sym_mod.gradient(spec.sym, [edges])[0])))
     span = SPAN_FACTOR * (v_max * t_reach + 4.0 * spec.R)
     dxi = TWO_PI / span
-    lo, hi = bump.support_radial()
-    k0 = math.floor(lo / dxi)
-    k1 = math.ceil(hi / dxi)
+    k0 = math.floor(SECTOR_INNER / dxi)
+    k1 = math.ceil(SECTOR_OUTER / dxi)
     xi = (np.arange(k0, k1 + 1) + 0.5) * dxi
-    w = bump.values_1d(xi)
+    w = sector_bump([xi])
     live = w > 1e-14
     xi = xi[live]
     amp = ((1.0 + xi**2) ** (spec.alpha / 2.0)) * w[live]

@@ -2,9 +2,9 @@
 
 The solution operator acts diagonally in frequency with the unimodular
 multiplier e^{i t Phi(xi)}, so the energy identity holds exactly on the
-grid. The sector bump phi is a smooth cutoff supported on the sector
-Pi = {1/2 <= |xi| <= 2, |xi/|xi| - e1| <= pi/4}; the operator norms and the
-packet kernels localize with it.
+grid. The sector bump `sector_bump` is a smooth cutoff supported on the
+sector Pi = {1/2 <= |xi| <= 2, |xi/|xi| - e1| <= pi/4} of `core`; the
+operator norms and the packet kernels localize with it.
 
 Time slices are evaluated a block at a time: one multiplier array for the
 block and one batched inverse transform (`core.stack_rows` slices), each
@@ -13,13 +13,10 @@ slice bit-identical to its own transform.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import (Field, SpacetimeField, _sector_polar, _smoothstep, dft,
-                   idft_batch, stack_rows)
+from .core import (SECTOR_CHORD, SECTOR_INNER, SECTOR_OUTER, Field, SpacetimeField,
+                   _sector_polar, _smoothstep, dft, idft_batch, stack_rows)
 from . import symbols as sym_mod
 from .symbols import SymbolSpec
 
@@ -30,29 +27,14 @@ RADIAL_FRAC = 0.125
 ANGULAR_FRAC = 0.125
 
 
-@dataclass(frozen=True)
-class SectorBump:
-    """Smooth cutoff supported on the sector, 1 on its mollified interior."""
-
-    n: int
-
-    def values(self, mesh) -> np.ndarray:
-        rho, chord = _sector_polar(mesh)
-        w = RADIAL_FRAC * 1.5
-        radial = _smoothstep((rho - 0.5) / w) * _smoothstep((2.0 - rho) / w)
-        angular = _smoothstep((math.pi / 4 - chord) / (ANGULAR_FRAC * (math.pi / 4)))
-        out = radial * angular
-        return np.where(rho > 0, out, 0.0)
-
-    def values_1d(self, xi: np.ndarray) -> np.ndarray:
-        return self.values([np.asarray(xi, dtype=float)])
-
-    def support_radial(self) -> tuple:
-        return (0.5, 2.0)
-
-
-def canonical_bump(n: int) -> SectorBump:
-    return SectorBump(n=n)
+def sector_bump(mesh) -> np.ndarray:
+    """Smooth cutoff supported on the sector, 1 on its mollified interior,
+    over a broadcastable list of coordinate arrays (any dimension)."""
+    rho, chord = _sector_polar(mesh)
+    w = RADIAL_FRAC * (SECTOR_OUTER - SECTOR_INNER)
+    radial = _smoothstep((rho - SECTOR_INNER) / w) * _smoothstep((SECTOR_OUTER - rho) / w)
+    angular = _smoothstep((SECTOR_CHORD - chord) / (ANGULAR_FRAC * SECTOR_CHORD))
+    return np.where(rho > 0, radial * angular, 0.0)
 
 
 def propagate(f: Field, sym: SymbolSpec, times) -> SpacetimeField:

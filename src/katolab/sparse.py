@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import symbols as sym_mod
+from .core import SECTOR_INNER, SECTOR_OUTER
 from .symbols import SymbolSpec
 
 
@@ -52,9 +53,8 @@ class SurfacePatch:
 def surface_patch(sym: SymbolSpec, samples: int = 2048) -> SurfacePatch:
     if sym.n != 1:
         raise NotImplementedError("surface sampling implemented for n = 1")
-    lo, hi = 0.5, 2.0
-    dxi = (hi - lo) / samples
-    xi = lo + (np.arange(samples) + 0.5) * dxi
+    dxi = (SECTOR_OUTER - SECTOR_INNER) / samples
+    xi = SECTOR_INNER + (np.arange(samples) + 0.5) * dxi
     grad = sym_mod.gradient(sym, [xi])[0]
     weights = np.sqrt(1.0 + grad**2) * dxi
     return SurfacePatch(sym=sym, xi=xi, weights=weights)
@@ -155,13 +155,8 @@ def sparse_decompose(E: CubeSet, K: int, gamma: Fraction = Fraction(2)) -> list:
     remaining = set(range(size))
     levels = []
     H_prev = 1
-    p, q = gamma.numerator, gamma.denominator
     for k in range(1, K + 1):
-        hk_frac = Fraction(size) ** gamma * Fraction(H_prev) ** gamma
-        if hk_frac.denominator != 1:
-            H_k = int(math.ceil(hk_frac))
-        else:
-            H_k = int(hk_frac)
+        H_k = math.ceil(Fraction(size) ** gamma * Fraction(H_prev) ** gamma)
         if H_k > H_LIMIT:
             raise ScaleError(f"level {k} radius {H_k} exceeds the supported range")
         members = []

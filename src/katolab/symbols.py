@@ -4,7 +4,9 @@ A symbol is a real function Phi on R^n \\ {0}, positively homogeneous of
 degree m > 1 with nonvanishing gradient away from the origin. Two families
 are shipped: radial power laws |xi|^m (any real m > 1) and homogeneous
 polynomials with user-supplied coefficients (integer degree). Both are
-defined at the origin by continuity, Phi(0) = 0.
+defined at the origin by continuity, Phi(0) = 0. Values and gradients are
+closed-form; the operator norms' speed bound on the sector is `gradient`
+at its outer radius (`opnorm.mode_grid`).
 """
 
 from __future__ import annotations
@@ -104,39 +106,6 @@ def phase(sym: SymbolSpec, xi) -> tuple:
     val = float(value(sym, mesh))
     grad = np.array([float(g) for g in gradient(sym, mesh)])
     return val, grad
-
-
-def gradient_speed(sym: SymbolSpec, mesh) -> np.ndarray:
-    return np.sqrt(sum(np.asarray(g) ** 2 for g in gradient(sym, mesh)))
-
-
-# Random samples of the annulus, and their seed, behind max_speed_on_sector.
-SPEED_SAMPLES = 4096
-SPEED_SEED = 0
-
-
-def max_speed_on_sector(sym: SymbolSpec) -> float:
-    """Upper estimate of |grad Phi| over the annulus 1/2 <= |xi| <= 2."""
-    rng = np.random.default_rng(SPEED_SEED)
-    xs = _annulus_samples(sym.n, SPEED_SAMPLES, rng)
-    return float(np.max(gradient_speed(sym, [xs[:, i] for i in range(sym.n)]))) * 1.05
-
-
-def _annulus_samples(n: int, count: int, rng) -> np.ndarray:
-    dirs = rng.standard_normal((count, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = rng.uniform(0.5, 2.0, size=count)
-    pts = dirs * radii[:, None]
-    # deterministic probes at the annulus edges (pins the exact maximum of
-    # |grad Phi| for radial families at the outer radius)
-    probes = []
-    for axis in range(n):
-        for s in (+1.0, -1.0):
-            for r in (0.5, 2.0):
-                e = np.zeros(n)
-                e[axis] = s * r
-                probes.append(e)
-    return np.vstack([pts, np.array(probes)])
 
 
 def split_spec(text: str, keys: dict) -> tuple:

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Field, Grid, GridResolutionError, dft, idft, idft_batch,
-                   stack_rows)
+from .core import (SECTOR_INNER, SECTOR_OUTER, Field, Grid, GridResolutionError, dft,
+                   idft, idft_batch, stack_rows)
 from . import symbols as sym_mod
-from .propagator import canonical_bump
+from .propagator import sector_bump
 from .symbols import SymbolSpec
 
 TWO_PI = 2.0 * math.pi
@@ -164,24 +164,11 @@ class WavePacket:
     block: np.ndarray  # frequency samples of the packet at index
     energy: float
 
-    @property
-    def spectrum(self) -> np.ndarray:
-        """Frequency samples on the whole grid (expanded on demand)."""
-        out = np.zeros(self.grid.shape, dtype=np.complex128)
-        out.reshape(-1)[self.index] = self.block
-        return out
-
-    @property
-    def values(self) -> np.ndarray:
-        """Spatial samples (computed on demand; packets are stored in
-        frequency where the analysis windows act)."""
-        return idft(Field(self.grid, self.spectrum)).values
-
 
 def packet_values(packets):
-    """Spatial samples of each packet on one grid, in order: the same values
-    as `WavePacket.values`, from batched inverse transforms of stacks of
-    `stack_rows(grid)` expanded spectra."""
+    """Spatial samples of each packet on one grid, in order, from batched
+    inverse transforms of stacks of `stack_rows(grid)` expanded spectra:
+    each the same values as one inverse transform of its own spectrum."""
     packets = list(packets)
     if not packets:
         return
@@ -389,7 +376,6 @@ def packet_kernel(v, R: float, sym: SymbolSpec, t: float, x) -> complex:
     v = np.atleast_1d(np.asarray(v, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = sym.n
-    bump = canonical_bump(n)
     r_ball = FREQ_SUPPORT / R
     r_out = KERNEL_REACH * r_ball
     nodes = KERNEL_NODES if n == 1 else 128
@@ -400,7 +386,7 @@ def packet_kernel(v, R: float, sym: SymbolSpec, t: float, x) -> complex:
         axes.append(pts)
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     d = np.sqrt(sum((m - c) ** 2 for m, c in zip(mesh, v)))
-    amp = _flat_top(d, r_ball) * bump.values(mesh)
+    amp = _flat_top(d, r_ball) * sector_bump(mesh)
     phase = sum(x[i] * mesh[i] for i in range(n)) + t * sym_mod.value(sym, mesh)
     w = float(np.prod([(2 * r_out) / nodes] * n))
     return complex(w * np.sum(amp * np.exp(1j * phase)))
@@ -463,7 +449,7 @@ def max_overlap(sym: SymbolSpec, H: float, eps: float = 0.1) -> dict:
     if sym.n != 1:
         raise NotImplementedError("incidence sweep implemented for n = 1")
     dilation = H**eps
-    v_nodes = np.arange(math.ceil(0.5 * H), math.floor(2.0 * H) + 1) / H
+    v_nodes = np.arange(math.ceil(SECTOR_INNER * H), math.floor(SECTOR_OUTER * H) + 1) / H
     grad = sym_mod.gradient(sym, [v_nodes])[0]
     # per v, the offsets l = H k, |k| <= half, whose tubes can reach the chain
     reach = np.abs(grad) * 2 * H**2 + (dilation + 2) * H

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from katolab import cli, opnorm, symbols, wavepackets
 from katolab.core import (Ball, GaussianRecipe, KnappRecipe, RandomBandlimited, Sector,
                           read_field, read_packets, read_spacetime)
+from tests.packet_reference import packet_values
 
 
 def test_field_propagate_norm_roundtrip(tmp_path, capsys):
@@ -71,7 +72,7 @@ def test_wavepacket_decompose_cli(tmp_path, capsys):
     packets = wavepackets.decompose(original, 4).packets
     assert len(packets) == len(rows)
     for row, p, vals in zip(rows, packets, values):
-        assert vals.tobytes() == p.values.tobytes()
+        assert vals.tobytes() == packet_values(p).tobytes()
         assert row[3] == f"{p.energy:.17g}"
 
 

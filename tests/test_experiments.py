@@ -180,8 +180,9 @@ SMALL_TRANSFER = ("kind = transfer\nsymbol = power:m=2,n=1\nalpha = 0.5\n"
                   "q = 2\nr = 2\nr_tilde = 4\nR = 2,4,8\nseed = 7")
 
 
-@pytest.mark.parametrize("text", [GOOD_SCALING, SMALL_MAXIMAL, SMALL_TRANSFER],
-                         ids=["scaling", "maximal", "transfer"])
+@pytest.mark.parametrize("text", [GOOD_SCALING, SMALL_MAXIMAL, SMALL_TRANSFER,
+                                  SMALL_TRANSFER + "\nslope_tol = 0.5"],
+                         ids=["scaling", "maximal", "transfer", "transfer-slope-tol"])
 def test_report_schema_and_reproducibility(tmp_path, text):
     cfg = E.parse_config(text)
     out = tmp_path / "runs"
@@ -194,6 +195,10 @@ def test_report_schema_and_reproducibility(tmp_path, text):
         d.pop("environment")
         runs.append((json.dumps(d, sort_keys=True), (out / "measurements.csv").read_bytes()))
     assert runs[0] == runs[1]
+    if "slope_tol" in text:
+        # the transfer bound adds the config's slope tolerance
+        detail, = (c["detail"] for c in rep.criteria if c["name"] == "window-transfer-slope")
+        assert "+ 0.5 = " in detail
 
     files = {p.name for p in out.iterdir()}
     assert {"report.json", "measurements.csv"} <= files

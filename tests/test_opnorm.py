@@ -84,6 +84,20 @@ def test_fft_size_is_smallest_3_smooth_power_of_two_product():
         assert O._fft_size(n) == next(s for s in smooth if s >= n), n
 
 
+@pytest.mark.parametrize("window", ["local", "global"])
+@pytest.mark.parametrize("scale", [1.0, 0.3])
+@pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+def test_mode_grid_spacing_uses_the_exact_speed_bound(m, scale, window):
+    # |Phi'| = scale m |xi|^(m-1) peaks on the sector at |xi| = 2; the span
+    # takes it with a 5% margin
+    spec = O.SmoothingOperatorSpec(sym=S.SymbolSpec("power", m, 1, scale=scale),
+                                   alpha=0.5, R=4.0, window=window)
+    a, b = spec.time_window()
+    v_max = 1.05 * scale * m * 2 ** (m - 1)
+    span = O.SPAN_FACTOR * (v_max * max(abs(a), abs(b)) + 4 * spec.R)
+    assert O.mode_grid(spec).dxi == pytest.approx(2 * math.pi / span, rel=1e-14)
+
+
 def test_fast_lanczos_golden_value():
     # recorded at LANCZOS_TOL = 1e-3 (96 steps, residual 9.6e-4). A run to
     # residual 1e-9 (153 steps) gives 47.7362540041148; the recorded Ritz

@@ -102,14 +102,14 @@ def test_energy_identity():
 
 def test_sector_operator_kills_disjoint_support():
     g = Grid(1, 512, 64.0)
-    phi = P.canonical_bump(1).values(g.xi_mesh())
+    phi = P.sector_bump(g.xi_mesh())
     assert np.max(np.abs(phi[np.abs(g.xi_axis()) <= 0.25])) <= 1e-12
 
 
 def test_sector_output_spectrum_stays_in_sector():
     g = Grid(1, 512, 64.0)
     f = Field(g, np.random.default_rng(3).standard_normal(g.shape).astype(complex))
-    spec = P.canonical_bump(1).values(g.xi_mesh()) * dft(f).values
+    spec = P.sector_bump(g.xi_mesh()) * dft(f).values
     mask = Sector().contains(g.xi_mesh())
     outside = np.sum(np.abs(spec[~mask]) ** 2)
     total = np.sum(np.abs(spec) ** 2)
