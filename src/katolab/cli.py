@@ -148,20 +148,20 @@ def _cmd_norm(args):
 def _cmd_opnorm(args):
     sym = symbols.from_config(args.symbol)
     window, t_factor = args.window
-    print("R,norm,iterations,residual")
+    l2 = args.q == 2 and args.r == 2
+    # a mixed-norm lower bound has no solver residual
+    print("R,norm,iterations,residual" if l2 else "R,lower_bound,evaluations")
     samples = []
     for R in args.R:
         spec = opnorm.SmoothingOperatorSpec(sym=sym, alpha=args.alpha, R=R, q=args.q,
                                             r=args.r, order=args.order, window=window,
                                             global_t_factor=t_factor)
-        if args.q == 2 and args.r == 2:
+        if l2:
             res = opnorm.operator_norm_l2(spec, seed=args.seed)
-            count, residual = res.iterations, f"{res.residual:.3g}"
+            print(f"{R:g},{res.value:.10g},{res.iterations},{res.residual:.3g}")
         else:
-            # a lower bound has no solver residual
             res = opnorm.lower_bound_mixed(spec)
-            count, residual = res.evaluations, ""
-        print(f"{R:g},{res.value:.10g},{count},{residual}")
+            print(f"{R:g},{res.value:.10g},{res.evaluations}")
         samples.append((R, res.value))
     if len(samples) >= 3:
         predicted = opnorm.predicted_exponent(sym.n, sym.m, args.q, args.r, args.alpha)

@@ -98,6 +98,14 @@ class ExperimentConfig:
                 raise ConfigError("box", "must be >= 1")
             if not 2 <= self.max_points <= self.box**2:
                 raise ConfigError("max_points", f"must lie in [2, box**2 = {self.box**2}]")
+            # the level radii of the largest draw; at max_points >= 2 they
+            # pass H_LIMIT within 7 levels, so a huge K stops early
+            H = 1
+            for k in range(1, self.K + 1):
+                H = (self.max_points * H) ** 2
+                if H > sparse.H_LIMIT:
+                    raise ConfigError("K", f"the level-{k} radius of {self.max_points} "
+                                           "points exceeds sparse.H_LIMIT")
         if self.kind == "decoupling-audit":
             # the family centres are drawn from [-box, box)^2 at least sep
             # apart, and the draws all but never end on a smaller box
@@ -355,8 +363,7 @@ def _run_maximal(cfg: ExperimentConfig, report: Report):
     for R in cfg.R_list:
         spec = opnorm.SmoothingOperatorSpec(sym=cfg.symbol, alpha=cfg.alpha, R=R,
                                             q=cfg.q, r=math.inf)
-        res = opnorm.lower_bound_mixed(spec, ascent_steps=cfg.ascent_steps,
-                                       restarts=cfg.restarts)
+        res = opnorm.lower_bound_mixed(spec, cfg.ascent_steps * cfg.restarts)
         samples.append((R, res.value))
         report.measure(f"maximal_R{R:g}", res.value, "lower_bound_mixed")
         _measure_diagnostics(report, R, res)
@@ -381,8 +388,7 @@ def _run_transfer(cfg: ExperimentConfig, report: Report):
         s_glob = opnorm.SmoothingOperatorSpec(sym=cfg.symbol, alpha=cfg.alpha,
                                               R=R, q=cfg.q, r=cfg.r_tilde,
                                               window="global")
-        res = opnorm.lower_bound_mixed(s_glob, ascent_steps=cfg.ascent_steps,
-                                       restarts=cfg.restarts)
+        res = opnorm.lower_bound_mixed(s_glob, cfg.ascent_steps * cfg.restarts)
         glob.append((R, res.value))
         report.measure(f"global_R{R:g}", res.value, "lower_bound_mixed")
         _measure_diagnostics(report, R, res)

@@ -92,16 +92,3 @@ def mixed_norm(u: SpacetimeField, spec: MixedNormSpec) -> float:
     (p_in, w_in, axis), (p_out, w_out) = _nesting(spec, u)
     return float(_reduce(_reduce(slab, p_in, w_in, axis), p_out, w_out, axis=0))
 
-
-def refinement_delta(u: SpacetimeField, spec: MixedNormSpec) -> float:
-    """Relative change of the norm when every second time sample is dropped.
-
-    Reported alongside maximal norms so undersampling of the sup in t is
-    visible; small delta means the time lattice resolves the envelope.
-    """
-    if len(u.times) < 4:
-        return 0.0
-    coarse = SpacetimeField(u.grid, u.times[::2], u.slices[::2])
-    full = mixed_norm(u, spec)
-    half = mixed_norm(coarse, spec)
-    return abs(full - half) / max(full, 1e-300)

@@ -70,8 +70,7 @@ import numpy as np
 
 from . import symbols as sym_mod
 from .core import SECTOR_INNER, SECTOR_OUTER, Grid, SpacetimeField, check_uniform_times
-from .norms import (INF, MixedNormSpec, _nesting, _reduce, _reduce_grad, mixed_norm,
-                    refinement_delta)
+from .norms import INF, MixedNormSpec, _nesting, _reduce, _reduce_grad, mixed_norm
 from .propagator import sector_bump
 from .symbols import SymbolSpec
 
@@ -276,8 +275,7 @@ class OperatorNormResult:
     method: str
 
 
-def _lanczos(apply_fn, M: int, seed: int, tol: float = LANCZOS_TOL,
-             max_steps: int = LANCZOS_STEPS) -> tuple:
+def _lanczos(apply_fn, M: int, seed: int) -> tuple:
     """(theta, steps, residual / theta) of the top Ritz pair of a Hermitian
     operator H on C^M, from one seeded start with full reorthogonalisation.
 
@@ -285,17 +283,17 @@ def _lanczos(apply_fn, M: int, seed: int, tol: float = LANCZOS_TOL,
     the tridiagonal T = conj(V) H V^T satisfy
     H V^T = V^T T + beta_k v_{k+1} e_k^T, so the top eigenpair (theta, y)
     of T gives the Ritz vector V^T y with residual beta_k |y_k|, read
-    without an apply. The run stops once that is at most tol * |theta|,
-    when the basis spans C^M, or after max_steps. V grows by doubling, so
-    it holds about the steps taken and is copied a logarithmic number of
-    times.
+    without an apply. The run stops once that is at most
+    LANCZOS_TOL * |theta|, when the basis spans C^M, or after LANCZOS_STEPS.
+    V grows by doubling, so it holds about the steps taken and is copied a
+    logarithmic number of times.
     """
     rng = np.random.default_rng(seed)
     V = np.empty((min(16, M), M), dtype=np.complex128)
     v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
     V[0] = v / np.linalg.norm(v)
     alpha, beta = [], []
-    for k in range(1, min(max_steps, M) + 1):
+    for k in range(1, min(LANCZOS_STEPS, M) + 1):
         w = apply_fn(V[k - 1])
         alpha.append(float(np.real(np.vdot(V[k - 1], w))))
         # two classical Gram-Schmidt passes against the whole basis
@@ -305,7 +303,7 @@ def _lanczos(apply_fn, M: int, seed: int, tol: float = LANCZOS_TOL,
         T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
         theta, Y = np.linalg.eigh(T)
         theta, residual = float(theta[-1]), beta[-1] * float(abs(Y[-1, -1]))
-        if residual <= tol * abs(theta) or k == M:
+        if residual <= LANCZOS_TOL * abs(theta) or k == M:
             break
         if k == len(V):
             grown = np.empty((min(2 * k, M), M), dtype=np.complex128)
@@ -597,8 +595,8 @@ def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid, val: float,
     return amp * np.conj(np.sum(Zc * space, axis=1))
 
 
-def lower_bound_mixed(spec: SmoothingOperatorSpec, ascent_steps: int = ASCENT_STEPS,
-                      restarts: int = ASCENT_RESTARTS) -> LowerBoundResult:
+def lower_bound_mixed(spec: SmoothingOperatorSpec,
+                      iterations: int = ASCENT_STEPS * ASCENT_RESTARTS) -> LowerBoundResult:
     """Lower bound for the mixed-norm operator quotient, (q, r) != (2, 2).
 
     Maximum over the candidate bank, refined by the power method
@@ -606,13 +604,13 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, ascent_steps: int = ASCENT_ST
     is a LOWER bound only; stagnation is recorded, never raised.
     `candidate` names the bank winner, refined only when the call's cost
     (time samples x ball cells x modes) is within ASCENT_BUDGET. The
-    refinement runs at most ascent_steps x restarts iterations, one
-    evaluation and one gradient each, and stops early once an iterate
-    rises by at most POWER_RISE_TOL relative (or falls, which only the
-    r = inf sup search, not exactly a norm, allows); the best iterate is
-    kept. One table set (_tables) per call is built on the doubled transit
-    window (_transit_times); the bank and every iteration read it on the
-    transit window's rows (_window_tables). The best point is evaluated
+    refinement runs at most `iterations` iterations, one evaluation and one
+    gradient each, and stops early once an iterate rises by at most
+    POWER_RISE_TOL relative (or falls, which only the r = inf sup search,
+    not exactly a norm, allows); the best iterate is kept. One table set
+    (_tables) per call is built on the doubled transit window
+    (_transit_times); the bank and every iteration read it on the transit
+    window's rows (_window_tables). The best point is evaluated
     again on the doubled window, unless the rows are all of it, and the
     higher of the two values is reported. The diagnostics do not depend on
     which one wins by rounding: refinement_delta (the value with every
@@ -644,7 +642,7 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, ascent_steps: int = ASCENT_ST
     affordable = len(times) * tables[0].N * len(modes.xi) <= ASCENT_BUDGET
     top_val, top = best_val, best
     c, raw, u = best
-    for _ in range(ascent_steps * restarts if affordable else 0):
+    for _ in range(iterations if affordable else 0):
         c = _quotient_gradient(spec, modes, raw, u, tables)
         raw, u = _eval_mixed(spec, modes, c, times, tables)
         val = raw / _l2_of_spectrum(modes, c)
@@ -666,11 +664,12 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec, ascent_steps: int = ASCENT_ST
         # every coarse sample has an even index, so the even-sample peaks
         # are the search at half the time resolution
         half = float(_reduce(u.even_peak, spec.q, u.grid.dx, axis=0))
-        ref_delta = abs(v_top - half) / max(v_top, 1e-300)
         per_t = u.coarse_energy
     else:
-        ref_delta = refinement_delta(u, MixedNormSpec(q=spec.q, r=spec.r, order=spec.order))
+        half = mixed_norm(SpacetimeField(u.grid, u.times[::2], u.slices[::2]),
+                          MixedNormSpec(q=spec.q, r=spec.r, order=spec.order))
         per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
+    ref_delta = abs(v_top - half) / max(v_top, 1e-300)
     # share of the time-profile mass in the last tenth of the window
     k = max(1, len(per_t) // 10)
     tail_fraction = float(np.sum(per_t[-k:]) / max(np.sum(per_t), 1e-300))

@@ -2,16 +2,15 @@
 sparse families, the decoupling check, and the recursive cube decomposition.
 
 All set geometry here (cube sets, separations, level thresholds) runs in
-exact integer/rational arithmetic; floating point enters only through the
-oscillatory quadratures. The decoupling check evaluates each ball's
-compactly supported window only on an index box around its support.
+exact integer/rational arithmetic, and the level radii are integers;
+floating point enters only through the oscillatory quadratures. The
+decoupling check evaluates each ball's compactly supported window only on
+an index box around its support.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -76,7 +75,6 @@ def surface_fourier(patch: SurfacePatch, zeta) -> complex:
 class SparseFamily:
     centers: tuple  # tuples of ints (or Fractions)
     H: int
-    gamma: Fraction = Fraction(2)
 
     @property
     def N(self) -> int:
@@ -89,17 +87,17 @@ def _dist2(a, b):
     return sum((x - y) ** 2 for x, y in zip(a, b))
 
 
-def _sep_ok(d2, N: int, H: int, gamma: Fraction) -> bool:
-    # |dz| >= (N H)^gamma  <=>  |dz|^(2q) >= (N H)^(2p), gamma = p/q
-    return d2**gamma.denominator >= (N * H) ** (2 * gamma.numerator)
+def _sep_ok(d2, N: int, H: int) -> bool:
+    # |dz| >= (N H)^2  <=>  |dz|^2 >= (N H)^4
+    return d2 >= (N * H) ** 4
 
 
 def is_sparse(family: SparseFamily) -> bool:
-    """Exact predicate: pairwise center separation at least (N H)^gamma."""
+    """Exact predicate: pairwise center separation at least (N H)^2."""
     cs = family.centers
     for i in range(len(cs)):
         for j in range(i + 1, len(cs)):
-            if not _sep_ok(_dist2(cs[i], cs[j]), family.N, family.H, family.gamma):
+            if not _sep_ok(_dist2(cs[i], cs[j]), family.N, family.H):
                 return False
     return True
 
@@ -126,27 +124,26 @@ class CubeSet:
         return len(self.points)
 
 
-H_LIMIT = 10**60  # defensive only: radii are exact big integers
+H_LIMIT = 10**60  # the largest level radius; experiment configs stay within it
 
 
 @dataclass(frozen=True)
 class SparseLevel:
-    k: int
     H_k: int
     ball_radius: int  # radius used for covering: previous level's H
     members: tuple
     families: tuple  # of SparseFamily
 
 
-def sparse_decompose(E: CubeSet, K: int, gamma: Fraction = Fraction(2)) -> list:
+def sparse_decompose(E: CubeSet, K: int) -> list:
     """Split a cube set into K levels of sparse ball families.
 
-    Level radii follow the recursion H_k = |E|^gamma H_{k-1}^gamma from
-    H_0 = 1; a point joins level k when its H_k-ball captures at most
-    |E|^(k/K) of the set. Each level is covered greedily by balls of the
-    previous radius centered at a maximal separated subset, and the balls
-    are packed into families first-fit under the exact separation predicate
-    for the grown family size, checked against the family's closest pair.
+    Level radii are the integers H_k = (|E| H_{k-1})^2 from H_0 = 1; a
+    point joins level k when its H_k-ball captures at most |E|^(k/K) of the
+    set. Each level is covered greedily by balls of the previous radius
+    centered at a maximal separated subset, and the balls are packed into
+    families first-fit under the exact separation predicate for the grown
+    family size, checked against the family's closest pair.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -156,7 +153,7 @@ def sparse_decompose(E: CubeSet, K: int, gamma: Fraction = Fraction(2)) -> list:
     levels = []
     H_prev = 1
     for k in range(1, K + 1):
-        H_k = math.ceil(Fraction(size) ** gamma * Fraction(H_prev) ** gamma)
+        H_k = (size * H_prev) ** 2
         if H_k > H_LIMIT:
             raise ScaleError(f"level {k} radius {H_k} exceeds the supported range")
         members = []
@@ -173,15 +170,15 @@ def sparse_decompose(E: CubeSet, K: int, gamma: Fraction = Fraction(2)) -> list:
                 if count**K <= size**k:
                     members.append(i)
         remaining -= set(members)
-        families = _cover_and_pack([pts[i] for i in members], H_prev, gamma)
-        levels.append(SparseLevel(k=k, H_k=H_k, ball_radius=H_prev,
+        families = _cover_and_pack([pts[i] for i in members], H_prev)
+        levels.append(SparseLevel(H_k=H_k, ball_radius=H_prev,
                                   members=tuple(pts[i] for i in members),
                                   families=tuple(families)))
         H_prev = H_k
     return levels
 
 
-def _cover_and_pack(points: list, radius: int, gamma: Fraction) -> list:
+def _cover_and_pack(points: list, radius: int) -> list:
     if not points:
         return []
     r2 = radius * radius
@@ -199,13 +196,13 @@ def _cover_and_pack(points: list, radius: int, gamma: Fraction) -> list:
             d2 = min(_dist2(c, x) for x in members)
             if fam_min is not None and fam_min < d2:
                 d2 = fam_min
-            if _sep_ok(d2, len(members) + 1, radius, gamma):
+            if _sep_ok(d2, len(members) + 1, radius):
                 members.append(c)
                 fam[1] = d2
                 break
         else:
             families.append([[c], None])
-    return [SparseFamily(centers=tuple(f), H=radius, gamma=gamma) for f, _ in families]
+    return [SparseFamily(centers=tuple(f), H=radius) for f, _ in families]
 
 
 def audit_decomposition(E: CubeSet, levels: list) -> dict:
@@ -233,15 +230,15 @@ def audit_decomposition(E: CubeSet, levels: list) -> dict:
             "sparse_ok": sparse_ok, "max_families": max_families}
 
 
-def columns_by_height(E: CubeSet, axis: int = 0) -> dict:
-    """Group columns (fibers along `axis`) by dyadic height.
+def columns_by_height(E: CubeSet) -> dict:
+    """Group columns (fibers along axis 0) by dyadic height.
 
     Returns {h: CubeSet} with h dyadic; each column of E lands in the bin
     [h, 2h) by its cube count, and the bins partition E exactly.
     """
     cols: dict = {}
     for ptp in E.points:
-        base = tuple(c for i, c in enumerate(ptp) if i != axis)
+        base = ptp[1:]
         cols.setdefault(base, []).append(ptp)
     out: dict = {}
     for base, members in cols.items():

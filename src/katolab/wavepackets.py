@@ -442,13 +442,16 @@ def cube_chain(H: float) -> list:
     return cubes
 
 
-def max_overlap(sym: SymbolSpec, H: float, eps: float = 0.1) -> dict:
+OVERLAP_EPS = 0.1  # max_overlap dilates each cube by H^OVERLAP_EPS
+
+
+def max_overlap(sym: SymbolSpec, H: float) -> dict:
     """Brute-force max of the per-tube cube-incidence count over the packet
     family at scale H (1-d): v on the positive sector lattice, l on the
     spatial lattice wide enough to reach the chain."""
     if sym.n != 1:
         raise NotImplementedError("incidence sweep implemented for n = 1")
-    dilation = H**eps
+    dilation = H**OVERLAP_EPS
     v_nodes = np.arange(math.ceil(SECTOR_INNER * H), math.floor(SECTOR_OUTER * H) + 1) / H
     grad = sym_mod.gradient(sym, [v_nodes])[0]
     # per v, the offsets l = H k, |k| <= half, whose tubes can reach the chain

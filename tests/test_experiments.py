@@ -111,7 +111,11 @@ def test_parse_config_errors_name_fields():
                          "max_points = 2", "max_points"),
                         ("kind = decoupling-audit\nsymbol = power:m=2,n=1\nbox = 1023",
                          "box"),
-                        ("kind = decoupling-audit\nsymbol = power:m=2,n=1\nbox = 0", "box")]:
+                        ("kind = decoupling-audit\nsymbol = power:m=2,n=1\nbox = 0", "box"),
+                        # 128 points reach the radius 2**210 > H_LIMIT at level 4
+                        ("kind = sparse-audit\nsymbol = power:m=2,n=1\nK = 4", "K"),
+                        ("kind = sparse-audit\nsymbol = power:m=2,n=1\nK = 1000000",
+                         "K")]:
         with pytest.raises(E.ConfigError) as exc:
             E.parse_config(text)
         assert exc.value.field_name == field, text
@@ -120,6 +124,8 @@ def test_parse_config_errors_name_fields():
     # the smallest boxes the two audits accept
     E.parse_config("kind = sparse-audit\nsymbol = power:m=2,n=1\nbox = 2\nmax_points = 4")
     E.parse_config("kind = decoupling-audit\nsymbol = power:m=2,n=1\nbox = 1024")
+    # 2 points reach 2**30 at level 4
+    E.parse_config("kind = sparse-audit\nsymbol = power:m=2,n=1\nK = 4\nmax_points = 2")
     cfg = E.parse_config(GOOD_SCALING + "cross_check = TRUE")
     assert cfg.cross_check is True
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from katolab import opnorm as O
 from katolab import symbols as S
 from katolab.core import Grid, SpacetimeField, check_uniform_times
-from katolab.norms import MixedNormSpec, mixed_norm, refinement_delta
+from katolab.norms import MixedNormSpec, mixed_norm
 
 SYM = S.schrodinger(1)
 INF = math.inf
@@ -21,14 +21,15 @@ def spec_at(R, alpha=0.5, q=2.0, r=2.0, window="local"):
                                    window=window)
 
 
-def test_lanczos_identity_and_diagonal():
+def test_lanczos_identity_and_diagonal(monkeypatch):
     # identity: the first step is an invariant subspace
     theta, steps, residual = O._lanczos(lambda v: v, 64, seed=0)
     assert theta == pytest.approx(1.0, rel=1e-12)
     assert steps == 1 and residual <= 1e-12
     # diagonal multiplier: the top entry wins, at most M steps
     d = np.linspace(0.1, 2.7, 32)
-    theta, steps, residual = O._lanczos(lambda v: d * v, 32, seed=1, tol=1e-12)
+    monkeypatch.setattr(O, "LANCZOS_TOL", 1e-12)
+    theta, steps, residual = O._lanczos(lambda v: d * v, 32, seed=1)
     assert theta == pytest.approx(d.max(), rel=1e-12)
     assert steps <= 32 and residual <= 1e-10
 
@@ -66,13 +67,13 @@ def test_fast_kernel_matches_dense_on_sliced_grids(M):
 
 
 @pytest.mark.parametrize("M", [1, 2, 3])
-def test_lanczos_krylov_breakdown_on_sliced_grids(M):
+def test_lanczos_krylov_breakdown_on_sliced_grids(monkeypatch, M):
     # with M modes the Krylov space is all of C^M after at most M steps
     spec = spec_at(16.0)
     modes = _sliced(spec, M)
     top = np.linalg.eigvalsh(O.dense_operator_matrix(spec, modes))[-1]
-    theta, steps, residual = O._lanczos(O._FastKernel(spec, modes).apply, M,
-                                        seed=0, tol=1e-14)
+    monkeypatch.setattr(O, "LANCZOS_TOL", 1e-14)
+    theta, steps, residual = O._lanczos(O._FastKernel(spec, modes).apply, M, seed=0)
     assert steps <= M
     assert theta == pytest.approx(top, rel=1e-10)
     assert residual <= 1e-10
@@ -98,7 +99,7 @@ def test_mode_grid_spacing_uses_the_exact_speed_bound(m, scale, window):
     assert O.mode_grid(spec).dxi == pytest.approx(2 * math.pi / span, rel=1e-14)
 
 
-def test_fast_lanczos_golden_value():
+def test_fast_lanczos_golden_value(monkeypatch):
     # recorded at LANCZOS_TOL = 1e-3 (96 steps, residual 9.6e-4). A run to
     # residual 1e-9 (153 steps) gives 47.7362540041148; the recorded Ritz
     # value lies 9.1e-6 below it.
@@ -108,8 +109,9 @@ def test_fast_lanczos_golden_value():
     assert res.residual <= O.LANCZOS_TOL
     assert res.value == pytest.approx(47.73581967898857, rel=1e-10)
     modes = O.mode_grid(spec)
-    theta, _, residual = O._lanczos(O._FastKernel(spec, modes).apply, len(modes.xi),
-                                    seed=4, tol=1e-9, max_steps=400)
+    monkeypatch.setattr(O, "LANCZOS_TOL", 1e-9)
+    monkeypatch.setattr(O, "LANCZOS_STEPS", 400)
+    theta, _, residual = O._lanczos(O._FastKernel(spec, modes).apply, len(modes.xi), seed=4)
     assert residual <= 1e-9
     tight = math.sqrt(O.TWO_PI * modes.dxi * theta)
     assert tight * (1 - 1e-4) <= res.value <= tight * (1 + 1e-12)
@@ -166,6 +168,15 @@ def test_lower_bound_consistent_with_l2():
 def _evaluate(spec, modes, c, times):
     """_eval_mixed on a table set of its own, built on times."""
     return O._eval_mixed(spec, modes, c, times, O._tables(spec, modes, times))
+
+
+def _half_rate_delta(u, spec):
+    """refinement_delta at finite r by its definition: the relative change of
+    the slab's mixed norm when every second time sample is dropped."""
+    norm = MixedNormSpec(q=spec.q, r=spec.r, order=spec.order)
+    full = mixed_norm(u, norm)
+    half = mixed_norm(SpacetimeField(u.grid, u.times[::2], u.slices[::2]), norm)
+    return abs(full - half) / full
 
 
 def _call_times(spec, modes):
@@ -520,12 +531,10 @@ def _check_bank_winner_is_evaluated_once(monkeypatch, r):
     over = O.lower_bound_mixed(spec)
     assert len(calls) == len(bank)
     monkeypatch.setattr(O, "ASCENT_BUDGET", math.inf)
-    # a zero in either factor of the iteration cap means no iteration
-    unrefined = []
-    for steps, restarts in ((0, 1), (O.ASCENT_STEPS, 0)):
-        del calls[:]
-        unrefined.append(O.lower_bound_mixed(spec, ascent_steps=steps, restarts=restarts))
-        assert len(calls) == len(bank)
+    # a zero iteration cap means no iteration
+    del calls[:]
+    unrefined = O.lower_bound_mixed(spec, 0)
+    assert len(calls) == len(bank)
 
     tables = O._window_tables(spec, O._tables(spec, modes, times), rows)
     v_full, u = eval_mixed(spec, modes, bank[0][1], times, tables)
@@ -534,10 +543,10 @@ def _check_bank_winner_is_evaluated_once(monkeypatch, r):
         ref_delta = abs(v_full - half) / v_full
         per_t = u.coarse_energy
     else:
-        ref_delta = refinement_delta(u, MixedNormSpec(q=spec.q, r=spec.r))
+        ref_delta = _half_rate_delta(u, spec)
         per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
     k = max(1, len(per_t) // 10)
-    for res in [over] + unrefined:
+    for res in (over, unrefined):
         assert res.candidate == "chirp-wide@0.9"
         assert res.value == v_full / O._l2_of_spectrum(modes, bank[0][1])
         assert res.refinement_delta == ref_delta
@@ -669,7 +678,7 @@ def _lower_bound_reference(spec):
         ref_delta = abs(v_top - half) / max(v_top, 1e-300)
         per_t = u.coarse_energy
     else:
-        ref_delta = refinement_delta(u, MixedNormSpec(q=spec.q, r=spec.r, order=spec.order))
+        ref_delta = _half_rate_delta(u, spec)
         per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
     k = max(1, len(per_t) // 10)
     nf = O._l2_of_spectrum(modes, top_c)
@@ -809,7 +818,7 @@ def _transit_diagnostics(spec, modes, c):
         ref_delta = abs(v_top - O._reduce(u.even_peak, spec.q, u.grid.dx, axis=0)) / v_top
         per_t = u.coarse_energy
     else:
-        ref_delta = refinement_delta(u, MixedNormSpec(q=spec.q, r=spec.r))
+        ref_delta = _half_rate_delta(u, spec)
         per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
     k = max(1, len(per_t) // 10)
     tail = float(np.sum(per_t[-k:]) / np.sum(per_t))

@@ -12,6 +12,12 @@ method. A class carries its decorators, bases, field declarations and
 dunder methods. A def that only tests reach is dead weight in the package,
 and this test names it.
 
+A defaulted parameter that no caller passes is a one-value knob: it
+belongs in a constant. Calls in the package and in `perfbench/*.py` are
+matched to defs by name; a call passes the parameters it fills by position
+or keyword, and one that unpacks `*args` or `**kwargs` passes them all.
+Calls in tests do not count.
+
 Methods are matched by name, not by the receiver's class, so a method
 still counts as reached when a reached def loads an attribute of the same
 name from another class.
@@ -20,7 +26,9 @@ name from another class.
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "katolab"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "katolab"
+CALLERS = (SRC, ROOT / "perfbench")
 ENTRY_POINTS = ("main", "RUNNERS", "verify_all", "validate_report", "read_packets")
 
 
@@ -76,3 +84,46 @@ def unreached(src=SRC) -> list:
 
 def test_every_def_is_reached_from_an_entry_point():
     assert unreached() == []
+
+
+def unset_parameters(src=SRC, callers=CALLERS) -> list:
+    """`module.def(param)` for each defaulted parameter of a def in src that
+    no call in the callers' modules passes."""
+    # name -> [(qualified name, parameters a call fills by position, defaulted)]
+    defs: dict = {}
+    for path in sorted(pathlib.Path(src).glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            # a method's first parameter is bound by the attribute load
+            if isinstance(stmt, ast.FunctionDef):
+                found = [(f"{path.stem}.{stmt.name}", stmt, 0)]
+            elif isinstance(stmt, ast.ClassDef):
+                found = [(f"{path.stem}.{stmt.name}.{item.name}", item, 1)
+                         for item in stmt.body if isinstance(item, ast.FunctionDef)]
+            else:
+                continue
+            for qual, fn, bound in found:
+                a = fn.args
+                positional = [p.arg for p in a.posonlyargs + a.args][bound:]
+                defaulted = positional[len(positional) - len(a.defaults):] + [
+                    p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                defs.setdefault(fn.name, []).append((qual, positional, defaulted))
+    passed: dict = {}
+    for root in callers:
+        for path in sorted(pathlib.Path(root).glob("*.py")):
+            for call in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                unpacks = (any(isinstance(arg, ast.Starred) for arg in call.args)
+                           or any(kw.arg is None for kw in call.keywords))
+                for qual, positional, defaulted in defs.get(name, []):
+                    given = set(positional[:len(call.args)]) | {kw.arg for kw in call.keywords}
+                    passed.setdefault(qual, set()).update(defaulted if unpacks else given)
+    return sorted(f"{qual}({param})" for entries in defs.values()
+                  for qual, _, defaulted in entries for param in defaulted
+                  if param not in passed.get(qual, ()))
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    assert unset_parameters() == []

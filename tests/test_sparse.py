@@ -55,10 +55,6 @@ def test_sparsity_predicate_arithmetic():
     for offset, ok in ((-1, False), (Fraction(-1, 10**9), False), (0, True), (1, True)):
         fam = SP.SparseFamily(centers=(a, (a[0] + 400 + offset, a[1])), H=10)
         assert SP.is_sparse(fam) is ok
-    # an int center against a Fraction one at gamma = 3/2: |dz|^4 >= 20^6
-    for dz, ok in ((Fraction(8944, 100), False), (Fraction(8945, 100), True)):
-        fam = SP.SparseFamily(centers=((0, 0), (0, dz)), H=10, gamma=Fraction(3, 2))
-        assert SP.is_sparse(fam) is ok
 
 
 def test_decompose_singleton_and_K1():
@@ -91,7 +87,7 @@ def test_decompose_random_audit():
         assert audit["max_families"] <= 2.0 * len(E) ** (1.0 / 3.0)
 
 
-def _first_fit_reference(points, radius, gamma):
+def _first_fit_reference(points, radius):
     """Cover, then first fit that re-checks every pair of the grown family."""
     r2 = radius * radius
     centers = []
@@ -102,7 +98,7 @@ def _first_fit_reference(points, radius, gamma):
     for c in centers:
         for fam in families:
             grown = fam + [c]
-            if all(SP._sep_ok(SP._dist2(a, b), len(grown), radius, gamma)
+            if all(SP._sep_ok(SP._dist2(a, b), len(grown), radius)
                    for i, a in enumerate(grown) for b in grown[i + 1:]):
                 fam.append(c)
                 break
@@ -111,8 +107,7 @@ def _first_fit_reference(points, radius, gamma):
     return [tuple(f) for f in families]
 
 
-@pytest.mark.parametrize("gamma", [Fraction(2), Fraction(3, 2)])
-def test_packing_matches_pairwise_first_fit(gamma):
+def test_packing_matches_pairwise_first_fit():
     rng = np.random.default_rng(11)
     multi = split = 0
     for _ in range(60):
@@ -126,43 +121,49 @@ def test_packing_matches_pairwise_first_fit(gamma):
             x = y = 0
             for _ in range(int(rng.integers(2, 12))):
                 N = int(rng.integers(2, 7))
-                step = round((N * radius) ** float(gamma)) + int(rng.integers(-1, 2))
+                step = (N * radius) ** 2 + int(rng.integers(-1, 2))
                 x, y = x + direction[0] * step, y + direction[1] * step
                 pts.append((x, y))
         pts = list(dict.fromkeys(pts))
-        got = [f.centers for f in SP._cover_and_pack(pts, radius, gamma)]
-        assert got == _first_fit_reference(pts, radius, gamma)
+        got = [f.centers for f in SP._cover_and_pack(pts, radius)]
+        assert got == _first_fit_reference(pts, radius)
         multi += any(len(f) > 1 for f in got)
         split += len(got) > 1
     assert multi and split
 
 
 def test_recursion_radii():
-    # |E| = 3, gamma = 2: H_1 = 9, H_2 = 9 * 81 = 729, H_3 = 9 * 729^2
+    # H_k = (|E| H_{k-1})^2. |E| = 3: H_1 = 9, H_2 = 9 * 81 = 729, H_3 = 9 * 729^2
     pts = ((0, 0), (10**5, 0), (0, 10**5))
     E = SP.CubeSet(dim=2, points=pts)
     levels = SP.sparse_decompose(E, K=3)
     assert [lv.H_k for lv in levels] == [9, 9 * 81, 9 * 729**2]
     assert [lv.ball_radius for lv in levels] == [1, 9, 9 * 81]
+    # |E| = 128: H_3 = 128^14 = 2^98, past float precision, exact
+    E = SP.CubeSet(dim=2, points=tuple((i, i * i) for i in range(128)))
+    levels = SP.sparse_decompose(E, K=3)
+    assert [lv.H_k for lv in levels] == [2**14, 2**42, 2**98]
+    assert [lv.ball_radius for lv in levels] == [1, 2**14, 2**42]
+    assert all(type(lv.H_k) is int for lv in levels)
 
 
 def test_columns_by_height():
     E = SP.CubeSet(dim=2, points=((0, 0), (1, 0), (2, 0), (3, 0), (0, 5)))
-    cols = SP.columns_by_height(E, axis=0)
+    cols = SP.columns_by_height(E)
     assert sorted(cols) == [1, 4]
     assert len(cols[4]) == 4 and len(cols[1]) == 1
 
     # uniform box of height 8 over a base: single key 8
     pts = tuple((t, x) for t in range(8) for x in (0, 1, 2))
     E = SP.CubeSet(dim=2, points=pts)
-    cols = SP.columns_by_height(E, axis=0)
+    cols = SP.columns_by_height(E)
     assert sorted(cols) == [8]
     assert len(cols[8]) == len(E)
 
     rng = np.random.default_rng(3)
     pts = {(int(rng.integers(0, 40)), int(rng.integers(0, 12))) for _ in range(150)}
     E = SP.CubeSet(dim=2, points=tuple(pts))
-    cols = SP.columns_by_height(E, axis=0)
+    cols = SP.columns_by_height(E)
     assert sum(len(cs) for cs in cols.values()) == len(E)
     for h, cs in cols.items():
         col_sizes: dict = {}

@@ -27,8 +27,7 @@ def test_traced_counts_read_every_counted_layer(tmp_path):
         sym = symbols.schrodinger(1)
         spec = opnorm.SmoothingOperatorSpec(sym=sym, alpha=-0.25, R=2.0)
         opnorm.operator_norm_l2(spec)
-        opnorm.lower_bound_mixed(dataclasses.replace(spec, r=math.inf),
-                                 ascent_steps=1, restarts=1)
+        opnorm.lower_bound_mixed(dataclasses.replace(spec, r=math.inf), 1)
         grid = core.Grid(1, 256, 32.0)
         f = core.make_field(grid, core.RandomBandlimited(core.Sector(), seed=1))
         core.write_field(f, str(tmp_path / "f.kslf"))
