@@ -76,6 +76,12 @@ def _finite_float(text: str) -> float:
     return val
 
 
+def _alpha(text: str) -> float:
+    val = float(text)
+    opnorm.check_alpha(val)
+    return val
+
+
 def _exponent(text: str) -> float:
     """A Lebesgue exponent: a number >= 1, or inf."""
     val = float(text)
@@ -209,7 +215,7 @@ def _cmd_run(args):
 
 
 def _cmd_verify(args):
-    report = experiments.verify_all(out_dir=args.out, quick=args.quick)
+    report = experiments.verify_all(out_dir=args.out)
     _print_criteria(report)
     print(f"total wall clock: {report.environment['wall_clock_s']}s")
     return 0 if report.passed else 1
@@ -248,7 +254,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("opnorm", help="operator norm scan over scales")
     p.add_argument("--symbol", required=True)
-    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--alpha", type=_alpha, required=True)
     p.add_argument("--q", type=_exponent, default="2")
     p.add_argument("--r", type=_exponent, default="2")
     p.add_argument("--order", choices=("xt", "tx"), default="xt")
@@ -275,8 +281,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="run the full verification battery")
     p.add_argument("--out")
-    p.add_argument("--quick", action="store_true",
-                   help="cap scales at R=32 for a faster pass")
     p.set_defaults(fn=_cmd_verify)
 
     args = ap.parse_args(argv)

@@ -23,7 +23,17 @@ from .core import (Annulus, Field, GaussianRecipe, Grid, RandomBandlimited,
 
 SCHEMA = "katolab-report-v1"
 
-# Ball scale H and family size N of the decoupling audit's sparse families.
+# Settings that no run varies; no config can change them, so none can loosen
+# its own criterion: the fits' slope tolerance, the tube-incidence scales, the
+# random subcollections of the almost-orthogonality audit, the sparse audit's
+# largest draw and its grid [0, SPARSE_BOX)^2, and the decoupling audit's centre
+# range [-DECOUPLING_BOX, DECOUPLING_BOX)^2, ball scale H and family size N.
+SLOPE_TOL = 0.1
+TUBE_H = (16.0, 32.0, 64.0)
+SUBCOLLECTIONS = 100
+SPARSE_POINTS = 128
+SPARSE_BOX = 10**6
+DECOUPLING_BOX = 10**6
 DECOUPLING_H = 8
 DECOUPLING_N = 4
 
@@ -45,37 +55,30 @@ class ExperimentConfig:
     r: float = 2.0
     r_tilde: float = 4.0
     R_list: tuple = (8.0, 16.0, 32.0, 64.0)
-    H_list: tuple = (16.0, 32.0, 64.0)
     seed: int = 0
-    slope_tol: float = 0.1
-    residual_min: float | None = None
+    residual_min: float = 0.2
     expect: str = "match"  # 'match' or 'residual'
     cross_check: bool = False
     ascent_steps: int = opnorm.ASCENT_STEPS
     restarts: int = opnorm.ASCENT_RESTARTS
     trials: int = 50
     K: int = 3
-    box: int = 10**6
-    max_points: int = 128
     grid_N: int = 1024
     grid_L: float = 128.0
     fields: int = 20
-    subcollections: int = 100
     out_dir: str | None = None
 
     def validate(self):
         if self.kind not in RUNNERS:
             raise ConfigError("kind", f"unknown kind {self.kind!r}")
-        for key, scales in (("R", self.R_list), ("H", self.H_list)):
-            if not all(1 <= x < math.inf for x in scales):
-                raise ConfigError(key, f"scales must be finite and >= 1, got {scales}")
-        if self.kind in ("scaling", "transfer", "maximal"):
-            try:
-                opnorm.check_fit_scales(self.R_list)
-            except ValueError as exc:
-                raise ConfigError("R", str(exc)) from exc
-        if self.kind == "tube-incidence" and self.symbol.n != 1:
-            raise ConfigError("symbol", "tube incidence is implemented for n = 1")
+        if not all(1 <= x < math.inf for x in self.R_list):
+            raise ConfigError("R", f"scales must be finite and >= 1, got {self.R_list}")
+        # every other kind's machinery is one-dimensional
+        if self.symbol.n != 1 and self.kind not in ("propagator-audit", "wavepacket-audit",
+                                                    "sparse-audit"):
+            raise ConfigError("symbol", f"kind {self.kind} is implemented for n = 1")
+        if self.kind == "maximal" and not self.q >= 1:
+            raise ConfigError("q", f"must be >= 1, got {self.q}")
         if self.kind == "transfer" and not self.r_tilde > self.r:
             raise ConfigError("r_tilde", f"must exceed r = {self.r}")
         if self.kind in ("scaling", "transfer"):
@@ -86,36 +89,28 @@ class ExperimentConfig:
                                            f"got {getattr(self, key)}")
         if self.expect not in ("match", "residual"):
             raise ConfigError("expect", "must be 'match' or 'residual'")
-        for name in ("fields", "trials", "subcollections", "K"):
+        for name in ("fields", "trials", "K"):
             if getattr(self, name) < 1:
                 raise ConfigError(name, "must be >= 1")
         for name in ("ascent_steps", "restarts"):
             if getattr(self, name) < 0:
                 raise ConfigError(name, "must be >= 0")
         if self.kind == "sparse-audit":
-            # each trial draws 2 to max_points distinct points of a box x box grid
-            if self.box < 1:
-                raise ConfigError("box", "must be >= 1")
-            if not 2 <= self.max_points <= self.box**2:
-                raise ConfigError("max_points", f"must lie in [2, box**2 = {self.box**2}]")
-            # the level radii of the largest draw; at max_points >= 2 they
-            # pass H_LIMIT within 7 levels, so a huge K stops early
+            # the level radii of the largest draw; a huge K stops early
             H = 1
             for k in range(1, self.K + 1):
-                H = (self.max_points * H) ** 2
+                H = (SPARSE_POINTS * H) ** 2
                 if H > sparse.H_LIMIT:
-                    raise ConfigError("K", f"the level-{k} radius of {self.max_points} "
+                    raise ConfigError("K", f"the level-{k} radius of {SPARSE_POINTS} "
                                            "points exceeds sparse.H_LIMIT")
-        if self.kind == "decoupling-audit":
-            # the family centres are drawn from [-box, box)^2 at least sep
-            # apart, and the draws all but never end on a smaller box
-            sep = (DECOUPLING_N * DECOUPLING_H) ** 2
-            if self.box < sep:
-                raise ConfigError("box", f"must be >= (N H)^2 = {sep}")
-        # Grid's own rules, checked for N and L apart so the error names its key
-        for key, args in (("N", (1, self.grid_N, 1.0)), ("L", (1, 8, self.grid_L))):
+        # other modules' rules, each under its key (Grid's for N and L apart)
+        checks = [("N", Grid, (1, self.grid_N, 1.0)), ("L", Grid, (1, 8, self.grid_L))]
+        if self.kind in ("scaling", "transfer", "maximal"):
+            checks += [("R", opnorm.check_fit_scales, (self.R_list,)),
+                       ("alpha", opnorm.check_alpha, (self.alpha,))]
+        for key, check, args in checks:
             try:
-                Grid(*args)
+                check(*args)
             except ValueError as exc:
                 raise ConfigError(key, str(exc)) from exc
         if self.kind == "wavepacket-audit":
@@ -126,7 +121,7 @@ class ExperimentConfig:
 
 
 _NUMERIC = {f.name for f in fields(ExperimentConfig)
-            if f.type in ("int", "float", "float | None")}
+            if f.type in ("int", "float")}
 _INTEGER = {f.name for f in fields(ExperimentConfig) if f.type == "int"}
 _BOOLEAN = {f.name for f in fields(ExperimentConfig) if f.type == "bool"}
 
@@ -169,15 +164,13 @@ def parse_config(text: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError("symbol", str(exc)) from exc
     cfg = ExperimentConfig(kind=kv.pop("kind"), symbol=sym)
-    lists = {"R": "R_list", "H": "H_list"}
     renames = {"out": "out_dir", "N": "grid_N", "L": "grid_L"}
     for k, v in kv.items():
-        if k in lists:
+        if k == "R":
             try:
-                vals = tuple(float(x) for x in v.split(","))
+                cfg.R_list = tuple(float(x) for x in v.split(","))
             except ValueError as exc:
                 raise ConfigError(k, f"expected comma-separated numbers: {exc}") from exc
-            setattr(cfg, lists[k], vals)
         elif k in renames or hasattr(cfg, k):
             name = renames.get(k, k)
             val = v if k == "out" else _parse_scalar(v)
@@ -326,15 +319,14 @@ def _run_scaling(cfg: ExperimentConfig, report: Report):
     fit = opnorm.fit_exponent(samples, predicted=predicted)
     report.fits.append(_fit_entry("scaling", fit))
     if cfg.expect == "match":
-        ok = abs(fit.slope - predicted) <= cfg.slope_tol
+        ok = abs(fit.slope - predicted) <= SLOPE_TOL
         report.criterion("slope-matches-prediction", ok,
                          f"slope {fit.slope:.4f} vs {predicted:.4f} "
-                         f"(tol {cfg.slope_tol})")
+                         f"(tol {SLOPE_TOL})")
     else:
-        rmin = cfg.residual_min if cfg.residual_min is not None else 0.2
-        ok = fit.residual_slope >= rmin
+        ok = fit.residual_slope >= cfg.residual_min
         report.criterion("residual-slope-grows", ok,
-                         f"residual {fit.residual_slope:.4f} >= {rmin}")
+                         f"residual {fit.residual_slope:.4f} >= {cfg.residual_min}")
     if cfg.cross_check:
         R0 = cfg.R_list[0]
         spec0 = opnorm.SmoothingOperatorSpec(sym=cfg.symbol, alpha=cfg.alpha,
@@ -372,9 +364,9 @@ def _run_maximal(cfg: ExperimentConfig, report: Report):
                                           math.inf, cfg.alpha)
     fit = opnorm.fit_exponent(samples, predicted=predicted)
     report.fits.append(_fit_entry("maximal", fit))
-    ok = abs(fit.slope - predicted) <= cfg.slope_tol
+    ok = abs(fit.slope - predicted) <= SLOPE_TOL
     report.criterion("maximal-slope", ok,
-                     f"slope {fit.slope:.4f} vs {predicted:.4f} (tol {cfg.slope_tol})")
+                     f"slope {fit.slope:.4f} vs {predicted:.4f} (tol {SLOPE_TOL})")
 
 
 def _run_transfer(cfg: ExperimentConfig, report: Report):
@@ -400,11 +392,11 @@ def _run_transfer(cfg: ExperimentConfig, report: Report):
     report.fits.append(_fit_entry("global", f_glob))
     report.measure("delta_inf", delta_inf, "transfer_exponent")
     report.measure("alpha_global_sup", alpha_sup, "transfer_exponent")
-    bound = f_loc.slope + delta_inf + cfg.slope_tol
+    bound = f_loc.slope + delta_inf + SLOPE_TOL
     ok = f_glob.slope <= bound
     report.criterion("window-transfer-slope", ok,
                      f"global {f_glob.slope:.4f} <= local {f_loc.slope:.4f} "
-                     f"+ {delta_inf} + {cfg.slope_tol} = {bound:.4f}")
+                     f"+ {delta_inf} + {SLOPE_TOL} = {bound:.4f}")
 
 
 def _gaussian_oracle(grid: Grid, t: float) -> np.ndarray:
@@ -477,7 +469,7 @@ def _run_wavepacket_audit(cfg: ExperimentConfig, report: Report):
     rng = np.random.default_rng(cfg.seed)
     packets = last_dec.packets
     worst_ratio = 0.0
-    for _ in range(cfg.subcollections):
+    for _ in range(SUBCOLLECTIONS):
         k = int(rng.integers(1, len(packets)))
         sel = rng.choice(len(packets), size=k, replace=False)
         worst_ratio = max(worst_ratio, wavepackets.almost_orthogonality(
@@ -493,10 +485,10 @@ def _run_sparse_audit(cfg: ExperimentConfig, report: Report):
     worst_c = 0.0
     c_cover = 2.0
     for _ in range(cfg.trials):
-        npts = int(rng.integers(2, cfg.max_points + 1))
+        npts = int(rng.integers(2, SPARSE_POINTS + 1))
         pts = set()
         while len(pts) < npts:
-            pts.add(tuple(int(rng.integers(0, cfg.box)) for _ in range(2)))
+            pts.add(tuple(int(rng.integers(0, SPARSE_BOX)) for _ in range(2)))
         E = sparse.CubeSet(dim=2, points=tuple(pts))
         levels = sparse.sparse_decompose(E, K=cfg.K)
         audit = sparse.audit_decomposition(E, levels)
@@ -514,7 +506,7 @@ def _run_sparse_audit(cfg: ExperimentConfig, report: Report):
 
 
 def _run_tube_incidence(cfg: ExperimentConfig, report: Report):
-    counts = {H: wavepackets.max_overlap(cfg.symbol, H)["count"] for H in cfg.H_list}
+    counts = {H: wavepackets.max_overlap(cfg.symbol, H)["count"] for H in TUBE_H}
     ratio = max(counts.values()) / min(counts.values())
     report.measure("counts", {str(k): v for k, v in counts.items()}, "max_overlap")
     report.criterion("overlap-stability", ratio <= 2.0,
@@ -578,8 +570,8 @@ def _run_decoupling_audit(cfg: ExperimentConfig, report: Report):
     for trial in range(10):
         centers = [(0, 0)]
         while len(centers) < N:
-            cand = (int(rng.integers(-cfg.box, cfg.box)),
-                    int(rng.integers(-cfg.box, cfg.box)))
+            cand = (int(rng.integers(-DECOUPLING_BOX, DECOUPLING_BOX)),
+                    int(rng.integers(-DECOUPLING_BOX, DECOUPLING_BOX)))
             if all((cand[0] - c[0]) ** 2 + (cand[1] - c[1]) ** 2 >= sep**2
                    for c in centers):
                 centers.append(cand)
@@ -611,10 +603,9 @@ RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-def acceptance_runs(quick: bool = False) -> list:
+def acceptance_runs() -> list:
     """The full verification battery as (name, config) pairs, in order."""
     schr = "power:m=2,n=1"
-    R_big = "8,16,32" if quick else "8,16,32,64"
     runs = [
         ("energy-and-gaussian", f"kind = propagator-audit\nsymbol = {schr}\n"
          "N = 1024\nL = 64\nfields = 100\nseed = 1"),
@@ -623,39 +614,33 @@ def acceptance_runs(quick: bool = False) -> list:
         ("kernel-and-surface-decay", f"kind = decay-audit\nsymbol = {schr}\n"
          "R = 16,32\nseed = 3"),
         ("l2-scaling", f"kind = scaling\nsymbol = {schr}\nalpha = 0.5\n"
-         f"q = 2\nr = 2\nR = {R_big}\ncross_check = true\nseed = 4"),
+         "q = 2\nr = 2\nR = 8,16,32,64\ncross_check = true\nseed = 4"),
         ("sharpness-direction", f"kind = scaling\nsymbol = {schr}\n"
-         f"alpha = 0.75\nq = 2\nr = 2\nR = {R_big}\nexpect = residual\n"
+         "alpha = 0.75\nq = 2\nr = 2\nR = 8,16,32,64\nexpect = residual\n"
          "residual_min = 0.2\nseed = 5"),
         ("maximal-exponent", f"kind = maximal\nsymbol = {schr}\nalpha = -0.25\n"
-         f"q = 2\nR = {R_big}\nseed = 6"),
+         "q = 2\nR = 8,16,32,64\nseed = 6"),
         ("window-transfer", f"kind = transfer\nsymbol = {schr}\nalpha = 0.5\n"
          "q = 2\nr = 2\nr_tilde = 4\nR = 8,16,32\nseed = 7"),
         ("sparse-decomposition", f"kind = sparse-audit\nsymbol = {schr}\n"
          "trials = 50\nK = 3\nseed = 8"),
         ("sparse-decoupling", f"kind = decoupling-audit\nsymbol = {schr}\n"
          "seed = 9"),
-        ("tube-incidence", f"kind = tube-incidence\nsymbol = {schr}\n"
-         "H = 16,32,64"),
+        ("tube-incidence", f"kind = tube-incidence\nsymbol = {schr}"),
     ]
     return [(name, parse_config(text)) for name, text in runs]
 
 
-def verify_all(out_dir: str | None = None, quick: bool = False) -> Report:
+def verify_all(out_dir: str | None = None) -> Report:
     """Run every acceptance experiment; aggregate pass/fail per criterion."""
     t0 = time.time()
-    agg = Report(config={"kind": "verify-all", "quick": quick})
-    for name, cfg in acceptance_runs(quick=quick):
+    agg = Report(config={"kind": "verify-all"})
+    for name, cfg in acceptance_runs():
         if out_dir:
             cfg.out_dir = os.path.join(out_dir, name)
         sub = run(cfg)
-        for c in sub.criteria:
-            agg.criteria.append({"name": f"{name}/{c['name']}",
-                                 "passed": c["passed"], "detail": c["detail"]})
-        for m in sub.measurements:
-            agg.measurements.append({"name": f"{name}/{m['name']}",
-                                     "value": m["value"],
-                                     "operation": m["operation"]})
+        agg.criteria += [{**c, "name": f"{name}/{c['name']}"} for c in sub.criteria]
+        agg.measurements += [{**m, "name": f"{name}/{m['name']}"} for m in sub.measurements]
         agg.fits.extend(sub.fits)
     agg.environment = _environment()
     agg.environment["wall_clock_s"] = round(time.time() - t0, 3)

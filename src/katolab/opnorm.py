@@ -125,6 +125,7 @@ class SmoothingOperatorSpec:
             raise ValueError(f"window must be 'local' or 'global', got {self.window!r}")
         if self.R < 1:
             raise ValueError("scale R must be >= 1")
+        check_alpha(self.alpha)
 
     def time_window(self) -> tuple:
         if self.window == "local":
@@ -720,6 +721,14 @@ class ScalingFit:
     @property
     def residual_slope(self) -> float | None:
         return None if self.predicted is None else self.slope - self.predicted
+
+
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless the weight <xi>^alpha = (1 + xi^2)^(alpha/2) stays
+    in [1e-30, 1e30] on the sector |xi| <= SECTOR_OUTER. The L2 form is
+    quadratic in the weight and Lanczos squares its output: far inside floats."""
+    if not abs(alpha) / 2 * math.log(1 + SECTOR_OUTER**2) <= math.log(1e30):
+        raise ValueError(f"<xi>^alpha leaves [1e-30, 1e30] on the sector, got {alpha}")
 
 
 def check_fit_scales(R_values) -> None:

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from katolab import cli, opnorm, symbols, wavepackets
+from katolab import cli, experiments, opnorm, symbols, wavepackets
 from katolab.core import (Ball, GaussianRecipe, KnappRecipe, RandomBandlimited, Sector,
                           read_field, read_packets, read_spacetime)
 from tests.packet_reference import packet_values
@@ -150,6 +151,24 @@ def test_run_cli(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_verify_cli_prefixes_and_fails_a_sabotaged_run(tmp_path, capsys, monkeypatch):
+    scaling = "kind = scaling\nsymbol = power:m=2,n=1\nR = 8,16,32\nseed = 4\nalpha = "
+    runs = [("good", experiments.parse_config(scaling + "0.5")),
+            ("sabotaged", experiments.parse_config(scaling + "1.0"))]
+    monkeypatch.setattr(experiments, "acceptance_runs", lambda: runs)
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "[PASS] good/slope-matches-prediction: " in out
+    assert "[FAIL] sabotaged/slope-matches-prediction: " in out
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert experiments.validate_report(report) == []
+    names = [m["name"] for m in report["measurements"]]
+    assert names and {n.split("/")[0] for n in names} == {"good", "sabotaged"}
+    assert [c["name"] for c in report["criteria"]] == [
+        "good/slope-matches-prediction", "sabotaged/slope-matches-prediction"]
+    assert (tmp_path / "sabotaged" / "report.json").exists()
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("field", "--grid", "1,abc"),
     ("field", "--grid", "1,1024,inf"),
@@ -172,6 +191,8 @@ def test_run_cli(tmp_path, capsys):
     ("opnorm", "--q", "abc"),
     ("opnorm", "--r", "0"),
     ("opnorm", "--alpha", "nan"),
+    ("opnorm", "--alpha", "inf"),
+    ("opnorm", "--alpha", "1e300"),
     ("opnorm", "--R", "8,x"),
     ("opnorm", "--R", "0.5,8"),
     ("opnorm", "--R", "8,inf"),

@@ -917,3 +917,9 @@ def test_spec_validation():
         O.SmoothingOperatorSpec(sym=SYM, alpha=0.5, R=8.0, window="sideways")
     with pytest.raises(ValueError):
         O.SmoothingOperatorSpec(sym=SYM, alpha=0.5, R=8.0, q=0.2)
+    # <xi>^alpha at |xi| = 2 is 5^(alpha/2): within [1e-30, 1e30] up to |alpha| = 85.8
+    for alpha in (85.0, -85.0):
+        O.SmoothingOperatorSpec(sym=SYM, alpha=alpha, R=8.0)
+    for alpha in (86.0, -86.0, 1e300, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            O.SmoothingOperatorSpec(sym=SYM, alpha=alpha, R=8.0)
