@@ -155,13 +155,20 @@ def _cmd_opnorm(args):
     sym = symbols.from_config(args.symbol)
     window, t_factor = args.window
     l2 = args.q == 2 and args.r == 2
+    specs = [opnorm.SmoothingOperatorSpec(sym=sym, alpha=args.alpha, R=R, q=args.q, r=args.r,
+                                          order=args.order, window=window,
+                                          global_t_factor=t_factor) for R in args.R]
+    if l2:
+        try:
+            for spec in specs:
+                opnorm.check_l2_scale(spec)
+        except ValueError as exc:
+            print(f"kato opnorm: error: argument --R: {exc}", file=sys.stderr)
+            return 2
     # a mixed-norm lower bound has no solver residual
     print("R,norm,iterations,residual" if l2 else "R,lower_bound,evaluations")
     samples = []
-    for R in args.R:
-        spec = opnorm.SmoothingOperatorSpec(sym=sym, alpha=args.alpha, R=R, q=args.q,
-                                            r=args.r, order=args.order, window=window,
-                                            global_t_factor=t_factor)
+    for R, spec in zip(args.R, specs):
         if l2:
             res = opnorm.operator_norm_l2(spec, seed=args.seed)
             print(f"{R:g},{res.value:.10g},{res.iterations},{res.residual:.3g}")

@@ -37,6 +37,22 @@ DECOUPLING_BOX = 10**6
 DECOUPLING_H = 8
 DECOUPLING_N = 4
 
+# The config keys each kind reads besides kind and symbol. Every kind also
+# accepts seed and out, read or not; any other key must stay at its default.
+KIND_KEYS = {
+    "scaling": ("alpha", "q", "r", "R", "expect", "residual_min", "cross_check", "seed"),
+    "transfer": ("alpha", "q", "r", "r_tilde", "R", "ascent_steps", "restarts", "seed"),
+    "maximal": ("alpha", "q", "R", "ascent_steps", "restarts"),
+    "wavepacket-audit": ("N", "L", "R", "fields", "seed"),
+    "sparse-audit": ("trials", "K", "seed"),
+    "decay-audit": ("R",),
+    "propagator-audit": ("N", "L", "fields", "seed"),
+    "decoupling-audit": ("seed",),
+    "tube-incidence": (),
+}
+# ExperimentConfig field -> its config key, where the two differ
+CONFIG_KEY = {"out_dir": "out", "grid_N": "N", "grid_L": "L", "R_list": "R"}
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; names the offending field."""
@@ -117,9 +133,23 @@ class ExperimentConfig:
             for R in self.R_list:
                 if self.grid_L / R != round(self.grid_L / R):
                     raise ConfigError("L", f"must be a multiple of R={R}")
+        accepted = ("kind", "symbol", "seed", "out") + KIND_KEYS[self.kind]
+        for f in fields(self):
+            key = CONFIG_KEY.get(f.name, f.name)
+            if key not in accepted and getattr(self, f.name) != f.default:
+                raise ConfigError(key, f"kind {self.kind} does not read it")
+        if self.kind in ("scaling", "transfer"):
+            # the cross-check takes the dense eigensolve at the first scale
+            for i, R in enumerate(self.R_list):
+                try:
+                    spec = opnorm.SmoothingOperatorSpec(sym=self.symbol, alpha=self.alpha, R=R)
+                    opnorm.check_l2_scale(spec, dense=self.cross_check and i == 0)
+                except ValueError as exc:
+                    raise ConfigError("R", str(exc)) from exc
         return self
 
 
+_KEYS = {CONFIG_KEY.get(f.name, f.name) for f in fields(ExperimentConfig)}
 _NUMERIC = {f.name for f in fields(ExperimentConfig)
             if f.type in ("int", "float")}
 _INTEGER = {f.name for f in fields(ExperimentConfig) if f.type == "int"}
@@ -164,14 +194,14 @@ def parse_config(text: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError("symbol", str(exc)) from exc
     cfg = ExperimentConfig(kind=kv.pop("kind"), symbol=sym)
-    renames = {"out": "out_dir", "N": "grid_N", "L": "grid_L"}
+    renames = {key: name for name, key in CONFIG_KEY.items()}
     for k, v in kv.items():
         if k == "R":
             try:
                 cfg.R_list = tuple(float(x) for x in v.split(","))
             except ValueError as exc:
                 raise ConfigError(k, f"expected comma-separated numbers: {exc}") from exc
-        elif k in renames or hasattr(cfg, k):
+        elif k in _KEYS:
             name = renames.get(k, k)
             val = v if k == "out" else _parse_scalar(v)
             if val == "":
@@ -249,8 +279,11 @@ def _environment() -> dict:
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
+    """The fields the kind reads, and out_dir."""
     d = {}
     for k, v in vars(cfg).items():
+        if CONFIG_KEY.get(k, k) not in ("kind", "symbol", "out") + KIND_KEYS[cfg.kind]:
+            continue
         if isinstance(v, symbols.SymbolSpec):
             d[k] = {"kind": v.kind, "m": v.m, "n": v.n, "scale": v.scale,
                     "terms": list(map(list, v.terms))}

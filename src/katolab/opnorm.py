@@ -12,17 +12,17 @@ into closed-form window integrals,
     H[k',k] = d_k' d_k * X(xi_k - xi_k') * T(Phi_k - Phi_k'),
 
 with X the spatial ball integral (a sinc) and T the time-window integral
-(a sinc as well), d the weighted bump amplitude, over a uniform frequency
-quadrature whose span scales with the window length so that the periodic
-representation never recirculates mass through the ball. The norm is the
-top eigenvalue, found by one seeded Lanczos run with full
-reorthogonalisation and cross-checked against a dense eigensolve at small
-scale. Its top Ritz value is a Rayleigh quotient, so a lower bound, and it
-is reported with its residual ||H v - theta v|| / theta. The quadratic
-symbol takes a structured apply at every scale (_FastKernel: four
-modulations of two Toeplitz kernels and one Hankel kernel, 12 FFTs of size
-N >= 2M - 1 over M modes), every other symbol the explicit matrix. The
-R = 64 cases stay interactive.
+(a sinc as well), d the weighted bump amplitude, over nodes uniform in
+p = Phi(xi) (l2_grid) whose period 2 pi / dp in time spans the window and the
+slowest transit of the ball, so the periodic representation never
+recirculates mass through the ball. The norm is the top eigenvalue, found by
+one seeded Lanczos run with full reorthogonalisation and cross-checked
+against a dense eigensolve at small scale. Its top Ritz value is a Rayleigh
+quotient, so a lower bound, and it is reported with its residual
+||H v - theta v|| / theta. On the p-grid T is Toeplitz, so a symbol c xi^m of
+integer degree takes a structured apply at every scale (_FastKernel: 2m
+modulations of one Toeplitz kernel, 4m FFTs of size N >= 2M - 1 over M
+nodes); a non-integer degree takes the explicit matrix, up to DENSE_MODES.
 
 Mixed-norm cases (q, r) != (2, 2), including the maximal r = inf, are
 handled by lower_bound_mixed: a bank of five chirps focusing at the
@@ -76,7 +76,7 @@ from .symbols import SymbolSpec
 
 TWO_PI = 2.0 * math.pi
 
-# Frequency-quadrature span: SPAN_FACTOR * (v_max * window end + 4 R), where
+# The xi-grid's span (mode_grid): SPAN_FACTOR * (v_max * window end + 4 R), where
 # v_max = SPEED_MARGIN * max |Phi'| on the sector. In one dimension
 # |Phi'(xi)| = m |Phi(+-1)| |xi|^(m-1) grows with |xi|, so that maximum is
 # exactly max |Phi'(+-2)|. SPAN_FACTOR is calibrated so the periodic image of
@@ -85,6 +85,15 @@ TWO_PI = 2.0 * math.pi
 SPAN_FACTOR = 2.5
 SPEED_MARGIN = 1.05
 GLOBAL_T_FACTOR = 8.0
+
+# L2 nodes are uniform in p = Phi(xi) at dp = 2 pi / (SPAN_FACTOR (b - a +
+# (4 R + L2_PAD) / v_min)), v_min = |Phi'(1/2)| the slowest speed: e^{i t p}
+# repeats after 2 pi / dp, and the window and the slowest transit of the ball
+# must fit in that period. L2_PAD is for the bump's ramps, a fixed width in p
+# whatever R: without it R = 2 reads 2.6e-3 high. The explicit M x M kernel, for
+# non-integer m and the cross-check, takes at most DENSE_MODES nodes.
+L2_PAD = 32.0
+DENSE_MODES = 6000
 
 # L2 norms: Lanczos stops once the top Ritz pair's residual is at most
 # LANCZOS_TOL times its Ritz value, or after LANCZOS_STEPS kernel applies.
@@ -136,11 +145,12 @@ class SmoothingOperatorSpec:
 
 @dataclass(frozen=True)
 class ModeGrid:
-    """Uniform frequency nodes covering the sector bump's support."""
+    """Frequency nodes covering the sector bump's support, uniform in xi
+    (mode_grid) or in p = Phi(xi) (l2_grid) with step dxi."""
 
     xi: np.ndarray
     dxi: float
-    amp: np.ndarray  # <xi>^alpha * bump(xi) at the nodes
+    amp: np.ndarray  # <xi>^alpha * bump(xi) at the nodes, over sqrt|Phi'| in p
     phi_vals: np.ndarray  # symbol values at the nodes
 
 
@@ -164,23 +174,53 @@ def mode_grid(spec: SmoothingOperatorSpec) -> ModeGrid:
                     phi_vals=sym_mod.value(spec.sym, [xi]))
 
 
+def l2_grid(spec: SmoothingOperatorSpec) -> ModeGrid:
+    """The L2 kernel's nodes, uniform in p = Phi(xi) and increasing in p. On
+    xi > 0 a one-dimensional symbol is c xi^m, c = Phi(1), so xi = (p/c)^(1/m);
+    amp takes the square root of the weight dp / |Phi'| of each node."""
+    if spec.sym.n != 1:
+        raise NotImplementedError("operator-norm machinery is one-dimensional")
+    a, b = spec.time_window()
+    m, c = spec.sym.m, float(sym_mod.value(spec.sym, [1.0]))
+    v_min = abs(float(sym_mod.gradient(spec.sym, [SECTOR_INNER])[0]))
+    dp = TWO_PI / (SPAN_FACTOR * (b - a + (4.0 * spec.R + L2_PAD) / v_min))
+    lo, hi = sorted((c * SECTOR_INNER**m, c * SECTOR_OUTER**m))
+    p = (np.arange(math.floor(lo / dp), math.ceil(hi / dp) + 1) + 0.5) * dp
+    xi = np.abs(p / c) ** (1.0 / m)
+    w = sector_bump([xi])
+    live = w > 1e-14
+    xi, p, w = xi[live], p[live], w[live]
+    speed = np.abs(sym_mod.gradient(spec.sym, [xi])[0])
+    return ModeGrid(xi=xi, dxi=dp, amp=(1.0 + xi**2) ** (spec.alpha / 2.0) * w / np.sqrt(speed),
+                    phi_vals=p)
+
+
+def check_l2_scale(spec: SmoothingOperatorSpec, dense: bool = False) -> None:
+    """Raise ValueError if the L2 norm of spec, or with dense its dense
+    cross-check, would run the explicit kernel on more than DENSE_MODES nodes."""
+    M = len(l2_grid(spec).xi) if dense or not float(spec.sym.m).is_integer() else 0
+    if M > DENSE_MODES:
+        raise ValueError(f"R = {spec.R:g} needs {M} L2 nodes, over the explicit kernel's "
+                         f"{DENSE_MODES} (non-integer m, cross-check)")
+
+
+def _window_integral(spec: SmoothingOperatorSpec, omega: np.ndarray) -> np.ndarray:
+    """T(omega) = int_a^b e^{i t omega} dt as a sinc, stable through omega = 0."""
+    a, b = spec.time_window()
+    return (b - a) * np.exp(1j * ((a + b) / 2.0) * omega) * np.sinc((b - a) * omega / TWO_PI)
+
+
 def dense_operator_matrix(spec: SmoothingOperatorSpec, modes: ModeGrid) -> np.ndarray:
     """Explicit quadratic-form kernel, O(M^2) memory, for small scales; the ball
     and window integrals X and T as sincs, stable through delta, omega = 0."""
     M = len(modes.xi)
-    if M > 6000:
+    if M > DENSE_MODES:
         raise ValueError(f"dense kernel with M={M} modes would be too large")
-    a, b = spec.time_window()
     delta = modes.xi[None, :] - modes.xi[:, None]
     omega = modes.phi_vals[None, :] - modes.phi_vals[:, None]
     X = 2.0 * spec.R * np.sinc(spec.R * delta / math.pi)
-    T = (b - a) * np.exp(1j * ((a + b) / 2.0) * omega) * np.sinc((b - a) * omega / TWO_PI)
     d = modes.amp
-    return (d[:, None] * d[None, :]) * X * T
-
-
-def _is_quadratic(sym: SymbolSpec) -> bool:
-    return sym.kind == "power" and sym.m == 2.0 and sym.scale == 1.0
+    return (d[:, None] * d[None, :]) * X * _window_integral(spec, omega)
 
 
 def _fft_size(n: int) -> int:
@@ -193,74 +233,40 @@ def _fft_size(n: int) -> int:
 
 
 class _FastKernel:
-    """Structured apply of the quadratic-form kernel for quadratic symbols.
+    """Structured apply of the L2 kernel on the p-grid for Phi = c xi^m, m an
+    integer. With delta = xi_k - xi_k' and omega = p_k - p_k',
+    1/delta = c sum_{j<m} xi_k^j xi_k'^(m-1-j) / omega, so off the diagonal
 
-    Off the diagonal, with delta = xi_k - xi_k', sigma = xi_k + xi_k' and
-    omega = delta * sigma,
+        X(delta) T(omega) = sum_{s=+-1, j<m} (s c / i) e^{-i s R xi_k'} xi_k'^(m-1-j)
+                            K(omega) e^{i s R xi_k} xi_k^j,   K = T / omega,
 
-        X(delta) T(omega) = -sum_{s,w} s c_w e^{i s R delta} e^{i t_w omega}
-                            / (delta * omega),
-
-    and 1/(delta*omega) = (1/rho)(1/delta^2) - (1/rho^2)(1/delta)
-    + (1/rho^2)(1/sigma) with rho = 2 xi_k'. Each term is a row scaling, a
-    modulation, a pure Toeplitz (1/delta^p) or Hankel (1/sigma) kernel, and
-    a column scaling. The diagonal terms cancel over the four (s, w).
-
-    Every kernel has 2M - 1 lags, so circulant embedding of size
-    N >= 2M - 1 (the smallest 2^a 3^b) correlates without wrap-around into
-    the output slice [M-1, 2M-1). Per modulation the apply takes one
-    forward FFT G of g and two inverse FFTs, 12 transforms of size N in
-    all. The Hankel term reuses G through the reversal identity
-    fft(g[::-1], N)[k] = e^{-2 pi i k (M-1)/N} G[-k mod N], whose phase is
-    folded into the Hankel spectrum; the 1/delta and 1/sigma terms share
-    the row factor 1/rho^2, so they are summed before one inverse FFT, and
-    the 1/delta^2 term takes the other.
+    and on it X T = 2 R (b - a). K is Toeplitz, the nodes being uniform in p:
+    circulant embedding of size N >= 2M - 1 (_fft_size) correlates without
+    wrap-around into the output slice [M-1, 2M-1), so each of the 2m terms
+    takes one forward and one inverse FFT, 4m in all.
     """
 
     def __init__(self, spec: SmoothingOperatorSpec, modes: ModeGrid):
-        if not _is_quadratic(spec.sym):
-            raise ValueError("fast kernel requires the quadratic power symbol")
         a, b = spec.time_window()
-        xi = modes.xi
-        d = modes.amp
-        M = len(xi)
-        N = _fft_size(2 * M - 1)
-        self.M = M
-        self.N = N
-        dxi = modes.dxi
-        # kernels reversed over their lags, so out[i] = sum_k t[k-i] g[k]
-        # lands at index M-1+i of the circular convolution
-        lags = np.arange(M - 1, -M, -1) * dxi
-        with np.errstate(divide="ignore"):
-            t1 = np.where(lags != 0, 1.0 / lags, 0.0)
-            t2 = np.where(lags != 0, 1.0 / lags**2, 0.0)
-        sig = xi[0] + xi[0] + np.arange(2 * M - 1) * dxi  # sigma over k+k'
-        k = np.arange(N)
-        # the 1/delta term enters with a minus sign
-        self.ft_t2 = np.fft.fft(t2, N)
-        self.ft_t1 = -np.fft.fft(t1, N)
-        self.ft_h = np.exp(-2j * math.pi * k * (M - 1) / N) * np.fft.fft(1.0 / sig, N)
-        self.neg = -k % N
+        xi, d, M = modes.xi, modes.amp, len(modes.xi)
+        self.M, self.N = M, _fft_size(2 * M - 1)
+        # K reversed over its lags: out[i] = sum_k K(p_k - p_i) g[k] lands at M-1+i
+        lags = np.arange(M - 1, -M, -1) * modes.dxi
+        self.ft = np.fft.fft(_window_integral(spec, lags) / np.where(lags != 0, lags, np.inf),
+                             self.N)
         self.diag = d**2 * (2.0 * spec.R) * (b - a)
-        inv_rho = 1.0 / (2.0 * xi)
-        # per modulation (s in {+1,-1} for the ball, w in {b, a} for the
-        # window): column factor col*d and row factors -(s c_w) d conj(col)
-        # times 1/rho and 1/rho^2
-        self.mods = []
-        for s_sign in (+1.0, -1.0):
-            for t_w, c_w in ((b, +1.0), (a, -1.0)):
-                col = np.exp(1j * (s_sign * spec.R * xi + t_w * xi**2))
-                row = -(s_sign * c_w) * d * np.conj(col)
-                self.mods.append((col * d, row * inv_rho, row * inv_rho**2))
+        m, c = int(spec.sym.m), float(sym_mod.value(spec.sym, [1.0]))
+        self.mods = []  # the (column, row) factors of the 2m terms
+        for s in (1.0, -1.0):
+            col = d * np.exp(1j * s * spec.R * xi)
+            self.mods += [(col * xi**j, (s * c / 1j) * np.conj(col) * xi**(m - 1 - j))
+                          for j in range(m)]
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         rows = slice(self.M - 1, 2 * self.M - 1)
         out = self.diag * c
-        for col, row_rho, row_rho2 in self.mods:
-            G = np.fft.fft(col * c, self.N)
-            t2_term = np.fft.ifft(G * self.ft_t2)[rows]
-            rho2_terms = np.fft.ifft(G * self.ft_t1 + G[self.neg] * self.ft_h)[rows]
-            out += row_rho * t2_term + row_rho2 * rho2_terms
+        for col, row in self.mods:
+            out += row * np.fft.ifft(np.fft.fft(col * c, self.N) * self.ft)[rows]
         return out
 
 
@@ -317,16 +323,16 @@ def _lanczos(apply_fn, M: int, seed: int) -> tuple:
 def operator_norm_l2(spec: SmoothingOperatorSpec, seed: int = 0) -> OperatorNormResult:
     """Norm of the ball/window-localized weighted evolution on L^2 data.
 
-    One seeded Lanczos run (_lanczos) on the quadratic-form kernel over
-    sector-limited modes, reporting its residual. The quadratic symbol
-    takes the structured apply ('lanczos-fast'), every other symbol the
-    explicit matrix ('lanczos-dense').
+    One seeded Lanczos run (_lanczos) on the quadratic-form kernel over the
+    p-grid (l2_grid), reporting its residual. A symbol of integer degree
+    takes the structured apply ('lanczos-fast'), any other the explicit
+    matrix ('lanczos-dense', at most DENSE_MODES nodes).
     """
     if spec.q != 2 or spec.r != 2:
         raise ValueError("operator_norm_l2 requires q = r = 2")
-    modes = mode_grid(spec)
+    modes = l2_grid(spec)
     M = len(modes.xi)
-    if _is_quadratic(spec.sym):
+    if float(spec.sym.m).is_integer():
         apply_fn, how = _FastKernel(spec, modes).apply, "lanczos-fast"
     else:
         H = dense_operator_matrix(spec, modes)
@@ -339,7 +345,7 @@ def operator_norm_l2(spec: SmoothingOperatorSpec, seed: int = 0) -> OperatorNorm
 
 def operator_norm_dense_eig(spec: SmoothingOperatorSpec) -> float:
     """Cross-check route: top eigenvalue of the explicit kernel."""
-    modes = mode_grid(spec)
+    modes = l2_grid(spec)
     lam = float(np.linalg.eigvalsh(dense_operator_matrix(spec, modes))[-1])
     return math.sqrt(max(TWO_PI * modes.dxi * lam, 0.0))
 

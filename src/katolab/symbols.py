@@ -5,8 +5,8 @@ degree m > 1 with nonvanishing gradient away from the origin. Two families
 are shipped: radial power laws |xi|^m (any real m > 1) and homogeneous
 polynomials with user-supplied coefficients (integer degree). Both are
 defined at the origin by continuity, Phi(0) = 0. Values and gradients are
-closed-form; the operator norms' speed bound on the sector is `gradient`
-at its outer radius (`opnorm.mode_grid`).
+closed-form; the operator norms' speed bounds on the sector are `gradient`
+at its outer radius (`opnorm.mode_grid`) and inner radius (`opnorm.l2_grid`).
 """
 
 from __future__ import annotations
@@ -37,10 +37,15 @@ class SymbolSpec:
         if not self.m > 1:
             raise ValueError(f"degree m={self.m} must exceed 1")
         if self.kind == "power":
+            if self.scale == 0:
+                raise ValueError("power symbol needs a nonzero scale")
             return
         if self.kind == "poly":
-            if not self.terms:
-                raise ValueError("poly symbol needs at least one term")
+            merged = {}
+            for coeff, exps in self.terms:
+                merged[exps] = merged.get(exps, 0.0) + coeff
+            if not any(merged.values()):
+                raise ValueError("poly symbol needs terms that do not cancel to zero")
             for coeff, exps in self.terms:
                 if len(exps) != self.n:
                     raise ValueError("term exponent tuple length != n")

@@ -102,6 +102,23 @@ def test_opnorm_cli(capsys):
     assert '"slope"' in out
 
 
+def test_opnorm_cli_cubic_symbol(capsys):
+    # integer degrees take the structured apply at every scale
+    assert cli.main(["opnorm", "--symbol", "power:m=3,n=1", "--alpha", "1",
+                     "--R", "4,8,16"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[0] for row in rows[1:4]] == ["4", "8", "16"]
+
+
+def test_opnorm_cli_refuses_a_scale_past_the_explicit_kernel(capsys):
+    # m = 2.5 takes the explicit kernel, which R = 32 (19182 nodes) exceeds:
+    # exit 2 before the first scale runs
+    assert cli.main(["opnorm", "--symbol", "power:m=2.5,n=1", "--alpha", "0.5",
+                     "--R", "8,16,32"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --R: R = 32 needs 19182 L2 nodes" in err
+
+
 @pytest.mark.parametrize("order", ["xt", "tx"])
 @pytest.mark.parametrize("r", ["4", "inf"])
 def test_opnorm_cli_sup_over_x_runs_clean(capsys, r, order):

@@ -11,6 +11,7 @@ from katolab import experiments as E
 from katolab import symbols as S
 from katolab import wavepackets as W
 from katolab.core import Grid
+from perfbench import workloads
 
 
 GOOD_SCALING = """
@@ -53,6 +54,9 @@ def test_parse_config_errors_name_fields():
                         ("kind = scaling\nsymbol = power:m=2,n=1\nseed = 1\nseed = 2",
                          "seed"),
                         ("kind = scaling\nsymbol = power:m=2,m=3,n=1", "symbol"),
+                        # Phi = 0: no p-grid, no dispersion
+                        ("kind = scaling\nsymbol = power:m=2,n=1,scale=0", "symbol"),
+                        ("kind = scaling\nsymbol = poly:n=1,terms=1*2;-1*2", "symbol"),
                         ("kind = sparse-audit\nsymbol = power:m=2,n=1\nseed = abc", "seed"),
                         ("kind = scaling\nsymbol = power:m=2,n=1\nalpha = nan", "alpha"),
                         ("kind = scaling\nsymbol = power:m=2,n=1\nresidual_min = x",
@@ -107,7 +111,25 @@ def test_parse_config_errors_name_fields():
                         # 128 points reach the radius 2**210 > H_LIMIT at level 4
                         ("kind = sparse-audit\nsymbol = power:m=2,n=1\nK = 4", "K"),
                         ("kind = sparse-audit\nsymbol = power:m=2,n=1\nK = 1000000",
-                         "K")]:
+                         "K"),
+                        # the explicit L2 kernel: a non-integer degree at every
+                        # scale (M = 19182 at R = 32), the cross-check at its
+                        # first (M = 9525 at R = 64)
+                        ("kind = scaling\nsymbol = power:m=2.5,n=1\nR = 8,16,32", "R"),
+                        ("kind = transfer\nsymbol = power:m=2.5,n=1\nR = 8,16,32", "R"),
+                        ("kind = scaling\nsymbol = power:m=2,n=1\nR = 64,128,256\n"
+                         "cross_check = true", "R"),
+                        # a key that is not a config key, or that the kind does
+                        # not read
+                        ("kind = scaling\nsymbol = power:m=2,n=1\nR_list = 8,16,32",
+                         "R_list"),
+                        ("kind = scaling\nsymbol = power:m=2,n=1\nvalidate = 1", "validate"),
+                        ("kind = tube-incidence\nsymbol = power:m=2,n=1\nr = 4", "r"),
+                        ("kind = tube-incidence\nsymbol = power:m=2,n=1\ncross_check = true",
+                         "cross_check"),
+                        ("kind = maximal\nsymbol = power:m=2,n=1\nr = inf", "r"),
+                        ("kind = decay-audit\nsymbol = power:m=2,n=1\nalpha = 1", "alpha"),
+                        ("kind = scaling\nsymbol = power:m=2,n=1\nN = 512", "N")]:
         with pytest.raises(E.ConfigError) as exc:
             E.parse_config(text)
         assert exc.value.field_name == field, text
@@ -116,8 +138,8 @@ def test_parse_config_errors_name_fields():
         with pytest.raises(E.ConfigError) as exc:
             E.parse_config(f"kind = {kind}\nsymbol = power:m=2,n=2")
         assert exc.value.field_name == "symbol", kind
-    cfg = E.parse_config("kind = maximal\nsymbol = power:m=2,n=1\nr = inf\nq = 2")
-    assert cfg.r == math.inf
+    cfg = E.parse_config("kind = maximal\nsymbol = power:m=2,n=1\nq = inf")
+    assert cfg.q == math.inf
     cfg = E.parse_config(GOOD_SCALING + "cross_check = TRUE")
     assert cfg.cross_check is True
 
@@ -280,3 +302,48 @@ def test_tube_incidence_run():
     assert rep.measurements == [{"name": "counts", "value": counts,
                                  "operation": "max_overlap"}]
     assert [c["name"] for c in rep.criteria] == ["overlap-stability"]
+    # the echo holds the keys the kind reads
+    assert set(rep.config) == {"kind", "symbol", "out_dir"}
+
+
+def test_every_kind_reads_its_keys_and_echoes_only_those():
+    # a config of each kind that sets every key it reads parses, and its
+    # echo holds exactly those keys
+    values = {"alpha": "0.25", "q": "2", "r": "2", "r_tilde": "6", "R": "4,8,16",
+              "expect": "residual", "residual_min": "0.3", "cross_check": "true",
+              "ascent_steps": "3", "restarts": "1", "N": "512", "L": "64",
+              "fields": "2", "trials": "3", "K": "2", "seed": "5"}
+    for kind, keys in E.KIND_KEYS.items():
+        text = "\n".join([f"kind = {kind}", "symbol = power:m=2,n=1"]
+                         + [f"{k} = {values[k]}" for k in keys])
+        cfg = E.parse_config(text)
+        echo = {E.CONFIG_KEY.get(k, k) for k in E._config_echo(cfg)}
+        assert echo == {"kind", "symbol", "out"} | set(keys), kind
+
+
+def test_cubic_symbol_scaling_run_takes_the_structured_apply(monkeypatch):
+    # the Airy/KdV symbol xi^3 at alpha = 1: predicted slope 1/2
+    # (Kenig-Ponce-Vega 1991)
+    methods = []
+    l2 = E.opnorm.operator_norm_l2
+
+    def spy(spec, seed=0):
+        res = l2(spec, seed)
+        methods.append(res.method)
+        return res
+
+    monkeypatch.setattr(E.opnorm, "operator_norm_l2", spy)
+    rep = E.run(E.parse_config("kind = scaling\nsymbol = power:m=3,n=1\nalpha = 1\n"
+                               "R = 4,8,16\ncross_check = true\nseed = 4"))
+    assert [c["name"] for c in rep.criteria if c["passed"]] == [
+        "slope-matches-prediction", "dense-cross-check"]
+    assert methods == ["lanczos-fast"] * 3
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+def test_benchmark_workload_configs_parse(tmp_path, offset):
+    # the benchmark writes and parses these configs before it times a run
+    for name, workload in workloads.WORKLOADS.items():
+        out = tmp_path / name
+        out.mkdir()
+        assert len(workloads.prepare(workload, offset, str(out))) == len(workload.runs)

@@ -34,30 +34,39 @@ def test_lanczos_identity_and_diagonal(monkeypatch):
     assert steps <= 32 and residual <= 1e-10
 
 
+# the structured apply's symbols, by the prefix of their sliced-grid test ids;
+# p = -xi^3 decreases in xi
+L2_SYMBOLS = {"": "power:m=2,n=1", "m3-": "power:m=3,n=1", "poly-": "poly:n=1,terms=-1*3"}
+
+
 def test_fast_kernel_matches_dense():
-    for R in (8.0, 16.0):
-        spec = spec_at(R)
-        modes = O.mode_grid(spec)
-        H = O.dense_operator_matrix(spec, modes)
-        fast = O._FastKernel(spec, modes)
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal(len(modes.xi)) + 1j * rng.standard_normal(len(modes.xi))
-        a = H @ v
-        b = fast.apply(v)
-        assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a)
+    for text, scales in (("power:m=2,n=1", (8.0, 16.0)), ("power:m=3,n=1", (4.0, 8.0)),
+                         ("poly:n=1,terms=-1*3", (4.0, 8.0))):
+        for R in scales:
+            spec = O.SmoothingOperatorSpec(sym=S.from_config(text), alpha=0.5, R=R)
+            modes = O.l2_grid(spec)
+            H = O.dense_operator_matrix(spec, modes)
+            fast = O._FastKernel(spec, modes)
+            rng = np.random.default_rng(0)
+            v = rng.standard_normal(len(modes.xi)) + 1j * rng.standard_normal(len(modes.xi))
+            a = H @ v
+            b = fast.apply(v)
+            assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a), (text, R)
 
 
 def _sliced(spec, M):
-    full = O.mode_grid(spec)
+    full = O.l2_grid(spec)
     k0 = (len(full.xi) - M) // 2
     cut = slice(k0, k0 + M)
     return dataclasses.replace(full, xi=full.xi[cut], amp=full.amp[cut],
                                phi_vals=full.phi_vals[cut])
 
 
-@pytest.mark.parametrize("M", [1, 2, 3, 64, 337, 700])
-def test_fast_kernel_matches_dense_on_sliced_grids(M):
-    spec = spec_at(16.0)
+@pytest.mark.parametrize("text, M", [pytest.param(text, M, id=f"{tag}{M}")
+                                     for tag, text in L2_SYMBOLS.items()
+                                     for M in (1, 2, 3, 64, 337, 700)])
+def test_fast_kernel_matches_dense_on_sliced_grids(text, M):
+    spec = O.SmoothingOperatorSpec(sym=S.from_config(text), alpha=0.5, R=16.0)
     modes = _sliced(spec, M)
     rng = np.random.default_rng(M)
     v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
@@ -100,15 +109,15 @@ def test_mode_grid_spacing_uses_the_exact_speed_bound(m, scale, window):
 
 
 def test_fast_lanczos_golden_value(monkeypatch):
-    # recorded at LANCZOS_TOL = 1e-3 (96 steps, residual 9.6e-4). A run to
-    # residual 1e-9 (153 steps) gives 47.7362540041148; the recorded Ritz
-    # value lies 9.1e-6 below it.
+    # recorded at LANCZOS_TOL = 1e-3 (61 steps, residual 9.8e-4). A run to
+    # residual 1e-9 (145 steps) gives 47.7362540041150, as on the uniform
+    # xi-grid to 13 digits; the recorded Ritz value lies 2.2e-5 below it.
     spec = spec_at(32.0)
     res = O.operator_norm_l2(spec, seed=4)
     assert res.method == "lanczos-fast"
     assert res.residual <= O.LANCZOS_TOL
-    assert res.value == pytest.approx(47.73581967898857, rel=1e-10)
-    modes = O.mode_grid(spec)
+    assert res.value == pytest.approx(47.73522335426093, rel=1e-10)
+    modes = O.l2_grid(spec)
     monkeypatch.setattr(O, "LANCZOS_TOL", 1e-9)
     monkeypatch.setattr(O, "LANCZOS_STEPS", 400)
     theta, _, residual = O._lanczos(O._FastKernel(spec, modes).apply, len(modes.xi), seed=4)
@@ -119,7 +128,7 @@ def test_fast_lanczos_golden_value(monkeypatch):
 
 def test_fast_and_dense_lanczos_agree():
     spec = spec_at(16.0)
-    modes = O.mode_grid(spec)
+    modes = O.l2_grid(spec)
     H = O.dense_operator_matrix(spec, modes)
     fast = O._lanczos(O._FastKernel(spec, modes).apply, len(modes.xi), seed=0)
     dense = O._lanczos(lambda v: H @ v, len(modes.xi), seed=0)
@@ -137,13 +146,43 @@ def test_lanczos_is_a_tight_lower_bound_of_dense_eig(R):
     # the Ritz value is a Rayleigh quotient, so it never exceeds the top
     # eigenvalue; at residual 1e-3 it is within 1e-5 of it
     spec = spec_at(R)
-    modes = O.mode_grid(spec)
+    modes = O.l2_grid(spec)
     top = np.linalg.eigvalsh(O.dense_operator_matrix(spec, modes))[-1]
     res = O.operator_norm_l2(spec)
     assert res.residual <= O.LANCZOS_TOL
     theta = res.value**2 / (O.TWO_PI * modes.dxi)
     assert top * (1 - 1e-5) <= theta <= top * (1 + 1e-12)
     assert res.value == pytest.approx(O.operator_norm_dense_eig(spec), rel=1e-5)
+
+
+@pytest.mark.parametrize("R", [2.0, 4.0, 8.0])
+def test_l2_node_rule_is_converged(monkeypatch, R):
+    # the dense value on the p-grid lies within 3e-5 of the same kernel at 8x
+    # the span, so at 8x the nodes; without L2_PAD, R = 2 reads 2.6e-3 high
+    spec = spec_at(R)
+    a, b = spec.time_window()
+    v_min = 1.0  # Phi'(1/2) for Phi = xi^2
+    dp = 2 * math.pi / (O.SPAN_FACTOR * (b - a + (4 * R + O.L2_PAD) / v_min))
+    assert O.l2_grid(spec).dxi == pytest.approx(dp, rel=1e-14)
+    value = O.operator_norm_dense_eig(spec)
+    monkeypatch.setattr(O, "SPAN_FACTOR", 8 * O.SPAN_FACTOR)
+    assert value == pytest.approx(O.operator_norm_dense_eig(spec), rel=3e-5)
+
+
+def test_non_integer_degree_takes_the_explicit_kernel_up_to_its_cap():
+    spec = O.SmoothingOperatorSpec(sym=S.from_config("power:m=2.5,n=1"), alpha=0.5, R=8.0)
+    res = O.operator_norm_l2(spec)
+    assert res.method == "lanczos-dense" and res.residual <= O.LANCZOS_TOL
+    assert res.value == pytest.approx(O.operator_norm_dense_eig(spec), rel=O.LANCZOS_TOL)
+    O.check_l2_scale(spec)
+    with pytest.raises(ValueError, match="R = 32 needs 19182 L2 nodes"):
+        O.check_l2_scale(dataclasses.replace(spec, R=32.0))
+    # an integer degree takes the structured apply at any scale, and the
+    # dense cross-check up to the cap
+    quadratic = spec_at(64.0)
+    O.check_l2_scale(quadratic)
+    with pytest.raises(ValueError, match="R = 64 needs 9525 L2 nodes"):
+        O.check_l2_scale(quadratic, dense=True)
 
 
 def test_global_window_dominates_local():

@@ -80,6 +80,12 @@ def test_bad_specs_rejected():
         S.SymbolSpec(kind="poly", m=3, n=2, terms=((1.0, (1, 1)),))  # degree 2 != 3
     with pytest.raises(ValueError):
         S.SymbolSpec(kind="mystery", m=2, n=1)
+    # Phi = 0 has no speed, so no p-grid and no dispersion
+    with pytest.raises(ValueError, match="nonzero scale"):
+        S.SymbolSpec(kind="power", m=2, n=1, scale=0.0)
+    with pytest.raises(ValueError, match="cancel"):
+        S.SymbolSpec(kind="poly", m=2, n=2, terms=((1.0, (2, 0)), (-1.0, (2, 0))))
+    S.SymbolSpec(kind="poly", m=2, n=2, terms=((1.0, (2, 0)), (-1.0, (0, 2))))
 
 
 def test_blank_or_non_numeric_values_name_their_key():
