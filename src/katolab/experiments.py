@@ -38,7 +38,7 @@ DECOUPLING_H = 8
 DECOUPLING_N = 4
 
 # The config keys each kind reads besides kind and symbol. Every kind also
-# accepts seed and out, read or not; any other key must stay at its default.
+# accepts seed and out, read or not; parse_config refuses any other key.
 KIND_KEYS = {
     "scaling": ("alpha", "q", "r", "R", "expect", "residual_min", "cross_check", "seed"),
     "transfer": ("alpha", "q", "r", "r_tilde", "R", "ascent_steps", "restarts", "seed"),
@@ -85,8 +85,6 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def validate(self):
-        if self.kind not in RUNNERS:
-            raise ConfigError("kind", f"unknown kind {self.kind!r}")
         if not all(1 <= x < math.inf for x in self.R_list):
             raise ConfigError("R", f"scales must be finite and >= 1, got {self.R_list}")
         # every other kind's machinery is one-dimensional
@@ -133,11 +131,6 @@ class ExperimentConfig:
             for R in self.R_list:
                 if self.grid_L / R != round(self.grid_L / R):
                     raise ConfigError("L", f"must be a multiple of R={R}")
-        accepted = ("kind", "symbol", "seed", "out") + KIND_KEYS[self.kind]
-        for f in fields(self):
-            key = CONFIG_KEY.get(f.name, f.name)
-            if key not in accepted and getattr(self, f.name) != f.default:
-                raise ConfigError(key, f"kind {self.kind} does not read it")
         if self.kind in ("scaling", "transfer"):
             # the cross-check takes the dense eigensolve at the first scale
             for i, R in enumerate(self.R_list):
@@ -194,8 +187,12 @@ def parse_config(text: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError("symbol", str(exc)) from exc
     cfg = ExperimentConfig(kind=kv.pop("kind"), symbol=sym)
+    if cfg.kind not in RUNNERS:
+        raise ConfigError("kind", f"unknown kind {cfg.kind!r}")
     renames = {key: name for name, key in CONFIG_KEY.items()}
     for k, v in kv.items():
+        if k in _KEYS and k not in ("seed", "out") + KIND_KEYS[cfg.kind]:
+            raise ConfigError(k, f"kind {cfg.kind} does not read it")
         if k == "R":
             try:
                 cfg.R_list = tuple(float(x) for x in v.split(","))

@@ -115,6 +115,12 @@ ASCENT_RESTARTS = 2
 POWER_RISE_TOL = 1e-12
 ASCENT_BUDGET = 4e8
 
+# Time step of a band-limited finite-r evaluation, as a share of the step
+# 2 pi / ((r/2) Omega) at which the rectangle rule stops being exact for its
+# integrand (_transit_times): at 1/2 the half-rate grid of refinement_delta
+# sits at that limit.
+BAND_STEP = 0.5
+
 
 @dataclass(frozen=True)
 class SmoothingOperatorSpec:
@@ -395,8 +401,17 @@ def _transit_times(spec: SmoothingOperatorSpec, modes: ModeGrid) -> tuple:
 
     A mode chirped to focus at the window's focus t0 transits the ball
     within t0 +- margin = 3.5 (ball + envelope width)/speed, clipped to the
-    window and sampled on the envelope timescale rather than the carrier
-    phase. times extends it, at its step and by whole groups of SUP_STRIDE
+    window. Where the time integrand is band-limited, it is sampled at
+    BAND_STEP of the step below which the rectangle rule is exact for it:
+    u(t, x) = sum_k a_k e^{i t phi_k} e^{i x xi_k}, so |u|^r for even r
+    (order xt), or (sum_x |u|^q)^(r/q) for even q dividing r (order tx), is
+    a trigonometric sum in t with frequencies inside +-(r/2) Omega, Omega =
+    ptp(phi), and the rule integrates it exactly at steps below
+    2 pi / ((r/2) Omega), apart from the window ends (Poisson summation).
+    Every other integrand, r = inf included, is sampled on the envelope
+    timescale, an eighth of the transit of the focused width at the slowest
+    speed.
+    times extends the window, at its step and by whole groups of SUP_STRIDE
     samples, towards t0 +- 2 margin, clipped to the window. The samples
     depend on the operator alone, so every spectrum of one call shares them.
     """
@@ -409,8 +424,11 @@ def _transit_times(spec: SmoothingOperatorSpec, modes: ModeGrid) -> tuple:
     # |t - t0|; solving transit-overlap with that growth gives the 3.5x factor
     margin = 3.5 * (2.0 * spec.R + 1.0 / width) / v_min
     lo, hi = max(a, t0 - margin), min(b, t0 + margin)
-    # envelope timescale: transit of the focused width at the slowest speed
-    dt = (1.0 / width) / v_min / 8.0
+    # r % 2 is nan at r = inf, and so is q % 2 at q = inf
+    if spec.r % 2 == 0 and (spec.order == "xt" or (spec.q % 2 == 0 and spec.r % spec.q == 0)):
+        dt = BAND_STEP * TWO_PI / (spec.r / 2.0 * float(np.ptp(modes.phi_vals)))
+    else:
+        dt = (1.0 / width) / v_min / 8.0
     steps = max(int(math.ceil((hi - lo) / dt)), 8)
     group = SUP_STRIDE * (hi - lo) / steps
     before, after = (SUP_STRIDE * int(gap // group) for gap in

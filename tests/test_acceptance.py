@@ -84,7 +84,7 @@ def test_criterion_08_maximal_exponent():
 
 def test_criterion_09_window_transfer():
     rep, dt = cached_run("window-transfer")
-    criterion_from_report(9, "bounded-to-global window transfer", rep, dt, 900,
+    criterion_from_report(9, "bounded-to-global window transfer", rep, dt, 120,
                           "window-transfer-slope")
 
 

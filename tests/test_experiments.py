@@ -98,8 +98,7 @@ def test_parse_config_errors_name_fields():
                         ("kind = scaling\nsymbol = power:m=2,n=1\nq = 4", "q"),
                         ("kind = transfer\nsymbol = power:m=2,n=1\nr = 3", "r"),
                         ("kind = scaling\nsymbol = power:m=2,n=1\nR = 2,3,4", "R"),
-                        ("kind = maximal\nsymbol = power:m=2,n=1\nr = inf\nR = 8,24,72",
-                         "R"),
+                        ("kind = maximal\nsymbol = power:m=2,n=1\nR = 8,24,72", "R"),
                         ("kind = transfer\nsymbol = power:m=2,n=1\nR = 8,16,16", "R"),
                         # <xi>^alpha overflows or vanishes on the sector
                         ("kind = maximal\nsymbol = power:m=2,n=1\nalpha = inf", "alpha"),
@@ -129,6 +128,10 @@ def test_parse_config_errors_name_fields():
                          "cross_check"),
                         ("kind = maximal\nsymbol = power:m=2,n=1\nr = inf", "r"),
                         ("kind = decay-audit\nsymbol = power:m=2,n=1\nalpha = 1", "alpha"),
+                        # ... even at its default value: maximal runs r = inf
+                        ("kind = maximal\nsymbol = power:m=2,n=1\nr = 2", "r"),
+                        ("kind = decay-audit\nsymbol = power:m=2,n=1\nalpha = 0.5",
+                         "alpha"),
                         ("kind = scaling\nsymbol = power:m=2,n=1\nN = 512", "N")]:
         with pytest.raises(E.ConfigError) as exc:
             E.parse_config(text)

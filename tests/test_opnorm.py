@@ -300,7 +300,10 @@ def _gradient_reference(spec, modes, c, times):
 
 
 def _chirp_case(r, window, order="xt", q=2.0):
-    spec = dataclasses.replace(spec_at(8.0, alpha=-0.25, q=q, r=r, window=window),
+    # R = 8, but local R = 16 at finite r: its band-limited step leaves local
+    # R = 8 227 transit samples, under two phase blocks
+    R = 16.0 if window == "local" and r != INF else 8.0
+    spec = dataclasses.replace(spec_at(R, alpha=-0.25, q=q, r=r, window=window),
                                order=order)
     modes = O.mode_grid(spec)
     c = dict(O._candidate_bank(spec, modes))["chirp-root@0.9"]
@@ -594,9 +597,10 @@ def _check_bank_winner_is_evaluated_once(monkeypatch, r):
 
 
 def _transit_window(spec, modes):
-    """The transit window's samples by their definition: the cell centres of
-    t0 +- 3.5 (2R + 1/width)/v_min clipped to the operator's window, at
-    least 8 cells of at most an eighth of 1/width/v_min."""
+    """The transit window's samples on the envelope step by their definition:
+    the cell centres of t0 +- 3.5 (2R + 1/width)/v_min clipped to the
+    operator's window, at least 8 cells of at most an eighth of
+    1/width/v_min."""
     a, b = spec.time_window()
     t0 = (a + b) / 2.0
     width = np.ptp(modes.xi)
@@ -621,6 +625,35 @@ def test_windows_share_the_time_step_without_a_sample_cap():
     a, b = spec.time_window()
     assert a < times[0] and times[-1] < b
     check_uniform_times(times)
+
+
+@pytest.mark.parametrize("order", ["xt", "tx"])
+@pytest.mark.parametrize("R, window, tol", [(2.0, "global", 1e-8), (8.0, "global", 1e-12),
+                                            (8.0, "local", 1e-12), (16.0, "local", 1e-12)])
+def test_band_limited_step_matches_the_envelope_step(R, window, tol, order):
+    # at r = 4 and q = 2 the time integrand is a trigonometric sum with
+    # frequencies inside +-2 Omega, so the rectangle rule at BAND_STEP of
+    # 2 pi / (2 Omega) integrates it as the envelope step, about 5x finer,
+    # does, apart from the window ends: global R = 2 still holds mass there
+    spec = dataclasses.replace(spec_at(R, alpha=0.5, r=4.0, window=window), order=order)
+    modes = O.mode_grid(spec)
+    band, envelope = _call_times(spec, modes), _transit_window(spec, modes)
+    dt, dt_env = band[1] - band[0], envelope[1] - envelope[0]
+    assert dt <= O.BAND_STEP * 2 * math.pi / (2 * np.ptp(modes.phi_vals)) and dt > 4 * dt_env
+    assert band[0] - dt / 2 == pytest.approx(envelope[0] - dt_env / 2, abs=1e-9)
+    assert band[-1] + dt / 2 == pytest.approx(envelope[-1] + dt_env / 2, abs=1e-9)
+    for name, c in O._candidate_bank(spec, modes):
+        val, ref = (_evaluate(spec, modes, c, ts)[0] for ts in (band, envelope))
+        assert abs(val - ref) <= tol * ref, name
+
+
+@pytest.mark.parametrize("q, r, order", [(2.0, INF, "xt"), (2.0, 3.0, "xt"), (3.0, 4.0, "tx")])
+def test_integrands_without_a_band_keep_the_envelope_step(q, r, order):
+    # sup_t |u|, |u|^3 and (sum_x |u|^3)^(4/3) are not trigonometric sums in t
+    spec = dataclasses.replace(spec_at(8.0, alpha=-0.25, q=q, r=r, window="global"),
+                               order=order)
+    modes = O.mode_grid(spec)
+    assert np.array_equal(_call_times(spec, modes), _transit_window(spec, modes))
 
 
 @pytest.mark.parametrize("r", [4.0, INF])
@@ -818,15 +851,20 @@ def test_power_iteration_is_monotone(monkeypatch, r, window, order):
 # from 0x1.a1987318d1909p+3, transfer R = 2, 4, 8 by 1.3e-7, 1.3e-7 and
 # 1.1e-8 from 0x1.ee6a9e8adb9efp+2, 0x1.5c75cd0c75ebcp+3 and
 # 0x1.e6c2196987a57p+3. Maximal R = 32 is over ASCENT_BUDGET, so the bank
-# winner's value, and did not move. At a fixed BLAS thread count the values
-# are bit-identical; the tolerance absorbs the last-bit changes of another
-# thread count or BLAS build.
+# winner's value, and did not move. Transfer was recorded again once even r
+# took the band-limited time step (BAND_STEP of the rectangle rule's exactness
+# limit, about 5x the envelope step): R = 2 fell by 2.7e-9 from
+# 0x1.ee6aa2af60cb6p+2, the ends of its transit window still holding mass
+# (tail_fraction 8.7e-4), R = 4 and 8 by 8.6e-13 and 1.8e-14 from
+# 0x1.5c75cff34e523p+3 and 0x1.e6c219c416bf7p+3. At a fixed BLAS thread count
+# the values are bit-identical; the tolerance absorbs the last-bit changes of
+# another thread count or BLAS build.
 GOLDEN_MAXIMAL = [(8.0, "0x1.3b4ebd2639103p+3", "chirp-broad"),
                   (16.0, "0x1.a198946b86594p+3", "chirp-broad"),
                   (32.0, "0x1.e9bff2ab9038bp+3", "chirp-broad")]
-GOLDEN_TRANSFER = [(2.0, "0x1.ee6aa2af60cb6p+2", "chirp-wide@1.3"),
-                   (4.0, "0x1.5c75cff34e523p+3", "chirp-wide@1.3"),
-                   (8.0, "0x1.e6c219c416bf7p+3", "chirp-wide@1.3")]
+GOLDEN_TRANSFER = [(2.0, "0x1.ee6aa298eb8c1p+2", "chirp-wide@1.3"),
+                   (4.0, "0x1.5c75cff34d087p+3", "chirp-wide@1.3"),
+                   (8.0, "0x1.e6c219c416b5ep+3", "chirp-wide@1.3")]
 
 
 GOLDEN = ([("maximal",) + g for g in GOLDEN_MAXIMAL]
