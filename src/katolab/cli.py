@@ -43,14 +43,29 @@ def _parse_recipe(text: str):
     return KnappRecipe(R=num(kv["R"], "R"), center_xi=num(kv.get("center", "1.2"), "center"))
 
 
-def _grid_arg(text: str) -> Grid:
+def _line_symbol(text: str) -> symbols.SymbolSpec:
+    """A symbol the one-dimensional operator norms take."""
+    sym = symbols.from_config(text)
+    if sym.n != 1:
+        raise ValueError(f"operator norms are one-dimensional, got n = {sym.n}")
+    return sym
+
+
+def _grid(text: str) -> Grid:
     parts = text.split(",")
-    try:
-        if len(parts) != 3:
-            raise ValueError(f"expected n,N,L, got {text!r}")
-        return Grid(int(parts[0]), int(parts[1]), float(parts[2]))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    if len(parts) != 3:
+        raise ValueError(f"expected n,N,L, got {text!r}")
+    return Grid(int(parts[0]), int(parts[1]), float(parts[2]))
+
+
+def _spec_type(parse):
+    """A flag type that shows parse's ValueError message after the flag's name."""
+    def parse_flag(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse_flag
 
 
 # Flag types raise ValueError on a bad value; argparse then exits 2 naming the flag.
@@ -130,34 +145,40 @@ def _interval(text: str) -> tuple:
 
 def _cmd_field(args):
     grid = args.grid
-    f = make_field(grid, _parse_recipe(args.make))
+    f = make_field(grid, args.make)
     write_field(f, args.out)
     print(f"wrote {args.out} ({grid.n}d, N={grid.N}, L={grid.L})")
 
 
 def _cmd_propagate(args):
     f = read_field(args.infile)
-    sym = symbols.from_config(args.symbol)
     times = np.linspace(args.t0, args.t1, args.steps)
-    u = propagator.propagate(f, sym, times)
+    u = propagator.propagate(f, args.symbol, times)
     write_spacetime(u, args.out)
     print(f"wrote {args.out} ({args.steps} slices on [{args.t0}, {args.t1}])")
 
 
 def _cmd_norm(args):
     u = read_spacetime(args.infile)
-    spec = norms.MixedNormSpec(q=args.q, r=args.r, order=args.order, ball=args.ball,
-                               window=args.t)
+    # a ball or window that misses the file's grid or samples is a bad flag value
+    for flag, mask, region in (("--ball", norms.spatial_mask, args.ball),
+                               ("--t", norms.time_mask, args.t)):
+        try:
+            mask(u, region)
+        except ValueError as exc:
+            print(f"kato norm: error: argument {flag}: {exc}", file=sys.stderr)
+            return 2
+    spec = norms.MixedNormSpec(q=args.q, r=args.r, ball=args.ball, window=args.t)
     print(f"{norms.mixed_norm(u, spec):.12g}")
 
 
 def _cmd_opnorm(args):
-    sym = symbols.from_config(args.symbol)
+    sym = args.symbol
     window, t_factor = args.window
     l2 = args.q == 2 and args.r == 2
     specs = [opnorm.SmoothingOperatorSpec(sym=sym, alpha=args.alpha, R=R, q=args.q, r=args.r,
-                                          order=args.order, window=window,
-                                          global_t_factor=t_factor) for R in args.R]
+                                          window=window, global_t_factor=t_factor)
+             for R in args.R]
     if l2:
         try:
             for spec in specs:
@@ -234,15 +255,15 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field", help="create a field file from a recipe")
-    p.add_argument("--make", required=True,
+    p.add_argument("--make", type=_spec_type(_parse_recipe), required=True,
                    help="gaussian:center=0,width=1 | random:region=sector,seed=7 "
                         "(region also annulus;r0;r1 or ball;center;radius) | knapp:R=16")
-    p.add_argument("--grid", type=_grid_arg, required=True, help="n,N,L")
+    p.add_argument("--grid", type=_spec_type(_grid), required=True, help="n,N,L")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_field)
 
     p = sub.add_parser("propagate", help="evolve a field file")
-    p.add_argument("--symbol", required=True)
+    p.add_argument("--symbol", type=_spec_type(symbols.from_config), required=True)
     p.add_argument("--t0", type=_finite_float, required=True)
     p.add_argument("--t1", type=_finite_float, required=True)
     p.add_argument("--steps", type=_positive_int, required=True)
@@ -253,18 +274,16 @@ def main(argv=None) -> int:
     p = sub.add_parser("norm", help="mixed norm of an evolution file")
     p.add_argument("--q", type=_exponent, required=True)
     p.add_argument("--r", type=_exponent, required=True)
-    p.add_argument("--order", choices=("xt", "tx"), default="xt")
     p.add_argument("--ball", type=_ball, help="c1[,c2...],radius")
     p.add_argument("--t", type=_interval, help="a,b")
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(fn=_cmd_norm)
 
     p = sub.add_parser("opnorm", help="operator norm scan over scales")
-    p.add_argument("--symbol", required=True)
+    p.add_argument("--symbol", type=_spec_type(_line_symbol), required=True)
     p.add_argument("--alpha", type=_alpha, required=True)
     p.add_argument("--q", type=_exponent, default="2")
     p.add_argument("--r", type=_exponent, default="2")
-    p.add_argument("--order", choices=("xt", "tx"), default="xt")
     p.add_argument("--window", type=_window, default="local",
                    help="local or global[:T_factor]")
     p.add_argument("--R", type=_scales, required=True, help="comma-separated scales")

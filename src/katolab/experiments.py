@@ -641,15 +641,14 @@ def acceptance_runs() -> list:
          "N = 1024\nL = 64\nfields = 100\nseed = 1"),
         ("wavepacket-identities", f"kind = wavepacket-audit\nsymbol = {schr}\n"
          "N = 1024\nL = 128\nR = 4,8\nfields = 20\nseed = 2"),
-        ("kernel-and-surface-decay", f"kind = decay-audit\nsymbol = {schr}\n"
-         "R = 16,32\nseed = 3"),
+        ("kernel-and-surface-decay", f"kind = decay-audit\nsymbol = {schr}\nR = 16,32"),
         ("l2-scaling", f"kind = scaling\nsymbol = {schr}\nalpha = 0.5\n"
          "q = 2\nr = 2\nR = 8,16,32,64\ncross_check = true\nseed = 4"),
         ("sharpness-direction", f"kind = scaling\nsymbol = {schr}\n"
          "alpha = 0.75\nq = 2\nr = 2\nR = 8,16,32,64\nexpect = residual\n"
          "residual_min = 0.2\nseed = 5"),
         ("maximal-exponent", f"kind = maximal\nsymbol = {schr}\nalpha = -0.25\n"
-         "q = 2\nR = 8,16,32,64\nseed = 6"),
+         "q = 2\nR = 8,16,32,64"),
         ("window-transfer", f"kind = transfer\nsymbol = {schr}\nalpha = 0.5\n"
          "q = 2\nr = 2\nr_tilde = 4\nR = 8,16,32\nseed = 7"),
         ("sparse-decomposition", f"kind = sparse-audit\nsymbol = {schr}\n"

@@ -24,16 +24,16 @@ integer degree takes a structured apply at every scale (_FastKernel: 2m
 modulations of one Toeplitz kernel, 4m FFTs of size N >= 2M - 1 over M
 nodes); a non-integer degree takes the explicit matrix, up to DENSE_MODES.
 
-Mixed-norm cases (q, r) != (2, 2), including the maximal r = inf, are
-handled by lower_bound_mixed: a bank of five chirps focusing at the
-window's centre, the winner refined by the power method c <- dF/d conj(c)
-for the numerator F(c) = ||A c|| of the quotient. F is convex and
-1-homogeneous, so no iterate lowers the quotient (Boyd 1974, Higham 1992)
-except at r = inf, where the sup over searched samples is not exactly a
-norm. The bank and the iteration run on the transit window of the whole
-mode grid around that focus, the rows of one time grid on that window
-doubled. Those values are lower bounds by construction and are reported
-as such.
+Mixed norms are L^q_x L^r_t (norms). The cases (q, r) != (2, 2), the
+maximal r = inf included, are handled by lower_bound_mixed: a bank of five
+chirps focusing at the window's centre, the winner refined by the power
+method c <- dF/d conj(c) for the numerator F(c) = ||A c|| of the quotient.
+F is convex and 1-homogeneous, so no iterate lowers the quotient (Boyd
+1974, Higham 1992) except at r = inf, where the sup over searched samples
+is not exactly a norm. The bank and the iteration run on the transit
+window of the whole mode grid around that focus, the rows of one time
+grid on that window doubled. Those values are lower bounds by
+construction and are reported as such.
 
 Their cost is the evolution slab u(t_s, x_b) = sum_k a_k e^{i t_s phi_k}
 e^{i x_b xi_k} over S time samples and M modes. The time samples must be
@@ -70,7 +70,7 @@ import numpy as np
 
 from . import symbols as sym_mod
 from .core import SECTOR_INNER, SECTOR_OUTER, Grid, SpacetimeField, check_uniform_times
-from .norms import INF, MixedNormSpec, _nesting, _reduce, _reduce_grad, mixed_norm
+from .norms import INF, MixedNormSpec, _reduce, _reduce_grad, mixed_norm
 from .propagator import sector_bump
 from .symbols import SymbolSpec
 
@@ -129,7 +129,6 @@ class SmoothingOperatorSpec:
     R: float
     q: float = 2.0
     r: float = 2.0
-    order: str = "xt"
     window: str = "local"  # 'local' -> [R^m/2, 2R^m]; 'global' -> [-T, T]
     global_t_factor: float = GLOBAL_T_FACTOR
 
@@ -140,6 +139,8 @@ class SmoothingOperatorSpec:
             raise ValueError(f"window must be 'local' or 'global', got {self.window!r}")
         if self.R < 1:
             raise ValueError("scale R must be >= 1")
+        if self.sym.n != 1:
+            raise ValueError(f"operator norms are one-dimensional, got n = {self.sym.n}")
         check_alpha(self.alpha)
 
     def time_window(self) -> tuple:
@@ -161,8 +162,6 @@ class ModeGrid:
 
 
 def mode_grid(spec: SmoothingOperatorSpec) -> ModeGrid:
-    if spec.sym.n != 1:
-        raise NotImplementedError("operator-norm machinery is one-dimensional")
     a, b = spec.time_window()
     t_reach = max(abs(a), abs(b))
     edges = np.array([-SECTOR_OUTER, SECTOR_OUTER])
@@ -184,8 +183,6 @@ def l2_grid(spec: SmoothingOperatorSpec) -> ModeGrid:
     """The L2 kernel's nodes, uniform in p = Phi(xi) and increasing in p. On
     xi > 0 a one-dimensional symbol is c xi^m, c = Phi(1), so xi = (p/c)^(1/m);
     amp takes the square root of the weight dp / |Phi'| of each node."""
-    if spec.sym.n != 1:
-        raise NotImplementedError("operator-norm machinery is one-dimensional")
     a, b = spec.time_window()
     m, c = spec.sym.m, float(sym_mod.value(spec.sym, [1.0]))
     v_min = abs(float(sym_mod.gradient(spec.sym, [SECTOR_INNER])[0]))
@@ -403,8 +400,7 @@ def _transit_times(spec: SmoothingOperatorSpec, modes: ModeGrid) -> tuple:
     within t0 +- margin = 3.5 (ball + envelope width)/speed, clipped to the
     window. Where the time integrand is band-limited, it is sampled at
     BAND_STEP of the step below which the rectangle rule is exact for it:
-    u(t, x) = sum_k a_k e^{i t phi_k} e^{i x xi_k}, so |u|^r for even r
-    (order xt), or (sum_x |u|^q)^(r/q) for even q dividing r (order tx), is
+    u(t, x) = sum_k a_k e^{i t phi_k} e^{i x xi_k}, so |u|^r for even r is
     a trigonometric sum in t with frequencies inside +-(r/2) Omega, Omega =
     ptp(phi), and the rule integrates it exactly at steps below
     2 pi / ((r/2) Omega), apart from the window ends (Poisson summation).
@@ -424,8 +420,7 @@ def _transit_times(spec: SmoothingOperatorSpec, modes: ModeGrid) -> tuple:
     # |t - t0|; solving transit-overlap with that growth gives the 3.5x factor
     margin = 3.5 * (2.0 * spec.R + 1.0 / width) / v_min
     lo, hi = max(a, t0 - margin), min(b, t0 + margin)
-    # r % 2 is nan at r = inf, and so is q % 2 at q = inf
-    if spec.r % 2 == 0 and (spec.order == "xt" or (spec.q % 2 == 0 and spec.r % spec.q == 0)):
+    if spec.r % 2 == 0:  # nan at r = inf
         dt = BAND_STEP * TWO_PI / (spec.r / 2.0 * float(np.ptp(modes.phi_vals)))
     else:
         dt = (1.0 / width) / v_min / 8.0
@@ -483,9 +478,9 @@ def _window_tables(spec: SmoothingOperatorSpec, tables: tuple, rows: slice) -> t
 class SupRecord:
     """What an r = inf evaluation keeps in place of its slab.
 
-    Per cell: index, the sample where the search found the peak (of |u| for
-    order xt, of the shared profile ||u(t, .)||_q for order tx), peak, u at
-    that sample, and even_peak, |u| at the peak over even-indexed samples.
+    Per cell: index, the sample where the search found the peak of |u|,
+    peak, u at that sample, and even_peak, |u| at the peak over
+    even-indexed samples.
     coarse_energy is sum_x |u|^2 on times[::SUP_STRIDE].
     """
 
@@ -529,7 +524,7 @@ def _eval_mixed(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
     if spec.r == INF:
         return _sup_in_time(spec, gx, times, base, lead, offset, amp, space)
     u = SpacetimeField(gx, times, _slab(base, lead, amp, space, len(times)))
-    return mixed_norm(u, MixedNormSpec(q=spec.q, r=spec.r, order=spec.order)), u
+    return mixed_norm(u, MixedNormSpec(q=spec.q, r=spec.r)), u
 
 
 def _sup_in_time(spec: SmoothingOperatorSpec, gx: Grid, times: np.ndarray,
@@ -546,31 +541,23 @@ def _sup_in_time(spec: SmoothingOperatorSpec, gx: Grid, times: np.ndarray,
     spatial factor scaled by that row and the amplitudes. The value is
     exact whenever each column's peak lies in one of its windows.
     """
-    S, stride, q, wx = len(times), SUP_STRIDE, spec.q, gx.dx
+    S, stride = len(times), SUP_STRIDE
     coarse = np.abs(_slab(base, lead, amp, space, len(range(0, S, stride))))
     cols = np.arange(space.shape[1])
-    # a window's coarse sample is per column for order xt, and one sample
-    # shared by every column for order tx and for the last coarse sample
-    if spec.order == "xt":
-        top = list(np.argsort(coarse, axis=0)[-2:])
-    else:
-        top = list(np.argsort(_reduce(coarse, q, wx, axis=1))[-2:])
-    top.append(len(coarse) - 1)
+    top = list(np.argsort(coarse, axis=0)[-2:]) + [len(coarse) - 1]
     o = np.arange(1 - stride, stride)
     fine = np.concatenate([offset @ (np.atleast_2d(lead[p // BLOCK] * base[p % BLOCK] * amp).T
                                      * space) for p in top])
     idx = np.concatenate([np.broadcast_to(stride * p + o[:, None], (len(o), len(cols)))
                           for p in top])
     absf = np.abs(fine)
-    # per column, what the sup runs over: |u| (xt) or the row's q-norm (tx)
-    score = absf if spec.order == "xt" else _reduce(absf, q, wx, axis=1)[:, None]
-    score = np.where((idx >= 0) & (idx < S), score, -1.0)
+    score = np.where((idx >= 0) & (idx < S), absf, -1.0)
     best = score.argmax(axis=0)
     best_even = np.where(idx % 2 == 0, score, -1.0).argmax(axis=0)
     rec = SupRecord(grid=gx, index=idx[best, cols], peak=fine[best, cols],
                     even_peak=absf[best_even, cols],
                     coarse_energy=np.sum(coarse**2, axis=1))
-    return float(_reduce(absf[best, cols], q, wx, axis=0)), rec
+    return float(_reduce(absf[best, cols], spec.q, gx.dx)), rec
 
 
 def _l2_of_spectrum(modes: ModeGrid, c: np.ndarray) -> float:
@@ -586,8 +573,8 @@ def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid, val: float,
     it read. With W = d val / d conj(u), the chain rule back to the spectrum is
     g_k = amp_k sum_s e^{-i t_s phi_k} sum_b e^{-i x_b xi_k} W[s, b],
     e^{-i x_b xi_k} being the conjugate of the tables' spatial factor.
-    W is the chain rule through the norm's own reductions (norms._nesting
-    and norms._reduce_grad, a sup taking its first maximum); at r = inf
+    W is the chain rule through the norm's two reductions, over t and then
+    over x (norms._reduce_grad, a sup taking its first maximum); at r = inf
     only the reduction over the cells of the SupRecord's peaks is left,
     peak sample SUP_STRIDE p + o having phase lead[p // BLOCK] *
     base[p % BLOCK] * offset[o + SUP_STRIDE - 1]. At finite r the sum over
@@ -599,18 +586,17 @@ def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid, val: float,
     _, space, base, lead, offset = tables
     if spec.r == INF:
         Mb = np.abs(u.peak)
-        w = (0.5 * _reduce_grad(Mb, spec.q, u.grid.dx, 0, val)
+        w = (0.5 * _reduce_grad(Mb, spec.q, u.grid.dx, val)
              * u.peak / np.where(Mb > 0, Mb, 1.0))
         p, o = np.divmod(u.index, SUP_STRIDE)
         ph = lead[p // BLOCK] * base[p % BLOCK] * offset[o + SUP_STRIDE - 1]  # (B, M)
         return amp * np.sum(np.conj(ph.T * space) * w, axis=1)
     slab = u.slices
     absu = np.abs(slab)
-    (p_in, w_in, axis), (p_out, w_out) = _nesting(spec, u)
-    inner = _reduce(absu, p_in, w_in, axis)
-    W = (0.5 * np.expand_dims(_reduce_grad(inner, p_out, w_out, 0, val), axis)
-         * _reduce_grad(absu, p_in, w_in, axis, inner)
-         * slab / np.where(absu > 0, absu, 1.0))
+    # mixed_norm's weights, dt (the slab has more than one sample) and dx
+    inner = _reduce(absu, spec.r, u.dt)
+    W = (0.5 * _reduce_grad(inner, spec.q, u.grid.dx, val)
+         * _reduce_grad(absu, spec.r, u.dt, inner) * slab / np.where(absu > 0, absu, 1.0))
     # conj(Z)[k, b] = sum_s e^{i t_s phi_k} conj(W[s, b]), one matmul
     # per block on the forward tables
     Zc = np.zeros_like(space)
@@ -688,11 +674,11 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec,
     if spec.r == INF:
         # every coarse sample has an even index, so the even-sample peaks
         # are the search at half the time resolution
-        half = float(_reduce(u.even_peak, spec.q, u.grid.dx, axis=0))
+        half = float(_reduce(u.even_peak, spec.q, u.grid.dx))
         per_t = u.coarse_energy
     else:
         half = mixed_norm(SpacetimeField(u.grid, u.times[::2], u.slices[::2]),
-                          MixedNormSpec(q=spec.q, r=spec.r, order=spec.order))
+                          MixedNormSpec(q=spec.q, r=spec.r))
         per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
     ref_delta = abs(v_top - half) / max(v_top, 1e-300)
     # share of the time-profile mass in the last tenth of the window

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from katolab import cli, experiments, opnorm, symbols, wavepackets
+from katolab import cli, experiments, opnorm, wavepackets
 from katolab.core import (Ball, GaussianRecipe, KnappRecipe, RandomBandlimited, Sector,
                           read_field, read_packets, read_spacetime)
 from tests.packet_reference import packet_values
@@ -119,43 +119,52 @@ def test_opnorm_cli_refuses_a_scale_past_the_explicit_kernel(capsys):
     assert out == "" and "argument --R: R = 32 needs 19182 L2 nodes" in err
 
 
-@pytest.mark.parametrize("order", ["xt", "tx"])
 @pytest.mark.parametrize("r", ["4", "inf"])
-def test_opnorm_cli_sup_over_x_runs_clean(capsys, r, order):
+def test_opnorm_cli_sup_over_x_runs_clean(capsys, r):
     # q = inf: the power iteration's subgradient must be finite, with no 0 * inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["opnorm", "--symbol", "power:m=2,n=1", "--alpha", "0.5",
-                         "--q", "inf", "--r", r, "--order", order, "--R", "2"]) == 0
+                         "--q", "inf", "--r", r, "--R", "2"]) == 0
     header, row = capsys.readouterr().out.splitlines()[:2]
     assert header == "R,lower_bound,evaluations"
     row = row.split(",")
     assert len(row) == 3 and row[0] == "2" and float(row[1]) > 0 and int(row[2]) > 0
 
 
-def test_opnorm_cli_order_reaches_the_spec(capsys):
-    # --order tx must give the lower bound of the tx spec, which differs from xt
-    printed = {}
-    for order in ("xt", "tx"):
-        assert cli.main(["opnorm", "--symbol", "power:m=2,n=1", "--alpha", "0.5",
-                         "--q", "2", "--r", "4", "--order", order, "--R", "2",
-                         "--seed", "3"]) == 0
-        printed[order] = capsys.readouterr().out.splitlines()[1].split(",")[1]
-    spec = opnorm.SmoothingOperatorSpec(sym=symbols.schrodinger(1), alpha=0.5,
-                                        R=2.0, q=2.0, r=4.0, order="tx")
-    assert printed["tx"] == f"{opnorm.lower_bound_mixed(spec).value:.10g}"
-    assert printed["tx"] != printed["xt"]
-
-
-def test_duplicate_spec_keys_rejected_by_the_cli(tmp_path):
-    with pytest.raises(ValueError, match="duplicate key 'm'"):
+def test_duplicate_spec_keys_rejected_by_the_cli(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["opnorm", "--symbol", "power:m=2,m=3,n=1", "--alpha", "0.5",
                   "--R", "8,16,32"])
+    assert exc.value.code == 2
+    assert "argument --symbol: duplicate key 'm'" in capsys.readouterr().err
     out = tmp_path / "f.kslf"
-    with pytest.raises(ValueError, match="duplicate key 'seed'"):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["field", "--make", "random:seed=1,seed=2", "--grid", "1,512,64",
                   "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --make: duplicate key 'seed'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--ball", "0,0,1", "ball centre of dimension 2 on a grid of dimension 1"),
+    ("--ball", "100,1", "the ball holds no grid cell"),
+    ("--t", "5,6", "the time window holds no sample"),
+], ids=["ball-dimension", "ball-off-grid", "window-after-samples"])
+def test_norm_regions_that_miss_the_file_exit_naming_the_flag(tmp_path, capsys, flag, value,
+                                                               message):
+    # what only the file can refuse: a ball of another dimension or off the
+    # grid, and a window after the last sample
+    f, u = tmp_path / "f.kslf", tmp_path / "u.kslt"
+    assert cli.main(["field", "--make", "gaussian:width=1", "--grid", "1,512,64",
+                     "--out", str(f)]) == 0
+    assert cli.main(["propagate", "--symbol", "power:m=2,n=1", "--t0", "0", "--t1", "1",
+                     "--steps", "8", "--in", str(f), "--out", str(u)]) == 0
+    capsys.readouterr()
+    assert cli.main(["norm", "--q", "2", "--r", "2", flag, value, "--in", str(u)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"kato norm: error: argument {flag}: {message}\n"
 
 
 def test_run_cli(tmp_path, capsys):
@@ -205,6 +214,7 @@ def test_verify_cli_prefixes_and_fails_a_sabotaged_run(tmp_path, capsys, monkeyp
     ("norm", "--t", "0"),
     ("norm", "--t", "1,0"),
     ("norm", "--t", "0,inf"),
+    ("norm", "--order", "xt"),
     ("opnorm", "--q", "abc"),
     ("opnorm", "--r", "0"),
     ("opnorm", "--alpha", "nan"),
@@ -224,6 +234,18 @@ def test_verify_cli_prefixes_and_fails_a_sabotaged_run(tmp_path, capsys, monkeyp
     ("opnorm", "--window", "local:2"),
     ("opnorm", "--seed", "-1"),
     ("opnorm", "--seed", "1.5"),
+    ("opnorm", "--order", "tx"),
+    ("opnorm", "--symbol", "bogus"),
+    ("opnorm", "--symbol", "power:m=x,n=1"),
+    ("opnorm", "--symbol", "power:m=2,m=3,n=1"),
+    ("opnorm", "--symbol", "power:m=2,n=2"),
+    ("propagate", "--symbol", "bogus"),
+    ("propagate", "--symbol", "power:m=x,n=1"),
+    ("propagate", "--symbol", "power:m=2,n=1,n=1"),
+    ("field", "--make", "bogus"),
+    ("field", "--make", "gaussian:width=x"),
+    ("field", "--make", "gaussian:width=1,width=2"),
+    ("field", "--make", "knapp"),
     ("wavepacket decompose", "--R", "nan"),
     ("wavepacket decompose", "--R", "0.5"),
     ("wavepacket decompose", "--R", "inf"),
@@ -242,7 +264,9 @@ def test_bad_flags_exit_through_argparse(tmp_path, capsys, command, flag, value)
     with pytest.raises(SystemExit) as exc:
         cli.main(command.split() + [x for kv in args.items() for x in kv])
     assert exc.value.code == 2
-    assert f"argument {flag}: " in capsys.readouterr().err
+    # a flag the command does not take is named as unrecognized
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err or f"unrecognized arguments: {flag} {value}" in err
     assert not out.exists()
 
 

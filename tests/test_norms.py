@@ -38,11 +38,10 @@ def test_separable_factorizes():
     slab = gt[:, None] * fx[None, :]
     u = SpacetimeField(g, times, slab.astype(complex))
     for q, r in ((2.0, 4.0), (3.0, 2.0)):
-        for order in ("xt", "tx"):
-            got = N.mixed_norm(u, N.MixedNormSpec(q=q, r=r, order=order))
-            nf = (g.dx * np.sum(np.abs(fx) ** q)) ** (1 / q)
-            ng = ((times[1] - times[0]) * np.sum(np.abs(gt) ** r)) ** (1 / r)
-            assert got == pytest.approx(nf * ng, rel=1e-12)
+        got = N.mixed_norm(u, N.MixedNormSpec(q=q, r=r))
+        nf = (g.dx * np.sum(np.abs(fx) ** q)) ** (1 / q)
+        ng = ((times[1] - times[0]) * np.sum(np.abs(gt) ** r)) ** (1 / r)
+        assert got == pytest.approx(nf * ng, rel=1e-12)
 
 
 def test_column_indicator():
@@ -109,18 +108,6 @@ def test_monotonicity():
     assert big_ball >= small and big_win >= small
 
 
-def test_orders_agree_when_q_equals_r():
-    g = Grid(1, 64, 8.0)
-    times = cell_times(0.0, 1.0, 16)
-    rng = np.random.default_rng(1)
-    slab = rng.standard_normal((16, g.N)) + 1j * rng.standard_normal((16, g.N))
-    u = SpacetimeField(g, times, slab)
-    for q in (1.0, 2.0, 3.5):
-        a = N.mixed_norm(u, N.MixedNormSpec(q=q, r=q, order="xt"))
-        b = N.mixed_norm(u, N.MixedNormSpec(q=q, r=q, order="tx"))
-        assert a == pytest.approx(b, rel=1e-12)
-
-
 @settings(max_examples=20, deadline=None)
 @given(r1=st.floats(min_value=1.0, max_value=8.0),
        r2=st.floats(min_value=1.0, max_value=8.0))
@@ -175,41 +162,34 @@ def test_ball_centre_must_match_the_grid_dimension():
 def test_empty_region_errors():
     g = Grid(1, 64, 8.0)
     u = constant_evolution(g, cell_times(0.0, 1.0, 8))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ball holds no grid cell"):
         N.mixed_norm(u, N.MixedNormSpec(q=2, r=2, ball=((100.0,), 0.01)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="window holds no sample"):
         N.mixed_norm(u, N.MixedNormSpec(q=2, r=2, window=(5.0, 6.0)))
     with pytest.raises(ValueError):
         N.MixedNormSpec(q=0.5, r=2)
-    with pytest.raises(ValueError):
-        N.MixedNormSpec(q=2, r=2, order="sideways")
 
 
-@pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
-def test_reduce_grad_matches_central_differences(p, axis):
+def test_reduce_grad_matches_central_differences(p):
     rng = np.random.default_rng(3)
     v = rng.uniform(0.5, 2.0, (5, 6))
-    v[3] = 0.0  # an all-zero line along axis 1
-    v[:, 2] = 0.0  # and one along axis 0
+    v[3] = 0.0  # zeros inside columns that are not all zero
+    v[:, 2] = 0.0  # and an all-zero column
     w, h = 0.3, 1e-6
-    red = N._reduce(v, p, w, axis)
-    d = N._reduce_grad(v, p, w, axis, red)
-    live = np.broadcast_to(np.expand_dims(red, axis) > 0, v.shape)
+    red = N._reduce(v, p, w)
+    d = N._reduce_grad(v, p, w, red)
+    live = np.broadcast_to(red > 0, v.shape)
     assert not live.all() and np.all(d[~live] == 0.0)
     for i, j in zip(*np.nonzero(live)):
         e = np.zeros_like(v)
         e[i, j] = h
-        fd = (N._reduce(v + e, p, w, axis) - N._reduce(v - e, p, w, axis)) / (2 * h)
-        k = j if axis == 0 else i
-        assert fd[k] == pytest.approx(d[i, j], abs=1e-8)
+        fd = (N._reduce(v + e, p, w) - N._reduce(v - e, p, w)) / (2 * h)
+        assert fd[j] == pytest.approx(d[i, j], abs=1e-8)
 
 
-@pytest.mark.parametrize("axis", [0, 1])
-def test_reduce_grad_at_inf_marks_the_first_maximum(axis):
-    v = np.array([[1.0, 3.0, 3.0, 2.0], [5.0, 5.0, 0.0, 5.0], [0.0, 0.0, 0.0, 0.0]])
-    want = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]], dtype=float)
-    if axis == 0:
-        v, want = v.T, want.T
-    d = N._reduce_grad(v, INF, 0.3, axis, N._reduce(v, INF, 0.3, axis))
+def test_reduce_grad_at_inf_marks_the_first_maximum():
+    v = np.array([[1.0, 3.0, 3.0, 2.0], [5.0, 5.0, 0.0, 5.0], [0.0, 0.0, 0.0, 0.0]]).T
+    want = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]], dtype=float).T
+    d = N._reduce_grad(v, INF, 0.3, N._reduce(v, INF, 0.3))
     assert np.array_equal(d, want)

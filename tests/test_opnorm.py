@@ -212,7 +212,7 @@ def _evaluate(spec, modes, c, times):
 def _half_rate_delta(u, spec):
     """refinement_delta at finite r by its definition: the relative change of
     the slab's mixed norm when every second time sample is dropped."""
-    norm = MixedNormSpec(q=spec.q, r=spec.r, order=spec.order)
+    norm = MixedNormSpec(q=spec.q, r=spec.r)
     full = mixed_norm(u, norm)
     half = mixed_norm(SpacetimeField(u.grid, u.times[::2], u.slices[::2]), norm)
     return abs(full - half) / full
@@ -263,15 +263,7 @@ def _eval_reference(spec, modes, c, times):
     slab = np.concatenate([(np.exp(1j * np.outer(times[s0:s0 + 256], modes.phi_vals)) * amp)
                            @ ph_x for s0 in range(0, len(times), 256)])
     u = SpacetimeField(gx, times, slab)
-    return mixed_norm(u, MixedNormSpec(q=spec.q, r=spec.r, order=spec.order)), u
-
-
-def _sup_score(spec, absu):
-    """What the sup in time runs over, per sample and cell: |u| for order xt,
-    sum_x |u|^q (the profile ||u(t, .)||_q to the power q) for order tx."""
-    if spec.order == "xt":
-        return absu
-    return np.broadcast_to(np.sum(absu**spec.q, axis=-1, keepdims=True), absu.shape)
+    return mixed_norm(u, MixedNormSpec(q=spec.q, r=spec.r)), u
 
 
 def _gradient_reference(spec, modes, c, times):
@@ -299,12 +291,11 @@ def _gradient_reference(spec, modes, c, times):
     return modes.amp * modes.dxi * np.sum(ph_t * (ph_x.T @ W.T), axis=1)
 
 
-def _chirp_case(r, window, order="xt", q=2.0):
+def _chirp_case(r, window, q=2.0):
     # R = 8, but local R = 16 at finite r: its band-limited step leaves local
     # R = 8 227 transit samples, under two phase blocks
     R = 16.0 if window == "local" and r != INF else 8.0
-    spec = dataclasses.replace(spec_at(R, alpha=-0.25, q=q, r=r, window=window),
-                               order=order)
+    spec = spec_at(R, alpha=-0.25, q=q, r=r, window=window)
     modes = O.mode_grid(spec)
     c = dict(O._candidate_bank(spec, modes))["chirp-root@0.9"]
     return spec, modes, c, _call_times(spec, modes)
@@ -368,30 +359,27 @@ def _check_sup_search(spec, modes, c, times, exact, tol=1e-12):
     val, rec = _evaluate(spec, modes, c, times)
     ref, u_ref = _eval_reference(spec, modes, c, times)
     absu = np.abs(u_ref.slices)
-    score = _sup_score(spec, absu)
-    slack = tol * np.max(score)
+    slack = tol * np.max(absu)
     cols = np.arange(absu.shape[1])
     assert val <= ref * (1 + tol)
     coarse = absu[::O.SUP_STRIDE]
     energy = np.sum(coarse**2, axis=1)
     assert np.max(np.abs(rec.coarse_energy - energy)) <= tol * np.max(energy)
-    even = _sup_score(spec, rec.even_peak)
-    assert np.all(even >= _sup_score(spec, coarse).max(axis=0) - slack)
+    assert np.all(rec.even_peak >= coarse.max(axis=0) - slack)
     if exact:
         assert abs(val - ref) <= tol * ref
         assert np.max(np.abs(rec.peak - u_ref.slices[rec.index, cols])) <= tol * np.max(absu)
-        assert np.all(score[rec.index, cols] >= score.max(axis=0) - slack)
-        assert np.max(np.abs(even - score[::2].max(axis=0))) <= slack
+        assert np.all(absu[rec.index, cols] >= absu.max(axis=0) - slack)
+        assert np.max(np.abs(rec.even_peak - absu[::2].max(axis=0))) <= slack
     return rec
 
 
-@pytest.mark.parametrize("order", ["xt", "tx"])
 @pytest.mark.parametrize("window", ["local", "global"])
 @pytest.mark.parametrize("R", [8.0, 16.0])
-def test_sup_search_matches_full_slab_on_every_bank_candidate(R, window, order):
+def test_sup_search_matches_full_slab_on_every_bank_candidate(R, window):
     # chirps and plates peak smoothly in time, so the search finds every peak;
     # noise may peak between coarse samples outside both refined windows
-    spec = dataclasses.replace(spec_at(R, alpha=-0.25, r=INF, window=window), order=order)
+    spec = spec_at(R, alpha=-0.25, r=INF, window=window)
     modes = O.mode_grid(spec)
     spectra = O._candidate_bank(spec, modes) + _other_profiles(spec, modes)
     for name, c in spectra + [("noise", _noise(spec, modes))]:
@@ -399,9 +387,8 @@ def test_sup_search_matches_full_slab_on_every_bank_candidate(R, window, order):
                           exact=name.startswith(("chirp", "plate")))
 
 
-@pytest.mark.parametrize("order", ["xt", "tx"])
-def test_sup_search_edge_cases(order):
-    spec, modes, c, times = _chirp_case(INF, "local", order)
+def test_sup_search_edge_cases():
+    spec, modes, c, times = _chirp_case(INF, "local")
     noise = _noise(spec, modes)
     S = len(times)
     # more than BLOCK coarse samples; S a multiple of neither SUP_STRIDE nor BLOCK
@@ -440,23 +427,20 @@ def test_quotient_gradient_matches_dense_chain_rule(r, window):
     assert np.linalg.norm(g - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("order", ["xt", "tx"])
 @pytest.mark.parametrize("r", [INF, 4.0])
-def test_quotient_gradient_matches_finite_differences(r, order):
+def test_quotient_gradient_matches_finite_differences(r):
     # central differences of the numerator F along directions inside the
-    # spectrum's support; both nesting orders, and at q = 4 an inner
-    # exponent other than 2 for order tx
+    # spectrum's support, at q = 2 and at an outer exponent other than 2
     for q in (2.0, 4.0):
-        _check_gradient_by_finite_differences(*_chirp_case(r, "local", order, q=q))
+        _check_gradient_by_finite_differences(*_chirp_case(r, "local", q=q))
 
 
-@pytest.mark.parametrize("order", ["xt", "tx"])
 @pytest.mark.parametrize("r", [INF, 4.0])
-def test_quotient_gradient_at_q_inf_matches_finite_differences(r, order):
+def test_quotient_gradient_at_q_inf_matches_finite_differences(r):
     # a sup over x: the subgradient on the maximal cell is the gradient
     # wherever that maximum is unique. The chirp alone peaks on two cells
     # symmetric about the ball's centre; a seeded perturbation separates them.
-    spec, modes, c, times = _chirp_case(r, "local", order, q=INF)
+    spec, modes, c, times = _chirp_case(r, "local", q=INF)
     rng = np.random.default_rng(2)
     c = c * (1.0 + 0.2 * (rng.standard_normal(len(c))
                           + 1j * rng.standard_normal(len(c))))
@@ -627,15 +611,14 @@ def test_windows_share_the_time_step_without_a_sample_cap():
     check_uniform_times(times)
 
 
-@pytest.mark.parametrize("order", ["xt", "tx"])
 @pytest.mark.parametrize("R, window, tol", [(2.0, "global", 1e-8), (8.0, "global", 1e-12),
                                             (8.0, "local", 1e-12), (16.0, "local", 1e-12)])
-def test_band_limited_step_matches_the_envelope_step(R, window, tol, order):
+def test_band_limited_step_matches_the_envelope_step(R, window, tol):
     # at r = 4 and q = 2 the time integrand is a trigonometric sum with
     # frequencies inside +-2 Omega, so the rectangle rule at BAND_STEP of
     # 2 pi / (2 Omega) integrates it as the envelope step, about 5x finer,
     # does, apart from the window ends: global R = 2 still holds mass there
-    spec = dataclasses.replace(spec_at(R, alpha=0.5, r=4.0, window=window), order=order)
+    spec = spec_at(R, alpha=0.5, r=4.0, window=window)
     modes = O.mode_grid(spec)
     band, envelope = _call_times(spec, modes), _transit_window(spec, modes)
     dt, dt_env = band[1] - band[0], envelope[1] - envelope[0]
@@ -647,11 +630,10 @@ def test_band_limited_step_matches_the_envelope_step(R, window, tol, order):
         assert abs(val - ref) <= tol * ref, name
 
 
-@pytest.mark.parametrize("q, r, order", [(2.0, INF, "xt"), (2.0, 3.0, "xt"), (3.0, 4.0, "tx")])
-def test_integrands_without_a_band_keep_the_envelope_step(q, r, order):
-    # sup_t |u|, |u|^3 and (sum_x |u|^3)^(4/3) are not trigonometric sums in t
-    spec = dataclasses.replace(spec_at(8.0, alpha=-0.25, q=q, r=r, window="global"),
-                               order=order)
+@pytest.mark.parametrize("q, r", [(2.0, INF), (2.0, 3.0)])
+def test_integrands_without_a_band_keep_the_envelope_step(q, r):
+    # sup_t |u| and |u|^3 are not trigonometric sums in t
+    spec = spec_at(8.0, alpha=-0.25, q=q, r=r, window="global")
     modes = O.mode_grid(spec)
     assert np.array_equal(_call_times(spec, modes), _transit_window(spec, modes))
 
@@ -685,11 +667,10 @@ def test_window_tables_match_fresh_tables(r):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
 
-@pytest.mark.parametrize("order", ["xt", "tx"])
-def test_doubled_window_value_is_at_least_the_transit_windows(order):
+def test_doubled_window_value_is_at_least_the_transit_windows():
     # at finite r the doubled window holds the transit window's samples and
     # more at the same step, so its L^r integral over time is no smaller
-    spec = dataclasses.replace(spec_at(8.0, alpha=0.5, r=4.0, window="global"), order=order)
+    spec = spec_at(8.0, alpha=0.5, r=4.0, window="global")
     modes = O.mode_grid(spec)
     times, rows = O._transit_times(spec, modes)
     tables = O._tables(spec, modes, times)
@@ -746,7 +727,7 @@ def _lower_bound_reference(spec):
     top_val = max(quotients)
     v_wide = _evaluate(spec, modes, top_c, O._transit_times(spec, modes)[0])[0]
     if spec.r == INF:
-        half = O._reduce(u.even_peak, spec.q, u.grid.dx, axis=0)
+        half = O._reduce(u.even_peak, spec.q, u.grid.dx)
         ref_delta = abs(v_top - half) / max(v_top, 1e-300)
         per_t = u.coarse_energy
     else:
@@ -795,17 +776,16 @@ def test_ascent_matches_the_per_call_reference(monkeypatch, r, window, R):
     assert len(calls["_tables"]) == len(calls["_window_tables"]) == 1
 
 
-@pytest.mark.parametrize("order", ["xt", "tx"])
 @pytest.mark.parametrize("window", ["local", "global"])
 @pytest.mark.parametrize("r", [4.0, INF])
-def test_power_iteration_is_monotone(monkeypatch, r, window, order):
+def test_power_iteration_is_monotone(monkeypatch, r, window):
     # at finite r the numerator is a norm of the spectrum, convex and
     # 1-homogeneous, so no iterate falls below the one before it (to
     # rounding). At r = inf the sup search is not exactly a norm and an
     # iterate may fall; whatever the sequence, the result reports the best
     # iterate: its gain over the bank winner and its spectrum, the one
     # evaluated again on the doubled window
-    spec = dataclasses.replace(spec_at(4.0, alpha=-0.25, r=r, window=window), order=order)
+    spec = spec_at(4.0, alpha=-0.25, r=r, window=window)
     modes = O.mode_grid(spec)
     bank = len(O._candidate_bank(spec, modes))
     eval_mixed = O._eval_mixed
@@ -892,7 +872,7 @@ def _transit_diagnostics(spec, modes, c):
     v_top, u = O._eval_mixed(spec, modes, c, *_transit_tables(spec, modes))
     v_wide = _evaluate(spec, modes, c, O._transit_times(spec, modes)[0])[0]
     if spec.r == INF:
-        ref_delta = abs(v_top - O._reduce(u.even_peak, spec.q, u.grid.dx, axis=0)) / v_top
+        ref_delta = abs(v_top - O._reduce(u.even_peak, spec.q, u.grid.dx)) / v_top
         per_t = u.coarse_energy
     else:
         ref_delta = _half_rate_delta(u, spec)
