@@ -119,7 +119,8 @@ def test_opnorm_cli_refuses_a_scale_past_the_explicit_kernel(capsys):
     assert out == "" and "argument --R: R = 32 needs 19182 L2 nodes" in err
 
 
-@pytest.mark.parametrize("r", ["4", "inf"])
+# the case ids name the L^q_x L^r_t nesting of every mixed norm
+@pytest.mark.parametrize("r", ["4", "inf"], ids=lambda r: f"{r}-xt")
 def test_opnorm_cli_sup_over_x_runs_clean(capsys, r):
     # q = inf: the power iteration's subgradient must be finite, with no 0 * inf
     with warnings.catch_warnings():

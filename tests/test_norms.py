@@ -170,12 +170,17 @@ def test_empty_region_errors():
         N.MixedNormSpec(q=0.5, r=2)
 
 
+@pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
-def test_reduce_grad_matches_central_differences(p):
+def test_reduce_grad_matches_central_differences(p, axis):
+    # the array's lines along `axis` are reduced: at axis 1 its transpose
+    # goes to _reduce, which reduces over axis 0
     rng = np.random.default_rng(3)
     v = rng.uniform(0.5, 2.0, (5, 6))
-    v[3] = 0.0  # zeros inside columns that are not all zero
-    v[:, 2] = 0.0  # and an all-zero column
+    v[3] = 0.0  # an all-zero line along axis 1
+    v[:, 2] = 0.0  # and one along axis 0
+    if axis == 1:
+        v = v.T
     w, h = 0.3, 1e-6
     red = N._reduce(v, p, w)
     d = N._reduce_grad(v, p, w, red)

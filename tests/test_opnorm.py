@@ -16,6 +16,12 @@ SYM = S.schrodinger(1)
 INF = math.inf
 
 
+def xt(value):
+    """Case id of a parameter value, suffixed with the L^q_x L^r_t nesting
+    every mixed norm has: space outside, time inside."""
+    return f"{value}-xt"
+
+
 def spec_at(R, alpha=0.5, q=2.0, r=2.0, window="local"):
     return O.SmoothingOperatorSpec(sym=SYM, alpha=alpha, R=R, q=q, r=r,
                                    window=window)
@@ -374,7 +380,7 @@ def _check_sup_search(spec, modes, c, times, exact, tol=1e-12):
     return rec
 
 
-@pytest.mark.parametrize("window", ["local", "global"])
+@pytest.mark.parametrize("window", ["local", "global"], ids=xt)
 @pytest.mark.parametrize("R", [8.0, 16.0])
 def test_sup_search_matches_full_slab_on_every_bank_candidate(R, window):
     # chirps and plates peak smoothly in time, so the search finds every peak;
@@ -427,7 +433,7 @@ def test_quotient_gradient_matches_dense_chain_rule(r, window):
     assert np.linalg.norm(g - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("r", [INF, 4.0])
+@pytest.mark.parametrize("r", [INF, 4.0], ids=xt)
 def test_quotient_gradient_matches_finite_differences(r):
     # central differences of the numerator F along directions inside the
     # spectrum's support, at q = 2 and at an outer exponent other than 2
@@ -435,7 +441,7 @@ def test_quotient_gradient_matches_finite_differences(r):
         _check_gradient_by_finite_differences(*_chirp_case(r, "local", q=q))
 
 
-@pytest.mark.parametrize("r", [INF, 4.0])
+@pytest.mark.parametrize("r", [INF, 4.0], ids=xt)
 def test_quotient_gradient_at_q_inf_matches_finite_differences(r):
     # a sup over x: the subgradient on the maximal cell is the gradient
     # wherever that maximum is unique. The chirp alone peaks on two cells
@@ -611,8 +617,10 @@ def test_windows_share_the_time_step_without_a_sample_cap():
     check_uniform_times(times)
 
 
-@pytest.mark.parametrize("R, window, tol", [(2.0, "global", 1e-8), (8.0, "global", 1e-12),
-                                            (8.0, "local", 1e-12), (16.0, "local", 1e-12)])
+@pytest.mark.parametrize("R, window, tol", [
+    pytest.param(R, window, tol, id=xt(f"{R}-{window}-{tol}"))
+    for R, window, tol in [(2.0, "global", 1e-8), (8.0, "global", 1e-12),
+                           (8.0, "local", 1e-12), (16.0, "local", 1e-12)]])
 def test_band_limited_step_matches_the_envelope_step(R, window, tol):
     # at r = 4 and q = 2 the time integrand is a trigonometric sum with
     # frequencies inside +-2 Omega, so the rectangle rule at BAND_STEP of
@@ -630,7 +638,8 @@ def test_band_limited_step_matches_the_envelope_step(R, window, tol):
         assert abs(val - ref) <= tol * ref, name
 
 
-@pytest.mark.parametrize("q, r", [(2.0, INF), (2.0, 3.0)])
+@pytest.mark.parametrize("q, r", [pytest.param(q, r, id=xt(f"{q}-{r}"))
+                                  for q, r in [(2.0, INF), (2.0, 3.0)]])
 def test_integrands_without_a_band_keep_the_envelope_step(q, r):
     # sup_t |u| and |u|^3 are not trigonometric sums in t
     spec = spec_at(8.0, alpha=-0.25, q=q, r=r, window="global")
@@ -776,7 +785,7 @@ def test_ascent_matches_the_per_call_reference(monkeypatch, r, window, R):
     assert len(calls["_tables"]) == len(calls["_window_tables"]) == 1
 
 
-@pytest.mark.parametrize("window", ["local", "global"])
+@pytest.mark.parametrize("window", ["local", "global"], ids=xt)
 @pytest.mark.parametrize("r", [4.0, INF])
 def test_power_iteration_is_monotone(monkeypatch, r, window):
     # at finite r the numerator is a norm of the spectrum, convex and
