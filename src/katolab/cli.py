@@ -145,13 +145,21 @@ def _interval(text: str) -> tuple:
 
 def _cmd_field(args):
     grid = args.grid
-    f = make_field(grid, args.make)
+    try:  # a recipe the grid refuses is a bad flag value
+        f = make_field(grid, args.make)
+    except ValueError as exc:
+        print(f"kato field: error: argument --make: {exc}", file=sys.stderr)
+        return 2
     write_field(f, args.out)
     print(f"wrote {args.out} ({grid.n}d, N={grid.N}, L={grid.L})")
 
 
 def _cmd_propagate(args):
     f = read_field(args.infile)
+    if args.symbol.n != f.grid.n:
+        print(f"kato propagate: error: argument --symbol: symbol dimension {args.symbol.n} "
+              f"on a file of dimension {f.grid.n}", file=sys.stderr)
+        return 2
     times = np.linspace(args.t0, args.t1, args.steps)
     u = propagator.propagate(f, args.symbol, times)
     write_spacetime(u, args.out)

@@ -282,6 +282,9 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
 def make_field(grid: Grid, recipe) -> Field:
     """Build a field from a declarative recipe; deterministic given seeds."""
     if isinstance(recipe, GaussianRecipe):
+        if len(recipe.center) != grid.n:
+            raise ValueError(f"key 'center': a centre of dimension {len(recipe.center)} "
+                             f"on a grid of dimension {grid.n}")
         mesh = grid.x_mesh()
         d2 = sum((m - c) ** 2 for m, c in zip(mesh, recipe.center))
         return Field(grid, np.exp(-d2 / (2.0 * recipe.width**2)).astype(complex))

@@ -13,8 +13,8 @@ into closed-form window integrals,
 
 with X the spatial ball integral (a sinc) and T the time-window integral
 (a sinc as well), d the weighted bump amplitude, over nodes uniform in
-p = Phi(xi) (l2_grid) whose period 2 pi / dp in time spans the window and the
-slowest transit of the ball, so the periodic representation never
+p = Phi(xi) (mode_grid) whose period 2 pi / dp in time spans the window and
+the slowest transit of the ball, so the periodic representation never
 recirculates mass through the ball. The norm is the top eigenvalue, found by
 one seeded Lanczos run with full reorthogonalisation and cross-checked
 against a dense eigensolve at small scale. Its top Ritz value is a Rayleigh
@@ -31,9 +31,9 @@ method c <- dF/d conj(c) for the numerator F(c) = ||A c|| of the quotient.
 F is convex and 1-homogeneous, so no iterate lowers the quotient (Boyd
 1974, Higham 1992) except at r = inf, where the sup over searched samples
 is not exactly a norm. The bank and the iteration run on the transit
-window of the whole mode grid around that focus, the rows of one time
-grid on that window doubled. Those values are lower bounds by
-construction and are reported as such.
+window of the sector around that focus, the rows of one time grid on that
+window doubled, over the same p-grid spanning only that doubled window.
+Those values are lower bounds by construction and are reported as such.
 
 Their cost is the evolution slab u(t_s, x_b) = sum_k a_k e^{i t_s phi_k}
 e^{i x_b xi_k} over S time samples and M modes. The time samples must be
@@ -76,22 +76,17 @@ from .symbols import SymbolSpec
 
 TWO_PI = 2.0 * math.pi
 
-# The xi-grid's span (mode_grid): SPAN_FACTOR * (v_max * window end + 4 R), where
-# v_max = SPEED_MARGIN * max |Phi'| on the sector. In one dimension
-# |Phi'(xi)| = m |Phi(+-1)| |xi|^(m-1) grows with |xi|, so that maximum is
-# exactly max |Phi'(+-2)|. SPAN_FACTOR is calibrated so the periodic image of
-# the slowest/fastest launch stays out of the ball and the top eigenvalue is
-# converged at the per-mille level.
+# Nodes are uniform in p = Phi(xi) at dp = 2 pi / (SPAN_FACTOR (span +
+# (4 R + L2_PAD) / v_min)), v_min = |Phi'(1/2)| the slowest speed and span
+# the time the caller covers: e^{i t p} repeats after 2 pi / dp, and the span
+# and the slowest transit of the ball must fit in that period, with the
+# margin SPAN_FACTOR: at 8 times it the L2 norms move by at most 3e-5, at
+# twice it the refined lower bounds by at most 1e-7 relative. L2_PAD is for
+# the bump's ramps, a fixed width in p whatever R: without it the L2 norm at
+# R = 2 reads 2.6e-3 high. The explicit M x M kernel, for non-integer m and
+# the cross-check, takes at most DENSE_MODES nodes.
 SPAN_FACTOR = 2.5
-SPEED_MARGIN = 1.05
 GLOBAL_T_FACTOR = 8.0
-
-# L2 nodes are uniform in p = Phi(xi) at dp = 2 pi / (SPAN_FACTOR (b - a +
-# (4 R + L2_PAD) / v_min)), v_min = |Phi'(1/2)| the slowest speed: e^{i t p}
-# repeats after 2 pi / dp, and the window and the slowest transit of the ball
-# must fit in that period. L2_PAD is for the bump's ramps, a fixed width in p
-# whatever R: without it R = 2 reads 2.6e-3 high. The explicit M x M kernel, for
-# non-integer m and the cross-check, takes at most DENSE_MODES nodes.
 L2_PAD = 32.0
 DENSE_MODES = 6000
 
@@ -152,41 +147,27 @@ class SmoothingOperatorSpec:
 
 @dataclass(frozen=True)
 class ModeGrid:
-    """Frequency nodes covering the sector bump's support, uniform in xi
-    (mode_grid) or in p = Phi(xi) (l2_grid) with step dxi."""
+    """Frequency nodes covering the sector bump's support, uniform in
+    p = Phi(xi) with step dp."""
 
     xi: np.ndarray
-    dxi: float
-    amp: np.ndarray  # <xi>^alpha * bump(xi) at the nodes, over sqrt|Phi'| in p
-    phi_vals: np.ndarray  # symbol values at the nodes
+    dp: float
+    amp: np.ndarray  # <xi>^alpha * bump(xi) / sqrt|Phi'(xi)| at the nodes
+    phi_vals: np.ndarray  # symbol values p at the nodes
 
 
-def mode_grid(spec: SmoothingOperatorSpec) -> ModeGrid:
-    a, b = spec.time_window()
-    t_reach = max(abs(a), abs(b))
-    edges = np.array([-SECTOR_OUTER, SECTOR_OUTER])
-    v_max = SPEED_MARGIN * float(np.max(np.abs(sym_mod.gradient(spec.sym, [edges])[0])))
-    span = SPAN_FACTOR * (v_max * t_reach + 4.0 * spec.R)
-    dxi = TWO_PI / span
-    k0 = math.floor(SECTOR_INNER / dxi)
-    k1 = math.ceil(SECTOR_OUTER / dxi)
-    xi = (np.arange(k0, k1 + 1) + 0.5) * dxi
-    w = sector_bump([xi])
-    live = w > 1e-14
-    xi = xi[live]
-    amp = ((1.0 + xi**2) ** (spec.alpha / 2.0)) * w[live]
-    return ModeGrid(xi=xi, dxi=dxi, amp=amp,
-                    phi_vals=sym_mod.value(spec.sym, [xi]))
+def _slowest_speed(spec: SmoothingOperatorSpec) -> float:
+    """|Phi'(1/2)|: in one dimension |Phi'| grows with |xi| on the sector."""
+    return abs(float(sym_mod.gradient(spec.sym, [SECTOR_INNER])[0]))
 
 
-def l2_grid(spec: SmoothingOperatorSpec) -> ModeGrid:
-    """The L2 kernel's nodes, uniform in p = Phi(xi) and increasing in p. On
-    xi > 0 a one-dimensional symbol is c xi^m, c = Phi(1), so xi = (p/c)^(1/m);
-    amp takes the square root of the weight dp / |Phi'| of each node."""
-    a, b = spec.time_window()
+def mode_grid(spec: SmoothingOperatorSpec, span: float) -> ModeGrid:
+    """The nodes of a caller covering `span` in time, increasing in p. On
+    xi > 0 a one-dimensional symbol is c xi^m, c = Phi(1), so
+    xi = (p/c)^(1/m); amp takes the square root of the weight dp / |Phi'|
+    of each node."""
     m, c = spec.sym.m, float(sym_mod.value(spec.sym, [1.0]))
-    v_min = abs(float(sym_mod.gradient(spec.sym, [SECTOR_INNER])[0]))
-    dp = TWO_PI / (SPAN_FACTOR * (b - a + (4.0 * spec.R + L2_PAD) / v_min))
+    dp = TWO_PI / (SPAN_FACTOR * (span + (4.0 * spec.R + L2_PAD) / _slowest_speed(spec)))
     lo, hi = sorted((c * SECTOR_INNER**m, c * SECTOR_OUTER**m))
     p = (np.arange(math.floor(lo / dp), math.ceil(hi / dp) + 1) + 0.5) * dp
     xi = np.abs(p / c) ** (1.0 / m)
@@ -194,14 +175,15 @@ def l2_grid(spec: SmoothingOperatorSpec) -> ModeGrid:
     live = w > 1e-14
     xi, p, w = xi[live], p[live], w[live]
     speed = np.abs(sym_mod.gradient(spec.sym, [xi])[0])
-    return ModeGrid(xi=xi, dxi=dp, amp=(1.0 + xi**2) ** (spec.alpha / 2.0) * w / np.sqrt(speed),
+    return ModeGrid(xi=xi, dp=dp, amp=(1.0 + xi**2) ** (spec.alpha / 2.0) * w / np.sqrt(speed),
                     phi_vals=p)
 
 
 def check_l2_scale(spec: SmoothingOperatorSpec, dense: bool = False) -> None:
     """Raise ValueError if the L2 norm of spec, or with dense its dense
     cross-check, would run the explicit kernel on more than DENSE_MODES nodes."""
-    M = len(l2_grid(spec).xi) if dense or not float(spec.sym.m).is_integer() else 0
+    a, b = spec.time_window()
+    M = len(mode_grid(spec, b - a).xi) if dense or not float(spec.sym.m).is_integer() else 0
     if M > DENSE_MODES:
         raise ValueError(f"R = {spec.R:g} needs {M} L2 nodes, over the explicit kernel's "
                          f"{DENSE_MODES} (non-integer m, cross-check)")
@@ -254,7 +236,7 @@ class _FastKernel:
         xi, d, M = modes.xi, modes.amp, len(modes.xi)
         self.M, self.N = M, _fft_size(2 * M - 1)
         # K reversed over its lags: out[i] = sum_k K(p_k - p_i) g[k] lands at M-1+i
-        lags = np.arange(M - 1, -M, -1) * modes.dxi
+        lags = np.arange(M - 1, -M, -1) * modes.dp
         self.ft = np.fft.fft(_window_integral(spec, lags) / np.where(lags != 0, lags, np.inf),
                              self.N)
         self.diag = d**2 * (2.0 * spec.R) * (b - a)
@@ -275,7 +257,7 @@ class _FastKernel:
 
 @dataclass
 class OperatorNormResult:
-    """value is sqrt(2 pi dxi theta) for the top Ritz value theta, a lower
+    """value is sqrt(2 pi dp theta) for the top Ritz value theta, a lower
     bound; residual is ||H v - theta v|| / theta for its Ritz vector v."""
 
     value: float
@@ -327,13 +309,14 @@ def operator_norm_l2(spec: SmoothingOperatorSpec, seed: int = 0) -> OperatorNorm
     """Norm of the ball/window-localized weighted evolution on L^2 data.
 
     One seeded Lanczos run (_lanczos) on the quadratic-form kernel over the
-    p-grid (l2_grid), reporting its residual. A symbol of integer degree
+    p-grid (mode_grid), reporting its residual. A symbol of integer degree
     takes the structured apply ('lanczos-fast'), any other the explicit
     matrix ('lanczos-dense', at most DENSE_MODES nodes).
     """
     if spec.q != 2 or spec.r != 2:
         raise ValueError("operator_norm_l2 requires q = r = 2")
-    modes = l2_grid(spec)
+    a, b = spec.time_window()
+    modes = mode_grid(spec, b - a)
     M = len(modes.xi)
     if float(spec.sym.m).is_integer():
         apply_fn, how = _FastKernel(spec, modes).apply, "lanczos-fast"
@@ -341,16 +324,17 @@ def operator_norm_l2(spec: SmoothingOperatorSpec, seed: int = 0) -> OperatorNorm
         H = dense_operator_matrix(spec, modes)
         apply_fn, how = (lambda v: H @ v), "lanczos-dense"
     theta, steps, residual = _lanczos(apply_fn, M, seed)
-    value = math.sqrt(max(TWO_PI * modes.dxi * theta, 0.0))
+    value = math.sqrt(max(TWO_PI * modes.dp * theta, 0.0))
     return OperatorNormResult(value=value, iterations=steps, residual=residual,
                               mode_count=M, method=how)
 
 
 def operator_norm_dense_eig(spec: SmoothingOperatorSpec) -> float:
     """Cross-check route: top eigenvalue of the explicit kernel."""
-    modes = l2_grid(spec)
+    a, b = spec.time_window()
+    modes = mode_grid(spec, b - a)
     lam = float(np.linalg.eigvalsh(dense_operator_matrix(spec, modes))[-1])
-    return math.sqrt(max(TWO_PI * modes.dxi * lam, 0.0))
+    return math.sqrt(max(TWO_PI * modes.dp * lam, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +356,11 @@ class LowerBoundResult:
 def _candidate_bank(spec: SmoothingOperatorSpec, modes: ModeGrid) -> list:
     """Trial spectra, chirps focusing at the window's centre: Gaussian
     profiles of width R^{-1/2} and 2 R^{-1/2} at 0.9 and 1.3, cut at three
-    widths, and a broadband one."""
+    widths, and a broadband one; each is data f^ over sqrt|Phi'|, the
+    spectrum of f^ on p-nodes (mode_grid's amp)."""
     xi = modes.xi
-    chirp = np.exp(-1j * _focus_time(spec) * modes.phi_vals)
+    speed = np.abs(sym_mod.gradient(spec.sym, [xi])[0])
+    chirp = np.exp(-1j * _focus_time(spec) * modes.phi_vals) / np.sqrt(speed)
     bank = []
     root = 1.0 / math.sqrt(spec.R)
     for width, tag in ((root, "chirp-root"), (2.0 * root, "chirp-wide")):
@@ -392,36 +378,38 @@ def _focus_time(spec: SmoothingOperatorSpec) -> float:
     return (a + b) / 2.0
 
 
-def _transit_times(spec: SmoothingOperatorSpec, modes: ModeGrid) -> tuple:
+def _transit_times(spec: SmoothingOperatorSpec) -> tuple:
     """(times, rows): the doubled transit window and, as its rows, the
     transit window, the samples of every mode's passage through the ball.
 
     A mode chirped to focus at the window's focus t0 transits the ball
     within t0 +- margin = 3.5 (ball + envelope width)/speed, clipped to the
-    window. Where the time integrand is band-limited, it is sampled at
-    BAND_STEP of the step below which the rectangle rule is exact for it:
-    u(t, x) = sum_k a_k e^{i t phi_k} e^{i x xi_k}, so |u|^r for even r is
-    a trigonometric sum in t with frequencies inside +-(r/2) Omega, Omega =
-    ptp(phi), and the rule integrates it exactly at steps below
+    window, width and speed the sector's (the slowest). Where the time
+    integrand is band-limited, it is sampled at BAND_STEP of the step below
+    which the rectangle rule is exact for it: u(t, x) = sum_k a_k
+    e^{i t phi_k} e^{i x xi_k}, so |u|^r for even r is a trigonometric sum
+    in t with frequencies inside +-(r/2) Omega, Omega = ptp(Phi) on the
+    sector, and the rule integrates it exactly at steps below
     2 pi / ((r/2) Omega), apart from the window ends (Poisson summation).
     Every other integrand, r = inf included, is sampled on the envelope
     timescale, an eighth of the transit of the focused width at the slowest
     speed.
     times extends the window, at its step and by whole groups of SUP_STRIDE
     samples, towards t0 +- 2 margin, clipped to the window. The samples
-    depend on the operator alone, so every spectrum of one call shares them.
+    depend on the operator alone, so they size its mode grid, and every
+    spectrum of one call shares them.
     """
     a, b = spec.time_window()
     t0 = _focus_time(spec)
-    width = max(float(np.ptp(modes.xi)), modes.dxi)
-    grad = sym_mod.gradient(spec.sym, [modes.xi])[0]
-    v_min = max(float(np.min(np.abs(grad))), 1e-6)
+    width = SECTOR_OUTER - SECTOR_INNER
+    v_min = _slowest_speed(spec)
     # a packet of bandwidth `width` focused at t0 re-disperses linearly in
     # |t - t0|; solving transit-overlap with that growth gives the 3.5x factor
     margin = 3.5 * (2.0 * spec.R + 1.0 / width) / v_min
     lo, hi = max(a, t0 - margin), min(b, t0 + margin)
     if spec.r % 2 == 0:  # nan at r = inf
-        dt = BAND_STEP * TWO_PI / (spec.r / 2.0 * float(np.ptp(modes.phi_vals)))
+        omega = float(np.ptp(sym_mod.value(spec.sym, [[SECTOR_INNER, SECTOR_OUTER]])))
+        dt = BAND_STEP * TWO_PI / (spec.r / 2.0 * omega)
     else:
         dt = (1.0 / width) / v_min / 8.0
     steps = max(int(math.ceil((hi - lo) / dt)), 8)
@@ -513,7 +501,7 @@ def _eval_mixed(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
     the coarse-to-fine search (_sup_in_time), and the value is the sup over
     the samples that search evaluates.
     """
-    amp_c = modes.amp * c * modes.dxi
+    amp_c = modes.amp * c * modes.dp
     live = np.abs(amp_c) > 1e-14 * np.max(np.abs(amp_c))
     # the live modes, as a view when they are contiguous
     k = np.flatnonzero(live)
@@ -561,7 +549,7 @@ def _sup_in_time(spec: SmoothingOperatorSpec, gx: Grid, times: np.ndarray,
 
 
 def _l2_of_spectrum(modes: ModeGrid, c: np.ndarray) -> float:
-    return math.sqrt(modes.dxi / TWO_PI * float(np.sum(np.abs(c) ** 2)))
+    return math.sqrt(modes.dp / TWO_PI * float(np.sum(np.abs(c) ** 2)))
 
 
 def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid, val: float,
@@ -582,7 +570,7 @@ def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid, val: float,
     the forward tables. F is 1-homogeneous, so g does not change when c is
     scaled by a positive factor.
     """
-    amp = modes.amp * modes.dxi
+    amp = modes.amp * modes.dp
     _, space, base, lead, offset = tables
     if spec.r == INF:
         Mb = np.abs(u.peak)
@@ -620,22 +608,21 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec,
     POWER_RISE_TOL relative (or falls, which only the r = inf sup search,
     not exactly a norm, allows); the best iterate is kept. One table set
     (_tables) per call is built on the doubled transit window
-    (_transit_times); the bank and every iteration read it on the transit
-    window's rows (_window_tables). The best point is evaluated
-    again on the doubled window, unless the rows are all of it, and the
-    higher of the two values is reported. The diagnostics do not depend on
-    which one wins by rounding: refinement_delta (the value with every
-    second time sample dropped) and tail_fraction (the share of
-    sum_x |u|^2 in the last tenth of the samples) are read from the
-    transit window's evaluation, and window_delta is the relative
-    difference of the two (0 when the transit window already spans the
-    operator's window; at finite r, at one step, the doubled window can
-    only raise the value). At r = inf the first is read from the
-    even-sample peaks of the search and the second from its coarse
-    samples.
+    (_transit_times) over a mode grid spanning it; the bank and every
+    iteration read it on the transit window's rows (_window_tables). The
+    best point is evaluated again on the doubled window, unless the rows are
+    all of it, and the higher of the two values is reported. The diagnostics
+    do not depend on which one wins by rounding: refinement_delta (the value
+    with every second time sample dropped) and tail_fraction (the share of
+    sum_x |u|^2 in the last tenth of the samples) are read from the transit
+    window's evaluation, and window_delta is the relative difference of the
+    two (0 when the transit window already spans the operator's window; at
+    finite r, at one step, the doubled window can only raise the value). At
+    r = inf the first is read from the even-sample peaks of the search and
+    the second from its coarse samples.
     """
-    modes = mode_grid(spec)
-    wide, rows = _transit_times(spec, modes)
+    wide, rows = _transit_times(spec)
+    modes = mode_grid(spec, wide[-1] - wide[0])
     wide_tables = _tables(spec, modes, wide)
     times, tables = wide[rows], _window_tables(spec, wide_tables, rows)
     evals, best_val = 0, 0.0

@@ -5,8 +5,8 @@ degree m > 1 with nonvanishing gradient away from the origin. Two families
 are shipped: radial power laws |xi|^m (any real m > 1) and homogeneous
 polynomials with user-supplied coefficients (integer degree). Both are
 defined at the origin by continuity, Phi(0) = 0. Values and gradients are
-closed-form; the operator norms' speed bounds on the sector are `gradient`
-at its outer radius (`opnorm.mode_grid`) and inner radius (`opnorm.l2_grid`).
+closed-form; the operator norms' speed bound on the sector is `gradient` at
+its inner radius (`opnorm.mode_grid`, `opnorm._transit_times`).
 """
 
 from __future__ import annotations

@@ -78,13 +78,13 @@ def test_criterion_07_sharpness_direction():
 
 def test_criterion_08_maximal_exponent():
     rep, dt = cached_run("maximal-exponent")
-    criterion_from_report(8, "maximal-function exponent", rep, dt, 600,
+    criterion_from_report(8, "maximal-function exponent", rep, dt, 60,
                           "maximal-slope")
 
 
 def test_criterion_09_window_transfer():
     rep, dt = cached_run("window-transfer")
-    criterion_from_report(9, "bounded-to-global window transfer", rep, dt, 120,
+    criterion_from_report(9, "bounded-to-global window transfer", rep, dt, 30,
                           "window-transfer-slope")
 
 

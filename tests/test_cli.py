@@ -168,6 +168,34 @@ def test_norm_regions_that_miss_the_file_exit_naming_the_flag(tmp_path, capsys, 
     assert out == "" and err == f"kato norm: error: argument {flag}: {message}\n"
 
 
+@pytest.mark.parametrize("make, grid, message", [
+    ("gaussian:center=0;1", "1,256,32", "key 'center': a centre of dimension 2 on a grid of "
+                                        "dimension 1"),
+    ("gaussian:center=0", "2,64,32", "key 'center': a centre of dimension 1 on a grid of "
+                                     "dimension 2"),
+    ("random:region=ball;1.2;0.3", "2,64,32", "ball centre of dimension 1 on a grid of "
+                                              "dimension 2"),
+], ids=["gaussian-2-on-1", "gaussian-1-on-2", "ball-1-on-2"])
+def test_field_recipes_the_grid_refuses_exit_naming_the_flag(tmp_path, capsys, make, grid,
+                                                              message):
+    out = tmp_path / "f.kslf"
+    assert cli.main(["field", "--make", make, "--grid", grid, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"kato field: error: argument --make: {message}\n")
+    assert not out.exists()
+
+
+def test_propagate_refuses_a_symbol_of_another_dimension(tmp_path, capsys):
+    f, u = tmp_path / "f.kslf", tmp_path / "u.kslt"
+    assert cli.main(["field", "--make", "gaussian:width=1", "--grid", "1,256,32",
+                     "--out", str(f)]) == 0
+    capsys.readouterr()
+    assert cli.main(["propagate", "--symbol", "power:m=2,n=2", "--t0", "0", "--t1", "1",
+                     "--steps", "4", "--in", str(f), "--out", str(u)]) == 2
+    assert capsys.readouterr() == ("", "kato propagate: error: argument --symbol: symbol "
+                                       "dimension 2 on a file of dimension 1\n")
+    assert not u.exists()
+
+
 def test_run_cli(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("kind = scaling\nsymbol = power:m=2,n=1\nalpha = 0.5\n"

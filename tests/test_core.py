@@ -93,6 +93,14 @@ def test_gaussian_recipe():
     assert abs(g.x_axis()[np.argmax(f.values.real)]) <= g.dx
 
 
+@pytest.mark.parametrize("n, center", [(1, (0.0, 1.0)), (2, (0.0,))])
+def test_gaussian_centre_of_another_dimension_is_refused(n, center):
+    # zip would drop a coordinate, or broadcast one axis against the grid
+    with pytest.raises(ValueError, match=f"key 'center': a centre of dimension {len(center)} "
+                                         f"on a grid of dimension {n}"):
+        make_field(Grid(n, 64, 32.0), GaussianRecipe(center=center))
+
+
 def test_random_bandlimited_deterministic():
     g = Grid(1, 256, 64.0)
     a = make_field(g, RandomBandlimited(Sector(), seed=7))

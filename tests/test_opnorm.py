@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from katolab import opnorm as O
 from katolab import symbols as S
-from katolab.core import Grid, SpacetimeField, check_uniform_times
+from katolab.core import SECTOR_INNER, SECTOR_OUTER, Grid, SpacetimeField, check_uniform_times
 from katolab.norms import MixedNormSpec, mixed_norm
 
 SYM = S.schrodinger(1)
@@ -25,6 +25,20 @@ def xt(value):
 def spec_at(R, alpha=0.5, q=2.0, r=2.0, window="local"):
     return O.SmoothingOperatorSpec(sym=SYM, alpha=alpha, R=R, q=q, r=r,
                                    window=window)
+
+
+def l2_modes(spec):
+    """The L2 norms' nodes: the grid over the whole window, which the time
+    integral T of their kernel covers."""
+    a, b = spec.time_window()
+    return O.mode_grid(spec, b - a)
+
+
+def call_modes(spec):
+    """The nodes lower_bound_mixed runs on: the grid over its doubled
+    transit window, first to last sample."""
+    wide = O._transit_times(spec)[0]
+    return O.mode_grid(spec, wide[-1] - wide[0])
 
 
 def test_lanczos_identity_and_diagonal(monkeypatch):
@@ -50,7 +64,7 @@ def test_fast_kernel_matches_dense():
                          ("poly:n=1,terms=-1*3", (4.0, 8.0))):
         for R in scales:
             spec = O.SmoothingOperatorSpec(sym=S.from_config(text), alpha=0.5, R=R)
-            modes = O.l2_grid(spec)
+            modes = l2_modes(spec)
             H = O.dense_operator_matrix(spec, modes)
             fast = O._FastKernel(spec, modes)
             rng = np.random.default_rng(0)
@@ -61,7 +75,7 @@ def test_fast_kernel_matches_dense():
 
 
 def _sliced(spec, M):
-    full = O.l2_grid(spec)
+    full = l2_modes(spec)
     k0 = (len(full.xi) - M) // 2
     cut = slice(k0, k0 + M)
     return dataclasses.replace(full, xi=full.xi[cut], amp=full.amp[cut],
@@ -104,14 +118,18 @@ def test_fft_size_is_smallest_3_smooth_power_of_two_product():
 @pytest.mark.parametrize("scale", [1.0, 0.3])
 @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
 def test_mode_grid_spacing_uses_the_exact_speed_bound(m, scale, window):
-    # |Phi'| = scale m |xi|^(m-1) peaks on the sector at |xi| = 2; the span
-    # takes it with a 5% margin
+    # |Phi'| = scale m |xi|^(m-1) is slowest on the sector at |xi| = 1/2; the
+    # period 2 pi / dp covers the caller's span and that speed's transit of
+    # the ball: the whole window for the L2 kernel, the doubled transit
+    # window for the mixed-norm lower bounds
     spec = O.SmoothingOperatorSpec(sym=S.SymbolSpec("power", m, 1, scale=scale),
                                    alpha=0.5, R=4.0, window=window)
+    v_min = scale * m * 0.5 ** (m - 1)
     a, b = spec.time_window()
-    v_max = 1.05 * scale * m * 2 ** (m - 1)
-    span = O.SPAN_FACTOR * (v_max * max(abs(a), abs(b)) + 4 * spec.R)
-    assert O.mode_grid(spec).dxi == pytest.approx(2 * math.pi / span, rel=1e-14)
+    wide = O._transit_times(spec)[0]
+    for span, modes in ((b - a, l2_modes(spec)), (wide[-1] - wide[0], call_modes(spec))):
+        dp = 2 * math.pi / (O.SPAN_FACTOR * (span + (4 * spec.R + O.L2_PAD) / v_min))
+        assert modes.dp == pytest.approx(dp, rel=1e-14), span
 
 
 def test_fast_lanczos_golden_value(monkeypatch):
@@ -123,18 +141,18 @@ def test_fast_lanczos_golden_value(monkeypatch):
     assert res.method == "lanczos-fast"
     assert res.residual <= O.LANCZOS_TOL
     assert res.value == pytest.approx(47.73522335426093, rel=1e-10)
-    modes = O.l2_grid(spec)
+    modes = l2_modes(spec)
     monkeypatch.setattr(O, "LANCZOS_TOL", 1e-9)
     monkeypatch.setattr(O, "LANCZOS_STEPS", 400)
     theta, _, residual = O._lanczos(O._FastKernel(spec, modes).apply, len(modes.xi), seed=4)
     assert residual <= 1e-9
-    tight = math.sqrt(O.TWO_PI * modes.dxi * theta)
+    tight = math.sqrt(O.TWO_PI * modes.dp * theta)
     assert tight * (1 - 1e-4) <= res.value <= tight * (1 + 1e-12)
 
 
 def test_fast_and_dense_lanczos_agree():
     spec = spec_at(16.0)
-    modes = O.l2_grid(spec)
+    modes = l2_modes(spec)
     H = O.dense_operator_matrix(spec, modes)
     fast = O._lanczos(O._FastKernel(spec, modes).apply, len(modes.xi), seed=0)
     dense = O._lanczos(lambda v: H @ v, len(modes.xi), seed=0)
@@ -144,7 +162,7 @@ def test_fast_and_dense_lanczos_agree():
     res = O.operator_norm_l2(spec)
     assert res.method == "lanczos-fast"
     assert res.iterations == fast[1]
-    assert res.value == pytest.approx(math.sqrt(O.TWO_PI * modes.dxi * dense[0]), rel=1e-12)
+    assert res.value == pytest.approx(math.sqrt(O.TWO_PI * modes.dp * dense[0]), rel=1e-12)
 
 
 @pytest.mark.parametrize("R", [8.0, 16.0])
@@ -152,11 +170,11 @@ def test_lanczos_is_a_tight_lower_bound_of_dense_eig(R):
     # the Ritz value is a Rayleigh quotient, so it never exceeds the top
     # eigenvalue; at residual 1e-3 it is within 1e-5 of it
     spec = spec_at(R)
-    modes = O.l2_grid(spec)
+    modes = l2_modes(spec)
     top = np.linalg.eigvalsh(O.dense_operator_matrix(spec, modes))[-1]
     res = O.operator_norm_l2(spec)
     assert res.residual <= O.LANCZOS_TOL
-    theta = res.value**2 / (O.TWO_PI * modes.dxi)
+    theta = res.value**2 / (O.TWO_PI * modes.dp)
     assert top * (1 - 1e-5) <= theta <= top * (1 + 1e-12)
     assert res.value == pytest.approx(O.operator_norm_dense_eig(spec), rel=1e-5)
 
@@ -169,7 +187,7 @@ def test_l2_node_rule_is_converged(monkeypatch, R):
     a, b = spec.time_window()
     v_min = 1.0  # Phi'(1/2) for Phi = xi^2
     dp = 2 * math.pi / (O.SPAN_FACTOR * (b - a + (4 * R + O.L2_PAD) / v_min))
-    assert O.l2_grid(spec).dxi == pytest.approx(dp, rel=1e-14)
+    assert l2_modes(spec).dp == pytest.approx(dp, rel=1e-14)
     value = O.operator_norm_dense_eig(spec)
     monkeypatch.setattr(O, "SPAN_FACTOR", 8 * O.SPAN_FACTOR)
     assert value == pytest.approx(O.operator_norm_dense_eig(spec), rel=3e-5)
@@ -224,18 +242,18 @@ def _half_rate_delta(u, spec):
     return abs(full - half) / full
 
 
-def _call_times(spec, modes):
+def _call_times(spec):
     """The samples lower_bound_mixed runs its bank and iteration on: the
     transit window, its rows of _transit_times."""
-    times, rows = O._transit_times(spec, modes)
+    times, rows = O._transit_times(spec)
     return times[rows]
 
 
 def test_quotient_scale_invariance():
     spec = spec_at(8.0, q=2.0, r=4.0)
-    modes = O.mode_grid(spec)
+    modes = call_modes(spec)
     c = np.exp(-0.5 * ((modes.xi - 1.1) / 0.1) ** 2).astype(complex)
-    times = _call_times(spec, modes)
+    times = _call_times(spec)
     q1 = _evaluate(spec, modes, c, times)[0] / O._l2_of_spectrum(modes, c)
     q3 = _evaluate(spec, modes, 3.0 * c, times)[0] / O._l2_of_spectrum(modes, 3.0 * c)
     assert q1 == pytest.approx(q3, rel=1e-12)
@@ -244,9 +262,9 @@ def test_quotient_scale_invariance():
 def test_candidate_ranking_scale_invariant():
     # scaling the input never changes which candidate wins the bank
     spec = spec_at(8.0, q=2.0, r=INF, alpha=-0.25)
-    modes = O.mode_grid(spec)
+    modes = call_modes(spec)
     vals = {}
-    times = _call_times(spec, modes)
+    times = _call_times(spec)
     for name, c in O._candidate_bank(spec, modes):
         for scale in (1.0, 7.5):
             v = (_evaluate(spec, modes, scale * c, times)[0]
@@ -264,7 +282,7 @@ def _eval_reference(spec, modes, c, times):
     nx = max(int(math.ceil(2 * spec.R / 0.7)), 32)
     nx += nx % 2
     gx = Grid(1, nx, 2 * spec.R)
-    amp = modes.amp * c * modes.dxi
+    amp = modes.amp * c * modes.dp
     ph_x = np.exp(1j * np.outer(gx.x_axis(), modes.xi)).T
     slab = np.concatenate([(np.exp(1j * np.outer(times[s0:s0 + 256], modes.phi_vals)) * amp)
                            @ ph_x for s0 in range(0, len(times), 256)])
@@ -294,7 +312,7 @@ def _gradient_reference(spec, modes, c, times):
         W[:, G <= 0] = 0.0
     ph_x = np.exp(-1j * np.outer(u.grid.x_axis(), modes.xi))
     ph_t = np.exp(-1j * np.outer(modes.phi_vals, times))
-    return modes.amp * modes.dxi * np.sum(ph_t * (ph_x.T @ W.T), axis=1)
+    return modes.amp * modes.dp * np.sum(ph_t * (ph_x.T @ W.T), axis=1)
 
 
 def _chirp_case(r, window, q=2.0):
@@ -302,9 +320,9 @@ def _chirp_case(r, window, q=2.0):
     # R = 8 227 transit samples, under two phase blocks
     R = 16.0 if window == "local" and r != INF else 8.0
     spec = spec_at(R, alpha=-0.25, q=q, r=r, window=window)
-    modes = O.mode_grid(spec)
+    modes = call_modes(spec)
     c = dict(O._candidate_bank(spec, modes))["chirp-root@0.9"]
-    return spec, modes, c, _call_times(spec, modes)
+    return spec, modes, c, _call_times(spec)
 
 
 # Spectra the bank does not hold, with the bank's focusing chirp: the other
@@ -386,18 +404,20 @@ def test_sup_search_matches_full_slab_on_every_bank_candidate(R, window):
     # chirps and plates peak smoothly in time, so the search finds every peak;
     # noise may peak between coarse samples outside both refined windows
     spec = spec_at(R, alpha=-0.25, r=INF, window=window)
-    modes = O.mode_grid(spec)
+    modes = call_modes(spec)
     spectra = O._candidate_bank(spec, modes) + _other_profiles(spec, modes)
     for name, c in spectra + [("noise", _noise(spec, modes))]:
-        _check_sup_search(spec, modes, c, _call_times(spec, modes),
+        _check_sup_search(spec, modes, c, _call_times(spec),
                           exact=name.startswith(("chirp", "plate")))
 
 
 def test_sup_search_edge_cases():
     spec, modes, c, times = _chirp_case(INF, "local")
     noise = _noise(spec, modes)
+    # more than BLOCK coarse samples; S a multiple of neither SUP_STRIDE nor
+    # BLOCK (the transit window holds 9 BLOCK samples, so three are dropped)
+    times = times[:-3]
     S = len(times)
-    # more than BLOCK coarse samples; S a multiple of neither SUP_STRIDE nor BLOCK
     assert S > O.SUP_STRIDE * O.BLOCK and S % O.SUP_STRIDE and S % O.BLOCK
     for ts in (times[:1], times[:O.SUP_STRIDE - 3], times[:O.SUP_STRIDE + 3], times):
         _check_sup_search(spec, modes, c, ts, exact=True)
@@ -502,9 +522,9 @@ def _check_only_an_affordable_winner_is_refined(monkeypatch, r):
     # over the ascent budget the winner is reported as the bank found it,
     # with no iteration; at the call's cost it is refined and keeps its name
     spec = spec_at(8.0, alpha=-0.25, r=r)
-    modes = O.mode_grid(spec)
+    modes = call_modes(spec)
     bank = _hand_made_bank(spec, modes)
-    times = _call_times(spec, modes)
+    times = _call_times(spec)
     vals = [_evaluate(spec, modes, c, times)[0] / O._l2_of_spectrum(modes, c)
             for _, c in bank]
     assert vals[0] > vals[1]
@@ -519,7 +539,7 @@ def _check_only_an_affordable_winner_is_refined(monkeypatch, r):
     assert res.ascent_gain == 0.0
     # the bank loop is the only counted work: no iteration ran
     assert res.evaluations == len(bank)
-    wide = O._transit_times(spec, modes)[0]
+    wide = O._transit_times(spec)[0]
     v_wide = _evaluate(spec, modes, bank[0][1], wide)[0] / O._l2_of_spectrum(modes, bank[0][1])
     assert res.value == max(vals[0], v_wide)
 
@@ -548,8 +568,8 @@ def _check_bank_winner_is_evaluated_once(monkeypatch, r):
     # slab; at r = inf the sup search's record (even-sample peaks, coarse
     # energies).
     spec = spec_at(8.0, alpha=-0.25, r=r)
-    modes = O.mode_grid(spec)
-    times, rows = O._transit_times(spec, modes)
+    modes = call_modes(spec)
+    times, rows = O._transit_times(spec)
     assert rows == slice(0, len(times))
     assert (times[0], times[-1]) == pytest.approx(spec.time_window(), abs=times[1] - times[0])
     bank = _hand_made_bank(spec, modes)
@@ -586,15 +606,15 @@ def _check_bank_winner_is_evaluated_once(monkeypatch, r):
         assert res.tail_fraction == float(np.sum(per_t[-k:]) / np.sum(per_t))
 
 
-def _transit_window(spec, modes):
+def _transit_window(spec):
     """The transit window's samples on the envelope step by their definition:
     the cell centres of t0 +- 3.5 (2R + 1/width)/v_min clipped to the
     operator's window, at least 8 cells of at most an eighth of
-    1/width/v_min."""
+    1/width/v_min, width the sector's and v_min its slowest speed."""
     a, b = spec.time_window()
     t0 = (a + b) / 2.0
-    width = np.ptp(modes.xi)
-    v_min = np.min(np.abs(2.0 * modes.xi))  # the quadratic symbol's speed
+    width = SECTOR_OUTER - SECTOR_INNER
+    v_min = 2.0 * SECTOR_INNER  # the quadratic symbol's speed
     margin = 3.5 * (2.0 * spec.R + 1.0 / width) / v_min
     lo, hi = max(a, t0 - margin), min(b, t0 + margin)
     steps = max(math.ceil((hi - lo) / (1.0 / width / v_min / 8.0)), 8)
@@ -607,9 +627,8 @@ def test_windows_share_the_time_step_without_a_sample_cap():
     # samples are its rows, so window_delta compares windows, not sampling
     # steps; it adds whole groups of SUP_STRIDE samples on each side
     spec = spec_at(64.0, alpha=-0.25, r=INF)
-    modes = O.mode_grid(spec)
-    times, rows = O._transit_times(spec, modes)
-    assert np.array_equal(times[rows], _transit_window(spec, modes))
+    times, rows = O._transit_times(spec)
+    assert np.array_equal(times[rows], _transit_window(spec))
     assert len(times) > 20000
     assert rows.start % O.SUP_STRIDE == 0 and (len(times) - rows.stop) % O.SUP_STRIDE == 0
     a, b = spec.time_window()
@@ -627,10 +646,11 @@ def test_band_limited_step_matches_the_envelope_step(R, window, tol):
     # 2 pi / (2 Omega) integrates it as the envelope step, about 5x finer,
     # does, apart from the window ends: global R = 2 still holds mass there
     spec = spec_at(R, alpha=0.5, r=4.0, window=window)
-    modes = O.mode_grid(spec)
-    band, envelope = _call_times(spec, modes), _transit_window(spec, modes)
+    modes = call_modes(spec)
+    band, envelope = _call_times(spec), _transit_window(spec)
     dt, dt_env = band[1] - band[0], envelope[1] - envelope[0]
-    assert dt <= O.BAND_STEP * 2 * math.pi / (2 * np.ptp(modes.phi_vals)) and dt > 4 * dt_env
+    omega = SECTOR_OUTER**2 - SECTOR_INNER**2  # the symbol's range on the sector
+    assert dt <= O.BAND_STEP * 2 * math.pi / (2 * omega) and dt > 4 * dt_env
     assert band[0] - dt / 2 == pytest.approx(envelope[0] - dt_env / 2, abs=1e-9)
     assert band[-1] + dt / 2 == pytest.approx(envelope[-1] + dt_env / 2, abs=1e-9)
     for name, c in O._candidate_bank(spec, modes):
@@ -643,8 +663,7 @@ def test_band_limited_step_matches_the_envelope_step(R, window, tol):
 def test_integrands_without_a_band_keep_the_envelope_step(q, r):
     # sup_t |u| and |u|^3 are not trigonometric sums in t
     spec = spec_at(8.0, alpha=-0.25, q=q, r=r, window="global")
-    modes = O.mode_grid(spec)
-    assert np.array_equal(_call_times(spec, modes), _transit_window(spec, modes))
+    assert np.array_equal(_call_times(spec), _transit_window(spec))
 
 
 @pytest.mark.parametrize("r", [4.0, INF])
@@ -653,8 +672,8 @@ def test_window_tables_match_fresh_tables(r):
     # shifted by a whole block (j = 0) and by part of one (the transit
     # window of the global R = 8 operator, j != 0)
     spec = spec_at(8.0, alpha=-0.25, r=r, window="global")
-    modes = O.mode_grid(spec)
-    times, transit = O._transit_times(spec, modes)
+    modes = call_modes(spec)
+    times, transit = O._transit_times(spec)
     stride = O.SUP_STRIDE if r == INF else 1
     tables = O._tables(spec, modes, times)
     shifted = slice(stride * O.BLOCK, len(times) - 5)
@@ -680,8 +699,8 @@ def test_doubled_window_value_is_at_least_the_transit_windows():
     # at finite r the doubled window holds the transit window's samples and
     # more at the same step, so its L^r integral over time is no smaller
     spec = spec_at(8.0, alpha=0.5, r=4.0, window="global")
-    modes = O.mode_grid(spec)
-    times, rows = O._transit_times(spec, modes)
+    modes = call_modes(spec)
+    times, rows = O._transit_times(spec)
     tables = O._tables(spec, modes, times)
     for name, c in O._candidate_bank(spec, modes) + [("noise", _noise(spec, modes))]:
         v_wide = O._eval_mixed(spec, modes, c, times, tables)[0]
@@ -701,14 +720,14 @@ def test_doubled_window_value_is_at_least_the_transit_windows():
 
 def _transit_tables(spec, modes):
     """(transit window, its table set), from a fresh set on the doubled window."""
-    wide, rows = O._transit_times(spec, modes)
+    wide, rows = O._transit_times(spec)
     return wide[rows], O._window_tables(spec, O._tables(spec, modes, wide), rows)
 
 
 def _lower_bound_reference(spec):
     """(result, quotients of the bank winner and of every iterate after it)."""
-    modes = O.mode_grid(spec)
-    times = _call_times(spec, modes)
+    modes = call_modes(spec)
+    times = _call_times(spec)
 
     def evaluate(c):
         return O._eval_mixed(spec, modes, c, *_transit_tables(spec, modes))
@@ -734,7 +753,7 @@ def _lower_bound_reference(spec):
             break
     top_c, v_top, u = top
     top_val = max(quotients)
-    v_wide = _evaluate(spec, modes, top_c, O._transit_times(spec, modes)[0])[0]
+    v_wide = _evaluate(spec, modes, top_c, O._transit_times(spec)[0])[0]
     if spec.r == INF:
         half = O._reduce(u.even_peak, spec.q, u.grid.dx)
         ref_delta = abs(v_top - half) / max(v_top, 1e-300)
@@ -763,7 +782,7 @@ def test_ascent_matches_the_per_call_reference(monkeypatch, r, window, R):
     # evaluated when it differs from the transit window (global window) and
     # not when it does not (local, where both clip to the operator window)
     spec = spec_at(R, alpha=-0.25, r=r, window=window)
-    modes = O.mode_grid(spec)
+    modes = call_modes(spec)
     bank = len(O._candidate_bank(spec, modes))
     ref, quotients = _lower_bound_reference(spec)
     calls = {"_eval_mixed": [], "_quotient_gradient": [], "_tables": [], "_window_tables": []}
@@ -778,7 +797,7 @@ def test_ascent_matches_the_per_call_reference(monkeypatch, r, window, R):
     assert set(grads) == {5}
     # the bank and the iteration evaluate on the call's tables, and so does
     # the doubled window, when it is new
-    times, rows = O._transit_times(spec, modes)
+    times, rows = O._transit_times(spec)
     wide = rows != slice(0, len(times))
     assert wide == (window == "global")
     assert len(calls["_eval_mixed"]) == res.evaluations + wide
@@ -795,7 +814,7 @@ def test_power_iteration_is_monotone(monkeypatch, r, window):
     # iterate: its gain over the bank winner and its spectrum, the one
     # evaluated again on the doubled window
     spec = spec_at(4.0, alpha=-0.25, r=r, window=window)
-    modes = O.mode_grid(spec)
+    modes = call_modes(spec)
     bank = len(O._candidate_bank(spec, modes))
     eval_mixed = O._eval_mixed
     calls = []
@@ -825,35 +844,27 @@ def test_power_iteration_is_monotone(monkeypatch, r, window):
 
 
 # lower_bound_mixed at the battery's maximal (criterion 08) and global
-# transfer (criterion 09) configs, recorded from the ten-candidate bank
-# (narrow chirps, 1/R plates and seeded noise included), none of whose five
-# dropped candidates won there: (R, value as float.hex, bank winner).
-# Maximal R = 16 was recorded again once every restart ran on the bank
-# winner's times (it rose by 9.4e-8 from 0x1.a199162da61c7p+3), and with
-# transfer R = 2 once the doubled window shared the transit window's time
-# step: maximal R = 16 fell by 6.05e-6 from 0x1.a19918c203a1cp+3, its
-# coarser-stepped doubled window having won by exactly that, and transfer
-# R = 2 by 4.1e-11 from 0x1.ee6a9e8b3345fp+2, the doubled window's value
-# at the transit window's step. Every refined value was recorded again once
-# the power iteration replaced the restarted step-halving ascent; each rose:
-# maximal R = 8 by 7.8e-8 from 0x1.3b4ebb8b38b24p+3 and R = 16 by 1.2e-6
-# from 0x1.a1987318d1909p+3, transfer R = 2, 4, 8 by 1.3e-7, 1.3e-7 and
-# 1.1e-8 from 0x1.ee6a9e8adb9efp+2, 0x1.5c75cd0c75ebcp+3 and
-# 0x1.e6c2196987a57p+3. Maximal R = 32 is over ASCENT_BUDGET, so the bank
-# winner's value, and did not move. Transfer was recorded again once even r
-# took the band-limited time step (BAND_STEP of the rectangle rule's exactness
-# limit, about 5x the envelope step): R = 2 fell by 2.7e-9 from
-# 0x1.ee6aa2af60cb6p+2, the ends of its transit window still holding mass
-# (tail_fraction 8.7e-4), R = 4 and 8 by 8.6e-13 and 1.8e-14 from
-# 0x1.5c75cff34e523p+3 and 0x1.e6c219c416bf7p+3. At a fixed BLAS thread count
-# the values are bit-identical; the tolerance absorbs the last-bit changes of
-# another thread count or BLAS build.
-GOLDEN_MAXIMAL = [(8.0, "0x1.3b4ebd2639103p+3", "chirp-broad"),
-                  (16.0, "0x1.a198946b86594p+3", "chirp-broad"),
-                  (32.0, "0x1.e9bff2ab9038bp+3", "chirp-broad")]
-GOLDEN_TRANSFER = [(2.0, "0x1.ee6aa298eb8c1p+2", "chirp-wide@1.3"),
-                   (4.0, "0x1.5c75cff34d087p+3", "chirp-wide@1.3"),
-                   (8.0, "0x1.e6c219c416b5ep+3", "chirp-wide@1.3")]
+# transfer (criterion 09) configs: (R, value as float.hex, bank winner).
+# Maximal R = 32 is over ASCENT_BUDGET, so the bank winner's value; the
+# others are refined by the power iteration. Recorded again once the bound
+# ran on the L2 norms' grid, uniform in p = Phi(xi) and sized to the doubled
+# transit window, in place of a xi-uniform grid sized to the whole window,
+# with every bank spectrum divided by sqrt|Phi'| to keep its data. The
+# bound sees the grid only through its quadrature, so the values moved by
+# the sampling error of either grid: maximal R = 8, 16, 32 by -2.5e-5,
+# -5.5e-7 and -1.2e-5 from 0x1.3b4ebd2639103p+3, 0x1.a198946b86594p+3 and
+# 0x1.e9bff2ab9038bp+3, transfer R = 2, 4, 8 by -5.8e-7, +6.1e-9 and +4.9e-11
+# from 0x1.ee6aa298eb8c1p+2, 0x1.5c75cff34d087p+3 and 0x1.e6c219c416b5ep+3.
+# Transfer R = 2's winner changed from chirp-wide@1.3: their unrefined
+# quotients lie within 7e-4 of each other, in either order, on both grids.
+# At a fixed BLAS thread count the values are bit-identical; the tolerance
+# absorbs the last-bit changes of another thread count or BLAS build.
+GOLDEN_MAXIMAL = [(8.0, "0x1.3b4cb81c8e462p+3", "chirp-broad"),
+                  (16.0, "0x1.a198855aab1a2p+3", "chirp-broad"),
+                  (32.0, "0x1.e9be6b30c1301p+3", "chirp-broad")]
+GOLDEN_TRANSFER = [(2.0, "0x1.ee6a8faaff3cap+2", "chirp-root@1.3"),
+                   (4.0, "0x1.5c75d016eebf0p+3", "chirp-wide@1.3"),
+                   (8.0, "0x1.e6c219c47d45bp+3", "chirp-wide@1.3")]
 
 
 GOLDEN = ([("maximal",) + g for g in GOLDEN_MAXIMAL]
@@ -873,13 +884,28 @@ def test_lower_bound_golden_values(kind, R, value, candidate):
     assert res.value == pytest.approx(float.fromhex(value), rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("R, window, r, alpha", [(8.0, "local", INF, -0.25),
+                                                  (4.0, "global", 4.0, 0.5),
+                                                  (8.0, "global", 4.0, 0.5)])
+def test_mixed_node_rule_is_converged(monkeypatch, R, window, r, alpha):
+    # the refined bound on the grid sized to the doubled transit window lies
+    # within 1e-7 of the same bound at twice the span, so twice the nodes
+    # (3.0e-8, 6.1e-9 and 4.9e-11 here); a period sized at SPAN_FACTOR = 1
+    # moves local R = 8 and global R = 4 by 6.7e-6 and 5.0e-6 against 2
+    spec = spec_at(R, alpha=alpha, r=r, window=window)
+    res = O.lower_bound_mixed(spec)
+    assert res.ascent_gain > 0
+    monkeypatch.setattr(O, "SPAN_FACTOR", 2 * O.SPAN_FACTOR)
+    assert O.lower_bound_mixed(spec).value == pytest.approx(res.value, rel=1e-7)
+
+
 def _transit_diagnostics(spec, modes, c):
     """(value, (refinement_delta, window_delta, tail_fraction), whether the
     wide window won) of spectrum c from fresh evaluations on the transit
     window and on the doubled window: the value is the higher of the two,
     the sampling diagnostics are the transit window's."""
     v_top, u = O._eval_mixed(spec, modes, c, *_transit_tables(spec, modes))
-    v_wide = _evaluate(spec, modes, c, O._transit_times(spec, modes)[0])[0]
+    v_wide = _evaluate(spec, modes, c, O._transit_times(spec)[0])[0]
     if spec.r == INF:
         ref_delta = abs(v_top - O._reduce(u.even_peak, spec.q, u.grid.dx)) / v_top
         per_t = u.coarse_energy
@@ -900,7 +926,7 @@ def test_diagnostics_read_the_transit_window(monkeypatch, r, alpha):
     # whichever wins, and no evaluation runs beyond the bank, the iteration
     # and the wide window
     spec = spec_at(2.0, alpha=alpha, r=r, window="global")
-    modes = O.mode_grid(spec)
+    modes = call_modes(spec)
     eval_mixed = O._eval_mixed
     calls = []
     monkeypatch.setattr(O, "_eval_mixed",
@@ -912,7 +938,7 @@ def test_diagnostics_read_the_transit_window(monkeypatch, r, alpha):
     assert res.ascent_gain > 0
     bank = dict(O._candidate_bank(spec, modes))
     assert not any(top_c is c for c in bank.values())
-    assert np.array_equal(times, _call_times(spec, modes))
+    assert np.array_equal(times, _call_times(spec))
     value, diagnostics, wide = _transit_diagnostics(spec, modes, top_c)
     assert wide == (r != INF)
     assert (res.refinement_delta, res.window_delta, res.tail_fraction) == diagnostics
