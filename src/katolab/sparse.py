@@ -1,11 +1,16 @@
 """Sparse-ball machinery: the surface measure and its Fourier transform,
 sparse families, the decoupling check, and the recursive cube decomposition.
 
-All set geometry here (cube sets, separations, level thresholds) runs in
-exact integer/rational arithmetic, and the level radii are integers;
-floating point enters only through the oscillatory quadratures. The
-decoupling check evaluates each ball's compactly supported window only on
-an index box around its support.
+All set geometry here (cube sets, separations, level thresholds) is exact,
+and the level radii are integers; floating point enters only through the
+oscillatory quadratures. The decomposition and its audit read squared
+distances off one exact int64 table per point set, built only after a
+check in Python ints that dim * span^2 fits in int64; thresholds past the
+table's range (H_k^2 reaches 10^120) are clamped to one above its largest
+entry before they meet it. `is_sparse` stays on Python arithmetic, since a
+`SparseFamily` may hold rational centers. The decoupling check evaluates
+each ball's compactly supported window only on an index box around its
+support.
 """
 
 from __future__ import annotations
@@ -82,8 +87,7 @@ class SparseFamily:
 
 
 def _dist2(a, b):
-    # exact for Python ints and Fractions (never numpy integers: the
-    # thresholds overflow int64)
+    # exact for Python ints and Fractions, which family centers may be
     return sum((x - y) ** 2 for x, y in zip(a, b))
 
 
@@ -135,6 +139,34 @@ class SparseLevel:
     families: tuple  # of SparseFamily
 
 
+def _dist2_table(rows, cols=None) -> np.ndarray:
+    """Exact squared distances between integer points, rows x cols (rows x
+    rows without cols), as an int64 table.
+
+    Coordinates are shifted to the set's lower corner in Python ints first;
+    the table is built only when dim * span^2, a bound on every entry, stays
+    below the int64 maximum.
+    """
+    pts = list(rows) + list(cols or ())
+    dim = len(pts[0])
+    lo = [min(p[a] for p in pts) for a in range(dim)]
+    span = max(max(p[a] for p in pts) - lo[a] for a in range(dim))
+    if dim * span * span >= np.iinfo(np.int64).max:
+        raise ValueError(f"coordinate span {span} in dimension {dim} "
+                         "overflows int64 squared distances")
+    x = np.array([[c - m for c, m in zip(p, lo)] for p in pts], dtype=np.int64)
+    a, b = x[:len(rows)], (x if cols is None else x[len(rows):])
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _within(d2: np.ndarray, r2: int) -> np.ndarray:
+    """d2 <= r2 elementwise, exact for an integer r2 of any size: r2 is
+    clamped to one above the table's largest entry, which the span check of
+    `_dist2_table` keeps inside int64."""
+    return d2 <= min(r2, int(d2.max(initial=0)) + 1)
+
+
 def sparse_decompose(E: CubeSet, K: int) -> list:
     """Split a cube set into K levels of sparse ball families.
 
@@ -147,45 +179,44 @@ def sparse_decompose(E: CubeSet, K: int) -> list:
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    pts = list(E.points)
+    pts = E.points
     size = len(pts)
-    remaining = set(range(size))
+    d2 = _dist2_table(pts)
+    remaining = np.arange(size)
     levels = []
     H_prev = 1
     for k in range(1, K + 1):
         H_k = (size * H_prev) ** 2
         if H_k > H_LIMIT:
             raise ScaleError(f"level {k} radius {H_k} exceeds the supported range")
-        members = []
         if k == K:
-            members = sorted(remaining)
+            members, remaining = remaining, remaining[:0]
         else:
             # count^K <= size^k exactly, with count = |E ∩ B(x, H_k)|
-            hk2 = H_k * H_k
-            for i in sorted(remaining):
-                count = 0
-                for jpt in pts:
-                    if _dist2(pts[i], jpt) <= hk2:
-                        count += 1
-                if count**K <= size**k:
-                    members.append(i)
-        remaining -= set(members)
-        families = _cover_and_pack([pts[i] for i in members], H_prev)
-        levels.append(SparseLevel(H_k=H_k, ball_radius=H_prev,
-                                  members=tuple(pts[i] for i in members),
-                                  families=tuple(families)))
+            counts = np.count_nonzero(_within(d2[remaining], H_k * H_k), axis=1)
+            keep = np.array([c**K <= size**k for c in counts.tolist()], dtype=bool)
+            members, remaining = remaining[keep], remaining[~keep]
+        members = members.tolist()
+        families = _cover_and_pack(d2, members, H_prev)
+        levels.append(SparseLevel(
+            H_k=H_k, ball_radius=H_prev, members=tuple(pts[i] for i in members),
+            families=tuple(SparseFamily(centers=tuple(pts[i] for i in fam), H=H_prev)
+                           for fam in families)))
         H_prev = H_k
     return levels
 
 
-def _cover_and_pack(points: list, radius: int) -> list:
-    if not points:
-        return []
-    r2 = radius * radius
+def _cover_and_pack(d2: np.ndarray, idx: list, radius: int) -> list:
+    """Families of indices into d2: the indices idx, in order, are covered
+    greedily by balls of the radius, and the centers are packed first fit."""
+    near = _within(d2[np.ix_(idx, idx)], radius * radius)
+    # a point is a center when no earlier center lies within the radius
+    covered = np.zeros(len(idx), dtype=bool)
     centers = []
-    for pt in points:
-        if all(_dist2(pt, c) > r2 for c in centers):
-            centers.append(pt)
+    for j in range(len(idx)):
+        if not covered[j]:
+            centers.append(idx[j])
+            covered |= near[j]
     # First fit. _sep_ok is monotone in d2, so a grown family is sparse
     # exactly when its closest pair is: keep each family's minimum pairwise
     # d2 (None for one center) and test only the pairs a new center adds.
@@ -193,16 +224,16 @@ def _cover_and_pack(points: list, radius: int) -> list:
     for c in centers:
         for fam in families:
             members, fam_min = fam
-            d2 = min(_dist2(c, x) for x in members)
-            if fam_min is not None and fam_min < d2:
-                d2 = fam_min
-            if _sep_ok(d2, len(members) + 1, radius):
+            dmin = int(d2[c, members].min())
+            if fam_min is not None and fam_min < dmin:
+                dmin = fam_min
+            if _sep_ok(dmin, len(members) + 1, radius):
                 members.append(c)
-                fam[1] = d2
+                fam[1] = dmin
                 break
         else:
             families.append([[c], None])
-    return [SparseFamily(centers=tuple(f), H=radius) for f, _ in families]
+    return [f for f, _ in families]
 
 
 def audit_decomposition(E: CubeSet, levels: list) -> dict:
@@ -218,14 +249,15 @@ def audit_decomposition(E: CubeSet, levels: list) -> dict:
     max_families = 0
     for lv in levels:
         max_families = max(max_families, len(lv.families))
-        r2 = lv.ball_radius * lv.ball_radius
-        for ptp in lv.members:
-            if not any(_dist2(ptp, c) <= r2
-                       for fam in lv.families for c in fam.centers):
-                cover_ok = False
+        centers = [c for fam in lv.families for c in fam.centers]
+        if lv.members:
+            near = _within(_dist2_table(lv.members, centers),
+                           lv.ball_radius * lv.ball_radius)
+            cover_ok &= bool(near.any(axis=1).all())
         for fam in lv.families:
-            if not is_sparse(fam):
-                sparse_ok = False
+            if fam.N > 1:
+                d2 = _dist2_table(fam.centers)[np.triu_indices(fam.N, 1)]
+                sparse_ok &= _sep_ok(int(d2.min()), fam.N, fam.H)
     return {"partition_ok": partition_ok, "cover_ok": cover_ok,
             "sparse_ok": sparse_ok, "max_families": max_families}
 

@@ -96,7 +96,7 @@ def test_criterion_10_tube_overlap():
 
 def test_criterion_11_sparse_decomposition():
     rep, dt = cached_run("sparse-decomposition")
-    criterion_from_report(11, "sparse ball decomposition audit", rep, dt, 120,
+    criterion_from_report(11, "sparse ball decomposition audit", rep, dt, 10,
                           "sparse-decomposition-audit")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -125,11 +126,159 @@ def test_packing_matches_pairwise_first_fit():
                 x, y = x + direction[0] * step, y + direction[1] * step
                 pts.append((x, y))
         pts = list(dict.fromkeys(pts))
-        got = [f.centers for f in SP._cover_and_pack(pts, radius)]
+        got = [tuple(pts[i] for i in f)
+               for f in SP._cover_and_pack(SP._dist2_table(pts), list(range(len(pts))), radius)]
         assert got == _first_fit_reference(pts, radius)
         multi += any(len(f) > 1 for f in got)
         split += len(got) > 1
     assert multi and split
+
+
+def _decompose_reference(points, K):
+    """The decomposition on Python-int distances: ball counts pair by pair,
+    then the pairwise cover and first fit above."""
+    size = len(points)
+    remaining = list(points)
+    levels = []
+    H_prev = 1
+    for k in range(1, K + 1):
+        H_k = (size * H_prev) ** 2
+        members = [x for x in remaining
+                   if k == K or _ball_count(points, x, H_k) ** K <= size**k]
+        remaining = [x for x in remaining if x not in members]
+        levels.append((H_k, H_prev, tuple(members), _first_fit_reference(members, H_prev)))
+        H_prev = H_k
+    return levels
+
+
+def _ball_count(points, x, H):
+    return sum(SP._dist2(x, y) <= H * H for y in points)
+
+
+def _threshold_set(rng, m, K):
+    """m**K points in clusters far apart at level 1, where a ball count of m
+    meets count**K == size exactly. Each cluster is an anchor and a random
+    few of the points at squared distance H^2, H^2 + 1, (H - 1)^2,
+    (H + 1)^2, 1 and 2 from it, with H = H_1 = size^2 the level-2 cover
+    radius."""
+    size = m**K
+    H = size * size
+    offsets = [(H, 0), (0, -H), (H, 1), (H - 1, 0), (-H - 1, 0), (1, 0), (1, 1)]
+    pts = []
+    base = 0
+    while len(pts) < size:
+        pts.append((base, 0))
+        for i in rng.permutation(len(offsets))[:int(rng.integers(m - 2, m + 2))]:
+            if len(pts) < size:
+                pts.append((base + offsets[i][0], offsets[i][1]))
+        base += 10 * H
+    return [pts[i] for i in rng.permutation(size)]
+
+
+def test_table_route_matches_python_int_reference():
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(12):
+        for m, K in ((4, 2), (5, 2), (2, 3), (3, 3)):
+            cases.append((_threshold_set(rng, m, K), K, m))
+        npts = int(rng.integers(2, 40))
+        box = int(rng.choice([50, 10**4, 10**6]))
+        pts = {tuple(int(c) for c in rng.integers(0, box, 2)) for _ in range(npts)}
+        cases.append((list(pts), int(rng.integers(1, 4)), None))
+    counts = set()
+    radii = set()
+    for pts, K, m in cases:
+        E = SP.CubeSet(dim=2, points=tuple(pts))
+        got = [(lv.H_k, lv.ball_radius, lv.members, [f.centers for f in lv.families])
+               for lv in SP.sparse_decompose(E, K)]
+        assert got == _decompose_reference(E.points, K)
+        assert all(f.H == lv.ball_radius for lv in SP.sparse_decompose(E, K)
+                   for f in lv.families)
+        if m is not None:
+            H = len(pts) ** 2
+            counts |= {_ball_count(pts, x, H) - m for x in pts}
+            members = got[1][2]
+            radii |= {SP._dist2(a, b) for a in members for b in members} & {
+                (H - 1) ** 2, H * H, H * H + 1, (H + 1) ** 2}
+    # level-1 counts one below, at and one above count**K == size, and
+    # level-2 pairs at the cover radius, just inside and just outside it
+    assert {-1, 0, 1} <= counts
+    assert len(radii) == 4
+
+
+def _valid_decomposition(box, K):
+    rng = np.random.default_rng(0)
+    pts = set()
+    while len(pts) < 40:
+        pts.add(tuple(int(c) for c in rng.integers(0, box, 2)))
+    E = SP.CubeSet(dim=2, points=tuple(sorted(pts)))
+    levels = SP.sparse_decompose(E, K)
+    audit = SP.audit_decomposition(E, levels)
+    assert audit["partition_ok"] and audit["cover_ok"] and audit["sparse_ok"]
+    return E, levels
+
+
+def _two_squares(n):
+    """Some (a, b) with a^2 + b^2 = n, or None."""
+    return next(((a, math.isqrt(n - a * a)) for a in range(math.isqrt(n) + 1)
+                 if math.isqrt(n - a * a) ** 2 == n - a * a), None)
+
+
+def test_audit_fails_on_a_pair_one_short_of_the_separation():
+    E, levels = _valid_decomposition(3 * 10**4, K=3)
+    # a family whose squared separation (N H)^4 - 1 is a sum of two squares
+    k, lv, i, fam, short = next(
+        (k, lv, i, f, _two_squares((f.N * f.H) ** 4 - 1))
+        for k, lv in enumerate(levels) for i, f in enumerate(lv.families)
+        if f.N > 1 and _two_squares((f.N * f.H) ** 4 - 1))
+    c0, c1 = fam.centers[:2]
+    sep = (fam.N * fam.H) ** 2
+    # c1 moves to distance (N H)^2 from c0, to squared distance one short,
+    # and to distance one short
+    for shift, ok in (((sep, 0), True), (short, False), ((sep - 1, 0), False)):
+        moved = (c0[0] + shift[0], c0[1] + shift[1])
+        fams = list(lv.families)
+        fams[i] = dataclasses.replace(fam, centers=(c0, moved) + fam.centers[2:])
+        members = tuple(moved if p == c1 else p for p in lv.members)
+        sabotaged = list(levels)
+        sabotaged[k] = dataclasses.replace(lv, members=members, families=tuple(fams))
+        audit = SP.audit_decomposition(E, sabotaged)
+        assert audit["sparse_ok"] is ok and audit["cover_ok"]
+
+
+def test_audit_fails_on_a_member_just_outside_every_ball():
+    E, levels = _valid_decomposition(3000, K=2)
+    k, lv = next((k, lv) for k, lv in enumerate(levels)
+                 if lv.members and lv.ball_radius > 1)
+    r = lv.ball_radius
+    centers = [c for f in lv.families for c in f.centers]
+    c = next(c for c in centers
+             if all(SP._dist2((c[0] + r, c[1] + 1), x) > r * r for x in centers))
+    for dy, ok in ((0, True), (1, False)):
+        sabotaged = list(levels)
+        sabotaged[k] = dataclasses.replace(
+            lv, members=((c[0] + r, c[1] + dy),) + lv.members[1:])
+        audit = SP.audit_decomposition(E, sabotaged)
+        assert audit["cover_ok"] is ok and audit["sparse_ok"]
+
+
+def test_distance_table_refuses_a_span_past_int64():
+    with pytest.raises(ValueError, match="span 1099511627776"):
+        SP.sparse_decompose(SP.CubeSet(dim=2, points=((0, 0), (2**40, 3))), K=2)
+    # the span counts, not the coordinates; 1-D spans up to
+    # isqrt(2^63 - 1) = 3037000499 fit
+    far = SP.CubeSet(dim=2, points=((10**30, 0), (10**30 + 3, 4)))
+    assert SP.sparse_decompose(far, K=2)[0].members == far.points
+    edge = math.isqrt(2**63 - 1)
+    for span, ok in ((edge, True), (edge + 1, False)):
+        E = SP.CubeSet(dim=1, points=((0,), (span,)))
+        if ok:
+            got = [(lv.members, [f.centers for f in lv.families])
+                   for lv in SP.sparse_decompose(E, K=2)]
+            assert got == [(lv[2], lv[3]) for lv in _decompose_reference(E.points, 2)]
+        else:
+            with pytest.raises(ValueError, match=f"span {span}"):
+                SP.sparse_decompose(E, K=2)
 
 
 def test_recursion_radii():
