@@ -189,11 +189,11 @@ def test_table_route_matches_python_int_reference():
     radii = set()
     for pts, K, m in cases:
         E = SP.CubeSet(dim=2, points=tuple(pts))
+        levels = SP.sparse_decompose(E, K)
         got = [(lv.H_k, lv.ball_radius, lv.members, [f.centers for f in lv.families])
-               for lv in SP.sparse_decompose(E, K)]
+               for lv in levels]
         assert got == _decompose_reference(E.points, K)
-        assert all(f.H == lv.ball_radius for lv in SP.sparse_decompose(E, K)
-                   for f in lv.families)
+        assert all(f.H == lv.ball_radius for lv in levels for f in lv.families)
         if m is not None:
             H = len(pts) ** 2
             counts |= {_ball_count(pts, x, H) - m for x in pts}
