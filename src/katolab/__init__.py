@@ -14,7 +14,7 @@ from .sparse import (CubeSet, SparseFamily, SurfacePatch, columns_by_height,
                      decoupling_check, is_sparse, sparse_decompose,
                      surface_fourier, surface_patch)
 from .symbols import SymbolSpec, phase, schrodinger
-from .wavepackets import (Decomposition, PartitionPair, Tube, WavePacket,
+from .wavepackets import (Decomposition, PacketSet, PartitionPair, Tube,
                           almost_orthogonality, build_partitions, decompose,
                           max_overlap, packet_kernel, reconstruct,
                           tube_meets_cube)

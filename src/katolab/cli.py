@@ -218,17 +218,21 @@ def _cmd_wavepacket(args):
     dec = wavepackets.decompose(f, args.R)
     os.makedirs(args.out_dir, exist_ok=True)
     name = "packets.kslp"
-    if dec.packets:
-        write_packets(f.grid, len(dec.packets), wavepackets.packet_values(dec.packets),
+    packets = dec.packets
+    if len(packets):
+        write_packets(f.grid, len(packets),
+                      wavepackets.packet_values(packets, np.arange(len(packets))),
                       os.path.join(args.out_dir, name))
+    ls = dec.pair.lattice[packets.l].tolist()
+    vs = dec.pair.v_axis[packets.v].tolist()
     with open(os.path.join(args.out_dir, "manifest.csv"), "w") as fh:
         fh.write("index,l,v,energy,file\n")
-        for i, p in enumerate(dec.packets):
-            l_s = ";".join(f"{c:g}" for c in p.l)
-            v_s = ";".join(f"{c:g}" for c in p.v)
-            fh.write(f"{i},{l_s},{v_s},{p.energy:.17g},{name}\n")
+        for i, (l, v, e) in enumerate(zip(ls, vs, packets.energy.tolist())):
+            l_s = ";".join(f"{c:g}" for c in l)
+            v_s = ";".join(f"{c:g}" for c in v)
+            fh.write(f"{i},{l_s},{v_s},{e:.17g},{name}\n")
     spill = "n/a" if dec.spill_max is None else f"{dec.spill_max:.2e}"
-    print(f"wrote {len(dec.packets)} packets to {args.out_dir} "
+    print(f"wrote {len(packets)} packets to {args.out_dir} "
           f"(dropped {dec.dropped_count}, spill {spill})")
 
 

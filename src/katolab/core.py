@@ -20,8 +20,8 @@ KSLT_MAGIC = b"KSLT"
 KSLP_MAGIC = b"KSLP"
 KSLF_VERSION = 1
 
-# Largest stack of spectra one batched inverse transform takes; callers with
-# more split them into blocks of `stack_rows(grid)`.
+# Largest stack of fields or spectra one batched transform takes; callers
+# with more split them into blocks of `stack_rows(grid)`.
 IDFT_STACK_BYTES = 4 << 20
 
 
@@ -162,13 +162,18 @@ def _axis_phase(grid: Grid, sign: float) -> list:
     return out
 
 
-def dft(f: Field) -> Field:
-    """Forward transform: fhat(xi_k) = dx^n sum_j e^{-i x_j xi_k} f(x_j)."""
-    g = f.grid
-    out = np.fft.fftn(f.values) * g.dx**g.n
+def dft_batch(g: Grid, values: np.ndarray) -> np.ndarray:
+    """Forward transforms of fields stacked along leading axes; the grid
+    axes come last."""
+    out = np.fft.fftn(values, axes=tuple(range(-g.n, 0))) * g.dx**g.n
     for ph in _axis_phase(g, -1.0):
         out = out * ph
-    return Field(g, out)
+    return out
+
+
+def dft(f: Field) -> Field:
+    """Forward transform: fhat(xi_k) = dx^n sum_j e^{-i x_j xi_k} f(x_j)."""
+    return Field(f.grid, dft_batch(f.grid, f.values))
 
 
 def idft_batch(g: Grid, spectra: np.ndarray) -> np.ndarray:
@@ -176,7 +181,9 @@ def idft_batch(g: Grid, spectra: np.ndarray) -> np.ndarray:
     axes come last."""
     for ph in _axis_phase(g, +1.0):
         spectra = spectra * ph
-    return np.fft.ifftn(spectra, axes=tuple(range(-g.n, 0))) / g.dx**g.n
+    out = np.fft.ifftn(spectra, axes=tuple(range(-g.n, 0)))
+    out /= g.dx**g.n  # in place: one stack fewer at the peak
+    return out
 
 
 def stack_rows(g: Grid) -> int:
@@ -334,7 +341,7 @@ def _write_samples(path: str, magic: bytes, g: Grid, extra: bytes, blocks) -> in
         fh.write(struct.pack("<ddd", float(g.n), float(g.N), g.L))
         fh.write(extra)
         for block in blocks:
-            written += fh.write(np.ascontiguousarray(block, dtype="<c16").tobytes())
+            written += fh.write(np.ascontiguousarray(block, dtype="<c16").data)
     return written
 
 
@@ -342,13 +349,14 @@ def write_field(f: Field, path: str) -> None:
     _write_samples(path, KSLF_MAGIC, f.grid, b"", [f.values])
 
 
-def write_packets(g: Grid, count: int, rows, path: str) -> None:
-    """Packet stack: `count` rows of samples on g, streamed from `rows`
-    (an iterable such as `wavepackets.packet_values`), one row per packet."""
+def write_packets(g: Grid, count: int, stacks, path: str) -> None:
+    """Packet stack: `count` rows of samples on g, one per packet, streamed
+    from `stacks`, an iterable of arrays of whole rows such as
+    `wavepackets.packet_values`."""
     if count < 1:
         raise ValueError(f"packet count {count} must be at least 1")
     row_bytes = 16 * math.prod(g.shape)
-    written = _write_samples(path, KSLP_MAGIC, g, struct.pack("<d", float(count)), rows)
+    written = _write_samples(path, KSLP_MAGIC, g, struct.pack("<d", float(count)), stacks)
     if written != count * row_bytes:
         raise ValueError(f"{count} packets declared, {written / row_bytes:g} written")
 

@@ -502,8 +502,7 @@ def _run_wavepacket_audit(cfg: ExperimentConfig, report: Report):
     for _ in range(SUBCOLLECTIONS):
         k = int(rng.integers(1, len(packets)))
         sel = rng.choice(len(packets), size=k, replace=False)
-        worst_ratio = max(worst_ratio, wavepackets.almost_orthogonality(
-            [packets[i] for i in sel], grid))
+        worst_ratio = max(worst_ratio, wavepackets.almost_orthogonality(packets, sel))
     report.measure("orthogonality_ratio_max", worst_ratio, "almost_orthogonality")
     report.criterion("almost-orthogonality", worst_ratio <= 4.0,
                      f"max ratio {worst_ratio:.3f} <= 4")

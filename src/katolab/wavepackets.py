@@ -14,10 +14,8 @@ window's spatial kernel only concentrates rather than vanishes outside
 radius ~ 2R/3, and that spillover is measured and reported with every
 decomposition whose torus reaches outside B(l, 4R).
 
-A packet is stored at the size of its frequency window's support: the
-flat grid indices of that support (one array per frequency node, shared
-by every spatial node) and the packet's samples there. Its full spectrum
-is expanded only on demand.
+A decomposition's packets are one PacketSet of arrays, each packet stored
+on its frequency window's support; full spectra are expanded on demand.
 """
 
 from __future__ import annotations
@@ -29,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SECTOR_INNER, SECTOR_OUTER, Field, Grid, GridResolutionError, dft,
-                   idft, idft_batch, stack_rows)
+from .core import (SECTOR_INNER, SECTOR_OUTER, Field, Grid, GridResolutionError,
+                   dft_batch, idft_batch, stack_rows)
 from . import symbols as sym_mod
 from .propagator import sector_bump
 from .symbols import SymbolSpec
@@ -134,52 +132,69 @@ def build_partitions(R: float, grid: Grid) -> PartitionPair:
                          v_axis=v_axis, freq=freq, spatial_defect=sd, freq_defect=fd)
 
 
-def _on_axis(row: np.ndarray, axis: int, n: int) -> np.ndarray:
-    """A per-axis table row shaped to broadcast along `axis` of an n-d grid."""
-    return row.reshape([-1 if a == axis else 1 for a in range(n)])
+def _node_values(table: np.ndarray, nodes: np.ndarray, op, *start) -> np.ndarray:
+    """`start`, if given, and each node's table rows nodes[s, a], combined by `op`."""
+    n = nodes.shape[1]
+    rows = [table[nodes[:, a]].reshape([len(nodes)] + [-1 if i == a else 1 for i in range(n)])
+            for a in range(n)]
+    return functools.reduce(op, rows, *start)
 
 
-def _window_support(pair: PartitionPair, node: tuple) -> tuple:
-    """(index, rows) of the frequency window of lattice node `node` (one
-    row of pair.freq per axis): the flat grid indices where the window is
-    nonzero, and each axis row at those indices, in axis order."""
-    g = pair.grid
-    axes = [np.flatnonzero(pair.freq[k]) for k in node]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    index = np.ravel_multi_index(mesh, g.shape).ravel()
-    rows = [pair.freq[k][m.ravel()] for k, m in zip(node, mesh)]
-    return index, rows
+def _support_table(pair: PartitionPair) -> tuple:
+    """(index, mask, rows) of every frequency node (one pair.v_axis row per
+    axis): its window's flat grid support in C order, padded to the widest,
+    which slots are real, and each axis's window row there."""
+    n, N = pair.grid.n, pair.grid.N
+    # per axis: node k's support columns c, ascending, at slots 0, 1, ...
+    k, c = np.nonzero(pair.freq)
+    slot = np.arange(len(k)) - np.searchsorted(k, k)
+    K, w = len(pair.freq), slot.max() + 1
+
+    def spread(values, a):  # axis a's (K, w) table on node axis a, slot axis n + a
+        t = np.zeros((K, w), dtype=np.asarray(values).dtype)
+        t[k, slot] = values
+        t = t.reshape([K if i == a else w if i == n + a else 1 for i in range(2 * n)])
+        return np.broadcast_to(t, (K,) * n + (w,) * n).reshape((K,) * n + (w**n,))
+
+    index = sum(spread(c, a) * N ** (n - 1 - a) for a in range(n))
+    mask = np.logical_and.reduce([spread(True, a) for a in range(n)])
+    return index, mask, [spread(pair.freq[k, c], a) for a in range(n)]
 
 
 @dataclass(frozen=True)
-class WavePacket:
-    """One packet, stored on the support of its frequency window: block
-    holds its frequency samples at the flat grid indices in index, and
-    every other sample is zero."""
+class PacketSet:
+    """A decomposition's kept packets, spatial node major. Packet i sits at
+    rows l[i] of pair.lattice and v[i] of pair.v_axis (shape (P, n) each), has
+    energy[i], and holds its frequency samples in block[i] at the grid indices
+    index[tuple(v[i])] where mask is set (0 elsewhere; see _support_table)."""
 
     grid: Grid
-    l: tuple
-    v: tuple
-    index: np.ndarray  # flat grid indices of the frequency window's support
-    block: np.ndarray  # frequency samples of the packet at index
-    energy: float
+    l: np.ndarray
+    v: np.ndarray
+    energy: np.ndarray
+    index: np.ndarray
+    mask: np.ndarray
+    block: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.energy)
 
 
-def packet_values(packets):
-    """Spatial samples of each packet on one grid, in order, from batched
-    inverse transforms of stacks of `stack_rows(grid)` expanded spectra:
-    each the same values as one inverse transform of its own spectrum."""
-    packets = list(packets)
-    if not packets:
-        return
-    g = packets[0].grid
+def packet_values(packets: PacketSet, rows):
+    """Spatial samples of the packets at `rows`, in order, in stacks of
+    `stack_rows(grid)` from batched inverse transforms: each row the same
+    values as one inverse transform of its own expanded spectrum."""
+    g = packets.grid
     step = stack_rows(g)
-    for b in range(0, len(packets), step):
-        chunk = packets[b:b + step]
-        spectra = np.zeros((len(chunk),) + g.shape, dtype=np.complex128)
-        for row, p in zip(spectra.reshape(len(chunk), -1), chunk):
-            row[p.index] = p.block
-        yield from idft_batch(g, spectra)
+    for b in range(0, len(rows), step):
+        chunk = rows[b:b + step]
+        at = tuple(packets.v[chunk].T)
+        mask = packets.mask[at]
+        stack = np.zeros((len(chunk), math.prod(g.shape)), dtype=np.complex128)
+        stack[np.nonzero(mask)[0], packets.index[at][mask]] = packets.block[chunk][mask]
+        # the spectra are freed before the values are handed out
+        stack = idft_batch(g, stack.reshape((len(chunk),) + g.shape))
+        yield stack
 
 
 @dataclass(frozen=True)
@@ -194,7 +209,7 @@ class Tube:
 @dataclass(frozen=True)
 class Decomposition:
     pair: PartitionPair
-    packets: list
+    packets: PacketSet
     total_energy: float
     dropped_count: int
     dropped_energy: float
@@ -213,130 +228,114 @@ def decompose(f: Field, R: float) -> Decomposition:
     The smallest packets are dropped, and tallied, for as long as their
     summed energy stays <= DROP_TOL * ||f||^2. The analysis map is a tight
     frame, so the dropped packets cost at most sqrt(DROP_TOL) of relative
-    reconstruction accuracy, 1e-11. The bound is on the
-    total: a per-packet floor lets many packets below it add up, and on
-    broadband data five packets of about 5e-19 ||f||^2 each already cost
-    6e-10.
+    reconstruction accuracy, 1e-11. The bound is on the total: a per-packet
+    floor lets many packets below it add up, and on broadband data five
+    packets of about 5e-19 ||f||^2 each already cost 6e-10.
     """
-    g = f.grid
+    g, n = f.grid, f.grid.n
     pair = build_partitions(R, g)
     total = f.l2() ** 2
 
-    # The spatial windowing spreads frequency content across the whole axis,
-    # so the frequency lattice covers everything representable; windows
-    # beyond the band carry negligible but nonzero energy and are dropped
-    # under the energy budget. The frequency windows are products of table
-    # rows, so packet energies contract |ghat|^2 axis by axis.
-    freq_sq = pair.freq**2
-    wfreq = g.dxi**g.n / TWO_PI**g.n
+    # every spatial node's windowed field, transformed in stacks, and the
+    # cells outside its spill ball
+    nodes = np.array(list(itertools.product(range(len(pair.lattice)), repeat=n)))
+    y2 = (np.mod(g.x_axis() - pair.lattice[:, None] + g.L / 2, g.L) - g.L / 2) ** 2
+    outside = _node_values(y2, nodes, np.add) > (SPILL_RADIUS_FACTOR * R) ** 2
+    ghat = _node_values(pair.spatial, nodes, np.multiply) * f.values
+    step = stack_rows(g)
+    for b in range(0, len(nodes), step):
+        ghat[b:b + step] = dft_batch(g, ghat[b:b + step])
 
-    # first pass: the energy of every packet, and what building it needs
-    lat = pair.lattice
-    y2 = (np.mod(g.x_axis() - lat[:, None] + g.L / 2, g.L) - g.L / 2) ** 2
-    spill_r = SPILL_RADIUS_FACTOR * R
-    rows = []
-    energies = []
-    for node in itertools.product(range(len(lat)), repeat=g.n):
-        wl = np.ones(g.shape)
-        d2 = np.zeros(g.shape)
-        for axis, i in enumerate(node):
-            wl = wl * _on_axis(pair.spatial[i], axis, g.n)
-            d2 = d2 + _on_axis(y2[i], axis, g.n)
-        ghat = dft(Field(g, wl * f.values)).values
-        e = np.abs(ghat) ** 2
-        for axis in range(g.n):
+    # The frequency lattice covers everything representable; windows beyond
+    # the band carry negligible energy and are dropped under the budget.
+    # Energies contract |ghat|^2 with the table rows axis by axis, per node.
+    freq_sq = pair.freq**2
+    wfreq = g.dxi**n / TWO_PI**n
+    energies = np.empty((len(nodes), len(pair.v_axis) ** n))
+    for s, e in enumerate(np.abs(ghat) ** 2):
+        for axis in range(n):
             e = np.moveaxis(np.tensordot(freq_sq, e, axes=([1], [axis])), 0, axis)
-        rows.append((tuple(float(lat[i]) for i in node), d2 > spill_r**2, ghat))
-        energies.append(wfreq * e.reshape(-1))
+        energies[s] = wfreq * e.reshape(-1)
+    del freq_sq  # as large as the window table, and the spill stacks come next
 
     # drop the smallest packets while their summed energy stays in budget
-    energies = np.stack(energies)
     flat_e = energies.ravel()
     order = np.argsort(flat_e, kind="stable")
     dropped = order[:np.searchsorted(np.cumsum(flat_e[order]), DROP_TOL * total, side="right")]
-    keep = np.ones(flat_e.shape, dtype=bool)
-    keep[dropped] = False
 
-    # second pass: build the kept packets on their window supports; the
-    # spill tails of a node's significant packets come from one inverse
-    # transform of their expanded stack
-    packets = []
-    spill_max = 0.0
-    significant = 1e-6  # spill is meaningless for threshold-level packets
-    v_index = list(itertools.product(range(len(pair.v_axis)), repeat=g.n))
-    vs = list(itertools.product(pair.v_axis.tolist(), repeat=g.n))
-    supports = {}
-    for (l, outside, ghat), kept, e_l in zip(rows, keep.reshape(energies.shape), energies):
-        node = []
-        for j in np.nonzero(kept)[0]:
-            if j not in supports:
-                index, wrows = _window_support(pair, v_index[j])
-                supports[j] = index, functools.reduce(np.multiply, wrows)
-            index, window = supports[j]
-            node.append(WavePacket(grid=g, l=l, v=vs[j], index=index,
-                                   block=window * ghat.reshape(-1)[index],
-                                   energy=float(e_l[j])))
-        loud = [p for p in node if p.energy >= significant * total]
-        for p, vals in zip(loud, packet_values(loud)):
-            tail = g.dx**g.n * np.sum(np.abs(vals[outside]) ** 2)
-            spill_max = max(spill_max, float(tail / p.energy))
-        packets.extend(node)
-    if not any(outside.any() for _, outside, _ in rows):
-        spill_max = None
+    # gather every kept packet's block through its frequency node's support
+    s_of, j_of = np.divmod(np.delete(np.arange(flat_e.size), dropped), energies.shape[1])
+    at = np.unravel_index(j_of, (len(pair.v_axis),) * n)  # frequency rows per axis
+    index, mask, rows = _support_table(pair)
+    window = functools.reduce(np.multiply, [r[at] for r in rows])
+    samples = ghat.reshape(len(nodes), -1)[s_of[:, None], index[at]]
+    packets = PacketSet(grid=g, l=nodes[s_of], v=np.stack(at, axis=1),
+                        energy=energies[s_of, j_of], index=index, mask=mask,
+                        block=np.where(mask[at], window * samples, 0))
+
+    # spill tails of the significant packets (meaningless at threshold level)
+    # from stacks across nodes, each summed over its own node's outside cells
+    spill_max = None
+    if outside.any():
+        spill_max, b = 0.0, 0
+        loud = np.flatnonzero(packets.energy >= 1e-6 * total)
+        for vals in packet_values(packets, loud):
+            batch, b = loud[b:b + len(vals)], b + len(vals)
+            for s in np.unique(s_of[batch]):
+                here = slice(*np.searchsorted(s_of[batch], [s, s + 1]))
+                sq = (np.abs(vals[here]) ** 2).reshape(here.stop - here.start, -1)
+                # compress keeps C order: each row sums pairwise, as np.sum of one does
+                tail = g.dx**n * np.compress(outside[s].ravel(), sq, axis=1).sum(axis=1)
+                spill_max = max(spill_max, float(np.max(tail / packets.energy[batch[here]])))
+            del vals, sq  # before the next stack is made
 
     return Decomposition(pair=pair, packets=packets, total_energy=total,
-                         dropped_count=len(dropped),
-                         dropped_energy=float(np.sum(flat_e[dropped])),
-                         spill_max=spill_max)
+                         dropped_count=len(dropped), spill_max=spill_max,
+                         dropped_energy=float(np.sum(flat_e[dropped])))
 
 
 def reconstruct(dec: Decomposition) -> Field:
     """Adjoint synthesis: apply each packet's frequency window and spatial
-    window once more and sum. With exact square partitions this inverts the
-    analysis map exactly (up to dropped packets)."""
-    pair = dec.pair
-    g = pair.grid
-    l_row = {c: i for i, c in enumerate(pair.lattice.tolist())}
-    v_row = {c: j for j, c in enumerate(pair.v_axis.tolist())}
-    window_rows: dict = {}
+    window once more and sum; with exact square partitions this inverts the
+    analysis map (up to dropped packets). Blocks add up in packet order."""
+    pair, packets = dec.pair, dec.packets
+    g, n = pair.grid, pair.grid.n
+    nodes = np.array(list(itertools.product(range(len(pair.lattice)), repeat=n)))
+    at = tuple(packets.v.T)
+    ph = functools.reduce(np.multiply, [r[at] for r in _support_table(pair)[2]], packets.block)
+    mask = packets.mask[at]
+    s_of = np.ravel_multi_index(tuple(packets.l.T), (len(pair.lattice),) * n)
+    spectra = np.zeros((len(nodes), math.prod(g.shape)), dtype=np.complex128)
+    np.add.at(spectra, (s_of[np.nonzero(mask)[0]], packets.index[at][mask]), ph[mask])
     acc = np.zeros(g.shape, dtype=np.complex128)
-    by_l: dict = {}
-    for p in dec.packets:
-        by_l.setdefault(p.l, []).append(p)
-    for l, group in by_l.items():
-        ph_sum = np.zeros(g.shape, dtype=np.complex128)
-        for p in group:
-            if p.v not in window_rows:
-                window_rows[p.v] = _window_support(pair, tuple(v_row[c] for c in p.v))[1]
-            ph = p.block
-            for row in window_rows[p.v]:
-                ph = ph * row
-            ph_sum.reshape(-1)[p.index] += ph
-        vals = idft(Field(g, ph_sum)).values
-        for axis in range(g.n):
-            vals = vals * _on_axis(pair.spatial[l_row[l[axis]]], axis, g.n)
-        acc += vals
+    step = stack_rows(g)
+    for b in range(0, len(nodes), step):
+        vals = _node_values(pair.spatial, nodes[b:b + step], np.multiply,
+                            idft_batch(g, spectra[b:b + step].reshape((-1,) + g.shape)))
+        for node_vals in vals:  # in node order, from zero
+            acc += node_vals
     return Field(g, acc)
 
 
 def energy_identity_defect(dec: Decomposition) -> float:
-    s = sum(p.energy for p in dec.packets) + dec.dropped_energy
+    s = sum(dec.packets.energy.tolist()) + dec.dropped_energy
     return abs(s - dec.total_energy) / max(dec.total_energy, 1e-300)
 
 
-def almost_orthogonality(packets, grid: Grid) -> float:
-    """||sum of packets||_2 / sqrt(sum of energies) for a subcollection."""
-    packets = list(packets)
-    if not packets:
+def almost_orthogonality(packets: PacketSet, sel) -> float:
+    """||sum of packets||_2 / sqrt(sum of energies) for the subcollection
+    of the packets at rows `sel`."""
+    if not len(sel):
         raise ValueError("empty subcollection")
-    energy = sum(p.energy for p in packets)
+    energy = sum(packets.energy[sel].tolist())
     if energy <= 0:
         raise ValueError("subcollection has zero energy")
     # unbuffered, in packet order: the same sums as adding full spectra
-    acc = np.zeros(grid.shape, dtype=np.complex128)
-    np.add.at(acc.reshape(-1), np.concatenate([p.index for p in packets]),
-              np.concatenate([p.block for p in packets]))
-    return Field(grid, acc).l2_freq() / math.sqrt(energy)
+    at = tuple(packets.v[sel].T)
+    mask = packets.mask[at]
+    acc = np.zeros(packets.grid.shape, dtype=np.complex128)
+    np.add.at(acc.reshape(-1), packets.index[at][mask], packets.block[sel][mask])
+    return Field(packets.grid, acc).l2_freq() / math.sqrt(energy)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,31 @@
-"""Per-packet references for the stored packets of `wavepackets.decompose`."""
+"""Per-packet references for the packet sets of `wavepackets.decompose`.
+
+A packet is read as (decomposition, row): row i of every array of
+`dec.packets`, through the support table of its frequency node.
+"""
 
 import numpy as np
 
 from katolab.core import Field, idft
 
 
-def packet_spectrum(p) -> np.ndarray:
-    """The packet's frequency samples on its whole grid."""
-    out = np.zeros(p.grid.shape, dtype=np.complex128)
-    out.reshape(-1)[p.index] = p.block
+def packet_node(dec, i) -> tuple:
+    """(l, v, energy) of packet i, its node coordinates as tuples of floats."""
+    ps = dec.packets
+    return (tuple(dec.pair.lattice[ps.l[i]].tolist()),
+            tuple(dec.pair.v_axis[ps.v[i]].tolist()), float(ps.energy[i]))
+
+
+def packet_spectrum(dec, i) -> np.ndarray:
+    """Packet i's frequency samples on its whole grid."""
+    ps = dec.packets
+    node = tuple(ps.v[i])
+    mask = ps.mask[node]
+    out = np.zeros(ps.grid.shape, dtype=np.complex128)
+    out.reshape(-1)[ps.index[node][mask]] = ps.block[i][mask]
     return out
 
 
-def packet_values(p) -> np.ndarray:
-    """The packet's spatial samples, from one inverse transform of its spectrum."""
-    return idft(Field(p.grid, packet_spectrum(p))).values
+def packet_values(dec, i) -> np.ndarray:
+    """Packet i's spatial samples, from one inverse transform of its spectrum."""
+    return idft(Field(dec.packets.grid, packet_spectrum(dec, i))).values

@@ -45,15 +45,15 @@ def test_criterion_02_gaussian_oracle():
 
 def test_criterion_03_packet_reconstruction_and_energy():
     rep, dt = cached_run("wavepacket-identities")
-    criterion_from_report(3, "packet reconstruction", rep, dt, 30,
+    criterion_from_report(3, "packet reconstruction", rep, dt, 10,
                           "packet-reconstruction")
-    criterion_from_report(3, "packet energy identity", rep, dt, 30,
+    criterion_from_report(3, "packet energy identity", rep, dt, 10,
                           "packet-energy-identity")
 
 
 def test_criterion_04_almost_orthogonality():
     rep, dt = cached_run("wavepacket-identities")
-    criterion_from_report(4, "almost orthogonality", rep, dt, 60,
+    criterion_from_report(4, "almost orthogonality", rep, dt, 10,
                           "almost-orthogonality")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from katolab import cli, experiments, opnorm, wavepackets
 from katolab.core import (Ball, GaussianRecipe, KnappRecipe, RandomBandlimited, Sector,
                           read_field, read_packets, read_spacetime)
-from tests.packet_reference import packet_values
+from tests.packet_reference import packet_node, packet_values
 
 
 def test_field_propagate_norm_roundtrip(tmp_path, capsys):
@@ -68,13 +69,20 @@ def test_wavepacket_decompose_cli(tmp_path, capsys):
     assert grid == original.grid and values.shape == (len(rows), 512)
     total_energy = sum(float(row[3]) for row in rows)
     assert total_energy == pytest.approx(original.l2() ** 2, rel=1e-9)
-    # row i holds packet i's samples bit for bit, and the energies are the
-    # decomposition's, as the per-packet files held them
-    packets = wavepackets.decompose(original, 4).packets
-    assert len(packets) == len(rows)
-    for row, p, vals in zip(rows, packets, values):
-        assert vals.tobytes() == packet_values(p).tobytes()
-        assert row[3] == f"{p.energy:.17g}"
+    # row i holds packet i's samples bit for bit, and the nodes and energies
+    # are the decomposition's, as the per-packet files held them
+    dec = wavepackets.decompose(original, 4)
+    assert len(dec.packets) == len(rows)
+    for i, (row, vals) in enumerate(zip(rows, values)):
+        assert vals.tobytes() == packet_values(dec, i).tobytes()
+        l, v, energy = packet_node(dec, i)
+        assert row[1:4] == [f"{l[0]:g}", f"{v[0]:g}", f"{energy:.17g}"]
+    # both files byte for byte as written one packet at a time
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("packets.kslp", "manifest.csv")}
+    assert digests == {
+        "packets.kslp": "7075aa512a25efe99979b3c662ca993f7eedfc5b50094135049e8cbd5f2cfc9d",
+        "manifest.csv": "99de6d5a475938ff8daf1cb4ad96b2e34a744e736156a6380a510e4092b8fde7"}
 
 
 def test_wavepacket_decompose_cli_without_packets(tmp_path, capsys):

@@ -6,9 +6,9 @@ import pytest
 
 from katolab.core import (Annulus, Ball, Field, FieldFormatError, GaussianRecipe,
                           Grid, KnappRecipe, RandomBandlimited, Sector,
-                          SpacetimeField, dft, idft, make_field, read_field,
-                          read_packets, read_spacetime, write_field,
-                          write_packets, write_spacetime)
+                          SpacetimeField, dft, dft_batch, idft, make_field,
+                          read_field, read_packets, read_spacetime, stack_rows,
+                          write_field, write_packets, write_spacetime)
 
 
 def parseval_defect(f):
@@ -47,6 +47,21 @@ def test_roundtrip_and_parseval():
         rt = idft(dft(f))
         assert np.max(np.abs(rt.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
         assert parseval_defect(f) <= 1e-12
+
+
+@pytest.mark.parametrize("g", [Grid(1, 1024, 128.0), Grid(2, 32, 16.0)], ids=["1d", "2d"])
+def test_dft_batch_rows_match_single_transforms(g):
+    # one full stack and a short one, and a stack with two leading axes:
+    # each row bit for bit as one dft of its own field
+    rng = np.random.default_rng(2)
+    for lead in ((stack_rows(g),), (5,), (3, 4)):
+        values = (rng.standard_normal(lead + g.shape)
+                  + 1j * rng.standard_normal(lead + g.shape))
+        batched = dft_batch(g, values)
+        assert batched.shape == values.shape
+        for row, field in zip(batched.reshape((-1,) + g.shape),
+                              values.reshape((-1,) + g.shape)):
+            assert row.tobytes() == dft(Field(g, field)).values.tobytes()
 
 
 def test_parseval_many_random():

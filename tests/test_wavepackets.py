@@ -11,7 +11,7 @@ from katolab import symbols as S
 from katolab import wavepackets as W
 from katolab.core import (Field, Grid, GridResolutionError, RandomBandlimited,
                           Sector, dft, idft, make_field, stack_rows)
-from tests.packet_reference import packet_spectrum, packet_values
+from tests.packet_reference import packet_node, packet_spectrum, packet_values
 
 SYM = S.schrodinger(1)
 
@@ -71,9 +71,9 @@ def test_two_dimensional_packets_are_tight():
     g = f.grid
     dec = W.decompose(f, 4.0)
     wfreq = g.dxi**2 / (2 * math.pi) ** 2
-    for p in dec.packets[::97]:
-        assert p.energy == pytest.approx(wfreq * np.sum(np.abs(packet_spectrum(p)) ** 2),
-                                         rel=1e-12)
+    for i in range(0, len(dec.packets), 97):
+        assert dec.packets.energy[i] == pytest.approx(
+            wfreq * np.sum(np.abs(packet_spectrum(dec, i)) ** 2), rel=1e-12)
     rec = W.reconstruct(dec)
     assert Field(g, rec.values - f.values).l2() / f.l2() <= 1e-10
     assert W.energy_identity_defect(dec) <= 1e-10
@@ -174,57 +174,57 @@ def test_window_tables_match_per_packet_windows(grid, case):
     packets, dropped_count, spill_max = _reference_decompose(f, R)
     dec = W.decompose(f, R)
     assert len(dec.packets) == len(packets)
-    for p, q in zip(dec.packets, packets):
-        assert (p.l, p.v, p.energy) == (q.l, q.v, q.energy)
-        assert np.array_equal(packet_spectrum(p), q.spectrum)
+    for i, q in enumerate(packets):
+        assert packet_node(dec, i) == (q.l, q.v, q.energy)
+        assert np.array_equal(packet_spectrum(dec, i), q.spectrum)
     assert dec.dropped_count == dropped_count
     assert dec.spill_max == spill_max
     assert np.array_equal(W.reconstruct(dec).values, _reference_reconstruct(packets, R))
 
 
 def test_packets_are_stored_on_their_window_support(dec8, grid):
-    # the frequency window of R = 8 covers at most 8 of the 1024 samples
+    # the frequency window of R = 8 covers at most 8 of the 1024 samples;
+    # the support table has one row per frequency node, and padded slots
+    # hold zeros
     _, dec = dec8
-    assert all(p.block.size <= 8 for p in dec.packets)
-    stored = sum(p.block.nbytes for p in dec.packets)
-    assert stored < 0.01 * len(dec.packets) * grid.N * 16
+    ps = dec.packets
+    assert ps.block.shape == (len(ps), ps.index.shape[1]) and ps.block.shape[1] <= 8
+    assert ps.index.shape == ps.mask.shape == (len(dec.pair.v_axis), ps.block.shape[1])
+    assert ps.block.nbytes < 0.01 * len(ps) * grid.N * 16
+    assert not ps.block[~ps.mask[tuple(ps.v.T)]].any()
 
 
-def _reference_almost_orthogonality(packets, grid):
-    acc = np.zeros(grid.shape, dtype=np.complex128)
-    for p in packets:
-        acc += packet_spectrum(p)
-    return Field(grid, acc).l2_freq() / math.sqrt(sum(p.energy for p in packets))
+def _reference_almost_orthogonality(dec, sel):
+    acc = np.zeros(dec.packets.grid.shape, dtype=np.complex128)
+    for i in sel:
+        acc += packet_spectrum(dec, i)
+    energy = sum(packet_node(dec, i)[2] for i in sel)
+    return Field(dec.packets.grid, acc).l2_freq() / math.sqrt(energy)
 
 
 @pytest.mark.parametrize("case", ["1d-R8", "2d-R4"])
-def test_almost_orthogonality_matches_the_full_spectrum_sum(dec8, grid, case):
-    if case == "2d-R4":
-        f = _gaussian_2d()
-        packets, grid = W.decompose(f, 4.0).packets, f.grid
-    else:
-        packets = dec8[1].packets
+def test_almost_orthogonality_matches_the_full_spectrum_sum(dec8, case):
+    dec = W.decompose(_gaussian_2d(), 4.0) if case == "2d-R4" else dec8[1]
+    n = len(dec.packets)
     rng = np.random.default_rng(3)
     for _ in range(10):
-        sel = rng.choice(len(packets), size=int(rng.integers(1, len(packets))), replace=False)
-        chosen = [packets[i] for i in sel]
-        assert (W.almost_orthogonality(chosen, grid)
-                == _reference_almost_orthogonality(chosen, grid))
+        sel = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+        assert (W.almost_orthogonality(dec.packets, sel)
+                == _reference_almost_orthogonality(dec, sel))
 
 
 @pytest.mark.parametrize("case", ["1d-R8", "2d-R4"])
-def test_packet_values_match_per_packet_transforms(dec8, grid, case):
-    if case == "2d-R4":
-        packets = W.decompose(_gaussian_2d(), 4.0).packets
-    else:
-        packets = dec8[1].packets
-    # one full stack and a short one
-    packets = packets[:stack_rows(packets[0].grid) + 5]
-    values = list(W.packet_values(packets))
-    assert len(values) == len(packets)
-    for p, vals in zip(packets, values):
-        assert np.array_equal(vals, packet_values(p))
-    assert list(W.packet_values([])) == []
+def test_packet_values_match_per_packet_transforms(dec8, case):
+    dec = W.decompose(_gaussian_2d(), 4.0) if case == "2d-R4" else dec8[1]
+    step = stack_rows(dec.packets.grid)
+    # one full stack and a short one, of consecutive packets and of every
+    # third packet
+    for rows in (np.arange(step + 5), np.arange(0, 3 * (step + 5), 3)):
+        stacks = list(W.packet_values(dec.packets, rows))
+        assert [len(s) for s in stacks] == [step, 5]
+        for i, vals in zip(rows, np.concatenate(stacks)):
+            assert np.array_equal(vals, packet_values(dec, i))
+    assert list(W.packet_values(dec.packets, np.arange(0))) == []
 
 
 @pytest.mark.parametrize("L, measurable", [(64.0, False), (96.0, True)])
@@ -244,9 +244,9 @@ def test_packet_frequency_support_sharp(dec8, grid):
     _, dec = dec8
     xi = grid.xi_axis()
     R = dec.pair.R
-    for p in dec.packets[:24]:
-        outside = np.abs(xi - p.v[0]) > W.FREQ_SUPPORT / R
-        assert np.max(np.abs(packet_spectrum(p)[outside])) == 0.0
+    for i in range(24):
+        outside = np.abs(xi - packet_node(dec, i)[1][0]) > W.FREQ_SUPPORT / R
+        assert np.max(np.abs(packet_spectrum(dec, i)[outside])) == 0.0
 
 
 def test_modulated_bump_concentrates(grid):
@@ -259,42 +259,44 @@ def test_modulated_bump_concentrates(grid):
     f = Field(grid, np.exp(-((x - l0) ** 2) / (2 * (1.2 * R) ** 2))
               * np.exp(1j * v0 * x))
     dec = W.decompose(f, R)
-    near = sum(p.energy for p in dec.packets
-               if abs(p.l[0] - l0) <= 2 * R and abs(p.v[0] - v0) <= 2.0 / R)
-    total = sum(p.energy for p in dec.packets)
+    packets = [packet_node(dec, i) for i in range(len(dec.packets))]
+    near = sum(e for l, v, e in packets
+               if abs(l[0] - l0) <= 2 * R and abs(v[0] - v0) <= 2.0 / R)
+    total = sum(e for _, _, e in packets)
     # the window tails cap the joint concentration near 95%; the rest sits
     # in the immediately adjacent index ring
     assert near / total >= 0.95
-    wider = sum(p.energy for p in dec.packets
-                if abs(p.l[0] - l0) <= 3 * R and abs(p.v[0] - v0) <= 4.0 / R)
+    wider = sum(e for l, v, e in packets
+                if abs(l[0] - l0) <= 3 * R and abs(v[0] - v0) <= 4.0 / R)
     assert wider / total >= 0.98
 
 
-def test_almost_orthogonality(dec8, grid):
+def test_almost_orthogonality(dec8):
     _, dec = dec8
     packets = dec.packets
-    assert W.almost_orthogonality([packets[0]], grid) == pytest.approx(1.0, rel=1e-9)
+    assert W.almost_orthogonality(packets, np.array([0])) == pytest.approx(1.0, rel=1e-9)
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(100):
         k = int(rng.integers(1, len(packets)))
         sel = rng.choice(len(packets), size=k, replace=False)
-        worst = max(worst, W.almost_orthogonality([packets[i] for i in sel], grid))
+        worst = max(worst, W.almost_orthogonality(packets, sel))
     assert worst <= 4.0
     with pytest.raises(ValueError):
-        W.almost_orthogonality([], grid)
+        W.almost_orthogonality(packets, np.arange(0))
 
 
 def test_packet_transport(dec8, grid):
     _, dec = dec8
     R = dec.pair.R
-    p = max(dec.packets, key=lambda q: q.energy)
-    _, grad = S.phase(SYM, np.array(p.v))
+    i = int(np.argmax(dec.packets.energy))
+    l, v, _ = packet_node(dec, i)
+    _, grad = S.phase(SYM, np.array(v))
     x = grid.x_axis()
     fractions = []
     for t in (R**SYM.m / 2, R**SYM.m, 2 * R**SYM.m):
-        u = P.propagate(Field(grid, packet_values(p)), SYM, [t])
-        core = p.l[0] - t * grad[0]  # the tube's core line at time t
+        u = P.propagate(Field(grid, packet_values(dec, i)), SYM, [t])
+        core = l[0] - t * grad[0]  # the tube's core line at time t
         y = np.mod(x - core + grid.L / 2, grid.L) - grid.L / 2
         m = np.abs(y) <= 4 * R
         tot = np.sum(np.abs(u.slices[0]) ** 2)
