@@ -11,18 +11,20 @@ into closed-form window integrals,
 
     H[k',k] = d_k' d_k * X(xi_k - xi_k') * T(Phi_k - Phi_k'),
 
-with X the spatial ball integral (a sinc) and T the time-window integral
-(a sinc as well), d the weighted bump amplitude, over nodes uniform in
-p = Phi(xi) (mode_grid) whose period 2 pi / dp in time spans the window and
-the slowest transit of the ball, so the periodic representation never
-recirculates mass through the ball. The norm is the top eigenvalue, found by
-one seeded Lanczos run with full reorthogonalisation and cross-checked
-against a dense eigensolve at small scale. Its top Ritz value is a Rayleigh
-quotient, so a lower bound, and it is reported with its residual
-||H v - theta v|| / theta. On the p-grid T is Toeplitz, so a symbol c xi^m of
-integer degree takes a structured apply at every scale (_FastKernel: 2m
-modulations of one Toeplitz kernel, 4m FFTs of size N >= 2M - 1 over M
-nodes); a non-integer degree takes the explicit matrix, up to DENSE_MODES.
+with X the spatial ball integral (a sinc), T(omega) = e^{i t0 omega}
+T_r(omega) the time-window integral (T_r a real sinc, t0 the window's
+centre) and d the weighted bump amplitude, over nodes uniform in p = Phi(xi)
+(mode_grid) whose period 2 pi / dp in time spans the window and the slowest
+transit of the ball, so the periodic representation never recirculates mass
+through the ball. So H = D* H_r D, D = diag(e^{i t0 p_k}), and every route
+runs on the real symmetric H_r, of the same spectrum. The norm is its top
+eigenvalue, found by one seeded real Lanczos run, fully reorthogonalised,
+and cross-checked by a dense eigensolve at small scale. Its top Ritz value
+is a Rayleigh quotient, so a lower bound, reported with its residual
+||H_r v - theta v|| / theta. On the p-grid T_r is Toeplitz, so a symbol
+c xi^m of integer degree takes a structured apply at every scale
+(_FastKernel: 2m FFTs of size N >= 2M - 1 over M nodes), any other degree
+the explicit matrix, up to DENSE_MODES.
 
 Mixed norms are L^q_x L^r_t (norms). The cases (q, r) != (2, 2), the
 maximal r = inf included, are handled by lower_bound_mixed: a bank of five
@@ -190,14 +192,14 @@ def check_l2_scale(spec: SmoothingOperatorSpec, dense: bool = False) -> None:
 
 
 def _window_integral(spec: SmoothingOperatorSpec, omega: np.ndarray) -> np.ndarray:
-    """T(omega) = int_a^b e^{i t omega} dt as a sinc, stable through omega = 0."""
+    """T_r(omega) = e^{-i t0 omega} T(omega): a real even sinc, stable through 0."""
     a, b = spec.time_window()
-    return (b - a) * np.exp(1j * ((a + b) / 2.0) * omega) * np.sinc((b - a) * omega / TWO_PI)
+    return (b - a) * np.sinc((b - a) * omega / TWO_PI)
 
 
 def dense_operator_matrix(spec: SmoothingOperatorSpec, modes: ModeGrid) -> np.ndarray:
-    """Explicit quadratic-form kernel, O(M^2) memory, for small scales; the ball
-    and window integrals X and T as sincs, stable through delta, omega = 0."""
+    """Explicit real symmetric kernel H_r, O(M^2) memory, for small scales; the
+    ball and window integrals X and T_r as sincs, stable through delta, omega = 0."""
     M = len(modes.xi)
     if M > DENSE_MODES:
         raise ValueError(f"dense kernel with M={M} modes would be too large")
@@ -218,17 +220,18 @@ def _fft_size(n: int) -> int:
 
 
 class _FastKernel:
-    """Structured apply of the L2 kernel on the p-grid for Phi = c xi^m, m an
-    integer. With delta = xi_k - xi_k' and omega = p_k - p_k',
-    1/delta = c sum_{j<m} xi_k^j xi_k'^(m-1-j) / omega, so off the diagonal
+    """Structured apply of the real kernel H_r to real vectors on the p-grid
+    for Phi = c xi^m, m an integer. With delta = xi_k - xi_k', omega = p_k - p_k'
+    and 1/delta = c sum_{j<m} xi_k^j xi_k'^(m-1-j) / omega, off the diagonal
 
-        X(delta) T(omega) = sum_{s=+-1, j<m} (s c / i) e^{-i s R xi_k'} xi_k'^(m-1-j)
-                            K(omega) e^{i s R xi_k} xi_k^j,   K = T / omega,
+        X(delta) T_r(omega) = sum_{s=+-1, j<m} (s c / i) e^{-i s R xi_k'} xi_k'^(m-1-j)
+                              K_r(omega) e^{i s R xi_k} xi_k^j,
 
-    and on it X T = 2 R (b - a). K is Toeplitz, the nodes being uniform in p:
-    circulant embedding of size N >= 2M - 1 (_fft_size) correlates without
-    wrap-around into the output slice [M-1, 2M-1), so each of the 2m terms
-    takes one forward and one inverse FFT, 4m in all.
+    K_r = T_r / omega = 2 sin((b - a) omega / 2) / omega^2, and on it X T_r = 2 R (b - a).
+    K_r is real, so on a real vector the s = -1 terms are the conjugates of the
+    s = +1 terms. K_r is Toeplitz, the nodes being uniform in p: circulant
+    embedding of size N >= 2M - 1 (_fft_size) correlates without wrap-around
+    into the output slice [M-1, 2M-1), so 2 Re of the m terms takes 2m FFTs.
     """
 
     def __init__(self, spec: SmoothingOperatorSpec, modes: ModeGrid):
@@ -241,24 +244,22 @@ class _FastKernel:
                              self.N)
         self.diag = d**2 * (2.0 * spec.R) * (b - a)
         m, c = int(spec.sym.m), float(sym_mod.value(spec.sym, [1.0]))
-        self.mods = []  # the (column, row) factors of the 2m terms
-        for s in (1.0, -1.0):
-            col = d * np.exp(1j * s * spec.R * xi)
-            self.mods += [(col * xi**j, (s * c / 1j) * np.conj(col) * xi**(m - 1 - j))
-                          for j in range(m)]
+        col = d * np.exp(1j * spec.R * xi)  # the (column, row) factors of the m terms
+        self.mods = [(col * xi**j, (2.0 * c / 1j) * np.conj(col) * xi**(m - 1 - j))
+                     for j in range(m)]
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         rows = slice(self.M - 1, 2 * self.M - 1)
         out = self.diag * c
         for col, row in self.mods:
-            out += row * np.fft.ifft(np.fft.fft(col * c, self.N) * self.ft)[rows]
+            out += (row * np.fft.ifft(np.fft.fft(col * c, self.N) * self.ft)[rows]).real
         return out
 
 
 @dataclass
 class OperatorNormResult:
-    """value is sqrt(2 pi dp theta) for the top Ritz value theta, a lower
-    bound; residual is ||H v - theta v|| / theta for its Ritz vector v."""
+    """value is sqrt(2 pi dp theta) for the top Ritz value theta of H_r, a
+    lower bound; residual is ||H_r v - theta v|| / theta for its Ritz vector v."""
 
     value: float
     iterations: int
@@ -268,29 +269,29 @@ class OperatorNormResult:
 
 
 def _lanczos(apply_fn, M: int, seed: int) -> tuple:
-    """(theta, steps, residual / theta) of the top Ritz pair of a Hermitian
-    operator H on C^M, from one seeded start with full reorthogonalisation.
+    """(theta, steps, residual / theta) of the top Ritz pair of a symmetric H
+    on R^M, from one seeded normal start, fully reorthogonalised.
 
     After k steps (one apply each) the orthonormal rows v_1..v_k of V and
-    the tridiagonal T = conj(V) H V^T satisfy
+    the tridiagonal T = V H V^T satisfy
     H V^T = V^T T + beta_k v_{k+1} e_k^T, so the top eigenpair (theta, y)
     of T gives the Ritz vector V^T y with residual beta_k |y_k|, read
     without an apply. The run stops once that is at most
-    LANCZOS_TOL * |theta|, when the basis spans C^M, or after LANCZOS_STEPS.
+    LANCZOS_TOL * |theta|, when the basis spans R^M, or after LANCZOS_STEPS.
     V grows by doubling, so it holds about the steps taken and is copied a
     logarithmic number of times.
     """
     rng = np.random.default_rng(seed)
-    V = np.empty((min(16, M), M), dtype=np.complex128)
-    v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    V = np.empty((min(16, M), M))
+    v = rng.standard_normal(M)
     V[0] = v / np.linalg.norm(v)
     alpha, beta = [], []
     for k in range(1, min(LANCZOS_STEPS, M) + 1):
         w = apply_fn(V[k - 1])
-        alpha.append(float(np.real(np.vdot(V[k - 1], w))))
+        alpha.append(float(V[k - 1] @ w))
         # two classical Gram-Schmidt passes against the whole basis
         for _ in range(2):
-            w -= np.conj(V[:k] @ np.conj(w)) @ V[:k]
+            w -= (V[:k] @ w) @ V[:k]
         beta.append(float(np.linalg.norm(w)))
         T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
         theta, Y = np.linalg.eigh(T)
@@ -298,7 +299,7 @@ def _lanczos(apply_fn, M: int, seed: int) -> tuple:
         if residual <= LANCZOS_TOL * abs(theta) or k == M:
             break
         if k == len(V):
-            grown = np.empty((min(2 * k, M), M), dtype=np.complex128)
+            grown = np.empty((min(2 * k, M), M))
             grown[:k] = V
             V = grown
         V[k] = w / beta[-1]
@@ -308,8 +309,8 @@ def _lanczos(apply_fn, M: int, seed: int) -> tuple:
 def operator_norm_l2(spec: SmoothingOperatorSpec, seed: int = 0) -> OperatorNormResult:
     """Norm of the ball/window-localized weighted evolution on L^2 data.
 
-    One seeded Lanczos run (_lanczos) on the quadratic-form kernel over the
-    p-grid (mode_grid), reporting its residual. A symbol of integer degree
+    One seeded Lanczos run (_lanczos) on the real kernel H_r over the p-grid
+    (mode_grid), reporting its residual. A symbol of integer degree
     takes the structured apply ('lanczos-fast'), any other the explicit
     matrix ('lanczos-dense', at most DENSE_MODES nodes).
     """
@@ -317,16 +318,15 @@ def operator_norm_l2(spec: SmoothingOperatorSpec, seed: int = 0) -> OperatorNorm
         raise ValueError("operator_norm_l2 requires q = r = 2")
     a, b = spec.time_window()
     modes = mode_grid(spec, b - a)
-    M = len(modes.xi)
     if float(spec.sym.m).is_integer():
         apply_fn, how = _FastKernel(spec, modes).apply, "lanczos-fast"
     else:
         H = dense_operator_matrix(spec, modes)
         apply_fn, how = (lambda v: H @ v), "lanczos-dense"
-    theta, steps, residual = _lanczos(apply_fn, M, seed)
+    theta, steps, residual = _lanczos(apply_fn, len(modes.xi), seed)
     value = math.sqrt(max(TWO_PI * modes.dp * theta, 0.0))
     return OperatorNormResult(value=value, iterations=steps, residual=residual,
-                              mode_count=M, method=how)
+                              mode_count=len(modes.xi), method=how)
 
 
 def operator_norm_dense_eig(spec: SmoothingOperatorSpec) -> float:

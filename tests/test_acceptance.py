@@ -64,15 +64,15 @@ def test_criterion_05_kernel_decay():
 
 def test_criterion_06_scaling_exponent():
     rep, dt = cached_run("l2-scaling")
-    criterion_from_report(6, "quadratic-window scaling exponent", rep, dt, 600,
+    criterion_from_report(6, "quadratic-window scaling exponent", rep, dt, 10,
                           "slope-matches-prediction")
-    criterion_from_report(6, "dense eigensolver cross-check", rep, dt, 600,
+    criterion_from_report(6, "dense eigensolver cross-check", rep, dt, 10,
                           "dense-cross-check")
 
 
 def test_criterion_07_sharpness_direction():
     rep, dt = cached_run("sharpness-direction")
-    criterion_from_report(7, "super-threshold regularity fails", rep, dt, 600,
+    criterion_from_report(7, "super-threshold regularity fails", rep, dt, 10,
                           "residual-slope-grows")
 
 

@@ -67,8 +67,7 @@ def test_fast_kernel_matches_dense():
             modes = l2_modes(spec)
             H = O.dense_operator_matrix(spec, modes)
             fast = O._FastKernel(spec, modes)
-            rng = np.random.default_rng(0)
-            v = rng.standard_normal(len(modes.xi)) + 1j * rng.standard_normal(len(modes.xi))
+            v = np.random.default_rng(0).standard_normal(len(modes.xi))
             a = H @ v
             b = fast.apply(v)
             assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a), (text, R)
@@ -88,16 +87,57 @@ def _sliced(spec, M):
 def test_fast_kernel_matches_dense_on_sliced_grids(text, M):
     spec = O.SmoothingOperatorSpec(sym=S.from_config(text), alpha=0.5, R=16.0)
     modes = _sliced(spec, M)
-    rng = np.random.default_rng(M)
-    v = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    v = np.random.default_rng(M).standard_normal(M)
     a = O.dense_operator_matrix(spec, modes) @ v
     b = O._FastKernel(spec, modes).apply(v)
     assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(a)
 
 
+def _closed_form_kernel(spec, modes):
+    """The L2 kernel with the whole window integral,
+    T(omega) = int_a^b e^{i t omega} dt = (e^{i b omega} - e^{i a omega}) / (i omega),
+    written out here independently of the module's real kernel."""
+    a, b = spec.time_window()
+    delta = modes.xi[None, :] - modes.xi[:, None]
+    omega = modes.phi_vals[None, :] - modes.phi_vals[:, None]
+    X = np.where(delta != 0, 2 * np.sin(spec.R * delta) / np.where(delta != 0, delta, 1.0),
+                 2 * spec.R)
+    T = np.where(omega != 0, (np.exp(1j * b * omega) - np.exp(1j * a * omega))
+                 / (1j * np.where(omega != 0, omega, 1.0)), b - a)
+    return np.outer(modes.amp, modes.amp) * X * T
+
+
+@pytest.mark.parametrize("window", ["local", "global"])
+@pytest.mark.parametrize("text, R", [("power:m=2,n=1", 8.0), ("power:m=3,n=1", 4.0)])
+def test_real_kernel_is_the_closed_form_kernel_conjugated_by_its_phase(text, R, window):
+    # H = D* H_r D with D = diag(e^{i t0 p_k}), t0 the window's centre: a
+    # unitary similarity, so H_r has the spectrum of H
+    spec = O.SmoothingOperatorSpec(sym=S.from_config(text), alpha=0.5, R=R, window=window)
+    modes = l2_modes(spec)
+    H_r = O.dense_operator_matrix(spec, modes)
+    assert H_r.dtype == np.float64 and np.array_equal(H_r, H_r.T)
+    H = _closed_form_kernel(spec, modes)
+    D = np.exp(1j * O._focus_time(spec) * modes.phi_vals)
+    # Weyl: every eigenvalue of H lies within ||H - D* H_r D||_2 <= ||.||_F of
+    # its match in H_r, and the top eigenvalue is at least the largest diagonal
+    err = np.linalg.norm(np.conj(D)[:, None] * H_r * D[None, :] - H)
+    assert err <= 1e-12 * np.diag(H_r).max()
+    if window == "local":  # 237 and 497 nodes; the global 1611 and 3378 take seconds
+        top_r, top = np.linalg.eigvalsh(H_r)[-5:], np.linalg.eigvalsh(H)[-5:]
+        assert np.abs(top_r - top).max() <= 1e-12 * top[-1]
+
+
+def test_fast_kernel_maps_real_vectors_to_real_vectors():
+    for text in L2_SYMBOLS.values():
+        spec = O.SmoothingOperatorSpec(sym=S.from_config(text), alpha=0.5, R=4.0)
+        modes = l2_modes(spec)
+        out = O._FastKernel(spec, modes).apply(np.ones(len(modes.xi)))
+        assert out.dtype == np.float64 and out.shape == modes.xi.shape, text
+
+
 @pytest.mark.parametrize("M", [1, 2, 3])
 def test_lanczos_krylov_breakdown_on_sliced_grids(monkeypatch, M):
-    # with M modes the Krylov space is all of C^M after at most M steps
+    # with M modes the Krylov space is all of R^M after at most M steps
     spec = spec_at(16.0)
     modes = _sliced(spec, M)
     top = np.linalg.eigvalsh(O.dense_operator_matrix(spec, modes))[-1]
@@ -133,20 +173,24 @@ def test_mode_grid_spacing_uses_the_exact_speed_bound(m, scale, window):
 
 
 def test_fast_lanczos_golden_value(monkeypatch):
-    # recorded at LANCZOS_TOL = 1e-3 (61 steps, residual 9.8e-4). A run to
-    # residual 1e-9 (145 steps) gives 47.7362540041150, as on the uniform
-    # xi-grid to 13 digits; the recorded Ritz value lies 2.2e-5 below it.
+    # recorded at LANCZOS_TOL = 1e-3 (46 steps, residual 9.7e-4). Lanczos runs
+    # on the real kernel H_r from a real start, rng.standard_normal(M) of the
+    # same seed; the complex kernel's complex start read 47.73522335426093 in
+    # 61 steps. A run to residual 1e-9 (142 steps) gives 47.7362540041150, as
+    # the complex kernel did and as on the uniform xi-grid to 13 digits: H_r
+    # has the same top eigenvalue. The recorded Ritz value lies 2.8e-5 below it.
     spec = spec_at(32.0)
     res = O.operator_norm_l2(spec, seed=4)
     assert res.method == "lanczos-fast"
     assert res.residual <= O.LANCZOS_TOL
-    assert res.value == pytest.approx(47.73522335426093, rel=1e-10)
+    assert res.value == pytest.approx(47.73493559541081, rel=1e-10)
     modes = l2_modes(spec)
     monkeypatch.setattr(O, "LANCZOS_TOL", 1e-9)
     monkeypatch.setattr(O, "LANCZOS_STEPS", 400)
     theta, _, residual = O._lanczos(O._FastKernel(spec, modes).apply, len(modes.xi), seed=4)
     assert residual <= 1e-9
     tight = math.sqrt(O.TWO_PI * modes.dp * theta)
+    assert tight == pytest.approx(47.7362540041150, rel=1e-9)
     assert tight * (1 - 1e-4) <= res.value <= tight * (1 + 1e-12)
 
 
