@@ -119,15 +119,6 @@ def _scales(text: str) -> list:
     return scales
 
 
-def _window(text: str) -> tuple:
-    """(window, global_t_factor) from local or global[:T_factor]."""
-    name, colon, t = text.partition(":")
-    t_factor = float(t) if colon else opnorm.GLOBAL_T_FACTOR
-    if not (text == "local" or name == "global" and 0 < t_factor < math.inf):
-        raise ValueError(text)
-    return name, t_factor
-
-
 def _ball(text: str) -> tuple:
     """(center, radius) from c1[,c2...],radius."""
     *center, radius = (float(x) for x in text.split(","))
@@ -182,10 +173,9 @@ def _cmd_norm(args):
 
 def _cmd_opnorm(args):
     sym = args.symbol
-    window, t_factor = args.window
     l2 = args.q == 2 and args.r == 2
     specs = [opnorm.SmoothingOperatorSpec(sym=sym, alpha=args.alpha, R=R, q=args.q, r=args.r,
-                                          window=window, global_t_factor=t_factor)
+                                          window=args.window)
              for R in args.R]
     if l2:
         try:
@@ -215,7 +205,12 @@ def _cmd_opnorm(args):
 
 def _cmd_wavepacket(args):
     f = read_field(args.infile)
-    dec = wavepackets.decompose(f, args.R)
+    try:  # a scale the file's grid cannot resolve is a bad flag value
+        pair = wavepackets.build_partitions(args.R, f.grid)
+    except ValueError as exc:
+        print(f"kato wavepacket decompose: error: argument --R: {exc}", file=sys.stderr)
+        return 2
+    dec = wavepackets.decompose(f, pair)
     os.makedirs(args.out_dir, exist_ok=True)
     name = "packets.kslp"
     packets = dec.packets
@@ -223,8 +218,8 @@ def _cmd_wavepacket(args):
         write_packets(f.grid, len(packets),
                       wavepackets.packet_values(packets, np.arange(len(packets))),
                       os.path.join(args.out_dir, name))
-    ls = dec.pair.lattice[packets.l].tolist()
-    vs = dec.pair.v_axis[packets.v].tolist()
+    ls = pair.lattice[packets.l].tolist()
+    vs = pair.v_axis[packets.v].tolist()
     with open(os.path.join(args.out_dir, "manifest.csv"), "w") as fh:
         fh.write("index,l,v,energy,file\n")
         for i, (l, v, e) in enumerate(zip(ls, vs, packets.energy.tolist())):
@@ -296,8 +291,7 @@ def main(argv=None) -> int:
     p.add_argument("--alpha", type=_alpha, required=True)
     p.add_argument("--q", type=_exponent, default="2")
     p.add_argument("--r", type=_exponent, default="2")
-    p.add_argument("--window", type=_window, default="local",
-                   help="local or global[:T_factor]")
+    p.add_argument("--window", choices=("local", "global"), default="local")
     p.add_argument("--R", type=_scales, required=True, help="comma-separated scales")
     p.add_argument("--seed", type=_non_negative_int, default=0,
                    help="seeds the Lanczos start (q = r = 2) only; "

@@ -128,9 +128,14 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(key, str(exc)) from exc
         if self.kind == "wavepacket-audit":
+            grid = Grid(1, self.grid_N, self.grid_L)  # the rules are per axis
             for R in self.R_list:
                 if self.grid_L / R != round(self.grid_L / R):
                     raise ConfigError("L", f"must be a multiple of R={R}")
+                try:
+                    wavepackets.check_packet_scale(R, grid)
+                except ValueError as exc:
+                    raise ConfigError("R", str(exc)) from exc
         if self.kind in ("scaling", "transfer"):
             # the cross-check takes the dense eigensolve at the first scale
             for i, R in enumerate(self.R_list):
@@ -476,9 +481,10 @@ def _run_wavepacket_audit(cfg: ExperimentConfig, report: Report):
     worst_recon, worst_energy, spills = 0.0, 0.0, []
     last_dec = None
     for R in cfg.R_list:
+        pair = wavepackets.build_partitions(R, grid)
         for s in range(cfg.fields):
             f = make_field(grid, RandomBandlimited(Sector(), seed=cfg.seed + s))
-            dec = wavepackets.decompose(f, R)
+            dec = wavepackets.decompose(f, pair)
             rec = wavepackets.reconstruct(dec)
             worst_recon = max(worst_recon,
                               Field(grid, rec.values - f.values).l2() / f.l2())
@@ -595,14 +601,12 @@ def _run_decoupling_audit(cfg: ExperimentConfig, report: Report):
     report.measure("single_ball_constant", c_single, "decoupling_check")
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
-    sep = (N * H) ** 2
     for trial in range(10):
         centers = [(0, 0)]
         while len(centers) < N:
             cand = (int(rng.integers(-DECOUPLING_BOX, DECOUPLING_BOX)),
                     int(rng.integers(-DECOUPLING_BOX, DECOUPLING_BOX)))
-            if all((cand[0] - c[0]) ** 2 + (cand[1] - c[1]) ** 2 >= sep**2
-                   for c in centers):
+            if all(sparse._sep_ok(sparse._dist2(cand, c), N, H) for c in centers):
                 centers.append(cand)
         fam = sparse.SparseFamily(centers=tuple(centers), H=H)
         fns = [_random_ball_function(cfg.seed + 100 + 10 * trial + i)

@@ -127,7 +127,6 @@ class SmoothingOperatorSpec:
     q: float = 2.0
     r: float = 2.0
     window: str = "local"  # 'local' -> [R^m/2, 2R^m]; 'global' -> [-T, T]
-    global_t_factor: float = GLOBAL_T_FACTOR
 
     def __post_init__(self):
         if self.q < 1 or self.r < 1:
@@ -143,7 +142,7 @@ class SmoothingOperatorSpec:
     def time_window(self) -> tuple:
         if self.window == "local":
             return (self.R**self.sym.m / 2.0, 2.0 * self.R**self.sym.m)
-        T = self.global_t_factor * self.R**self.sym.m
+        T = GLOBAL_T_FACTOR * self.R**self.sym.m
         return (-T, T)
 
 

@@ -5,17 +5,19 @@ v in (1/R) Z^n. Analysis windows are exact square partitions of unity built
 per axis from a fixed mollifier bump: phi^2(y) = b(y) / sum_j b(y - j),
 so the packet energies sum to the field energy to machine precision, and
 synthesis with the adjoint windows reproduces the field to machine
-precision. build_partitions evaluates every window once, as two per-axis
-tables (spatial lattice x grid, frequency lattice x grid); n-d windows are
-outer products of their rows, and decompose and reconstruct only read
-them. The frequency windows are compactly supported (width 2/(3R)
-per axis), so packet spectra are sharply localized; the price is that the
-window's spatial kernel only concentrates rather than vanishes outside
-radius ~ 2R/3, and that spillover is measured and reported with every
-decomposition whose torus reaches outside B(l, 4R).
+precision. build_partitions evaluates every window of a scale once, as two
+per-axis tables (spatial lattice x grid, frequency lattice x grid; n-d
+windows are outer products of their rows) and their support table; the
+caller hands that one pair to every decomposition at the scale, and the
+packet operations only read it. The frequency windows are compactly
+supported (width 2/(3R) per axis), so packet spectra are sharply localized;
+the price is that the window's spatial kernel only concentrates rather than
+vanishes outside radius ~ 2R/3, and that spillover is measured and reported
+with every decomposition whose torus reaches outside B(l, 4R).
 
-A decomposition's packets are one PacketSet of arrays, each packet stored
-on its frequency window's support; full spectra are expanded on demand.
+A decomposition's packets are one PacketSet of arrays on that pair, each
+stored on its frequency window's support; full spectra are expanded on
+demand.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ class PartitionPair:
     spatial[i] is the window of lattice node lattice[i] on grid.x_axis();
     freq[j] is the window of node v_axis[j] on grid.xi_axis() (FFT order).
     In n dimensions a window is the outer product of one row per axis.
+    index, mask and rows are the frequency windows' support (_support_table).
     """
 
     R: float
@@ -93,10 +96,14 @@ class PartitionPair:
     freq: np.ndarray
     spatial_defect: float
     freq_defect: float
+    index: np.ndarray
+    mask: np.ndarray
+    rows: list
 
 
-def build_partitions(R: float, grid: Grid) -> PartitionPair:
-    """Tabulate the window pair, checking the grid resolves both scales."""
+def check_packet_scale(R: float, grid: Grid) -> None:
+    """Raise GridResolutionError (ValueError for R < 1) unless the grid
+    resolves the windows of scale R."""
     if not R >= 1:
         raise ValueError(f"packet scale R={R} must be >= 1")
     needed = []
@@ -114,6 +121,10 @@ def build_partitions(R: float, grid: Grid) -> PartitionPair:
     if needed:
         raise GridResolutionError("grid cannot resolve packet scales: " + "; ".join(needed))
 
+
+def build_partitions(R: float, grid: Grid) -> PartitionPair:
+    """Tabulate the window pair and its support table, checking the grid."""
+    check_packet_scale(R, grid)
     R, L = float(R), grid.L
     lattice = -L / 2 + R * np.arange(int(round(L / R)))
     # minimum-image distance on the torus; support 3R/2 < L/2 so each
@@ -128,8 +139,10 @@ def build_partitions(R: float, grid: Grid) -> PartitionPair:
     fd = float(np.max(np.abs(np.sum(freq**2, axis=0) - 1.0)))
     if sd > 1e-12 or fd > 1e-12:
         raise GridResolutionError(f"partition defects {sd:.2e}/{fd:.2e} exceed 1e-12")
+    index, mask, rows = _support_table(freq, grid)
     return PartitionPair(R=R, grid=grid, lattice=lattice, spatial=spatial,
-                         v_axis=v_axis, freq=freq, spatial_defect=sd, freq_defect=fd)
+                         v_axis=v_axis, freq=freq, spatial_defect=sd, freq_defect=fd,
+                         index=index, mask=mask, rows=rows)
 
 
 def _node_values(table: np.ndarray, nodes: np.ndarray, op, *start) -> np.ndarray:
@@ -140,15 +153,15 @@ def _node_values(table: np.ndarray, nodes: np.ndarray, op, *start) -> np.ndarray
     return functools.reduce(op, rows, *start)
 
 
-def _support_table(pair: PartitionPair) -> tuple:
-    """(index, mask, rows) of every frequency node (one pair.v_axis row per
-    axis): its window's flat grid support in C order, padded to the widest,
-    which slots are real, and each axis's window row there."""
-    n, N = pair.grid.n, pair.grid.N
+def _support_table(freq: np.ndarray, grid: Grid) -> tuple:
+    """(index, mask, rows) of every frequency node (one row of the window
+    table freq per axis): its window's flat grid support in C order, padded
+    to the widest, which slots are real, and each axis's window row there."""
+    n, N = grid.n, grid.N
     # per axis: node k's support columns c, ascending, at slots 0, 1, ...
-    k, c = np.nonzero(pair.freq)
+    k, c = np.nonzero(freq)
     slot = np.arange(len(k)) - np.searchsorted(k, k)
-    K, w = len(pair.freq), slot.max() + 1
+    K, w = len(freq), slot.max() + 1
 
     def spread(values, a):  # axis a's (K, w) table on node axis a, slot axis n + a
         t = np.zeros((K, w), dtype=np.asarray(values).dtype)
@@ -158,7 +171,7 @@ def _support_table(pair: PartitionPair) -> tuple:
 
     index = sum(spread(c, a) * N ** (n - 1 - a) for a in range(n))
     mask = np.logical_and.reduce([spread(True, a) for a in range(n)])
-    return index, mask, [spread(pair.freq[k, c], a) for a in range(n)]
+    return index, mask, [spread(freq[k, c], a) for a in range(n)]
 
 
 @dataclass(frozen=True)
@@ -166,14 +179,12 @@ class PacketSet:
     """A decomposition's kept packets, spatial node major. Packet i sits at
     rows l[i] of pair.lattice and v[i] of pair.v_axis (shape (P, n) each), has
     energy[i], and holds its frequency samples in block[i] at the grid indices
-    index[tuple(v[i])] where mask is set (0 elsewhere; see _support_table)."""
+    pair.index[tuple(v[i])] where pair.mask is set (0 elsewhere)."""
 
-    grid: Grid
+    pair: PartitionPair
     l: np.ndarray
     v: np.ndarray
     energy: np.ndarray
-    index: np.ndarray
-    mask: np.ndarray
     block: np.ndarray
 
     def __len__(self) -> int:
@@ -184,14 +195,14 @@ def packet_values(packets: PacketSet, rows):
     """Spatial samples of the packets at `rows`, in order, in stacks of
     `stack_rows(grid)` from batched inverse transforms: each row the same
     values as one inverse transform of its own expanded spectrum."""
-    g = packets.grid
+    pair, g = packets.pair, packets.pair.grid
     step = stack_rows(g)
     for b in range(0, len(rows), step):
         chunk = rows[b:b + step]
         at = tuple(packets.v[chunk].T)
-        mask = packets.mask[at]
+        mask = pair.mask[at]
         stack = np.zeros((len(chunk), math.prod(g.shape)), dtype=np.complex128)
-        stack[np.nonzero(mask)[0], packets.index[at][mask]] = packets.block[chunk][mask]
+        stack[np.nonzero(mask)[0], pair.index[at][mask]] = packets.block[chunk][mask]
         # the spectra are freed before the values are handed out
         stack = idft_batch(g, stack.reshape((len(chunk),) + g.shape))
         yield stack
@@ -208,7 +219,6 @@ class Tube:
 
 @dataclass(frozen=True)
 class Decomposition:
-    pair: PartitionPair
     packets: PacketSet
     total_energy: float
     dropped_count: int
@@ -222,8 +232,8 @@ SPILL_RADIUS_FACTOR = 4.0
 DROP_TOL = 1e-22
 
 
-def decompose(f: Field, R: float) -> Decomposition:
-    """Split a field into wave packets at scale R (any n).
+def decompose(f: Field, pair: PartitionPair) -> Decomposition:
+    """Split a field into wave packets on the window pair of its grid (any n).
 
     The smallest packets are dropped, and tallied, for as long as their
     summed energy stays <= DROP_TOL * ||f||^2. The analysis map is a tight
@@ -232,8 +242,9 @@ def decompose(f: Field, R: float) -> Decomposition:
     floor lets many packets below it add up, and on broadband data five
     packets of about 5e-19 ||f||^2 each already cost 6e-10.
     """
-    g, n = f.grid, f.grid.n
-    pair = build_partitions(R, g)
+    g, n, R = f.grid, f.grid.n, pair.R
+    if g != pair.grid:
+        raise ValueError(f"field grid {g} != window pair grid {pair.grid}")
     total = f.l2() ** 2
 
     # every spatial node's windowed field, transformed in stacks, and the
@@ -266,12 +277,11 @@ def decompose(f: Field, R: float) -> Decomposition:
     # gather every kept packet's block through its frequency node's support
     s_of, j_of = np.divmod(np.delete(np.arange(flat_e.size), dropped), energies.shape[1])
     at = np.unravel_index(j_of, (len(pair.v_axis),) * n)  # frequency rows per axis
-    index, mask, rows = _support_table(pair)
-    window = functools.reduce(np.multiply, [r[at] for r in rows])
-    samples = ghat.reshape(len(nodes), -1)[s_of[:, None], index[at]]
-    packets = PacketSet(grid=g, l=nodes[s_of], v=np.stack(at, axis=1),
-                        energy=energies[s_of, j_of], index=index, mask=mask,
-                        block=np.where(mask[at], window * samples, 0))
+    window = functools.reduce(np.multiply, [r[at] for r in pair.rows])
+    samples = ghat.reshape(len(nodes), -1)[s_of[:, None], pair.index[at]]
+    packets = PacketSet(pair=pair, l=nodes[s_of], v=np.stack(at, axis=1),
+                        energy=energies[s_of, j_of],
+                        block=np.where(pair.mask[at], window * samples, 0))
 
     # spill tails of the significant packets (meaningless at threshold level)
     # from stacks across nodes, each summed over its own node's outside cells
@@ -289,7 +299,7 @@ def decompose(f: Field, R: float) -> Decomposition:
                 spill_max = max(spill_max, float(np.max(tail / packets.energy[batch[here]])))
             del vals, sq  # before the next stack is made
 
-    return Decomposition(pair=pair, packets=packets, total_energy=total,
+    return Decomposition(packets=packets, total_energy=total,
                          dropped_count=len(dropped), spill_max=spill_max,
                          dropped_energy=float(np.sum(flat_e[dropped])))
 
@@ -298,15 +308,15 @@ def reconstruct(dec: Decomposition) -> Field:
     """Adjoint synthesis: apply each packet's frequency window and spatial
     window once more and sum; with exact square partitions this inverts the
     analysis map (up to dropped packets). Blocks add up in packet order."""
-    pair, packets = dec.pair, dec.packets
+    packets, pair = dec.packets, dec.packets.pair
     g, n = pair.grid, pair.grid.n
     nodes = np.array(list(itertools.product(range(len(pair.lattice)), repeat=n)))
     at = tuple(packets.v.T)
-    ph = functools.reduce(np.multiply, [r[at] for r in _support_table(pair)[2]], packets.block)
-    mask = packets.mask[at]
+    ph = functools.reduce(np.multiply, [r[at] for r in pair.rows], packets.block)
+    mask = pair.mask[at]
     s_of = np.ravel_multi_index(tuple(packets.l.T), (len(pair.lattice),) * n)
     spectra = np.zeros((len(nodes), math.prod(g.shape)), dtype=np.complex128)
-    np.add.at(spectra, (s_of[np.nonzero(mask)[0]], packets.index[at][mask]), ph[mask])
+    np.add.at(spectra, (s_of[np.nonzero(mask)[0]], pair.index[at][mask]), ph[mask])
     acc = np.zeros(g.shape, dtype=np.complex128)
     step = stack_rows(g)
     for b in range(0, len(nodes), step):
@@ -331,11 +341,11 @@ def almost_orthogonality(packets: PacketSet, sel) -> float:
     if energy <= 0:
         raise ValueError("subcollection has zero energy")
     # unbuffered, in packet order: the same sums as adding full spectra
-    at = tuple(packets.v[sel].T)
-    mask = packets.mask[at]
-    acc = np.zeros(packets.grid.shape, dtype=np.complex128)
-    np.add.at(acc.reshape(-1), packets.index[at][mask], packets.block[sel][mask])
-    return Field(packets.grid, acc).l2_freq() / math.sqrt(energy)
+    pair, at = packets.pair, tuple(packets.v[sel].T)
+    mask = pair.mask[at]
+    acc = np.zeros(pair.grid.shape, dtype=np.complex128)
+    np.add.at(acc.reshape(-1), pair.index[at][mask], packets.block[sel][mask])
+    return Field(pair.grid, acc).l2_freq() / math.sqrt(energy)
 
 
 # ---------------------------------------------------------------------------

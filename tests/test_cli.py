@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from katolab import cli, experiments, opnorm, wavepackets
+from katolab import cli, experiments, opnorm, symbols, wavepackets
 from katolab.core import (Ball, GaussianRecipe, KnappRecipe, RandomBandlimited, Sector,
                           read_field, read_packets, read_spacetime)
 from tests.packet_reference import packet_node, packet_values
@@ -71,7 +71,7 @@ def test_wavepacket_decompose_cli(tmp_path, capsys):
     assert total_energy == pytest.approx(original.l2() ** 2, rel=1e-9)
     # row i holds packet i's samples bit for bit, and the nodes and energies
     # are the decomposition's, as the per-packet files held them
-    dec = wavepackets.decompose(original, 4)
+    dec = wavepackets.decompose(original, wavepackets.build_partitions(4, original.grid))
     assert len(dec.packets) == len(rows)
     for i, (row, vals) in enumerate(zip(rows, values)):
         assert vals.tobytes() == packet_values(dec, i).tobytes()
@@ -108,6 +108,19 @@ def test_opnorm_cli(capsys):
     assert [row[0] for row in rows] == ["8", "16", "32"]
     assert all(0.0 <= float(row[3]) <= opnorm.LANCZOS_TOL for row in rows)
     assert '"slope"' in out
+
+
+def test_opnorm_cli_global_window_is_the_global_spec(capsys):
+    assert cli.main(["opnorm", "--symbol", "power:m=2,n=1", "--alpha", "0.5",
+                     "--window", "global", "--R", "2,8"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    for R, row in zip((2.0, 8.0), rows):
+        spec = opnorm.SmoothingOperatorSpec(sym=symbols.schrodinger(1), alpha=0.5, R=R,
+                                            window="global")
+        assert spec.time_window() == (-opnorm.GLOBAL_T_FACTOR * R**2,
+                                      opnorm.GLOBAL_T_FACTOR * R**2)
+        res = opnorm.operator_norm_l2(spec, seed=0)
+        assert row == f"{R:g},{res.value:.10g},{res.iterations},{res.residual:.3g}"
 
 
 def test_opnorm_cli_cubic_symbol(capsys):
@@ -174,6 +187,24 @@ def test_norm_regions_that_miss_the_file_exit_naming_the_flag(tmp_path, capsys, 
     assert cli.main(["norm", "--q", "2", "--r", "2", flag, value, "--in", str(u)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"kato norm: error: argument {flag}: {message}\n"
+
+
+@pytest.mark.parametrize("R, message", [
+    ("5", "L must be an integer multiple of R"),
+    ("64", "L >= 4R so the spatial windows fit the torus"),
+], ids=["R-does-not-divide-L", "R-past-L-over-4"])
+def test_packet_scales_the_file_cannot_resolve_exit_naming_the_flag(tmp_path, capsys, R,
+                                                                    message):
+    # only the file's grid (here N = 1024, L = 128) can refuse these scales
+    f, out = tmp_path / "f.kslf", tmp_path / "packets"
+    assert cli.main(["field", "--make", "random:region=sector,seed=7", "--grid", "1,1024,128",
+                     "--out", str(f)]) == 0
+    capsys.readouterr()
+    assert cli.main(["wavepacket", "decompose", "--R", R, "--in", str(f),
+                     "--out-dir", str(out)]) == 2
+    assert capsys.readouterr() == ("", "kato wavepacket decompose: error: argument --R: "
+                                       f"grid cannot resolve packet scales: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("make, grid, message", [
@@ -356,8 +387,5 @@ def test_flag_values_reach_the_command():
     assert cli._exponent("inf") == math.inf and cli._exponent("4") == 4.0
     assert cli._scales("8,16,32") == [8.0, 16.0, 32.0]
     assert cli._scales("2,3") == [2.0, 3.0]  # no fit, so any two scales
-    assert cli._window("local") == ("local", opnorm.GLOBAL_T_FACTOR)
-    assert cli._window("global") == ("global", opnorm.GLOBAL_T_FACTOR)
-    assert cli._window("global:4") == ("global", 4.0)
     assert cli._ball("0,1.5,2") == ((0.0, 1.5), 2.0)
     assert cli._interval("0,1") == (0.0, 1.0)

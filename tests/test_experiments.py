@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -89,6 +90,11 @@ def test_parse_config_errors_name_fields():
                         ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nL = 0", "L"),
                         ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nL = -128", "L"),
                         ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nL = 100", "L"),
+                        # the packet windows' grid rules: N = 64 resolves no
+                        # default scale, and the default L = 128 is under 4R
+                        # at the default R = 64
+                        ("kind = wavepacket-audit\nsymbol = power:m=2,n=1\nN = 64", "R"),
+                        ("kind = wavepacket-audit\nsymbol = power:m=2,n=1", "R"),
                         ("kind = propagator-audit\nsymbol = power:m=2,n=1\nN = 6", "N"),
                         ("kind = propagator-audit\nsymbol = power:m=2,n=1\nN = 1023", "N"),
                         ("kind = scaling\nsymbol = power:m=2,n=1\ncross_check = maybe",
@@ -280,6 +286,24 @@ def test_wavepacket_audit_quick(monkeypatch):
     assert rep.passed
     spill = {m["name"]: m["value"] for m in rep.measurements}["spatial_spill_max"]
     assert spill > 0.0
+
+
+def test_wavepacket_audit_builds_one_pair_per_scale(monkeypatch):
+    monkeypatch.setattr(E, "SUBCOLLECTIONS", 2)
+    calls = collections.Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("build_partitions", "_support_table"):
+        monkeypatch.setattr(W, name, counted(getattr(W, name)))
+    cfg = E.parse_config("kind = wavepacket-audit\nsymbol = power:m=2,n=1\n"
+                         "N = 512\nL = 64\nR = 4,8\nfields = 3\nseed = 2")
+    assert E.run(cfg).passed
+    assert calls == {"build_partitions": 2, "_support_table": 2}
 
 
 def test_wavepacket_audit_reports_null_spill_when_unmeasurable(monkeypatch):

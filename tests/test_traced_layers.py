@@ -36,7 +36,7 @@ def test_traced_counts_read_every_counted_layer(tmp_path):
         core.write_spacetime(u, str(tmp_path / "u.kslt"))
         u = core.read_spacetime(str(tmp_path / "u.kslt"))
         norms.mixed_norm(u, norms.MixedNormSpec(q=2.0, r=math.inf))
-        wavepackets.decompose(f, 2.0)
+        wavepackets.decompose(f, wavepackets.build_partitions(2.0, grid))
         points = tuple((7 * i, i * i) for i in range(10))
         sparse.sparse_decompose(sparse.CubeSet(dim=2, points=points), K=2)
     finally:

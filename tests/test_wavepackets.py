@@ -21,10 +21,15 @@ def grid():
     return Grid(1, 1024, 128.0)
 
 
+def _decompose(f, R):
+    """f's decomposition on a pair of its own."""
+    return W.decompose(f, W.build_partitions(R, f.grid))
+
+
 @pytest.fixture(scope="module")
 def dec8(grid):
     f = make_field(grid, RandomBandlimited(Sector(), seed=11))
-    return f, W.decompose(f, 8.0)
+    return f, _decompose(f, 8.0)
 
 
 def test_partition_sums(grid):
@@ -48,6 +53,42 @@ def test_unresolvable_scales_error():
         W.build_partitions(math.nan, Grid(1, 512, 64.0))
 
 
+def _pair_arrays(pair):
+    return [pair.lattice, pair.spatial, pair.v_axis, pair.freq, pair.index, pair.mask,
+            *pair.rows]
+
+
+def test_decompositions_on_one_pair_match_those_on_fresh_pairs(grid, monkeypatch):
+    pair = W.build_partitions(8.0, grid)
+    before = [a.copy() for a in _pair_arrays(pair)]
+    fields = [make_field(grid, RandomBandlimited(Sector(), seed=s)) for s in (11, 12)]
+    shared = [W.decompose(f, pair) for f in fields]
+    fresh = [_decompose(f, 8.0) for f in fields]
+    sel = np.random.default_rng(3).choice(len(shared[0].packets), size=40, replace=False)
+    # the readers build no table: they read the pair
+    for name in ("build_partitions", "_support_table", "_axis_partition_profile"):
+        monkeypatch.setattr(W, name, None)
+    for a, b in zip(shared, fresh):
+        assert a.packets.pair is pair and b.packets.pair is not pair
+        for key in ("l", "v", "energy", "block"):
+            assert np.array_equal(getattr(a.packets, key), getattr(b.packets, key)), key
+        assert (a.total_energy, a.dropped_count, a.dropped_energy, a.spill_max) == \
+            (b.total_energy, b.dropped_count, b.dropped_energy, b.spill_max)
+        assert np.array_equal(W.reconstruct(a).values, W.reconstruct(b).values)
+        assert W.almost_orthogonality(a.packets, sel) == W.almost_orthogonality(b.packets, sel)
+        assert np.array_equal(next(W.packet_values(a.packets, sel)),
+                              next(W.packet_values(b.packets, sel)))
+    assert all(np.array_equal(x, y) for x, y in zip(_pair_arrays(pair), before))
+
+
+def test_decompose_refuses_a_pair_of_another_grid(grid):
+    # the same N on another L would misalign every window without a word
+    pair = W.build_partitions(8.0, Grid(1, 1024, 64.0))
+    f = make_field(grid, RandomBandlimited(Sector(), seed=11))
+    with pytest.raises(ValueError, match=r"field grid .*L=128.* != window pair grid .*L=64"):
+        W.decompose(f, pair)
+
+
 def test_reconstruction_and_energy(dec8, grid):
     f, dec = dec8
     rec = W.reconstruct(dec)
@@ -60,7 +101,7 @@ def test_dropped_packets_stay_within_the_energy_budget(grid):
     # five packets of this field each hold about 5e-19 of its energy; a
     # per-packet floor of 1e-18 dropped them all and cost 6e-10 accuracy
     f = make_field(grid, RandomBandlimited(Sector(), seed=35))
-    dec = W.decompose(f, 8.0)
+    dec = _decompose(f, 8.0)
     assert dec.dropped_energy <= 1e-22 * dec.total_energy
     rec = W.reconstruct(dec)
     assert Field(grid, rec.values - f.values).l2() / f.l2() <= 1e-10
@@ -69,7 +110,7 @@ def test_dropped_packets_stay_within_the_energy_budget(grid):
 def test_two_dimensional_packets_are_tight():
     f = _gaussian_2d()
     g = f.grid
-    dec = W.decompose(f, 4.0)
+    dec = _decompose(f, 4.0)
     wfreq = g.dxi**2 / (2 * math.pi) ** 2
     for i in range(0, len(dec.packets), 97):
         assert dec.packets.energy[i] == pytest.approx(
@@ -172,7 +213,7 @@ def test_window_tables_match_per_packet_windows(grid, case):
     else:
         f, R = make_field(grid, RandomBandlimited(Sector(), seed=11)), float(case[4:])
     packets, dropped_count, spill_max = _reference_decompose(f, R)
-    dec = W.decompose(f, R)
+    dec = _decompose(f, R)
     assert len(dec.packets) == len(packets)
     for i, q in enumerate(packets):
         assert packet_node(dec, i) == (q.l, q.v, q.energy)
@@ -187,24 +228,24 @@ def test_packets_are_stored_on_their_window_support(dec8, grid):
     # the support table has one row per frequency node, and padded slots
     # hold zeros
     _, dec = dec8
-    ps = dec.packets
-    assert ps.block.shape == (len(ps), ps.index.shape[1]) and ps.block.shape[1] <= 8
-    assert ps.index.shape == ps.mask.shape == (len(dec.pair.v_axis), ps.block.shape[1])
+    ps, pair = dec.packets, dec.packets.pair
+    assert ps.block.shape == (len(ps), pair.index.shape[1]) and ps.block.shape[1] <= 8
+    assert pair.index.shape == pair.mask.shape == (len(pair.v_axis), ps.block.shape[1])
     assert ps.block.nbytes < 0.01 * len(ps) * grid.N * 16
-    assert not ps.block[~ps.mask[tuple(ps.v.T)]].any()
+    assert not ps.block[~pair.mask[tuple(ps.v.T)]].any()
 
 
 def _reference_almost_orthogonality(dec, sel):
-    acc = np.zeros(dec.packets.grid.shape, dtype=np.complex128)
+    acc = np.zeros(dec.packets.pair.grid.shape, dtype=np.complex128)
     for i in sel:
         acc += packet_spectrum(dec, i)
     energy = sum(packet_node(dec, i)[2] for i in sel)
-    return Field(dec.packets.grid, acc).l2_freq() / math.sqrt(energy)
+    return Field(dec.packets.pair.grid, acc).l2_freq() / math.sqrt(energy)
 
 
 @pytest.mark.parametrize("case", ["1d-R8", "2d-R4"])
 def test_almost_orthogonality_matches_the_full_spectrum_sum(dec8, case):
-    dec = W.decompose(_gaussian_2d(), 4.0) if case == "2d-R4" else dec8[1]
+    dec = _decompose(_gaussian_2d(), 4.0) if case == "2d-R4" else dec8[1]
     n = len(dec.packets)
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -215,8 +256,8 @@ def test_almost_orthogonality_matches_the_full_spectrum_sum(dec8, case):
 
 @pytest.mark.parametrize("case", ["1d-R8", "2d-R4"])
 def test_packet_values_match_per_packet_transforms(dec8, case):
-    dec = W.decompose(_gaussian_2d(), 4.0) if case == "2d-R4" else dec8[1]
-    step = stack_rows(dec.packets.grid)
+    dec = _decompose(_gaussian_2d(), 4.0) if case == "2d-R4" else dec8[1]
+    step = stack_rows(dec.packets.pair.grid)
     # one full stack and a short one, of consecutive packets and of every
     # third packet
     for rows in (np.arange(step + 5), np.arange(0, 3 * (step + 5), 3)):
@@ -231,7 +272,7 @@ def test_packet_values_match_per_packet_transforms(dec8, case):
 def test_spill_is_none_when_the_spill_ball_covers_the_torus(L, measurable):
     # B(l, 4R) with R = 8 covers the whole torus while L/2 <= 32
     g = Grid(1, int(8 * L), L)
-    dec = W.decompose(make_field(g, RandomBandlimited(Sector(), seed=11)), 8.0)
+    dec = _decompose(make_field(g, RandomBandlimited(Sector(), seed=11)), 8.0)
     if measurable:
         assert dec.spill_max > 0.0
     else:
@@ -243,7 +284,7 @@ def test_packet_frequency_support_sharp(dec8, grid):
     # outside B(v, 2/(3R)) exactly by construction
     _, dec = dec8
     xi = grid.xi_axis()
-    R = dec.pair.R
+    R = dec.packets.pair.R
     for i in range(24):
         outside = np.abs(xi - packet_node(dec, i)[1][0]) > W.FREQ_SUPPORT / R
         assert np.max(np.abs(packet_spectrum(dec, i)[outside])) == 0.0
@@ -258,7 +299,7 @@ def test_modulated_bump_concentrates(grid):
     x = grid.x_axis()
     f = Field(grid, np.exp(-((x - l0) ** 2) / (2 * (1.2 * R) ** 2))
               * np.exp(1j * v0 * x))
-    dec = W.decompose(f, R)
+    dec = _decompose(f, R)
     packets = [packet_node(dec, i) for i in range(len(dec.packets))]
     near = sum(e for l, v, e in packets
                if abs(l[0] - l0) <= 2 * R and abs(v[0] - v0) <= 2.0 / R)
@@ -288,7 +329,7 @@ def test_almost_orthogonality(dec8):
 
 def test_packet_transport(dec8, grid):
     _, dec = dec8
-    R = dec.pair.R
+    R = dec.packets.pair.R
     i = int(np.argmax(dec.packets.energy))
     l, v, _ = packet_node(dec, i)
     _, grad = S.phase(SYM, np.array(v))
