@@ -238,10 +238,14 @@ def _print_criteria(report):
 
 
 def _cmd_run(args):
-    with open(args.config) as fh:
-        cfg = experiments.parse_config(fh.read())
+    try:  # a config that is missing or malformed runs nothing and writes nothing
+        with open(args.config) as fh:
+            cfg = experiments.parse_config(fh.read())
+    except (experiments.ConfigError, OSError, UnicodeDecodeError) as exc:
+        print(f"kato run: error: {exc}", file=sys.stderr)
+        return 2
     if args.out:
-        cfg.out_dir = args.out
+        cfg.out = args.out
     report = experiments.run(cfg)
     _print_criteria(report)
     if not report.criteria:

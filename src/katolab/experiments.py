@@ -1,9 +1,10 @@
 """Config-driven experiment runner binding all modules, with reports.
 
 Configs are line-oriented key=value text. Reports carry a config echo,
-per-step measurements (each tagged with the operation that produced it),
-fits, and pass/fail entries; timestamps and wall-clock live in a separate
-environment block so reports are byte-reproducible given config and seeds.
+per-step measurements (each tagged with the operation that produced it and
+its kind; a bound carries its solver facts as its error), fits, and pass/fail
+entries; timestamps and wall-clock live in a separate environment block so
+reports are byte-reproducible given config and seeds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ from . import opnorm, propagator, sparse, symbols, wavepackets
 from .core import (Annulus, Field, GaussianRecipe, Grid, RandomBandlimited,
                    Sector, make_field)
 
-SCHEMA = "katolab-report-v1"
+SCHEMA = "katolab-report-v2"
+# What a measured value is: a bound, an estimate, an identity's defect, or an
+# echoed setting (label)
+KINDS = ("lower", "upper", "estimate", "defect", "label")
 
 # Settings that no run varies; no config can change them, so none can loosen
 # its own criterion: the fits' slope tolerance, the tube-incidence scales, the
@@ -50,8 +54,6 @@ KIND_KEYS = {
     "decoupling-audit": ("seed",),
     "tube-incidence": (),
 }
-# ExperimentConfig field -> its config key, where the two differ
-CONFIG_KEY = {"out_dir": "out", "grid_N": "N", "grid_L": "L", "R_list": "R"}
 
 
 class ConfigError(ValueError):
@@ -70,7 +72,7 @@ class ExperimentConfig:
     q: float = 2.0
     r: float = 2.0
     r_tilde: float = 4.0
-    R_list: tuple = (8.0, 16.0, 32.0, 64.0)
+    R: tuple = (8.0, 16.0, 32.0, 64.0)
     seed: int = 0
     residual_min: float = 0.2
     expect: str = "match"  # 'match' or 'residual'
@@ -79,14 +81,14 @@ class ExperimentConfig:
     restarts: int = opnorm.ASCENT_RESTARTS
     trials: int = 50
     K: int = 3
-    grid_N: int = 1024
-    grid_L: float = 128.0
+    N: int = 1024
+    L: float = 128.0
     fields: int = 20
-    out_dir: str | None = None
+    out: str | None = None
 
     def validate(self):
-        if not all(1 <= x < math.inf for x in self.R_list):
-            raise ConfigError("R", f"scales must be finite and >= 1, got {self.R_list}")
+        if not all(1 <= x < math.inf for x in self.R):
+            raise ConfigError("R", f"scales must be finite and >= 1, got {self.R}")
         # every other kind's machinery is one-dimensional
         if self.symbol.n != 1 and self.kind not in ("propagator-audit", "wavepacket-audit",
                                                     "sparse-audit"):
@@ -118,9 +120,9 @@ class ExperimentConfig:
                     raise ConfigError("K", f"the level-{k} radius of {SPARSE_POINTS} "
                                            "points exceeds sparse.H_LIMIT")
         # other modules' rules, each under its key (Grid's for N and L apart)
-        checks = [("N", Grid, (1, self.grid_N, 1.0)), ("L", Grid, (1, 8, self.grid_L))]
+        checks = [("N", Grid, (1, self.N, 1.0)), ("L", Grid, (1, 8, self.L))]
         if self.kind in ("scaling", "transfer", "maximal"):
-            checks += [("R", opnorm.check_fit_scales, (self.R_list,)),
+            checks += [("R", opnorm.check_fit_scales, (self.R,)),
                        ("alpha", opnorm.check_alpha, (self.alpha,))]
         for key, check, args in checks:
             try:
@@ -128,9 +130,9 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(key, str(exc)) from exc
         if self.kind == "wavepacket-audit":
-            grid = Grid(1, self.grid_N, self.grid_L)  # the rules are per axis
-            for R in self.R_list:
-                if self.grid_L / R != round(self.grid_L / R):
+            grid = Grid(1, self.N, self.L)  # the rules are per axis
+            for R in self.R:
+                if self.L / R != round(self.L / R):
                     raise ConfigError("L", f"must be a multiple of R={R}")
                 try:
                     wavepackets.check_packet_scale(R, grid)
@@ -138,7 +140,7 @@ class ExperimentConfig:
                     raise ConfigError("R", str(exc)) from exc
         if self.kind in ("scaling", "transfer"):
             # the cross-check takes the dense eigensolve at the first scale
-            for i, R in enumerate(self.R_list):
+            for i, R in enumerate(self.R):
                 try:
                     spec = opnorm.SmoothingOperatorSpec(sym=self.symbol, alpha=self.alpha, R=R)
                     opnorm.check_l2_scale(spec, dense=self.cross_check and i == 0)
@@ -147,7 +149,7 @@ class ExperimentConfig:
         return self
 
 
-_KEYS = {CONFIG_KEY.get(f.name, f.name) for f in fields(ExperimentConfig)}
+_KEYS = {f.name for f in fields(ExperimentConfig)}
 _NUMERIC = {f.name for f in fields(ExperimentConfig)
             if f.type in ("int", "float")}
 _INTEGER = {f.name for f in fields(ExperimentConfig) if f.type == "int"}
@@ -194,27 +196,25 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig(kind=kv.pop("kind"), symbol=sym)
     if cfg.kind not in RUNNERS:
         raise ConfigError("kind", f"unknown kind {cfg.kind!r}")
-    renames = {key: name for name, key in CONFIG_KEY.items()}
     for k, v in kv.items():
         if k in _KEYS and k not in ("seed", "out") + KIND_KEYS[cfg.kind]:
             raise ConfigError(k, f"kind {cfg.kind} does not read it")
         if k == "R":
             try:
-                cfg.R_list = tuple(float(x) for x in v.split(","))
+                cfg.R = tuple(float(x) for x in v.split(","))
             except ValueError as exc:
                 raise ConfigError(k, f"expected comma-separated numbers: {exc}") from exc
         elif k in _KEYS:
-            name = renames.get(k, k)
             val = v if k == "out" else _parse_scalar(v)
             if val == "":
                 raise ConfigError(k, "empty value")
-            if name in _NUMERIC and (isinstance(val, (bool, str)) or math.isnan(val)):
+            if k in _NUMERIC and (isinstance(val, (bool, str)) or math.isnan(val)):
                 raise ConfigError(k, f"expected a number, got {v!r}")
-            if name in _INTEGER and not isinstance(val, int):
+            if k in _INTEGER and not isinstance(val, int):
                 raise ConfigError(k, f"expected an integer, got {v!r}")
-            if name in _BOOLEAN and not isinstance(val, bool):
+            if k in _BOOLEAN and not isinstance(val, bool):
                 raise ConfigError(k, f"expected true or false, got {v!r}")
-            setattr(cfg, name, val)
+            setattr(cfg, k, val)
         else:
             raise ConfigError(k, "unknown key")
     return cfg.validate()
@@ -229,9 +229,11 @@ class Report:
     environment: dict = dc_field(default_factory=dict)
     schema: str = SCHEMA
 
-    def measure(self, name: str, value, operation: str):
-        self.measurements.append({"name": name, "value": value,
-                                  "operation": operation})
+    def measure(self, name: str, value, operation: str, kind: str, error=None):
+        m = {"name": name, "value": value, "operation": operation, "kind": kind}
+        if error is not None:
+            m["error"] = error
+        self.measurements.append(m)
 
     def criterion(self, name: str, passed: bool, detail: str):
         self.criteria.append({"name": name, "passed": bool(passed),
@@ -250,6 +252,11 @@ class Report:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+# the routines whose bounds must carry their result's other fields as error
+_RESULTS = {"operator_norm_l2": opnorm.OperatorNormResult,
+            "lower_bound_mixed": opnorm.LowerBoundResult}
+
+
 def validate_report(d: dict) -> list:
     """Hand-rolled schema check; returns a list of problems (empty = valid)."""
     problems = []
@@ -260,9 +267,17 @@ def validate_report(d: dict) -> list:
     if d.get("schema") != SCHEMA:
         problems.append(f"schema is {d.get('schema')!r}, expected {SCHEMA!r}")
     for m in d.get("measurements", []):
-        for k in ("name", "value", "operation"):
+        for k in ("name", "value", "operation", "kind"):
             if k not in m:
                 problems.append(f"measurement missing {k}: {m}")
+        if "kind" in m and m["kind"] not in KINDS:
+            problems.append(f"measurement kind {m['kind']!r} is not one of {KINDS}: {m}")
+        # a bound from an operator-norm routine carries its result's facts
+        result = _RESULTS.get(m.get("operation"))
+        if result and m.get("kind") in ("lower", "upper"):
+            missing = {f.name for f in fields(result)} - {"value"} - set(m.get("error") or {})
+            if missing:
+                problems.append(f"measurement error lacks {sorted(missing)}: {m}")
     for c in d.get("criteria", []):
         for k in ("name", "passed", "detail"):
             if k not in c:
@@ -281,10 +296,10 @@ def _environment() -> dict:
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    """The fields the kind reads, and out_dir."""
+    """The keys the kind reads, and out."""
     d = {}
     for k, v in vars(cfg).items():
-        if CONFIG_KEY.get(k, k) not in ("kind", "symbol", "out") + KIND_KEYS[cfg.kind]:
+        if k not in ("kind", "symbol", "out") + KIND_KEYS[cfg.kind]:
             continue
         if isinstance(v, symbols.SymbolSpec):
             d[k] = {"kind": v.kind, "m": v.m, "n": v.n, "scale": v.scale,
@@ -299,19 +314,22 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 
 
 def _write_artifacts(report: Report, cfg: ExperimentConfig):
-    if not cfg.out_dir:
+    if not cfg.out:
         return
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "report.json"), "w") as fh:
+    os.makedirs(cfg.out, exist_ok=True)
+    with open(os.path.join(cfg.out, "report.json"), "w") as fh:
         fh.write(report.to_json())
-    rows = [m for m in report.measurements if isinstance(m["value"], (int, float))]
-    with open(os.path.join(cfg.out_dir, "measurements.csv"), "w") as fh:
-        fh.write("name,value,operation\n")
-        for m in rows:
-            fh.write(f"{m['name']},{m['value']!r},{m['operation']}\n")
+    with open(os.path.join(cfg.out, "measurements.csv"), "w") as fh:
+        fh.write("name,value,operation,kind\n")
+        for m in report.measurements:
+            rows = [(m["name"], m["value"])]
+            rows += [(f"{m['name']}.{k}", v) for k, v in m.get("error", {}).items()]
+            for name, value in rows:
+                if isinstance(value, (int, float)):
+                    fh.write(f"{name},{value!r},{m['operation']},{m['kind']}\n")
     for fit in report.fits:
         tag = fit.get("tag", "fit")
-        with open(os.path.join(cfg.out_dir, f"{tag}.dat"), "w") as fh:
+        with open(os.path.join(cfg.out, f"{tag}.dat"), "w") as fh:
             fh.write("# R value\n")
             for R, v in zip(fit["R"], fit["values"]):
                 fh.write(f"{R} {v}\n")
@@ -339,16 +357,24 @@ def _fit_entry(tag: str, fit: opnorm.ScalingFit) -> dict:
             "stderr": fit.stderr, "predicted": fit.predicted}
 
 
-def _run_scaling(cfg: ExperimentConfig, report: Report):
+def _scan(cfg: ExperimentConfig, report: Report, name: str, operation: str, norm,
+          **spec) -> list:
+    """norm(spec) at each scale of cfg, measured as the lower bound name_R<R>
+    with the result's other fields as its error; returns the (R, value) samples."""
     samples = []
-    for R in cfg.R_list:
-        spec = opnorm.SmoothingOperatorSpec(sym=cfg.symbol, alpha=cfg.alpha, R=R,
-                                            q=cfg.q, r=cfg.r)
-        res = opnorm.operator_norm_l2(spec, seed=cfg.seed)
+    for R in cfg.R:
+        res = norm(opnorm.SmoothingOperatorSpec(sym=cfg.symbol, alpha=cfg.alpha, R=R,
+                                                **spec))
+        report.measure(f"{name}_R{R:g}", res.value, operation, "lower",
+                       {k: v for k, v in vars(res).items() if k != "value"})
         samples.append((R, res.value))
-        report.measure(f"norm_R{R:g}", res.value, "operator_norm_l2")
-        report.measure(f"iterations_R{R:g}", res.iterations, "operator_norm_l2")
-        report.measure(f"residual_R{R:g}", res.residual, "operator_norm_l2")
+    return samples
+
+
+def _run_scaling(cfg: ExperimentConfig, report: Report):
+    samples = _scan(cfg, report, "norm", "operator_norm_l2",
+                    lambda spec: opnorm.operator_norm_l2(spec, seed=cfg.seed),
+                    q=cfg.q, r=cfg.r)
     predicted = opnorm.predicted_exponent(cfg.symbol.n, cfg.symbol.m, cfg.q,
                                           cfg.r, cfg.alpha)
     fit = opnorm.fit_exponent(samples, predicted=predicted)
@@ -363,13 +389,12 @@ def _run_scaling(cfg: ExperimentConfig, report: Report):
         report.criterion("residual-slope-grows", ok,
                          f"residual {fit.residual_slope:.4f} >= {cfg.residual_min}")
     if cfg.cross_check:
-        R0 = cfg.R_list[0]
         spec0 = opnorm.SmoothingOperatorSpec(sym=cfg.symbol, alpha=cfg.alpha,
-                                             R=R0, q=cfg.q, r=cfg.r)
+                                             R=cfg.R[0], q=cfg.q, r=cfg.r)
         dense = opnorm.operator_norm_dense_eig(spec0)
         lanczos = samples[0][1]
         rel = abs(dense - lanczos) / dense
-        report.measure("dense_vs_lanczos_rel", rel, "operator_norm_dense_eig")
+        report.measure("dense_vs_lanczos_rel", rel, "operator_norm_dense_eig", "defect")
         # Lanczos gives a Rayleigh quotient: never above the dense norm, and
         # below it by at most its stopping tolerance
         ok = (lanczos <= dense * (1 + 1e-12)
@@ -379,22 +404,11 @@ def _run_scaling(cfg: ExperimentConfig, report: Report):
                          f"lanczos <= eig, gap <= {opnorm.LANCZOS_TOL:g}")
 
 
-def _measure_diagnostics(report: Report, R: float, res: opnorm.LowerBoundResult):
-    """The sampling and window deltas that go with a lower bound at scale R."""
-    for name in ("refinement_delta", "window_delta", "tail_fraction"):
-        report.measure(f"{name}_R{R:g}", getattr(res, name), "lower_bound_mixed")
-
-
 def _run_maximal(cfg: ExperimentConfig, report: Report):
-    samples = []
-    for R in cfg.R_list:
-        spec = opnorm.SmoothingOperatorSpec(sym=cfg.symbol, alpha=cfg.alpha, R=R,
-                                            q=cfg.q, r=math.inf)
-        res = opnorm.lower_bound_mixed(spec, cfg.ascent_steps * cfg.restarts)
-        samples.append((R, res.value))
-        report.measure(f"maximal_R{R:g}", res.value, "lower_bound_mixed")
-        _measure_diagnostics(report, R, res)
-        report.measure(f"candidate_R{R:g}", res.candidate, "lower_bound_mixed")
+    samples = _scan(cfg, report, "maximal", "lower_bound_mixed",
+                    lambda spec: opnorm.lower_bound_mixed(
+                        spec, cfg.ascent_steps * cfg.restarts),
+                    q=cfg.q, r=math.inf)
     predicted = opnorm.predicted_exponent(cfg.symbol.n, cfg.symbol.m, cfg.q,
                                           math.inf, cfg.alpha)
     fit = opnorm.fit_exponent(samples, predicted=predicted)
@@ -405,28 +419,20 @@ def _run_maximal(cfg: ExperimentConfig, report: Report):
 
 
 def _run_transfer(cfg: ExperimentConfig, report: Report):
-    loc, glob = [], []
-    for R in cfg.R_list:
-        s_loc = opnorm.SmoothingOperatorSpec(sym=cfg.symbol, alpha=cfg.alpha,
-                                             R=R, q=cfg.q, r=cfg.r, window="local")
-        v_loc = opnorm.operator_norm_l2(s_loc, seed=cfg.seed).value
-        loc.append((R, v_loc))
-        report.measure(f"local_R{R:g}", v_loc, "operator_norm_l2")
-        s_glob = opnorm.SmoothingOperatorSpec(sym=cfg.symbol, alpha=cfg.alpha,
-                                              R=R, q=cfg.q, r=cfg.r_tilde,
-                                              window="global")
-        res = opnorm.lower_bound_mixed(s_glob, cfg.ascent_steps * cfg.restarts)
-        glob.append((R, res.value))
-        report.measure(f"global_R{R:g}", res.value, "lower_bound_mixed")
-        _measure_diagnostics(report, R, res)
+    loc = _scan(cfg, report, "local", "operator_norm_l2",
+                lambda spec: opnorm.operator_norm_l2(spec, seed=cfg.seed),
+                q=cfg.q, r=cfg.r, window="local")
+    glob = _scan(cfg, report, "global", "lower_bound_mixed",
+                 lambda spec: opnorm.lower_bound_mixed(spec, cfg.ascent_steps * cfg.restarts),
+                 q=cfg.q, r=cfg.r_tilde, window="global")
     f_loc = opnorm.fit_exponent(loc)
     f_glob = opnorm.fit_exponent(glob)
     delta_inf, alpha_sup = opnorm.transfer_exponent(cfg.symbol.n, cfg.r,
                                                     cfg.r_tilde, cfg.alpha)
     report.fits.append(_fit_entry("local", f_loc))
     report.fits.append(_fit_entry("global", f_glob))
-    report.measure("delta_inf", delta_inf, "transfer_exponent")
-    report.measure("alpha_global_sup", alpha_sup, "transfer_exponent")
+    report.measure("delta_inf", delta_inf, "transfer_exponent", "estimate")
+    report.measure("alpha_global_sup", alpha_sup, "transfer_exponent", "estimate")
     bound = f_loc.slope + delta_inf + SLOPE_TOL
     ok = f_glob.slope <= bound
     report.criterion("window-transfer-slope", ok,
@@ -456,14 +462,14 @@ def _gaussian_oracle(grid: Grid, t: float) -> np.ndarray:
 
 
 def _run_propagator_audit(cfg: ExperimentConfig, report: Report):
-    grid = Grid(cfg.symbol.n, cfg.grid_N, cfg.grid_L)
+    grid = Grid(cfg.symbol.n, cfg.N, cfg.L)
     worst = 0.0
     times = np.linspace(0.0, 4.0, 64)
     for s in range(cfg.fields):
         f = make_field(grid, RandomBandlimited(Annulus(0.25, 8.0), seed=cfg.seed + s))
         u = propagator.propagate(f, cfg.symbol, times)
         worst = max(worst, propagator.energy_defect(u, f))
-    report.measure("energy_defect_max", worst, "propagate")
+    report.measure("energy_defect_max", worst, "propagate", "defect")
     report.criterion("energy-identity", worst <= 1e-12,
                      f"max relative defect {worst:.2e} <= 1e-12")
 
@@ -472,15 +478,15 @@ def _run_propagator_audit(cfg: ExperimentConfig, report: Report):
     t = 0.5
     u = propagator.propagate(f0, symbols.schrodinger(1), [t])
     err = float(np.max(np.abs(u.slices[0] - _gaussian_oracle(gg, t))))
-    report.measure("gaussian_oracle_maxabs", err, "propagate")
+    report.measure("gaussian_oracle_maxabs", err, "propagate", "defect")
     report.criterion("gaussian-oracle", err <= 1e-6, f"max abs {err:.2e} <= 1e-6")
 
 
 def _run_wavepacket_audit(cfg: ExperimentConfig, report: Report):
-    grid = Grid(cfg.symbol.n, cfg.grid_N, cfg.grid_L)
+    grid = Grid(cfg.symbol.n, cfg.N, cfg.L)
     worst_recon, worst_energy, spills = 0.0, 0.0, []
     last_dec = None
-    for R in cfg.R_list:
+    for R in cfg.R:
         pair = wavepackets.build_partitions(R, grid)
         for s in range(cfg.fields):
             f = make_field(grid, RandomBandlimited(Sector(), seed=cfg.seed + s))
@@ -491,12 +497,13 @@ def _run_wavepacket_audit(cfg: ExperimentConfig, report: Report):
             worst_energy = max(worst_energy, wavepackets.energy_identity_defect(dec))
             spills.append(dec.spill_max)
             last_dec = dec
-    report.measure("reconstruction_max", worst_recon, "decompose/reconstruct")
-    report.measure("energy_defect_max", worst_energy, "decompose")
+    report.measure("reconstruction_max", worst_recon, "decompose/reconstruct", "defect")
+    report.measure("energy_defect_max", worst_energy, "decompose", "defect")
     report.measure("spatial_spill_max",
-                   max((s for s in spills if s is not None), default=None), "decompose")
+                   max((s for s in spills if s is not None), default=None), "decompose",
+                   "estimate")
     report.measure("spill_radius_factor", wavepackets.SPILL_RADIUS_FACTOR,
-                   "decompose")
+                   "decompose", "label")
     report.criterion("packet-reconstruction", worst_recon <= 1e-10,
                      f"max rel error {worst_recon:.2e} <= 1e-10")
     report.criterion("packet-energy-identity", worst_energy <= 1e-10,
@@ -509,7 +516,7 @@ def _run_wavepacket_audit(cfg: ExperimentConfig, report: Report):
         k = int(rng.integers(1, len(packets)))
         sel = rng.choice(len(packets), size=k, replace=False)
         worst_ratio = max(worst_ratio, wavepackets.almost_orthogonality(packets, sel))
-    report.measure("orthogonality_ratio_max", worst_ratio, "almost_orthogonality")
+    report.measure("orthogonality_ratio_max", worst_ratio, "almost_orthogonality", "estimate")
     report.criterion("almost-orthogonality", worst_ratio <= 4.0,
                      f"max ratio {worst_ratio:.3f} <= 4")
 
@@ -532,8 +539,8 @@ def _run_sparse_audit(cfg: ExperimentConfig, report: Report):
         worst_c = max(worst_c, audit["max_families"] / len(E) ** (1.0 / cfg.K))
         cols = sparse.columns_by_height(E)
         all_ok &= sum(len(cs) for cs in cols.values()) == len(E)
-    report.measure("worst_cover_constant", worst_c, "sparse_decompose")
-    report.measure("c_cover_budget", c_cover, "sparse_decompose")
+    report.measure("worst_cover_constant", worst_c, "sparse_decompose", "estimate")
+    report.measure("c_cover_budget", c_cover, "sparse_decompose", "label")
     report.criterion("sparse-decomposition-audit",
                      all_ok and worst_c <= c_cover,
                      f"all audits pass, worst family constant {worst_c:.2f} "
@@ -541,9 +548,9 @@ def _run_sparse_audit(cfg: ExperimentConfig, report: Report):
 
 
 def _run_tube_incidence(cfg: ExperimentConfig, report: Report):
-    counts = {H: wavepackets.max_overlap(cfg.symbol, H)["count"] for H in TUBE_H}
+    counts = {str(H): wavepackets.max_overlap(cfg.symbol, H)["count"] for H in TUBE_H}
     ratio = max(counts.values()) / min(counts.values())
-    report.measure("counts", {str(k): v for k, v in counts.items()}, "max_overlap")
+    report.measure("counts", counts, "max_overlap", "estimate")
     report.criterion("overlap-stability", ratio <= 2.0,
                      f"max/min overlap {ratio:.2f} <= 2 across H")
 
@@ -551,7 +558,7 @@ def _run_tube_incidence(cfg: ExperimentConfig, report: Report):
 def _run_decay_audit(cfg: ExperimentConfig, report: Report):
     sym = cfg.symbol
     worst_slope = -math.inf
-    for R in cfg.R_list:
+    for R in cfg.R:
         v = np.array([1.0])
         t = R**2 / 2.0
         _, grad = symbols.phase(sym, v)
@@ -560,7 +567,7 @@ def _run_decay_audit(cfg: ExperimentConfig, report: Report):
         vals = [abs(wavepackets.packet_kernel(v, R, sym, t, np.array([core + d])))
                 for d in ds]
         slope = float(np.polyfit(np.log(ds), np.log(vals), 1)[0])
-        report.measure(f"kernel_slope_R{R:g}", slope, "packet_kernel")
+        report.measure(f"kernel_slope_R{R:g}", slope, "packet_kernel", "estimate")
         worst_slope = max(worst_slope, slope)
     report.criterion("kernel-decay", worst_slope <= -3.0,
                      f"worst log-log slope {worst_slope:.2f} <= -3")
@@ -570,7 +577,7 @@ def _run_decay_audit(cfg: ExperimentConfig, report: Report):
     lams = np.exp(np.linspace(math.log(16.0), math.log(256.0), 9))
     vals = [abs(sparse.surface_fourier(patch, lam * nvec)) for lam in lams]
     slope = float(np.polyfit(np.log(lams), np.log(vals), 1)[0])
-    report.measure("surface_decay_slope", slope, "surface_fourier")
+    report.measure("surface_decay_slope", slope, "surface_fourier", "estimate")
     report.criterion("surface-measure-decay", abs(slope + 0.5) <= 0.1,
                      f"slope {slope:.3f} within -0.5 +/- 0.1")
 
@@ -598,7 +605,7 @@ def _run_decoupling_audit(cfg: ExperimentConfig, report: Report):
         f = _random_ball_function(cfg.seed + s)
         singles.append(sparse.decoupling_check(fam1, [f], 2.0, patch)["ratio"])
     c_single = max(singles)
-    report.measure("single_ball_constant", c_single, "decoupling_check")
+    report.measure("single_ball_constant", c_single, "decoupling_check", "estimate")
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     for trial in range(10):
@@ -613,7 +620,7 @@ def _run_decoupling_audit(cfg: ExperimentConfig, report: Report):
                for i in range(N)]
         res = sparse.decoupling_check(fam, fns, 2.0, patch)
         worst = max(worst, res["ratio"])
-    report.measure("decoupling_ratio_max", worst, "decoupling_check")
+    report.measure("decoupling_ratio_max", worst, "decoupling_check", "estimate")
     report.criterion("sparse-decoupling", worst <= 2.0 * c_single,
                      f"max ratio {worst:.4f} <= 2 x single-ball {c_single:.4f}")
 
@@ -669,7 +676,7 @@ def verify_all(out_dir: str | None = None) -> Report:
     agg = Report(config={"kind": "verify-all"})
     for name, cfg in acceptance_runs():
         if out_dir:
-            cfg.out_dir = os.path.join(out_dir, name)
+            cfg.out = os.path.join(out_dir, name)
         sub = run(cfg)
         agg.criteria += [{**c, "name": f"{name}/{c['name']}"} for c in sub.criteria]
         agg.measurements += [{**m, "name": f"{name}/{m['name']}"} for m in sub.measurements]

@@ -110,3 +110,17 @@ def test_criterion_13_sparse_decoupling():
     rep, dt = cached_run("sparse-decoupling")
     criterion_from_report(13, "sparse decoupling constant", rep, dt, 300,
                           "sparse-decoupling")
+
+
+def test_every_battery_report_is_typed_and_valid():
+    # every measurement has a known kind, and every lower bound carries its
+    # routine's solver facts: the Lanczos residual of an L2 norm, the ascent
+    # gain of a mixed-norm bound
+    facts = {"operator_norm_l2": "residual", "lower_bound_mixed": "ascent_gain"}
+    for name in RUNS:
+        rep, _ = cached_run(name)
+        assert E.validate_report(rep.to_dict()) == [], name
+        for m in rep.measurements:
+            assert m["kind"] in E.KINDS, (name, m)
+            if m["kind"] == "lower":
+                assert facts[m["operation"]] in m["error"], (name, m)

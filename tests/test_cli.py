@@ -245,6 +245,36 @@ def test_run_cli(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_run_cli_refuses_a_malformed_config_in_one_line(tmp_path, capsys):
+    # the defaults R = 8,16,32,64 break the packet windows' L >= 4R at L = 128
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("kind = wavepacket-audit\nsymbol = power:m=2,n=1\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith("kato run: error: config field 'R': ")
+    assert stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "[Errno 2] No such file or directory: "),
+    (b"\xffkind = scaling\n", "'utf-8' codec can't decode byte 0xff in position 0"),
+], ids=["missing", "not-utf-8"])
+def test_run_cli_refuses_an_unreadable_config_in_one_line(tmp_path, capsys, content,
+                                                           message):
+    cfg, out = tmp_path / "exp.cfg", tmp_path / "out"
+    if content is not None:
+        cfg.write_bytes(content)
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith(f"kato run: error: {message}")
+    assert stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_cli_prefixes_and_fails_a_sabotaged_run(tmp_path, capsys, monkeypatch):
     scaling = "kind = scaling\nsymbol = power:m=2,n=1\nR = 8,16,32\nseed = 4\nalpha = "
     runs = [("good", experiments.parse_config(scaling + "0.5")),

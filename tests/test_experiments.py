@@ -31,7 +31,7 @@ def test_parse_config():
     cfg = E.parse_config(GOOD_SCALING)
     assert cfg.kind == "scaling"
     assert cfg.symbol.m == 2.0
-    assert cfg.R_list == (8.0, 16.0, 32.0)
+    assert cfg.R == (8.0, 16.0, 32.0)
     assert cfg.seed == 4
 
 
@@ -154,9 +154,7 @@ def test_parse_config_errors_name_fields():
 
 
 # config key -> declared type of its ExperimentConfig field
-_RENAMED = {"R_list": "R", "grid_N": "N", "grid_L": "L", "out_dir": "out"}
-KEY_TYPES = {_RENAMED.get(f.name, f.name): f.type
-             for f in dataclasses.fields(E.ExperimentConfig)}
+KEY_TYPES = {f.name: f.type for f in dataclasses.fields(E.ExperimentConfig)}
 # words from letters that spell no number, boolean, kind, symbol or expect value
 WORDS = st.text(alphabet="abcxyz", min_size=1, max_size=6)
 WRONG = {"int": st.sampled_from(["2.5", "inf", "true", "1e400", "8,16"]),
@@ -213,7 +211,7 @@ SMALL_TRANSFER = ("kind = transfer\nsymbol = power:m=2,n=1\nalpha = 0.5\n"
 def test_report_schema_and_reproducibility(tmp_path, text):
     cfg = E.parse_config(text)
     out = tmp_path / "runs"
-    cfg.out_dir = str(out)
+    cfg.out = str(out)
     runs = []
     for _ in range(2):
         rep = E.run(cfg)
@@ -231,21 +229,29 @@ def test_report_schema_and_reproducibility(tmp_path, text):
 
 
 def test_maximal_run_reports_every_diagnostic_as_a_number(tmp_path):
-    # every row of measurements.csv parses with float(), and each scale
-    # carries its value, three diagnostics and candidate
+    # each scale is one lower bound whose error holds every field of its
+    # result, and every row of measurements.csv parses with float(): the
+    # value and each numeric error field, the candidate's name aside
     cfg = E.parse_config("kind = maximal\nsymbol = power:m=2,n=1\nalpha = -0.25\n"
                          "q = 2\nR = 2,4,8\nascent_steps = 2\nseed = 6")
-    cfg.out_dir = str(tmp_path)
+    cfg.out = str(tmp_path)
     rep = E.run(cfg)
-    names = [m["name"] for m in rep.measurements]
-    assert names == [f"{key}_R{R}" for R in (2, 4, 8)
-                     for key in ("maximal", "refinement_delta", "window_delta",
-                                 "tail_fraction", "candidate")]
+    assert [m["name"] for m in rep.measurements] == ["maximal_R2", "maximal_R4", "maximal_R8"]
+    numeric = ("ascent_gain", "refinement_delta", "window_delta", "tail_fraction",
+               "evaluations")
+    for m in rep.measurements:
+        assert m["kind"] == "lower" and m["operation"] == "lower_bound_mixed"
+        assert set(m["error"]) == {"candidate", *numeric}
+        assert isinstance(m["error"]["candidate"], str)
     rows = (tmp_path / "measurements.csv").read_text().splitlines()
-    assert rows[0] == "name,value,operation" and len(rows) == 1 + 4 * 3
+    assert rows[0] == "name,value,operation,kind"
+    assert [row.split(",")[0] for row in rows[1:]] == [
+        name for R in (2, 4, 8) for name in
+        [f"maximal_R{R}"] + [f"maximal_R{R}.{key}" for key in numeric]]
     for row in rows[1:]:
-        name, value, operation = row.split(",")
+        name, value, operation, kind = row.split(",")
         assert math.isfinite(float(value)) and operation == "lower_bound_mixed", row
+        assert kind == "lower", row
 
 
 def test_invalid_report_detected():
@@ -258,6 +264,33 @@ def test_invalid_report_detected():
                                   "measurements": [], "fits": [fit],
                                   "criteria": [], "environment": {}})
     assert problems and "slope" in problems[0]
+
+    def problems(*measurements):
+        return E.validate_report({"schema": E.SCHEMA, "config": {},
+                                  "measurements": list(measurements), "fits": [],
+                                  "criteria": [], "environment": {}})
+
+    error = {"candidate": "chirp-broad", "ascent_gain": 0.0, "refinement_delta": 0.0,
+             "window_delta": 0.0, "tail_fraction": 0.0, "evaluations": 6}
+    bound = {"name": "maximal_R8", "value": 9.85, "operation": "lower_bound_mixed",
+             "kind": "lower", "error": error}
+    assert problems(bound) == []
+    # an estimate from the same routine needs no error
+    assert problems({**bound, "kind": "estimate", "error": {}}) == []
+    no_kind = {k: v for k, v in bound.items() if k != "kind"}
+    assert problems(no_kind) == [f"measurement missing kind: {no_kind}"]
+    assert "'bound' is not one of" in problems({**bound, "kind": "bound"})[0]
+    for key in ("window_delta", "candidate"):
+        partial = {k: v for k, v in error.items() if k != key}
+        found = problems({**bound, "error": partial})
+        assert len(found) == 1 and found[0].startswith(f"measurement error lacks ['{key}']")
+    # an L2 norm without its residual, or without any error
+    l2 = {"name": "norm_R8", "value": 23.5, "operation": "operator_norm_l2",
+          "kind": "lower", "error": {"iterations": 16, "mode_count": 237,
+                                     "method": "lanczos-fast"}}
+    assert "['residual']" in problems(l2)[0]
+    assert "['iterations', 'method', 'mode_count', 'residual']" in problems(
+        {k: v for k, v in l2.items() if k != "error"})[0]
 
 
 def test_propagator_audit_quick():
@@ -327,10 +360,10 @@ def test_tube_incidence_run():
     assert rep.passed
     counts = {str(H): W.max_overlap(S.schrodinger(1), H)["count"] for H in E.TUBE_H}
     assert rep.measurements == [{"name": "counts", "value": counts,
-                                 "operation": "max_overlap"}]
+                                 "operation": "max_overlap", "kind": "estimate"}]
     assert [c["name"] for c in rep.criteria] == ["overlap-stability"]
     # the echo holds the keys the kind reads
-    assert set(rep.config) == {"kind", "symbol", "out_dir"}
+    assert set(rep.config) == {"kind", "symbol", "out"}
 
 
 def test_every_kind_reads_its_keys_and_echoes_only_those():
@@ -344,8 +377,7 @@ def test_every_kind_reads_its_keys_and_echoes_only_those():
         text = "\n".join([f"kind = {kind}", "symbol = power:m=2,n=1"]
                          + [f"{k} = {values[k]}" for k in keys])
         cfg = E.parse_config(text)
-        echo = {E.CONFIG_KEY.get(k, k) for k in E._config_echo(cfg)}
-        assert echo == {"kind", "symbol", "out"} | set(keys), kind
+        assert set(E._config_echo(cfg)) == {"kind", "symbol", "out"} | set(keys), kind
 
 
 def test_cubic_symbol_scaling_run_takes_the_structured_apply(monkeypatch):
