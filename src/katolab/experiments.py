@@ -286,6 +286,9 @@ def validate_report(d: dict) -> list:
         for k in ("tag", "R", "values", "slope", "intercept", "stderr"):
             if k not in f:
                 problems.append(f"fit missing {k}: {f}")
+    tags = [f["tag"] for f in d.get("fits", []) if isinstance(f.get("tag"), str)]
+    for tag in sorted({t for t in tags if tags.count(t) > 1}):
+        problems.append(f"fits share the tag {tag!r}")
     return problems
 
 
@@ -680,7 +683,7 @@ def verify_all(out_dir: str | None = None) -> Report:
         sub = run(cfg)
         agg.criteria += [{**c, "name": f"{name}/{c['name']}"} for c in sub.criteria]
         agg.measurements += [{**m, "name": f"{name}/{m['name']}"} for m in sub.measurements]
-        agg.fits.extend(sub.fits)
+        agg.fits += [{**f, "tag": f"{name}/{f['tag']}"} for f in sub.fits]
     agg.environment = _environment()
     agg.environment["wall_clock_s"] = round(time.time() - t0, 3)
     if out_dir:

@@ -32,10 +32,15 @@ chirps focusing at the window's centre, the winner refined by the power
 method c <- dF/d conj(c) for the numerator F(c) = ||A c|| of the quotient.
 F is convex and 1-homogeneous, so no iterate lowers the quotient (Boyd
 1974, Higham 1992) except at r = inf, where the sup over searched samples
-is not exactly a norm. The bank and the iteration run on the transit
-window of the sector around that focus, the rows of one time grid on that
-window doubled, over the same p-grid spanning only that doubled window.
-Those values are lower bounds by construction and are reported as such.
+is not exactly a norm. One time grid covers the transit window of the
+sector around that focus, doubled, over a p-grid spanning only that doubled
+window. The bank and the iteration run on rows of that grid: at finite r
+the transit window, at r = inf its band (_peak_band) within the transit
+time (R + 1/width)/v_min of the focus, where every peak lies. The best point
+is evaluated once more on the whole doubled grid: every diagnostic comes from
+that evaluation, and the reported value is the higher of it and the value on
+the rows. Those values are lower bounds by construction and are reported as
+such.
 
 Their cost is the evolution slab u(t_s, x_b) = sum_k a_k e^{i t_s phi_k}
 e^{i x_b xi_k} over S time samples and M modes. The time samples must be
@@ -103,8 +108,9 @@ LANCZOS_STEPS = 200
 # stride of the r = inf search (even, so every coarse sample has an even
 # index), the default power iterations, ASCENT_STEPS x ASCENT_RESTARTS (also
 # the experiment configs' default), the relative rise at which they stop, and
-# the largest time-samples x eval-points x modes cost of a call whose bank
-# winner they refine.
+# the largest transit-window samples x eval-points x modes cost of a call
+# whose bank winner they refine (the transit window's samples even at r = inf,
+# where the bank and the iteration search only its peak band).
 BLOCK = 128
 SUP_STRIDE = 8
 ASCENT_STEPS = 12
@@ -419,6 +425,23 @@ def _transit_times(spec: SmoothingOperatorSpec) -> tuple:
     return lo + (s + 0.5) * (hi - lo) / steps, slice(before, before + steps)
 
 
+def _peak_band(spec: SmoothingOperatorSpec, times: np.ndarray, rows: slice) -> slice:
+    """The rows of times that can hold a peak of |u| at r = inf: those of
+    the transit rows within (R + 1/width)/v_min of the focus t0, widened to
+    whole groups of SUP_STRIDE samples counted from rows.start and clipped
+    to rows. A spectrum focused at (t0, 0) crosses B_R within that time of
+    t0 (the transit-time bound behind the maximal estimates, Kenig-Ponce-Vega
+    1991), width and v_min the sector's width and slowest speed, as in
+    _transit_times."""
+    t0 = _focus_time(spec)
+    reach = (spec.R + 1.0 / (SECTOR_OUTER - SECTOR_INNER)) / _slowest_speed(spec)
+    transit = times[rows]
+    lo = SUP_STRIDE * (int(np.searchsorted(transit, t0 - reach)) // SUP_STRIDE)
+    hi = int(np.searchsorted(transit, t0 + reach, side="right"))
+    return slice(rows.start + lo,
+                 rows.start + min(len(transit), SUP_STRIDE * -(-hi // SUP_STRIDE)))
+
+
 def _tables(spec: SmoothingOperatorSpec, modes: ModeGrid, times: np.ndarray) -> tuple:
     """(gx, space, base, lead, offset): what an evaluation over uniform
     times reads that depends only on the operator and the times.
@@ -601,28 +624,30 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec,
     c <- dF/d conj(c) (_quotient_gradient) from the bank winner. The result
     is a LOWER bound only; stagnation is recorded, never raised.
     `candidate` names the bank winner, refined only when the call's cost
-    (time samples x ball cells x modes) is within ASCENT_BUDGET. The
-    refinement runs at most `iterations` iterations, one evaluation and one
-    gradient each, and stops early once an iterate rises by at most
+    (transit-window samples x ball cells x modes) is within ASCENT_BUDGET.
+    The refinement runs at most `iterations` iterations, one evaluation and
+    one gradient each, and stops early once an iterate rises by at most
     POWER_RISE_TOL relative (or falls, which only the r = inf sup search,
     not exactly a norm, allows); the best iterate is kept. One table set
     (_tables) per call is built on the doubled transit window
     (_transit_times) over a mode grid spanning it; the bank and every
-    iteration read it on the transit window's rows (_window_tables). The
-    best point is evaluated again on the doubled window, unless the rows are
-    all of it, and the higher of the two values is reported. The diagnostics
-    do not depend on which one wins by rounding: refinement_delta (the value
-    with every second time sample dropped) and tail_fraction (the share of
-    sum_x |u|^2 in the last tenth of the samples) are read from the transit
-    window's evaluation, and window_delta is the relative difference of the
-    two (0 when the transit window already spans the operator's window; at
+    iteration read it on the transit window's rows at finite r and on their
+    peak band at r = inf (_peak_band, _window_tables). The best point is
+    evaluated once more on the doubled window, unless the rows are all of
+    it, and the higher of the two values is reported. Every diagnostic reads
+    that one doubled-window evaluation, so none depends on which value wins
+    by rounding: refinement_delta (the value with every second time sample
+    dropped) and tail_fraction (the share of sum_x |u|^2 in the last tenth
+    of the samples), and window_delta, its relative difference from the
+    value on the rows (0 when they already span the doubled window; at
     finite r, at one step, the doubled window can only raise the value). At
     r = inf the first is read from the even-sample peaks of the search and
     the second from its coarse samples.
     """
-    wide, rows = _transit_times(spec)
+    wide, transit = _transit_times(spec)
     modes = mode_grid(spec, wide[-1] - wide[0])
     wide_tables = _tables(spec, modes, wide)
+    rows = _peak_band(spec, wide, transit) if spec.r == INF else transit
     times, tables = wide[rows], _window_tables(spec, wide_tables, rows)
     evals, best_val = 0, 0.0
     for name, c in _candidate_bank(spec, modes):
@@ -636,7 +661,7 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec,
     # differentiate repeatedly: for a convex, 1-homogeneous F the
     # subgradient inequality F(x) >= 2 Re<g, x>, with equality at x = c,
     # gives F(g) / |g| >= 2 |g| >= F(c) / |c|
-    affordable = len(times) * tables[0].N * len(modes.xi) <= ASCENT_BUDGET
+    affordable = (transit.stop - transit.start) * tables[0].N * len(modes.xi) <= ASCENT_BUDGET
     top_val, top = best_val, best
     c, raw, u = best
     for _ in range(iterations if affordable else 0):
@@ -649,13 +674,13 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec,
             top_val, top = val, (c, raw, u)
         if rise <= POWER_RISE_TOL * val:
             break
-    del tables  # the transit window's lead rows, none in the diagnostics
+    del tables  # the rows' shifted lead rows, which the doubled window does not read
 
-    # report the higher of the two windows; the sampling diagnostics read
-    # the transit window's evaluation, the one the iteration optimised
+    # every diagnostic from one evaluation of the best point on the doubled
+    # window; the value is the higher of it and the value on the rows
     top_c, v_top, u = top
-    v_wide = v_top if len(times) == len(wide) else _eval_mixed(
-        spec, modes, top_c, wide, wide_tables)[0]
+    v_wide, u = (v_top, u) if len(times) == len(wide) else _eval_mixed(
+        spec, modes, top_c, wide, wide_tables)
     window_delta = abs(v_wide - v_top) / max(v_top, 1e-300)
     if spec.r == INF:
         # every coarse sample has an even index, so the even-sample peaks
@@ -666,7 +691,7 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec,
         half = mixed_norm(SpacetimeField(u.grid, u.times[::2], u.slices[::2]),
                           MixedNormSpec(q=spec.q, r=spec.r))
         per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
-    ref_delta = abs(v_top - half) / max(v_top, 1e-300)
+    ref_delta = abs(v_wide - half) / max(v_wide, 1e-300)
     # share of the time-profile mass in the last tenth of the window
     k = max(1, len(per_t) // 10)
     tail_fraction = float(np.sum(per_t[-k:]) / max(np.sum(per_t), 1e-300))

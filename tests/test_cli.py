@@ -290,6 +290,11 @@ def test_verify_cli_prefixes_and_fails_a_sabotaged_run(tmp_path, capsys, monkeyp
     assert names and {n.split("/")[0] for n in names} == {"good", "sabotaged"}
     assert [c["name"] for c in report["criteria"]] == [
         "good/slope-matches-prediction", "sabotaged/slope-matches-prediction"]
+    # both runs fit `scaling`: the prefix tells the two fits apart, and
+    # without it the report is refused
+    assert [f["tag"] for f in report["fits"]] == ["good/scaling", "sabotaged/scaling"]
+    bare = {**report, "fits": [{**f, "tag": "scaling"} for f in report["fits"]]}
+    assert experiments.validate_report(bare) == ["fits share the tag 'scaling'"]
     assert (tmp_path / "sabotaged" / "report.json").exists()
 
 

@@ -287,8 +287,9 @@ def _half_rate_delta(u, spec):
 
 
 def _call_times(spec):
-    """The samples lower_bound_mixed runs its bank and iteration on: the
-    transit window, its rows of _transit_times."""
+    """The transit window, its rows of _transit_times: the samples
+    ASCENT_BUDGET counts, and those lower_bound_mixed runs its bank and
+    iteration on at finite r (at r = inf their peak band)."""
     times, rows = O._transit_times(spec)
     return times[rows]
 
@@ -604,13 +605,15 @@ def test_bank_winner_is_evaluated_once_at_finite_r(monkeypatch):
 
 
 def _check_bank_winner_is_evaluated_once(monkeypatch, r):
-    # the bank loop's evaluation of the winner starts the power iteration
-    # and gives the diagnostics. At local R = 8 the doubled transit window
-    # clips to the same operator window, so its rows are all of the times
-    # and that evaluation is reused too: after the bank nothing is evaluated
-    # and window_delta is exactly 0. At finite r the diagnostics read the
-    # slab; at r = inf the sup search's record (even-sample peaks, coarse
-    # energies).
+    # the bank loop's evaluation of the winner starts the power iteration.
+    # At local R = 8 the doubled transit window clips to the same operator
+    # window, so at finite r the bank's rows are all of the times and that
+    # evaluation is reused for the value and the diagnostics: after the bank
+    # nothing is evaluated and window_delta is exactly 0. At r = inf the bank
+    # runs on the peak band, so after the bank exactly one evaluation runs,
+    # on the doubled window, and the value is the higher of the two; the
+    # diagnostics read the doubled window's sup search record (even-sample
+    # peaks, coarse energies), at finite r the slab.
     spec = spec_at(8.0, alpha=-0.25, r=r)
     modes = call_modes(spec)
     times, rows = O._transit_times(spec)
@@ -625,29 +628,30 @@ def _check_bank_winner_is_evaluated_once(monkeypatch, r):
 
     monkeypatch.setattr(O, "ASCENT_BUDGET", 0.0)
     over = O.lower_bound_mixed(spec)
-    assert len(calls) == len(bank)
+    assert len(calls) == len(bank) + (r == INF)
+    after_bank = calls[len(bank):]
     monkeypatch.setattr(O, "ASCENT_BUDGET", math.inf)
     # a zero iteration cap means no iteration
     del calls[:]
     unrefined = O.lower_bound_mixed(spec, 0)
-    assert len(calls) == len(bank)
+    assert len(calls) == len(bank) + (r == INF)
+    # what follows the bank is the winner's evaluation on the doubled window
+    for args in after_bank + calls[len(bank):]:
+        assert args[2] is bank[0][1] and np.array_equal(args[3], times)
 
-    tables = O._window_tables(spec, O._tables(spec, modes, times), rows)
-    v_full, u = eval_mixed(spec, modes, bank[0][1], times, tables)
-    if r == INF:
-        half = (u.grid.dx * np.sum(u.even_peak**spec.q)) ** (1.0 / spec.q)
-        ref_delta = abs(v_full - half) / v_full
-        per_t = u.coarse_energy
-    else:
-        ref_delta = _half_rate_delta(u, spec)
-        per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
-    k = max(1, len(per_t) // 10)
+    band, band_tables = _band_tables(spec, modes)
+    assert (len(band) < len(times)) == (r == INF)
+    v_band = eval_mixed(spec, modes, bank[0][1], band, band_tables)[0]
+    v_full, u = _evaluate(spec, modes, bank[0][1], times)
+    ref_delta, tail = _wide_diagnostics(spec, u, v_full)
     for res in (over, unrefined):
         assert res.candidate == "chirp-wide@0.9"
-        assert res.value == v_full / O._l2_of_spectrum(modes, bank[0][1])
+        assert res.value == max(v_band, v_full) / O._l2_of_spectrum(modes, bank[0][1])
         assert res.refinement_delta == ref_delta
-        assert res.window_delta == 0.0
-        assert res.tail_fraction == float(np.sum(per_t[-k:]) / np.sum(per_t))
+        assert res.window_delta == abs(v_full - v_band) / v_band
+        assert res.tail_fraction == tail
+    if r != INF:
+        assert over.window_delta == 0.0
 
 
 def _transit_window(spec):
@@ -753,19 +757,73 @@ def test_doubled_window_value_is_at_least_the_transit_windows():
         assert v_wide >= v_top * (1 - 1e-12), name
 
 
+@pytest.mark.parametrize("window", ["local", "global"], ids=xt)
+@pytest.mark.parametrize("R", [2.0, 4.0, 8.0, 16.0, 32.0])
+def test_peak_band_holds_every_peak(monkeypatch, R, window):
+    # at r = inf the bank and the iteration search only the band: whole
+    # groups of SUP_STRIDE transit rows around the focus. A band too narrow
+    # would cut a peak off, so every bank candidate's peaks on the doubled
+    # window, and the peaks of every search the call runs there, lie in it
+    spec = spec_at(R, alpha=-0.25, r=INF, window=window)
+    modes = call_modes(spec)
+    wide, transit = O._transit_times(spec)
+    band = O._peak_band(spec, wide, transit)
+    assert transit.start <= band.start < band.stop <= transit.stop
+    assert (band.start - transit.start) % O.SUP_STRIDE == 0
+    assert (band.stop - transit.start) % O.SUP_STRIDE == 0 or band.stop == transit.stop
+
+    def inside(u):
+        return band.start <= u.index.min() and u.index.max() < band.stop
+
+    tables = O._tables(spec, modes, wide)
+    for name, c in O._candidate_bank(spec, modes):
+        assert inside(O._eval_mixed(spec, modes, c, wide, tables)[1]), name
+    eval_mixed, searches = O._eval_mixed, []
+
+    def logged(*args):
+        out = eval_mixed(*args)
+        if len(args[3]) == len(wide):
+            searches.append(out[1])
+        return out
+
+    monkeypatch.setattr(O, "_eval_mixed", logged)
+    O.lower_bound_mixed(spec)
+    assert searches and all(inside(u) for u in searches)
+
+
 # The power iteration as one call per piece of work: every evaluation and
 # gradient builds its own table set (ball grid, spatial and time factors, on
-# the doubled transit window, read on the transit window's rows). The bank
-# and every iteration run on the call's transit window. lower_bound_mixed
-# must give the same result with one table set per call and one gradient per
-# iteration. The value and the diagnostics read the higher of the best
-# point's two evaluations: on the transit window and on the doubled window,
-# which is the same evaluation when the two windows are equal.
+# the doubled transit window, read on the rows the bank and the iteration
+# run on: the peak band at r = inf, the transit window at finite r).
+# lower_bound_mixed must give the same result with one table set per call
+# and one gradient per iteration. The value is the higher of the best
+# point's two evaluations, on those rows and on the doubled window, and the
+# diagnostics read the doubled window's; the two are the same evaluation
+# when the rows are all of the doubled window.
 
-def _transit_tables(spec, modes):
-    """(transit window, its table set), from a fresh set on the doubled window."""
+def _band_rows(spec):
+    """(doubled window, the rows the bank and the iteration run on)."""
     wide, rows = O._transit_times(spec)
+    return wide, O._peak_band(spec, wide, rows) if spec.r == INF else rows
+
+
+def _band_tables(spec, modes):
+    """(the bank's samples, their table set), from a fresh set on the doubled
+    window."""
+    wide, rows = _band_rows(spec)
     return wide[rows], O._window_tables(spec, O._tables(spec, modes, wide), rows)
+
+
+def _wide_diagnostics(spec, u, value):
+    """(refinement_delta, tail_fraction) of an evaluation u of the given value."""
+    if spec.r == INF:
+        ref_delta = abs(value - O._reduce(u.even_peak, spec.q, u.grid.dx)) / max(value, 1e-300)
+        per_t = u.coarse_energy
+    else:
+        ref_delta = _half_rate_delta(u, spec)
+        per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
+    k = max(1, len(per_t) // 10)
+    return ref_delta, float(np.sum(per_t[-k:]) / max(np.sum(per_t), 1e-300))
 
 
 def _lower_bound_reference(spec):
@@ -774,7 +832,7 @@ def _lower_bound_reference(spec):
     times = _call_times(spec)
 
     def evaluate(c):
-        return O._eval_mixed(spec, modes, c, *_transit_tables(spec, modes))
+        return O._eval_mixed(spec, modes, c, *_band_tables(spec, modes))
 
     evals, best_val = 0, 0.0
     for name, c in O._candidate_bank(spec, modes):
@@ -783,11 +841,12 @@ def _lower_bound_reference(spec):
         evals += 1
         if val > best_val:
             best_val, best_name, best = val, name, (c, raw, u)
+    # the budget counts the transit window's samples, whatever the band
     affordable = len(times) * u.grid.N * len(modes.xi) <= O.ASCENT_BUDGET
     quotients, top = [best_val], best
     c, raw, u = best
     for _ in range(O.ASCENT_STEPS * O.ASCENT_RESTARTS if affordable else 0):
-        c = O._quotient_gradient(spec, modes, raw, u, _transit_tables(spec, modes)[1])
+        c = O._quotient_gradient(spec, modes, raw, u, _band_tables(spec, modes)[1])
         raw, u = evaluate(c)
         evals += 1
         quotients.append(raw / O._l2_of_spectrum(modes, c))
@@ -795,24 +854,16 @@ def _lower_bound_reference(spec):
             top = (c, raw, u)
         if quotients[-1] - quotients[-2] <= O.POWER_RISE_TOL * quotients[-1]:
             break
-    top_c, v_top, u = top
+    top_c, v_top, _ = top
     top_val = max(quotients)
-    v_wide = _evaluate(spec, modes, top_c, O._transit_times(spec)[0])[0]
-    if spec.r == INF:
-        half = O._reduce(u.even_peak, spec.q, u.grid.dx)
-        ref_delta = abs(v_top - half) / max(v_top, 1e-300)
-        per_t = u.coarse_energy
-    else:
-        ref_delta = _half_rate_delta(u, spec)
-        per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
-    k = max(1, len(per_t) // 10)
+    v_wide, u = _evaluate(spec, modes, top_c, O._transit_times(spec)[0])
+    ref_delta, tail = _wide_diagnostics(spec, u, v_wide)
     nf = O._l2_of_spectrum(modes, top_c)
     res = O.LowerBoundResult(
         value=max(top_val, v_wide / nf), candidate=best_name,
         ascent_gain=(top_val - best_val) / max(best_val, 1e-300),
         refinement_delta=ref_delta, window_delta=abs(v_wide - v_top) / max(v_top, 1e-300),
-        tail_fraction=float(np.sum(per_t[-k:]) / max(np.sum(per_t), 1e-300)),
-        evaluations=evals)
+        tail_fraction=tail, evaluations=evals)
     return res, quotients
 
 
@@ -822,9 +873,11 @@ def _lower_bound_reference(spec):
 def test_ascent_matches_the_per_call_reference(monkeypatch, r, window, R):
     # every field equal; one gradient per iteration, always on the call's
     # tables; one table set per call, spatial factor and doubled window
-    # included, read on the transit window once; the doubled window is
-    # evaluated when it differs from the transit window (global window) and
-    # not when it does not (local, where both clip to the operator window)
+    # included, read on the bank's rows once; the doubled window is
+    # evaluated when it differs from those rows (at r = inf, whose band is
+    # narrower than the transit window, and on the global window) and not
+    # when it does not (finite r on the local window, where both windows
+    # clip to the operator window)
     spec = spec_at(R, alpha=-0.25, r=r, window=window)
     modes = call_modes(spec)
     bank = len(O._candidate_bank(spec, modes))
@@ -841,9 +894,9 @@ def test_ascent_matches_the_per_call_reference(monkeypatch, r, window, R):
     assert set(grads) == {5}
     # the bank and the iteration evaluate on the call's tables, and so does
     # the doubled window, when it is new
-    times, rows = O._transit_times(spec)
+    times, rows = _band_rows(spec)
     wide = rows != slice(0, len(times))
-    assert wide == (window == "global")
+    assert wide == (r == INF or window == "global")
     assert len(calls["_eval_mixed"]) == res.evaluations + wide
     assert len(calls["_tables"]) == len(calls["_window_tables"]) == 1
 
@@ -943,32 +996,25 @@ def test_mixed_node_rule_is_converged(monkeypatch, R, window, r, alpha):
     assert O.lower_bound_mixed(spec).value == pytest.approx(res.value, rel=1e-7)
 
 
-def _transit_diagnostics(spec, modes, c):
+def _doubled_window_diagnostics(spec, modes, c):
     """(value, (refinement_delta, window_delta, tail_fraction), whether the
-    wide window won) of spectrum c from fresh evaluations on the transit
-    window and on the doubled window: the value is the higher of the two,
-    the sampling diagnostics are the transit window's."""
-    v_top, u = O._eval_mixed(spec, modes, c, *_transit_tables(spec, modes))
-    v_wide = _evaluate(spec, modes, c, O._transit_times(spec)[0])[0]
-    if spec.r == INF:
-        ref_delta = abs(v_top - O._reduce(u.even_peak, spec.q, u.grid.dx)) / v_top
-        per_t = u.coarse_energy
-    else:
-        ref_delta = _half_rate_delta(u, spec)
-        per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
-    k = max(1, len(per_t) // 10)
-    tail = float(np.sum(per_t[-k:]) / np.sum(per_t))
+    wide window won) of spectrum c from fresh evaluations on the bank's rows
+    and on the doubled window: the value is the higher of the two, the
+    sampling diagnostics are the doubled window's."""
+    v_top = O._eval_mixed(spec, modes, c, *_band_tables(spec, modes))[0]
+    v_wide, u = _evaluate(spec, modes, c, O._transit_times(spec)[0])
+    ref_delta, tail = _wide_diagnostics(spec, u, v_wide)
     return max(v_top, v_wide), (ref_delta, abs(v_wide - v_top) / v_top, tail), v_wide > v_top
 
 
 @pytest.mark.parametrize("r, alpha", [(INF, -0.25), (4.0, 0.5)])
-def test_diagnostics_read_the_transit_window(monkeypatch, r, alpha):
-    # the power iteration moves the winner to a new point at the call's transit
-    # times; the value is the higher of its evaluations there and on the
-    # doubled transit window (the narrow one at r = inf, the wide one at
-    # r = 4), refinement_delta and tail_fraction are the transit window's
-    # whichever wins, and no evaluation runs beyond the bank, the iteration
-    # and the wide window
+def test_diagnostics_read_the_doubled_window(monkeypatch, r, alpha):
+    # the power iteration moves the winner to a new point on the bank's rows
+    # (the peak band at r = inf, the transit window at r = 4); the value is
+    # the higher of its evaluations there and on the doubled transit window,
+    # refinement_delta and tail_fraction are the doubled window's whichever
+    # wins, and no evaluation runs beyond the bank, the iteration and the
+    # doubled window
     spec = spec_at(2.0, alpha=alpha, r=r, window="global")
     modes = call_modes(spec)
     eval_mixed = O._eval_mixed
@@ -978,12 +1024,13 @@ def test_diagnostics_read_the_transit_window(monkeypatch, r, alpha):
     res = O.lower_bound_mixed(spec)
     assert len(calls) == res.evaluations + 1
     top_c = calls[-1][2]  # the wide window's spectrum is the reported point
+    assert np.array_equal(calls[-1][3], O._transit_times(spec)[0])
     times = next(args[3] for args in calls if args[2] is top_c)
     assert res.ascent_gain > 0
     bank = dict(O._candidate_bank(spec, modes))
     assert not any(top_c is c for c in bank.values())
-    assert np.array_equal(times, _call_times(spec))
-    value, diagnostics, wide = _transit_diagnostics(spec, modes, top_c)
+    assert np.array_equal(times, _band_tables(spec, modes)[0])
+    value, diagnostics, wide = _doubled_window_diagnostics(spec, modes, top_c)
     assert wide == (r != INF)
     assert (res.refinement_delta, res.window_delta, res.tail_fraction) == diagnostics
     assert res.value == value / O._l2_of_spectrum(modes, top_c)
