@@ -30,42 +30,31 @@ Mixed norms are L^q_x L^r_t (norms). The cases (q, r) != (2, 2), the
 maximal r = inf included, are handled by lower_bound_mixed: a bank of five
 chirps focusing at the window's centre, the winner refined by the power
 method c <- dF/d conj(c) for the numerator F(c) = ||A c|| of the quotient.
-F is convex and 1-homogeneous, so no iterate lowers the quotient (Boyd
-1974, Higham 1992) except at r = inf, where the sup over searched samples
-is not exactly a norm. One time grid covers the transit window of the
-sector around that focus, doubled, over a p-grid spanning only that doubled
-window. The bank and the iteration run on rows of that grid: at finite r
-the transit window, at r = inf its band (_peak_band) within the transit
-time (R + 1/width)/v_min of the focus, where every peak lies. The best point
-is evaluated once more on the whole doubled grid: every diagnostic comes from
-that evaluation, and the reported value is the higher of it and the value on
-the rows. Those values are lower bounds by construction and are reported as
-such.
+F is convex and 1-homogeneous, a norm of c on fixed time samples, so no
+iterate lowers the quotient (Boyd 1974, Higham 1992). One time grid covers
+the transit window of the sector around that focus, doubled, over a p-grid
+spanning only that doubled window. The bank and the iteration run on rows
+of that grid: at finite r the transit window, at r = inf its band
+(_peak_band) within the transit time (R + 1/width)/v_min of the focus,
+where every peak lies. The best point is evaluated once more on the whole
+doubled grid: every diagnostic comes from that evaluation, and the reported
+value is the higher of it and the value on the rows. Those values are lower
+bounds by construction and are reported as such.
 
-Their cost is the evolution slab u(t_s, x_b) = sum_k a_k e^{i t_s phi_k}
-e^{i x_b xi_k} over S time samples and M modes. The time samples must be
-uniform, t_s = t_0 + s dt, so the phase factors in blocks of BLOCK samples:
-e^{i t_{iB+j} phi} = e^{i t_{iB} phi} e^{i (t_j - t_0) phi}. One shared
-BLOCK x M block and one lead row per block cost (S/BLOCK + BLOCK) M
-exponentials instead of S M, and each block of the slab is one matmul on
-the M x nx spatial factor e^{i x_b xi_k}, its rows scaled by the block's
-lead row and the amplitudes. The gradient at finite r runs the same blocks
-backwards: it accumulates the conjugate of its time sum from the forward
-tables, so it needs no table of its own. One call builds its tables
-(_tables: ball grid, spatial and time factors) once over all modes and
-both windows; each evaluation takes the rows and columns of its live
-modes (views when they are contiguous) and each gradient the whole tables.
-
-At r = inf only the sup in time survives, so the full slab is never built.
-The search is coarse to fine (_sup_in_time): the slab on every
-SUP_STRIDE-th sample (the same block factorisation, at stride
-SUP_STRIDE dt), then the 2 SUP_STRIDE - 1 samples around the two highest
-coarse samples of each column and around the last coarse sample, each
-window one matmul of the offset table e^{i o dt phi} with coarse factor
-rows already built. A sup over a subset of the samples is still a lower
-bound. What the search keeps (SupRecord: each cell's peak sample and
-value, its peak over even samples, the coarse energy profile) feeds the
-gradient, which needs only the peak samples, and the diagnostics.
+Their cost is the evolution slab u(t_s, x_b) = sum_k a_k e^{i t_s p_k}
+e^{i x_b xi_k} over S time samples, M modes and the nx cells of the ball
+grid. The times are uniform, t_s = t_0 + s dt, and so are the p-nodes,
+p_k = p_0 + k dp, so for each cell the sum over k is one chirp-z transform
+(_chirp_z; Rabiner, Schafer & Rader 1969, Bluestein 1970): two FFTs of
+size about S + M instead of S M exponentials, for every r, the sup over all
+S samples at r = inf. The gradient is its adjoint, a chirp-z transform from
+the times back to the p-nodes. A call builds the ball grid and the M x nx
+spatial factor e^{i x_b xi_k} once (_tables); an evaluation on any window
+of the times reads the rows of its live modes. Transforms go in chunks of
+cells that fill one IDFT_STACK_BYTES buffer, and the doubled window's one
+evaluation (_doubled_window) keeps of each chunk only each cell's L^r_t
+norms, over all samples and over even ones, and the energy per sample, so
+its slab is never held whole.
 """
 
 from __future__ import annotations
@@ -76,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbols as sym_mod
-from .core import SECTOR_INNER, SECTOR_OUTER, Grid, SpacetimeField, check_uniform_times
+from .core import IDFT_STACK_BYTES, SECTOR_INNER, SECTOR_OUTER, Grid, SpacetimeField
 from .norms import INF, MixedNormSpec, _reduce, _reduce_grad, mixed_norm
 from .propagator import sector_bump
 from .symbols import SymbolSpec
@@ -104,15 +93,12 @@ DENSE_MODES = 6000
 LANCZOS_TOL = 1e-3
 LANCZOS_STEPS = 200
 
-# Mixed-norm lower bounds: time samples per phase block, the coarse time
-# stride of the r = inf search (even, so every coarse sample has an even
-# index), the default power iterations, ASCENT_STEPS x ASCENT_RESTARTS (also
-# the experiment configs' default), the relative rise at which they stop, and
-# the largest transit-window samples x eval-points x modes cost of a call
-# whose bank winner they refine (the transit window's samples even at r = inf,
-# where the bank and the iteration search only its peak band).
-BLOCK = 128
-SUP_STRIDE = 8
+# Mixed-norm lower bounds: the default power iterations, ASCENT_STEPS x
+# ASCENT_RESTARTS (also the experiment configs' default), the relative rise
+# at which they stop, and the largest transit-window samples x eval-points x
+# modes cost of a call whose bank winner they refine (the transit window's
+# samples even at r = inf, where the bank and the iteration search only its
+# peak band).
 ASCENT_STEPS = 12
 ASCENT_RESTARTS = 2
 POWER_RISE_TOL = 1e-12
@@ -399,10 +385,10 @@ def _transit_times(spec: SmoothingOperatorSpec) -> tuple:
     Every other integrand, r = inf included, is sampled on the envelope
     timescale, an eighth of the transit of the focused width at the slowest
     speed.
-    times extends the window, at its step and by whole groups of SUP_STRIDE
-    samples, towards t0 +- 2 margin, clipped to the window. The samples
-    depend on the operator alone, so they size its mode grid, and every
-    spectrum of one call shares them.
+    times extends the window, at its step and by whole groups of 8 samples,
+    towards t0 +- 2 margin, clipped to the window. The samples depend on
+    the operator alone, so they size its mode grid, and every spectrum of
+    one call shares them.
     """
     a, b = spec.time_window()
     t0 = _focus_time(spec)
@@ -418,156 +404,143 @@ def _transit_times(spec: SmoothingOperatorSpec) -> tuple:
     else:
         dt = (1.0 / width) / v_min / 8.0
     steps = max(int(math.ceil((hi - lo) / dt)), 8)
-    group = SUP_STRIDE * (hi - lo) / steps
-    before, after = (SUP_STRIDE * int(gap // group) for gap in
+    # whole groups of 8 samples: the grid every recorded value (the
+    # battery's reports, the golden values) was taken on
+    group = 8 * (hi - lo) / steps
+    before, after = (8 * int(gap // group) for gap in
                      (lo - max(a, t0 - 2.0 * margin), min(b, t0 + 2.0 * margin) - hi))
     s = np.arange(-before, steps + after)
     return lo + (s + 0.5) * (hi - lo) / steps, slice(before, before + steps)
 
 
 def _peak_band(spec: SmoothingOperatorSpec, times: np.ndarray, rows: slice) -> slice:
-    """The rows of times that can hold a peak of |u| at r = inf: those of
-    the transit rows within (R + 1/width)/v_min of the focus t0, widened to
-    whole groups of SUP_STRIDE samples counted from rows.start and clipped
-    to rows. A spectrum focused at (t0, 0) crosses B_R within that time of
-    t0 (the transit-time bound behind the maximal estimates, Kenig-Ponce-Vega
+    """The rows of times that the bank and the power iteration read. At
+    finite r the time integral spreads over every transit row, so all of
+    them. At r = inf only the sup in time is left, and every peak of |u|
+    lies in the transit rows within (R + 1/width)/v_min of the focus t0: a
+    spectrum focused at (t0, 0) crosses B_R within that time of t0 (the
+    transit-time bound behind the maximal estimates, Kenig-Ponce-Vega
     1991), width and v_min the sector's width and slowest speed, as in
     _transit_times."""
+    if spec.r != INF:
+        return rows
     t0 = _focus_time(spec)
     reach = (spec.R + 1.0 / (SECTOR_OUTER - SECTOR_INNER)) / _slowest_speed(spec)
     transit = times[rows]
-    lo = SUP_STRIDE * (int(np.searchsorted(transit, t0 - reach)) // SUP_STRIDE)
-    hi = int(np.searchsorted(transit, t0 + reach, side="right"))
-    return slice(rows.start + lo,
-                 rows.start + min(len(transit), SUP_STRIDE * -(-hi // SUP_STRIDE)))
+    return slice(rows.start + int(np.searchsorted(transit, t0 - reach)),
+                 rows.start + int(np.searchsorted(transit, t0 + reach, side="right")))
 
 
-def _tables(spec: SmoothingOperatorSpec, modes: ModeGrid, times: np.ndarray) -> tuple:
-    """(gx, space, base, lead, offset): what an evaluation over uniform
-    times reads that depends only on the operator and the times.
-
-    gx samples B_R finely enough for the carrier (|xi| <= 2.2) and the
-    envelope; space[k, b] = e^{i xi_k x_b}. The evaluation builds u on
-    every stride-th sample, stride = SUP_STRIDE at r = inf and 1
-    otherwise. Built sample i BLOCK + j has phase lead[i] * base[j], with
-    lead[i] = e^{i t_{stride i BLOCK} phi} and base[j] =
-    e^{i (t_{stride j} - t_0) phi}; that is (S/BLOCK + BLOCK) M
-    exponentials instead of S M. offset holds e^{i o dt phi} for
-    |o| < stride in increasing o: the fine windows around a built sample at
-    r = inf (at finite r the single row o = 0). One set serves every
-    evaluation and gradient over the same times, an evaluation on a subset
-    of the modes taking their rows of space and columns of the rest (and
-    a window of the times through _window_tables).
-    """
-    check_uniform_times(times)
+def _tables(spec: SmoothingOperatorSpec, modes: ModeGrid) -> tuple:
+    """(gx, space): the ball grid, fine enough for the carrier (|xi| <= 2.2)
+    and the envelope, and the spatial factor space[k, b] = e^{i xi_k x_b}.
+    One pair serves every evaluation and gradient of a call."""
     nx = max(int(math.ceil(2 * spec.R / 0.7)), 32)
     nx += nx % 2
     gx = Grid(1, nx, 2 * spec.R)
-    space = np.exp(1j * np.outer(modes.xi, gx.x_axis()))
-    stride = SUP_STRIDE if spec.r == INF else 1
-    built = times[::stride]
-    dt = times[1] - times[0] if len(times) > 1 else 0.0
-    base = np.exp(1j * np.outer(built[:BLOCK] - built[0], modes.phi_vals))
-    lead = np.exp(1j * np.outer(built[::BLOCK], modes.phi_vals))
-    offset = np.exp(1j * np.outer(np.arange(1 - stride, stride) * dt, modes.phi_vals))
-    return gx, space, base, lead, offset
+    return gx, np.exp(1j * np.outer(modes.xi, gx.x_axis()))
 
 
-def _window_tables(spec: SmoothingOperatorSpec, tables: tuple, rows: slice) -> tuple:
-    """The table set of times[rows] from tables = _tables(spec, modes, times),
-    rows.start a multiple of the stride: with k, j = divmod(start // stride,
-    BLOCK), its lead rows are lead[k:k+n] * base[j], the rest is shared."""
-    gx, space, base, lead, offset = tables
-    stride = SUP_STRIDE if spec.r == INF else 1
-    k, j = divmod(rows.start // stride, BLOCK)
-    n = -(-len(range(rows.start, rows.stop, stride)) // BLOCK)
-    return gx, space, base, lead[k:k + n] * base[j], offset
+def _chirp_z(x: np.ndarray, w, a: np.ndarray, b: np.ndarray):
+    """Yield (rows, y) over chunks of the rows of x, with
+    y[i, j] = sum_k x[rows][i, k] w_k e^{i a_k b_j} for uniform nodes a, b;
+    y is a view of the chunk's buffer, valid until the next chunk.
 
-
-@dataclass(frozen=True)
-class SupRecord:
-    """What an r = inf evaluation keeps in place of its slab.
-
-    Per cell: index, the sample where the search found the peak of |u|,
-    peak, u at that sample, and even_peak, |u| at the peak over
-    even-indexed samples.
-    coarse_energy is sum_x |u|^2 on times[::SUP_STRIDE].
+    Bluestein's chirp-z transform (Rabiner, Schafer & Rader 1969; Bluestein
+    1970). About the middle nodes, k = ka + kappa and j = jb + sigma, with
+    beta the product of the two steps,
+    a_k b_j = (a_k - a_ka) b_jb + a_ka b_j + beta kappa sigma, and
+    kappa sigma = (kappa^2 + sigma^2 - (sigma - kappa)^2) / 2. So each row is
+    one convolution with the chirp e^{-i beta n^2 / 2}, two FFTs of a size
+    L >= len(a) + len(b) - 1 (_fft_size) in place of len(a) len(b)
+    exponentials. Each step is (last - first) / (count - 1): the difference
+    of the first two nodes would carry their rounding into every step.
+    Centring the indices keeps the chirps' phases, and so their rounding,
+    at a quarter of what they are from the first nodes. The rows go in
+    chunks that fill one IDFT_STACK_BYTES buffer, transformed in place.
     """
+    m, n = len(a), len(b)
+    ka, jb = m // 2, n // 2
+    beta = (a[-1] - a[0]) / max(m - 1, 1) * (b[-1] - b[0]) / max(n - 1, 1)
+    L = _fft_size(m + n - 1)
+    # sigma - kappa at each circular lag j - k of the convolution
+    lag = np.arange(L)
+    lag = np.where(lag < n, lag, lag - L) - (jb - ka)
+    kernel = np.fft.fft(np.exp(-0.5j * beta * lag**2))
+    pre = w * np.exp(1j * ((a - a[ka]) * b[jb] + 0.5 * beta * (np.arange(m) - ka) ** 2))
+    post = np.exp(1j * (a[ka] * b + 0.5 * beta * (np.arange(n) - jb) ** 2))
+    step = max(1, IDFT_STACK_BYTES // (16 * L))
+    buf = np.empty((min(step, len(x)), L), dtype=np.complex128)
+    for start in range(0, len(x), step):
+        rows = slice(start, min(start + step, len(x)))
+        part = buf[:rows.stop - start]
+        np.multiply(x[rows], pre, out=part[:, :m])
+        part[:, m:] = 0.0
+        np.fft.fft(part, out=part)
+        part *= kernel
+        np.fft.ifft(part, out=part)
+        y = part[:, :n]
+        y *= post
+        yield rows, y
 
-    grid: Grid
-    index: np.ndarray
-    peak: np.ndarray
-    even_peak: np.ndarray
-    coarse_energy: np.ndarray
 
+def _slab_chunks(modes: ModeGrid, c: np.ndarray, times: np.ndarray, tables: tuple):
+    """Yield (cells, block) over chunks of the cells of the ball grid,
+    block[s, i] = u(times[s], x_cells[i]) for the weighted sector evolution
+    u(t, x) = sum_k a_k e^{i t phi_k} e^{i x xi_k}, a = amp c dp, of spectrum c.
 
-def _slab(base: np.ndarray, lead: np.ndarray, amp: np.ndarray, space: np.ndarray,
-          S: int) -> np.ndarray:
-    """u over S samples from block factors (base, lead), amplitudes amp and
-    the M x nx spatial factor: block i is base @ ((lead[i] * amp) * space)."""
-    slab = np.empty((S, space.shape[1]), dtype=np.complex128)
-    for i, s0 in enumerate(range(0, S, BLOCK)):
-        k = min(BLOCK, S - s0)
-        slab[s0:s0 + k] = base[:k] @ ((lead[i] * amp)[:, None] * space)
-    return slab
+    The sum runs over the span of the live modes (those of |a| above
+    1e-14 of its largest), a dead mode inside it weighted 0, so the
+    p-nodes stay uniform; for each cell it is one chirp-z transform from
+    the p-nodes to the uniform times (_chirp_z), on the rows of the
+    spatial factor of tables = _tables(spec, modes).
+    """
+    amp = modes.amp * c * modes.dp
+    live = np.abs(amp) > 1e-14 * np.max(np.abs(amp))
+    k = np.flatnonzero(live)
+    span = slice(k[0], k[-1] + 1)
+    space = tables[1][span]
+    for cells, y in _chirp_z(space.T, np.where(live, amp, 0.0)[span],
+                             modes.phi_vals[span], times):
+        yield cells, y.T
 
 
 def _eval_mixed(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
                 times: np.ndarray, tables: tuple) -> tuple:
-    """(mixed norm, evaluation) of the weighted sector evolution of spectrum c.
-
-    tables are the table set of times over all modes (_tables, or
-    _window_tables for a window of the call's times); the evaluation takes
-    the rows and columns of its live modes. At finite r the evaluation is
-    the slab u, a SpacetimeField (_slab). At r = inf it is the SupRecord of
-    the coarse-to-fine search (_sup_in_time), and the value is the sup over
-    the samples that search evaluates.
-    """
-    amp_c = modes.amp * c * modes.dp
-    live = np.abs(amp_c) > 1e-14 * np.max(np.abs(amp_c))
-    # the live modes, as a view when they are contiguous
-    k = np.flatnonzero(live)
-    cols = slice(k[0], k[-1] + 1) if k[-1] - k[0] + 1 == len(k) else live
-    gx, space, base, lead, offset = tables
-    base, lead, offset = (t[:, cols] for t in (base, lead, offset))
-    amp, space = amp_c[cols], space[cols]
-    if spec.r == INF:
-        return _sup_in_time(spec, gx, times, base, lead, offset, amp, space)
-    u = SpacetimeField(gx, times, _slab(base, lead, amp, space, len(times)))
+    """(mixed norm, u) of the weighted sector evolution of spectrum c over
+    uniform times (ValueError from SpacetimeField otherwise): u the
+    SpacetimeField of its slab on the ball grid (_slab_chunks,
+    tables = _tables(spec, modes)), the value its L^q_x L^r_t norm
+    (norms.mixed_norm), the sup at r = inf."""
+    gx = tables[0]
+    slab = np.empty((len(times), gx.N), dtype=np.complex128)
+    for cells, block in _slab_chunks(modes, c, times, tables):
+        slab[:, cells] = block
+    u = SpacetimeField(gx, times, slab)
     return mixed_norm(u, MixedNormSpec(q=spec.q, r=spec.r)), u
 
 
-def _sup_in_time(spec: SmoothingOperatorSpec, gx: Grid, times: np.ndarray,
-                 base: np.ndarray, lead: np.ndarray, offset: np.ndarray,
-                 amp: np.ndarray, space: np.ndarray) -> tuple:
-    """(r = inf mixed norm, SupRecord) by coarse-to-fine search over times.
+def _doubled_window(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
+                    times: np.ndarray, tables: tuple) -> tuple:
+    """(value, half-rate value, energy) of spectrum c over the doubled
+    window's times: the mixed norm of _eval_mixed, the same norm on every
+    second sample, and sum_x |u|^2 at each sample.
 
-    The coarse slab on times[::SUP_STRIDE] picks the two highest coarse
-    samples p of each column, and the last coarse sample joins them: the
-    samples after it lie in no other window. The fine window of p is the
-    samples SUP_STRIDE p + o, |o| < SUP_STRIDE, inside times. Their phases
-    are e^{i t_{SUP_STRIDE p} phi} e^{i o dt phi}: the coarse lead row of p
-    times the shared offset table, so each window rank is one matmul on the
-    spatial factor scaled by that row and the amplitudes. The value is
-    exact whenever each column's peak lies in one of its windows.
+    The slab goes by chunks of cells (_slab_chunks), of which each cell
+    keeps only its L^r_t norms over all samples and over even samples, so
+    the slab is never held whole (21608 x 184 samples, 64 MB, at R = 64).
+    The window holds at least 8 samples, so both rates have a step.
     """
-    S, stride = len(times), SUP_STRIDE
-    coarse = np.abs(_slab(base, lead, amp, space, len(range(0, S, stride))))
-    cols = np.arange(space.shape[1])
-    top = list(np.argsort(coarse, axis=0)[-2:]) + [len(coarse) - 1]
-    o = np.arange(1 - stride, stride)
-    fine = np.concatenate([offset @ (np.atleast_2d(lead[p // BLOCK] * base[p % BLOCK] * amp).T
-                                     * space) for p in top])
-    idx = np.concatenate([np.broadcast_to(stride * p + o[:, None], (len(o), len(cols)))
-                          for p in top])
-    absf = np.abs(fine)
-    score = np.where((idx >= 0) & (idx < S), absf, -1.0)
-    best = score.argmax(axis=0)
-    best_even = np.where(idx % 2 == 0, score, -1.0).argmax(axis=0)
-    rec = SupRecord(grid=gx, index=idx[best, cols], peak=fine[best, cols],
-                    even_peak=absf[best_even, cols],
-                    coarse_energy=np.sum(coarse**2, axis=1))
-    return float(_reduce(absf[best, cols], spec.q, gx.dx)), rec
+    gx = tables[0]
+    inner, half = np.empty(gx.N), np.empty(gx.N)
+    energy = np.zeros(len(times))
+    for cells, block in _slab_chunks(modes, c, times, tables):
+        absu = np.abs(block)
+        inner[cells] = _reduce(absu, spec.r, times[1] - times[0])
+        half[cells] = _reduce(absu[::2], spec.r, times[2] - times[0])
+        energy += np.sum(np.square(absu, out=absu), axis=1)
+    return (float(_reduce(inner, spec.q, gx.dx)), float(_reduce(half, spec.q, gx.dx)),
+            energy)
 
 
 def _l2_of_spectrum(modes: ModeGrid, c: np.ndarray) -> float:
@@ -575,45 +548,32 @@ def _l2_of_spectrum(modes: ModeGrid, c: np.ndarray) -> float:
 
 
 def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid, val: float,
-                       u: SpacetimeField | SupRecord, tables: tuple) -> np.ndarray:
+                       u: SpacetimeField, tables: tuple) -> np.ndarray:
     """dF/d conj(c) of the numerator F(c) = ||A c||, the mixed norm of the
-    evolution of spectrum c (a subgradient at r = inf).
+    evolution of spectrum c (a subgradient where a sup has several maxima).
 
-    (val, u) is what _eval_mixed returned for c on tables, the table set
-    it read. With W = d val / d conj(u), the chain rule back to the spectrum is
-    g_k = amp_k sum_s e^{-i t_s phi_k} sum_b e^{-i x_b xi_k} W[s, b],
-    e^{-i x_b xi_k} being the conjugate of the tables' spatial factor.
-    W is the chain rule through the norm's two reductions, over t and then
-    over x (norms._reduce_grad, a sup taking its first maximum); at r = inf
-    only the reduction over the cells of the SupRecord's peaks is left,
-    peak sample SUP_STRIDE p + o having phase lead[p // BLOCK] *
-    base[p % BLOCK] * offset[o + SUP_STRIDE - 1]. At finite r the sum over
-    s runs the evaluation's blocks backwards, as the conjugate of a sum on
-    the forward tables. F is 1-homogeneous, so g does not change when c is
-    scaled by a positive factor.
+    (val, u) is what _eval_mixed returned for c on tables. With
+    W = d val / d conj(u), the chain rule back to the spectrum is
+    g_k = amp_k sum_b e^{-i x_b xi_k} sum_s e^{-i t_s phi_k} W[s, b]: W is
+    the chain rule through the norm's two reductions, over t and then over
+    x (norms._reduce_grad, a sup taking its first maximum, so at r = inf W
+    lives on each cell's peak sample), and the sum over s is the adjoint of
+    the slab's transform, the conjugate of a chirp-z transform from the
+    times to the p-nodes of conj(W) (_chirp_z). F is 1-homogeneous, so g
+    does not change when c is scaled by a positive factor.
     """
-    amp = modes.amp * modes.dp
-    _, space, base, lead, offset = tables
-    if spec.r == INF:
-        Mb = np.abs(u.peak)
-        w = (0.5 * _reduce_grad(Mb, spec.q, u.grid.dx, val)
-             * u.peak / np.where(Mb > 0, Mb, 1.0))
-        p, o = np.divmod(u.index, SUP_STRIDE)
-        ph = lead[p // BLOCK] * base[p % BLOCK] * offset[o + SUP_STRIDE - 1]  # (B, M)
-        return amp * np.sum(np.conj(ph.T * space) * w, axis=1)
+    space = tables[1]
     slab = u.slices
     absu = np.abs(slab)
     # mixed_norm's weights, dt (the slab has more than one sample) and dx
     inner = _reduce(absu, spec.r, u.dt)
     W = (0.5 * _reduce_grad(inner, spec.q, u.grid.dx, val)
          * _reduce_grad(absu, spec.r, u.dt, inner) * slab / np.where(absu > 0, absu, 1.0))
-    # conj(Z)[k, b] = sum_s e^{i t_s phi_k} conj(W[s, b]), one matmul
-    # per block on the forward tables
-    Zc = np.zeros_like(space)
-    for i, s0 in enumerate(range(0, len(u.times), BLOCK)):
-        k = min(BLOCK, len(u.times) - s0)
-        Zc += lead[i][:, None] * (base[:k].T @ np.conj(W[s0:s0 + k]))
-    return amp * np.conj(np.sum(Zc * space, axis=1))
+    # conj(g_k / amp_k) = sum_b e^{i x_b xi_k} sum_s e^{i t_s phi_k} conj(W[s, b])
+    gc = np.zeros(len(modes.xi), dtype=np.complex128)
+    for cells, z in _chirp_z(np.conj(W).T, 1.0, u.times, modes.phi_vals):
+        gc += np.sum(space[:, cells] * z.T, axis=1)
+    return modes.amp * modes.dp * np.conj(gc)
 
 
 def lower_bound_mixed(spec: SmoothingOperatorSpec,
@@ -627,28 +587,25 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec,
     (transit-window samples x ball cells x modes) is within ASCENT_BUDGET.
     The refinement runs at most `iterations` iterations, one evaluation and
     one gradient each, and stops early once an iterate rises by at most
-    POWER_RISE_TOL relative (or falls, which only the r = inf sup search,
-    not exactly a norm, allows); the best iterate is kept. One table set
-    (_tables) per call is built on the doubled transit window
-    (_transit_times) over a mode grid spanning it; the bank and every
-    iteration read it on the transit window's rows at finite r and on their
-    peak band at r = inf (_peak_band, _window_tables). The best point is
-    evaluated once more on the doubled window, unless the rows are all of
-    it, and the higher of the two values is reported. Every diagnostic reads
-    that one doubled-window evaluation, so none depends on which value wins
-    by rounding: refinement_delta (the value with every second time sample
-    dropped) and tail_fraction (the share of sum_x |u|^2 in the last tenth
-    of the samples), and window_delta, its relative difference from the
-    value on the rows (0 when they already span the doubled window; at
-    finite r, at one step, the doubled window can only raise the value). At
-    r = inf the first is read from the even-sample peaks of the search and
-    the second from its coarse samples.
+    POWER_RISE_TOL relative (or falls, which rounding alone allows); the
+    best iterate is kept. One call builds one ball grid and spatial factor
+    (_tables) over a mode grid spanning the doubled transit window
+    (_transit_times); the bank and every iteration evaluate on the transit
+    window's rows at finite r and on their peak band at r = inf
+    (_peak_band). The best point is evaluated once more on the doubled
+    window (_doubled_window), and the higher of the two values is reported.
+    Every diagnostic reads that one doubled-window pass, so none depends on
+    which value wins by rounding: refinement_delta (the value with every
+    second time sample dropped) and tail_fraction (the share of
+    sum_x |u|^2 in the last tenth of the samples), and window_delta, its
+    relative difference from the value on the rows (rounding when they
+    already span the doubled window; at finite r, at one step, the doubled
+    window can only raise the value).
     """
     wide, transit = _transit_times(spec)
     modes = mode_grid(spec, wide[-1] - wide[0])
-    wide_tables = _tables(spec, modes, wide)
-    rows = _peak_band(spec, wide, transit) if spec.r == INF else transit
-    times, tables = wide[rows], _window_tables(spec, wide_tables, rows)
+    tables = _tables(spec, modes)
+    times = wide[_peak_band(spec, wide, transit)]
     evals, best_val = 0, 0.0
     for name, c in _candidate_bank(spec, modes):
         raw, u = _eval_mixed(spec, modes, c, times, tables)
@@ -674,23 +631,10 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec,
             top_val, top = val, (c, raw, u)
         if rise <= POWER_RISE_TOL * val:
             break
-    del tables  # the rows' shifted lead rows, which the doubled window does not read
 
-    # every diagnostic from one evaluation of the best point on the doubled
-    # window; the value is the higher of it and the value on the rows
-    top_c, v_top, u = top
-    v_wide, u = (v_top, u) if len(times) == len(wide) else _eval_mixed(
-        spec, modes, top_c, wide, wide_tables)
+    top_c, v_top, _ = top
+    v_wide, half, per_t = _doubled_window(spec, modes, top_c, wide, tables)
     window_delta = abs(v_wide - v_top) / max(v_top, 1e-300)
-    if spec.r == INF:
-        # every coarse sample has an even index, so the even-sample peaks
-        # are the search at half the time resolution
-        half = float(_reduce(u.even_peak, spec.q, u.grid.dx))
-        per_t = u.coarse_energy
-    else:
-        half = mixed_norm(SpacetimeField(u.grid, u.times[::2], u.slices[::2]),
-                          MixedNormSpec(q=spec.q, r=spec.r))
-        per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
     ref_delta = abs(v_wide - half) / max(v_wide, 1e-300)
     # share of the time-profile mass in the last tenth of the window
     k = max(1, len(per_t) // 10)

@@ -273,17 +273,8 @@ def test_lower_bound_consistent_with_l2():
 
 
 def _evaluate(spec, modes, c, times):
-    """_eval_mixed on a table set of its own, built on times."""
-    return O._eval_mixed(spec, modes, c, times, O._tables(spec, modes, times))
-
-
-def _half_rate_delta(u, spec):
-    """refinement_delta at finite r by its definition: the relative change of
-    the slab's mixed norm when every second time sample is dropped."""
-    norm = MixedNormSpec(q=spec.q, r=spec.r)
-    full = mixed_norm(u, norm)
-    half = mixed_norm(SpacetimeField(u.grid, u.times[::2], u.slices[::2]), norm)
-    return abs(full - half) / full
+    """_eval_mixed on tables of its own."""
+    return O._eval_mixed(spec, modes, c, times, O._tables(spec, modes))
 
 
 def _call_times(spec):
@@ -319,9 +310,9 @@ def test_candidate_ranking_scale_invariant():
         assert pair[0] == pytest.approx(pair[1], rel=1e-10)
 
 
-# Direct formulas the blocked kernels must reproduce: one exp(i t phi) per
-# time sample and mode, and the chain rule through a dense S x nx weight W.
-# The reference slab is built 256 samples at a time to bound its memory.
+# Direct formulas the chirp-z transforms must reproduce: one exp(i t phi)
+# per time sample and mode, and the chain rule through a dense S x nx weight
+# W. The reference slab is built 256 samples at a time to bound its memory.
 
 def _eval_reference(spec, modes, c, times):
     nx = max(int(math.ceil(2 * spec.R / 0.7)), 32)
@@ -361,8 +352,8 @@ def _gradient_reference(spec, modes, c, times):
 
 
 def _chirp_case(r, window, q=2.0):
-    # R = 8, but local R = 16 at finite r: its band-limited step leaves local
-    # R = 8 227 transit samples, under two phase blocks
+    # R = 8, but local R = 16 at finite r, where the band-limited step leaves
+    # local R = 8 only 227 transit samples
     R = 16.0 if window == "local" and r != INF else 8.0
     spec = spec_at(R, alpha=-0.25, q=q, r=r, window=window)
     modes = call_modes(spec)
@@ -370,26 +361,14 @@ def _chirp_case(r, window, q=2.0):
     return spec, modes, c, _call_times(spec)
 
 
-# Spectra the bank does not hold, with the bank's focusing chirp: the other
-# Gaussian profiles (cut at three widths) and seeded noise, whose peaks in
-# time need not be smooth. The sup search is checked on them as well.
+# A spectrum the bank does not hold, with the bank's focusing chirp: seeded
+# noise, whose peaks in time need not be smooth and whose sum over the modes
+# has no coherent phase.
 
 def _focusing_chirp(spec, modes):
     a, b = spec.time_window()
     t_focus = 0.0 if spec.window == "global" else (a + b) / 2.0
     return np.exp(-1j * t_focus * modes.phi_vals)
-
-
-def _other_profiles(spec, modes):
-    xi, root = modes.xi, 1.0 / math.sqrt(spec.R)
-    out = []
-    for width, tag in ((0.5 * root, "chirp-narrow"), (1.0 / spec.R, "plate")):
-        for center in (0.9, 1.3):
-            prof = np.exp(-0.5 * ((xi - center) / (0.5 * width)) ** 2)
-            prof = np.where(np.abs(xi - center) < 3 * width, prof, 0.0)
-            if np.any(prof > 0):
-                out.append((f"{tag}@{center}", _focusing_chirp(spec, modes) * prof))
-    return out
 
 
 def _noise(spec, modes):
@@ -401,97 +380,89 @@ def _noise(spec, modes):
 @pytest.mark.parametrize("window", ["local", "global"])
 @pytest.mark.parametrize("r", [INF, 4.0])
 def test_eval_mixed_matches_per_sample_phases(r, window):
-    # finite r: the whole slab; r = inf: the sup search keeps each cell's
-    # peak sample, which for this chirp is the full slab's
+    # the slab and its mixed norm, the sup at r = inf, on one sample, on two
+    # and on windows of the times
     spec, modes, c, times = _chirp_case(r, window)
-    assert len(times) > 2 * O.BLOCK
-    for ts in (times[:1], times[:127], times[:128], times[:129], times[::2], times):
+    for ts in (times[:1], times[:2], times[:127], times[::2], times):
         val, u = _evaluate(spec, modes, c, ts)
         ref, u_ref = _eval_reference(spec, modes, c, ts)
         assert abs(val - ref) <= 1e-10 * ref, len(ts)
-        if r == INF:
-            index = np.abs(u_ref.slices).argmax(axis=0)
-            assert np.array_equal(u.index, index), len(ts)
-            got, want = u.peak, u_ref.slices[index, np.arange(len(index))]
-        else:
-            got, want = u.slices, u_ref.slices
-        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), len(ts)
+        want = u_ref.slices
+        assert np.max(np.abs(u.slices - want)) <= 1e-10 * np.max(np.abs(want)), len(ts)
 
 
-def _check_sup_search(spec, modes, c, times, exact, tol=1e-12):
-    """The r = inf search against the full slab. Always: the value is at
-    most the full sup, the coarse energies are the slab's, and the even-sample
-    peaks reach every coarse sample (all coarse samples have even indices).
-    exact: the value and every cell's peaks are the full slab's. A profile
-    flat to rounding may tie between samples, so peaks are compared by the
-    slab's values at them, not by their indices."""
-    val, rec = _evaluate(spec, modes, c, times)
-    ref, u_ref = _eval_reference(spec, modes, c, times)
-    absu = np.abs(u_ref.slices)
-    slack = tol * np.max(absu)
-    cols = np.arange(absu.shape[1])
-    assert val <= ref * (1 + tol)
-    coarse = absu[::O.SUP_STRIDE]
-    energy = np.sum(coarse**2, axis=1)
-    assert np.max(np.abs(rec.coarse_energy - energy)) <= tol * np.max(energy)
-    assert np.all(rec.even_peak >= coarse.max(axis=0) - slack)
-    if exact:
-        assert abs(val - ref) <= tol * ref
-        assert np.max(np.abs(rec.peak - u_ref.slices[rec.index, cols])) <= tol * np.max(absu)
-        assert np.all(absu[rec.index, cols] >= absu.max(axis=0) - slack)
-        assert np.max(np.abs(rec.even_peak - absu[::2].max(axis=0))) <= slack
-    return rec
+def _long_double_slab(modes, c, times, space):
+    """u on times by the direct sum over the modes, each phase t_s phi_k
+    formed and reduced mod 2 pi in np.longdouble before its exponential,
+    256 samples at a time."""
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    p = modes.phi_vals.astype(np.longdouble)
+    amp = modes.amp * c * modes.dp
+    return np.concatenate([
+        (np.exp(1j * (np.outer(times[s0:s0 + 256].astype(np.longdouble), p) % two_pi)
+                .astype(float)) * amp) @ space for s0 in range(0, len(times), 256)])
 
 
-@pytest.mark.parametrize("window", ["local", "global"], ids=xt)
-@pytest.mark.parametrize("R", [8.0, 16.0])
-def test_sup_search_matches_full_slab_on_every_bank_candidate(R, window):
-    # chirps and plates peak smoothly in time, so the search finds every peak;
-    # noise may peak between coarse samples outside both refined windows
+@pytest.mark.parametrize("window", ["local", "global"])
+@pytest.mark.parametrize("R", [16.0, 32.0])
+def test_chirp_z_slab_matches_the_long_double_sum(R, window):
+    # the doubled window at r = inf, the call's longest grid (10857 samples
+    # at R = 32), checked on every 7th sample and the last. The transform
+    # steps by (t[-1] - t[0]) / (S - 1): the difference of the first two
+    # samples carries their rounding into every one of the S steps
     spec = spec_at(R, alpha=-0.25, r=INF, window=window)
     modes = call_modes(spec)
-    spectra = O._candidate_bank(spec, modes) + _other_profiles(spec, modes)
-    for name, c in spectra + [("noise", _noise(spec, modes))]:
-        _check_sup_search(spec, modes, c, _call_times(spec),
-                          exact=name.startswith(("chirp", "plate")))
+    times = O._transit_times(spec)[0]
+    tables = O._tables(spec, modes)
+    rows = np.r_[0:len(times):7, len(times) - 1]
+    broad = dict(O._candidate_bank(spec, modes))["chirp-broad"]
+    for name, c in (("chirp-broad", broad), ("noise", _noise(spec, modes))):
+        got = O._eval_mixed(spec, modes, c, times, tables)[1].slices[rows]
+        want = _long_double_slab(modes, c, times[rows], tables[1])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
 
-def test_sup_search_edge_cases():
-    spec, modes, c, times = _chirp_case(INF, "local")
-    noise = _noise(spec, modes)
-    # more than BLOCK coarse samples; S a multiple of neither SUP_STRIDE nor
-    # BLOCK (the transit window holds 9 BLOCK samples, so three are dropped)
-    times = times[:-3]
-    S = len(times)
-    assert S > O.SUP_STRIDE * O.BLOCK and S % O.SUP_STRIDE and S % O.BLOCK
-    for ts in (times[:1], times[:O.SUP_STRIDE - 3], times[:O.SUP_STRIDE + 3], times):
-        _check_sup_search(spec, modes, c, ts, exact=True)
-    # up to two coarse samples: both windows cover every sample, for any data
-    for k in (1, O.SUP_STRIDE - 3, O.SUP_STRIDE, 2 * O.SUP_STRIDE):
-        _check_sup_search(spec, modes, noise, times[:k], exact=True)
-    # before the focus every cell peaks on the last sample, after it on the
-    # first; the windows there are clipped to the sampled times
-    k = 453
-    assert k % O.SUP_STRIDE
-    rising = _check_sup_search(spec, modes, c, times[:k], exact=True)
-    assert np.all(rising.index == k - 1)
-    falling = _check_sup_search(spec, modes, c, times[-k:], exact=True)
-    assert np.all(falling.index == 0)
-    # two maxima: a fast packet focusing at sample 150 lifts two coarse
-    # samples above the last one, while the rising chirp peaks after the
-    # last coarse sample, which only that sample's window reaches
-    k = 407
-    fast = np.exp(-1j * times[150] * modes.phi_vals - 0.5 * ((modes.xi - 1.8) / 0.1) ** 2)
-    twin = _check_sup_search(spec, modes, c + 0.1 * np.max(np.abs(c)) * fast, times[:k],
-                             exact=True)
-    assert np.any(twin.index > O.SUP_STRIDE * ((k - 1) // O.SUP_STRIDE))
+@pytest.mark.parametrize("r", [INF, 4.0], ids=xt)
+def test_doubled_window_pass_matches_one_unchunked_evaluation(monkeypatch, r):
+    # the pass keeps each cell's L^r_t norms at both rates and the energy
+    # profile, chunk by chunk: chunks of one cell, of all 32 cells, and of 5,
+    # which does not divide 32
+    spec = spec_at(8.0, alpha=-0.25, r=r, window="global")
+    modes = call_modes(spec)
+    times = O._transit_times(spec)[0]
+    tables = O._tables(spec, modes)
+    nx = tables[0].N
+    c = _noise(spec, modes)
+    monkeypatch.setattr(O, "IDFT_STACK_BYTES", 1 << 40)
+    val, u = O._eval_mixed(spec, modes, c, times, tables)
+    norm = MixedNormSpec(q=spec.q, r=spec.r)
+    half = mixed_norm(SpacetimeField(u.grid, times[::2], u.slices[::2]), norm)
+    energy = np.sum(np.abs(u.slices) ** 2, axis=1)
+    slab_chunks, widths = O._slab_chunks, []
+
+    def logged(*args):
+        for cells, block in slab_chunks(*args):
+            widths.append(block.shape[1])
+            yield cells, block
+
+    monkeypatch.setattr(O, "_slab_chunks", logged)
+    # every mode is live, so one row of the transform takes L entries
+    L = O._fft_size(len(modes.xi) + len(times) - 1)
+    for stack, want in ((1, [1] * nx), (1 << 40, [nx]), (5 * 16 * L, [5] * 6 + [2])):
+        monkeypatch.setattr(O, "IDFT_STACK_BYTES", stack)
+        del widths[:]
+        got = O._doubled_window(spec, modes, c, times, tables)
+        assert widths == want
+        assert got[0] == pytest.approx(val, rel=1e-14)
+        assert got[1] == pytest.approx(half, rel=1e-14)
+        assert np.max(np.abs(got[2] - energy)) <= 1e-14 * np.max(energy)
 
 
 @pytest.mark.parametrize("window", ["local", "global"])
 @pytest.mark.parametrize("r", [INF, 4.0])
 def test_quotient_gradient_matches_dense_chain_rule(r, window):
     spec, modes, c, times = _chirp_case(r, window)
-    tables = O._tables(spec, modes, times)
+    tables = O._tables(spec, modes)
     val, u = O._eval_mixed(spec, modes, c, times, tables)
     g = O._quotient_gradient(spec, modes, val, u, tables)
     ref = _gradient_reference(spec, modes, c, times)
@@ -522,7 +493,7 @@ def test_quotient_gradient_at_q_inf_matches_finite_differences(r):
 
 
 def _check_gradient_by_finite_differences(spec, modes, c, times):
-    tables = O._tables(spec, modes, times)
+    tables = O._tables(spec, modes)
     val, u = O._eval_mixed(spec, modes, c, times, tables)
     g = O._quotient_gradient(spec, modes, val, u, tables)
 
@@ -569,14 +540,14 @@ def _check_only_an_affordable_winner_is_refined(monkeypatch, r):
     spec = spec_at(8.0, alpha=-0.25, r=r)
     modes = call_modes(spec)
     bank = _hand_made_bank(spec, modes)
-    times = _call_times(spec)
-    vals = [_evaluate(spec, modes, c, times)[0] / O._l2_of_spectrum(modes, c)
-            for _, c in bank]
+    # the bank's quotients on its rows (at r = inf the peak band)
+    vals = [_evaluate(spec, modes, c, _band_tables(spec, modes)[0])[0]
+            / O._l2_of_spectrum(modes, c) for _, c in bank]
     assert vals[0] > vals[1]
     monkeypatch.setattr(O, "_candidate_bank", lambda *args: bank)
-    # what the budget is compared with: the call's time samples x cells of
-    # its table set's ball grid x modes, whatever the bank winner
-    cost = len(times) * O._tables(spec, modes, times)[0].N * len(modes.xi)
+    # what the budget is compared with: the transit window's time samples x
+    # cells of the call's ball grid x modes, whatever the bank winner
+    cost = len(_call_times(spec)) * O._tables(spec, modes)[0].N * len(modes.xi)
 
     monkeypatch.setattr(O, "ASCENT_BUDGET", cost * (1 - 1e-12))
     res = O.lower_bound_mixed(spec)
@@ -584,8 +555,7 @@ def _check_only_an_affordable_winner_is_refined(monkeypatch, r):
     assert res.ascent_gain == 0.0
     # the bank loop is the only counted work: no iteration ran
     assert res.evaluations == len(bank)
-    wide = O._transit_times(spec)[0]
-    v_wide = _evaluate(spec, modes, bank[0][1], wide)[0] / O._l2_of_spectrum(modes, bank[0][1])
+    v_wide = _wide_diagnostics(spec, modes, bank[0][1])[0] / O._l2_of_spectrum(modes, bank[0][1])
     assert res.value == max(vals[0], v_wide)
 
     monkeypatch.setattr(O, "ASCENT_BUDGET", cost)
@@ -605,45 +575,39 @@ def test_bank_winner_is_evaluated_once_at_finite_r(monkeypatch):
 
 
 def _check_bank_winner_is_evaluated_once(monkeypatch, r):
-    # the bank loop's evaluation of the winner starts the power iteration.
+    # the bank loop's evaluation of the winner starts the power iteration,
+    # so with no iteration nothing is evaluated after the bank but the one
+    # pass over the doubled window, and the value is the higher of the two.
     # At local R = 8 the doubled transit window clips to the same operator
-    # window, so at finite r the bank's rows are all of the times and that
-    # evaluation is reused for the value and the diagnostics: after the bank
-    # nothing is evaluated and window_delta is exactly 0. At r = inf the bank
-    # runs on the peak band, so after the bank exactly one evaluation runs,
-    # on the doubled window, and the value is the higher of the two; the
-    # diagnostics read the doubled window's sup search record (even-sample
-    # peaks, coarse energies), at finite r the slab.
+    # window, so at finite r the bank's rows are all of the times and
+    # window_delta compares the same samples: it reads rounding only. At
+    # r = inf the bank runs on the peak band. The diagnostics read the pass.
     spec = spec_at(8.0, alpha=-0.25, r=r)
     modes = call_modes(spec)
     times, rows = O._transit_times(spec)
     assert rows == slice(0, len(times))
     assert (times[0], times[-1]) == pytest.approx(spec.time_window(), abs=times[1] - times[0])
     bank = _hand_made_bank(spec, modes)
-    eval_mixed = O._eval_mixed
-    calls = []
+    calls = {"_eval_mixed": [], "_doubled_window": []}
     monkeypatch.setattr(O, "_candidate_bank", lambda *args: bank)
-    monkeypatch.setattr(O, "_eval_mixed",
-                        lambda *args: calls.append(args) or eval_mixed(*args))
+    for name, log in calls.items():
+        monkeypatch.setattr(O, name, lambda *args, _f=getattr(O, name), _log=log:
+                            _log.append(args) or _f(*args))
 
     monkeypatch.setattr(O, "ASCENT_BUDGET", 0.0)
     over = O.lower_bound_mixed(spec)
-    assert len(calls) == len(bank) + (r == INF)
-    after_bank = calls[len(bank):]
     monkeypatch.setattr(O, "ASCENT_BUDGET", math.inf)
     # a zero iteration cap means no iteration
-    del calls[:]
     unrefined = O.lower_bound_mixed(spec, 0)
-    assert len(calls) == len(bank) + (r == INF)
-    # what follows the bank is the winner's evaluation on the doubled window
-    for args in after_bank + calls[len(bank):]:
+    assert len(calls["_eval_mixed"]) == 2 * len(bank)
+    assert len(calls["_doubled_window"]) == 2
+    for args in calls["_doubled_window"]:
         assert args[2] is bank[0][1] and np.array_equal(args[3], times)
 
-    band, band_tables = _band_tables(spec, modes)
+    band, tables = _band_tables(spec, modes)
     assert (len(band) < len(times)) == (r == INF)
-    v_band = eval_mixed(spec, modes, bank[0][1], band, band_tables)[0]
-    v_full, u = _evaluate(spec, modes, bank[0][1], times)
-    ref_delta, tail = _wide_diagnostics(spec, u, v_full)
+    v_band = O._eval_mixed(spec, modes, bank[0][1], band, tables)[0]
+    v_full, ref_delta, tail = _wide_diagnostics(spec, modes, bank[0][1])
     for res in (over, unrefined):
         assert res.candidate == "chirp-wide@0.9"
         assert res.value == max(v_band, v_full) / O._l2_of_spectrum(modes, bank[0][1])
@@ -651,7 +615,7 @@ def _check_bank_winner_is_evaluated_once(monkeypatch, r):
         assert res.window_delta == abs(v_full - v_band) / v_band
         assert res.tail_fraction == tail
     if r != INF:
-        assert over.window_delta == 0.0
+        assert over.window_delta <= 1e-14
 
 
 def _transit_window(spec):
@@ -673,12 +637,12 @@ def test_windows_share_the_time_step_without_a_sample_cap():
     # at the battery's largest maximal scale the doubled window holds more
     # than 20000 samples. It is one grid with the transit window, whose
     # samples are its rows, so window_delta compares windows, not sampling
-    # steps; it adds whole groups of SUP_STRIDE samples on each side
+    # steps; it adds whole groups of 8 samples on each side
     spec = spec_at(64.0, alpha=-0.25, r=INF)
     times, rows = O._transit_times(spec)
     assert np.array_equal(times[rows], _transit_window(spec))
     assert len(times) > 20000
-    assert rows.start % O.SUP_STRIDE == 0 and (len(times) - rows.stop) % O.SUP_STRIDE == 0
+    assert rows.start % 8 == 0 and (len(times) - rows.stop) % 8 == 0
     a, b = spec.time_window()
     assert a < times[0] and times[-1] < b
     check_uniform_times(times)
@@ -714,116 +678,74 @@ def test_integrands_without_a_band_keep_the_envelope_step(q, r):
     assert np.array_equal(_call_times(spec), _transit_window(spec))
 
 
-@pytest.mark.parametrize("r", [4.0, INF])
-def test_window_tables_match_fresh_tables(r):
-    # a window of the times read from the set on all of them: lead rows
-    # shifted by a whole block (j = 0) and by part of one (the transit
-    # window of the global R = 8 operator, j != 0)
-    spec = spec_at(8.0, alpha=-0.25, r=r, window="global")
-    modes = call_modes(spec)
-    times, transit = O._transit_times(spec)
-    stride = O.SUP_STRIDE if r == INF else 1
-    tables = O._tables(spec, modes, times)
-    shifted = slice(stride * O.BLOCK, len(times) - 5)
-    assert [(rows.start // stride) % O.BLOCK == 0 for rows in (transit, shifted)] == [False, True]
-    for rows in (transit, shifted):
-        window = times[rows]
-        mine = O._window_tables(spec, tables, rows)
-        fresh = O._tables(spec, modes, window)
-        assert len(mine[3]) == len(fresh[3])
-        for name, c in O._candidate_bank(spec, modes) + [("noise", _noise(spec, modes))]:
-            (val, u), (ref, u_ref) = (O._eval_mixed(spec, modes, c, window, t)
-                                      for t in (mine, fresh))
-            assert abs(val - ref) <= 1e-12 * ref, name
-            if r == INF:
-                assert np.array_equal(u.index, u_ref.index), name
-                got, want = u.peak, u_ref.peak
-            else:
-                got, want = u.slices, u_ref.slices
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
-
-
 def test_doubled_window_value_is_at_least_the_transit_windows():
     # at finite r the doubled window holds the transit window's samples and
     # more at the same step, so its L^r integral over time is no smaller
     spec = spec_at(8.0, alpha=0.5, r=4.0, window="global")
     modes = call_modes(spec)
     times, rows = O._transit_times(spec)
-    tables = O._tables(spec, modes, times)
+    tables = O._tables(spec, modes)
     for name, c in O._candidate_bank(spec, modes) + [("noise", _noise(spec, modes))]:
         v_wide = O._eval_mixed(spec, modes, c, times, tables)[0]
-        v_top = O._eval_mixed(spec, modes, c, times[rows],
-                              O._window_tables(spec, tables, rows))[0]
+        v_top = O._eval_mixed(spec, modes, c, times[rows], tables)[0]
         assert v_wide >= v_top * (1 - 1e-12), name
 
 
 @pytest.mark.parametrize("window", ["local", "global"], ids=xt)
 @pytest.mark.parametrize("R", [2.0, 4.0, 8.0, 16.0, 32.0])
 def test_peak_band_holds_every_peak(monkeypatch, R, window):
-    # at r = inf the bank and the iteration search only the band: whole
-    # groups of SUP_STRIDE transit rows around the focus. A band too narrow
-    # would cut a peak off, so every bank candidate's peaks on the doubled
-    # window, and the peaks of every search the call runs there, lie in it
+    # at r = inf the bank and the iteration search only the band: the
+    # transit rows around the focus. A band too narrow would cut a peak off,
+    # so every cell's peak on the doubled window lies in it, for every bank
+    # candidate and for the point the call evaluates there
     spec = spec_at(R, alpha=-0.25, r=INF, window=window)
     modes = call_modes(spec)
     wide, transit = O._transit_times(spec)
     band = O._peak_band(spec, wide, transit)
     assert transit.start <= band.start < band.stop <= transit.stop
-    assert (band.start - transit.start) % O.SUP_STRIDE == 0
-    assert (band.stop - transit.start) % O.SUP_STRIDE == 0 or band.stop == transit.stop
+    tables = O._tables(spec, modes)
 
-    def inside(u):
-        return band.start <= u.index.min() and u.index.max() < band.stop
+    def inside(c):
+        peaks = np.abs(O._eval_mixed(spec, modes, c, wide, tables)[1].slices).argmax(axis=0)
+        return band.start <= peaks.min() and peaks.max() < band.stop
 
-    tables = O._tables(spec, modes, wide)
     for name, c in O._candidate_bank(spec, modes):
-        assert inside(O._eval_mixed(spec, modes, c, wide, tables)[1]), name
-    eval_mixed, searches = O._eval_mixed, []
-
-    def logged(*args):
-        out = eval_mixed(*args)
-        if len(args[3]) == len(wide):
-            searches.append(out[1])
-        return out
-
-    monkeypatch.setattr(O, "_eval_mixed", logged)
+        assert inside(c), name
+    doubled_window, points = O._doubled_window, []
+    monkeypatch.setattr(O, "_doubled_window",
+                        lambda *args: points.append(args[2]) or doubled_window(*args))
     O.lower_bound_mixed(spec)
-    assert searches and all(inside(u) for u in searches)
+    assert len(points) == 1 and inside(points[0])
 
 
 # The power iteration as one call per piece of work: every evaluation and
-# gradient builds its own table set (ball grid, spatial and time factors, on
-# the doubled transit window, read on the rows the bank and the iteration
-# run on: the peak band at r = inf, the transit window at finite r).
-# lower_bound_mixed must give the same result with one table set per call
-# and one gradient per iteration. The value is the higher of the best
-# point's two evaluations, on those rows and on the doubled window, and the
-# diagnostics read the doubled window's; the two are the same evaluation
-# when the rows are all of the doubled window.
+# gradient builds its own tables (ball grid and spatial factor) and reads
+# the rows the bank and the iteration run on: the peak band at r = inf, the
+# transit window at finite r. lower_bound_mixed must give the same result
+# with one set of tables per call and one gradient per iteration. The value
+# is the higher of the best point's evaluation on those rows and its pass
+# over the doubled window, and the diagnostics read the pass.
 
 def _band_rows(spec):
     """(doubled window, the rows the bank and the iteration run on)."""
     wide, rows = O._transit_times(spec)
-    return wide, O._peak_band(spec, wide, rows) if spec.r == INF else rows
+    return wide, O._peak_band(spec, wide, rows)
 
 
 def _band_tables(spec, modes):
-    """(the bank's samples, their table set), from a fresh set on the doubled
-    window."""
+    """(the bank's samples, fresh tables)."""
     wide, rows = _band_rows(spec)
-    return wide[rows], O._window_tables(spec, O._tables(spec, modes, wide), rows)
+    return wide[rows], O._tables(spec, modes)
 
 
-def _wide_diagnostics(spec, u, value):
-    """(refinement_delta, tail_fraction) of an evaluation u of the given value."""
-    if spec.r == INF:
-        ref_delta = abs(value - O._reduce(u.even_peak, spec.q, u.grid.dx)) / max(value, 1e-300)
-        per_t = u.coarse_energy
-    else:
-        ref_delta = _half_rate_delta(u, spec)
-        per_t = np.sum(np.abs(u.slices) ** 2, axis=1)
+def _wide_diagnostics(spec, modes, c):
+    """(value, refinement_delta, tail_fraction) of spectrum c from a fresh
+    pass over the doubled window."""
+    value, half, per_t = O._doubled_window(spec, modes, c, O._transit_times(spec)[0],
+                                           O._tables(spec, modes))
     k = max(1, len(per_t) // 10)
-    return ref_delta, float(np.sum(per_t[-k:]) / max(np.sum(per_t), 1e-300))
+    return (value, abs(value - half) / max(value, 1e-300),
+            float(np.sum(per_t[-k:]) / max(np.sum(per_t), 1e-300)))
 
 
 def _lower_bound_reference(spec):
@@ -856,8 +778,7 @@ def _lower_bound_reference(spec):
             break
     top_c, v_top, _ = top
     top_val = max(quotients)
-    v_wide, u = _evaluate(spec, modes, top_c, O._transit_times(spec)[0])
-    ref_delta, tail = _wide_diagnostics(spec, u, v_wide)
+    v_wide, ref_delta, tail = _wide_diagnostics(spec, modes, top_c)
     nf = O._l2_of_spectrum(modes, top_c)
     res = O.LowerBoundResult(
         value=max(top_val, v_wide / nf), candidate=best_name,
@@ -872,17 +793,13 @@ def _lower_bound_reference(spec):
 @pytest.mark.parametrize("r", [4.0, INF])
 def test_ascent_matches_the_per_call_reference(monkeypatch, r, window, R):
     # every field equal; one gradient per iteration, always on the call's
-    # tables; one table set per call, spatial factor and doubled window
-    # included, read on the bank's rows once; the doubled window is
-    # evaluated when it differs from those rows (at r = inf, whose band is
-    # narrower than the transit window, and on the global window) and not
-    # when it does not (finite r on the local window, where both windows
-    # clip to the operator window)
+    # tables; one set of tables per call, read by the bank, the iteration
+    # and the one pass over the doubled window
     spec = spec_at(R, alpha=-0.25, r=r, window=window)
     modes = call_modes(spec)
     bank = len(O._candidate_bank(spec, modes))
     ref, quotients = _lower_bound_reference(spec)
-    calls = {"_eval_mixed": [], "_quotient_gradient": [], "_tables": [], "_window_tables": []}
+    calls = {"_eval_mixed": [], "_quotient_gradient": [], "_tables": [], "_doubled_window": []}
     for name, log in calls.items():
         monkeypatch.setattr(O, name, lambda *args, _f=getattr(O, name), _log=log:
                             _log.append(len(args)) or _f(*args))
@@ -892,52 +809,49 @@ def test_ascent_matches_the_per_call_reference(monkeypatch, r, window, R):
     grads = calls["_quotient_gradient"]
     assert len(grads) == res.evaluations - bank == len(quotients) - 1 > 0
     assert set(grads) == {5}
-    # the bank and the iteration evaluate on the call's tables, and so does
-    # the doubled window, when it is new
-    times, rows = _band_rows(spec)
-    wide = rows != slice(0, len(times))
-    assert wide == (r == INF or window == "global")
-    assert len(calls["_eval_mixed"]) == res.evaluations + wide
-    assert len(calls["_tables"]) == len(calls["_window_tables"]) == 1
+    assert len(calls["_eval_mixed"]) == res.evaluations
+    assert len(calls["_tables"]) == len(calls["_doubled_window"]) == 1
 
 
 @pytest.mark.parametrize("window", ["local", "global"], ids=xt)
 @pytest.mark.parametrize("r", [4.0, INF])
 def test_power_iteration_is_monotone(monkeypatch, r, window):
-    # at finite r the numerator is a norm of the spectrum, convex and
-    # 1-homogeneous, so no iterate falls below the one before it (to
-    # rounding). At r = inf the sup search is not exactly a norm and an
-    # iterate may fall; whatever the sequence, the result reports the best
-    # iterate: its gain over the bank winner and its spectrum, the one
-    # evaluated again on the doubled window
+    # on the fixed rows of the call the numerator is a norm of the spectrum,
+    # at r = inf too (the sup over those samples), convex and 1-homogeneous,
+    # so no iterate falls below the one before it (to rounding). The result
+    # reports the best iterate: its gain over the bank winner and its
+    # spectrum, the one the doubled window's pass reads
     spec = spec_at(4.0, alpha=-0.25, r=r, window=window)
     modes = call_modes(spec)
     bank = len(O._candidate_bank(spec, modes))
-    eval_mixed = O._eval_mixed
-    calls = []
+    eval_mixed, doubled_window = O._eval_mixed, O._doubled_window
+    calls, wide = [], []
 
     def logged(*args):
         val, u = eval_mixed(*args)
         calls.append((args[2], val / O._l2_of_spectrum(modes, args[2])))
         return val, u
 
+    def logged_wide(*args):
+        out = doubled_window(*args)
+        wide.append((args[2], out[0] / O._l2_of_spectrum(modes, args[2])))
+        return out
+
     monkeypatch.setattr(O, "_eval_mixed", logged)
+    monkeypatch.setattr(O, "_doubled_window", logged_wide)
     res = O.lower_bound_mixed(spec)
     start = max(q for _, q in calls[:bank])
-    iterates = calls[bank:res.evaluations]
+    iterates = calls[bank:]
+    assert len(iterates) == res.evaluations - bank
     quotients = [start] + [q for _, q in iterates]
     assert len(iterates) >= 3 and quotients[1] > start
-    if r != INF:
-        for before, after in zip(quotients, quotients[1:]):
-            assert after >= before * (1 - 1e-14)
+    for before, after in zip(quotients, quotients[1:]):
+        assert after >= before * (1 - 1e-14)
     top = max(quotients)
     assert res.ascent_gain == (top - start) / start
     top_c = iterates[quotients.index(top) - 1][0]
-    if res.evaluations < len(calls):
-        assert calls[-1][0] is top_c
-        assert res.value == max(top, calls[-1][1])
-    else:
-        assert res.value == top
+    assert len(wide) == 1 and wide[0][0] is top_c
+    assert res.value == max(top, wide[0][1])
 
 
 # lower_bound_mixed at the battery's maximal (criterion 08) and global
@@ -998,12 +912,11 @@ def test_mixed_node_rule_is_converged(monkeypatch, R, window, r, alpha):
 
 def _doubled_window_diagnostics(spec, modes, c):
     """(value, (refinement_delta, window_delta, tail_fraction), whether the
-    wide window won) of spectrum c from fresh evaluations on the bank's rows
-    and on the doubled window: the value is the higher of the two, the
-    sampling diagnostics are the doubled window's."""
+    wide window won) of spectrum c from a fresh evaluation on the bank's
+    rows and a fresh pass over the doubled window: the value is the higher
+    of the two, the sampling diagnostics are the doubled window's."""
     v_top = O._eval_mixed(spec, modes, c, *_band_tables(spec, modes))[0]
-    v_wide, u = _evaluate(spec, modes, c, O._transit_times(spec)[0])
-    ref_delta, tail = _wide_diagnostics(spec, u, v_wide)
+    v_wide, ref_delta, tail = _wide_diagnostics(spec, modes, c)
     return max(v_top, v_wide), (ref_delta, abs(v_wide - v_top) / v_top, tail), v_wide > v_top
 
 
@@ -1011,21 +924,22 @@ def _doubled_window_diagnostics(spec, modes, c):
 def test_diagnostics_read_the_doubled_window(monkeypatch, r, alpha):
     # the power iteration moves the winner to a new point on the bank's rows
     # (the peak band at r = inf, the transit window at r = 4); the value is
-    # the higher of its evaluations there and on the doubled transit window,
-    # refinement_delta and tail_fraction are the doubled window's whichever
-    # wins, and no evaluation runs beyond the bank, the iteration and the
-    # doubled window
+    # the higher of its evaluation there and its pass over the doubled
+    # transit window, refinement_delta and tail_fraction are the doubled
+    # window's whichever wins, and nothing runs beyond the bank, the
+    # iteration and that one pass
     spec = spec_at(2.0, alpha=alpha, r=r, window="global")
     modes = call_modes(spec)
-    eval_mixed = O._eval_mixed
-    calls = []
-    monkeypatch.setattr(O, "_eval_mixed",
-                        lambda *args: calls.append(args) or eval_mixed(*args))
+    calls = {"_eval_mixed": [], "_doubled_window": []}
+    for name, log in calls.items():
+        monkeypatch.setattr(O, name, lambda *args, _f=getattr(O, name), _log=log:
+                            _log.append(args) or _f(*args))
     res = O.lower_bound_mixed(spec)
-    assert len(calls) == res.evaluations + 1
-    top_c = calls[-1][2]  # the wide window's spectrum is the reported point
-    assert np.array_equal(calls[-1][3], O._transit_times(spec)[0])
-    times = next(args[3] for args in calls if args[2] is top_c)
+    assert len(calls["_eval_mixed"]) == res.evaluations
+    [wide] = calls["_doubled_window"]
+    top_c = wide[2]  # the wide window's spectrum is the reported point
+    assert np.array_equal(wide[3], O._transit_times(spec)[0])
+    times = next(args[3] for args in calls["_eval_mixed"] if args[2] is top_c)
     assert res.ascent_gain > 0
     bank = dict(O._candidate_bank(spec, modes))
     assert not any(top_c is c for c in bank.values())

@@ -49,3 +49,20 @@ def test_traced_counts_read_every_counted_layer(tmp_path):
     for name, _, _, count in spans.LAYERS:
         if count is not None:
             assert metrics[f"{name}.calls"] >= 1, name
+
+
+def test_eval_throughput_counts_the_maximal_evaluations():
+    # at r = inf too each evaluation reduces its slab through
+    # norms.mixed_norm, inside the eval_mixed span, so the samples per second
+    # of the maximal bound are measured
+    tracer = spans.Tracer()
+    root = tracer.open(spans.ROOT)
+    restore = spans.install(tracer)
+    try:
+        spec = opnorm.SmoothingOperatorSpec(sym=symbols.schrodinger(1), alpha=-0.25, R=8.0,
+                                            r=math.inf)
+        opnorm.lower_bound_mixed(spec, 1)
+    finally:
+        restore()
+    tracer.close(root)
+    assert spans._eval_throughput(tracer.spans) > 0
