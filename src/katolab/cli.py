@@ -177,6 +177,9 @@ def _cmd_opnorm(args):
     specs = [opnorm.SmoothingOperatorSpec(sym=sym, alpha=args.alpha, R=R, q=args.q, r=args.r,
                                           window=args.window)
              for R in args.R]
+    if not l2 and args.seed is not None:
+        print("kato opnorm: error: argument --seed: only q = r = 2 reads a seed", file=sys.stderr)
+        return 2
     if l2:
         try:
             for spec in specs:
@@ -189,7 +192,7 @@ def _cmd_opnorm(args):
     samples = []
     for R, spec in zip(args.R, specs):
         if l2:
-            res = opnorm.operator_norm_l2(spec, seed=args.seed)
+            res = opnorm.operator_norm_l2(spec, seed=args.seed or 0)
             print(f"{R:g},{res.value:.10g},{res.iterations},{res.residual:.3g}")
         else:
             res = opnorm.lower_bound_mixed(spec)
@@ -297,9 +300,8 @@ def main(argv=None) -> int:
     p.add_argument("--r", type=_exponent, default="2")
     p.add_argument("--window", choices=("local", "global"), default="local")
     p.add_argument("--R", type=_scales, required=True, help="comma-separated scales")
-    p.add_argument("--seed", type=_non_negative_int, default=0,
-                   help="seeds the Lanczos start (q = r = 2) only; "
-                        "mixed-norm lower bounds do not read it")
+    p.add_argument("--seed", type=_non_negative_int,
+                   help="seeds the Lanczos start (default 0); q = r = 2 only")
     p.set_defaults(fn=_cmd_opnorm)
 
     p = sub.add_parser("wavepacket", help="wave-packet operations")

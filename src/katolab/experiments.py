@@ -77,8 +77,8 @@ class ExperimentConfig:
     residual_min: float = 0.2
     expect: str = "match"  # 'match' or 'residual'
     cross_check: bool = False
-    ascent_steps: int = opnorm.ASCENT_STEPS
-    restarts: int = opnorm.ASCENT_RESTARTS
+    ascent_steps: int = opnorm.POWER_ITERATIONS
+    restarts: int = 1
     trials: int = 50
     K: int = 3
     N: int = 1024

@@ -31,15 +31,16 @@ maximal r = inf included, are handled by lower_bound_mixed: a bank of five
 chirps focusing at the window's centre, the winner refined by the power
 method c <- dF/d conj(c) for the numerator F(c) = ||A c|| of the quotient.
 F is convex and 1-homogeneous, a norm of c on fixed time samples, so no
-iterate lowers the quotient (Boyd 1974, Higham 1992). One time grid covers
-the transit window of the sector around that focus, doubled, over a p-grid
-spanning only that doubled window. The bank and the iteration run on rows
-of that grid: at finite r the transit window, at r = inf its band
-(_peak_band) within the transit time (R + 1/width)/v_min of the focus,
-where every peak lies. The best point is evaluated once more on the whole
-doubled grid: every diagnostic comes from that evaluation, and the reported
-value is the higher of it and the value on the rows. Those values are lower
-bounds by construction and are reported as such.
+iterate lowers the quotient (Boyd 1974, Higham 1992). One function
+(_transit_times) decides where a call samples time: one grid covers the
+transit window of the sector around that focus, doubled, over a p-grid
+spanning only that doubled window, and the bank and the iteration run on
+rows of that grid: at finite r the transit window, at r = inf its band
+within the transit time (R + 1/width)/v_min of the focus, where every peak
+lies. The best point is evaluated once more on the whole doubled grid:
+every diagnostic comes from that evaluation, and the reported value is the
+higher of it and the value on the rows. Those values are lower bounds by
+construction and are reported as such.
 
 Their cost is the evolution slab u(t_s, x_b) = sum_k a_k e^{i t_s p_k}
 e^{i x_b xi_k} over S time samples, M modes and the nx cells of the ball
@@ -93,14 +94,13 @@ DENSE_MODES = 6000
 LANCZOS_TOL = 1e-3
 LANCZOS_STEPS = 200
 
-# Mixed-norm lower bounds: the default power iterations, ASCENT_STEPS x
-# ASCENT_RESTARTS (also the experiment configs' default), the relative rise
-# at which they stop, and the largest transit-window samples x eval-points x
-# modes cost of a call whose bank winner they refine (the transit window's
-# samples even at r = inf, where the bank and the iteration search only its
-# peak band).
-ASCENT_STEPS = 12
-ASCENT_RESTARTS = 2
+# Mixed-norm lower bounds: the cap on the power iterations (the default of
+# the experiment configs' ascent_steps x restarts), far enough that the
+# battery's refined calls stop on the rise (criterion 09 R = 32 takes 49),
+# the relative rise at which they stop, and the largest transit-window
+# samples x ball cells x modes cost of a call whose bank winner they refine
+# (the transit window even at r = inf, where the rows are its peak band).
+POWER_ITERATIONS = 96
 POWER_RISE_TOL = 1e-12
 ASCENT_BUDGET = 4e8
 
@@ -370,8 +370,9 @@ def _focus_time(spec: SmoothingOperatorSpec) -> float:
 
 
 def _transit_times(spec: SmoothingOperatorSpec) -> tuple:
-    """(times, rows): the doubled transit window and, as its rows, the
-    transit window, the samples of every mode's passage through the ball.
+    """(times, rows, transit): the doubled transit window, the slice of it
+    that the bank and the power iteration read, and the transit window, the
+    samples of every mode's passage through the ball, as a slice of it.
 
     A mode chirped to focus at the window's focus t0 transits the ball
     within t0 +- margin = 3.5 (ball + envelope width)/speed, clipped to the
@@ -389,6 +390,13 @@ def _transit_times(spec: SmoothingOperatorSpec) -> tuple:
     towards t0 +- 2 margin, clipped to the window. The samples depend on
     the operator alone, so they size its mode grid, and every spectrum of
     one call shares them.
+    At finite r the time integral spreads over every transit row, so rows
+    is the transit window. At r = inf only the sup in time is left, and
+    every peak of |u| lies in the transit rows within (R + 1/width)/v_min
+    of t0, v_min that slowest speed: a spectrum focused at (t0, 0) crosses
+    B_R within that time of t0, the transit-time bound behind the maximal
+    estimates (Kenig, Ponce & Vega, Indiana Univ. Math. J. 40, 1991). So
+    rows is that peak band.
     """
     a, b = spec.time_window()
     t0 = _focus_time(spec)
@@ -410,25 +418,14 @@ def _transit_times(spec: SmoothingOperatorSpec) -> tuple:
     before, after = (8 * int(gap // group) for gap in
                      (lo - max(a, t0 - 2.0 * margin), min(b, t0 + 2.0 * margin) - hi))
     s = np.arange(-before, steps + after)
-    return lo + (s + 0.5) * (hi - lo) / steps, slice(before, before + steps)
-
-
-def _peak_band(spec: SmoothingOperatorSpec, times: np.ndarray, rows: slice) -> slice:
-    """The rows of times that the bank and the power iteration read. At
-    finite r the time integral spreads over every transit row, so all of
-    them. At r = inf only the sup in time is left, and every peak of |u|
-    lies in the transit rows within (R + 1/width)/v_min of the focus t0: a
-    spectrum focused at (t0, 0) crosses B_R within that time of t0 (the
-    transit-time bound behind the maximal estimates, Kenig-Ponce-Vega
-    1991), width and v_min the sector's width and slowest speed, as in
-    _transit_times."""
-    if spec.r != INF:
-        return rows
-    t0 = _focus_time(spec)
-    reach = (spec.R + 1.0 / (SECTOR_OUTER - SECTOR_INNER)) / _slowest_speed(spec)
-    transit = times[rows]
-    return slice(rows.start + int(np.searchsorted(transit, t0 - reach)),
-                 rows.start + int(np.searchsorted(transit, t0 + reach, side="right")))
+    times = lo + (s + 0.5) * (hi - lo) / steps
+    transit = rows = slice(before, before + steps)
+    if spec.r == INF:
+        reach = (spec.R + 1.0 / width) / v_min
+        band = times[transit]
+        rows = slice(before + int(np.searchsorted(band, t0 - reach)),
+                     before + int(np.searchsorted(band, t0 + reach, side="right")))
+    return times, rows, transit
 
 
 def _tables(spec: SmoothingOperatorSpec, modes: ModeGrid) -> tuple:
@@ -577,7 +574,7 @@ def _quotient_gradient(spec: SmoothingOperatorSpec, modes: ModeGrid, val: float,
 
 
 def lower_bound_mixed(spec: SmoothingOperatorSpec,
-                      iterations: int = ASCENT_STEPS * ASCENT_RESTARTS) -> LowerBoundResult:
+                      iterations: int = POWER_ITERATIONS) -> LowerBoundResult:
     """Lower bound for the mixed-norm operator quotient, (q, r) != (2, 2).
 
     Maximum over the candidate bank, refined by the power method
@@ -589,11 +586,11 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec,
     one gradient each, and stops early once an iterate rises by at most
     POWER_RISE_TOL relative (or falls, which rounding alone allows); the
     best iterate is kept. One call builds one ball grid and spatial factor
-    (_tables) over a mode grid spanning the doubled transit window
-    (_transit_times); the bank and every iteration evaluate on the transit
-    window's rows at finite r and on their peak band at r = inf
-    (_peak_band). The best point is evaluated once more on the doubled
-    window (_doubled_window), and the higher of the two values is reported.
+    (_tables) over a mode grid spanning the doubled transit window, and the
+    bank and every iteration evaluate on its rows, both from _transit_times:
+    the transit window at finite r, its peak band at r = inf. The best point
+    is evaluated once more on the doubled window (_doubled_window), and the
+    higher of the two values is reported.
     Every diagnostic reads that one doubled-window pass, so none depends on
     which value wins by rounding: refinement_delta (the value with every
     second time sample dropped) and tail_fraction (the share of
@@ -602,10 +599,10 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec,
     already span the doubled window; at finite r, at one step, the doubled
     window can only raise the value).
     """
-    wide, transit = _transit_times(spec)
+    wide, rows, transit = _transit_times(spec)
     modes = mode_grid(spec, wide[-1] - wide[0])
     tables = _tables(spec, modes)
-    times = wide[_peak_band(spec, wide, transit)]
+    times = wide[rows]
     evals, best_val = 0, 0.0
     for name, c in _candidate_bank(spec, modes):
         raw, u = _eval_mixed(spec, modes, c, times, tables)

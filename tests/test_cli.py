@@ -110,6 +110,30 @@ def test_opnorm_cli(capsys):
     assert '"slope"' in out
 
 
+def test_opnorm_cli_seed_takes_effect_at_l2(capsys):
+    # at R = 8 seeds 0 and 1 stop at different Lanczos steps and residuals
+    spec = opnorm.SmoothingOperatorSpec(sym=symbols.schrodinger(1), alpha=0.5, R=8.0)
+    steps = []
+    for flags, seed in (([], 0), (["--seed", "1"], 1)):
+        assert cli.main(["opnorm", "--symbol", "power:m=2,n=1", "--alpha", "0.5",
+                         "--R", "8"] + flags) == 0
+        res = opnorm.operator_norm_l2(spec, seed=seed)
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row == f"8,{res.value:.10g},{res.iterations},{res.residual:.3g}"
+        steps.append(res.iterations)
+    assert steps[0] != steps[1]
+
+
+@pytest.mark.parametrize("q, r", [("2", "inf"), ("4", "2")])
+def test_opnorm_cli_refuses_a_seed_for_mixed_norms(capsys, q, r):
+    # a mixed-norm lower bound reads no seed, so a given one is refused
+    # before any scale runs
+    assert cli.main(["opnorm", "--symbol", "power:m=2,n=1", "--alpha", "0.5",
+                     "--q", q, "--r", r, "--R", "2", "--seed", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("kato opnorm: error: argument --seed: ")
+
+
 def test_opnorm_cli_global_window_is_the_global_spec(capsys):
     assert cli.main(["opnorm", "--symbol", "power:m=2,n=1", "--alpha", "0.5",
                      "--window", "global", "--R", "2,8"]) == 0
