@@ -132,7 +132,7 @@ class ExperimentConfig:
         if self.kind == "wavepacket-audit":
             grid = Grid(1, self.N, self.L)  # the rules are per axis
             for R in self.R:
-                if self.L / R != round(self.L / R):
+                if not wavepackets.tiles_period(R, self.L):
                     raise ConfigError("L", f"must be a multiple of R={R}")
                 try:
                     wavepackets.check_packet_scale(R, grid)

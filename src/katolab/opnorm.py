@@ -37,10 +37,11 @@ transit window of the sector around that focus, doubled, over a p-grid
 spanning only that doubled window, and the bank and the iteration run on
 rows of that grid: at finite r the transit window, at r = inf its band
 within the transit time (R + 1/width)/v_min of the focus, where every peak
-lies. The best point is evaluated once more on the whole doubled grid:
-every diagnostic comes from that evaluation, and the reported value is the
-higher of it and the value on the rows. Those values are lower bounds by
-construction and are reported as such.
+lies. The best point is evaluated once more on the rows doubled about
+their centre: at finite r the whole doubled grid, at r = inf the doubled
+band. Every diagnostic comes from that evaluation, and the reported value
+is the higher of it and the value on the rows. Those values are lower
+bounds by construction and are reported as such.
 
 Their cost is the evolution slab u(t_s, x_b) = sum_k a_k e^{i t_s p_k}
 e^{i x_b xi_k} over S time samples, M modes and the nx cells of the ball
@@ -52,10 +53,7 @@ S samples at r = inf. The gradient is its adjoint, a chirp-z transform from
 the times back to the p-nodes. A call builds the ball grid and the M x nx
 spatial factor e^{i x_b xi_k} once (_tables); an evaluation on any window
 of the times reads the rows of its live modes. Transforms go in chunks of
-cells that fill one IDFT_STACK_BYTES buffer, and the doubled window's one
-evaluation (_doubled_window) keeps of each chunk only each cell's L^r_t
-norms, over all samples and over even ones, and the energy per sample, so
-its slab is never held whole.
+cells that fill one IDFT_STACK_BYTES buffer.
 """
 
 from __future__ import annotations
@@ -190,15 +188,19 @@ def _window_integral(spec: SmoothingOperatorSpec, omega: np.ndarray) -> np.ndarr
 
 def dense_operator_matrix(spec: SmoothingOperatorSpec, modes: ModeGrid) -> np.ndarray:
     """Explicit real symmetric kernel H_r, O(M^2) memory, for small scales; the
-    ball and window integrals X and T_r as sincs, stable through delta, omega = 0."""
+    ball and window integrals X and T_r as sincs, stable through delta, omega = 0.
+    Built in blocks of 256 rows, so H_r is its only M x M array."""
     M = len(modes.xi)
     if M > DENSE_MODES:
         raise ValueError(f"dense kernel with M={M} modes would be too large")
-    delta = modes.xi[None, :] - modes.xi[:, None]
-    omega = modes.phi_vals[None, :] - modes.phi_vals[:, None]
-    X = 2.0 * spec.R * np.sinc(spec.R * delta / math.pi)
-    d = modes.amp
-    return (d[:, None] * d[None, :]) * X * _window_integral(spec, omega)
+    d, H = modes.amp, np.empty((M, M))
+    for start in range(0, M, 256):
+        rows = slice(start, start + 256)
+        delta = modes.xi[None, :] - modes.xi[rows, None]
+        omega = modes.phi_vals[None, :] - modes.phi_vals[rows, None]
+        X = 2.0 * spec.R * np.sinc(spec.R * delta / math.pi)
+        H[rows] = (d[rows, None] * d[None, :]) * X * _window_integral(spec, omega)
+    return H
 
 
 def _fft_size(n: int) -> int:
@@ -517,29 +519,6 @@ def _eval_mixed(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
     return mixed_norm(u, MixedNormSpec(q=spec.q, r=spec.r)), u
 
 
-def _doubled_window(spec: SmoothingOperatorSpec, modes: ModeGrid, c: np.ndarray,
-                    times: np.ndarray, tables: tuple) -> tuple:
-    """(value, half-rate value, energy) of spectrum c over the doubled
-    window's times: the mixed norm of _eval_mixed, the same norm on every
-    second sample, and sum_x |u|^2 at each sample.
-
-    The slab goes by chunks of cells (_slab_chunks), of which each cell
-    keeps only its L^r_t norms over all samples and over even samples, so
-    the slab is never held whole (21608 x 184 samples, 64 MB, at R = 64).
-    The window holds at least 8 samples, so both rates have a step.
-    """
-    gx = tables[0]
-    inner, half = np.empty(gx.N), np.empty(gx.N)
-    energy = np.zeros(len(times))
-    for cells, block in _slab_chunks(modes, c, times, tables):
-        absu = np.abs(block)
-        inner[cells] = _reduce(absu, spec.r, times[1] - times[0])
-        half[cells] = _reduce(absu[::2], spec.r, times[2] - times[0])
-        energy += np.sum(np.square(absu, out=absu), axis=1)
-    return (float(_reduce(inner, spec.q, gx.dx)), float(_reduce(half, spec.q, gx.dx)),
-            energy)
-
-
 def _l2_of_spectrum(modes: ModeGrid, c: np.ndarray) -> float:
     return math.sqrt(modes.dp / TWO_PI * float(np.sum(np.abs(c) ** 2)))
 
@@ -589,15 +568,17 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec,
     (_tables) over a mode grid spanning the doubled transit window, and the
     bank and every iteration evaluate on its rows, both from _transit_times:
     the transit window at finite r, its peak band at r = inf. The best point
-    is evaluated once more on the doubled window (_doubled_window), and the
-    higher of the two values is reported.
-    Every diagnostic reads that one doubled-window pass, so none depends on
-    which value wins by rounding: refinement_delta (the value with every
-    second time sample dropped) and tail_fraction (the share of
-    sum_x |u|^2 in the last tenth of the samples), and window_delta, its
-    relative difference from the value on the rows (rounding when they
-    already span the doubled window; at finite r, at one step, the doubled
-    window can only raise the value).
+    is evaluated once more on the rows doubled about their centre (all of
+    the doubled window at finite r, the focus being its centre; the doubled
+    band at r = inf, the guard that no peak lies just outside the band), and
+    the higher of the two values is reported.
+    Every diagnostic reads that last evaluation, so none depends on which
+    value wins by rounding: refinement_delta (the value with every second
+    time sample dropped), tail_fraction (the share of sum_x |u|^2 in the
+    last tenth of its samples) and window_delta, its relative difference
+    from the value on the rows (rounding when they already span the doubled
+    window; at finite r, at one step, the doubled window can only raise the
+    value).
     """
     wide, rows, transit = _transit_times(spec)
     modes = mode_grid(spec, wide[-1] - wide[0])
@@ -630,7 +611,13 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec,
             break
 
     top_c, v_top, _ = top
-    v_wide, half, per_t = _doubled_window(spec, modes, top_c, wide, tables)
+    n = rows.stop - rows.start
+    v_wide, u = _eval_mixed(spec, modes, top_c,
+                            wide[max(0, rows.start - n // 2):rows.stop + n // 2], tables)
+    absu = np.abs(u.slices)
+    half = float(_reduce(_reduce(absu[::2], spec.r, u.times[2] - u.times[0]),
+                         spec.q, u.grid.dx))
+    per_t = np.sum(np.square(absu, out=absu), axis=1)
     window_delta = abs(v_wide - v_top) / max(v_top, 1e-300)
     ref_delta = abs(v_wide - half) / max(v_wide, 1e-300)
     # share of the time-profile mass in the last tenth of the window
@@ -649,7 +636,10 @@ def lower_bound_mixed(spec: SmoothingOperatorSpec,
 
 
 def predicted_exponent(n: int, m: float, q: float, r: float, alpha: float) -> float:
-    """Growth exponent -alpha + n/q + m/r - n/2 of the localized norm."""
+    """-alpha + n/q + m/r - n/2, the growth in R the estimate at regularity
+    alpha affords for frequency-R data on the unit ball (parabolic scaling).
+    The measured norms' data stay on a fixed sector, where alpha moves no
+    slope, so a residual grows with alpha because this falls."""
     inv_q = 0.0 if q == INF else 1.0 / q
     inv_r = 0.0 if r == INF else 1.0 / r
     return -alpha + n * inv_q + m * inv_r - n / 2.0

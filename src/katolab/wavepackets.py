@@ -101,6 +101,12 @@ class PartitionPair:
     rows: list
 
 
+def tiles_period(R: float, L: float) -> bool:
+    """Whether the packet lattice of spacing R tiles the period L: L / R an
+    integer to 1e-12, the rounding of R = L / k itself."""
+    return abs(L / R - round(L / R)) <= 1e-12
+
+
 def check_packet_scale(R: float, grid: Grid) -> None:
     """Raise GridResolutionError (ValueError for R < 1) unless the grid
     resolves the windows of scale R."""
@@ -109,7 +115,7 @@ def check_packet_scale(R: float, grid: Grid) -> None:
     needed = []
     if grid.dx > R / 8:
         needed.append(f"dx <= R/8 requires N >= {int(math.ceil(8 * grid.L / R))}")
-    if abs(grid.L / R - round(grid.L / R)) > 1e-12:
+    if not tiles_period(R, grid.L):
         needed.append("L must be an integer multiple of R")
     if grid.L < 4 * R:
         needed.append("L >= 4R so the spatial windows fit the torus")

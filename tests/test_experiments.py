@@ -35,6 +35,20 @@ def test_parse_config():
     assert cfg.seed == 4
 
 
+def test_packet_scales_follow_one_rule_in_configs_and_files():
+    # R = 128/49 divides L = 128 up to its own rounding (L / R reads
+    # 49.00000000000001): the file pipeline's check_packet_scale takes it, so
+    # a config takes it too; a scale that does not divide L is refused under L
+    R = 128 / 49
+    assert 128 / R != 49
+    W.check_packet_scale(R, Grid(1, 1024, 128.0))
+    text = "kind = wavepacket-audit\nsymbol = power:m=2,n=1\nN = 1024\nL = 128\nR = {}"
+    assert E.parse_config(text.format(repr(R))).R == (R,)
+    with pytest.raises(E.ConfigError) as exc:
+        E.parse_config(text.format("5"))
+    assert exc.value.field_name == "L"
+
+
 def test_parse_config_errors_name_fields():
     with pytest.raises(E.ConfigError) as exc:
         E.parse_config("kind = scaling\nsymbol = power:m=2,n=1\nbogus = 1")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from katolab import opnorm as O
 from katolab import symbols as S
 from katolab.core import SECTOR_INNER, SECTOR_OUTER, Grid, SpacetimeField, check_uniform_times
-from katolab.norms import MixedNormSpec, mixed_norm
+from katolab.norms import MixedNormSpec, _reduce, mixed_norm
 
 SYM = S.schrodinger(1)
 INF = math.inf
@@ -432,9 +432,9 @@ def test_chirp_z_slab_matches_the_long_double_sum(R, window):
 
 @pytest.mark.parametrize("r", [INF, 4.0], ids=xt)
 def test_doubled_window_pass_matches_one_unchunked_evaluation(monkeypatch, r):
-    # the pass keeps each cell's L^r_t norms at both rates and the energy
-    # profile, chunk by chunk: chunks of one cell, of all 32 cells, and of 5,
-    # which does not divide 32
+    # the last pass of a call is one _eval_mixed over the doubled window,
+    # whose slab is built chunk by chunk of cells: chunks of one cell, of all
+    # 32 cells, and of 5, which does not divide 32, give the same slab
     spec = spec_at(8.0, alpha=-0.25, r=r, window="global")
     modes = call_modes(spec)
     times = O._transit_times(spec)[0]
@@ -443,9 +443,6 @@ def test_doubled_window_pass_matches_one_unchunked_evaluation(monkeypatch, r):
     c = _noise(spec, modes)
     monkeypatch.setattr(O, "IDFT_STACK_BYTES", 1 << 40)
     val, u = O._eval_mixed(spec, modes, c, times, tables)
-    norm = MixedNormSpec(q=spec.q, r=spec.r)
-    half = mixed_norm(SpacetimeField(u.grid, times[::2], u.slices[::2]), norm)
-    energy = np.sum(np.abs(u.slices) ** 2, axis=1)
     slab_chunks, widths = O._slab_chunks, []
 
     def logged(*args):
@@ -459,11 +456,10 @@ def test_doubled_window_pass_matches_one_unchunked_evaluation(monkeypatch, r):
     for stack, want in ((1, [1] * nx), (1 << 40, [nx]), (5 * 16 * L, [5] * 6 + [2])):
         monkeypatch.setattr(O, "IDFT_STACK_BYTES", stack)
         del widths[:]
-        got = O._doubled_window(spec, modes, c, times, tables)
+        got, v = O._eval_mixed(spec, modes, c, times, tables)
         assert widths == want
-        assert got[0] == pytest.approx(val, rel=1e-14)
-        assert got[1] == pytest.approx(half, rel=1e-14)
-        assert np.max(np.abs(got[2] - energy)) <= 1e-14 * np.max(energy)
+        assert got == val
+        assert np.array_equal(v.slices, u.slices)
 
 
 @pytest.mark.parametrize("window", ["local", "global"])
@@ -585,32 +581,33 @@ def test_bank_winner_is_evaluated_once_at_finite_r(monkeypatch):
 def _check_bank_winner_is_evaluated_once(monkeypatch, r):
     # the bank loop's evaluation of the winner starts the power iteration,
     # so with no iteration nothing is evaluated after the bank but the one
-    # pass over the doubled window, and the value is the higher of the two.
-    # At local R = 8 the doubled transit window clips to the same operator
-    # window, so at finite r the bank's rows are all of the times and
-    # window_delta compares the same samples: it reads rounding only. At
-    # r = inf the bank runs on the peak band. The diagnostics read the pass.
+    # last pass over the rows doubled, and the value is the higher of the
+    # two. At local R = 8 the doubled transit window clips to the same
+    # operator window, so at finite r the bank's rows are all of the times,
+    # the last pass reads them again and window_delta compares the same
+    # samples: it reads rounding only. At r = inf the bank runs on the peak
+    # band and the last pass on the doubled band. The diagnostics read the
+    # last pass.
     spec = spec_at(8.0, alpha=-0.25, r=r)
     modes = call_modes(spec)
     times, _, transit = O._transit_times(spec)
     assert transit == slice(0, len(times))
     assert (times[0], times[-1]) == pytest.approx(spec.time_window(), abs=times[1] - times[0])
     bank = _hand_made_bank(spec, modes)
-    calls = {"_eval_mixed": [], "_doubled_window": []}
+    calls = []
     monkeypatch.setattr(O, "_candidate_bank", lambda *args: bank)
-    for name, log in calls.items():
-        monkeypatch.setattr(O, name, lambda *args, _f=getattr(O, name), _log=log:
-                            _log.append(args) or _f(*args))
+    eval_mixed = O._eval_mixed
+    monkeypatch.setattr(O, "_eval_mixed", lambda *args: calls.append(args) or eval_mixed(*args))
 
     monkeypatch.setattr(O, "ASCENT_BUDGET", 0.0)
     over = O.lower_bound_mixed(spec)
     monkeypatch.setattr(O, "ASCENT_BUDGET", math.inf)
     # a zero iteration cap means no iteration
     unrefined = O.lower_bound_mixed(spec, 0)
-    assert len(calls["_eval_mixed"]) == 2 * len(bank)
-    assert len(calls["_doubled_window"]) == 2
-    for args in calls["_doubled_window"]:
-        assert args[2] is bank[0][1] and np.array_equal(args[3], times)
+    assert len(calls) == 2 * (len(bank) + 1)
+    for args in (calls[len(bank)], calls[-1]):
+        assert args[2] is bank[0][1] and np.array_equal(args[3], _last_times(spec))
+    assert np.array_equal(_last_times(spec), times) == (r != INF)
 
     band, tables = _band_tables(spec, modes)
     assert (len(band) < len(times)) == (r == INF)
@@ -719,11 +716,66 @@ def test_peak_band_holds_every_peak(monkeypatch, R, window):
 
     for name, c in O._candidate_bank(spec, modes):
         assert inside(c), name
-    doubled_window, points = O._doubled_window, []
-    monkeypatch.setattr(O, "_doubled_window",
-                        lambda *args: points.append(args[2]) or doubled_window(*args))
-    O.lower_bound_mixed(spec)
-    assert len(points) == 1 and inside(points[0])
+    eval_mixed, points = O._eval_mixed, []
+    monkeypatch.setattr(O, "_eval_mixed",
+                        lambda *args: points.append(args[2]) or eval_mixed(*args))
+    res = O.lower_bound_mixed(spec)
+    # the last evaluation is the reported point's
+    assert len(points) == res.evaluations + 1 and inside(points[-1])
+
+
+@pytest.mark.parametrize("R, window, r", [
+    pytest.param(R, window, r, id=xt(f"{R}-{window}-{r}"))
+    for R, window, r in [(2.0, "local", INF), (2.0, "global", INF), (8.0, "local", INF),
+                         (32.0, "local", INF), (32.0, "global", INF), (2.0, "local", 4.0),
+                         (8.0, "local", 4.0), (8.0, "global", 4.0), (32.0, "global", 4.0),
+                         (8.0, "global", 3.0)]])
+def test_last_pass_reads_the_rows_doubled(monkeypatch, R, window, r):
+    # the last evaluation reads the rows doubled about their centre, n // 2
+    # samples on each side of n, clipped to the doubled window. At finite r
+    # the rows are the transit window, and the doubled window adds at most
+    # n // 2 samples on each side of it, so the last pass reads all of the
+    # doubled window, bit for bit. At r = inf it reads the doubled band,
+    # which only local R = 2 clips
+    spec = spec_at(R, alpha=-0.25, r=r, window=window)
+    wide, rows, transit = O._transit_times(spec)
+    n = rows.stop - rows.start
+    eval_mixed, calls = O._eval_mixed, []
+    monkeypatch.setattr(O, "_eval_mixed", lambda *args: calls.append(args[3]) or eval_mixed(*args))
+    O.lower_bound_mixed(spec, 0)
+    last = calls[-1]
+    k = int(np.searchsorted(wide, last[0]))
+    assert np.array_equal(last, wide[k:k + len(last)])
+    assert rows.start - k == min(n // 2, rows.start)
+    assert k + len(last) - rows.stop == min(n // 2, len(wide) - rows.stop)
+    if r != INF:
+        assert rows == transit
+        assert transit.start <= n // 2 and len(wide) - transit.stop <= n // 2
+        assert np.array_equal(last, wide)
+    elif R >= 8:
+        # the doubled band, unclipped, is a part of the doubled window
+        assert len(last) == n + 2 * (n // 2) < len(wide)
+
+
+def test_window_delta_guards_the_peak_band(monkeypatch):
+    # at r = inf the bank and the iteration read only the peak band, and the
+    # last pass over the doubled band guards it: a spectrum that focuses
+    # outside the band, at t0 + 1.5 reach, peaks in the doubled band, so
+    # window_delta is far above rounding and the value is the doubled band's
+    spec = spec_at(8.0, alpha=-0.25, r=INF)
+    modes = call_modes(spec)
+    wide, rows, _ = O._transit_times(spec)
+    reach = (spec.R + 1.0 / (SECTOR_OUTER - SECTOR_INNER)) / (2.0 * SECTOR_INNER)
+    t_late = O._focus_time(spec) + 1.5 * reach
+    assert wide[rows][-1] < t_late < _last_times(spec)[-1]
+    late = (np.exp(-1j * t_late * modes.phi_vals) / np.sqrt(2.0 * modes.xi)
+            * np.exp(-0.5 * ((modes.xi - 1.2) / 0.35) ** 2))
+    monkeypatch.setattr(O, "_candidate_bank", lambda *args: [("late", late)])
+    res = O.lower_bound_mixed(spec, 0)
+    v_band = _evaluate(spec, modes, late, wide[rows])[0]
+    v_last = _evaluate(spec, modes, late, _last_times(spec))[0]
+    assert res.window_delta == (v_last - v_band) / v_band > 0.1
+    assert res.value == v_last / O._l2_of_spectrum(modes, late)
 
 
 # The power iteration as one call per piece of work: every evaluation and
@@ -731,8 +783,9 @@ def test_peak_band_holds_every_peak(monkeypatch, R, window):
 # the rows the bank and the iteration run on: the peak band at r = inf, the
 # transit window at finite r. lower_bound_mixed must give the same result
 # with one set of tables per call and one gradient per iteration. The value
-# is the higher of the best point's evaluation on those rows and its pass
-# over the doubled window, and the diagnostics read the pass.
+# is the higher of the best point's evaluation on those rows and its last
+# pass over the rows doubled about their centre (_last_times), and the
+# diagnostics read that pass.
 
 def _band_tables(spec, modes):
     """(the rows the bank and the iteration run on, fresh tables)."""
@@ -740,11 +793,28 @@ def _band_tables(spec, modes):
     return wide[rows], O._tables(spec, modes)
 
 
+def _last_times(spec):
+    """The times of a call's last evaluation: its rows doubled about their
+    centre, n // 2 samples on each side of n, clipped to the doubled window."""
+    wide, rows, _ = O._transit_times(spec)
+    n = rows.stop - rows.start
+    return wide[max(0, rows.start - n // 2):rows.stop + n // 2]
+
+
 def _wide_diagnostics(spec, modes, c):
     """(value, refinement_delta, tail_fraction) of spectrum c from a fresh
-    pass over the doubled window."""
-    value, half, per_t = O._doubled_window(spec, modes, c, O._transit_times(spec)[0],
-                                           O._tables(spec, modes))
+    evaluation on _last_times: the norm on every sample and on every
+    second one, and the share of sum_x |u|^2 in the last tenth of them.
+    The half-rate norm reduces every second row of |u| as lower_bound_mixed
+    does; mixed_norm agrees to rounding only, as its cell mask hands the sum
+    over time a column-major copy, which numpy adds in another order."""
+    times = _last_times(spec)
+    value, u = _evaluate(spec, modes, c, times)
+    absu = np.abs(u.slices)
+    half = float(_reduce(_reduce(absu[::2], spec.r, times[2] - times[0]), spec.q, u.grid.dx))
+    assert half == pytest.approx(mixed_norm(SpacetimeField(u.grid, times[::2], u.slices[::2]),
+                                            MixedNormSpec(q=spec.q, r=spec.r)), rel=1e-14)
+    per_t = np.sum(absu**2, axis=1)
     k = max(1, len(per_t) // 10)
     return (value, abs(value - half) / max(value, 1e-300),
             float(np.sum(per_t[-k:]) / max(np.sum(per_t), 1e-300)))
@@ -796,12 +866,12 @@ def _lower_bound_reference(spec):
 def test_ascent_matches_the_per_call_reference(monkeypatch, r, window, R):
     # every field equal; one gradient per iteration, always on the call's
     # tables; one set of tables per call, read by the bank, the iteration
-    # and the one pass over the doubled window
+    # and the one last pass over the rows doubled
     spec = spec_at(R, alpha=-0.25, r=r, window=window)
     modes = call_modes(spec)
     bank = len(O._candidate_bank(spec, modes))
     ref, quotients = _lower_bound_reference(spec)
-    calls = {"_eval_mixed": [], "_quotient_gradient": [], "_tables": [], "_doubled_window": []}
+    calls = {"_eval_mixed": [], "_quotient_gradient": [], "_tables": []}
     for name, log in calls.items():
         monkeypatch.setattr(O, name, lambda *args, _f=getattr(O, name), _log=log:
                             _log.append(len(args)) or _f(*args))
@@ -811,8 +881,8 @@ def test_ascent_matches_the_per_call_reference(monkeypatch, r, window, R):
     grads = calls["_quotient_gradient"]
     assert len(grads) == res.evaluations - bank == len(quotients) - 1 > 0
     assert set(grads) == {5}
-    assert len(calls["_eval_mixed"]) == res.evaluations
-    assert len(calls["_tables"]) == len(calls["_doubled_window"]) == 1
+    assert len(calls["_eval_mixed"]) == res.evaluations + 1
+    assert len(calls["_tables"]) == 1
 
 
 @pytest.mark.parametrize("window", ["local", "global"], ids=xt)
@@ -822,38 +892,32 @@ def test_power_iteration_is_monotone(monkeypatch, r, window):
     # at r = inf too (the sup over those samples), convex and 1-homogeneous,
     # so no iterate falls below the one before it (to rounding). The result
     # reports the best iterate: its gain over the bank winner and its
-    # spectrum, the one the doubled window's pass reads
+    # spectrum, the one the last pass, over the rows doubled, reads
     spec = spec_at(4.0, alpha=-0.25, r=r, window=window)
     modes = call_modes(spec)
     bank = len(O._candidate_bank(spec, modes))
-    eval_mixed, doubled_window = O._eval_mixed, O._doubled_window
-    calls, wide = [], []
+    eval_mixed, calls = O._eval_mixed, []
 
     def logged(*args):
         val, u = eval_mixed(*args)
-        calls.append((args[2], val / O._l2_of_spectrum(modes, args[2])))
+        calls.append((args[2], val / O._l2_of_spectrum(modes, args[2]), args[3]))
         return val, u
 
-    def logged_wide(*args):
-        out = doubled_window(*args)
-        wide.append((args[2], out[0] / O._l2_of_spectrum(modes, args[2])))
-        return out
-
     monkeypatch.setattr(O, "_eval_mixed", logged)
-    monkeypatch.setattr(O, "_doubled_window", logged_wide)
     res = O.lower_bound_mixed(spec)
-    start = max(q for _, q in calls[:bank])
-    iterates = calls[bank:]
+    start = max(q for _, q, _ in calls[:bank])
+    iterates, wide = calls[bank:-1], calls[-1]
     assert len(iterates) == res.evaluations - bank
-    quotients = [start] + [q for _, q in iterates]
+    assert np.array_equal(wide[2], _last_times(spec))
+    quotients = [start] + [q for _, q, _ in iterates]
     assert len(iterates) >= 3 and quotients[1] > start
     for before, after in zip(quotients, quotients[1:]):
         assert after >= before * (1 - 1e-14)
     top = max(quotients)
     assert res.ascent_gain == (top - start) / start
     top_c = iterates[quotients.index(top) - 1][0]
-    assert len(wide) == 1 and wide[0][0] is top_c
-    assert res.value == max(top, wide[0][1])
+    assert wide[0] is top_c
+    assert res.value == max(top, wide[1])
 
 
 # lower_bound_mixed at the battery's maximal (criterion 08) and global
@@ -915,8 +979,8 @@ def test_mixed_node_rule_is_converged(monkeypatch, R, window, r, alpha):
 def _doubled_window_diagnostics(spec, modes, c):
     """(value, (refinement_delta, window_delta, tail_fraction), whether the
     wide window won) of spectrum c from a fresh evaluation on the bank's
-    rows and a fresh pass over the doubled window: the value is the higher
-    of the two, the sampling diagnostics are the doubled window's."""
+    rows and a fresh one on those rows doubled: the value is the higher of
+    the two, the sampling diagnostics are the doubled rows'."""
     v_top = O._eval_mixed(spec, modes, c, *_band_tables(spec, modes))[0]
     v_wide, ref_delta, tail = _wide_diagnostics(spec, modes, c)
     return max(v_top, v_wide), (ref_delta, abs(v_wide - v_top) / v_top, tail), v_wide > v_top
@@ -926,22 +990,20 @@ def _doubled_window_diagnostics(spec, modes, c):
 def test_diagnostics_read_the_doubled_window(monkeypatch, r, alpha):
     # the power iteration moves the winner to a new point on the bank's rows
     # (the peak band at r = inf, the transit window at r = 4); the value is
-    # the higher of its evaluation there and its pass over the doubled
-    # transit window, refinement_delta and tail_fraction are the doubled
-    # window's whichever wins, and nothing runs beyond the bank, the
-    # iteration and that one pass
+    # the higher of its evaluation there and its last pass over those rows
+    # doubled (the doubled band, the doubled transit window), refinement_delta
+    # and tail_fraction are the last pass's whichever wins, and nothing runs
+    # beyond the bank, the iteration and that one pass
     spec = spec_at(2.0, alpha=alpha, r=r, window="global")
     modes = call_modes(spec)
-    calls = {"_eval_mixed": [], "_doubled_window": []}
-    for name, log in calls.items():
-        monkeypatch.setattr(O, name, lambda *args, _f=getattr(O, name), _log=log:
-                            _log.append(args) or _f(*args))
+    calls, eval_mixed = [], O._eval_mixed
+    monkeypatch.setattr(O, "_eval_mixed", lambda *args: calls.append(args) or eval_mixed(*args))
     res = O.lower_bound_mixed(spec)
-    assert len(calls["_eval_mixed"]) == res.evaluations
-    [wide] = calls["_doubled_window"]
-    top_c = wide[2]  # the wide window's spectrum is the reported point
-    assert np.array_equal(wide[3], O._transit_times(spec)[0])
-    times = next(args[3] for args in calls["_eval_mixed"] if args[2] is top_c)
+    assert len(calls) == res.evaluations + 1
+    wide = calls[-1]
+    top_c = wide[2]  # the last pass's spectrum is the reported point
+    assert np.array_equal(wide[3], _last_times(spec))
+    times = next(args[3] for args in calls if args[2] is top_c)
     assert res.ascent_gain > 0
     bank = dict(O._candidate_bank(spec, modes))
     assert not any(top_c is c for c in bank.values())
